@@ -37,6 +37,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -252,11 +253,14 @@ pub fn run_cluster_scenario(cfg: &ClusterScenarioConfig) -> io::Result<ClusterOu
         .map(|k| map.owned_ranges(&ids[k.node]).len())
         .unwrap_or(0);
 
+    // Unique per invocation, not per seed: scenarios with equal seeds run
+    // concurrently inside one test binary and must not share a file.
+    static DIR_PATH_SEQ: AtomicU64 = AtomicU64::new(0);
     let dir_path: Option<PathBuf> = cfg.dir_restart_after.map(|_| {
         std::env::temp_dir().join(format!(
             "rif-dirmap-{}-{}.txt",
             std::process::id(),
-            cfg.seed
+            DIR_PATH_SEQ.fetch_add(1, Ordering::Relaxed)
         ))
     });
     let dir = match &dir_path {

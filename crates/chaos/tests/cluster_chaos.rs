@@ -190,6 +190,34 @@ fn durability_matrix_partition_x_kills_x_migration() {
     }
 }
 
+/// Two restart scenarios with the same seed, side by side in one
+/// process — what the default parallel test run does to the gate and the
+/// matrix above. Each directory must restore *its own* map: with a
+/// persist path keyed by seed they overwrote each other's file and a
+/// restart came back with the other cluster's node addresses.
+#[test]
+fn same_seed_restart_scenarios_do_not_share_a_persist_file() {
+    let cfg = ClusterScenarioConfig {
+        requests: 2_000,
+        seed: 11,
+        kill_after: Duration::ZERO,
+        dir_restart_after: Some(Duration::from_millis(50)),
+        ..ClusterScenarioConfig::default()
+    };
+    let outcomes = std::thread::scope(|s| {
+        let runs = [(); 2].map(|()| s.spawn(|| run_cluster_scenario(&cfg)));
+        runs.map(|r| r.join().expect("scenario thread").expect("scenario runs"))
+    });
+    for outcome in outcomes {
+        assert!(outcome.verdict.pass, "{}", outcome.verdict.to_json());
+        assert_eq!(
+            outcome.dir_restart_identical,
+            Some(true),
+            "a directory restored another scenario's map"
+        );
+    }
+}
+
 #[test]
 fn flapping_proxy_does_not_snowball_reconnect_backoff() {
     // A flapping link: both directions reset often enough that every

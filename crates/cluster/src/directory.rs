@@ -1,11 +1,13 @@
 //! The shard directory: the single writer of the cluster's [`ShardMap`].
 //!
 //! A `Directory` owns the authoritative map and serves it over the same
-//! length-prefixed wire protocol the nodes speak (protocol v3). It is a
-//! plain `std` TCP service — accept loop on one thread, one handler
-//! thread per connection — answering:
+//! length-prefixed wire protocol the nodes speak. It is a plain `std`
+//! TCP service — accept loop on one thread, one handler thread per
+//! connection — answering:
 //!
-//! - `HELLO` — negotiates v3 like any node;
+//! - `HELLO` — the strict version check, like any node: acks
+//!   `PROTOCOL_VERSION`, answers any other with `ERROR(BadRequest)` and
+//!   closes;
 //! - `MAP_GET` — the current map text and epoch;
 //! - `MIGRATE {range, node}` — orchestrates a live handoff (below) and
 //!   answers `MAP_RESP` with the post-migration map;
@@ -118,8 +120,8 @@ pub struct Directory {
     accept: Option<thread::JoinHandle<()>>,
 }
 
-/// Sends one request on an already-negotiated connection and waits for
-/// the reply (directory RPCs are strictly one-at-a-time per connection).
+/// Sends one request on an open connection and waits for the reply
+/// (directory RPCs are strictly one-at-a-time per connection).
 fn rpc(conn: &mut Conn, req: &Request) -> io::Result<Response> {
     conn.send(req)?;
     let deadline = Instant::now() + RPC_TIMEOUT;
@@ -333,17 +335,20 @@ fn unexpected(what: &str, got: &Response) -> io::Error {
     )
 }
 
-/// Installs `next` as the authoritative map and pushes it to every node
-/// it lists. Returns the new epoch; push failures are non-fatal (the
-/// node will catch up from `WRONG_SHARD` routing or the next push).
+/// Persists `next`, installs it as the authoritative map and pushes it
+/// to every node it lists. Returns the new epoch; push failures are
+/// non-fatal (the node will catch up from `WRONG_SHARD` routing or the
+/// next push), a persist failure is fatal and leaves the old map in
+/// place, unpushed.
 fn install_and_push(inner: &Inner, next: ShardMap) -> io::Result<u64> {
     let epoch = next.epoch;
-    *lock(&inner.map) = next.clone();
-    // Persist before pushing: once any node has seen the new epoch, a
-    // restarting directory must never come back with an older one.
+    // Persist before installing or pushing: once anyone has seen the new
+    // epoch, a restarting directory must never come back with an older
+    // one.
     if let Some(path) = &inner.persist {
-        persist_map(path, &next).ok();
+        persist_map(path, &next)?;
     }
+    *lock(&inner.map) = next.clone();
     for n in &next.nodes {
         push_to(&n.addr, &next, &n.id).ok();
     }
@@ -468,10 +473,17 @@ fn serve_conn(stream: TcpStream, inner: Arc<Inner>) {
                 continue;
             };
             let resp = match req {
-                Request::Hello { tag, version } => Response::HelloAck {
-                    tag,
-                    version: version.min(PROTOCOL_VERSION).max(1),
-                },
+                Request::Hello { tag, version } if version == PROTOCOL_VERSION => {
+                    Response::HelloAck { tag, version }
+                }
+                Request::Hello { tag, .. } => {
+                    let refusal = Response::Error {
+                        tag,
+                        code: ErrorCode::BadRequest,
+                    };
+                    write_frame(&mut writer, &encode_response(&refusal)).ok();
+                    break 'conn;
+                }
                 Request::MapGet { tag } => {
                     let map = lock(&inner.map);
                     Response::MapResp {

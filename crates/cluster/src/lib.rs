@@ -15,10 +15,10 @@
 //! - [`stats`] — parsing and merging per-node STATS texts into one
 //!   cluster report (counters add, gauges max, histograms merge).
 //!
-//! The wire protocol is the v3 extension of `rif-server`'s: nodes learn
-//! their ownership via `MAP_PUSH`, refuse foreign ranges with
-//! `WRONG_SHARD(epoch)`, seal mid-handoff ranges with `BUSY(moving)`,
-//! and hand their ThresholdLearner snapshot over `MIGRATE_OUT` /
+//! The wire protocol is `rif-server`'s, cluster messages included:
+//! nodes learn their ownership via `MAP_PUSH`, refuse foreign ranges
+//! with `WRONG_SHARD(epoch)`, seal mid-handoff ranges with
+//! `BUSY(moving)`, and hand their ThresholdLearner snapshot over `MIGRATE_OUT` /
 //! `MIGRATE_IN` so read-threshold learning survives the move.
 
 #![warn(missing_docs)]

@@ -31,8 +31,8 @@
 //! timed-out read re-issues against another replica instead of failing;
 //! a timed-out *write* stays terminal (its fate on the primary is
 //! unknown). Every re-issue links `retry_of` to the chain's ROOT tag
-//! (the first submission) — on v2+ links the link travels on the wire
-//! as a one-entry BATCH frame so the server-side trace recorder
+//! (the first submission) — the link travels on the wire as a
+//! one-entry BATCH frame so the server-side trace recorder
 //! journals the logical request once, not once per retry, even when an
 //! intermediate re-issue never reached admission. Tags resolved by the
 //! deadline sweep stay tombstoned: a straggler response for one lands
@@ -143,10 +143,6 @@ struct Endpoint {
     /// Whether this endpoint has ever held a live connection (the first
     /// connect is not a *re*connect).
     ever_connected: bool,
-    /// Whether the current v1 connection was already kicked once to
-    /// renegotiate HELLO before carrying a `retry_of` re-issue (see
-    /// [`try_send`]). Cleared whenever a v2+ link is observed.
-    v1_kicked: bool,
 }
 
 /// Shared mutable run state (journal, ledger, latency histogram).
@@ -425,7 +421,6 @@ fn try_send(
             backoff: ReconnectBackoff::new(),
             down_until: now,
             ever_connected: false,
-            v1_kicked: false,
         });
     // The map may have re-addressed the node (not typical, but cheap to
     // honor).
@@ -464,27 +459,11 @@ fn try_send(
 
     let tag = st.next_tag;
     st.next_tag += 1;
-    // Re-issues on a v2+ link travel as one-entry BATCH frames — the
-    // only frame kind that carries `retry_of` — so the server's trace
-    // recorder aliases the retry onto the original logical request.
-    let version = ep.conn.as_ref().expect("connected above").version();
-    // A re-issue must carry its `retry_of` link or the server-side
-    // recorder double-counts the logical request (capture dedup keys on
-    // the link). A v1 link here almost always means a lossy path ate
-    // the HELLO ack at connect time — drop the connection once so the
-    // reconnect renegotiates; a peer that is *still* v1 after the kick
-    // gets the plain frame, there is nothing better to send it.
-    if work.retry_of.is_some() && version < 2 {
-        if !ep.v1_kicked {
-            ep.v1_kicked = true;
-            ep.conn = None;
-            return SendResult::Requeued(work);
-        }
-    } else if version >= 2 {
-        ep.v1_kicked = false;
-    }
+    // Re-issues travel as one-entry BATCH frames — the only frame kind
+    // that carries `retry_of` — so the server's trace recorder aliases
+    // the retry onto the original logical request.
     let req = match work.retry_of {
-        Some(prior) if version >= 2 => Request::Batch(vec![BatchEntry {
+        Some(prior) => Request::Batch(vec![BatchEntry {
             op: work.op,
             tenant: cfg.tenant,
             tag,
@@ -492,7 +471,7 @@ fn try_send(
             bytes: work.bytes,
             retry_of: prior,
         }]),
-        _ => match work.op {
+        None => match work.op {
             IoOp::Read => Request::Read {
                 tenant: cfg.tenant,
                 tag,

@@ -14,12 +14,17 @@
 //!   source's pre-migration value instead of restarting at zero);
 //! * the cluster STATS plane sees both nodes and sums their counters.
 
+use std::io::BufReader;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use rif_cluster::stats::NodeStats;
 use rif_cluster::{Directory, NodeInfo, RouterConfig, ShardMap};
 use rif_server::client::Conn;
-use rif_server::protocol::{Request, Response};
+use rif_server::protocol::{
+    decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response,
+    PROTOCOL_VERSION,
+};
 use rif_server::server::{Server, ServerConfig};
 
 const RANGES: u32 = 4;
@@ -48,7 +53,7 @@ fn node_stats(addr: &str) -> NodeStats {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         if let Ok(Some(payload)) = conn.next_frame() {
-            match rif_server::protocol::decode_response(&payload) {
+            match decode_response(&payload) {
                 Ok(Response::Stats { text, .. }) => {
                     return NodeStats::parse_text(&text).expect("stats text parses")
                 }
@@ -198,7 +203,7 @@ fn map_push_flips_a_cold_node_from_bouncing_to_serving() {
     let addr = node.local_addr().to_string();
 
     let mut conn = Conn::connect(&addr).expect("connect");
-    assert!(conn.version() >= 3, "cluster nodes speak v3");
+    assert_eq!(conn.version(), PROTOCOL_VERSION);
     let probe = Request::Read {
         tenant: 0,
         tag: 1,
@@ -210,6 +215,13 @@ fn map_push_flips_a_cold_node_from_bouncing_to_serving() {
     assert!(
         matches!(resp, Response::WrongShard { epoch: 0, .. }),
         "cold node must refuse with WRONG_SHARD(0), got {resp:?}"
+    );
+    // The refusal vocabulary does not depend on a handshake: the same
+    // probe on a socket that never said HELLO is WRONG_SHARD too.
+    let replies = raw_exchange(&addr, &[probe.clone()]);
+    assert!(
+        matches!(replies[..], [Response::WrongShard { epoch: 0, .. }]),
+        "HELLO-less probe must refuse with WRONG_SHARD(0), got {replies:?}"
     );
 
     let map = ShardMap::rebalanced(
@@ -239,9 +251,71 @@ fn wait_response(conn: &mut Conn) -> Response {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         if let Ok(Some(payload)) = conn.next_frame() {
-            return rif_server::protocol::decode_response(&payload).expect("decodable");
+            return decode_response(&payload).expect("decodable");
         }
         conn.pump().expect("conn alive");
     }
     panic!("no response before deadline");
+}
+
+/// Writes `reqs` back to back on a fresh socket (no HELLO unless it is
+/// one of them), half-closes it, and collects every frame the peer
+/// answers before it closes.
+fn raw_exchange(addr: &str, reqs: &[Request]) -> Vec<Response> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    for req in reqs {
+        write_frame(&mut stream, &encode_request(req)).expect("write frame");
+    }
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut reader = BufReader::new(stream);
+    let mut replies = Vec::new();
+    while let Some(payload) = read_frame(&mut reader).expect("read frame") {
+        replies.push(decode_response(&payload).expect("decodable"));
+    }
+    replies
+}
+
+#[test]
+fn directory_refuses_a_hello_for_another_version_and_closes() {
+    let map = ShardMap::rebalanced(
+        1,
+        CAPACITY,
+        RANGES,
+        vec![NodeInfo {
+            id: "a".into(),
+            addr: "127.0.0.1:1".into(),
+        }],
+    )
+    .expect("valid map");
+    let dir = Directory::start(map, 0).expect("directory starts");
+    let addr = dir.addr().to_string();
+    for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        // The MAP_GET pipelined behind the HELLO must never be answered:
+        // one refusal, then the close.
+        let replies = raw_exchange(
+            &addr,
+            &[
+                Request::Hello { tag: 9, version },
+                Request::MapGet { tag: 10 },
+            ],
+        );
+        assert_eq!(
+            replies,
+            [Response::Error {
+                tag: 9,
+                code: ErrorCode::BadRequest
+            }],
+            "HELLO({version})"
+        );
+    }
+    assert!(
+        Conn::connect(&addr).is_ok(),
+        "the matching version connects"
+    );
+    dir.stop();
 }

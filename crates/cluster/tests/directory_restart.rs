@@ -10,7 +10,8 @@
 //! Also covers the typed-error path: a corrupted persisted file must
 //! fail loudly (`MapLoadError::Malformed` / `InvalidData`), never be
 //! silently replaced, while a *missing* file means "first boot" and the
-//! argument map is used.
+//! argument map is used. And the write side of the same promise: an
+//! epoch the directory could not persist is never installed or pushed.
 
 use std::time::{Duration, Instant};
 
@@ -170,4 +171,34 @@ fn corrupted_map_file_is_a_typed_error_and_missing_means_first_boot() {
     );
     dir.stop();
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn an_epoch_that_cannot_be_persisted_is_not_installed() {
+    // Nothing listens on these: pushes fail fast and are non-fatal.
+    let nodes = ["a", "b"]
+        .iter()
+        .zip(1..)
+        .map(|(id, port)| NodeInfo {
+            id: id.to_string(),
+            addr: format!("127.0.0.1:{port}"),
+        })
+        .collect();
+    let map = ShardMap::rebalanced(1, CAPACITY, RANGES, nodes).expect("valid map");
+    let home = temp_path("persist-fail").with_extension("d");
+    std::fs::create_dir_all(&home).expect("temp dir");
+    let dir =
+        Directory::start_persistent(map.clone(), 0, home.join("map.txt")).expect("first boot");
+
+    // Pull the directory's storage out from under it: the rebalance must
+    // fail as a whole. Installing (or pushing) the unpersisted epoch
+    // would let a restart come back older than what nodes have seen.
+    std::fs::remove_dir_all(&home).expect("remove temp dir");
+    let err = dir
+        .rebalance_away("b")
+        .expect_err("an unpersistable epoch must not be installed");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+    assert_eq!(dir.map().epoch, map.epoch, "epoch moved without persisting");
+    assert_eq!(dir.map().to_text(), map.to_text());
+    dir.stop();
 }

@@ -9,8 +9,7 @@
 //!            [--deadline-ms N]
 //! ```
 //!
-//! `--batch N` packs up to N requests per BATCH frame (protocol v2,
-//! negotiated by HELLO; falls back to single frames on a v1 server).
+//! `--batch N` packs up to N requests per BATCH frame.
 //!
 //! High-concurrency mode:
 //!
@@ -20,7 +19,7 @@
 //!
 //! `--mux` multiplexes all connections over a few poller-driven worker
 //! threads instead of one thread per connection, making ≥10k concurrent
-//! connections practical (v1 single frames only — no batching).
+//! connections practical (single frames only — no batching).
 //!
 //! Replay modes:
 //!

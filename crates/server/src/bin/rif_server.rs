@@ -6,16 +6,14 @@
 //! rif-server [--port N] [--shards N] [--scheme LABEL] [--pe-cycles N]
 //!            [--inflight-limit N] [--rate N] [--burst N]
 //!            [--time-scale X] [--capacity-gib N] [--queue-depth N]
-//!            [--seed N] [--capture FILE] [--core epoll|legacy]
-//!            [--max-connections N] [--write-queue-kib N]
+//!            [--seed N] [--capture FILE] [--max-connections N]
+//!            [--write-queue-kib N]
 //!            [--learn] [--drift-days-per-sec X] [--hybrid] [--cluster]
 //! ```
 //!
-//! `--core epoll` (default) serves every connection from one
-//! readiness-driven event-loop thread; `--core legacy` restores the
-//! thread-per-connection core. `--max-connections 0` lifts the accept
-//! limit; over-limit connects get one `ERROR(conn_limit)` frame and a
-//! close. `--write-queue-kib` bounds each connection's response queue
+//! Every connection is served from one readiness-driven event-loop
+//! thread. `--max-connections 0` lifts the accept limit; over-limit
+//! connects get one `ERROR(conn_limit)` frame and a close. `--write-queue-kib` bounds each connection's response queue
 //! (shed `BUSY` past the limit, stop reading past twice it; 0 =
 //! unbounded).
 //!
@@ -36,7 +34,7 @@
 //! bounces with `WRONG_SHARD` until the `rif-cluster` directory's first
 //! MAP_PUSH) and `--shards` becomes the cluster's total range count.
 
-use rif_server::server::{CoreKind, Server, ServerConfig};
+use rif_server::server::{Server, ServerConfig};
 use rif_ssd::RetryKind;
 
 fn usage() -> ! {
@@ -44,7 +42,7 @@ fn usage() -> ! {
         "usage: rif-server [--port N] [--shards N] [--scheme LABEL] [--pe-cycles N]\n\
          \x20                 [--inflight-limit N] [--rate N] [--burst N] [--time-scale X]\n\
          \x20                 [--capacity-gib N] [--queue-depth N] [--seed N] [--capture FILE]\n\
-         \x20                 [--core epoll|legacy] [--max-connections N] [--write-queue-kib N]\n\
+         \x20                 [--max-connections N] [--write-queue-kib N]\n\
          \x20                 [--learn] [--drift-days-per-sec X] [--hybrid] [--cluster]\n\
          schemes: SENC SWR SWR+ RPSSD RiFSSD SSDone SSDzero"
     );
@@ -89,11 +87,6 @@ fn main() {
             "--capture" => {
                 capture_path = Some(val("--capture"));
                 cfg.capture = true;
-            }
-            "--core" => {
-                cfg.core = val("--core")
-                    .parse::<CoreKind>()
-                    .unwrap_or_else(|_| usage())
             }
             "--max-connections" => {
                 cfg.max_connections = val("--max-connections").parse().unwrap_or_else(|_| usage())

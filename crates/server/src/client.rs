@@ -83,9 +83,7 @@ pub struct LoadConfig {
     /// plus seeded jitter in `[0, base)`.
     pub reconnect_backoff: Duration,
     /// Requests per BATCH frame (`<= 1` disables batching: every request
-    /// rides the v1 single-request frame). Batching requires the server
-    /// to negotiate protocol v2; a connection that falls back to v1
-    /// sends single frames regardless.
+    /// rides its own single-request frame).
     pub batch: usize,
     /// Longest a partially-filled batch waits for more requests before
     /// being flushed anyway.
@@ -213,8 +211,7 @@ pub struct LoadReport {
     pub conn_errors: u64,
     /// Successful reconnects across all connections.
     pub reconnects: u64,
-    /// BATCH frames sent (zero when batching is disabled or every
-    /// connection fell back to protocol v1).
+    /// BATCH frames sent (zero when batching is disabled).
     pub batches_sent: u64,
     /// Operations abandoned without completion (write fate unknown, or
     /// retry budget exhausted). `completed + failed + busy_dropped`
@@ -425,16 +422,14 @@ fn fingerprint(payload: &[u8]) -> u64 {
     h
 }
 
-/// One negotiated client connection: a nodelay TCP stream, its buffered
-/// writer, and an incremental frame decoder. Public so higher layers
-/// (the cluster router) can drive the wire protocol per endpoint while
-/// reusing the load loop's transport discipline.
+/// One client connection past its HELLO check: a nodelay TCP stream, its
+/// buffered writer, and an incremental frame decoder. Public so higher
+/// layers (the cluster router) can drive the wire protocol per endpoint
+/// while reusing the load loop's transport discipline.
 pub struct Conn {
     stream: TcpStream,
     writer: BufWriter<TcpStream>,
     frames: FrameBuffer,
-    /// Protocol version the server acked; 1 until HELLO succeeds.
-    version: u32,
 }
 
 impl Conn {
@@ -447,21 +442,23 @@ impl Conn {
             stream,
             writer,
             frames: FrameBuffer::new(),
-            version: 1,
         })
     }
 
-    /// Connects to `addr` and runs the HELLO handshake, falling back to
-    /// the v1 baseline when the peer never acks.
+    /// Connects to `addr` and runs the HELLO version check. Anything but
+    /// `HELLO_ACK(PROTOCOL_VERSION)` inside [`HELLO_TIMEOUT`] — an ERROR,
+    /// another version, silence, EOF — is a failed connect, which callers
+    /// retry through their bounded reconnect/backoff path.
     pub fn connect(addr: &str) -> io::Result<Conn> {
         let mut c = Conn::open(addr)?;
-        c.version = negotiate(&mut c);
+        check_hello(&mut c)?;
         Ok(c)
     }
 
-    /// The protocol version negotiated with HELLO (1 = baseline).
+    /// The protocol version this connection speaks: a live `Conn` has
+    /// passed the HELLO check, so always [`PROTOCOL_VERSION`].
     pub fn version(&self) -> u32 {
-        self.version
+        PROTOCOL_VERSION
     }
 
     /// Switches the socket to non-blocking mode: [`pump`](Conn::pump)
@@ -513,47 +510,34 @@ impl Conn {
 /// `(conn << 32) | counter`, so `u64::MAX` can never collide.
 const HELLO_TAG: u64 = u64::MAX;
 
-/// How long the handshake waits for HELLO_ACK before assuming a v1 peer
-/// (or a transport that ate the ack) and falling back to single frames.
-const HELLO_TIMEOUT: Duration = Duration::from_millis(250);
+/// How long the handshake waits for HELLO_ACK before the connect fails
+/// (a peer that is not serving, or a transport that ate the ack).
+pub const HELLO_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Opens a connection to the configured address. Negotiation always
-/// runs, even when not batching: a v2+ link lets re-issues ride in
-/// single-entry BATCH frames whose `retry_of` tells the server-side
-/// recorder they are the same logical request, not new load.
-fn open_link(cfg: &LoadConfig) -> io::Result<Conn> {
-    Conn::connect(&cfg.addr)
-}
-
-/// Blocking HELLO handshake, returning the version the server acked
-/// (clamped to what this client speaks). A v1 server answers the
-/// unknown opcode with `ERROR(tag=0)`; a lossy path may answer with
-/// nothing — both fall back to v1 framing, which every server speaks.
-fn negotiate(c: &mut Conn) -> u32 {
-    let hello = Request::Hello {
+/// Blocking HELLO handshake: `Ok` only on `HELLO_ACK(PROTOCOL_VERSION)`.
+fn check_hello(c: &mut Conn) -> io::Result<()> {
+    c.send(&Request::Hello {
         tag: HELLO_TAG,
         version: PROTOCOL_VERSION,
-    };
-    if write_frame(&mut c.writer, &encode_request(&hello)).is_err() {
-        return 1;
-    }
+    })?;
     let deadline = Instant::now() + HELLO_TIMEOUT;
     while Instant::now() < deadline {
-        if c.pump().is_err() {
-            return 1;
-        }
-        match c.frames.next_frame() {
-            Ok(Some(payload)) => {
-                return match decode_response(&payload) {
-                    Ok(Response::HelloAck { version, .. }) => version.min(PROTOCOL_VERSION).max(1),
-                    _ => 1,
-                };
-            }
-            Ok(None) => {}
-            Err(_) => return 1,
-        }
+        c.pump()?;
+        let Some(payload) = c
+            .next_frame()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+        else {
+            continue;
+        };
+        return match decode_response(&payload) {
+            Ok(Response::HelloAck { version, .. }) if version == PROTOCOL_VERSION => Ok(()),
+            other => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("HELLO refused: {other:?}"),
+            )),
+        };
     }
-    1
+    Err(io::Error::new(io::ErrorKind::TimedOut, "no HELLO_ACK"))
 }
 
 /// Everything `run_connection` tracks for one connection.
@@ -642,9 +626,21 @@ fn run_connection(
         batch_started: None,
     };
     let mut jitter = SimRng::stream(cfg.seed ^ JITTER_SALT, conn as u64);
-    let mut link = Some(open_link(cfg)?);
     let mut reconnects_used: u32 = 0;
     let mut backoff = ReconnectBackoff::new();
+    // A first open that fails (refused, or the HELLO check saw no ack)
+    // draws on the same bounded reconnect budget as a mid-run loss.
+    let mut link = Some(match Conn::connect(&cfg.addr) {
+        Ok(c) => c,
+        Err(e) => reconnect(
+            cfg,
+            &mut st,
+            &mut jitter,
+            &mut reconnects_used,
+            &mut backoff,
+        )
+        .ok_or(e)?,
+    });
     let started = Instant::now();
 
     while !st.queue.is_empty() || !st.inflight.is_empty() {
@@ -659,7 +655,7 @@ fn run_connection(
 
         // Fill the window.
         let mut send_failed = false;
-        let batching = conn_ref.version >= 2 && cfg.batch > 1;
+        let batching = cfg.batch > 1;
         while st.inflight.len() < cfg.depth {
             // Replay pacing: hold the next request until its recorded
             // due time. The queue keeps plan order, so the head gates
@@ -697,11 +693,11 @@ fn run_connection(
                     break;
                 }
             } else {
-                // Re-issues on a v2 link travel as one-entry BATCH frames:
-                // the only frame kind that carries `retry_of`, so the
-                // server's recorder can alias them onto the original
-                // instead of journaling a second logical request.
-                let req = if conn_ref.version >= 2 && retry_of != 0 {
+                // Re-issues travel as one-entry BATCH frames: the only
+                // frame kind that carries `retry_of`, so the server's
+                // recorder can alias them onto the original instead of
+                // journaling a second logical request.
+                let req = if retry_of != 0 {
                     Request::Batch(vec![BatchEntry {
                         op: io.op,
                         tenant: io.tenant,
@@ -868,7 +864,7 @@ fn reconnect(
     while *used < cfg.max_reconnects {
         *used += 1;
         std::thread::sleep(backoff.next_delay(cfg.reconnect_backoff, jitter));
-        if let Ok(c) = open_link(cfg) {
+        if let Ok(c) = Conn::connect(&cfg.addr) {
             backoff.note_success();
             st.journal.reconnects += 1;
             return Some(c);

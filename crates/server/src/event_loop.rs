@@ -1,4 +1,5 @@
-//! Readiness-based single-thread server core.
+//! The readiness-based single-thread server core, and the single place
+//! a request frame is dispatched ([`drain_frames`]).
 //!
 //! One thread owns every connection socket plus the listener: a
 //! [`Poller`](crate::poller::Poller) (epoll on Linux, `poll(2)`
@@ -36,8 +37,7 @@ use crate::protocol::{BusyReason, ErrorCode, Response, PROTOCOL_VERSION};
 use crate::ring::{decode_request_view, RecvBuffer, RequestView, WriteQueue};
 use crate::server::{
     admit_batch, admit_io, at_conn_limit, handle_map_push, handle_migrate_in, handle_migrate_out,
-    handle_replicate, refuse_over_limit, reject_unnegotiated_batch, render_stats, RangeStatus,
-    Shared,
+    handle_replicate, refuse_over_limit, render_stats, RangeStatus, Shared,
 };
 use crate::shard::{ReplyTo, ShardMsg};
 use rif_workloads::IoOp;
@@ -61,8 +61,6 @@ struct Conn {
     stream: TcpStream,
     ring: RecvBuffer,
     wq: WriteQueue,
-    /// Protocol version negotiated by HELLO (v1 baseline until then).
-    negotiated: u32,
     /// Interest currently registered with the poller.
     interest: Interest,
     /// `wq.len()` as last accounted into the aggregate gauge.
@@ -379,7 +377,6 @@ fn accept_ready(
             stream,
             ring: RecvBuffer::new(),
             wq: WriteQueue::new(),
-            negotiated: 1,
             interest: Interest::READ,
             last_wq: 0,
             close_after_flush: false,
@@ -439,7 +436,8 @@ fn read_ready(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) {
 
 /// Decodes and dispatches every complete frame currently buffered.
 /// Returns false when the connection should not be read further (the
-/// ring is poisoned, or SHUTDOWN started the goodbye handshake).
+/// ring is poisoned, a HELLO named another protocol version, or SHUTDOWN
+/// started the goodbye handshake).
 fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool {
     loop {
         let payload = match conn.ring.next_frame() {
@@ -479,17 +477,7 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                 if overloaded {
                     shed(shared, reply, tag, 1);
                 } else {
-                    admit_io(
-                        shared,
-                        reply,
-                        tenant,
-                        tag,
-                        offset,
-                        bytes,
-                        IoOp::Read,
-                        0,
-                        conn.negotiated,
-                    );
+                    admit_io(shared, reply, tenant, tag, offset, bytes, IoOp::Read, 0);
                 }
             }
             RequestView::Write {
@@ -501,28 +489,11 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                 if overloaded {
                     shed(shared, reply, tag, 1);
                 } else {
-                    admit_io(
-                        shared,
-                        reply,
-                        tenant,
-                        tag,
-                        offset,
-                        bytes,
-                        IoOp::Write,
-                        0,
-                        conn.negotiated,
-                    );
+                    admit_io(shared, reply, tenant, tag, offset, bytes, IoOp::Write, 0);
                 }
             }
             RequestView::Batch(batch) => {
-                if conn.negotiated < 2 {
-                    let tag = if batch.count() == 0 {
-                        0
-                    } else {
-                        batch.entry(0).tag
-                    };
-                    reject_unnegotiated_batch(shared, reply, tag);
-                } else if overloaded {
+                if overloaded {
                     shared.metrics().inc("server.batches", 1);
                     for e in batch.iter() {
                         shed(shared, reply, e.tag, 0);
@@ -531,7 +502,7 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                         .metrics()
                         .inc("server.busy.writeq", batch.count() as u64);
                 } else {
-                    admit_batch(shared, reply, batch.iter(), conn.negotiated);
+                    admit_batch(shared, reply, batch.iter());
                 }
             }
             RequestView::MapGet { tag } => {
@@ -600,11 +571,18 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                 handle_replicate(shared, reply, tag, range, epoch, seq, tenant, offset, bytes);
             }
             RequestView::Hello { tag, version } => {
-                conn.negotiated = version.min(PROTOCOL_VERSION).max(1);
-                reply.send(Response::HelloAck {
-                    tag,
-                    version: conn.negotiated,
-                });
+                if version != PROTOCOL_VERSION {
+                    // One wire version: a peer built against another is
+                    // told so and dropped instead of being half-served.
+                    shared.metrics().inc("server.protocol_errors", 1);
+                    reply.send(Response::Error {
+                        tag,
+                        code: ErrorCode::BadRequest,
+                    });
+                    conn.close_after_flush = true;
+                    return false;
+                }
+                reply.send(Response::HelloAck { tag, version });
             }
             RequestView::Stats { tag } => {
                 let text = render_stats(shared);
@@ -618,7 +596,7 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                 conn.close_after_flush = true;
                 shared.shutdown.store(true, Ordering::Release);
                 // Anything pipelined behind SHUTDOWN is intentionally
-                // not served, matching the threaded core.
+                // not served.
                 return false;
             }
         }

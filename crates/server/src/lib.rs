@@ -12,15 +12,16 @@
 //! - [`poller`] — vendored epoll shim with a portable `poll(2)` fallback;
 //! - [`ring`] — zero-copy receive rings and vectored write queues;
 //! - [`shard`] — one simulator worker thread per LBA range;
-//! - [`server`] — accept loop, admission control, metrics;
-//! - [`event_loop`] — the readiness-based single-thread server core;
+//! - [`server`] — start/stop, admission control, metrics;
+//! - [`event_loop`] — the readiness-based single-thread server core:
+//!   accept, framing, and the one request dispatch;
 //! - [`client`] — the closed-loop load generator and its JSON report;
 //! - [`mux`] — the poller-multiplexed high-concurrency load generator;
 //! - [`recorder`] — live trace capture of every admitted request;
 //! - [`replay`] — driving a captured trace back through a live server.
 //!
-//! Everything is plain `std` (threads, mpsc, blocking sockets): the
-//! service layer adds no dependencies beyond the simulator itself.
+//! Everything is plain `std` (threads, mpsc, sockets): the service layer
+//! adds no dependencies beyond the simulator itself.
 //!
 //! # Example
 //!

@@ -1,7 +1,7 @@
 //! Poller-multiplexed high-concurrency load generator.
 //!
-//! The threaded closed-loop client ([`crate::client`]) spends one OS
-//! thread per connection, which tops out around the low thousands of
+//! The closed-loop client ([`crate::client`]) spends one OS thread per
+//! connection, which tops out around the low thousands of
 //! sockets. This module drives *many* connections per thread off the
 //! same [`Poller`](crate::poller::Poller) the server core uses: each
 //! worker thread owns `connections / threads` nonblocking sockets, a
@@ -10,10 +10,10 @@
 //! concurrent connections practical from a single process, which is
 //! what the event-loop server bench needs.
 //!
-//! The mux client speaks single-request v1 frames only (no HELLO, no
+//! The mux client sends single READ/WRITE frames only (no HELLO, no
 //! BATCH): the bench it exists for measures per-frame server overheads,
 //! and batching would hide exactly the cost being measured. Use the
-//! threaded client for batch experiments.
+//! closed-loop client for batch experiments.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};

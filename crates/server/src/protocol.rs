@@ -47,18 +47,18 @@
 //! REPL_ACK : op u8 | tag u64 | range u32 | seq u64
 //! ```
 //!
-//! BATCH and HELLO are protocol-version-2 messages. A v2 client opens
-//! with HELLO carrying [`PROTOCOL_VERSION`]; the server answers
-//! HELLO_ACK with `min(its version, the client's)`. A v1 server instead
-//! answers the unknown opcode with `ERROR(tag=0, BadRequest)`, which a
-//! v2 client treats as "speak v1": single-request frames only. BATCH
-//! carries up to [`MAX_BATCH_ENTRIES`] I/O submissions under one length
-//! prefix; each entry keeps its own tag (responses stay per-request and
-//! may interleave with other traffic) and a `retry_of` field naming the
+//! There is one wire version, [`PROTOCOL_VERSION`]. HELLO is a strict
+//! check of it, not a negotiation: a peer acks `HELLO(PROTOCOL_VERSION)`
+//! with `HELLO_ACK(PROTOCOL_VERSION)` and answers any other version
+//! with `ERROR(BadRequest)` and a close. Sending HELLO is optional —
+//! every opcode is served with or without it. BATCH carries up to
+//! [`MAX_BATCH_ENTRIES`] I/O submissions under one length prefix; each
+//! entry keeps its own tag (responses stay per-request and may
+//! interleave with other traffic) and a `retry_of` field naming the
 //! original tag when the entry is a client re-issue (zero otherwise).
 //!
-//! The MAP_*, MIGRATE_*, and REPLICATE messages are protocol-version-3
-//! (cluster) messages. MAP_GET asks any node or the directory for its
+//! The MAP_*, MIGRATE_*, and REPLICATE messages are the cluster
+//! messages. MAP_GET asks any node or the directory for its
 //! current shard map (answered with MAP_RESP); MAP_PUSH installs new
 //! range ownership on a node (the map text rides along verbatim so the
 //! node can serve it back without parsing it). MAP_PUSH additionally
@@ -76,9 +76,7 @@
 //! directory's admin entry point ("move this range to that node").
 //! WRONG_SHARD(epoch) rejects an I/O routed to a node that does not own
 //! the range — never admitted, so re-routing is always safe — and
-//! BUSY(moving) bounces arrivals for a range mid-handoff. Both are only
-//! sent to connections that negotiated v3; older clients see
-//! BUSY(unavailable), which carries the same not-admitted guarantee.
+//! BUSY(moving) bounces arrivals for a range mid-handoff.
 //!
 //! The `tag` is an opaque client-chosen correlation id echoed verbatim;
 //! responses may arrive out of submission order (the simulator completes
@@ -97,11 +95,7 @@ use rif_workloads::IoOp;
 /// gigabytes.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024;
 
-/// The protocol version this build speaks. Version 3 added the cluster
-/// messages (MAP_GET/MAP_PUSH/MIGRATE_*) and the WRONG_SHARD and
-/// BUSY(moving) rejections; version 2 added HELLO negotiation and BATCH
-/// frames; version 1 (single-request frames only) remains the wire
-/// baseline for peers that never say HELLO.
+/// The one protocol version this build speaks and accepts in HELLO.
 pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on entries in one BATCH frame. At 33 bytes per entry a
@@ -148,7 +142,7 @@ pub enum BusyReason {
     Unavailable,
     /// The addressed LBA range is mid-migration to another node. The
     /// request was *not* admitted; the client should refresh its shard
-    /// map and re-route. Only sent to v3 connections.
+    /// map and re-route.
     Moving,
 }
 
@@ -230,24 +224,25 @@ pub enum Request {
         /// Client correlation tag.
         tag: u64,
     },
-    /// Version negotiation: "I speak `version`". Answered by
-    /// [`Response::HelloAck`] on a v2+ server, `ERROR(BadRequest)` on v1.
+    /// Version check: "I speak `version`". Answered by
+    /// [`Response::HelloAck`] when it equals [`PROTOCOL_VERSION`],
+    /// `ERROR(BadRequest)` and a close otherwise.
     Hello {
         /// Client correlation tag.
         tag: u64,
-        /// Highest protocol version the client speaks.
+        /// The protocol version the client speaks.
         version: u32,
     },
     /// Up to [`MAX_BATCH_ENTRIES`] I/O submissions in one frame.
     /// Admission is per-entry: each entry gets its own DONE/BUSY/ERROR.
     Batch(Vec<BatchEntry>),
-    /// Ask for the peer's current shard map (v3). Answered with
+    /// Ask for the peer's current shard map (cluster). Answered with
     /// [`Response::MapResp`].
     MapGet {
         /// Client correlation tag.
         tag: u64,
     },
-    /// Install range ownership on a node (v3, directory → node). The
+    /// Install range ownership on a node (cluster, directory → node). The
     /// canonical map text rides along verbatim so the node can serve it
     /// back on MAP_GET without parsing it.
     MapPush {
@@ -273,7 +268,7 @@ pub enum Request {
         /// Canonical shard-map serialization, stored verbatim.
         map_text: String,
     },
-    /// Seal a range on its source node (v3): drain its in-flight
+    /// Seal a range on its source node (cluster): drain its in-flight
     /// requests and return the shard's learner state via
     /// [`Response::Migrated`]. The range bounces `BUSY(moving)` until a
     /// later MAP_PUSH settles ownership.
@@ -283,7 +278,7 @@ pub enum Request {
         /// The range index to seal.
         range: u32,
     },
-    /// Seed a migrated range's learner state into the target node (v3).
+    /// Seed a migrated range's learner state into the target node (cluster).
     MigrateIn {
         /// Client correlation tag.
         tag: u64,
@@ -292,7 +287,7 @@ pub enum Request {
         /// The source shard's learner state (may be empty on failover).
         state: String,
     },
-    /// Directory admin entry point (v3): move `range` to node `node`.
+    /// Directory admin entry point (cluster): move `range` to node `node`.
     /// The directory orchestrates MIGRATE_OUT/MIGRATE_IN/MAP_PUSH and
     /// answers with [`Response::MapResp`] carrying the new map.
     Migrate {
@@ -303,7 +298,7 @@ pub enum Request {
         /// Id of the destination node in the map.
         node: String,
     },
-    /// Ship one primary write to a follower (v3, node → node). The
+    /// Ship one primary write to a follower (cluster, node → node). The
     /// follower applies it to its local shard and answers
     /// [`Response::ReplAck`] echoing the `(range, seq)` stamp.
     Replicate {
@@ -392,15 +387,14 @@ pub enum Response {
         /// The request's correlation tag.
         tag: u64,
     },
-    /// Version negotiation reply: the version both sides will speak
-    /// (`min(server, client)`).
+    /// Version check reply: both sides speak `version`.
     HelloAck {
         /// The HELLO's correlation tag.
         tag: u64,
-        /// The negotiated protocol version.
+        /// The confirmed protocol version ([`PROTOCOL_VERSION`]).
         version: u32,
     },
-    /// The peer's current shard map (v3).
+    /// The peer's current shard map (cluster).
     MapResp {
         /// The MAP_GET's correlation tag.
         tag: u64,
@@ -410,7 +404,7 @@ pub enum Response {
         /// received a map yet).
         text: String,
     },
-    /// The addressed LBA range is not owned by this node (v3). The
+    /// The addressed LBA range is not owned by this node (cluster). The
     /// request was *not* admitted; the client should refetch the map
     /// and re-route. `epoch` is the node's current map epoch, a
     /// staleness hint for the client's cache.
@@ -420,7 +414,7 @@ pub enum Response {
         /// The responding node's current map epoch.
         epoch: u64,
     },
-    /// A MIGRATE_OUT or MIGRATE_IN completed (v3). For MIGRATE_OUT,
+    /// A MIGRATE_OUT or MIGRATE_IN completed (cluster). For MIGRATE_OUT,
     /// `state` carries the drained shard's learner snapshot; for
     /// MIGRATE_IN it is empty.
     Migrated {
@@ -431,7 +425,7 @@ pub enum Response {
         /// Learner state text (empty when none).
         state: String,
     },
-    /// A follower applied a [`Request::Replicate`] (v3). Echoes the
+    /// A follower applied a [`Request::Replicate`] (cluster). Echoes the
     /// write's `(range, seq)` stamp; the primary advances the range's
     /// replication watermark to `seq` once every follower acked it.
     ReplAck {
@@ -1455,7 +1449,7 @@ mod tests {
 
     #[test]
     fn truncated_cluster_payloads_are_rejected() {
-        // Fixed-size prefixes of the v3 messages must reject every cut
+        // Fixed-size prefixes of the cluster messages must reject every cut
         // before the text tail begins (the tail itself may be empty).
         let reqs = [
             encode_request(&Request::MapGet { tag: 5 }),

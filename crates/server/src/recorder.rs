@@ -10,8 +10,8 @@
 //! Two subtleties make a capture a faithful record of *logical* I/O:
 //!
 //! - **Retry coalescing.** A client re-issue carries the original tag in
-//!   its `retry_of` field (BATCH entries only; v1 single frames cannot
-//!   express it). When the original admission is already journaled, the
+//!   its `retry_of` field (BATCH entries only; single READ/WRITE frames
+//!   cannot express it). When the original admission is already journaled, the
 //!   retry *aliases* onto that record instead of creating a new one —
 //!   the logical request appears once no matter how many times flaky
 //!   transport made the client resend it.

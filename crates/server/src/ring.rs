@@ -179,7 +179,7 @@ pub enum RequestView<'a> {
         /// Client correlation tag.
         tag: u64,
     },
-    /// Version negotiation, as [`Request::Hello`].
+    /// Version check, as [`Request::Hello`].
     Hello {
         /// Client correlation tag.
         tag: u64,
@@ -876,7 +876,7 @@ mod tests {
         let mut bad_op2 = batch;
         bad_op2[3 + BATCH_ENTRY_BYTES] = 0xFF;
         cases.push(bad_op2);
-        // v3 hostile inputs: invalid UTF-8 text tails and a lying
+        // Cluster-message hostile inputs: invalid UTF-8 text tails and a lying
         // owned-range count.
         let mut bad_text = encode_request(&Request::MigrateIn {
             tag: 1,

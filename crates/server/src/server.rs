@@ -1,11 +1,11 @@
 //! The loopback TCP storage service.
 //!
-//! One acceptor thread hands each connection a reader thread (decodes
-//! frames, runs admission control, routes to shards) and a writer thread
-//! (serializes every [`Response`] arriving on the connection's mpsc
-//! channel). Shard workers answer completions straight onto that channel,
-//! so responses from different shards interleave freely and may be out of
-//! submission order — the tag is the correlation key.
+//! One readiness-driven thread ([`crate::event_loop`]) owns the listener
+//! and every connection socket: it decodes frames, runs the admission
+//! control below, and routes admitted I/O to the shards. Shard workers
+//! answer completions onto the loop's completion queue, so responses
+//! from different shards interleave freely and may be out of submission
+//! order — the tag is the correlation key.
 //!
 //! Admission happens before a request ever reaches a simulator:
 //!
@@ -15,7 +15,7 @@
 //! 2. **Rate limiting** — a per-tenant token bucket; an empty bucket
 //!    answers `BUSY(rate_limit)`.
 
-use std::io::{self, BufReader, BufWriter};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -30,10 +30,7 @@ use rif_workloads::IoOp;
 use crate::bucket::TenantBuckets;
 use crate::pacing::VirtualClock;
 use crate::poller::Waker;
-use crate::protocol::{
-    decode_request, encode_response, read_frame, write_frame, BatchEntry, BusyReason, ErrorCode,
-    Request, Response, PROTOCOL_VERSION,
-};
+use crate::protocol::{encode_response, write_frame, BatchEntry, BusyReason, ErrorCode, Response};
 use crate::recorder::TraceRecorder;
 use crate::replicate::Replicator;
 use crate::shard::{spawn_shard, ReplyTo, ShardHandle, ShardMsg, ShardSpec, Submission};
@@ -41,29 +38,6 @@ use crate::shard::{spawn_shard, ReplyTo, ShardHandle, ShardMsg, ShardSpec, Submi
 /// Largest single transfer the service accepts: 1 MiB keeps one request
 /// from monopolizing a shard's event queue.
 pub const MAX_IO_BYTES: u32 = 1 << 20;
-
-/// Which front-door architecture serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreKind {
-    /// One readiness-driven thread owns every connection socket
-    /// (epoll/poll, zero-copy framing, vectored writes). The default.
-    EventLoop,
-    /// The legacy thread-per-connection core: one reader and one writer
-    /// thread per socket, blocking I/O. Kept as the benchmark baseline.
-    Threaded,
-}
-
-impl std::str::FromStr for CoreKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "epoll" | "event-loop" | "eventloop" => Ok(CoreKind::EventLoop),
-            "legacy" | "threaded" | "thread" => Ok(CoreKind::Threaded),
-            other => Err(format!("unknown core '{other}' (epoll|legacy)")),
-        }
-    }
-}
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -91,11 +65,9 @@ pub struct ServerConfig {
     /// Journal every admitted request in the [`TraceRecorder`] for
     /// capture → replay.
     pub capture: bool,
-    /// Front-door architecture (event loop vs. legacy threads).
-    pub core: CoreKind,
     /// Open-connection cap; over-limit accepts are answered with a clean
-    /// `ERROR(ConnLimit)` frame and closed instead of exhausting fds or
-    /// threads. `0` means unlimited.
+    /// `ERROR(ConnLimit)` frame and closed instead of exhausting fds.
+    /// `0` means unlimited.
     pub max_connections: usize,
     /// Per-connection write-queue bytes before new I/O admission sheds
     /// to `BUSY(queue)`; at twice this the loop stops reading from the
@@ -117,7 +89,7 @@ pub struct ServerConfig {
     /// LBA ranges (every request bounces until the directory's first
     /// MAP_PUSH arrives) and enforces range ownership on admission —
     /// non-owned ranges answer `WRONG_SHARD(epoch)` and migrating ones
-    /// `BUSY(moving)` on v3 connections (`BUSY(unavailable)` on older).
+    /// `BUSY(moving)`.
     /// In cluster mode `shards` is the *total* range count of the
     /// cluster map, so range indices and shard indices coincide.
     pub cluster: bool,
@@ -137,7 +109,6 @@ impl Default for ServerConfig {
             queue_depth: 16,
             seed: 1,
             capture: false,
-            core: CoreKind::EventLoop,
             max_connections: 16_384,
             write_queue_limit: 256 << 10,
             learn: false,
@@ -175,9 +146,9 @@ pub(crate) struct ClusterState {
     pub(crate) status: Vec<RangeStatus>,
 }
 
-/// Front-door saturation counters, shared by both cores and surfaced in
-/// STATS. Plain atomics (not the metrics registry) because the event
-/// loop bumps some of them on every wakeup.
+/// Front-door saturation counters, surfaced in STATS. Plain atomics
+/// (not the metrics registry) because the event loop bumps some of them
+/// on every wakeup.
 #[derive(Debug, Default)]
 pub(crate) struct FrontDoor {
     /// Currently open connections (gauge).
@@ -186,14 +157,11 @@ pub(crate) struct FrontDoor {
     pub(crate) connections_accepted: AtomicU64,
     /// Accepts refused by the connection limit (counter).
     pub(crate) conn_limit_rejected: AtomicU64,
-    /// Times the event loop's poll wait returned (counter). Stays zero
-    /// on the threaded core.
+    /// Times the event loop's poll wait returned (counter).
     pub(crate) epoll_wakeups: AtomicU64,
-    /// Total unflushed response bytes across all connections (gauge,
-    /// event-loop core).
+    /// Total unflushed response bytes across all connections (gauge).
     pub(crate) write_queue_bytes: AtomicUsize,
-    /// Largest single connection's unflushed response bytes (gauge,
-    /// event-loop core).
+    /// Largest single connection's unflushed response bytes (gauge).
     pub(crate) write_queue_max_bytes: AtomicUsize,
 }
 
@@ -252,14 +220,13 @@ pub struct Server {
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     shard_handles: Vec<ShardHandle>,
-    /// Wakes the event loop out of a blocking poll wait on shutdown
-    /// (`None` on the threaded core, which polls the flag instead).
-    loop_waker: Option<Waker>,
+    /// Wakes the event loop out of a blocking poll wait on shutdown.
+    loop_waker: Waker,
 }
 
 impl Server {
     /// Binds `127.0.0.1:port` (`port = 0` picks a free port) and starts
-    /// the shard workers and the acceptor.
+    /// the shard workers and the event loop.
     pub fn start(cfg: ServerConfig, port: u16) -> io::Result<Server> {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.inflight_limit > 0, "inflight limit must be positive");
@@ -347,24 +314,11 @@ impl Server {
         });
 
         let accept_shared = Arc::clone(&shared);
-        let (acceptor, loop_waker) = match shared.cfg.core {
-            CoreKind::EventLoop => {
-                let (waker, waker_rx) = Waker::new()?;
-                let loop_waker = waker.clone();
-                let handle = std::thread::Builder::new()
-                    .name("rif-event-loop".into())
-                    .spawn(move || {
-                        crate::event_loop::run(listener, accept_shared, waker, waker_rx)
-                    })?;
-                (handle, Some(loop_waker))
-            }
-            CoreKind::Threaded => {
-                let handle = std::thread::Builder::new()
-                    .name("rif-acceptor".into())
-                    .spawn(move || accept_loop(listener, accept_shared))?;
-                (handle, None)
-            }
-        };
+        let (waker, waker_rx) = Waker::new()?;
+        let loop_waker = waker.clone();
+        let acceptor = std::thread::Builder::new()
+            .name("rif-event-loop".into())
+            .spawn(move || crate::event_loop::run(listener, accept_shared, waker, waker_rx))?;
 
         Ok(Server {
             shared,
@@ -389,9 +343,7 @@ impl Server {
     /// SHUTDOWN frame).
     pub fn request_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(w) = &self.loop_waker {
-            w.wake();
-        }
+        self.loop_waker.wake();
     }
 
     /// Blocks until shutdown is requested, polling every few ms.
@@ -461,7 +413,7 @@ impl Server {
 }
 
 /// Answers an over-limit accept: a best-effort `ERROR(ConnLimit)` frame
-/// so the peer knows why, then a close. Shared by both cores.
+/// so the peer knows why, then a close.
 pub(crate) fn refuse_over_limit(mut stream: TcpStream, shared: &Shared) {
     shared
         .front_door
@@ -484,256 +436,6 @@ pub(crate) fn refuse_over_limit(mut stream: TcpStream, shared: &Shared) {
 pub(crate) fn at_conn_limit(shared: &Shared) -> bool {
     let limit = shared.cfg.max_connections;
     limit > 0 && shared.front_door.connections_open.load(Ordering::Acquire) >= limit
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if at_conn_limit(&shared) {
-                    refuse_over_limit(stream, &shared);
-                    continue;
-                }
-                shared
-                    .front_door
-                    .connections_accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                shared
-                    .front_door
-                    .connections_open
-                    .fetch_add(1, Ordering::AcqRel);
-                let conn_shared = Arc::clone(&shared);
-                let spawned =
-                    std::thread::Builder::new()
-                        .name("rif-conn".into())
-                        .spawn(move || {
-                            let _ = serve_connection(stream, &conn_shared);
-                            conn_shared
-                                .front_door
-                                .connections_open
-                                .fetch_sub(1, Ordering::AcqRel);
-                        });
-                match spawned {
-                    Ok(h) => conns.push(h),
-                    Err(_) => {
-                        // Thread exhaustion must not take down the
-                        // acceptor: drop this connection (the peer sees a
-                        // clean close) and keep serving.
-                        shared.metrics().inc("server.spawn_failures", 1);
-                        shared
-                            .front_door
-                            .connections_open
-                            .fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
-/// Reader half of one connection. The writer half lives on its own
-/// thread and exits when every `Sender<Response>` clone is dropped —
-/// including those held by in-flight shard submissions.
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let write_stream = stream.try_clone()?;
-    let (resp_tx, resp_rx) = mpsc::channel::<Response>();
-    // A failed writer spawn propagates as io::Error: the connection is
-    // dropped cleanly instead of panicking the reader thread.
-    let writer = std::thread::Builder::new()
-        .name("rif-conn-writer".into())
-        .spawn(move || {
-            let mut w = BufWriter::new(write_stream);
-            while let Ok(resp) = resp_rx.recv() {
-                if write_frame(&mut w, &encode_response(&resp)).is_err() {
-                    break;
-                }
-            }
-        })?;
-
-    let reply = ReplyTo::Channel(resp_tx.clone());
-    let mut r = BufReader::new(stream);
-    let mut saw_goodbye = false;
-    // Protocol version this connection speaks; starts at the v1 baseline
-    // until the peer negotiates up with HELLO.
-    let mut negotiated: u32 = 1;
-    while let Some(payload) = read_frame(&mut r)? {
-        let req = match decode_request(&payload) {
-            Ok(req) => req,
-            Err(_) => {
-                shared.metrics().inc("server.protocol_errors", 1);
-                // The frame boundary survived (length-prefixed), so the
-                // stream stays usable; tag 0 because none decoded.
-                reply.send(Response::Error {
-                    tag: 0,
-                    code: ErrorCode::BadRequest,
-                });
-                continue;
-            }
-        };
-        let is_shutdown = matches!(req, Request::Shutdown { .. });
-        handle_request(req, shared, &reply, &mut negotiated);
-        if is_shutdown {
-            saw_goodbye = true;
-            break;
-        }
-    }
-    drop(reply);
-    drop(resp_tx);
-    let _ = writer.join();
-    if saw_goodbye {
-        shared.shutdown.store(true, Ordering::Release);
-    }
-    Ok(())
-}
-
-fn handle_request(req: Request, shared: &Shared, reply: &ReplyTo, negotiated: &mut u32) {
-    match req {
-        Request::Read {
-            tenant,
-            tag,
-            offset,
-            bytes,
-        } => admit_io(
-            shared,
-            reply,
-            tenant,
-            tag,
-            offset,
-            bytes,
-            IoOp::Read,
-            0,
-            *negotiated,
-        ),
-        Request::Write {
-            tenant,
-            tag,
-            offset,
-            bytes,
-        } => admit_io(
-            shared,
-            reply,
-            tenant,
-            tag,
-            offset,
-            bytes,
-            IoOp::Write,
-            0,
-            *negotiated,
-        ),
-        Request::Hello { tag, version } => {
-            *negotiated = version.min(PROTOCOL_VERSION).max(1);
-            reply.send(Response::HelloAck {
-                tag,
-                version: *negotiated,
-            });
-        }
-        Request::Batch(entries) => {
-            if *negotiated < 2 {
-                reject_unnegotiated_batch(shared, reply, entries.first().map_or(0, |e| e.tag));
-                return;
-            }
-            admit_batch(shared, reply, entries, *negotiated);
-        }
-        Request::MapGet { tag } => {
-            let (epoch, text) = match &shared.cluster {
-                Some(_) => {
-                    let cl = shared.cluster_state();
-                    (cl.epoch, cl.map_text.clone())
-                }
-                None => (0, String::new()),
-            };
-            reply.send(Response::MapResp { tag, epoch, text });
-        }
-        Request::MapPush {
-            tag,
-            epoch,
-            capacity_bytes,
-            ranges,
-            owned,
-            followed,
-            replicas,
-            map_text,
-        } => {
-            handle_map_push(
-                shared,
-                reply,
-                tag,
-                epoch,
-                capacity_bytes,
-                ranges,
-                &owned,
-                &followed,
-                &replicas,
-                map_text,
-            );
-        }
-        Request::MigrateOut { tag, range } => {
-            // The threaded core blocks the connection's reader thread for
-            // the drain, exactly like Flush; the event loop offloads to an
-            // ephemeral thread before calling this.
-            handle_migrate_out(shared, reply, tag, range);
-        }
-        Request::MigrateIn { tag, range, state } => {
-            handle_migrate_in(shared, reply, tag, range, state);
-        }
-        Request::Migrate { tag, .. } => {
-            // A node never orchestrates: MIGRATE is a directory-only
-            // operation.
-            shared.metrics().inc("server.protocol_errors", 1);
-            reply.send(Response::Error {
-                tag,
-                code: ErrorCode::BadRequest,
-            });
-        }
-        Request::Replicate {
-            tag,
-            range,
-            epoch,
-            seq,
-            tenant,
-            offset,
-            bytes,
-        } => {
-            handle_replicate(shared, reply, tag, range, epoch, seq, tenant, offset, bytes);
-        }
-        Request::Stats { tag } => {
-            let text = render_stats(shared);
-            reply.send(Response::Stats { tag, text });
-        }
-        Request::Flush { tag } => {
-            let (done_tx, done_rx) = mpsc::channel();
-            for s in &shared.shards {
-                let _ = s.tx.send(ShardMsg::Flush(done_tx.clone()));
-            }
-            drop(done_tx);
-            // Workers ack after force-draining; a crashed worker shows up
-            // as a disconnect, which also ends the wait.
-            while done_rx.recv().is_ok() {}
-            reply.send(Response::Flushed { tag });
-        }
-        Request::Shutdown { tag } => {
-            reply.send(Response::Goodbye { tag });
-        }
-    }
-}
-
-/// Rejects a BATCH sent before (or without) HELLO: a v2-only message on
-/// a v1 connection, refused whole by its first tag.
-pub(crate) fn reject_unnegotiated_batch(shared: &Shared, reply: &ReplyTo, tag: u64) {
-    shared.metrics().inc("server.protocol_errors", 1);
-    reply.send(Response::Error {
-        tag,
-        code: ErrorCode::BadRequest,
-    });
 }
 
 /// Handles MAP_PUSH: installs a newer map's ownership (owned ranges
@@ -991,16 +693,7 @@ pub(crate) fn handle_migrate_in(
 /// A *followed* range admits reads (the router's failover path reads
 /// from replicas) but bounces writes — only the primary may originate
 /// a write, or exactly-once and the replication stream fall apart.
-/// Connections below v3 get `BUSY(unavailable)` instead — same
-/// never-admitted guarantee, spelled in a vocabulary they know.
-fn cluster_admits(
-    shared: &Shared,
-    reply: &ReplyTo,
-    tag: u64,
-    offset: u64,
-    op: IoOp,
-    negotiated: u32,
-) -> bool {
+fn cluster_admits(shared: &Shared, reply: &ReplyTo, tag: u64, offset: u64, op: IoOp) -> bool {
     if shared.cluster.is_none() {
         return true;
     }
@@ -1020,24 +713,13 @@ fn cluster_admits(
             shared.metrics().inc("server.busy.moving", 1);
             reply.send(Response::Busy {
                 tag,
-                reason: if negotiated >= 3 {
-                    BusyReason::Moving
-                } else {
-                    BusyReason::Unavailable
-                },
+                reason: BusyReason::Moving,
             });
             false
         }
         RangeStatus::NotOwned | RangeStatus::Following => {
             shared.metrics().inc("server.wrong_shard", 1);
-            if negotiated >= 3 {
-                reply.send(Response::WrongShard { tag, epoch });
-            } else {
-                reply.send(Response::Busy {
-                    tag,
-                    reason: BusyReason::Unavailable,
-                });
-            }
+            reply.send(Response::WrongShard { tag, epoch });
             false
         }
     }
@@ -1053,7 +735,6 @@ pub(crate) fn admit_io(
     bytes: u32,
     op: IoOp,
     retry_of: u64,
-    negotiated: u32,
 ) {
     if shared.shutdown.load(Ordering::Acquire) {
         reply.send(Response::Error {
@@ -1070,7 +751,7 @@ pub(crate) fn admit_io(
         });
         return;
     }
-    if !cluster_admits(shared, reply, tag, offset, op, negotiated) {
+    if !cluster_admits(shared, reply, tag, offset, op) {
         return;
     }
 
@@ -1166,8 +847,8 @@ pub(crate) fn admit_io(
     }
 }
 
-/// Admits a negotiated BATCH as **one unit**. The contract (shared by
-/// both cores) is all-or-nothing for every admission check:
+/// Admits a BATCH as **one unit**. The contract is all-or-nothing for
+/// every admission check:
 ///
 /// - each tenant's token bucket is charged once for all of its entries
 ///   (`admit_n`); if any tenant comes up short, tenants already charged
@@ -1181,7 +862,7 @@ pub(crate) fn admit_io(
 /// Malformed entries (zero/oversized length) are answered individually
 /// with `ERROR(BadLength)` and do not count against the batch — they
 /// could never be admitted, so they cannot hold the rest hostage.
-pub(crate) fn admit_batch<I>(shared: &Shared, reply: &ReplyTo, entries: I, negotiated: u32)
+pub(crate) fn admit_batch<I>(shared: &Shared, reply: &ReplyTo, entries: I)
 where
     I: IntoIterator<Item = BatchEntry>,
 {
@@ -1211,7 +892,7 @@ where
         }
         // The cluster gate refuses per entry, like BadLength: a stray
         // entry for a moved range must not hold the batch hostage.
-        if !cluster_admits(shared, reply, e.tag, e.offset, e.op, negotiated) {
+        if !cluster_admits(shared, reply, e.tag, e.offset, e.op) {
             continue;
         }
         if e.op == IoOp::Read {

@@ -6,9 +6,8 @@
 //! submitted at the current virtual time, and the worker repeatedly
 //! advances its simulator up to the [`VirtualClock`]'s *now* — which is
 //! what turns the discrete-event core into a live, wall-clock-paced
-//! service. Completions are answered directly to each request's
-//! originating connection through the reply sender carried in the
-//! [`Submission`].
+//! service. Completions are answered to each request's originating
+//! connection through the [`ReplyTo`] carried in the [`Submission`].
 //!
 //! # Crash injection
 //!
@@ -47,20 +46,17 @@ use crate::poller::Waker;
 use crate::protocol::{BusyReason, ErrorCode, Response};
 use crate::recorder::TraceRecorder;
 
-/// Where a completion goes. The threaded core hands each connection's
-/// writer channel to the shard; the event-loop core funnels every
-/// completion through one queue and pulls the loop out of its poll wait.
+/// Where a completion goes: the event loop funnels every completion
+/// through one queue and is pulled out of its poll wait to flush it.
 #[derive(Clone)]
 pub enum ReplyTo {
-    /// A connection writer thread's private channel (threaded core).
-    Channel(Sender<Response>),
-    /// The event loop's shared completion queue (event-loop core).
+    /// The event loop's shared completion queue.
     Event {
         /// The loop's single completion queue.
         tx: Sender<(u64, Response)>,
         /// Generation-tagged connection key the loop routes by; a late
         /// completion for a recycled slot is dropped by the generation
-        /// check, exactly like a send to a dead connection's channel.
+        /// check.
         key: u64,
         /// Wakes the loop out of a blocking poll wait.
         waker: Waker,
@@ -70,7 +66,7 @@ pub enum ReplyTo {
     /// refusals (`Busy`, `Error`) pass through unchanged so the primary
     /// sees the shipment did not land.
     Replication {
-        /// The underlying destination (connection channel or loop queue).
+        /// The underlying destination (the loop queue).
         inner: Box<ReplyTo>,
         /// The range the shipment belongs to, echoed in the ack.
         range: u32,
@@ -80,14 +76,10 @@ pub enum ReplyTo {
 }
 
 impl ReplyTo {
-    /// Delivers `resp`. A closed receiver means the connection (or the
-    /// whole loop) is gone; the response is dropped, as with a dead
-    /// connection's channel in the threaded core.
+    /// Delivers `resp`. A closed receiver means the whole loop is gone;
+    /// the response is dropped.
     pub fn send(&self, resp: Response) {
         match self {
-            ReplyTo::Channel(tx) => {
-                let _ = tx.send(resp);
-            }
             ReplyTo::Event { tx, key, waker } => {
                 if tx.send((*key, resp)).is_ok() {
                     waker.wake();
@@ -156,7 +148,7 @@ pub struct Submission {
     pub offset: u64,
     /// Transfer size.
     pub bytes: u32,
-    /// Where the completion goes (the originating connection's writer).
+    /// Where the completion goes (the originating connection's slot).
     pub reply: ReplyTo,
 }
 
@@ -524,6 +516,14 @@ fn run_worker(
 mod tests {
     use super::*;
 
+    /// The event loop's reply route, for driving a worker directly:
+    /// completions arrive on the receiver as `(key, response)`.
+    fn event_reply() -> (ReplyTo, Receiver<(u64, Response)>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (waker, _read_end) = Waker::new().expect("waker");
+        (ReplyTo::Event { tx, key: 7, waker }, rx)
+    }
+
     #[test]
     fn partition_covers_capacity_exactly() {
         let shards = ShardSpec::partition(1000, 3);
@@ -586,7 +586,7 @@ mod tests {
         )
         .expect("spawn shard");
 
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (reply, reply_rx) = event_reply();
         // Submit one request, then crash before it can complete. The
         // reserved in-flight slot is what the worker must release.
         handle.inflight.fetch_add(1, Ordering::AcqRel);
@@ -595,7 +595,7 @@ mod tests {
             op: IoOp::Read,
             offset: 0,
             bytes: 4096,
-            reply: ReplyTo::Channel(reply_tx.clone()),
+            reply: reply.clone(),
         }))
         .unwrap();
         tx.send(ShardMsg::Crash {
@@ -605,7 +605,8 @@ mod tests {
 
         let first = reply_rx
             .recv_timeout(Duration::from_secs(5))
-            .expect("crash must resolve the in-flight request");
+            .expect("crash must resolve the in-flight request")
+            .1;
         // Either the request completed before the crash landed (DONE) or
         // the crash failed it (ERROR Internal) — silence is the only
         // forbidden outcome.
@@ -629,12 +630,13 @@ mod tests {
             op: IoOp::Read,
             offset: 0,
             bytes: 4096,
-            reply: ReplyTo::Channel(reply_tx.clone()),
+            reply: reply.clone(),
         }))
         .unwrap();
         let bounced = reply_rx
             .recv_timeout(Duration::from_secs(5))
-            .expect("dead shard must answer, not hang");
+            .expect("dead shard must answer, not hang")
+            .1;
         assert_eq!(
             bounced,
             Response::Busy {
@@ -652,12 +654,13 @@ mod tests {
             op: IoOp::Write,
             offset: 4096,
             bytes: 4096,
-            reply: ReplyTo::Channel(reply_tx),
+            reply,
         }))
         .unwrap();
         let served = reply_rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("restarted shard must serve");
+            .expect("restarted shard must serve")
+            .1;
         assert!(
             matches!(served, Response::Done { tag: 9, .. }),
             "unexpected: {served:?}"
@@ -695,7 +698,7 @@ mod tests {
         )
         .expect("spawn shard");
 
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (reply, reply_rx) = event_reply();
         for i in 0..8u64 {
             handle.inflight.fetch_add(1, Ordering::AcqRel);
             tx.send(ShardMsg::Submit(Submission {
@@ -703,14 +706,15 @@ mod tests {
                 op: IoOp::Read,
                 offset: i * 65536,
                 bytes: 65536,
-                reply: ReplyTo::Channel(reply_tx.clone()),
+                reply: reply.clone(),
             }))
             .unwrap();
         }
         for _ in 0..8 {
             let r = reply_rx
                 .recv_timeout(Duration::from_secs(10))
-                .expect("learned shard must serve");
+                .expect("learned shard must serve")
+                .1;
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
         }
         let m = metrics.lock().unwrap().clone();
@@ -758,15 +762,15 @@ mod tests {
         )
         .expect("spawn shard");
 
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut submit = |tag: u64, op: IoOp| {
+        let (reply, reply_rx) = event_reply();
+        let submit = |tag: u64, op: IoOp| {
             handle.inflight.fetch_add(1, Ordering::AcqRel);
             tx.send(ShardMsg::Submit(Submission {
                 tag,
                 op,
                 offset: tag * 65536,
                 bytes: 65536,
-                reply: ReplyTo::Channel(reply_tx.clone()),
+                reply: reply.clone(),
             }))
             .unwrap();
         };
@@ -778,7 +782,8 @@ mod tests {
         for _ in 0..8 {
             let r = reply_rx
                 .recv_timeout(Duration::from_secs(10))
-                .expect("hybrid shard must serve writes");
+                .expect("hybrid shard must serve writes")
+                .1;
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
         }
         // Give the virtual clock room for several scheduler ticks, then
@@ -790,7 +795,8 @@ mod tests {
         for _ in 0..8 {
             let r = reply_rx
                 .recv_timeout(Duration::from_secs(10))
-                .expect("hybrid shard must serve reads");
+                .expect("hybrid shard must serve reads")
+                .1;
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
         }
         let m = metrics.lock().unwrap().clone();
@@ -838,7 +844,7 @@ mod tests {
 
         // Warm the source learner, with the last submission still in
         // flight when the Yield lands — the drain must cover it.
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (reply, reply_rx) = event_reply();
         for i in 0..8u64 {
             src.inflight.fetch_add(1, Ordering::AcqRel);
             src_tx
@@ -847,7 +853,7 @@ mod tests {
                     op: IoOp::Read,
                     offset: i * 65536,
                     bytes: 65536,
-                    reply: ReplyTo::Channel(reply_tx.clone()),
+                    reply: reply.clone(),
                 }))
                 .unwrap();
         }
@@ -861,7 +867,8 @@ mod tests {
         for _ in 0..8 {
             let r = reply_rx
                 .recv_timeout(Duration::from_secs(10))
-                .expect("yield must not drop in-flight requests");
+                .expect("yield must not drop in-flight requests")
+                .1;
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
         }
         let state = LearnerState::parse_text(&state_text).expect("learned mode exports state");
@@ -896,12 +903,13 @@ mod tests {
                 op: IoOp::Read,
                 offset: 0,
                 bytes: 4096,
-                reply: ReplyTo::Channel(reply_tx),
+                reply,
             }))
             .unwrap();
         let r = reply_rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("source keeps serving after yield");
+            .expect("source keeps serving after yield")
+            .1;
         assert!(
             matches!(r, Response::Done { tag: 99, .. }),
             "unexpected: {r:?}"

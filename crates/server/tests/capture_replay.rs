@@ -139,7 +139,7 @@ fn recorder_journals_logical_requests_once_despite_retries() {
 
 #[test]
 fn batched_load_is_clean_and_journals_per_entry() {
-    // BATCH(8) frames through HELLO negotiation: the run must stay
+    // BATCH(8) frames: the run must stay
     // error-free, actually batch, and journal one capture row per
     // request (admission is per entry, not per frame).
     let requests = 800;
@@ -162,7 +162,7 @@ fn batched_load_is_clean_and_journals_per_entry() {
     assert_eq!(report.protocol_errors, 0, "{}", report.to_json());
     assert!(
         report.batches_sent > 0,
-        "HELLO must have negotiated v2 batching: {}",
+        "--batch 8 must send BATCH frames: {}",
         report.to_json()
     );
     let m = server.metrics_snapshot();

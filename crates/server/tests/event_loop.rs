@@ -1,18 +1,18 @@
 //! Event-loop core integration: connection limits, idle wakeups,
-//! all-or-nothing batch admission, core parity, and the multiplexed
-//! high-concurrency client — all over real loopback TCP.
+//! all-or-nothing batch admission, the strict HELLO check, and the
+//! multiplexed high-concurrency client — all over real loopback TCP.
 
 use std::io::BufReader;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use rif_server::client::{run_load, LoadConfig};
+use rif_server::client::{run_load, Conn, LoadConfig, HELLO_TIMEOUT};
 use rif_server::mux::run_mux_load;
 use rif_server::protocol::{
-    decode_response, encode_request, read_frame, write_frame, BatchEntry, BusyReason, ErrorCode,
-    Request, Response, PROTOCOL_VERSION,
+    decode_response, encode_request, encode_response, read_frame, write_frame, BatchEntry,
+    BusyReason, ErrorCode, Request, Response, PROTOCOL_VERSION,
 };
-use rif_server::server::{CoreKind, Server, ServerConfig};
+use rif_server::server::{Server, ServerConfig};
 use rif_workloads::IoOp;
 
 /// A raw blocking protocol connection for surgical frame-level tests.
@@ -126,8 +126,8 @@ fn idle_event_loop_produces_near_zero_wakeups() {
     let addr = server.local_addr().to_string();
 
     // One idle connection registered, then nothing happens. A readiness
-    // loop blocks; the legacy acceptor's 5 ms WouldBlock spin (the bug
-    // this core fixes) would clock hundreds of wakeups here.
+    // loop blocks; an acceptor polling on a WouldBlock sleep would clock
+    // hundreds of wakeups here.
     let mut idle = Raw::connect(&addr);
     idle.send(&Request::Stats { tag: 1 });
     let _ = idle.recv();
@@ -223,34 +223,31 @@ fn batch_admission_is_all_or_nothing_against_the_inflight_cap() {
 }
 
 #[test]
-fn both_cores_serve_the_same_load() {
-    for core in [CoreKind::EventLoop, CoreKind::Threaded] {
-        let server = Server::start(
-            ServerConfig {
-                shards: 2,
-                inflight_limit: 64,
-                time_scale: 200.0,
-                core,
-                ..ServerConfig::default()
-            },
-            0,
-        )
-        .expect("bind");
-        let report = run_load(&LoadConfig {
-            addr: server.local_addr().to_string(),
-            connections: 2,
-            depth: 8,
-            requests: 200,
-            seed: 11,
-            batch: 8,
-            ..LoadConfig::default()
-        })
-        .expect("load");
-        assert_eq!(report.completed, 200, "core {core:?}: {}", report.to_json());
-        assert_eq!(report.protocol_errors, 0, "core {core:?}");
-        assert_eq!(report.failed, 0, "core {core:?}");
-        server.stop();
-    }
+fn closed_loop_batched_load_completes_cleanly() {
+    let server = Server::start(
+        ServerConfig {
+            shards: 2,
+            inflight_limit: 64,
+            time_scale: 200.0,
+            ..ServerConfig::default()
+        },
+        0,
+    )
+    .expect("bind");
+    let report = run_load(&LoadConfig {
+        addr: server.local_addr().to_string(),
+        connections: 2,
+        depth: 8,
+        requests: 200,
+        seed: 11,
+        batch: 8,
+        ..LoadConfig::default()
+    })
+    .expect("load");
+    assert_eq!(report.completed, 200, "{}", report.to_json());
+    assert_eq!(report.protocol_errors, 0);
+    assert_eq!(report.failed, 0);
+    server.stop();
 }
 
 #[test]
@@ -289,17 +286,109 @@ fn mux_client_completes_a_many_connection_load() {
 }
 
 #[test]
-fn batch_before_hello_is_rejected_whole() {
-    let server = Server::start(ServerConfig::default(), 0).expect("bind");
+fn batch_without_hello_is_admitted_entry_by_entry() {
+    let server = Server::start(
+        ServerConfig {
+            time_scale: 200.0,
+            ..ServerConfig::default()
+        },
+        0,
+    )
+    .expect("bind");
     let mut conn = Raw::connect(&server.local_addr().to_string());
-    // No HELLO: the connection speaks v1, where BATCH does not exist.
-    conn.send(&Request::Batch(batch_of(2, 400)));
-    match conn.recv() {
-        Response::Error { tag, code } => {
-            assert_eq!(tag, 400, "rejected by its first tag");
-            assert_eq!(code, ErrorCode::BadRequest);
+    // No HELLO: the check is optional, BATCH is served like any opcode.
+    // The middle entry is malformed and answers alone; its neighbours
+    // are admitted and complete.
+    let mut entries = batch_of(3, 400);
+    entries[1].bytes = 0;
+    conn.send(&Request::Batch(entries));
+    let mut done = Vec::new();
+    for _ in 0..3 {
+        match conn.recv() {
+            Response::Done { tag, .. } => done.push(tag),
+            Response::Error { tag, code } => {
+                assert_eq!((tag, code), (401, ErrorCode::BadLength));
+            }
+            other => panic!("expected DONE or ERROR(bad_length), got {other:?}"),
         }
-        other => panic!("expected ERROR(bad_request), got {other:?}"),
     }
+    done.sort_unstable();
+    assert_eq!(done, [400, 402]);
+    assert_eq!(server.metrics_snapshot().counter("server.batches"), 1);
+
+    // HELLO is acked inline wherever it appears in the stream, and as
+    // often as it is sent.
+    assert_eq!(conn.hello(), PROTOCOL_VERSION);
+    assert_eq!(conn.hello(), PROTOCOL_VERSION);
     server.stop();
+}
+
+#[test]
+fn hello_with_another_version_is_refused_and_closed() {
+    let server = Server::start(ServerConfig::default(), 0).expect("bind");
+    let addr = server.local_addr().to_string();
+    for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        let mut conn = Raw::connect(&addr);
+        conn.send(&Request::Hello { tag: 9, version });
+        match conn.recv() {
+            Response::Error { tag, code } => {
+                assert_eq!((tag, code), (9, ErrorCode::BadRequest), "HELLO({version})");
+            }
+            other => panic!("HELLO({version}): expected ERROR(bad_request), got {other:?}"),
+        }
+        assert!(
+            conn.recv_or_eof().is_none(),
+            "HELLO({version}): refused socket must close"
+        );
+    }
+    Conn::connect(&addr).expect("the matching version connects");
+    server.stop();
+}
+
+/// A one-connection fake peer: accepts, reads the client's HELLO, and
+/// hands the socket to `answer`.
+fn fake_peer(answer: impl FnOnce(TcpStream) + Send + 'static) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        read_frame(&mut reader).expect("HELLO arrives");
+        answer(stream);
+    });
+    addr
+}
+
+#[test]
+fn connect_fails_unless_the_peer_acks_the_matching_version() {
+    let reply = |resp: Response| {
+        move |mut s: TcpStream| write_frame(&mut s, &encode_response(&resp)).expect("reply")
+    };
+    let refusing = fake_peer(reply(Response::Error {
+        tag: u64::MAX,
+        code: ErrorCode::BadRequest,
+    }));
+    assert!(Conn::connect(&refusing).is_err(), "ERROR is not an ack");
+    let other = fake_peer(reply(Response::HelloAck {
+        tag: u64::MAX,
+        version: PROTOCOL_VERSION + 1,
+    }));
+    assert!(
+        Conn::connect(&other).is_err(),
+        "another version is not an ack"
+    );
+    let closing = fake_peer(drop);
+    assert!(Conn::connect(&closing).is_err(), "EOF is not an ack");
+
+    // Silence: the kernel completes the TCP handshake from the backlog,
+    // nobody ever answers. The connect must fail, not hand back a link,
+    // and must do so at the HELLO timeout (one poll tick of overshoot,
+    // plus scheduler slack under a parallel test run).
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let started = Instant::now();
+    let result = Conn::connect(&silent.local_addr().unwrap().to_string());
+    let took = started.elapsed();
+    assert!(result.is_err(), "silence is not an ack");
+    assert!(took >= HELLO_TIMEOUT, "gave up early: {took:?}");
+    assert!(took < 2 * HELLO_TIMEOUT, "outlived the timeout: {took:?}");
 }

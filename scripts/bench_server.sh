@@ -1,29 +1,26 @@
 #!/usr/bin/env sh
-# Server-core benchmark: epoll event loop vs thread-per-connection.
+# Front-door benchmark: the event loop against connection count.
 #
 #   scripts/bench_server.sh [--smoke] [--out FILE]
 #
-# Drives the same multiplexed closed loop (`rif-client --mux`) against
-# both front-door cores and writes one JSON document (default
-# BENCH_server.json):
+# Drives a multiplexed closed loop (`rif-client --mux`) against
+# rif-server and writes one JSON document (default BENCH_server.json):
 #
-# - head_to_head: both cores at 1k connections (a count the legacy
-#   core can still serve) — throughput and p99.9 ratios come from here;
-# - scale (full mode only): both cores at 10k connections, where the
-#   thread-per-connection core is expected to degrade or fail outright
-#   — a failure is recorded as {"error": ...}, not papered over;
+# - head_to_head: 1k connections;
+# - scale (full mode only): 10k connections — a failure is recorded as
+#   {"error": ...}, not papered over;
 # - cluster: the same routed closed loop against a one-node and a
 #   two-node cluster (rif-cluster directory + rif-server --cluster),
 #   reporting aggregate throughput and p99 of two nodes vs one.
 #
-# `--smoke` is the CI-sized variant (head-to-head only, fewer
+# `--smoke` is the CI-sized variant (1k connections only, fewer
 # requests) that finishes in a couple minutes.
 #
 # The simulator clock is run hot (--time-scale 2000) so simulated flash
-# latency is negligible against wall time: the measured difference is
-# the networking core, which is what this benchmark isolates. A core
-# that fails or times out is recorded as {"error": ...} rather than
-# aborting the run — the comparison is the product.
+# latency is negligible against wall time: what is measured is the
+# networking core, which is what this benchmark isolates. A run that
+# fails or times out is recorded as {"error": ...} rather than
+# aborting the script.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -104,15 +101,14 @@ wait_addr() {
     return 1
 }
 
-# run_core NAME CORE CONNS OUTFILE — one server + one mux load.
+# run_core NAME CONNS OUTFILE — one server + one mux load.
 run_core() {
     _name="$1"
-    _core="$2"
-    _conns="$3"
-    _json="$4"
-    echo "==> $_name core: $_conns connections, $REQUESTS requests" >&2
+    _conns="$2"
+    _json="$3"
+    echo "==> $_name: $_conns connections, $REQUESTS requests" >&2
     "$SRV" --port 0 --shards 2 --time-scale 2000 --inflight-limit 65536 \
-        --max-connections 0 --core "$_core" --seed 42 > "$tmpdir/$_name.log" &
+        --max-connections 0 --seed 42 > "$tmpdir/$_name.log" &
     server_pid=$!
     _addr="$(wait_addr "$tmpdir/$_name.log")"
     if timeout "$LIMIT" "$CLI" --addr "$_addr" --mux --threads "$THREADS" \
@@ -121,8 +117,8 @@ run_core() {
         --seed 7 > "$_json"; then
         cat "$_json" >&2
     else
-        echo "bench: $_name core failed or exceeded ${LIMIT}s" >&2
-        printf '{"error":"%s core failed or exceeded %ss at %s connections"}\n' \
+        echo "bench: $_name failed or exceeded ${LIMIT}s" >&2
+        printf '{"error":"%s failed or exceeded %ss at %s connections"}\n' \
             "$_name" "$LIMIT" "$_conns" > "$_json"
     fi
     timeout 30 "$CLI" --addr "$_addr" --shutdown > /dev/null 2>&1 \
@@ -174,11 +170,9 @@ run_cluster() {
     cluster_pids=""
 }
 
-run_core event_loop epoll "$H2H_CONNS" "$tmpdir/evt.json"
-run_core threaded legacy "$H2H_CONNS" "$tmpdir/thr.json"
+run_core event_loop "$H2H_CONNS" "$tmpdir/evt.json"
 if [ "$MODE" = full ]; then
-    run_core event_loop_10k epoll "$SCALE_CONNS" "$tmpdir/evt10k.json"
-    run_core threaded_10k legacy "$SCALE_CONNS" "$tmpdir/thr10k.json"
+    run_core event_loop_10k "$SCALE_CONNS" "$tmpdir/evt10k.json"
 fi
 run_cluster cluster1 1 "$tmpdir/clu1.json"
 run_cluster cluster2 2 "$tmpdir/clu2.json"
@@ -187,19 +181,6 @@ run_cluster cluster2 2 "$tmpdir/clu2.json"
 field() {
     sed -n "s/.*\"$2\":\([0-9.][0-9.]*\).*/\1/p" "$1"
 }
-
-evt_rps="$(field "$tmpdir/evt.json" throughput_rps)"
-thr_rps="$(field "$tmpdir/thr.json" throughput_rps)"
-evt_p999="$(field "$tmpdir/evt.json" p999)"
-thr_p999="$(field "$tmpdir/thr.json" p999)"
-
-if [ -n "$evt_rps" ] && [ -n "$thr_rps" ]; then
-    speedup="$(awk "BEGIN { printf \"%.3f\", $evt_rps / $thr_rps }")"
-    p999_ratio="$(awk "BEGIN { printf \"%.3f\", $thr_p999 / $evt_p999 }")"
-else
-    speedup=null
-    p999_ratio=null
-fi
 
 clu1_rps="$(field "$tmpdir/clu1.json" throughput_rps)"
 clu2_rps="$(field "$tmpdir/clu2.json" throughput_rps)"
@@ -216,22 +197,18 @@ fi
 
 {
     printf '{\n'
-    printf '  "bench": "server_core_event_loop_vs_threaded",\n'
+    printf '  "bench": "server_front_door",\n'
     printf '  "mode": "%s",\n' "$MODE"
     printf '  "requests": %s,\n' "$REQUESTS"
     printf '  "client_threads": %s,\n' "$THREADS"
     printf '  "head_to_head": {\n'
     printf '    "connections": %s,\n' "$H2H_CONNS"
-    printf '    "event_loop": %s,\n' "$(cat "$tmpdir/evt.json")"
-    printf '    "threaded": %s\n' "$(cat "$tmpdir/thr.json")"
+    printf '    "event_loop": %s\n' "$(cat "$tmpdir/evt.json")"
     printf '  },\n'
-    printf '  "throughput_speedup": %s,\n' "$speedup"
-    printf '  "p999_improvement": %s,\n' "$p999_ratio"
     if [ "$MODE" = full ]; then
         printf '  "scale": {\n'
         printf '    "connections": %s,\n' "$SCALE_CONNS"
-        printf '    "event_loop": %s,\n' "$(cat "$tmpdir/evt10k.json")"
-        printf '    "threaded": %s\n' "$(cat "$tmpdir/thr10k.json")"
+        printf '    "event_loop": %s\n' "$(cat "$tmpdir/evt10k.json")"
         printf '  },\n'
     fi
     printf '  "cluster": {\n'

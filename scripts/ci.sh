@@ -15,9 +15,9 @@
 # the hybrid sweep smoke (RiF's QLC+background win must widen vs
 # TLC-only — the binary self-gates via its exit code), the
 # event-loop high-concurrency gate (1k multiplexed connections), a
-# two-core bench smoke, the chaos gate (which runs on the default
-# event-loop core), the cluster serving gate (two cluster nodes behind
-# the shard directory: routed load, live migration, cluster STATS),
+# front-door bench smoke, the chaos gate, the cluster serving gate (two
+# cluster nodes behind the shard directory: routed load, live
+# migration, cluster STATS),
 # the cluster chaos gate (kill-and-rebalance under load, contract PASS),
 # the replication gate (RF=2: hard-kill the hottest-range primary AND
 # one-way-partition a second node mid-load — contract PASS, zero failed
@@ -65,7 +65,7 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 echo "==> cargo test -q --features proptest (vendored shim)"
-cargo test -q --features proptest --test proptest_invariants --test proptest_parser \
+cargo test -q -p rif --features proptest --test proptest_invariants --test proptest_parser \
     --test proptest_capture --test proptest_hybrid --test learner_convergence
 cargo test -q -p rif-server --features proptest --test proptest_frames
 cargo test -q -p rif-cluster --features proptest --test proptest_map
@@ -133,7 +133,7 @@ grep -q '"protocol_errors":0' "$tmpdir/smoke.json"
 grep -q '"p99":' "$tmpdir/smoke.json"
 
 # Batched submission frames: the same load again over BATCH(8) frames
-# (HELLO-negotiated protocol v2) must stay error-free and actually batch.
+# must stay error-free and actually batch.
 timeout 180 "$CLI" --addr "$addr" --requests 10000 --connections 4 \
     --depth 16 --seed 7 --batch 8 > "$tmpdir/batched.json"
 cat "$tmpdir/batched.json"
@@ -238,7 +238,7 @@ wait "$rp_pid" || { echo "replay server exited non-zero"; exit 1; }
 rp_pid=""
 
 # Event-loop high-concurrency gate: 10k requests over 1k multiplexed
-# connections against the default (epoll) core — every request must
+# connections — every request must
 # complete with zero connection, protocol, or terminal errors, and the
 # server must have actually run the readiness loop.
 echo "==> event-loop gate (mux client, 1000 connections, 10k requests)"
@@ -262,12 +262,11 @@ timeout 30 "$CLI" --addr "$addr_mux" --shutdown
 wait "$mux_pid" || { echo "mux server exited non-zero"; exit 1; }
 mux_pid=""
 
-# Bench smoke: both cores, CI-sized, leaves the comparison artifact in
-# the temp dir (the checked-in BENCH_server.json is the full 10k run).
+# Bench smoke: CI-sized, leaves its artifact in the temp dir (the
+# checked-in BENCH_server.json is the full 10k run).
 echo "==> bench smoke (scripts/bench_server.sh --smoke)"
 sh scripts/bench_server.sh --smoke --out "$tmpdir/BENCH_server.json" > /dev/null
 grep -q '"event_loop": {"completed":20000' "$tmpdir/BENCH_server.json"
-grep -q '"threaded": {"completed":20000' "$tmpdir/BENCH_server.json"
 
 # Hybrid sweep smoke: the binary exits non-zero unless RiF's relative
 # win under QLC+background exceeds its TLC-only win (the tentpole
