@@ -5,19 +5,22 @@
 //! [`MinSumDecoder`] as functions of RBER are exactly the curves of
 //! Fig. 3; the iteration count maps onto the 1–20 µs tECC range of Table I.
 //!
-//! Both decoders run a word-packed fast path: the per-iteration syndrome
-//! check exploits the quasi-cyclic structure (each circulant `Q(s)` applied
-//! to a 64-bit-packed segment is a rotate-XOR, the same trick as
-//! [`QcLdpcCode::syndrome`]) instead of touching the `m × row_weight` edges
-//! one bit at a time, and the min-sum check-node update buffers each `v2c`
-//! message so it is computed once per iteration rather than twice. The
-//! straightforward per-edge implementations are kept as
-//! [`MinSumDecoder::decode_llr_reference`] and
+//! Both decoders run a fast path built on the quasi-cyclic structure: the
+//! per-iteration syndrome check is a rotate-XOR over 64-bit-packed
+//! segments (each circulant `Q(s)` applied to a packed segment is a
+//! rotation, the same trick as [`QcLdpcCode::syndrome`]) instead of a walk
+//! over the `m × row_weight` edges one bit at a time, and the min-sum
+//! message passing is one fused kernel per block row (see
+//! [`MinSumDecoder::decode_llr`]). The straightforward per-edge
+//! implementations are kept as [`MinSumDecoder::decode_llr_reference`] and
 //! [`BitFlipDecoder::decode_reference`]; the fast paths are bit-identical
 //! to them (see the golden-equivalence suite in `tests/`).
 
+use std::cell::Cell;
+
 use crate::bits::BitVec;
 use crate::code::QcLdpcCode;
+use crate::lanes::{Lanes, Portable, WIDTH};
 
 /// Result of a decoding attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,9 +34,21 @@ pub struct DecodeOutcome {
     pub decoded: BitVec,
 }
 
+/// Checks one kernel chunk covers: two lane vectors, so two independent
+/// min/max dependency chains are in flight per circulant.
+const CHUNK: usize = 2 * WIDTH;
+
+/// Floats of padding after each `t`-float message slab and totals segment
+/// in the kernel's arrays (one 64-byte cache line). With `t = 1024` the
+/// un-padded slabs and segments sit exactly 4 KiB apart, so the ~105
+/// streams a chunk touches (a row's message slabs plus its current and
+/// next totals segments) all map to one L1d set and evict each other;
+/// one line of padding walks them across the sets instead.
+const PAD: usize = 16;
+
 /// Tanner-graph adjacency in CSR form, shared by both decoders, plus the
 /// quasi-cyclic block structure used by the word-packed syndrome check
-/// and the block-major min-sum kernel.
+/// and the fused min-sum kernel.
 #[derive(Debug, Clone)]
 struct Graph {
     /// For each check, the index range into `chk_vars`.
@@ -47,18 +62,11 @@ struct Graph {
     /// `(col, shift)` of each block, grouped by block row — the circulant
     /// structure backing the rotate-XOR syndrome.
     block_rows: Vec<Vec<(usize, usize)>>,
-    /// `(col, shift, msg_offset)` per block, grouped by block row:
-    /// `msg_offset` is the block's `t`-float slab in the edge-major
-    /// message array of the fast min-sum path.
+    /// `(col_base, shift, msg_offset)` per block, grouped by block row:
+    /// where the block's column segment starts in a padded totals array
+    /// and where its message slab starts in the padded message array
+    /// (both strides are `t + PAD` floats).
     plan_rows: Vec<Vec<(usize, usize, usize)>>,
-    /// `(msg_offset, shift)` per block, grouped by column block in
-    /// ascending block-row order — the transpose of `plan_rows`, driving
-    /// the variable-node pass.
-    plan_cols: Vec<Vec<(usize, usize)>>,
-    /// Widest block row (blocks), sizing the per-row scratch buffer.
-    max_row_blocks: usize,
-    /// Total message floats (`block count × t`).
-    edge_floats: usize,
     /// Circulant size (a multiple of 64).
     t: usize,
     n: usize,
@@ -106,22 +114,19 @@ impl Graph {
             .map(|row| row.iter().map(|b| (b.col, b.shift % t)).collect())
             .collect();
 
-        // Edge-major plan: one t-float message slab per block, row-major,
-        // plus the per-column transpose in ascending block-row order (the
-        // order the reference variable pass accumulates in).
-        let mut plan_rows = Vec::with_capacity(block_rows.len());
-        let mut plan_cols: Vec<Vec<(usize, usize)>> = vec![Vec::new(); h.cols_b()];
-        let mut offset = 0usize;
-        for row in &block_rows {
-            let mut planned = Vec::with_capacity(row.len());
-            for &(col, shift) in row {
-                planned.push((col, shift, offset));
-                plan_cols[col].push((offset, shift));
-                offset += t;
-            }
-            plan_rows.push(planned);
-        }
-        let max_row_blocks = block_rows.iter().map(|r| r.len()).max().unwrap_or(0);
+        // Kernel plan: one padded message slab per block, in row-major
+        // block order.
+        let stride = t + PAD;
+        let mut msg_offsets = (0..).step_by(stride);
+        let plan_rows = block_rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .zip(&mut msg_offsets)
+                    .map(|(&(col, shift), msg)| (col * stride, shift, msg))
+                    .collect()
+            })
+            .collect();
 
         Graph {
             chk_ptr,
@@ -130,9 +135,6 @@ impl Graph {
             var_edges,
             block_rows,
             plan_rows,
-            plan_cols,
-            max_row_blocks,
-            edge_floats: offset,
             t,
             n,
             m,
@@ -156,16 +158,17 @@ impl Graph {
 
     /// Word-packed equivalent of [`Graph::syndrome_clear`]: per block row,
     /// XOR the rotated word-packed segments (circulant `Q(s)` ≡ rotate
-    /// left by `s`) and bail out on the first nonzero syndrome word.
-    fn syndrome_clear_words(&self, hard: &[u64]) -> bool {
+    /// left by `s`) into the caller's `t/64`-word accumulator and bail
+    /// out on the first nonzero syndrome word.
+    fn syndrome_clear_words(&self, hard: &[u64], acc: &mut [u64]) -> bool {
         debug_assert_eq!(hard.len() * 64, self.n);
         let tw = self.t / 64;
-        let mut acc = vec![0u64; tw];
+        debug_assert_eq!(acc.len(), tw);
         for row in &self.block_rows {
             acc.fill(0);
             for &(col, shift) in row {
                 let seg = &hard[col * tw..(col + 1) * tw];
-                xor_rotated(&mut acc, seg, shift);
+                xor_rotated(acc, seg, shift);
             }
             if acc.iter().any(|&w| w != 0) {
                 return false;
@@ -192,23 +195,22 @@ impl Graph {
     }
 }
 
-/// XORs `seg` rotated left by `shift` bits into `acc` (both `t/64` words).
-/// Output bit `k` of the rotation is input bit `(k + shift) mod t`.
+/// XORs `seg` rotated left by `shift < t` bits into `acc` (both `t/64`
+/// words). Output bit `k` of the rotation is input bit `(k + shift) mod t`.
 #[inline]
 fn xor_rotated(acc: &mut [u64], seg: &[u64], shift: usize) {
     let nw = seg.len();
-    let ws = shift / 64;
     let bs = shift % 64;
-    if bs == 0 {
-        for (w, a) in acc.iter_mut().enumerate() {
-            *a ^= seg[(w + ws) % nw];
-        }
-    } else {
-        for (w, a) in acc.iter_mut().enumerate() {
-            let lo = seg[(w + ws) % nw];
-            let hi = seg[(w + ws + 1) % nw];
-            *a ^= (lo >> bs) | (hi << (64 - bs));
-        }
+    // Source words wrap by a compare, not a division per word.
+    let mut lo_at = shift / 64;
+    for a in acc.iter_mut() {
+        let hi_at = if lo_at + 1 == nw { 0 } else { lo_at + 1 };
+        *a ^= if bs == 0 {
+            seg[lo_at]
+        } else {
+            (seg[lo_at] >> bs) | (seg[hi_at] << (64 - bs))
+        };
+        lo_at = hi_at;
     }
 }
 
@@ -271,24 +273,21 @@ impl MinSumDecoder {
 
     /// Decodes a received hard-decision word.
     pub fn decode(&self, received: &BitVec) -> DecodeOutcome {
-        self.decode_llr(&self.hard_llr(received))
+        let g = &self.graph;
+        assert_eq!(received.len(), g.n, "received word length mismatch");
+        let words = received.as_words();
+        self.decode_in_scratch(avx2_detected(), words.to_vec(), |llr| {
+            expand_hard_llr(words, g.t, g.t + PAD, llr)
+        })
     }
 
     /// Reference-path twin of [`MinSumDecoder::decode`].
     pub fn decode_reference(&self, received: &BitVec) -> DecodeOutcome {
-        self.decode_llr_reference(&self.hard_llr(received))
-    }
-
-    /// Channel LLRs for a hard-decision word: +1 for received 0, -1 for 1.
-    fn hard_llr(&self, received: &BitVec) -> Vec<f32> {
-        assert_eq!(
-            received.len(),
-            self.graph.n,
-            "received word length mismatch"
-        );
-        (0..self.graph.n)
-            .map(|v| if received.get(v) { -1.0 } else { 1.0 })
-            .collect()
+        let g = &self.graph;
+        assert_eq!(received.len(), g.n, "received word length mismatch");
+        let mut llr = vec![0.0f32; g.n];
+        expand_hard_llr(received.as_words(), g.t, g.t, &mut llr);
+        self.decode_llr_reference(&llr)
     }
 
     /// Decodes from per-bit channel log-likelihood ratios (positive =
@@ -297,17 +296,33 @@ impl MinSumDecoder {
     /// bit's reliability; soft inputs decode well beyond the
     /// hard-decision capability.
     ///
-    /// Fast path. The kernel works block-major on the quasi-cyclic
-    /// structure instead of walking CSR edge lists:
+    /// Fast path: flooding min-sum as one fused kernel per block row,
+    /// written over the quasi-cyclic structure instead of CSR edge lists.
     ///
-    /// * messages live in one `t`-float slab per circulant, so every
-    ///   access below is a sequential slice walk (split in two at the
-    ///   rotation point) rather than a per-edge gather;
-    /// * each `v2c` message is computed once per iteration and buffered —
-    ///   the sign/two-min scan and the output scan share it;
-    /// * the two-min/sign tracking is select-based (no branches), over
-    ///   `t` independent lanes at a time;
-    /// * the convergence test is the word-packed rotate-XOR syndrome.
+    /// * A block row's `t` checks are walked in chunks of 16. A chunk's
+    ///   sign product and two smallest magnitudes stay in registers while
+    ///   pass 1 streams over the row's circulants (`v2c = total − c2v`,
+    ///   kept in a small buffer) and pass 2 writes every new `c2v` from
+    ///   them. The argmin is not tracked: the edge whose `|v2c|` equals
+    ///   `min1` takes `min2`, and where two edges tie `min2 == min1`, so
+    ///   either choice is the reference's value.
+    /// * Pass 2 also adds each new `c2v` straight into the *next*
+    ///   iteration's totals, which start from the channel LLRs. Block rows
+    ///   run in ascending order and a column meets each row once, so a
+    ///   variable's total is `llr + row0 + row1 + …` — the reference's
+    ///   operand order — and no separate variable-node pass exists.
+    /// * Circulant `Q(s)` makes check `k` read variable `(k + s) mod t` of
+    ///   its column segment: a contiguous run per lane vector, except the
+    ///   one vector per circulant that straddles the wrap.
+    /// * Message slabs and totals segments are padded apart (see `PAD`)
+    ///   and live in a per-thread scratch reused across calls; in the
+    ///   first iteration `c2v ≡ 0` is not read (`x − 0.0 == x`), so the
+    ///   message array is never cleared.
+    /// * The kernel body is generic over an 8-lane vector type, AVX2
+    ///   where the CPU has it and a portable array otherwise; all lane
+    ///   operations are exact per-lane IEEE operations.
+    /// * The convergence test is the word-packed rotate-XOR syndrome on
+    ///   hard decisions packed 8 lanes at a time.
     ///
     /// Every float is produced by the same operands in the same order as
     /// [`MinSumDecoder::decode_llr_reference`], so outcomes are
@@ -317,146 +332,118 @@ impl MinSumDecoder {
     ///
     /// Panics if `llr` is not codeword-length.
     pub fn decode_llr(&self, llr: &[f32]) -> DecodeOutcome {
-        // The kernel is all independent-lane selects, abs, min and adds —
-        // exactly the shape LLVM vectorizes — but the baseline x86-64
-        // target only has SSE2. Compile the same body a second time with
-        // AVX2 enabled and pick at runtime; per-lane float ops are exact,
-        // so both instantiations produce bit-identical outcomes.
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 cpuid bit was just checked.
-            return unsafe { self.decode_llr_avx2(llr) };
-        }
-        self.decode_llr_impl(llr)
+        self.decode_llr_on(avx2_detected(), llr)
     }
 
-    /// AVX2 instantiation of [`MinSumDecoder::decode_llr_impl`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn decode_llr_avx2(&self, llr: &[f32]) -> DecodeOutcome {
-        self.decode_llr_impl(llr)
-    }
-
-    #[inline(always)]
-    fn decode_llr_impl(&self, llr: &[f32]) -> DecodeOutcome {
+    /// [`MinSumDecoder::decode_llr`] on a chosen lane implementation
+    /// (`avx2` must not be set on a CPU without it), so tests can run the
+    /// portable lanes on AVX2 hosts.
+    fn decode_llr_on(&self, avx2: bool, llr: &[f32]) -> DecodeOutcome {
         let g = &self.graph;
         assert_eq!(llr.len(), g.n, "LLR vector length mismatch");
-        let t = g.t;
+        let mut hard = vec![0u64; g.n / 64];
+        // SAFETY: the portable lanes need no CPU feature.
+        unsafe { pack_signs::<Portable>(llr, g.t, g.t, &mut hard) };
+        self.decode_in_scratch(avx2, hard, |padded| {
+            for (dst, src) in padded
+                .chunks_exact_mut(g.t + PAD)
+                .zip(llr.chunks_exact(g.t))
+            {
+                dst[..g.t].copy_from_slice(src);
+            }
+        })
+    }
 
-        let nw = g.n / 64;
-        let mut hard = vec![0u64; nw];
-        pack_hard(llr, &mut hard);
-        if g.syndrome_clear_words(&hard) {
-            return DecodeOutcome {
+    /// Runs the kernel in this thread's scratch. `hard` is the input's
+    /// hard decision; `fill_llr` writes the channel LLRs in the padded
+    /// totals layout and is only called when `hard` is not a codeword.
+    fn decode_in_scratch(
+        &self,
+        avx2: bool,
+        hard: Vec<u64>,
+        fill_llr: impl FnOnce(&mut [f32]),
+    ) -> DecodeOutcome {
+        let g = &self.graph;
+        // Taken out of the cell rather than borrowed inside
+        // `LocalKey::with`: a closure is not compiled with the caller's
+        // target features, so the kernel would lose AVX2 there. A panic
+        // below drops the buffers and the next call allocates new ones.
+        let mut scratch = SCRATCH.take();
+        scratch.fit(g);
+        let outcome = if g.syndrome_clear_words(&hard, &mut scratch.syn) {
+            DecodeOutcome {
                 success: true,
                 iterations: 0,
                 decoded: BitVec::from_words(hard, g.n),
-            };
-        }
+            }
+        } else {
+            fill_llr(&mut scratch.llr);
+            match avx2 {
+                #[cfg(target_arch = "x86_64")]
+                true => {
+                    assert!(avx2_detected(), "AVX2 lanes on a CPU without AVX2");
+                    // SAFETY: the CPU reports AVX2, checked on the line above.
+                    unsafe { self.iterate_avx2(&mut scratch, hard) }
+                }
+                // SAFETY: the portable lanes need no CPU feature.
+                _ => unsafe { self.iterate::<Portable>(&mut scratch, hard) },
+            }
+        };
+        SCRATCH.set(scratch);
+        outcome
+    }
 
-        let mut c2v = vec![0.0f32; g.edge_floats];
-        let mut total = llr.to_vec();
-        // Per-block-row scratch: buffered v2c messages plus the per-check
-        // sign product, two minima and argmin slot, t lanes each.
-        let mut v2c = vec![0.0f32; g.max_row_blocks * t];
-        let mut sign = vec![0.0f32; t];
-        let mut min1 = vec![0.0f32; t];
-        let mut min2 = vec![0.0f32; t];
-        let mut slot = vec![0u32; t];
+    /// [`MinSumDecoder::iterate`] on AVX2 lanes, compiled with AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn iterate_avx2(&self, scratch: &mut Scratch, hard: Vec<u64>) -> DecodeOutcome {
+        // SAFETY: AVX2 is the caller's guarantee.
+        unsafe { self.iterate::<crate::lanes::Avx2>(scratch, hard) }
+    }
+
+    /// Flooding iterations over a fitted scratch whose `llr` is filled,
+    /// until the hard decision is a codeword or the cap is reached.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the instruction set `L` is built on.
+    #[inline(always)]
+    unsafe fn iterate<L: Lanes>(&self, scratch: &mut Scratch, mut hard: Vec<u64>) -> DecodeOutcome {
+        let g = &self.graph;
+        let Scratch {
+            llr,
+            totals: [cur, next],
+            c2v,
+            v2c,
+            syn,
+        } = scratch;
+        let (mut cur, mut next) = (cur.as_mut_slice(), next.as_mut_slice());
 
         for iter in 1..=self.max_iterations {
-            for row in &g.plan_rows {
-                // v2c = rotated total segment minus the stored message;
-                // the rotation makes both reads sequential (two runs).
-                for (b, &(col, shift, off)) in row.iter().enumerate() {
-                    let msg = &c2v[off..off + t];
-                    let tot = &total[col * t..(col + 1) * t];
-                    let buf = &mut v2c[b * t..(b + 1) * t];
-                    let split = t - shift;
-                    let (buf_lo, buf_hi) = buf.split_at_mut(split);
-                    let (msg_lo, msg_hi) = msg.split_at(split);
-                    for ((o, &m), &tv) in buf_lo.iter_mut().zip(msg_lo).zip(&tot[shift..]) {
-                        *o = tv - m;
-                    }
-                    for ((o, &m), &tv) in buf_hi.iter_mut().zip(msg_hi).zip(&tot[..shift]) {
-                        *o = tv - m;
-                    }
+            next.copy_from_slice(llr);
+            // SAFETY (both arms and `pack_signs`): `L`'s instruction set
+            // is this function's own precondition.
+            unsafe {
+                if iter == 1 {
+                    // The first totals are the channel LLRs themselves.
+                    sweep::<L, true>(g, self.alpha, llr, next, c2v, v2c);
+                } else {
+                    sweep::<L, false>(g, self.alpha, cur, next, c2v, v2c);
                 }
-                // Fused sign/two-min scan across the row's blocks, t
-                // checks per lane-sweep, all selects.
-                sign.fill(1.0);
-                min1.fill(f32::INFINITY);
-                min2.fill(f32::INFINITY);
-                slot.fill(0);
-                for (b, buf) in v2c.chunks_exact(t).take(row.len()).enumerate() {
-                    let lanes = buf
-                        .iter()
-                        .zip(sign.iter_mut())
-                        .zip(min1.iter_mut().zip(min2.iter_mut()))
-                        .zip(slot.iter_mut());
-                    for (((&m, sg), (m1, m2)), sl) in lanes {
-                        let mag = m.abs();
-                        *sg = if m < 0.0 { -*sg } else { *sg };
-                        let better = mag < *m1;
-                        *m2 = if better { *m1 } else { m2.min(mag) };
-                        *m1 = if better { mag } else { *m1 };
-                        *sl = if better { b as u32 } else { *sl };
-                    }
-                }
-                // Output scan reuses the buffered v2c for its sign.
-                for (b, &(_, _, off)) in row.iter().enumerate() {
-                    let buf = &v2c[b * t..(b + 1) * t];
-                    let msg = &mut c2v[off..off + t];
-                    let lanes = buf
-                        .iter()
-                        .zip(msg.iter_mut())
-                        .zip(sign.iter().zip(slot.iter()))
-                        .zip(min1.iter().zip(min2.iter()));
-                    for (((&v, out), (&sg, &sl)), (&m1, &m2)) in lanes {
-                        let base = self.alpha * sg;
-                        let sign_self = if v < 0.0 { -1.0 } else { 1.0 };
-                        let mag = if sl == b as u32 { m2 } else { m1 };
-                        *out = base * sign_self * mag;
-                    }
-                }
+                pack_signs::<L>(next, g.t, g.t + PAD, &mut hard);
             }
-
-            // Variable-node totals: per column block, the channel LLR plus
-            // each incident message slab rotated back into variable order
-            // (ascending block row — the reference accumulation order).
-            for (j, col_blocks) in g.plan_cols.iter().enumerate() {
-                let lo = j * t;
-                total[lo..lo + t].copy_from_slice(&llr[lo..lo + t]);
-                for &(off, shift) in col_blocks {
-                    let msg = &c2v[off..off + t];
-                    let s = (t - shift) % t;
-                    let seg = &mut total[lo..lo + t];
-                    let split = t - s;
-                    let (seg_lo, seg_hi) = seg.split_at_mut(split);
-                    for (o, &m) in seg_lo.iter_mut().zip(&msg[s..]) {
-                        *o += m;
-                    }
-                    for (o, &m) in seg_hi.iter_mut().zip(&msg[..s]) {
-                        *o += m;
-                    }
-                }
-            }
-
-            // Word-packed hard decision and syndrome check.
-            for (w, h) in hard.iter_mut().enumerate() {
-                let mut word = 0u64;
-                for b in 0..64 {
-                    word |= u64::from(total[w * 64 + b] < 0.0) << b;
-                }
-                *h = word;
-            }
-            if g.syndrome_clear_words(&hard) {
+            if g.syndrome_clear_words(&hard, syn) {
                 return DecodeOutcome {
                     success: true,
                     iterations: iter,
                     decoded: BitVec::from_words(hard, g.n),
                 };
             }
+            std::mem::swap(&mut cur, &mut next);
         }
 
         DecodeOutcome {
@@ -552,14 +539,257 @@ impl MinSumDecoder {
     }
 }
 
-/// Packs the sign bits of `llr` into `hard` (bit set ⇔ LLR < 0 ⇔ bit 1).
-fn pack_hard(llr: &[f32], hard: &mut [u64]) {
-    for (w, h) in hard.iter_mut().enumerate() {
-        let mut word = 0u64;
-        for b in 0..64 {
-            word |= u64::from(llr[w * 64 + b] < 0.0) << b;
+/// True when the running CPU has AVX2 (never on other architectures).
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Buffers of the fused kernel, kept per thread and reused across decodes
+/// (allocating them per codeword cost a page fault per 4 KiB touched).
+/// Nothing in them carries over from one decode to the next.
+#[derive(Default)]
+struct Scratch {
+    /// Channel LLRs in the padded totals layout.
+    llr: Vec<f32>,
+    /// Variable totals of the previous and of the running iteration.
+    totals: [Vec<f32>; 2],
+    /// Check-to-variable messages, one padded slab per block.
+    c2v: Vec<f32>,
+    /// One chunk of `v2c` per block of the widest block row.
+    v2c: Vec<f32>,
+    /// Accumulator of the rotate-XOR syndrome check.
+    syn: Vec<u64>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+}
+
+impl Scratch {
+    /// Sizes every buffer for `g`; a no-op while one thread keeps decoding
+    /// the same code, a resize when decoders of different codes interleave.
+    fn fit(&mut self, g: &Graph) {
+        let stride = g.t + PAD;
+        let blocks: usize = g.plan_rows.iter().map(Vec::len).sum();
+        let widest = g.plan_rows.iter().map(Vec::len).max().unwrap_or(0);
+        let segments = g.n / g.t;
+        self.llr.resize(segments * stride, 0.0);
+        for totals in &mut self.totals {
+            totals.resize(segments * stride, 0.0);
         }
-        *h = word;
+        self.c2v.resize(blocks * stride, 0.0);
+        self.v2c.resize(widest * CHUNK, 0.0);
+        self.syn.resize(g.t / 64, 0);
+    }
+}
+
+/// One kernel chunk of floats, as its two lane vectors.
+type ChunkBuf = [[f32; WIDTH]; 2];
+
+/// The chunk of `s` starting at `at`, without a bounds check.
+///
+/// # Safety
+///
+/// `at + CHUNK <= s.len()`.
+#[inline(always)]
+unsafe fn chunk_at(s: &[f32], at: usize) -> &ChunkBuf {
+    debug_assert!(at + CHUNK <= s.len());
+    // SAFETY: the run is in bounds by the caller's guarantee, and `CHUNK`
+    // consecutive floats have the layout of a `ChunkBuf`.
+    unsafe { &*s.as_ptr().add(at).cast() }
+}
+
+/// Mutable twin of [`chunk_at`].
+///
+/// # Safety
+///
+/// `at + CHUNK <= s.len()`.
+#[inline(always)]
+unsafe fn chunk_at_mut(s: &mut [f32], at: usize) -> &mut ChunkBuf {
+    debug_assert!(at + CHUNK <= s.len());
+    // SAFETY: as in `chunk_at`, through a unique borrow.
+    unsafe { &mut *s.as_mut_ptr().add(at).cast() }
+}
+
+/// Position in its column segment of the variable check `k` reaches
+/// through circulant `Q(shift)`: `(k + shift) mod t`, both below `t`.
+#[inline(always)]
+fn rotated(k: usize, shift: usize, t: usize) -> usize {
+    let at = k + shift;
+    if at >= t {
+        at - t
+    } else {
+        at
+    }
+}
+
+/// The chunk of the cyclic segment `seg` that starts at `at` and runs
+/// over the segment's end (one chunk per circulant at most).
+#[cold]
+#[inline(never)]
+fn gather_wrapped(seg: &[f32], at: usize) -> ChunkBuf {
+    let mut chunk = [[0.0; WIDTH]; 2];
+    for (i, x) in chunk.as_flattened_mut().iter_mut().enumerate() {
+        *x = seg[rotated(at, i, seg.len())];
+    }
+    chunk
+}
+
+/// Adds `chunk` into the cyclic segment `seg` from `at` on, over its end.
+#[cold]
+#[inline(never)]
+fn scatter_add_wrapped(seg: &mut [f32], at: usize, chunk: &ChunkBuf) {
+    for (i, &x) in chunk.as_flattened().iter().enumerate() {
+        seg[rotated(at, i, seg.len())] += x;
+    }
+}
+
+/// The check-node update of one flooding iteration, fused with the
+/// variable-node accumulation: reads the totals `cur` (and, unless
+/// `FIRST`, the messages `c2v`), writes every new message and adds it
+/// into `next`, which the caller has set to the channel LLRs. `v2c` holds
+/// one chunk per block of a row between the two passes.
+///
+/// # Safety
+///
+/// The CPU must support `L`'s instruction set.
+#[inline(always)]
+unsafe fn sweep<L: Lanes, const FIRST: bool>(
+    g: &Graph,
+    alpha: f32,
+    cur: &[f32],
+    next: &mut [f32],
+    c2v: &mut [f32],
+    v2c: &mut [f32],
+) {
+    let t = g.t;
+    // Chunk accesses in the loops are unchecked (bounds-checked they read
+    // 101 µs per iteration on the paper code against 91); every index is
+    // covered here, once per sweep. Chunk starts are `k0 ≤ t − CHUNK`, so:
+    // a message chunk ends by `msg + t`; a totals chunk taken when
+    // `at + CHUNK ≤ t` ends by `col_base + t`; block `b` of a row owns
+    // `v2c[b * CHUNK..][..CHUNK]`.
+    assert!(
+        t.is_multiple_of(CHUNK),
+        "circulant size must be whole chunks"
+    );
+    for row in &g.plan_rows {
+        assert!(row.len() * CHUNK <= v2c.len());
+        for &(col_base, shift, msg) in row {
+            assert!(shift < t && msg + t <= c2v.len());
+            assert!(col_base + t <= cur.len() && col_base + t <= next.len());
+        }
+    }
+    // SAFETY: lane operations need `L`'s instruction set, the caller's
+    // guarantee; `chunk_at`/`chunk_at_mut` ranges are in bounds by the
+    // assertions above.
+    unsafe {
+        let alpha = L::splat(alpha);
+        let no_sign = L::splat(0.0);
+        let inf = L::splat(f32::INFINITY);
+        for row in &g.plan_rows {
+            for k0 in (0..t).step_by(CHUNK) {
+                // Pass 1: v2c, and the chunk's sign product and two minima.
+                let mut sign = [no_sign; 2];
+                let mut min1 = [inf; 2];
+                let mut min2 = [inf; 2];
+                for (b, &(col_base, shift, msg)) in row.iter().enumerate() {
+                    let at = rotated(k0, shift, t);
+                    let wrapped;
+                    let totals = if at + CHUNK <= t {
+                        chunk_at(cur, col_base + at)
+                    } else {
+                        wrapped = gather_wrapped(&cur[col_base..col_base + t], at);
+                        &wrapped
+                    };
+                    let msgs = chunk_at(c2v, msg + k0);
+                    let buf = chunk_at_mut(v2c, b * CHUNK);
+                    for h in 0..2 {
+                        let total = L::load(&totals[h]);
+                        let v = if FIRST {
+                            total
+                        } else {
+                            total.sub(L::load(&msgs[h]))
+                        };
+                        v.store(&mut buf[h]);
+                        let mag = v.abs();
+                        sign[h] = sign[h].xor(v.sign_if_negative());
+                        min2[h] = min2[h].min(min1[h].max(mag));
+                        min1[h] = min1[h].min(mag);
+                    }
+                }
+                // Pass 2: new c2v, added straight into the next totals.
+                let out1 = [alpha.mul(min1[0]), alpha.mul(min1[1])];
+                let out2 = [alpha.mul(min2[0]), alpha.mul(min2[1])];
+                for (b, &(col_base, shift, msg)) in row.iter().enumerate() {
+                    let buf = chunk_at(v2c, b * CHUNK);
+                    let msgs = chunk_at_mut(c2v, msg + k0);
+                    let mut out = [no_sign; 2];
+                    for h in 0..2 {
+                        let v = L::load(&buf[h]);
+                        out[h] = v
+                            .abs()
+                            .pick_eq(min1[h], out2[h], out1[h])
+                            .xor(sign[h])
+                            .xor(v.sign_if_negative());
+                        out[h].store(&mut msgs[h]);
+                    }
+                    let at = rotated(k0, shift, t);
+                    if at + CHUNK <= t {
+                        let sums = chunk_at_mut(next, col_base + at);
+                        for h in 0..2 {
+                            L::load(&sums[h]).add(out[h]).store(&mut sums[h]);
+                        }
+                    } else {
+                        scatter_add_wrapped(&mut next[col_base..col_base + t], at, msgs);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Packs the signs of `values` into `hard` (bit set ⇔ value < 0 ⇔ bit 1),
+/// `WIDTH` lanes at a time; segment `j` (`t` floats) starts at
+/// `values[j * stride]`.
+///
+/// # Safety
+///
+/// The CPU must support `L`'s instruction set.
+#[inline(always)]
+unsafe fn pack_signs<L: Lanes>(values: &[f32], t: usize, stride: usize, hard: &mut [u64]) {
+    let segments = values.chunks(stride);
+    for (seg, words) in segments.zip(hard.chunks_exact_mut(t / 64)) {
+        for (word, run) in words.iter_mut().zip(seg.chunks_exact(64)) {
+            *word = 0;
+            for (i, lanes) in run.chunks_exact(WIDTH).enumerate() {
+                let lanes = lanes.try_into().expect("chunks_exact(WIDTH)");
+                // SAFETY: `L`'s instruction set is the caller's guarantee.
+                let mask = unsafe { L::load(lanes).negative_mask() };
+                *word |= u64::from(mask) << (i * WIDTH);
+            }
+        }
+    }
+}
+
+/// Channel LLRs of a hard-decision word, +1 for a received 0 and −1 for
+/// a 1, a packed word at a time; segment `j` (`t` bits) lands at
+/// `out[j * stride..]`.
+fn expand_hard_llr(words: &[u64], t: usize, stride: usize, out: &mut [f32]) {
+    let segments = out.chunks_mut(stride).zip(words.chunks_exact(t / 64));
+    for (dst, seg_words) in segments {
+        for (run, &word) in dst.chunks_exact_mut(64).zip(seg_words) {
+            for (b, o) in run.iter_mut().enumerate() {
+                *o = if (word >> b) & 1 == 1 { -1.0 } else { 1.0 };
+            }
+        }
     }
 }
 
@@ -719,7 +949,7 @@ impl BitFlipDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::Bsc;
+    use crate::channel::{Bsc, SoftChannel};
     use rif_events::SimRng;
 
     fn setup() -> (QcLdpcCode, BitVec, SimRng) {
@@ -804,6 +1034,105 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Both lane implementations (AVX2 only where the host has it) against
+    /// the reference on `llr`.
+    fn assert_all_lanes_match_reference(dec: &MinSumDecoder, llr: &[f32], what: &str) {
+        let reference = dec.decode_llr_reference(llr);
+        assert_eq!(dec.decode_llr_on(false, llr), reference, "portable: {what}");
+        if avx2_detected() {
+            assert_eq!(dec.decode_llr_on(true, llr), reference, "avx2: {what}");
+        }
+    }
+
+    #[test]
+    fn portable_lanes_match_reference_on_any_host() {
+        let codes = [
+            QcLdpcCode::small_test(),
+            QcLdpcCode::medium(),
+            QcLdpcCode::new(crate::QcMatrix::paper_structure(4, 36, 192, 9)),
+        ];
+        let mut rng = SimRng::seed_from(0x9047);
+        for code in &codes {
+            let dec = MinSumDecoder::new(code);
+            for &p in &[0.002, 0.006, 0.0085, 0.0095, 0.015] {
+                let cw = code.encode(&BitVec::random(code.data_bits(), &mut rng));
+                let noisy = Bsc::new(p).corrupt(&cw, &mut rng);
+                let what = format!("t={} p={p}", code.matrix().t());
+                let mut hard = vec![0.0; code.n()];
+                expand_hard_llr(noisy.as_words(), dec.graph.t, dec.graph.t, &mut hard);
+                assert_all_lanes_match_reference(&dec, &hard, &what);
+                let soft = SoftChannel::new(p).transmit(&cw, &mut rng);
+                assert_all_lanes_match_reference(&dec, &soft, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn shifts_that_wrap_inside_a_chunk_match_reference() {
+        // Shift 0 never wraps, t − 16 wraps exactly between two chunks;
+        // the others put the wrap at the first, second-to-last and last
+        // lane of a chunk, from either end of the segment.
+        for t in [64usize, 192] {
+            let shifts = [0, 1, 15, t - 16, t - 15, t - 1];
+            // Three block rows over six columns, each column meeting
+            // three different shifts; no zero blocks.
+            let coeffs = (0..3)
+                .flat_map(|i| (0..6).map(move |j| Some(shifts[(2 * i + j) % 6])))
+                .collect();
+            let code = QcLdpcCode::new(crate::QcMatrix::from_coeffs(3, t, coeffs));
+            let dec = MinSumDecoder::new(&code);
+            let mut rng = SimRng::seed_from(t as u64);
+            // The all-zero word is a codeword of any linear code: read
+            // through a clean channel it converges, through a bad one it
+            // runs all 20 iterations.
+            let zeros = BitVec::zeros(code.n());
+            let mut converged = 0;
+            for &p in &[0.003, 0.01, 0.2] {
+                for _ in 0..4 {
+                    let llr = SoftChannel::new(p).transmit(&zeros, &mut rng);
+                    assert_all_lanes_match_reference(&dec, &llr, &format!("t={t} p={p}"));
+                    converged += u32::from(dec.decode_llr(&llr).success);
+                }
+            }
+            assert!(
+                (1..12).contains(&converged),
+                "t={t}: {converged}/12 converged"
+            );
+        }
+    }
+
+    #[test]
+    fn scratch_follows_the_code_when_decoders_interleave() {
+        let small = QcLdpcCode::small_test();
+        let medium = QcLdpcCode::medium();
+        let decoders = [MinSumDecoder::new(&small), MinSumDecoder::new(&medium)];
+        let mut rng = SimRng::seed_from(0x51DE);
+        for round in 0..6 {
+            let (code, dec) = [(&small, &decoders[0]), (&medium, &decoders[1])][round % 2];
+            let cw = code.encode(&BitVec::random(code.data_bits(), &mut rng));
+            let noisy = Bsc::new(0.006).corrupt(&cw, &mut rng);
+            assert_eq!(
+                dec.decode(&noisy),
+                dec.decode_reference(&noisy),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_decode_leaves_the_next_decode_working() {
+        let (code, cw, mut rng) = setup();
+        let dec = MinSumDecoder::new(&code);
+        let noisy = Bsc::new(0.004).corrupt(&cw, &mut rng);
+        // Warm the scratch, then die between taking it and putting it back.
+        assert!(dec.decode(&noisy).success);
+        let died = std::panic::catch_unwind(|| {
+            dec.decode_in_scratch(false, noisy.as_words().to_vec(), |_| panic!("mid-decode"))
+        });
+        assert!(died.is_err());
+        assert_eq!(dec.decode(&noisy), dec.decode_reference(&noisy));
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod bits;
 pub mod channel;
 pub mod code;
 pub mod decoder;
+mod lanes;
 pub mod matrix;
 pub mod model;
 pub mod rearrange;

@@ -136,6 +136,19 @@ impl QcMatrix {
         }
     }
 
+    /// A matrix with exactly the given coefficients (row-major), for tests
+    /// that need particular shifts; no structure is checked.
+    #[cfg(test)]
+    pub(crate) fn from_coeffs(rows_b: usize, t: usize, coeffs: Vec<Option<usize>>) -> Self {
+        assert!(t.is_multiple_of(64) && coeffs.len().is_multiple_of(rows_b));
+        QcMatrix {
+            rows_b,
+            cols_b: coeffs.len() / rows_b,
+            t,
+            coeffs,
+        }
+    }
+
     /// Number of block rows `r`.
     pub fn rows_b(&self) -> usize {
         self.rows_b

@@ -4,7 +4,8 @@
 #   scripts/ci.sh
 #
 # Steps: formatting, release build, test suite (default features plus the
-# gated proptest suites), the decode-kernel perf smoke, a determinism
+# gated proptest suites), the benchmark package's build plus its bit-true
+# decode workload at smoke size, a determinism
 # check that --threads does not change a single CSV byte, a trace
 # gate that replays a quick figure run through the invariant checker,
 # the lifetime-sweep smoke (learned-threshold retry activity against its
@@ -70,8 +71,16 @@ cargo test -q -p rif --features proptest --test proptest_invariants --test propt
 cargo test -q -p rif-server --features proptest --test proptest_frames
 cargo test -q -p rif-cluster --features proptest --test proptest_map
 
-echo "==> perf_smoke --quick"
-cargo run -q --release -p rif-bench --bin perf_smoke -- --quick
+# perf/ is its own workspace compiled against crates/* by path: an API
+# break there makes the benchmark driver exit 101 with no result line,
+# and nothing above builds it. Then the decode kernel end to end on the
+# paper code: every successful decode must equal what was programmed.
+echo "==> rif-perf builds; ecc_bit_true --quick is correct"
+cargo build --release --offline --manifest-path perf/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
+    run --workload ecc_bit_true --quick > "$tmpdir/ecc_bit_true.txt"
+tail -n 1 "$tmpdir/ecc_bit_true.txt"
+grep -q '"correct":true' "$tmpdir/ecc_bit_true.txt"
 
 echo "==> thread-count determinism (fig10, --threads 1 vs 8)"
 cargo run -q --release -p rif-bench --bin fig10_syndrome_correlation -- \
