@@ -334,16 +334,7 @@ pub fn run_routed(cfg: &RouterConfig) -> io::Result<(LoadReport, Journal)> {
         }
     }
 
-    st.report.wall_secs = started.elapsed().as_secs_f64();
-    st.report.mean_us = st.hist.mean().as_us();
-    st.report.p50_us = st.hist.percentile(50.0).map_or(0.0, |d| d.as_us());
-    st.report.p99_us = st.hist.percentile(99.0).map_or(0.0, |d| d.as_us());
-    st.report.p999_us = st.hist.percentile(99.9).map_or(0.0, |d| d.as_us());
-    st.report.throughput_rps = if st.report.wall_secs > 0.0 {
-        st.report.completed as f64 / st.report.wall_secs
-    } else {
-        0.0
-    };
+    st.report.finish(&st.hist, started.elapsed());
     Ok((st.report, st.journal))
 }
 

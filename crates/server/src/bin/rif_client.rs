@@ -6,20 +6,13 @@
 //! rif-client --addr 127.0.0.1:PORT [--requests N] [--connections N]
 //!            [--depth N] [--read-ratio X] [--zipf X] [--request-kib N]
 //!            [--tenant N] [--seed N] [--max-busy-retries N] [--batch N]
-//!            [--deadline-ms N]
+//!            [--deadline-ms N] [--threads N]
 //! ```
 //!
-//! `--batch N` packs up to N requests per BATCH frame.
-//!
-//! High-concurrency mode:
-//!
-//! ```text
-//! rif-client --addr ADDR --mux [--connections N] [--threads N] ...
-//! ```
-//!
-//! `--mux` multiplexes all connections over a few poller-driven worker
-//! threads instead of one thread per connection, making ≥10k concurrent
-//! connections practical (single frames only — no batching).
+//! `--batch N` packs up to N requests per BATCH frame. `--threads N`
+//! deals the connections onto N worker threads instead of one thread
+//! per connection, making ≥10k concurrent connections practical; the
+//! engine under them is the same.
 //!
 //! Replay modes:
 //!
@@ -41,8 +34,7 @@
 //! rif-client --addr ADDR --shutdown  # stop the server
 //! ```
 
-use rif_server::client::{fetch_stats, flush, run_load, send_shutdown, LoadConfig};
-use rif_server::mux::run_mux_load;
+use rif_server::client::{fetch_stats, flush, run_load, run_mux_load, send_shutdown, LoadConfig};
 use rif_server::replay::{diff_against_capture, run_replay_journaled, ReplayConfig};
 use rif_ssd::{RetryKind, Simulator, SsdConfig};
 use rif_workloads::Capture;
@@ -54,7 +46,7 @@ fn usage() -> ! {
          \x20                 [--read-ratio X] [--zipf X] [--request-kib N]\n\
          \x20                 [--tenant N] [--seed N] [--max-busy-retries N]\n\
          \x20                 [--batch N] [--deadline-ms N] [--replay FILE] [--speed X]\n\
-         \x20                 [--mux] [--threads N]\n\
+         \x20                 [--threads N]\n\
          \x20      rif-client --replay-offline FILE [--scheme LABEL] [--pe-cycles N]"
     );
     std::process::exit(2);
@@ -62,7 +54,6 @@ fn usage() -> ! {
 
 enum Mode {
     Load,
-    Mux,
     Stats,
     Flush,
     Shutdown,
@@ -84,7 +75,7 @@ fn load_capture(path: &str) -> Capture {
 fn main() {
     let mut cfg = LoadConfig::default();
     let mut mode = Mode::Load;
-    let mut threads = 4usize;
+    let mut threads: Option<usize> = None;
     let mut speed = 1.0f64;
     let mut scheme = RetryKind::Rif;
     let mut pe_cycles = 3000u32;
@@ -98,8 +89,7 @@ fn main() {
         };
         match flag.as_str() {
             "--addr" => cfg.addr = val("--addr"),
-            "--mux" => mode = Mode::Mux,
-            "--threads" => threads = val("--threads").parse().unwrap_or_else(|_| usage()),
+            "--threads" => threads = Some(val("--threads").parse().unwrap_or_else(|_| usage())),
             "--stats" => mode = Mode::Stats,
             "--flush" => mode = Mode::Flush,
             "--shutdown" => mode = Mode::Shutdown,
@@ -149,8 +139,11 @@ fn main() {
         Mode::Stats => fetch_stats(&cfg.addr).map(|text| println!("{text}")),
         Mode::Flush => flush(&cfg.addr).map(|()| println!("flushed")),
         Mode::Shutdown => send_shutdown(&cfg.addr).map(|()| println!("shutdown acknowledged")),
-        Mode::Load => run_load(&cfg).map(|report| println!("{}", report.to_json())),
-        Mode::Mux => run_mux_load(&cfg, threads).map(|report| println!("{}", report.to_json())),
+        Mode::Load => match threads {
+            Some(n) => run_mux_load(&cfg, n),
+            None => run_load(&cfg),
+        }
+        .map(|report| println!("{}", report.to_json())),
         Mode::Replay(path) => {
             let cap = load_capture(&path);
             let rcfg = ReplayConfig {

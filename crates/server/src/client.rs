@@ -1,12 +1,30 @@
-//! The closed-loop load generator, hardened for lossy transports.
+//! The load generator: one readiness-driven connection engine, hardened
+//! for lossy transports.
 //!
-//! Each connection keeps a fixed window of requests outstanding: it
-//! sends until `depth` are in flight, then polls for responses. Offsets
-//! and the read/write mix come from the same [`SynthConfig`] generator
-//! the offline experiments use, so a served workload is directly
-//! comparable to a batch-simulated one.
+//! A single-threaded worker drives any number of *links* off the same
+//! [`Poller`] the server core runs on. A link is one non-blocking socket
+//! (opened through [`Conn::connect`], so HELLO-checked), an incremental
+//! frame decoder, the bytes the socket has not accepted yet, and a
+//! request ledger. Each link keeps a fixed window of requests
+//! outstanding: it sends until `depth` are in flight, then waits for
+//! responses. Offsets and the read/write mix come from the same
+//! [`SynthConfig`] generator the offline experiments use, so a served
+//! workload is directly comparable to a batch-simulated one.
 //!
-//! The client is built to survive a fault-injecting path (see the
+//! The entry points differ only in how links are grouped onto worker
+//! threads: [`run_load`], [`run_plans`] and the replay driver give every
+//! link a worker of its own; [`run_mux_load`] deals the same links
+//! round-robin onto a few workers, which is what makes ≥10k concurrent
+//! connections practical from one process.
+//!
+//! Nothing in the request path sleeps. Every wait is a per-link
+//! due-time — the BUSY back-off ("this link sends nothing before *t*"),
+//! the reconnect back-off, a replayed request's recorded arrival, the
+//! batch flush deadline, the earliest request deadline — and a worker
+//! blocks in the poller until a socket is ready or the nearest due-time
+//! arrives, at most one `POLL_TICK`.
+//!
+//! A link is built to survive a fault-injecting path (see the
 //! `rif-chaos` crate) without ever losing track of a request:
 //!
 //! - **Per-request deadlines** — every submission carries a deadline;
@@ -14,7 +32,8 @@
 //!   resolves the tag as `TimedOut` instead of hanging the loop.
 //! - **Bounded reconnect** — a broken connection is re-established with
 //!   exponential backoff plus seeded jitter, up to a configured number
-//!   of attempts; in-flight tags resolve as `ConnError`.
+//!   of attempts; in-flight tags resolve as `ConnError`. Sibling links of
+//!   the same worker keep running through the back-off.
 //! - **Idempotent retry only** — reads (and `BUSY`-rejected requests of
 //!   either kind, which were never admitted) are re-issued under a fresh
 //!   tag with a bounded budget; a write whose fate is unknown (worker
@@ -24,21 +43,26 @@
 //!   outcome are recorded in a [`Journal`], which the `rif-chaos`
 //!   ContractChecker audits for the service contract: every tag resolves
 //!   to exactly one of DONE/BUSY/ERROR, a timeout, or a clean connection
-//!   error — never silence, never two outcomes.
+//!   error — never silence, never two outcomes. Resolved tags stay in a
+//!   receipt table with the fingerprint of the resolving payload, so a
+//!   late or duplicated response is told apart from a conflicting one
+//!   and from one for a tag never submitted.
 //!
 //! Wall latency is measured per request from the moment its frame is
-//! written to the moment its `DONE` arrives, and aggregated in a
-//! log-bucketed histogram for p50/p99/p99.9.
+//! queued for the socket to the moment its `DONE` is decoded, and
+//! aggregated in a log-bucketed histogram for p50/p99/p99.9.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufWriter, Read};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::TcpStream;
+use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
 
 use rif_events::stats::LatencyHistogram;
 use rif_events::{SimDuration, SimRng};
 use rif_workloads::{IoOp, SynthConfig};
 
+use crate::poller::{best_poller, Interest, Poller};
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, BatchEntry, BusyReason, ErrorCode,
     FrameBuffer, Request, Response, MAX_BATCH_ENTRIES, PROTOCOL_VERSION,
@@ -277,6 +301,67 @@ impl LoadReport {
             self.p999_us,
         )
     }
+
+    /// Adds `other`'s counters to this report. The derived fields (wall
+    /// time, percentiles, throughput) do not add; [`finish`](Self::finish)
+    /// computes them once every part is merged.
+    pub fn merge(&mut self, other: &LoadReport) {
+        // Exhaustive on purpose (no `..`): a counter added to the struct
+        // and forgotten here is a compile error, not a silent zero.
+        let LoadReport {
+            completed,
+            busy_queue,
+            busy_ratelimit,
+            busy_unavailable,
+            busy_dropped,
+            protocol_errors,
+            internal_errors,
+            timed_out,
+            conn_errors,
+            reconnects,
+            batches_sent,
+            failed,
+            dup_receipts,
+            unknown_receipts,
+            wrong_shard,
+            wall_secs: _,
+            p50_us: _,
+            p99_us: _,
+            p999_us: _,
+            mean_us: _,
+            throughput_rps: _,
+        } = other;
+        self.completed += completed;
+        self.busy_queue += busy_queue;
+        self.busy_ratelimit += busy_ratelimit;
+        self.busy_unavailable += busy_unavailable;
+        self.busy_dropped += busy_dropped;
+        self.protocol_errors += protocol_errors;
+        self.internal_errors += internal_errors;
+        self.timed_out += timed_out;
+        self.conn_errors += conn_errors;
+        self.reconnects += reconnects;
+        self.batches_sent += batches_sent;
+        self.failed += failed;
+        self.dup_receipts += dup_receipts;
+        self.unknown_receipts += unknown_receipts;
+        self.wrong_shard += wrong_shard;
+    }
+
+    /// Fills in the derived fields from the run's latency histogram and
+    /// its wall time.
+    pub fn finish(&mut self, hist: &LatencyHistogram, wall: Duration) {
+        self.wall_secs = wall.as_secs_f64();
+        self.mean_us = hist.mean().as_us();
+        self.p50_us = hist.percentile(50.0).map_or(0.0, |d| d.as_us());
+        self.p99_us = hist.percentile(99.0).map_or(0.0, |d| d.as_us());
+        self.p999_us = hist.percentile(99.9).map_or(0.0, |d| d.as_us());
+        self.throughput_rps = if self.wall_secs > 0.0 {
+            self.completed as f64 / self.wall_secs
+        } else {
+            0.0
+        };
+    }
 }
 
 /// One pre-generated request before it goes on the wire.
@@ -305,7 +390,8 @@ struct OpState {
     prior_tag: Option<u64>,
 }
 
-/// Runs the closed loop and aggregates all connections' results.
+/// Runs the closed loop, one worker thread per connection, and
+/// aggregates all connections' results.
 pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
     run_load_journaled(cfg).map(|(report, _journal)| report)
 }
@@ -313,72 +399,90 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
 /// Like [`run_load`] but also returns the request [`Journal`] for
 /// contract checking.
 pub fn run_load_journaled(cfg: &LoadConfig) -> io::Result<(LoadReport, Journal)> {
-    let per_conn = cfg.requests.div_ceil(cfg.connections.max(1));
-    let mut plans = Vec::with_capacity(cfg.connections);
-    for conn in 0..cfg.connections {
-        let n = per_conn.min(cfg.requests - (conn * per_conn).min(cfg.requests));
-        if n == 0 {
-            break;
-        }
-        plans.push(plan(cfg, conn, n));
-    }
-    run_plans(cfg, plans)
+    run_plans(cfg, plans(cfg))
 }
 
-/// Drives one pre-built request plan per connection through the server.
-/// This is the shared engine under [`run_load_journaled`] (synthetic
-/// closed-loop plans) and [`crate::replay::run_replay_journaled`]
-/// (captured open-loop plans with recorded due times).
+/// Runs the same closed loop as [`run_load`] with the connections dealt
+/// round-robin onto `threads` workers instead of one worker each, so
+/// concurrent connections cost sockets, not threads.
+pub fn run_mux_load(cfg: &LoadConfig, threads: usize) -> io::Result<LoadReport> {
+    run_grouped(cfg, plans(cfg), threads).map(|(report, _journal)| report)
+}
+
+/// Drives one pre-built request plan per connection through the server,
+/// one worker thread per plan. This is the entry under
+/// [`run_load_journaled`] (synthetic closed-loop plans) and
+/// [`crate::replay::run_replay_journaled`] (captured open-loop plans
+/// with recorded due times).
 pub fn run_plans(
     cfg: &LoadConfig,
     plans: Vec<Vec<PlannedIo>>,
 ) -> io::Result<(LoadReport, Journal)> {
+    let workers = plans.len();
+    run_grouped(cfg, plans, workers)
+}
+
+/// The one engine entry: plan `i` becomes link `i`, links are dealt
+/// round-robin onto `workers` threads, and the parts merge into one
+/// report and journal.
+fn run_grouped(
+    cfg: &LoadConfig,
+    plans: Vec<Vec<PlannedIo>>,
+    workers: usize,
+) -> io::Result<(LoadReport, Journal)> {
     assert!(cfg.depth > 0, "need a send window");
-    let mut handles = Vec::with_capacity(plans.len());
+    let workers = workers.clamp(1, plans.len().max(1));
+    let mut groups: Vec<Vec<(usize, Vec<PlannedIo>)>> = vec![Vec::new(); workers];
     for (conn, plan) in plans.into_iter().enumerate() {
-        if plan.is_empty() {
-            continue;
+        if !plan.is_empty() {
+            groups[conn % workers].push((conn, plan));
         }
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || run_connection(&cfg, conn, plan)));
     }
+    let started = Instant::now();
+    let parts = std::thread::scope(|s| {
+        let handles: Vec<_> = groups
+            .into_iter()
+            .filter(|group| !group.is_empty())
+            .map(|group| s.spawn(move || drive_links(cfg, group)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .map_err(|_| io::Error::other("load worker thread panicked"))?
+            })
+            .collect::<io::Result<Vec<_>>>()
+    })?;
     let mut total = LoadReport::default();
     let mut journal = Journal::default();
     let mut hist = LatencyHistogram::new();
-    let started = Instant::now();
-    for h in handles {
-        let joined = h
-            .join()
-            .map_err(|_| io::Error::other("load connection thread panicked"))?;
-        let (part, part_hist, part_journal) = joined?;
-        total.completed += part.completed;
-        total.busy_queue += part.busy_queue;
-        total.busy_ratelimit += part.busy_ratelimit;
-        total.busy_unavailable += part.busy_unavailable;
-        total.busy_dropped += part.busy_dropped;
-        total.protocol_errors += part.protocol_errors;
-        total.internal_errors += part.internal_errors;
-        total.timed_out += part.timed_out;
-        total.conn_errors += part.conn_errors;
-        total.reconnects += part.reconnects;
-        total.batches_sent += part.batches_sent;
-        total.failed += part.failed;
-        total.dup_receipts += part.dup_receipts;
-        total.unknown_receipts += part.unknown_receipts;
+    for (part, part_hist, part_journal) in parts {
+        total.merge(&part);
         hist.merge(&part_hist);
         journal.merge(part_journal);
     }
-    total.wall_secs = started.elapsed().as_secs_f64();
-    total.mean_us = hist.mean().as_us();
-    total.p50_us = hist.percentile(50.0).map_or(0.0, |d| d.as_us());
-    total.p99_us = hist.percentile(99.0).map_or(0.0, |d| d.as_us());
-    total.p999_us = hist.percentile(99.9).map_or(0.0, |d| d.as_us());
-    total.throughput_rps = if total.wall_secs > 0.0 {
-        total.completed as f64 / total.wall_secs
-    } else {
-        0.0
-    };
+    // The receipt counters are the journal's, restated.
+    total.reconnects = journal.reconnects;
+    total.unknown_receipts = journal.unknown_receipts;
+    total.dup_receipts = journal
+        .records
+        .iter()
+        .map(|r| (r.duplicate_receipts + r.conflicting_receipts) as u64)
+        .sum();
+    total.finish(&hist, started.elapsed());
     Ok((total, journal))
+}
+
+/// The synthetic closed-loop plans: `cfg.requests` dealt evenly over
+/// `cfg.connections` (the first `requests % connections` get one more).
+fn plans(cfg: &LoadConfig) -> Vec<Vec<PlannedIo>> {
+    let conns = cfg.connections.max(1);
+    (0..conns)
+        .map(|conn| {
+            let n = cfg.requests / conns + usize::from(conn < cfg.requests % conns);
+            plan(cfg, conn, n)
+        })
+        .collect()
 }
 
 fn plan(cfg: &LoadConfig, conn: usize, n: usize) -> Vec<PlannedIo> {
@@ -402,7 +506,8 @@ fn plan(cfg: &LoadConfig, conn: usize, n: usize) -> Vec<PlannedIo> {
         .collect()
 }
 
-/// How long one read poll blocks before the deadline sweep runs.
+/// The longest a worker blocks in the poller before it looks at its
+/// links' due-times again; also the read timeout of a blocking [`Conn`].
 const POLL_TICK: Duration = Duration::from_millis(1);
 
 /// Cap on the exponential reconnect backoff.
@@ -540,8 +645,10 @@ fn check_hello(c: &mut Conn) -> io::Result<()> {
     Err(io::Error::new(io::ErrorKind::TimedOut, "no HELLO_ACK"))
 }
 
-/// Everything `run_connection` tracks for one connection.
-struct ConnState {
+/// Everything the engine tracks for one link: the request ledger
+/// (journal, window, retry chains, receipt table) and the transport
+/// under it (socket, unsent bytes, due-times, reconnect budget).
+struct Link {
     conn: u32,
     queue: VecDeque<OpState>,
     /// tag -> (op, journal record index, sent, deadline)
@@ -551,15 +658,76 @@ struct ConnState {
     resolved: HashMap<u64, (usize, Option<u64>)>,
     next_tag: u64,
     report: LoadReport,
-    hist: LatencyHistogram,
     journal: Journal,
     /// Journaled-but-unsent entries accumulating toward one BATCH frame.
     pending_batch: Vec<BatchEntry>,
     /// When the oldest pending entry was journaled (deadline flush).
     batch_started: Option<Instant>,
+    /// The live socket and its frame decoder — what is left of a
+    /// [`Conn`] once its HELLO check passed. `None` while the link is
+    /// down. No per-link `BufWriter`: ten thousand links must cost what
+    /// they have queued, not a fixed buffer each.
+    wire: Option<(TcpStream, FrameBuffer)>,
+    /// Encoded frames the socket has not accepted yet.
+    out: Vec<u8>,
+    /// Whether WRITE interest is registered (only while `out` is stuck).
+    write_interest: bool,
+    /// BUSY / WRONG_SHARD back-off: the link sends nothing before this.
+    paused_until: Instant,
+    /// Reconnect back-off: no connect attempt before this.
+    down_until: Instant,
+    /// No in-flight deadline expires before this (the deadline of the
+    /// oldest submission when it was sent; early at worst, never late).
+    sweep_at: Instant,
+    jitter: SimRng,
+    reconnects_used: u32,
+    backoff: ReconnectBackoff,
+    /// Whether the link has ever been open: a link that cannot be
+    /// opened at all fails the run instead of being counted `failed`.
+    ever_up: bool,
 }
 
-impl ConnState {
+impl Link {
+    fn new(cfg: &LoadConfig, conn: usize, plan: Vec<PlannedIo>) -> Link {
+        let now = Instant::now();
+        Link {
+            conn: conn as u32,
+            queue: plan
+                .into_iter()
+                .map(|io| OpState {
+                    io,
+                    busy_retries: 0,
+                    resends: 0,
+                    prior_tag: None,
+                })
+                .collect(),
+            inflight: HashMap::new(),
+            resolved: HashMap::new(),
+            // Tag 0 is reserved: the server answers undecodable frames with
+            // tag 0, which must never collide with a real submission.
+            next_tag: ((conn as u64) << 32) | 1,
+            report: LoadReport::default(),
+            journal: Journal::default(),
+            pending_batch: Vec::new(),
+            batch_started: None,
+            wire: None,
+            out: Vec::new(),
+            write_interest: false,
+            paused_until: now,
+            down_until: now,
+            sweep_at: now,
+            jitter: SimRng::stream(cfg.seed ^ JITTER_SALT, conn as u64),
+            reconnects_used: 0,
+            backoff: ReconnectBackoff::new(),
+            ever_up: false,
+        }
+    }
+
+    /// True when every planned request has settled.
+    fn finished(&self) -> bool {
+        self.queue.is_empty() && self.inflight.is_empty()
+    }
+
     fn resolve(&mut self, tag: u64, outcome: Outcome, fp: Option<u64>) -> Option<OpState> {
         let (op, rec, _sent, _deadline) = self.inflight.remove(&tag)?;
         self.journal.records[rec].outcome = Some(outcome);
@@ -596,219 +764,538 @@ impl ConnState {
     fn fail_op(&mut self) {
         self.report.failed += 1;
     }
-}
 
-fn run_connection(
-    cfg: &LoadConfig,
-    conn: usize,
-    plan: Vec<PlannedIo>,
-) -> io::Result<(LoadReport, LatencyHistogram, Journal)> {
-    let mut st = ConnState {
-        conn: conn as u32,
-        queue: plan
-            .into_iter()
-            .map(|io| OpState {
-                io,
-                busy_retries: 0,
-                resends: 0,
-                prior_tag: None,
-            })
-            .collect(),
-        inflight: HashMap::new(),
-        // Tag 0 is reserved: the server answers undecodable frames with
-        // tag 0, which must never collide with a real submission.
-        next_tag: ((conn as u64) << 32) | 1,
-        resolved: HashMap::new(),
-        report: LoadReport::default(),
-        hist: LatencyHistogram::new(),
-        journal: Journal::default(),
-        pending_batch: Vec::new(),
-        batch_started: None,
-    };
-    let mut jitter = SimRng::stream(cfg.seed ^ JITTER_SALT, conn as u64);
-    let mut reconnects_used: u32 = 0;
-    let mut backoff = ReconnectBackoff::new();
-    // A first open that fails (refused, or the HELLO check saw no ack)
-    // draws on the same bounded reconnect budget as a mid-run loss.
-    let mut link = Some(match Conn::connect(&cfg.addr) {
-        Ok(c) => c,
-        Err(e) => reconnect(
-            cfg,
-            &mut st,
-            &mut jitter,
-            &mut reconnects_used,
-            &mut backoff,
-        )
-        .ok_or(e)?,
-    });
-    let started = Instant::now();
-
-    while !st.queue.is_empty() || !st.inflight.is_empty() {
-        let Some(conn_ref) = link.as_mut() else {
-            // Connection permanently gone: everything left in the queue
-            // was never submitted; fail it and finish.
-            while st.queue.pop_front().is_some() {
-                st.report.failed += 1;
+    /// Connects (blocking, bounded by [`HELLO_TIMEOUT`]) and registers
+    /// the socket under `token`. A failed connect draws on the same
+    /// bounded budget as a mid-run loss; `Err` only when the link could
+    /// never be opened at all.
+    fn open(&mut self, cfg: &LoadConfig, poller: &mut dyn Poller, token: usize) -> io::Result<()> {
+        match Conn::connect(&cfg.addr) {
+            Ok(Conn {
+                stream,
+                writer,
+                frames,
+            }) => {
+                drop(writer);
+                stream.set_nonblocking(true)?;
+                poller.register(stream.as_raw_fd(), token, Interest::READ)?;
+                if self.reconnects_used > 0 {
+                    self.backoff.note_success();
+                    self.journal.reconnects += 1;
+                }
+                self.wire = Some((stream, frames));
+                self.ever_up = true;
+                Ok(())
             }
-            break;
-        };
+            Err(e) => {
+                let armed = self.schedule_reopen(cfg);
+                if armed || self.ever_up {
+                    Ok(())
+                } else {
+                    Err(e)
+                }
+            }
+        }
+    }
 
-        // Fill the window.
-        let mut send_failed = false;
+    /// Arms the reconnect back-off and returns true, or — budget spent —
+    /// gives the link up and returns false: everything left in the queue
+    /// was never submitted; fail it.
+    fn schedule_reopen(&mut self, cfg: &LoadConfig) -> bool {
+        let armed = self.reconnects_used < cfg.max_reconnects;
+        if armed {
+            self.reconnects_used += 1;
+            self.down_until = Instant::now()
+                + self
+                    .backoff
+                    .next_delay(cfg.reconnect_backoff, &mut self.jitter);
+        } else {
+            self.report.failed += self.queue.len() as u64;
+            self.queue.clear();
+        }
+        armed
+    }
+
+    /// The connection is gone: every in-flight tag resolves as a clean
+    /// connection error (exactly once), and the link goes down until its
+    /// back-off passes.
+    fn lose(&mut self, cfg: &LoadConfig, poller: &mut dyn Poller) {
+        self.close(poller);
+        self.journal.conn_losses += 1;
+        // Unsent bytes and unsent batch entries die with the connection;
+        // their tags are in flight and resolve as ConnError just below.
+        self.out.clear();
+        self.pending_batch.clear();
+        self.batch_started = None;
+        let tags: Vec<u64> = self.inflight.keys().copied().collect();
+        for tag in tags {
+            self.report.conn_errors += 1;
+            if let Some(op) = self.resolve(tag, Outcome::ConnError, None) {
+                self.requeue_or_fail(cfg, op, tag, true);
+            }
+        }
+        self.schedule_reopen(cfg);
+    }
+
+    /// Deregisters and drops the socket, if there is one.
+    fn close(&mut self, poller: &mut dyn Poller) {
+        if let Some((stream, _)) = self.wire.take() {
+            poller.deregister(stream.as_raw_fd()).ok();
+            self.write_interest = false;
+        }
+    }
+
+    /// One turn of everything time-driven: reopen if the back-off has
+    /// passed, fill the window, push queued bytes at the socket, expire
+    /// deadlines.
+    fn service(
+        &mut self,
+        cfg: &LoadConfig,
+        poller: &mut dyn Poller,
+        token: usize,
+        started: Instant,
+        now: Instant,
+    ) -> io::Result<()> {
+        if self.wire.is_none() {
+            if now < self.down_until {
+                return Ok(());
+            }
+            self.open(cfg, poller, token)?;
+            if self.wire.is_none() {
+                return Ok(());
+            }
+        }
+        if now >= self.paused_until {
+            self.fill(cfg, started, now);
+        }
+        // A stuck socket reports when it takes bytes again; until then
+        // new frames queue behind the stuck ones.
+        if !self.write_interest && self.flush(poller, token).is_err() {
+            self.lose(cfg, poller);
+            return Ok(());
+        }
+        if now >= self.sweep_at {
+            self.sweep_deadlines(cfg, now);
+        }
+        Ok(())
+    }
+
+    /// The earliest instant the link needs a turn even if its socket
+    /// stays silent.
+    fn next_due(&self, cfg: &LoadConfig, started: Instant) -> Option<Instant> {
+        if self.wire.is_none() {
+            return Some(self.down_until);
+        }
+        let sweep = (!self.inflight.is_empty()).then_some(self.sweep_at);
+        let batch = self.batch_started.map(|t| t + cfg.batch_deadline);
+        let head = self
+            .queue
+            .front()
+            .filter(|_| self.inflight.len() < cfg.depth)
+            .map(|op| started + Duration::from_micros(op.io.due_us.unwrap_or(0)));
+        let send = batch
+            .into_iter()
+            .chain(head)
+            .min()
+            .map(|t| t.max(self.paused_until));
+        sweep.into_iter().chain(send).min()
+    }
+
+    /// Fills the window from the queue and decides what goes on the wire.
+    fn fill(&mut self, cfg: &LoadConfig, started: Instant, now: Instant) {
         let batching = cfg.batch > 1;
-        while st.inflight.len() < cfg.depth {
+        while self.inflight.len() < cfg.depth {
             // Replay pacing: hold the next request until its recorded
             // due time. The queue keeps plan order, so the head gates
             // everything behind it.
-            if let Some(due) = st.queue.front().and_then(|op| op.io.due_us) {
-                if (started.elapsed().as_micros() as u64) < due {
+            if let Some(due) = self.queue.front().and_then(|op| op.io.due_us) {
+                if now < started + Duration::from_micros(due) {
                     break;
                 }
             }
-            let Some(op) = st.queue.pop_front() else {
+            let Some(op) = self.queue.pop_front() else {
                 break;
             };
-            let (tag, rec) = st.journal_send(op.io.op, op.io.offset, op.io.bytes, op.prior_tag);
+            let (tag, rec) = self.journal_send(op.io.op, op.io.offset, op.io.bytes, op.prior_tag);
             let io = op.io;
             let retry_of = op.prior_tag.unwrap_or(0);
-            let now = Instant::now();
-            st.inflight
-                .insert(tag, (op, rec, now, now + cfg.request_deadline));
+            let sent = Instant::now();
+            let deadline = sent + cfg.request_deadline;
+            if self.inflight.is_empty() {
+                self.sweep_at = deadline;
+            }
+            self.inflight.insert(tag, (op, rec, sent, deadline));
+            let entry = BatchEntry {
+                op: io.op,
+                tenant: io.tenant,
+                tag,
+                offset: io.offset,
+                bytes: io.bytes,
+                retry_of,
+            };
             if batching {
-                st.pending_batch.push(BatchEntry {
-                    op: io.op,
-                    tenant: io.tenant,
-                    tag,
-                    offset: io.offset,
-                    bytes: io.bytes,
-                    retry_of,
-                });
-                if st.batch_started.is_none() {
-                    st.batch_started = Some(now);
+                self.pending_batch.push(entry);
+                self.batch_started.get_or_insert(sent);
+                if self.pending_batch.len() >= cfg.batch.min(MAX_BATCH_ENTRIES as usize) {
+                    self.flush_batch();
                 }
-                if st.pending_batch.len() >= cfg.batch.min(MAX_BATCH_ENTRIES as usize)
-                    && flush_batch(conn_ref, &mut st).is_err()
-                {
-                    send_failed = true;
-                    break;
-                }
-            } else {
+            } else if retry_of != 0 {
                 // Re-issues travel as one-entry BATCH frames: the only
                 // frame kind that carries `retry_of`, so the server's
                 // recorder can alias them onto the original instead of
                 // journaling a second logical request.
-                let req = if retry_of != 0 {
-                    Request::Batch(vec![BatchEntry {
-                        op: io.op,
+                self.enqueue(&Request::Batch(vec![entry]));
+            } else {
+                self.enqueue(&match io.op {
+                    IoOp::Read => Request::Read {
                         tenant: io.tenant,
                         tag,
                         offset: io.offset,
                         bytes: io.bytes,
-                        retry_of,
-                    }])
-                } else {
-                    match io.op {
-                        IoOp::Read => Request::Read {
-                            tenant: io.tenant,
-                            tag,
-                            offset: io.offset,
-                            bytes: io.bytes,
-                        },
-                        IoOp::Write => Request::Write {
-                            tenant: io.tenant,
-                            tag,
-                            offset: io.offset,
-                            bytes: io.bytes,
-                        },
-                    }
-                };
-                if write_frame(&mut conn_ref.writer, &encode_request(&req)).is_err() {
-                    send_failed = true;
-                    break;
-                }
+                    },
+                    IoOp::Write => Request::Write {
+                        tenant: io.tenant,
+                        tag,
+                        offset: io.offset,
+                        bytes: io.bytes,
+                    },
+                });
             }
         }
         // A straggler batch flushes when no more work can join it or its
         // deadline passes — partial frames must not wait forever.
-        if !send_failed && !st.pending_batch.is_empty() {
-            let expired = st
-                .batch_started
-                .is_some_and(|t| t.elapsed() >= cfg.batch_deadline);
-            if (expired || st.queue.is_empty() || st.inflight.len() >= cfg.depth)
-                && flush_batch(conn_ref, &mut st).is_err()
-            {
-                send_failed = true;
+        let expired = self
+            .batch_started
+            .is_some_and(|t| now >= t + cfg.batch_deadline);
+        if expired || self.queue.is_empty() || self.inflight.len() >= cfg.depth {
+            self.flush_batch();
+        }
+    }
+
+    /// Queues the accumulated BATCH frame, if any.
+    fn flush_batch(&mut self) {
+        if self.pending_batch.is_empty() {
+            return;
+        }
+        let entries = std::mem::take(&mut self.pending_batch);
+        self.batch_started = None;
+        self.report.batches_sent += 1;
+        self.enqueue(&Request::Batch(entries));
+    }
+
+    /// Appends one length-prefixed request frame to the unsent bytes.
+    fn enqueue(&mut self, req: &Request) {
+        let payload = encode_request(req);
+        self.out
+            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        self.out.extend_from_slice(&payload);
+    }
+
+    /// Writes unsent bytes until they are gone or the socket pushes back,
+    /// and keeps WRITE interest registered exactly while some are stuck:
+    /// a frame cut short by `WouldBlock` resumes where it stopped.
+    fn flush(&mut self, poller: &mut dyn Poller, token: usize) -> io::Result<()> {
+        let Some((stream, _)) = &self.wire else {
+            return Ok(());
+        };
+        let mut stream: &TcpStream = stream;
+        let mut written = 0;
+        while written < self.out.len() {
+            match stream.write(&self.out[written..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => written += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
+        self.out.drain(..written);
+        let stuck = !self.out.is_empty();
+        if stuck != self.write_interest {
+            let interest = Interest {
+                readable: true,
+                writable: stuck,
+            };
+            poller.reregister(stream.as_raw_fd(), token, interest)?;
+            self.write_interest = stuck;
+        }
+        Ok(())
+    }
 
-        // Poll the transport and process every complete frame.
-        let mut conn_broken = send_failed;
-        if !conn_broken {
-            match conn_ref.pump() {
-                Ok(_) => loop {
-                    match conn_ref.frames.next_frame() {
-                        Ok(Some(payload)) => handle_frame(cfg, &mut st, &payload),
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Oversized prefix: framing is unrecoverable.
-                            st.journal.undecodable_frames += 1;
-                            st.report.protocol_errors += 1;
-                            conn_broken = true;
-                            break;
-                        }
+    /// Reads what the socket holds and dispatches every complete frame.
+    /// `false` means the connection is lost.
+    fn on_readable(
+        &mut self,
+        cfg: &LoadConfig,
+        scratch: &mut [u8],
+        hist: &mut LatencyHistogram,
+    ) -> bool {
+        loop {
+            let Some((stream, frames)) = self.wire.as_mut() else {
+                return true;
+            };
+            let n = match stream.read(scratch) {
+                Ok(0) => return false,
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            };
+            frames.feed(&scratch[..n]);
+            loop {
+                let (_, frames) = self.wire.as_mut().expect("wire checked above");
+                match frames.next_frame() {
+                    Ok(Some(payload)) => self.handle_frame(cfg, &payload, hist),
+                    Ok(None) => break,
+                    Err(_) => {
+                        // Oversized prefix: framing is unrecoverable.
+                        self.journal.undecodable_frames += 1;
+                        self.report.protocol_errors += 1;
+                        return false;
                     }
-                },
-                Err(_) => conn_broken = true,
-            }
-        }
-
-        if conn_broken {
-            st.journal.conn_losses += 1;
-            // Unsent batch entries die with the connection; their tags
-            // are in flight and resolve as ConnError just below.
-            st.pending_batch.clear();
-            st.batch_started = None;
-            // Every in-flight tag resolves as a clean connection error.
-            let tags: Vec<u64> = st.inflight.keys().copied().collect();
-            for tag in tags {
-                st.report.conn_errors += 1;
-                if let Some(op) = st.resolve(tag, Outcome::ConnError, None) {
-                    requeue_or_fail_cfg(cfg, &mut st, op, tag, true);
                 }
             }
-            link = reconnect(
-                cfg,
-                &mut st,
-                &mut jitter,
-                &mut reconnects_used,
-                &mut backoff,
-            );
-            continue;
+            // A short read drained the socket; the poller is
+            // level-triggered, so anything newer fires again.
+            if n < scratch.len() {
+                return true;
+            }
+        }
+    }
+
+    /// Resolves every tag whose deadline has passed.
+    fn sweep_deadlines(&mut self, cfg: &LoadConfig, now: Instant) {
+        let expired: Vec<u64> = self
+            .inflight
+            .iter()
+            .filter(|(_, (_, _, _, deadline))| now >= *deadline)
+            .map(|(tag, _)| *tag)
+            .collect();
+        for tag in expired {
+            self.report.timed_out += 1;
+            if let Some(op) = self.resolve(tag, Outcome::TimedOut, None) {
+                // The request may have been admitted (response lost), so
+                // only idempotent work is re-issued.
+                self.requeue_or_fail(cfg, op, tag, true);
+            }
+        }
+        if let Some(next) = self.inflight.values().map(|&(_, _, _, d)| d).min() {
+            self.sweep_at = next;
+        }
+    }
+
+    /// Re-queues an op for another attempt, or fails it.
+    /// `maybe_admitted` is false when the server provably never started
+    /// the I/O (a BUSY rejection), making even writes safe to retry.
+    fn requeue_or_fail(
+        &mut self,
+        cfg: &LoadConfig,
+        mut op: OpState,
+        prior_tag: u64,
+        maybe_admitted: bool,
+    ) {
+        let idempotent = !maybe_admitted || op.io.op == IoOp::Read;
+        if idempotent && op.resends < cfg.max_resends {
+            op.resends += 1;
+            // Link the chain's ROOT tag (first submission): the server-side
+            // recorder resolves the link among admitted tags, and only the
+            // root survives intermediate attempts that never got admitted.
+            op.prior_tag = op.prior_tag.or(Some(prior_tag));
+            self.queue.push_back(op);
+        } else {
+            self.fail_op();
+        }
+    }
+
+    /// A refusal that provably preceded admission (BUSY, WRONG_SHARD):
+    /// retry the op on the BUSY budget and back the whole link off so a
+    /// saturated server is not hammered. The back-off is the link's, not
+    /// the op's, and refusals add up: each one costs the link one
+    /// `busy_backoff` of not sending, which is what the retry budgets
+    /// are sized against.
+    fn refused(&mut self, cfg: &LoadConfig, tag: u64, fp: Option<u64>) {
+        if let Some(mut op) = self.resolve(tag, Outcome::Busy, fp) {
+            if op.busy_retries < cfg.max_busy_retries {
+                op.busy_retries += 1;
+                op.prior_tag = op.prior_tag.or(Some(tag));
+                self.queue.push_back(op);
+            } else {
+                self.report.busy_dropped += 1;
+            }
+        }
+        self.paused_until = self.paused_until.max(Instant::now()) + cfg.busy_backoff;
+    }
+
+    /// Dispatches one decoded (or undecodable) response frame.
+    fn handle_frame(&mut self, cfg: &LoadConfig, payload: &[u8], hist: &mut LatencyHistogram) {
+        let resp = match decode_response(payload) {
+            Ok(r) => r,
+            Err(_) => {
+                self.journal.undecodable_frames += 1;
+                self.report.protocol_errors += 1;
+                return;
+            }
+        };
+        if matches!(resp, Response::HelloAck { .. }) {
+            // A late or transport-duplicated handshake ack: harmless, and it
+            // must not count against the journal's receipt accounting.
+            return;
+        }
+        let fp = Some(fingerprint(payload));
+        let tag = resp.tag();
+
+        // A response for an already-resolved tag is a post-resolution
+        // receipt: a duplicated/late frame (same payload) or a conflicting
+        // one (different payload). Either way the tag stays resolved.
+        if let Some(&(rec, resolved_fp)) = self.resolved.get(&tag) {
+            if resolved_fp.is_some() && resolved_fp != fp {
+                self.journal.records[rec].conflicting_receipts += 1;
+            } else {
+                self.journal.records[rec].duplicate_receipts += 1;
+            }
+            return;
+        }
+        if !self.inflight.contains_key(&tag) {
+            self.journal.unknown_receipts += 1;
+            return;
         }
 
-        sweep_deadlines(cfg, &mut st);
+        match resp {
+            Response::Done { .. } => {
+                let sent = self.inflight.get(&tag).map(|(_, _, sent, _)| *sent);
+                if self.resolve(tag, Outcome::Done, fp).is_some() {
+                    self.report.completed += 1;
+                    if let Some(sent) = sent {
+                        hist.record(SimDuration::from_ns(sent.elapsed().as_nanos() as u64));
+                    }
+                }
+            }
+            Response::Busy { reason, .. } => {
+                match reason {
+                    BusyReason::Queue => self.report.busy_queue += 1,
+                    BusyReason::RateLimit => self.report.busy_ratelimit += 1,
+                    // A migrating range is momentarily unavailable here; the
+                    // refusal semantics (never admitted, safe to retry) are
+                    // identical.
+                    BusyReason::Unavailable | BusyReason::Moving => {
+                        self.report.busy_unavailable += 1
+                    }
+                }
+                self.refused(cfg, tag, fp);
+            }
+            Response::Error { code, .. } => {
+                if let Some(op) = self.resolve(tag, Outcome::Error, fp) {
+                    match code {
+                        ErrorCode::Internal => {
+                            // Worker crash mid-flight: the I/O may have run.
+                            self.report.internal_errors += 1;
+                            self.requeue_or_fail(cfg, op, tag, true);
+                        }
+                        ErrorCode::BadRequest | ErrorCode::BadLength => {
+                            self.report.protocol_errors += 1;
+                            self.fail_op();
+                        }
+                        // ConnLimit never arrives tagged mid-stream (it is a
+                        // pre-HELLO refusal), but treat it as terminal too.
+                        ErrorCode::ShuttingDown | ErrorCode::ConnLimit => self.fail_op(),
+                    }
+                }
+            }
+            Response::WrongShard { .. } => {
+                // Cluster refusal: this node does not own the range. The
+                // plain client has no shard map to refetch (the cluster
+                // router layers that on top); against a single server
+                // this arm never fires.
+                self.report.wrong_shard += 1;
+                self.refused(cfg, tag, fp);
+            }
+            Response::Stats { .. }
+            | Response::Flushed { .. }
+            | Response::Goodbye { .. }
+            | Response::MapResp { .. }
+            | Response::Migrated { .. }
+            | Response::ReplAck { .. }
+            | Response::HelloAck { .. } => {
+                // Never solicited by the load loop (HelloAck returns early
+                // above); resolve the tag so it is not left dangling, but
+                // count the anomaly.
+                self.report.protocol_errors += 1;
+                if let Some(_op) = self.resolve(tag, Outcome::Error, fp) {
+                    self.fail_op();
+                }
+            }
+        }
     }
-
-    st.report.reconnects = st.journal.reconnects;
-    st.report.dup_receipts = st
-        .journal
-        .records
-        .iter()
-        .map(|r| (r.duplicate_receipts + r.conflicting_receipts) as u64)
-        .sum();
-    st.report.unknown_receipts = st.journal.unknown_receipts;
-    Ok((st.report, st.hist, st.journal))
 }
 
-/// Sends the accumulated BATCH frame, if any.
-fn flush_batch(conn: &mut Conn, st: &mut ConnState) -> io::Result<()> {
-    if st.pending_batch.is_empty() {
-        return Ok(());
+/// One engine thread: drives its links until every one has settled and
+/// returns their merged ledger.
+fn drive_links(
+    cfg: &LoadConfig,
+    plans: Vec<(usize, Vec<PlannedIo>)>,
+) -> io::Result<(LoadReport, LatencyHistogram, Journal)> {
+    let mut poller = best_poller()?;
+    let mut links: Vec<Link> = plans
+        .into_iter()
+        .map(|(conn, plan)| Link::new(cfg, conn, plan))
+        .collect();
+    let mut hist = LatencyHistogram::new();
+    let mut scratch = [0u8; 16 * 1024];
+    let mut events = Vec::new();
+
+    // Open every link before the clock starts, so replay due-times and
+    // first-request latencies do not include a sibling's handshake.
+    for (token, link) in links.iter_mut().enumerate() {
+        link.open(cfg, &mut *poller, token)?;
     }
-    let entries = std::mem::take(&mut st.pending_batch);
-    st.batch_started = None;
-    st.report.batches_sent += 1;
-    write_frame(&mut conn.writer, &encode_request(&Request::Batch(entries)))
+    let started = Instant::now();
+
+    loop {
+        let now = Instant::now();
+        let mut wake = now + POLL_TICK;
+        let mut live = false;
+        for (token, link) in links.iter_mut().enumerate() {
+            if !link.finished() {
+                link.service(cfg, &mut *poller, token, started, now)?;
+            }
+            if link.finished() {
+                link.close(&mut *poller);
+                continue;
+            }
+            live = true;
+            if let Some(due) = link.next_due(cfg, started) {
+                wake = wake.min(due);
+            }
+        }
+        if !live {
+            break;
+        }
+
+        events.clear();
+        let timeout = wake.saturating_duration_since(Instant::now());
+        poller.wait(&mut events, Some(timeout))?;
+        for ev in &events {
+            let link = &mut links[ev.token];
+            let mut alive = true;
+            if ev.readable || ev.error {
+                alive = link.on_readable(cfg, &mut scratch, &mut hist);
+            }
+            if alive && ev.writable {
+                alive = link.flush(&mut *poller, ev.token).is_ok();
+            }
+            if !alive {
+                link.lose(cfg, &mut *poller);
+            }
+        }
+    }
+
+    let mut report = LoadReport::default();
+    let mut journal = Journal::default();
+    for link in links {
+        report.merge(&link.report);
+        journal.merge(link.journal);
+    }
+    Ok((report, hist, journal))
 }
 
 /// Exponential reconnect backoff whose memory outlives any single
@@ -816,7 +1303,7 @@ fn flush_batch(conn: &mut Conn, st: &mut ConnState) -> io::Result<()> {
 /// of resetting it, so a flapping endpoint — connect, serve one
 /// request, die, repeat — keeps paying near-full backoff rather than
 /// restarting from the base delay and hammering the node. Held per
-/// connection by the load loop and per endpoint by the cluster router.
+/// link by the engine and per endpoint by the cluster router.
 #[derive(Debug, Clone, Default)]
 pub struct ReconnectBackoff {
     strikes: u32,
@@ -828,9 +1315,9 @@ impl ReconnectBackoff {
         ReconnectBackoff::default()
     }
 
-    /// The delay to sleep before the next connect attempt: `base * 2^s`
+    /// The delay to wait before the next connect attempt: `base * 2^s`
     /// capped at [`MAX_BACKOFF`], plus seeded jitter in `[0, base]`.
-    /// Counts the attempt (call once per attempt, before sleeping).
+    /// Counts the attempt (call once per attempt, before waiting).
     pub fn next_delay(&mut self, base: Duration, jitter: &mut SimRng) -> Duration {
         let base_ns = base.as_nanos().max(1) as u64;
         let exp = base_ns.saturating_mul(1u64 << self.strikes.min(20));
@@ -848,190 +1335,6 @@ impl ReconnectBackoff {
     /// Current strike count (attempts not yet forgiven by successes).
     pub fn strikes(&self) -> u32 {
         self.strikes
-    }
-}
-
-/// Re-establishes the connection with exponential backoff and seeded
-/// jitter, bounded by `cfg.max_reconnects` per connection. `backoff`
-/// persists across calls — see [`ReconnectBackoff`].
-fn reconnect(
-    cfg: &LoadConfig,
-    st: &mut ConnState,
-    jitter: &mut SimRng,
-    used: &mut u32,
-    backoff: &mut ReconnectBackoff,
-) -> Option<Conn> {
-    while *used < cfg.max_reconnects {
-        *used += 1;
-        std::thread::sleep(backoff.next_delay(cfg.reconnect_backoff, jitter));
-        if let Ok(c) = Conn::connect(&cfg.addr) {
-            backoff.note_success();
-            st.journal.reconnects += 1;
-            return Some(c);
-        }
-    }
-    None
-}
-
-/// Resolves every tag whose deadline has passed.
-fn sweep_deadlines(cfg: &LoadConfig, st: &mut ConnState) {
-    let now = Instant::now();
-    let expired: Vec<u64> = st
-        .inflight
-        .iter()
-        .filter(|(_, (_, _, _, deadline))| now >= *deadline)
-        .map(|(tag, _)| *tag)
-        .collect();
-    for tag in expired {
-        st.report.timed_out += 1;
-        if let Some(op) = st.resolve(tag, Outcome::TimedOut, None) {
-            // The request may have been admitted (response lost), so
-            // only idempotent work is re-issued.
-            requeue_or_fail_cfg(cfg, st, op, tag, true);
-        }
-    }
-}
-
-/// Re-queues an op for another attempt, or fails it. `maybe_admitted`
-/// is false when the server provably never started the I/O (a BUSY
-/// rejection), making even writes safe to retry.
-fn requeue_or_fail_cfg(
-    cfg: &LoadConfig,
-    st: &mut ConnState,
-    mut op: OpState,
-    prior_tag: u64,
-    maybe_admitted: bool,
-) {
-    let idempotent = !maybe_admitted || op.io.op == IoOp::Read;
-    if idempotent && op.resends < cfg.max_resends {
-        op.resends += 1;
-        // Link the chain's ROOT tag (first submission): the server-side
-        // recorder resolves the link among admitted tags, and only the
-        // root survives intermediate attempts that never got admitted.
-        op.prior_tag = op.prior_tag.or(Some(prior_tag));
-        st.queue.push_back(op);
-    } else {
-        st.fail_op();
-    }
-}
-
-/// Dispatches one decoded (or undecodable) response frame.
-fn handle_frame(cfg: &LoadConfig, st: &mut ConnState, payload: &[u8]) {
-    let resp = match decode_response(payload) {
-        Ok(r) => r,
-        Err(_) => {
-            st.journal.undecodable_frames += 1;
-            st.report.protocol_errors += 1;
-            return;
-        }
-    };
-    if matches!(resp, Response::HelloAck { .. }) {
-        // A late or transport-duplicated handshake ack: harmless, and it
-        // must not count against the journal's receipt accounting.
-        return;
-    }
-    let fp = Some(fingerprint(payload));
-    let tag = resp.tag();
-
-    // A response for an already-resolved tag is a post-resolution
-    // receipt: a duplicated/late frame (same payload) or a conflicting
-    // one (different payload). Either way the tag stays resolved.
-    if let Some(&(rec, resolved_fp)) = st.resolved.get(&tag) {
-        if resolved_fp.is_some() && resolved_fp != fp {
-            st.journal.records[rec].conflicting_receipts += 1;
-        } else {
-            st.journal.records[rec].duplicate_receipts += 1;
-        }
-        return;
-    }
-    if !st.inflight.contains_key(&tag) {
-        st.journal.unknown_receipts += 1;
-        return;
-    }
-
-    match resp {
-        Response::Done { .. } => {
-            let sent = st.inflight.get(&tag).map(|(_, _, sent, _)| *sent);
-            if st.resolve(tag, Outcome::Done, fp).is_some() {
-                st.report.completed += 1;
-                if let Some(sent) = sent {
-                    st.hist
-                        .record(SimDuration::from_ns(sent.elapsed().as_nanos() as u64));
-                }
-            }
-        }
-        Response::Busy { reason, .. } => {
-            match reason {
-                BusyReason::Queue => st.report.busy_queue += 1,
-                BusyReason::RateLimit => st.report.busy_ratelimit += 1,
-                // A migrating range is momentarily unavailable here; the
-                // refusal semantics (never admitted, safe to retry) are
-                // identical.
-                BusyReason::Unavailable | BusyReason::Moving => st.report.busy_unavailable += 1,
-            }
-            if let Some(mut op) = st.resolve(tag, Outcome::Busy, fp) {
-                if op.busy_retries < cfg.max_busy_retries {
-                    op.busy_retries += 1;
-                    op.prior_tag = op.prior_tag.or(Some(tag));
-                    st.queue.push_back(op);
-                } else {
-                    st.report.busy_dropped += 1;
-                }
-            }
-            // Back off so a saturated server is not hammered.
-            std::thread::sleep(cfg.busy_backoff);
-        }
-        Response::Error { code, .. } => {
-            if let Some(op) = st.resolve(tag, Outcome::Error, fp) {
-                match code {
-                    ErrorCode::Internal => {
-                        // Worker crash mid-flight: the I/O may have run.
-                        st.report.internal_errors += 1;
-                        requeue_or_fail_cfg(cfg, st, op, tag, true);
-                    }
-                    ErrorCode::BadRequest | ErrorCode::BadLength => {
-                        st.report.protocol_errors += 1;
-                        st.fail_op();
-                    }
-                    // ConnLimit never arrives tagged mid-stream (it is a
-                    // pre-HELLO refusal), but treat it as terminal too.
-                    ErrorCode::ShuttingDown | ErrorCode::ConnLimit => st.fail_op(),
-                }
-            }
-        }
-        Response::WrongShard { .. } => {
-            // Cluster refusal: this node does not own the range, and the
-            // request was provably never admitted — retry on the BUSY
-            // budget. The plain client has no shard map to refetch (the
-            // cluster router layers that on top); against a single
-            // server this arm never fires.
-            st.report.wrong_shard += 1;
-            if let Some(mut op) = st.resolve(tag, Outcome::Busy, fp) {
-                if op.busy_retries < cfg.max_busy_retries {
-                    op.busy_retries += 1;
-                    op.prior_tag = op.prior_tag.or(Some(tag));
-                    st.queue.push_back(op);
-                } else {
-                    st.report.busy_dropped += 1;
-                }
-            }
-            std::thread::sleep(cfg.busy_backoff);
-        }
-        Response::Stats { .. }
-        | Response::Flushed { .. }
-        | Response::Goodbye { .. }
-        | Response::MapResp { .. }
-        | Response::Migrated { .. }
-        | Response::ReplAck { .. }
-        | Response::HelloAck { .. } => {
-            // Never solicited by the load loop (HelloAck returns early
-            // above); resolve the tag so it is not left dangling, but
-            // count the anomaly.
-            st.report.protocol_errors += 1;
-            if let Some(_op) = st.resolve(tag, Outcome::Error, fp) {
-                st.fail_op();
-            }
-        }
     }
 }
 
@@ -1118,6 +1421,94 @@ mod tests {
         assert!(j.contains("\"wrong_shard\":3"));
         assert_eq!(j, r.clone().to_json(), "rendering must be deterministic");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+    }
+
+    #[test]
+    fn merge_sums_every_counter() {
+        let ones = LoadReport {
+            completed: 1,
+            busy_queue: 1,
+            busy_ratelimit: 1,
+            busy_unavailable: 1,
+            busy_dropped: 1,
+            protocol_errors: 1,
+            internal_errors: 1,
+            timed_out: 1,
+            conn_errors: 1,
+            reconnects: 1,
+            batches_sent: 1,
+            failed: 1,
+            dup_receipts: 1,
+            unknown_receipts: 1,
+            wrong_shard: 1,
+            ..LoadReport::default()
+        };
+        let mut total = ones.clone();
+        total.merge(&ones);
+        let json = total.to_json();
+        let counters = json.split(",\"wall_secs\"").next().unwrap();
+        assert_eq!(counters.matches(":2").count(), 15, "{json}");
+        assert_eq!(counters.matches(':').count(), 15, "{json}");
+    }
+
+    /// The `(conn, op, offset, bytes)` multiset a journal holds.
+    fn submissions(journal: &Journal) -> Vec<(u32, bool, u64, u32)> {
+        let mut v: Vec<_> = journal
+            .records
+            .iter()
+            .map(|r| (r.conn, r.op == IoOp::Read, r.offset, r.bytes))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn grouping_links_onto_workers_changes_nothing_but_the_threads() {
+        use crate::server::{Server, ServerConfig};
+        let server = Server::start(
+            ServerConfig {
+                shards: 2,
+                inflight_limit: 4096,
+                time_scale: 500.0,
+                ..ServerConfig::default()
+            },
+            0,
+        )
+        .expect("bind");
+        let cfg = LoadConfig {
+            addr: server.local_addr().to_string(),
+            connections: 7,
+            depth: 4,
+            requests: 500,
+            seed: 31,
+            ..LoadConfig::default()
+        };
+        let runs = [1, 3, cfg.connections].map(|workers| {
+            let (report, journal) = run_grouped(&cfg, plans(&cfg), workers).expect("load");
+            // The clauses of `rif_chaos::ContractChecker::strict()`, which
+            // depends on this crate and so cannot be called from here:
+            // no silent tag, no conflicting or unknown receipt, and every
+            // planned op in exactly one ledger bucket.
+            assert!(journal.records.iter().all(|r| r.outcome.is_some()));
+            assert!(journal.records.iter().all(|r| r.conflicting_receipts == 0));
+            assert_eq!(journal.unknown_receipts, 0);
+            assert_eq!(
+                report.completed + report.failed + report.busy_dropped,
+                cfg.requests as u64,
+                "{workers} workers: {}",
+                report.to_json()
+            );
+            assert_eq!(report.completed, cfg.requests as u64, "fault-free run");
+            // Tag 0 is the server's; every other tag is used once.
+            let mut tags: Vec<u64> = journal.records.iter().map(|r| r.tag).collect();
+            tags.sort_unstable();
+            assert!(tags[0] != 0 && tags.windows(2).all(|w| w[0] != w[1]));
+            submissions(&journal)
+        });
+        assert_eq!(runs[0].len(), cfg.requests);
+        assert_eq!(runs[0], runs[1], "1 worker vs 3");
+        assert_eq!(runs[0], runs[2], "1 worker vs one per connection");
+        server.stop();
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! - [`server`] — start/stop, admission control, metrics;
 //! - [`event_loop`] — the readiness-based single-thread server core:
 //!   accept, framing, and the one request dispatch;
-//! - [`client`] — the closed-loop load generator and its JSON report;
-//! - [`mux`] — the poller-multiplexed high-concurrency load generator;
+//! - [`client`] — the load generator: one readiness-driven connection
+//!   engine under the closed loop, replay and the many-connection
+//!   grouping, and its JSON report;
+//! - [`mux`] — the import path of that grouping's entry point;
 //! - [`recorder`] — live trace capture of every admitted request;
 //! - [`replay`] — driving a captured trace back through a live server.
 //!

@@ -88,15 +88,11 @@ pub trait Poller: Send {
 }
 
 /// The best poller for this platform: `epoll` on Linux, `poll(2)`
-/// elsewhere. `RIF_POLLER=poll` forces the fallback (useful for testing
-/// the portable path on Linux).
+/// elsewhere.
 pub fn best_poller() -> io::Result<Box<dyn Poller>> {
     #[cfg(target_os = "linux")]
-    {
-        if std::env::var_os("RIF_POLLER").map_or(true, |v| v != "poll") {
-            return Ok(Box::new(Epoll::new()?));
-        }
-    }
+    return Ok(Box::new(Epoll::new()?));
+    #[cfg(not(target_os = "linux"))]
     Ok(Box::new(PollFallback::new()))
 }
 
@@ -445,16 +441,19 @@ impl Waker {
         let _ = (&self.inner.write).write(&[1u8]);
     }
 
-    /// Clears the pending flag and drains queued wake bytes. The loop
-    /// must call this *before* re-checking its work queues, so a wake
-    /// racing the drain either lands in the drained bytes or writes a
-    /// fresh byte that re-triggers the poller.
+    /// Drains queued wake bytes, then clears the pending flag — in that
+    /// order. Clearing first would let a `wake()` landing in between
+    /// write a byte this drain then eats, leaving the flag set over an
+    /// empty pipe: every later wake would be swallowed. A wake swallowed
+    /// between the two steps here is harmless as long as the loop calls
+    /// this *before* re-checking its work queues: the waker pushed its
+    /// work before calling `wake()`, so that check sees it.
     pub fn drain(&self, read_end: &UnixStream) {
-        self.inner.pending.store(false, Ordering::Release);
         use std::io::Read;
         let mut buf = [0u8; 64];
         let mut r = read_end;
         while matches!(r.read(&mut buf), Ok(n) if n > 0) {}
+        self.inner.pending.store(false, Ordering::Release);
     }
 }
 
@@ -566,6 +565,54 @@ mod tests {
             assert_eq!(n, 1, "{}: wake after drain lost", p.name());
             waker.drain(&read_end);
         }
+    }
+
+    #[test]
+    fn wake_racing_a_drain_is_never_lost() {
+        // The producer hands items over in back-to-back pairs — push,
+        // wake, push, wake — and waits for both to be consumed. The
+        // second wake keeps landing inside the consumer's `drain`; if
+        // that clears the flag before emptying the pipe, the byte is
+        // eaten with the flag left set, the next pair's wakes are
+        // swallowed, and the consumer sleeps on a non-empty queue.
+        const PAIRS: u64 = 50_000;
+        let mut p = best_poller().unwrap();
+        let (waker, read_end) = Waker::new().unwrap();
+        p.register(read_end.as_raw_fd(), 0, Interest::READ).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let (ack_tx, ack_rx) = std::sync::mpsc::channel::<u64>();
+        let w2 = waker.clone();
+        // Either channel closing (the consumer failed) ends the producer.
+        let producer = std::thread::spawn(move || {
+            let mut acked = 0;
+            for pair in 1..=PAIRS {
+                for _ in 0..2 {
+                    if tx.send(()).is_err() {
+                        return;
+                    }
+                    w2.wake();
+                }
+                while acked < pair * 2 {
+                    match ack_rx.recv() {
+                        Ok(n) => acked = n,
+                        Err(_) => return,
+                    }
+                }
+            }
+        });
+        let mut evs = Vec::new();
+        let mut got = 0u64;
+        while got < PAIRS * 2 {
+            evs.clear();
+            let n = p.wait(&mut evs, Some(Duration::from_secs(5))).unwrap();
+            assert!(n > 0, "wake-up lost after {got} hand-offs");
+            waker.drain(&read_end);
+            while rx.try_recv().is_ok() {
+                got += 1;
+            }
+            ack_tx.send(got).ok();
+        }
+        producer.join().unwrap();
     }
 
     #[test]

@@ -1,16 +1,21 @@
 //! Event-loop core integration: connection limits, idle wakeups,
-//! all-or-nothing batch admission, the strict HELLO check, and the
-//! multiplexed high-concurrency client — all over real loopback TCP.
+//! all-or-nothing batch admission, the strict HELLO check, the
+//! many-connections-per-thread client grouping, and the client engine's
+//! per-link behaviour against a scripted peer — all over real loopback
+//! TCP.
 
-use std::io::BufReader;
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use rif_server::client::{run_load, Conn, LoadConfig, HELLO_TIMEOUT};
+use rif_server::client::{
+    run_load, run_plans, Conn, LoadConfig, Outcome, PlannedIo, HELLO_TIMEOUT,
+};
 use rif_server::mux::run_mux_load;
 use rif_server::protocol::{
-    decode_response, encode_request, encode_response, read_frame, write_frame, BatchEntry,
-    BusyReason, ErrorCode, Request, Response, PROTOCOL_VERSION,
+    decode_request, decode_response, encode_request, encode_response, encode_response_frame_into,
+    read_frame, write_frame, BatchEntry, BusyReason, ErrorCode, Request, Response,
+    PROTOCOL_VERSION,
 };
 use rif_server::server::{Server, ServerConfig};
 use rif_workloads::IoOp;
@@ -391,4 +396,393 @@ fn connect_fails_unless_the_peer_acks_the_matching_version() {
     assert!(result.is_err(), "silence is not an ack");
     assert!(took >= HELLO_TIMEOUT, "gave up early: {took:?}");
     assert!(took < 2 * HELLO_TIMEOUT, "outlived the timeout: {took:?}");
+}
+
+// ----- the client engine against a scripted peer -------------------------
+//
+// Cases the real server cannot be made to produce on demand: a socket
+// that stops taking bytes mid-frame, an answer that arrives after its
+// deadline, a close with a full window in flight, a BUSY whose back-off
+// can be timed from the other end.
+
+/// The server side of one engine link, scripted by a test: a blocking
+/// socket that has already acked the link's HELLO.
+struct PeerLink {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl PeerLink {
+    /// Accepts the next connection and acks the HELLO it opens with.
+    fn accept(listener: &TcpListener) -> PeerLink {
+        let (stream, _) = listener.accept().expect("accept");
+        stream.set_nodelay(true).ok();
+        let mut link = PeerLink {
+            reader: BufReader::new(stream.try_clone().expect("clone")),
+            writer: stream,
+        };
+        let hello = read_frame(&mut link.reader).expect("HELLO arrives");
+        match decode_request(&hello.expect("HELLO before EOF")) {
+            Ok(Request::Hello { tag, version }) => link.reply(&Response::HelloAck { tag, version }),
+            other => panic!("a link must open with HELLO, got {other:?}"),
+        }
+        link
+    }
+
+    /// The entries of the next request frame — a BATCH as sent, a single
+    /// READ/WRITE as one entry with no `retry_of` — or `None` on EOF.
+    fn recv(&mut self) -> Option<Vec<BatchEntry>> {
+        let payload = read_frame(&mut self.reader).expect("read frame")?;
+        Some(match decode_request(&payload).expect("decodable request") {
+            Request::Batch(entries) => entries,
+            Request::Read {
+                tenant,
+                tag,
+                offset,
+                bytes,
+            } => vec![entry(IoOp::Read, tenant, tag, offset, bytes)],
+            Request::Write {
+                tenant,
+                tag,
+                offset,
+                bytes,
+            } => vec![entry(IoOp::Write, tenant, tag, offset, bytes)],
+            other => panic!("the load loop sends only READ/WRITE/BATCH, got {other:?}"),
+        })
+    }
+
+    fn reply(&mut self, resp: &Response) {
+        write_frame(&mut self.writer, &encode_response(resp)).expect("reply");
+    }
+
+    fn done(&mut self, tag: u64) {
+        self.reply(&Response::Done {
+            tag,
+            latency_ns: 1_000,
+        });
+    }
+}
+
+fn entry(op: IoOp, tenant: u32, tag: u64, offset: u64, bytes: u32) -> BatchEntry {
+    BatchEntry {
+        op,
+        tenant,
+        tag,
+        offset,
+        bytes,
+        retry_of: 0,
+    }
+}
+
+fn planned(op: IoOp, offset: u64) -> PlannedIo {
+    PlannedIo {
+        op,
+        offset,
+        bytes: 4096,
+        tenant: 0,
+        due_us: None,
+    }
+}
+
+/// Binds a loopback listener for a scripted peer.
+fn peer_listener() -> (TcpListener, String) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap().to_string();
+    (listener, addr)
+}
+
+/// How many bytes loopback TCP swallows from a non-blocking writer
+/// whose peer reads nothing (send buffer + receive buffer, as this
+/// kernel autotunes them — megabytes, and not settable from here).
+fn loopback_capacity() -> usize {
+    let (listener, addr) = peer_listener();
+    let mut writer = TcpStream::connect(addr).expect("connect");
+    let _silent = listener.accept().expect("accept");
+    writer.set_nonblocking(true).unwrap();
+    let chunk = [0u8; 16 * 1024];
+    let mut total = 0;
+    loop {
+        match writer.write(&chunk) {
+            Ok(n) => total += n,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return total,
+            Err(e) => panic!("probe write: {e}"),
+        }
+    }
+}
+
+#[test]
+fn a_batch_frame_cut_short_by_a_full_socket_resumes_where_it_stopped() {
+    // Queue a quarter more BATCH(512) bytes than loopback can swallow, at
+    // a peer that reads nothing at first: the link's write must stop
+    // mid-frame on WouldBlock. The peer then lets bytes through 1 KiB
+    // per 5 ms — every writable event resumes the torn frame for about
+    // that much — and finally drains. (Reading 1 KiB per 5 ms throughout
+    // would take minutes for the megabytes it takes to fill the socket.)
+    const BATCH: usize = 512;
+    let frame_bytes = 4 + 3 + BATCH * 34; // prefix + header + entries
+    let frames = (loopback_capacity() * 5 / 4).div_ceil(frame_bytes);
+    let requests = frames * BATCH;
+
+    let (listener, addr) = peer_listener();
+    let peer = std::thread::spawn(move || {
+        let mut link = PeerLink::accept(&listener);
+        std::thread::sleep(Duration::from_millis(100));
+        let mut trickle = [0u8; 1024];
+        let mut raw = Vec::new();
+        for _ in 0..40 {
+            link.reader.read_exact(&mut trickle).expect("trickle read");
+            raw.extend_from_slice(&trickle);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The trickled bytes are the head of the first frame(s): replay
+        // them in front of the rest of the stream.
+        let mut stream = std::io::Cursor::new(raw).chain(&mut link.reader);
+        let mut tags = Vec::with_capacity(requests);
+        while tags.len() < requests {
+            let payload = read_frame(&mut stream)
+                .expect("a torn frame would fail here")
+                .expect("frames before EOF");
+            match decode_request(&payload).expect("every frame decodes") {
+                Request::Batch(entries) => tags.extend(entries.iter().map(|e| e.tag)),
+                other => panic!("expected BATCH, got {other:?}"),
+            }
+        }
+        let mut out = Vec::new();
+        for tag in tags {
+            let done = Response::Done {
+                tag,
+                latency_ns: 1_000,
+            };
+            encode_response_frame_into(&done, &mut out);
+        }
+        link.writer.write_all(&out).expect("answer everything");
+    });
+
+    let plan: Vec<PlannedIo> = (0..requests)
+        .map(|i| planned(IoOp::Read, (i as u64) << 12))
+        .collect();
+    let (report, journal) = run_plans(
+        &LoadConfig {
+            addr,
+            depth: requests,
+            batch: BATCH,
+            request_deadline: Duration::from_secs(60),
+            ..LoadConfig::default()
+        },
+        vec![plan],
+    )
+    .expect("load");
+    peer.join().expect("peer");
+
+    assert_eq!(report.completed, requests as u64, "{}", report.to_json());
+    assert_eq!(report.batches_sent, frames as u64);
+    assert_eq!(journal.conn_losses, 0, "back-pressure is not a loss");
+    assert_eq!(journal.records.len(), requests, "nothing was re-issued");
+    assert!(journal
+        .records
+        .iter()
+        .all(|r| r.outcome == Some(Outcome::Done)));
+}
+
+#[test]
+fn an_answer_after_the_deadline_is_a_duplicate_receipt_not_an_unknown_one() {
+    let (listener, addr) = peer_listener();
+    let peer = std::thread::spawn(move || {
+        let mut link = PeerLink::accept(&listener);
+        let first = link.recv().expect("the submission")[0].tag;
+        // Sit on it. The next frame can only be the re-issue the
+        // deadline sweep queued: answer the expired tag first.
+        let again = link.recv().expect("the re-issue");
+        assert_eq!(again.len(), 1);
+        assert_eq!(again[0].retry_of, first, "re-issue links its ROOT");
+        link.done(first);
+        link.done(again[0].tag);
+        first
+    });
+    let (report, journal) = run_plans(
+        &LoadConfig {
+            addr,
+            depth: 1,
+            request_deadline: Duration::from_millis(200),
+            ..LoadConfig::default()
+        },
+        vec![vec![planned(IoOp::Read, 0)]],
+    )
+    .expect("load");
+    let first = peer.join().expect("peer");
+
+    let [expired, reissue] = &journal.records[..] else {
+        panic!("expected two submissions, got {:?}", journal.records);
+    };
+    assert_eq!(expired.tag, first);
+    assert_eq!(expired.outcome, Some(Outcome::TimedOut));
+    assert_eq!(
+        (expired.duplicate_receipts, expired.conflicting_receipts),
+        (1, 0),
+        "the straggler lands on the record that expired"
+    );
+    assert_eq!(reissue.outcome, Some(Outcome::Done));
+    assert_eq!(reissue.retry_of, Some(first));
+    assert_eq!(journal.unknown_receipts, 0);
+    assert_eq!(
+        (report.completed, report.timed_out, report.dup_receipts),
+        (1, 1, 1),
+        "{}",
+        report.to_json()
+    );
+}
+
+#[test]
+fn a_close_with_a_full_window_resolves_every_tag_once_and_reissues_only_reads() {
+    const READS: usize = 5;
+    const WRITES: usize = 3;
+    let (listener, addr) = peer_listener();
+    let peer = std::thread::spawn(move || {
+        // Twice: take the whole window, then hang up on it.
+        let mut first = PeerLink::accept(&listener);
+        let mut window = Vec::new();
+        while window.len() < READS + WRITES {
+            window.extend(first.recv().expect("window"));
+        }
+        drop(first);
+        let mut second = PeerLink::accept(&listener);
+        let mut again = Vec::new();
+        while again.len() < READS {
+            again.extend(second.recv().expect("re-issued reads"));
+        }
+        drop(second);
+        // Third time lucky. The chain is two hops long now; the link
+        // must still name the ROOT, not the hop in between.
+        let mut third = PeerLink::accept(&listener);
+        let mut last = Vec::new();
+        while last.len() < READS {
+            let entries = third.recv().expect("re-issued reads, again");
+            for e in &entries {
+                third.done(e.tag);
+            }
+            last.extend(entries);
+        }
+        (window, again, last)
+    });
+    let plan: Vec<PlannedIo> = (0..READS + WRITES)
+        .map(|i| {
+            let op = if i < READS { IoOp::Read } else { IoOp::Write };
+            planned(op, (i as u64) << 20)
+        })
+        .collect();
+    let (report, journal) = run_plans(
+        &LoadConfig {
+            addr,
+            depth: READS + WRITES,
+            ..LoadConfig::default()
+        },
+        vec![plan],
+    )
+    .expect("load");
+    let (window, again, last) = peer.join().expect("peer");
+
+    // The ROOT of an offset is the tag its first submission went out under.
+    let root_of = |offset: u64| window.iter().find(|e| e.offset == offset).unwrap().tag;
+    for e in again.iter().chain(&last) {
+        assert_eq!(e.op, IoOp::Read, "a write of unknown fate is never resent");
+        assert_eq!(e.retry_of, root_of(e.offset), "wire link is the ROOT");
+    }
+    assert_eq!(journal.records.len(), READS + WRITES + 2 * READS);
+    for rec in &journal.records {
+        let first_submission = window.iter().any(|e| e.tag == rec.tag);
+        assert_eq!(rec.retry_of.is_none(), first_submission);
+        if let Some(root) = rec.retry_of {
+            assert_eq!(root, root_of(rec.offset), "journal link is the ROOT");
+        }
+    }
+    let count = |o: Outcome| {
+        journal
+            .records
+            .iter()
+            .filter(|r| r.outcome == Some(o))
+            .count()
+    };
+    assert_eq!(count(Outcome::ConnError), READS + WRITES + READS);
+    assert_eq!(count(Outcome::Done), READS);
+    assert_eq!((journal.conn_losses, journal.reconnects), (2, 2));
+    assert_eq!(report.conn_errors as usize, READS + WRITES + READS);
+    assert_eq!(
+        (report.completed as usize, report.failed as usize),
+        (READS, WRITES),
+        "{}",
+        report.to_json()
+    );
+    assert_eq!(report.busy_dropped, 0, "the ledger closes on 8");
+}
+
+#[test]
+fn busy_backs_off_its_own_link_while_a_sibling_on_the_same_worker_completes() {
+    const PER_LINK: usize = 10;
+    const REFUSALS: usize = 4;
+    let backoff = Duration::from_millis(100);
+    let (listener, addr) = peer_listener();
+    let peer = std::thread::spawn(move || {
+        // One worker opens its links one after the other, so the HELLOs
+        // can be acked in accept order.
+        let links = [PeerLink::accept(&listener), PeerLink::accept(&listener)];
+        let serve = |mut link: PeerLink| {
+            std::thread::spawn(move || {
+                // Arrival time of every request frame; depth is 1.
+                let mut arrivals: Vec<(u64, Instant)> = Vec::new();
+                while let Some(entries) = link.recv() {
+                    let tag = entries[0].tag;
+                    arrivals.push((tag, Instant::now()));
+                    // Connection 0 is refused its first few submissions.
+                    if tag >> 32 == 0 && arrivals.len() <= REFUSALS {
+                        link.reply(&Response::Busy {
+                            tag,
+                            reason: BusyReason::Queue,
+                        });
+                    } else {
+                        link.done(tag);
+                    }
+                }
+                arrivals
+            })
+        };
+        links.map(serve).map(|h| h.join().expect("peer link"))
+    });
+    let report = run_mux_load(
+        &LoadConfig {
+            addr,
+            connections: 2,
+            depth: 1,
+            requests: 2 * PER_LINK,
+            busy_backoff: backoff,
+            ..LoadConfig::default()
+        },
+        1,
+    )
+    .expect("load");
+    let mut arrivals = peer.join().expect("peer");
+    arrivals.sort_by_key(|a| a[0].0 >> 32);
+    let [refused, sibling] = arrivals;
+
+    assert_eq!(
+        report.completed as usize,
+        2 * PER_LINK,
+        "{}",
+        report.to_json()
+    );
+    assert_eq!(report.busy_queue as usize, REFUSALS);
+    assert_eq!(refused.len(), PER_LINK + REFUSALS);
+    // Each refusal costs the refused link one back-off of not sending…
+    for pair in refused[..=REFUSALS].windows(2) {
+        let gap = pair[1].1 - pair[0].1;
+        assert!(gap >= backoff, "re-sent {gap:?} after a BUSY");
+        assert_ne!(pair[1].0, pair[0].0, "a re-issue takes a fresh tag");
+    }
+    // …and costs the sibling nothing: it is through its whole plan
+    // before the refused link has sat out its refusals.
+    assert_eq!(sibling.len(), PER_LINK);
+    let sibling_done = sibling.last().unwrap().1;
+    assert!(
+        sibling_done < refused[REFUSALS].1,
+        "the sibling link stalled behind its neighbour's back-off"
+    );
 }

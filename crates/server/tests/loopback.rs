@@ -129,6 +129,31 @@ fn tiny_inflight_window_sees_queue_busy() {
 }
 
 #[test]
+fn wrong_shard_refusals_survive_the_report_merge() {
+    // A cluster node owns no range until a directory pushes it a map:
+    // every request is refused WRONG_SHARD, on both connections, and the
+    // merged report must say so.
+    let server = quick_server(ServerConfig {
+        cluster: true,
+        ..ServerConfig::default()
+    });
+    let report = run_load(&LoadConfig {
+        addr: server.local_addr().to_string(),
+        connections: 2,
+        depth: 2,
+        requests: 8,
+        busy_backoff: std::time::Duration::from_micros(100),
+        max_busy_retries: 2,
+        ..LoadConfig::default()
+    })
+    .expect("load run");
+    assert_eq!(report.wrong_shard, 8 * 3, "{}", report.to_json());
+    assert_eq!(report.busy_dropped, 8, "{}", report.to_json());
+    assert_eq!(report.completed, 0);
+    server.stop();
+}
+
+#[test]
 fn flush_then_stats_shows_nothing_in_flight() {
     let server = quick_server(ServerConfig::default());
     let addr = server.local_addr().to_string();

@@ -3,8 +3,9 @@
 #
 #   scripts/bench_server.sh [--smoke] [--out FILE]
 #
-# Drives a multiplexed closed loop (`rif-client --mux`) against
-# rif-server and writes one JSON document (default BENCH_server.json):
+# Drives a closed loop of many connections on a few client threads
+# (`rif-client --threads N`) against rif-server and writes one JSON
+# document (default BENCH_server.json):
 #
 # - head_to_head: 1k connections;
 # - scale (full mode only): 10k connections — a failure is recorded as
@@ -101,7 +102,7 @@ wait_addr() {
     return 1
 }
 
-# run_core NAME CONNS OUTFILE — one server + one mux load.
+# run_core NAME CONNS OUTFILE — one server + one many-connection load.
 run_core() {
     _name="$1"
     _conns="$2"
@@ -111,7 +112,7 @@ run_core() {
         --max-connections 0 --seed 42 > "$tmpdir/$_name.log" &
     server_pid=$!
     _addr="$(wait_addr "$tmpdir/$_name.log")"
-    if timeout "$LIMIT" "$CLI" --addr "$_addr" --mux --threads "$THREADS" \
+    if timeout "$LIMIT" "$CLI" --addr "$_addr" --threads "$THREADS" \
         --connections "$_conns" --depth 1 --requests "$REQUESTS" \
         --max-busy-retries 1000000 --deadline-ms "$DEADLINE_MS" \
         --seed 7 > "$_json"; then

@@ -5,7 +5,7 @@
 #
 # Steps: formatting, release build, test suite (default features plus the
 # gated proptest suites), the benchmark package's build plus its bit-true
-# decode workload at smoke size, a determinism
+# decode and single-node serving workloads at smoke size, a determinism
 # check that --threads does not change a single CSV byte, a trace
 # gate that replays a quick figure run through the invariant checker,
 # the lifetime-sweep smoke (learned-threshold retry activity against its
@@ -15,7 +15,7 @@
 # background migrations and refresh run, nonzero server.bg.* gauges),
 # the hybrid sweep smoke (RiF's QLC+background win must widen vs
 # TLC-only — the binary self-gates via its exit code), the
-# event-loop high-concurrency gate (1k multiplexed connections), a
+# event-loop high-concurrency gate (1k connections on two client threads), a
 # front-door bench smoke, the chaos gate, the cluster serving gate (two
 # cluster nodes behind the shard directory: routed load, live
 # migration, cluster STATS),
@@ -75,12 +75,18 @@ cargo test -q -p rif-cluster --features proptest --test proptest_map
 # break there makes the benchmark driver exit 101 with no result line,
 # and nothing above builds it. Then the decode kernel end to end on the
 # paper code: every successful decode must equal what was programmed.
-echo "==> rif-perf builds; ecc_bit_true --quick is correct"
+echo "==> rif-perf builds; ecc_bit_true and serve_node --quick are correct"
 cargo build --release --offline --manifest-path perf/Cargo.toml
 cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
     run --workload ecc_bit_true --quick > "$tmpdir/ecc_bit_true.txt"
 tail -n 1 "$tmpdir/ecc_bit_true.txt"
 grep -q '"correct":true' "$tmpdir/ecc_bit_true.txt"
+# serve_node links the client API (Conn, run_load, run_mux_load): a
+# behavioural break there builds fine and only shows in a run.
+cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
+    run --workload serve_node --quick > "$tmpdir/serve_node.txt"
+tail -n 1 "$tmpdir/serve_node.txt"
+grep -q '"correct":true' "$tmpdir/serve_node.txt"
 
 echo "==> thread-count determinism (fig10, --threads 1 vs 8)"
 cargo run -q --release -p rif-bench --bin fig10_syndrome_correlation -- \
@@ -246,17 +252,17 @@ timeout 30 "$CLI" --addr "$addr_rp" --shutdown
 wait "$rp_pid" || { echo "replay server exited non-zero"; exit 1; }
 rp_pid=""
 
-# Event-loop high-concurrency gate: 10k requests over 1k multiplexed
-# connections — every request must
+# Event-loop high-concurrency gate: 10k requests over 1k connections
+# dealt onto two client threads — every request must
 # complete with zero connection, protocol, or terminal errors, and the
 # server must have actually run the readiness loop.
-echo "==> event-loop gate (mux client, 1000 connections, 10k requests)"
+echo "==> event-loop gate (2 client threads, 1000 connections, 10k requests)"
 ulimit -n 8192 2>/dev/null || true
 "$SRV" --port 0 --shards 2 --time-scale 500 --inflight-limit 8192 \
     --seed 46 > "$tmpdir/server_mux.log" &
 mux_pid=$!
 addr_mux="$(wait_addr "$tmpdir/server_mux.log")"
-timeout 180 "$CLI" --addr "$addr_mux" --mux --threads 2 --connections 1000 \
+timeout 180 "$CLI" --addr "$addr_mux" --threads 2 --connections 1000 \
     --depth 1 --requests 10000 --max-busy-retries 1000000 --seed 5 \
     > "$tmpdir/mux.json"
 cat "$tmpdir/mux.json"
