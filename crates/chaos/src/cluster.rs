@@ -92,14 +92,13 @@ pub struct ClusterScenarioConfig {
 
 impl Default for ClusterScenarioConfig {
     fn default() -> Self {
-        // Sized so the load comfortably outlasts kill + rebalance at the
-        // router's measured 25–27k rps at depth 32 (≈0.75 s): the outage
-        // must land mid-run, not after the last request settled. That
-        // margin is the router's idle poll tick: with a readiness wait
-        // in place of its 1-ms sleep the same load ran at ≈65k rps
-        // (0.3 s), so porting the router must re-size this scenario.
+        // Sized so the fault-free load lasts twice the kill + rebalance
+        // (250 ms) at the router's measured speed at depth 32 in a release
+        // build, 150k rps: the outage must land mid-run, not after the
+        // last request settled. (A debug build routes 34k rps; the tests
+        // size themselves.)
         ClusterScenarioConfig {
-            requests: 20_000,
+            requests: 80_000,
             depth: 32,
             ranges: 4,
             read_ratio: 0.9,

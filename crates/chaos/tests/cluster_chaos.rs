@@ -23,6 +23,8 @@ use rif_chaos::scenario::{run_scenario, ScenarioConfig};
 #[test]
 fn kill_and_rebalance_passes_the_contract() {
     let outcome = run_cluster_scenario(&ClusterScenarioConfig {
+        // Twice the rebalance instant (250 ms) at the 34k rps the router
+        // measures fault-free in this (debug) profile.
         requests: 20_000,
         seed: 3,
         ..ClusterScenarioConfig::default()
@@ -73,6 +75,9 @@ fn kill_and_rebalance_passes_the_contract() {
 fn replication_gate_kill_plus_partition_keeps_reads_flowing() {
     let plan = FaultPlan::parse("seed=9,part=2:up@120+250").expect("valid plan");
     let outcome = run_cluster_scenario(&ClusterScenarioConfig {
+        // Twice the partition's healing instant (370 ms) at the 26k rps
+        // the router measures fault-free through three proxied nodes in
+        // this (debug) profile.
         requests: 20_000,
         nodes: 3,
         replicas: 2,
@@ -130,6 +135,12 @@ fn durability_matrix_partition_x_kills_x_migration() {
                 };
                 let cell = format!("dir={dir_word} multi_kill={multi_kill} migrate={migrate}");
                 let nodes = if multi_kill { 4 } else { 3 };
+                // Sized so the fault-free load lasts twice the cell's last
+                // fault instant at the router's measured speed in this
+                // (debug) profile: 26k rps through three proxied nodes
+                // against the partition healing at 370 ms, 22k rps through
+                // four against the second rebalance at 534 ms.
+                let requests = if multi_kill { 24_000 } else { 20_000 };
                 let mut plan = FaultPlan::parse(&format!("seed=9,part=1:{dir_word}@120+250"))
                     .expect("valid plan");
                 let expected_kills = if multi_kill {
@@ -141,7 +152,7 @@ fn durability_matrix_partition_x_kills_x_migration() {
                     1 // legacy hottest-node kill
                 };
                 let outcome = run_cluster_scenario(&ClusterScenarioConfig {
-                    requests: 12_000,
+                    requests,
                     nodes,
                     replicas: 2,
                     seed: 11,
@@ -181,13 +192,48 @@ fn durability_matrix_partition_x_kills_x_migration() {
                 }
                 assert_eq!(
                     outcome.report.completed + outcome.report.failed + outcome.report.busy_dropped,
-                    12_000,
+                    requests,
                     "[{cell}] ledger gap: {:?}",
                     outcome.report
                 );
             }
         }
     }
+}
+
+/// The router runs on the single-node client's ledger, so it keeps the
+/// same contract under the same plan: an answer the transport duplicated
+/// is a duplicate receipt on the record it answered, not a tag nobody
+/// submitted. (Its own receipt handling used to count every one unknown,
+/// which fails the checker: a duplicating plan cannot mangle a tag.)
+#[test]
+fn a_duplicated_answer_is_a_duplicate_receipt_not_an_unknown_tag() {
+    let plan = FaultPlan::parse("seed=5,down.dup=0.05").expect("valid plan");
+    let outcome = run_cluster_scenario(&ClusterScenarioConfig {
+        requests: 4_000,
+        seed: 3,
+        plan,
+        kill_after: Duration::ZERO,
+        ..ClusterScenarioConfig::default()
+    })
+    .expect("cluster scenario runs");
+    assert!(outcome.verdict.pass, "{}", outcome.verdict.to_json());
+    assert_eq!(outcome.journal.unknown_receipts, 0);
+    let received: u64 = (outcome.journal.records.iter())
+        .map(|r| r.duplicate_receipts as u64)
+        .sum();
+    let sent = outcome
+        .faults
+        .expect("a plan with rates is proxied")
+        .duplicated;
+    assert!(sent > 100, "plan was supposed to duplicate: {sent}");
+    // Every copy but possibly one: the run ends on its last DONE, and if
+    // the proxy doubled that very frame the copy arrives to nobody.
+    assert!(
+        received == sent || received + 1 == sent,
+        "{received} duplicate receipts of {sent} duplicated frames"
+    );
+    assert_eq!(outcome.report.dup_receipts, received, "restated");
 }
 
 /// Two restart scenarios with the same seed, side by side in one

@@ -295,13 +295,18 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Admin client: fetches `(epoch, map text)` from a running directory.
-pub fn fetch_map_text(addr: &str) -> io::Result<(u64, String)> {
-    let mut conn = Conn::connect(addr)?;
-    match rpc(&mut conn, &Request::MapGet { tag: DIRECTORY_TAG })? {
+/// One `MAP_GET` on an open directory connection (the router keeps one
+/// for its refreshes): `(epoch, map text)`.
+pub(crate) fn map_get(conn: &mut Conn) -> io::Result<(u64, String)> {
+    match rpc(conn, &Request::MapGet { tag: DIRECTORY_TAG })? {
         Response::MapResp { epoch, text, .. } => Ok((epoch, text)),
         other => Err(unexpected("MAP_GET", &other)),
     }
+}
+
+/// Admin client: fetches `(epoch, map text)` from a running directory.
+pub fn fetch_map_text(addr: &str) -> io::Result<(u64, String)> {
+    map_get(&mut Conn::connect(addr)?)
 }
 
 /// Admin client: asks the directory to migrate `range` to node `to_id`;

@@ -8,10 +8,10 @@
 //!   and a strict canonical text codec;
 //! - [`directory`] — the std-only directory service that owns the map,
 //!   orchestrates live shard handoffs, and fans STATS out to the fleet;
-//! - [`router`] — the cluster-aware closed-loop client: routes by
+//! - [`router`] — the cluster-aware closed-loop client, a routing
+//!   policy over `rif_server::client`'s connection engine: routes by
 //!   offset, chases `WRONG_SHARD(epoch)` with map refreshes, and keeps
-//!   the single-node Journal/LoadReport contract so the chaos
-//!   ContractChecker audits cluster runs unchanged;
+//!   the single-node client's contract because it is the same ledger;
 //! - [`stats`] — parsing and merging per-node STATS texts into one
 //!   cluster report (counters add, gauges max, histograms merge).
 //!

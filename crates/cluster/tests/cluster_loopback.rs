@@ -107,11 +107,11 @@ fn live_migration_under_load_is_exactly_once_with_learner_continuity() {
         ("a", node_a.local_addr().to_string())
     };
 
-    // Sized so the load comfortably outlasts the 300ms pre-migration
-    // learning window at the router's measured throughput — the
-    // migration must land mid-load for the WRONG_SHARD/BUSY(moving)
+    // Sized so the load lasts twice the 300 ms pre-migration learning
+    // window at the router's measured 35k rps in this (debug) profile —
+    // the migration must land mid-load for the WRONG_SHARD/BUSY(moving)
     // assertions below to mean anything.
-    let requests: u64 = 20_000;
+    let requests: u64 = 25_000;
     let cfg = RouterConfig {
         directory: dir.addr().to_string(),
         requests,

@@ -1,44 +1,54 @@
 //! The load generator: one readiness-driven connection engine, hardened
-//! for lossy transports.
+//! for lossy transports, and the closed-loop driver on top of it.
 //!
-//! A single-threaded worker drives any number of *links* off the same
-//! [`Poller`] the server core runs on. A link is one non-blocking socket
-//! (opened through [`Conn::connect`], so HELLO-checked), an incremental
-//! frame decoder, the bytes the socket has not accepted yet, and a
-//! request ledger. Each link keeps a fixed window of requests
-//! outstanding: it sends until `depth` are in flight, then waits for
-//! responses. Offsets and the read/write mix come from the same
-//! [`SynthConfig`] generator the offline experiments use, so a served
-//! workload is directly comparable to a batch-simulated one.
+//! The engine is two types. A [`Wire`] is the transport to one endpoint:
+//! a non-blocking socket (opened through [`Conn::connect`], so
+//! HELLO-checked), an incremental frame decoder, the bytes the socket
+//! has not accepted yet, and a reconnect back-off. A [`Ledger`] is the
+//! request bookkeeping over any number of wires: tag issue, the
+//! [`Journal`], request framing, the in-flight table with a deadline per
+//! submission, the receipt table, the BUSY and error counters, the
+//! latency histogram. Two drivers run on it, and what each adds is
+//! *policy* — what is sent where and when, and what becomes of an
+//! operation whose submission did not end in DONE. The cluster router
+//! (`rif_cluster::router`) keeps one ledger over a wire per node, with a
+//! global queue and window, routing by shard map, a back-off per refused
+//! operation and replica failover for reads. The closed loop in this
+//! module makes every *link* a ledger, a wire and a queue of its own
+//! with a fixed window (`depth` in flight, then wait for responses),
+//! BATCH accumulation, a refusal back-off that pauses the whole link and
+//! a bounded reconnect budget. Offsets and the read/write mix come from
+//! the same [`SynthConfig`] generator the offline experiments use, so a
+//! served workload is directly comparable to a batch-simulated one.
 //!
-//! The entry points differ only in how links are grouped onto worker
-//! threads: [`run_load`], [`run_plans`] and the replay driver give every
-//! link a worker of its own; [`run_mux_load`] deals the same links
-//! round-robin onto a few workers, which is what makes ≥10k concurrent
-//! connections practical from one process.
+//! The closed loop's entry points differ only in how links are grouped
+//! onto worker threads: [`run_load`], [`run_plans`] and the replay
+//! driver give every link a worker of its own; [`run_mux_load`] deals
+//! the same links round-robin onto a few workers, which is what makes
+//! ≥10k concurrent connections practical from one process.
 //!
-//! Nothing in the request path sleeps. Every wait is a per-link
-//! due-time — the BUSY back-off ("this link sends nothing before *t*"),
-//! the reconnect back-off, a replayed request's recorded arrival, the
-//! batch flush deadline, the earliest request deadline — and a worker
-//! blocks in the poller until a socket is ready or the nearest due-time
-//! arrives, at most one `POLL_TICK`.
+//! Nothing in the request path sleeps. Every wait is a due-time — a
+//! refusal back-off, the reconnect back-off, a replayed request's
+//! recorded arrival, the batch flush deadline, the earliest request
+//! deadline — and a driver blocks in the [`Poller`] until a socket is
+//! ready or the nearest due-time arrives, at most one `POLL_TICK`
+//! ([`wait_for_work`]).
 //!
-//! A link is built to survive a fault-injecting path (see the
+//! The engine is built to survive a fault-injecting path (see the
 //! `rif-chaos` crate) without ever losing track of a request:
 //!
 //! - **Per-request deadlines** — every submission carries a deadline;
 //!   a response that never arrives (dropped frame, wedged server)
 //!   resolves the tag as `TimedOut` instead of hanging the loop.
-//! - **Bounded reconnect** — a broken connection is re-established with
-//!   exponential backoff plus seeded jitter, up to a configured number
-//!   of attempts; in-flight tags resolve as `ConnError`. Sibling links of
-//!   the same worker keep running through the back-off.
-//! - **Idempotent retry only** — reads (and `BUSY`-rejected requests of
-//!   either kind, which were never admitted) are re-issued under a fresh
-//!   tag with a bounded budget; a write whose fate is unknown (worker
+//! - **Reconnect with memory** — a broken connection is re-established
+//!   with exponential backoff plus seeded jitter (the closed loop bounds
+//!   the attempts, the router does not); in-flight tags resolve as
+//!   `ConnError`. Sibling wires keep running through the back-off.
+//! - **Idempotent retry only** — reads (and refused requests of either
+//!   kind, which were never admitted) are re-issued under a fresh tag
+//!   against the driver's budget; a write whose fate is unknown (worker
 //!   crash, timeout, connection loss) is *failed* upward, never blindly
-//!   retried.
+//!   retried ([`Op::reissuable`]).
 //! - **Request journal** — every submission and its single terminal
 //!   outcome are recorded in a [`Journal`], which the `rif-chaos`
 //!   ContractChecker audits for the service contract: every tag resolves
@@ -48,7 +58,7 @@
 //!   late or duplicated response is told apart from a conflicting one
 //!   and from one for a tag never submitted.
 //!
-//! Wall latency is measured per request from the moment its frame is
+//! Wall latency is measured per submission from the moment its frame is
 //! queued for the socket to the moment its `DONE` is decoded, and
 //! aggregated in a log-bucketed histogram for p50/p99/p99.9.
 
@@ -62,7 +72,7 @@ use rif_events::stats::LatencyHistogram;
 use rif_events::{SimDuration, SimRng};
 use rif_workloads::{IoOp, SynthConfig};
 
-use crate::poller::{best_poller, Interest, Poller};
+use crate::poller::{best_poller, Interest, PollEvent, Poller};
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, BatchEntry, BusyReason, ErrorCode,
     FrameBuffer, Request, Response, MAX_BATCH_ENTRIES, PROTOCOL_VERSION,
@@ -381,15 +391,6 @@ pub struct PlannedIo {
     pub due_us: Option<u64>,
 }
 
-/// One operation's retry bookkeeping across its (possibly many) tags.
-struct OpState {
-    io: PlannedIo,
-    busy_retries: u32,
-    resends: u32,
-    /// The previous tag of this op, linking the retry chain.
-    prior_tag: Option<u64>,
-}
-
 /// Runs the closed loop, one worker thread per connection, and
 /// aggregates all connections' results.
 pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
@@ -453,24 +454,7 @@ fn run_grouped(
             })
             .collect::<io::Result<Vec<_>>>()
     })?;
-    let mut total = LoadReport::default();
-    let mut journal = Journal::default();
-    let mut hist = LatencyHistogram::new();
-    for (part, part_hist, part_journal) in parts {
-        total.merge(&part);
-        hist.merge(&part_hist);
-        journal.merge(part_journal);
-    }
-    // The receipt counters are the journal's, restated.
-    total.reconnects = journal.reconnects;
-    total.unknown_receipts = journal.unknown_receipts;
-    total.dup_receipts = journal
-        .records
-        .iter()
-        .map(|r| (r.duplicate_receipts + r.conflicting_receipts) as u64)
-        .sum();
-    total.finish(&hist, started.elapsed());
-    Ok((total, journal))
+    Ok(conclude(parts, started.elapsed()))
 }
 
 /// The synthetic closed-loop plans: `cfg.requests` dealt evenly over
@@ -528,9 +512,9 @@ fn fingerprint(payload: &[u8]) -> u64 {
 }
 
 /// One client connection past its HELLO check: a nodelay TCP stream, its
-/// buffered writer, and an incremental frame decoder. Public so higher
-/// layers (the cluster router) can drive the wire protocol per endpoint
-/// while reusing the load loop's transport discipline.
+/// buffered writer, and an incremental frame decoder — the blocking
+/// one-at-a-time RPC connection of the directory and the admin clients,
+/// and what a [`Wire`] takes its socket from.
 pub struct Conn {
     stream: TcpStream,
     writer: BufWriter<TcpStream>,
@@ -567,13 +551,8 @@ impl Conn {
     }
 
     /// Switches the socket to non-blocking mode: [`pump`](Conn::pump)
-    /// returns `Ok(false)` immediately instead of blocking one poll
-    /// tick when no bytes are queued. Drivers that sweep several
-    /// connections serially (the cluster router) need this — kernel
-    /// `SO_RCVTIMEO` granularity is one scheduler tick (several
-    /// milliseconds), so even a sub-millisecond read timeout stalls a
-    /// sweep by a full tick per idle endpoint. Callers take over idle
-    /// pacing themselves (e.g. one `thread::sleep` per empty sweep).
+    /// then returns `Ok(false)` at once when no bytes are queued, and
+    /// the caller paces its own waiting.
     pub fn set_nonblocking(&mut self) -> io::Result<()> {
         self.stream.set_nonblocking(true)
     }
@@ -645,342 +624,480 @@ fn check_hello(c: &mut Conn) -> io::Result<()> {
     Err(io::Error::new(io::ErrorKind::TimedOut, "no HELLO_ACK"))
 }
 
-/// Everything the engine tracks for one link: the request ledger
-/// (journal, window, retry chains, receipt table) and the transport
-/// under it (socket, unsent bytes, due-times, reconnect budget).
-struct Link {
-    conn: u32,
-    queue: VecDeque<OpState>,
-    /// tag -> (op, journal record index, sent, deadline)
-    inflight: HashMap<u64, (OpState, usize, Instant, Instant)>,
-    /// tag -> (journal record index, fingerprint of the resolving
-    /// payload if it was a wire response).
-    resolved: HashMap<u64, (usize, Option<u64>)>,
-    next_tag: u64,
-    report: LoadReport,
-    journal: Journal,
-    /// Journaled-but-unsent entries accumulating toward one BATCH frame.
-    pending_batch: Vec<BatchEntry>,
-    /// When the oldest pending entry was journaled (deadline flush).
-    batch_started: Option<Instant>,
-    /// The live socket and its frame decoder — what is left of a
-    /// [`Conn`] once its HELLO check passed. `None` while the link is
-    /// down. No per-link `BufWriter`: ten thousand links must cost what
-    /// they have queued, not a fixed buffer each.
-    wire: Option<(TcpStream, FrameBuffer)>,
-    /// Encoded frames the socket has not accepted yet.
-    out: Vec<u8>,
-    /// Whether WRITE interest is registered (only while `out` is stuck).
-    write_interest: bool,
-    /// BUSY / WRONG_SHARD back-off: the link sends nothing before this.
-    paused_until: Instant,
-    /// Reconnect back-off: no connect attempt before this.
-    down_until: Instant,
-    /// No in-flight deadline expires before this (the deadline of the
-    /// oldest submission when it was sent; early at worst, never late).
-    sweep_at: Instant,
-    jitter: SimRng,
-    reconnects_used: u32,
-    backoff: ReconnectBackoff,
-    /// Whether the link has ever been open: a link that cannot be
-    /// opened at all fails the run instead of being counted `failed`.
-    ever_up: bool,
+/// One planned operation moving through a driver's retry machinery.
+pub struct Op<T> {
+    /// The request itself.
+    pub io: PlannedIo,
+    /// What the driver's policy tracks per operation (retry budgets,
+    /// replica preference). The engine carries it and never reads it.
+    pub policy: T,
+    /// The ROOT of the retry chain: the tag of the first submission,
+    /// known once that submission has resolved.
+    root: Option<u64>,
 }
 
-impl Link {
-    fn new(cfg: &LoadConfig, conn: usize, plan: Vec<PlannedIo>) -> Link {
-        let now = Instant::now();
-        Link {
-            conn: conn as u32,
-            queue: plan
-                .into_iter()
-                .map(|io| OpState {
-                    io,
-                    busy_retries: 0,
-                    resends: 0,
-                    prior_tag: None,
-                })
-                .collect(),
-            inflight: HashMap::new(),
-            resolved: HashMap::new(),
-            // Tag 0 is reserved: the server answers undecodable frames with
-            // tag 0, which must never collide with a real submission.
-            next_tag: ((conn as u64) << 32) | 1,
-            report: LoadReport::default(),
-            journal: Journal::default(),
-            pending_batch: Vec::new(),
-            batch_started: None,
-            wire: None,
-            out: Vec::new(),
-            write_interest: false,
-            paused_until: now,
-            down_until: now,
-            sweep_at: now,
-            jitter: SimRng::stream(cfg.seed ^ JITTER_SALT, conn as u64),
-            reconnects_used: 0,
-            backoff: ReconnectBackoff::new(),
-            ever_up: false,
+impl<T> Op<T> {
+    /// An operation no submission has been made for yet.
+    pub fn new(io: PlannedIo, policy: T) -> Op<T> {
+        Op {
+            io,
+            policy,
+            root: None,
         }
     }
 
-    /// True when every planned request has settled.
-    fn finished(&self) -> bool {
-        self.queue.is_empty() && self.inflight.is_empty()
+    /// The write-safety rule: whether re-issuing the operation, its
+    /// latest submission resolved `how`, can never execute it twice. A
+    /// refusal provably preceded admission, so either kind may go again;
+    /// after anything else the request may have been admitted (answer
+    /// lost, worker crashed mid-flight), so only a read — idempotent —
+    /// may, and a write's unknown fate is failed upward.
+    pub fn reissuable(&self, how: How) -> bool {
+        matches!(how, How::Busy(_) | How::WrongShard) || self.io.op == IoOp::Read
+    }
+}
+
+/// A submission the [`Ledger`] just resolved: the operation, its chain's
+/// ROOT linked, and how it ended, for the driver's policy to decide on.
+pub type Settled<T> = (Op<T>, How);
+
+/// How a tag resolved, in the detail a driver's policy decides on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum How {
+    /// The server answered DONE.
+    Done,
+    /// The server answered BUSY: refused before admission.
+    Busy(BusyReason),
+    /// The server answered WRONG_SHARD: refused before admission.
+    WrongShard,
+    /// The server answered ERROR.
+    Error(ErrorCode),
+    /// The server answered with a kind READ/WRITE never solicit.
+    Unsolicited,
+    /// The deadline passed with no answer.
+    TimedOut,
+    /// The connection died with the request in flight.
+    ConnError,
+}
+
+/// The request ledger: tag issue, the [`Journal`], the in-flight table
+/// with one deadline per submission, and the table of resolved tags
+/// that classifies every later receipt. The closed-loop client keeps
+/// one per link, the cluster router one for all its endpoints.
+pub struct Ledger<T> {
+    /// tag -> (op, sent)
+    inflight: HashMap<u64, (Op<T>, Instant)>,
+    /// Tags are issued in sequence and journaled in that order, so tag
+    /// `first_tag + i` is `journal.records[i]`.
+    first_tag: u64,
+    /// The receipt table: a record no longer in flight is a resolved tag,
+    /// and this holds, per record, the fingerprint of the resolving
+    /// payload if it was a wire response.
+    receipts: Vec<Option<u64>>,
+    request_deadline: Duration,
+    /// No in-flight deadline expires before this (the deadline of the
+    /// oldest submission when it was sent; early at worst, never late).
+    sweep_at: Instant,
+    /// The run's counters; the driver adds the ones its policy owns
+    /// (`failed`, `busy_dropped`, `batches_sent`).
+    pub report: LoadReport,
+    /// Every submission and its single outcome.
+    pub journal: Journal,
+}
+
+impl<T> Ledger<T> {
+    /// A ledger issuing tags from `first_tag` up. Tag 0 is reserved: the
+    /// server answers undecodable frames with it, which must never
+    /// collide with a real submission.
+    pub fn new(first_tag: u64, request_deadline: Duration) -> Ledger<T> {
+        assert!(first_tag != 0, "tag 0 is the server's");
+        Ledger {
+            inflight: HashMap::new(),
+            receipts: Vec::new(),
+            first_tag,
+            request_deadline,
+            sweep_at: Instant::now(),
+            report: LoadReport::default(),
+            journal: Journal::default(),
+        }
     }
 
-    fn resolve(&mut self, tag: u64, outcome: Outcome, fp: Option<u64>) -> Option<OpState> {
-        let (op, rec, _sent, _deadline) = self.inflight.remove(&tag)?;
-        self.journal.records[rec].outcome = Some(outcome);
-        self.resolved.insert(tag, (rec, fp));
-        Some(op)
+    /// Submissions awaiting their answer — what a send window counts.
+    pub fn in_flight(&self) -> usize {
+        self.inflight.len()
     }
 
-    /// Records a wire submission and returns its tag.
-    fn journal_send(
-        &mut self,
-        op: IoOp,
-        offset: u64,
-        bytes: u32,
-        retry_of: Option<u64>,
-    ) -> (u64, usize) {
-        let tag = self.next_tag;
-        self.next_tag += 1;
+    /// The earliest instant [`sweep`](Ledger::sweep) has work to do.
+    pub fn next_sweep(&self) -> Option<Instant> {
+        (!self.inflight.is_empty()).then_some(self.sweep_at)
+    }
+
+    /// Records one submission of `op` on connection `conn` under a fresh
+    /// tag — journal, in-flight table, deadline — and returns the entry to
+    /// put on the wire, `retry_of` naming the chain's ROOT on a re-issue.
+    pub fn submit(&mut self, conn: u32, op: Op<T>) -> BatchEntry {
+        let io = op.io;
         let rec = self.journal.records.len();
+        let tag = self.first_tag + rec as u64;
         self.journal.records.push(TagRecord {
-            conn: self.conn,
+            conn,
             tag,
-            op,
-            offset,
-            bytes,
-            retry_of,
+            op: io.op,
+            offset: io.offset,
+            bytes: io.bytes,
+            retry_of: op.root,
             outcome: None,
             duplicate_receipts: 0,
             conflicting_receipts: 0,
         });
-        (tag, rec)
+        self.receipts.push(None);
+        let retry_of = op.root.unwrap_or(0);
+        let sent = Instant::now();
+        if self.inflight.is_empty() {
+            self.sweep_at = sent + self.request_deadline;
+        }
+        self.inflight.insert(tag, (op, sent));
+        BatchEntry {
+            op: io.op,
+            tenant: io.tenant,
+            tag,
+            offset: io.offset,
+            bytes: io.bytes,
+            retry_of,
+        }
     }
 
-    /// An operation is out of road: account for it.
-    fn fail_op(&mut self) {
-        self.report.failed += 1;
+    /// Resolves `tag` exactly once. The op comes back linked to its
+    /// chain's ROOT (its first submission): the server-side recorder
+    /// resolves the link among admitted tags, and only the root survives
+    /// intermediate attempts that never got admitted.
+    fn resolve(&mut self, tag: u64, how: How, fp: Option<u64>) -> Option<Settled<T>> {
+        let (mut op, _sent) = self.inflight.remove(&tag)?;
+        let rec = (tag - self.first_tag) as usize;
+        self.journal.records[rec].outcome = Some(match how {
+            How::Done => Outcome::Done,
+            How::Busy(_) | How::WrongShard => Outcome::Busy,
+            How::Error(_) | How::Unsolicited => Outcome::Error,
+            How::TimedOut => Outcome::TimedOut,
+            How::ConnError => Outcome::ConnError,
+        });
+        self.receipts[rec] = fp;
+        op.root = op.root.or(Some(tag));
+        Some((op, how))
     }
 
-    /// Connects (blocking, bounded by [`HELLO_TIMEOUT`]) and registers
-    /// the socket under `token`. A failed connect draws on the same
-    /// bounded budget as a mid-run loss; `Err` only when the link could
-    /// never be opened at all.
-    fn open(&mut self, cfg: &LoadConfig, poller: &mut dyn Poller, token: usize) -> io::Result<()> {
-        match Conn::connect(&cfg.addr) {
-            Ok(Conn {
-                stream,
-                writer,
-                frames,
-            }) => {
-                drop(writer);
-                stream.set_nonblocking(true)?;
-                poller.register(stream.as_raw_fd(), token, Interest::READ)?;
-                if self.reconnects_used > 0 {
-                    self.backoff.note_success();
-                    self.journal.reconnects += 1;
+    /// One poller event for connection `conn`: books what arrived into
+    /// `settled` and resumes a stuck write. `false` means the connection
+    /// was lost, and [`lose`](Ledger::lose) has dealt with it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn on_event(
+        &mut self,
+        conn: u32,
+        wire: &mut Wire,
+        poller: &mut dyn Poller,
+        ev: &PollEvent,
+        scratch: &mut [u8],
+        hist: &mut LatencyHistogram,
+        settled: &mut Vec<Settled<T>>,
+    ) -> bool {
+        let mut alive = true;
+        if ev.readable || ev.error {
+            alive = self.pump(wire, scratch, hist, settled);
+        }
+        if alive && ev.writable {
+            alive = wire.flush(poller, true).is_ok();
+        }
+        if !alive {
+            self.lose(conn, wire, poller, settled);
+        }
+        alive
+    }
+
+    /// Reads what `wire`'s socket holds and books every complete frame.
+    /// `false` means the connection is lost.
+    fn pump(
+        &mut self,
+        wire: &mut Wire,
+        scratch: &mut [u8],
+        hist: &mut LatencyHistogram,
+        settled: &mut Vec<Settled<T>>,
+    ) -> bool {
+        loop {
+            let Some((stream, frames)) = wire.sock.as_mut() else {
+                return true;
+            };
+            let n = match stream.read(scratch) {
+                Ok(0) => return false,
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            };
+            frames.feed(&scratch[..n]);
+            loop {
+                match frames.next_frame() {
+                    Ok(Some(payload)) => settled.extend(self.receive(&payload, hist)),
+                    Ok(None) => break,
+                    Err(_) => {
+                        // Oversized prefix: framing is unrecoverable.
+                        self.journal.undecodable_frames += 1;
+                        self.report.protocol_errors += 1;
+                        return false;
+                    }
                 }
-                self.wire = Some((stream, frames));
-                self.ever_up = true;
-                Ok(())
             }
-            Err(e) => {
-                let armed = self.schedule_reopen(cfg);
-                if armed || self.ever_up {
-                    Ok(())
-                } else {
-                    Err(e)
-                }
+            // A short read drained the socket; the poller is
+            // level-triggered, so anything newer fires again.
+            if n < scratch.len() {
+                return true;
             }
         }
     }
 
-    /// Arms the reconnect back-off and returns true, or — budget spent —
-    /// gives the link up and returns false: everything left in the queue
-    /// was never submitted; fail it.
-    fn schedule_reopen(&mut self, cfg: &LoadConfig) -> bool {
-        let armed = self.reconnects_used < cfg.max_reconnects;
-        if armed {
-            self.reconnects_used += 1;
-            self.down_until = Instant::now()
-                + self
-                    .backoff
-                    .next_delay(cfg.reconnect_backoff, &mut self.jitter);
-        } else {
-            self.report.failed += self.queue.len() as u64;
-            self.queue.clear();
+    /// Books one decoded (or undecodable) response frame.
+    fn receive(&mut self, payload: &[u8], hist: &mut LatencyHistogram) -> Option<Settled<T>> {
+        let resp = match decode_response(payload) {
+            Ok(r) => r,
+            Err(_) => {
+                self.journal.undecodable_frames += 1;
+                self.report.protocol_errors += 1;
+                return None;
+            }
+        };
+        if matches!(resp, Response::HelloAck { .. }) {
+            // A late or transport-duplicated handshake ack: harmless, and it
+            // must not count against the journal's receipt accounting.
+            return None;
         }
-        armed
+        let fp = Some(fingerprint(payload));
+        let tag = resp.tag();
+
+        // A tag this ledger never issued.
+        let rec = usize::try_from(tag.wrapping_sub(self.first_tag)).unwrap_or(usize::MAX);
+        let Some(record) = self.journal.records.get_mut(rec) else {
+            self.journal.unknown_receipts += 1;
+            return None;
+        };
+        // A response for an already-resolved tag is a post-resolution
+        // receipt: a duplicated/late frame (same payload) or a conflicting
+        // one (different payload). Either way the tag stays resolved.
+        let Some(&(_, sent)) = self.inflight.get(&tag) else {
+            if self.receipts[rec].is_some() && self.receipts[rec] != fp {
+                record.conflicting_receipts += 1;
+            } else {
+                record.duplicate_receipts += 1;
+            }
+            return None;
+        };
+
+        let how = match resp {
+            Response::Done { .. } => {
+                self.report.completed += 1;
+                hist.record(SimDuration::from_ns(sent.elapsed().as_nanos() as u64));
+                How::Done
+            }
+            Response::Busy { reason, .. } => {
+                match reason {
+                    BusyReason::Queue => self.report.busy_queue += 1,
+                    BusyReason::RateLimit => self.report.busy_ratelimit += 1,
+                    // A migrating range is momentarily unavailable here; the
+                    // refusal semantics (never admitted, safe to retry) are
+                    // identical.
+                    BusyReason::Unavailable | BusyReason::Moving => {
+                        self.report.busy_unavailable += 1
+                    }
+                }
+                How::Busy(reason)
+            }
+            Response::WrongShard { .. } => {
+                self.report.wrong_shard += 1;
+                How::WrongShard
+            }
+            Response::Error { code, .. } => {
+                match code {
+                    ErrorCode::Internal => self.report.internal_errors += 1,
+                    ErrorCode::BadRequest | ErrorCode::BadLength => {
+                        self.report.protocol_errors += 1
+                    }
+                    // ConnLimit never arrives tagged mid-stream (it is a
+                    // pre-HELLO refusal); neither is the client's doing.
+                    ErrorCode::ShuttingDown | ErrorCode::ConnLimit => {}
+                }
+                How::Error(code)
+            }
+            Response::Stats { .. }
+            | Response::Flushed { .. }
+            | Response::Goodbye { .. }
+            | Response::MapResp { .. }
+            | Response::Migrated { .. }
+            | Response::ReplAck { .. }
+            | Response::HelloAck { .. } => {
+                // Never solicited by a load (HelloAck returned early
+                // above): the tag resolves so it is not left dangling,
+                // and the anomaly is counted.
+                self.report.protocol_errors += 1;
+                How::Unsolicited
+            }
+        };
+        self.resolve(tag, how, fp)
     }
 
-    /// The connection is gone: every in-flight tag resolves as a clean
-    /// connection error (exactly once), and the link goes down until its
-    /// back-off passes.
-    fn lose(&mut self, cfg: &LoadConfig, poller: &mut dyn Poller) {
-        self.close(poller);
+    /// Resolves every tag whose deadline has passed as `TimedOut`.
+    pub fn sweep(&mut self, now: Instant, settled: &mut Vec<Settled<T>>) {
+        if now < self.sweep_at {
+            return;
+        }
+        let expired: Vec<u64> = (self.inflight.iter())
+            .filter(|(_, (_, sent))| now >= *sent + self.request_deadline)
+            .map(|(tag, _)| *tag)
+            .collect();
+        for tag in expired {
+            self.report.timed_out += 1;
+            settled.extend(self.resolve(tag, How::TimedOut, None));
+        }
+        if let Some(oldest) = self.inflight.values().map(|&(_, sent)| sent).min() {
+            self.sweep_at = oldest + self.request_deadline;
+        }
+    }
+
+    /// Connection `conn` is gone: every tag in flight on it resolves as
+    /// a clean connection error (exactly once), and `wire` goes down
+    /// until its reconnect back-off passes.
+    pub fn lose(
+        &mut self,
+        conn: u32,
+        wire: &mut Wire,
+        poller: &mut dyn Poller,
+        settled: &mut Vec<Settled<T>>,
+    ) {
+        wire.close(poller);
+        // Unsent bytes die with the connection; their tags are in flight
+        // and resolve just below.
+        wire.out.clear();
+        wire.back_off();
         self.journal.conn_losses += 1;
-        // Unsent bytes and unsent batch entries die with the connection;
-        // their tags are in flight and resolve as ConnError just below.
-        self.out.clear();
-        self.pending_batch.clear();
-        self.batch_started = None;
-        let tags: Vec<u64> = self.inflight.keys().copied().collect();
+        let (records, first) = (&self.journal.records, self.first_tag);
+        let tags: Vec<u64> = (self.inflight.keys().copied())
+            .filter(|tag| records[(tag - first) as usize].conn == conn)
+            .collect();
         for tag in tags {
             self.report.conn_errors += 1;
-            if let Some(op) = self.resolve(tag, Outcome::ConnError, None) {
-                self.requeue_or_fail(cfg, op, tag, true);
-            }
+            settled.extend(self.resolve(tag, How::ConnError, None));
         }
-        self.schedule_reopen(cfg);
+    }
+}
+
+/// The transport under a [`Ledger`]: one endpoint's non-blocking socket
+/// — what is left of a [`Conn`] once its HELLO check passed — with its
+/// frame decoder, the bytes the socket has not accepted yet, and the
+/// reconnect back-off that outlives any one connection. No per-wire
+/// `BufWriter`: ten thousand wires must cost what they have queued, not
+/// a fixed buffer each.
+pub struct Wire {
+    addr: String,
+    /// The poller token the socket is registered under.
+    token: usize,
+    /// `None` while the wire is down.
+    sock: Option<(TcpStream, FrameBuffer)>,
+    /// Encoded frames the socket has not accepted yet.
+    out: Vec<u8>,
+    /// Whether WRITE interest is registered (only while `out` is stuck).
+    write_interest: bool,
+    /// Reconnect back-off: no connect attempt before this.
+    down_until: Instant,
+    backoff: ReconnectBackoff,
+    backoff_base: Duration,
+    jitter: SimRng,
+    /// Whether the wire has ever been open.
+    ever_up: bool,
+}
+
+impl Wire {
+    /// A wire to `addr`, down until [`ensure_up`](Wire::ensure_up)
+    /// opens it. Failed connect `k` in a row backs off
+    /// `backoff_base * 2^k` (capped) plus jitter from `jitter`.
+    pub fn new(addr: String, token: usize, backoff_base: Duration, jitter: SimRng) -> Wire {
+        Wire {
+            addr,
+            token,
+            sock: None,
+            out: Vec::new(),
+            write_interest: false,
+            down_until: Instant::now(),
+            backoff: ReconnectBackoff::new(),
+            backoff_base,
+            jitter,
+            ever_up: false,
+        }
+    }
+
+    /// The address this wire dials.
+    pub fn addr(&self) -> &str {
+        &self.addr
+    }
+
+    /// Makes sure a socket is open. `Ok(true)`: one is, or the reconnect
+    /// back-off had passed and a connect (blocking, bounded by
+    /// [`HELLO_TIMEOUT`]) succeeded — the socket is registered with
+    /// `poller`, a re-connect counted in `journal`. `Ok(false)`: still
+    /// backing off. `Err`: the connect failed and the back-off is armed
+    /// again; how many attempts there are is the driver's policy.
+    pub fn ensure_up(
+        &mut self,
+        poller: &mut dyn Poller,
+        journal: &mut Journal,
+    ) -> io::Result<bool> {
+        if self.sock.is_some() || Instant::now() < self.down_until {
+            return Ok(self.sock.is_some());
+        }
+        let opened = Conn::connect(&self.addr).and_then(|conn| {
+            let Conn { stream, frames, .. } = conn;
+            stream.set_nonblocking(true)?;
+            poller.register(stream.as_raw_fd(), self.token, Interest::READ)?;
+            Ok((stream, frames))
+        });
+        self.sock = Some(opened.inspect_err(|_| self.back_off())?);
+        self.backoff.note_success();
+        // The first connect is not a *re*connect.
+        journal.reconnects += u64::from(self.ever_up);
+        self.ever_up = true;
+        Ok(true)
+    }
+
+    /// Arms the reconnect back-off (one more strike).
+    fn back_off(&mut self) {
+        self.down_until =
+            Instant::now() + self.backoff.next_delay(self.backoff_base, &mut self.jitter);
     }
 
     /// Deregisters and drops the socket, if there is one.
     fn close(&mut self, poller: &mut dyn Poller) {
-        if let Some((stream, _)) = self.wire.take() {
+        if let Some((stream, _)) = self.sock.take() {
             poller.deregister(stream.as_raw_fd()).ok();
             self.write_interest = false;
         }
     }
 
-    /// One turn of everything time-driven: reopen if the back-off has
-    /// passed, fill the window, push queued bytes at the socket, expire
-    /// deadlines.
-    fn service(
-        &mut self,
-        cfg: &LoadConfig,
-        poller: &mut dyn Poller,
-        token: usize,
-        started: Instant,
-        now: Instant,
-    ) -> io::Result<()> {
-        if self.wire.is_none() {
-            if now < self.down_until {
-                return Ok(());
-            }
-            self.open(cfg, poller, token)?;
-            if self.wire.is_none() {
-                return Ok(());
-            }
-        }
-        if now >= self.paused_until {
-            self.fill(cfg, started, now);
-        }
-        // A stuck socket reports when it takes bytes again; until then
-        // new frames queue behind the stuck ones.
-        if !self.write_interest && self.flush(poller, token).is_err() {
-            self.lose(cfg, poller);
-            return Ok(());
-        }
-        if now >= self.sweep_at {
-            self.sweep_deadlines(cfg, now);
-        }
-        Ok(())
-    }
-
-    /// The earliest instant the link needs a turn even if its socket
-    /// stays silent.
-    fn next_due(&self, cfg: &LoadConfig, started: Instant) -> Option<Instant> {
-        if self.wire.is_none() {
-            return Some(self.down_until);
-        }
-        let sweep = (!self.inflight.is_empty()).then_some(self.sweep_at);
-        let batch = self.batch_started.map(|t| t + cfg.batch_deadline);
-        let head = self
-            .queue
-            .front()
-            .filter(|_| self.inflight.len() < cfg.depth)
-            .map(|op| started + Duration::from_micros(op.io.due_us.unwrap_or(0)));
-        let send = batch
-            .into_iter()
-            .chain(head)
-            .min()
-            .map(|t| t.max(self.paused_until));
-        sweep.into_iter().chain(send).min()
-    }
-
-    /// Fills the window from the queue and decides what goes on the wire.
-    fn fill(&mut self, cfg: &LoadConfig, started: Instant, now: Instant) {
-        let batching = cfg.batch > 1;
-        while self.inflight.len() < cfg.depth {
-            // Replay pacing: hold the next request until its recorded
-            // due time. The queue keeps plan order, so the head gates
-            // everything behind it.
-            if let Some(due) = self.queue.front().and_then(|op| op.io.due_us) {
-                if now < started + Duration::from_micros(due) {
-                    break;
-                }
-            }
-            let Some(op) = self.queue.pop_front() else {
-                break;
-            };
-            let (tag, rec) = self.journal_send(op.io.op, op.io.offset, op.io.bytes, op.prior_tag);
-            let io = op.io;
-            let retry_of = op.prior_tag.unwrap_or(0);
-            let sent = Instant::now();
-            let deadline = sent + cfg.request_deadline;
-            if self.inflight.is_empty() {
-                self.sweep_at = deadline;
-            }
-            self.inflight.insert(tag, (op, rec, sent, deadline));
-            let entry = BatchEntry {
-                op: io.op,
-                tenant: io.tenant,
-                tag,
-                offset: io.offset,
-                bytes: io.bytes,
-                retry_of,
-            };
-            if batching {
-                self.pending_batch.push(entry);
-                self.batch_started.get_or_insert(sent);
-                if self.pending_batch.len() >= cfg.batch.min(MAX_BATCH_ENTRIES as usize) {
-                    self.flush_batch();
-                }
-            } else if retry_of != 0 {
-                // Re-issues travel as one-entry BATCH frames: the only
-                // frame kind that carries `retry_of`, so the server's
-                // recorder can alias them onto the original instead of
-                // journaling a second logical request.
-                self.enqueue(&Request::Batch(vec![entry]));
-            } else {
-                self.enqueue(&match io.op {
-                    IoOp::Read => Request::Read {
-                        tenant: io.tenant,
-                        tag,
-                        offset: io.offset,
-                        bytes: io.bytes,
-                    },
-                    IoOp::Write => Request::Write {
-                        tenant: io.tenant,
-                        tag,
-                        offset: io.offset,
-                        bytes: io.bytes,
-                    },
-                });
-            }
-        }
-        // A straggler batch flushes when no more work can join it or its
-        // deadline passes — partial frames must not wait forever.
-        let expired = self
-            .batch_started
-            .is_some_and(|t| now >= t + cfg.batch_deadline);
-        if expired || self.queue.is_empty() || self.inflight.len() >= cfg.depth {
-            self.flush_batch();
-        }
-    }
-
-    /// Queues the accumulated BATCH frame, if any.
-    fn flush_batch(&mut self) {
-        if self.pending_batch.is_empty() {
-            return;
-        }
-        let entries = std::mem::take(&mut self.pending_batch);
-        self.batch_started = None;
-        self.report.batches_sent += 1;
-        self.enqueue(&Request::Batch(entries));
+    /// Queues one submission as a frame of its own: READ or WRITE, or
+    /// for a re-issue a one-entry BATCH — the only frame kind that
+    /// carries `retry_of`, so the server's recorder can alias it onto the
+    /// original instead of journaling a second logical request.
+    pub fn send(&mut self, e: BatchEntry) {
+        self.enqueue(&match (e.retry_of, e.op) {
+            (0, IoOp::Read) => Request::Read {
+                tenant: e.tenant,
+                tag: e.tag,
+                offset: e.offset,
+                bytes: e.bytes,
+            },
+            (0, IoOp::Write) => Request::Write {
+                tenant: e.tenant,
+                tag: e.tag,
+                offset: e.offset,
+                bytes: e.bytes,
+            },
+            _ => Request::Batch(vec![e]),
+        });
     }
 
     /// Appends one length-prefixed request frame to the unsent bytes.
@@ -993,11 +1110,17 @@ impl Link {
 
     /// Writes unsent bytes until they are gone or the socket pushes back,
     /// and keeps WRITE interest registered exactly while some are stuck:
-    /// a frame cut short by `WouldBlock` resumes where it stopped.
-    fn flush(&mut self, poller: &mut dyn Poller, token: usize) -> io::Result<()> {
-        let Some((stream, _)) = &self.wire else {
+    /// a frame cut short by `WouldBlock` resumes where it stopped. Every
+    /// turn calls it with `writable` false (a stuck socket is left alone,
+    /// new frames queue behind the stuck ones), the poller's writable
+    /// event with `true`. An error means the connection is lost.
+    pub fn flush(&mut self, poller: &mut dyn Poller, writable: bool) -> io::Result<()> {
+        let Some((stream, _)) = &self.sock else {
             return Ok(());
         };
+        if self.write_interest && !writable {
+            return Ok(());
+        }
         let mut stream: &TcpStream = stream;
         let mut written = 0;
         while written < self.out.len() {
@@ -1016,213 +1139,264 @@ impl Link {
                 readable: true,
                 writable: stuck,
             };
-            poller.reregister(stream.as_raw_fd(), token, interest)?;
+            poller.reregister(stream.as_raw_fd(), self.token, interest)?;
             self.write_interest = stuck;
         }
         Ok(())
     }
+}
 
-    /// Reads what the socket holds and dispatches every complete frame.
-    /// `false` means the connection is lost.
-    fn on_readable(
-        &mut self,
-        cfg: &LoadConfig,
-        scratch: &mut [u8],
-        hist: &mut LatencyHistogram,
-    ) -> bool {
-        loop {
-            let Some((stream, frames)) = self.wire.as_mut() else {
-                return true;
-            };
-            let n = match stream.read(scratch) {
-                Ok(0) => return false,
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            };
-            frames.feed(&scratch[..n]);
-            loop {
-                let (_, frames) = self.wire.as_mut().expect("wire checked above");
-                match frames.next_frame() {
-                    Ok(Some(payload)) => self.handle_frame(cfg, &payload, hist),
-                    Ok(None) => break,
-                    Err(_) => {
-                        // Oversized prefix: framing is unrecoverable.
-                        self.journal.undecodable_frames += 1;
-                        self.report.protocol_errors += 1;
-                        return false;
-                    }
-                }
-            }
-            // A short read drained the socket; the poller is
-            // level-triggered, so anything newer fires again.
-            if n < scratch.len() {
-                return true;
-            }
+/// Blocks in `poller` until a socket is ready or `due` — a driver's
+/// nearest due-time — arrives, at most one [`POLL_TICK`]. The only wait
+/// in either driver.
+pub fn wait_for_work(
+    poller: &mut dyn Poller,
+    events: &mut Vec<PollEvent>,
+    due: Option<Instant>,
+) -> io::Result<()> {
+    let wait = due.map_or(POLL_TICK, |due| {
+        due.saturating_duration_since(Instant::now()).min(POLL_TICK)
+    });
+    events.clear();
+    poller.wait(events, Some(wait)).map(drop)
+}
+
+/// The epilogue of a run: merges the workers' parts, restates the
+/// counters the journal owns (reconnects and receipts) in the report,
+/// and fills in its derived fields.
+pub fn conclude(
+    parts: Vec<(LoadReport, LatencyHistogram, Journal)>,
+    wall: Duration,
+) -> (LoadReport, Journal) {
+    // The first part is taken as it is: a journal is the largest thing a
+    // run holds, and merging a lone one into an empty one would copy it.
+    let mut parts = parts.into_iter();
+    let (mut total, mut hist, mut journal) = parts.next().unwrap_or_default();
+    for (part, part_hist, part_journal) in parts {
+        total.merge(&part);
+        hist.merge(&part_hist);
+        journal.merge(part_journal);
+    }
+    total.reconnects = journal.reconnects;
+    total.unknown_receipts = journal.unknown_receipts;
+    total.dup_receipts = journal
+        .records
+        .iter()
+        .map(|r| (r.duplicate_receipts + r.conflicting_receipts) as u64)
+        .sum();
+    total.finish(&hist, wall);
+    (total, journal)
+}
+
+/// The closed-loop client's per-operation policy state: its two retry
+/// budgets.
+#[derive(Default)]
+struct Budgets {
+    busy_retries: u32,
+    resends: u32,
+}
+
+/// One link of the closed-loop driver: a [`Ledger`] over a [`Wire`],
+/// plus this driver's policy — a queue and window of its own, BATCH
+/// accumulation, a link-wide refusal back-off and a bounded reconnect
+/// budget.
+struct Link {
+    conn: u32,
+    queue: VecDeque<Op<Budgets>>,
+    ledger: Ledger<Budgets>,
+    wire: Wire,
+    /// Journaled-but-unsent entries accumulating toward one BATCH frame.
+    pending_batch: Vec<BatchEntry>,
+    /// When the oldest pending entry was journaled (deadline flush).
+    batch_started: Option<Instant>,
+    /// BUSY / WRONG_SHARD back-off: the link sends nothing before this.
+    paused_until: Instant,
+    reconnects_used: u32,
+}
+
+impl Link {
+    fn new(cfg: &LoadConfig, token: usize, conn: usize, plan: Vec<PlannedIo>) -> Link {
+        let jitter = SimRng::stream(cfg.seed ^ JITTER_SALT, conn as u64);
+        Link {
+            conn: conn as u32,
+            queue: plan
+                .into_iter()
+                .map(|io| Op::new(io, Budgets::default()))
+                .collect(),
+            ledger: Ledger::new(((conn as u64) << 32) | 1, cfg.request_deadline),
+            wire: Wire::new(cfg.addr.clone(), token, cfg.reconnect_backoff, jitter),
+            pending_batch: Vec::new(),
+            batch_started: None,
+            paused_until: Instant::now(),
+            reconnects_used: 0,
         }
     }
 
-    /// Resolves every tag whose deadline has passed.
-    fn sweep_deadlines(&mut self, cfg: &LoadConfig, now: Instant) {
-        let expired: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, (_, _, _, deadline))| now >= *deadline)
-            .map(|(tag, _)| *tag)
-            .collect();
-        for tag in expired {
-            self.report.timed_out += 1;
-            if let Some(op) = self.resolve(tag, Outcome::TimedOut, None) {
-                // The request may have been admitted (response lost), so
-                // only idempotent work is re-issued.
-                self.requeue_or_fail(cfg, op, tag, true);
-            }
-        }
-        if let Some(next) = self.inflight.values().map(|&(_, _, _, d)| d).min() {
-            self.sweep_at = next;
-        }
+    /// True when every planned request has settled.
+    fn finished(&self) -> bool {
+        self.queue.is_empty() && self.ledger.in_flight() == 0
     }
 
-    /// Re-queues an op for another attempt, or fails it.
-    /// `maybe_admitted` is false when the server provably never started
-    /// the I/O (a BUSY rejection), making even writes safe to retry.
-    fn requeue_or_fail(
-        &mut self,
-        cfg: &LoadConfig,
-        mut op: OpState,
-        prior_tag: u64,
-        maybe_admitted: bool,
-    ) {
-        let idempotent = !maybe_admitted || op.io.op == IoOp::Read;
-        if idempotent && op.resends < cfg.max_resends {
-            op.resends += 1;
-            // Link the chain's ROOT tag (first submission): the server-side
-            // recorder resolves the link among admitted tags, and only the
-            // root survives intermediate attempts that never got admitted.
-            op.prior_tag = op.prior_tag.or(Some(prior_tag));
-            self.queue.push_back(op);
+    /// Makes sure the wire is open ([`Wire::ensure_up`]). A failed
+    /// connect draws on the same bounded budget as a mid-run loss; `Err`
+    /// only when the link could never be opened at all, which fails the
+    /// run instead of being counted `failed`.
+    fn ensure_up(&mut self, cfg: &LoadConfig, poller: &mut dyn Poller) -> io::Result<bool> {
+        let up = self.wire.ensure_up(poller, &mut self.ledger.journal);
+        up.or_else(|e| {
+            let forgiven = self.spend_reconnect(cfg) || self.wire.ever_up;
+            forgiven.then_some(false).ok_or(e)
+        })
+    }
+
+    /// Draws one attempt from the reconnect budget and returns true, or —
+    /// budget spent — gives the link up and returns false: everything
+    /// left in the queue was never submitted; fail it.
+    fn spend_reconnect(&mut self, cfg: &LoadConfig) -> bool {
+        let armed = self.reconnects_used < cfg.max_reconnects;
+        if armed {
+            self.reconnects_used += 1;
         } else {
-            self.fail_op();
+            self.ledger.report.failed += self.queue.len() as u64;
+            self.queue.clear();
+        }
+        armed
+    }
+
+    /// The ledger has resolved what was in flight on a lost connection:
+    /// the policy re-queues what may go again, then draws a reconnect.
+    fn lost(&mut self, cfg: &LoadConfig, settled: &mut Vec<Settled<Budgets>>) {
+        // Unsent batch entries died with the connection; their tags were
+        // in flight and resolved as ConnError.
+        self.pending_batch.clear();
+        self.batch_started = None;
+        self.apply(cfg, settled);
+        self.spend_reconnect(cfg);
+    }
+
+    /// One turn of everything time-driven: reopen if the back-off has
+    /// passed, fill the window, push queued bytes at the socket, expire
+    /// deadlines.
+    fn service(
+        &mut self,
+        cfg: &LoadConfig,
+        poller: &mut dyn Poller,
+        started: Instant,
+        now: Instant,
+        settled: &mut Vec<Settled<Budgets>>,
+    ) -> io::Result<()> {
+        if !self.ensure_up(cfg, poller)? {
+            return Ok(());
+        }
+        if now >= self.paused_until {
+            self.fill(cfg, started, now);
+        }
+        if self.wire.flush(poller, false).is_err() {
+            self.ledger.lose(self.conn, &mut self.wire, poller, settled);
+            self.lost(cfg, settled);
+            return Ok(());
+        }
+        self.ledger.sweep(now, settled);
+        self.apply(cfg, settled);
+        Ok(())
+    }
+
+    /// The earliest instant the link needs a turn even if its socket
+    /// stays silent.
+    fn next_due(&self, cfg: &LoadConfig, started: Instant) -> Option<Instant> {
+        if self.wire.sock.is_none() {
+            return Some(self.wire.down_until);
+        }
+        let batch = self.batch_started.map(|t| t + cfg.batch_deadline);
+        let head = self
+            .queue
+            .front()
+            .filter(|_| self.ledger.in_flight() < cfg.depth)
+            .map(|op| started + Duration::from_micros(op.io.due_us.unwrap_or(0)));
+        let send = batch
+            .into_iter()
+            .chain(head)
+            .min()
+            .map(|t| t.max(self.paused_until));
+        self.ledger.next_sweep().into_iter().chain(send).min()
+    }
+
+    /// Fills the window from the queue and decides what goes on the wire.
+    fn fill(&mut self, cfg: &LoadConfig, started: Instant, now: Instant) {
+        while self.ledger.in_flight() < cfg.depth {
+            // Replay pacing: hold the next request until its recorded
+            // due time. The queue keeps plan order, so the head gates
+            // everything behind it.
+            if let Some(due) = self.queue.front().and_then(|op| op.io.due_us) {
+                if now < started + Duration::from_micros(due) {
+                    break;
+                }
+            }
+            let Some(op) = self.queue.pop_front() else {
+                break;
+            };
+            let entry = self.ledger.submit(self.conn, op);
+            if cfg.batch > 1 {
+                self.pending_batch.push(entry);
+                self.batch_started.get_or_insert(now);
+                if self.pending_batch.len() >= cfg.batch.min(MAX_BATCH_ENTRIES as usize) {
+                    self.flush_batch();
+                }
+            } else {
+                self.wire.send(entry);
+            }
+        }
+        // A straggler batch flushes when no more work can join it or its
+        // deadline passes — partial frames must not wait forever.
+        let expired = self
+            .batch_started
+            .is_some_and(|t| now >= t + cfg.batch_deadline);
+        if expired || self.queue.is_empty() || self.ledger.in_flight() >= cfg.depth {
+            self.flush_batch();
         }
     }
 
-    /// A refusal that provably preceded admission (BUSY, WRONG_SHARD):
-    /// retry the op on the BUSY budget and back the whole link off so a
-    /// saturated server is not hammered. The back-off is the link's, not
-    /// the op's, and refusals add up: each one costs the link one
-    /// `busy_backoff` of not sending, which is what the retry budgets
-    /// are sized against.
-    fn refused(&mut self, cfg: &LoadConfig, tag: u64, fp: Option<u64>) {
-        if let Some(mut op) = self.resolve(tag, Outcome::Busy, fp) {
-            if op.busy_retries < cfg.max_busy_retries {
-                op.busy_retries += 1;
-                op.prior_tag = op.prior_tag.or(Some(tag));
-                self.queue.push_back(op);
-            } else {
-                self.report.busy_dropped += 1;
-            }
+    /// Queues the accumulated BATCH frame, if any.
+    fn flush_batch(&mut self) {
+        if self.pending_batch.is_empty() {
+            return;
         }
-        self.paused_until = self.paused_until.max(Instant::now()) + cfg.busy_backoff;
+        let entries = std::mem::take(&mut self.pending_batch);
+        self.batch_started = None;
+        self.ledger.report.batches_sent += 1;
+        self.wire.enqueue(&Request::Batch(entries));
     }
 
-    /// Dispatches one decoded (or undecodable) response frame.
-    fn handle_frame(&mut self, cfg: &LoadConfig, payload: &[u8], hist: &mut LatencyHistogram) {
-        let resp = match decode_response(payload) {
-            Ok(r) => r,
-            Err(_) => {
-                self.journal.undecodable_frames += 1;
-                self.report.protocol_errors += 1;
-                return;
-            }
-        };
-        if matches!(resp, Response::HelloAck { .. }) {
-            // A late or transport-duplicated handshake ack: harmless, and it
-            // must not count against the journal's receipt accounting.
-            return;
-        }
-        let fp = Some(fingerprint(payload));
-        let tag = resp.tag();
-
-        // A response for an already-resolved tag is a post-resolution
-        // receipt: a duplicated/late frame (same payload) or a conflicting
-        // one (different payload). Either way the tag stays resolved.
-        if let Some(&(rec, resolved_fp)) = self.resolved.get(&tag) {
-            if resolved_fp.is_some() && resolved_fp != fp {
-                self.journal.records[rec].conflicting_receipts += 1;
-            } else {
-                self.journal.records[rec].duplicate_receipts += 1;
-            }
-            return;
-        }
-        if !self.inflight.contains_key(&tag) {
-            self.journal.unknown_receipts += 1;
-            return;
-        }
-
-        match resp {
-            Response::Done { .. } => {
-                let sent = self.inflight.get(&tag).map(|(_, _, sent, _)| *sent);
-                if self.resolve(tag, Outcome::Done, fp).is_some() {
-                    self.report.completed += 1;
-                    if let Some(sent) = sent {
-                        hist.record(SimDuration::from_ns(sent.elapsed().as_nanos() as u64));
+    /// The closed loop's retry policy over what the ledger resolved.
+    fn apply(&mut self, cfg: &LoadConfig, settled: &mut Vec<Settled<Budgets>>) {
+        for (mut op, how) in settled.drain(..) {
+            match how {
+                How::Done => {}
+                // A refusal (WRONG_SHARD never fires against a single
+                // server): retry on the BUSY budget and back the whole
+                // link off so a saturated server is not hammered. The
+                // back-off is the link's, not the op's, and refusals add
+                // up: each costs the link one `busy_backoff` of not
+                // sending, which is what the retry budgets are sized on.
+                How::Busy(_) | How::WrongShard => {
+                    if op.policy.busy_retries < cfg.max_busy_retries {
+                        op.policy.busy_retries += 1;
+                        self.queue.push_back(op);
+                    } else {
+                        self.ledger.report.busy_dropped += 1;
                     }
+                    self.paused_until = self.paused_until.max(Instant::now()) + cfg.busy_backoff;
                 }
-            }
-            Response::Busy { reason, .. } => {
-                match reason {
-                    BusyReason::Queue => self.report.busy_queue += 1,
-                    BusyReason::RateLimit => self.report.busy_ratelimit += 1,
-                    // A migrating range is momentarily unavailable here; the
-                    // refusal semantics (never admitted, safe to retry) are
-                    // identical.
-                    BusyReason::Unavailable | BusyReason::Moving => {
-                        self.report.busy_unavailable += 1
-                    }
+                // A lost answer, a lost connection, a worker crash
+                // mid-flight: the I/O may have run.
+                How::TimedOut | How::ConnError | How::Error(ErrorCode::Internal)
+                    if op.reissuable(how) && op.policy.resends < cfg.max_resends =>
+                {
+                    op.policy.resends += 1;
+                    self.queue.push_back(op);
                 }
-                self.refused(cfg, tag, fp);
-            }
-            Response::Error { code, .. } => {
-                if let Some(op) = self.resolve(tag, Outcome::Error, fp) {
-                    match code {
-                        ErrorCode::Internal => {
-                            // Worker crash mid-flight: the I/O may have run.
-                            self.report.internal_errors += 1;
-                            self.requeue_or_fail(cfg, op, tag, true);
-                        }
-                        ErrorCode::BadRequest | ErrorCode::BadLength => {
-                            self.report.protocol_errors += 1;
-                            self.fail_op();
-                        }
-                        // ConnLimit never arrives tagged mid-stream (it is a
-                        // pre-HELLO refusal), but treat it as terminal too.
-                        ErrorCode::ShuttingDown | ErrorCode::ConnLimit => self.fail_op(),
-                    }
-                }
-            }
-            Response::WrongShard { .. } => {
-                // Cluster refusal: this node does not own the range. The
-                // plain client has no shard map to refetch (the cluster
-                // router layers that on top); against a single server
-                // this arm never fires.
-                self.report.wrong_shard += 1;
-                self.refused(cfg, tag, fp);
-            }
-            Response::Stats { .. }
-            | Response::Flushed { .. }
-            | Response::Goodbye { .. }
-            | Response::MapResp { .. }
-            | Response::Migrated { .. }
-            | Response::ReplAck { .. }
-            | Response::HelloAck { .. } => {
-                // Never solicited by the load loop (HelloAck returns early
-                // above); resolve the tag so it is not left dangling, but
-                // count the anomaly.
-                self.report.protocol_errors += 1;
-                if let Some(_op) = self.resolve(tag, Outcome::Error, fp) {
-                    self.fail_op();
-                }
+                // Out of road: account for it.
+                _ => self.ledger.report.failed += 1,
             }
         }
     }
@@ -1237,54 +1411,56 @@ fn drive_links(
     let mut poller = best_poller()?;
     let mut links: Vec<Link> = plans
         .into_iter()
-        .map(|(conn, plan)| Link::new(cfg, conn, plan))
+        .enumerate()
+        .map(|(token, (conn, plan))| Link::new(cfg, token, conn, plan))
         .collect();
     let mut hist = LatencyHistogram::new();
     let mut scratch = [0u8; 16 * 1024];
     let mut events = Vec::new();
+    let mut settled = Vec::new();
 
     // Open every link before the clock starts, so replay due-times and
     // first-request latencies do not include a sibling's handshake.
-    for (token, link) in links.iter_mut().enumerate() {
-        link.open(cfg, &mut *poller, token)?;
+    for link in links.iter_mut() {
+        link.ensure_up(cfg, &mut *poller)?;
     }
     let started = Instant::now();
 
     loop {
         let now = Instant::now();
-        let mut wake = now + POLL_TICK;
+        let mut due = None;
         let mut live = false;
-        for (token, link) in links.iter_mut().enumerate() {
+        for link in links.iter_mut() {
             if !link.finished() {
-                link.service(cfg, &mut *poller, token, started, now)?;
+                link.service(cfg, &mut *poller, started, now, &mut settled)?;
             }
             if link.finished() {
-                link.close(&mut *poller);
+                link.wire.close(&mut *poller);
                 continue;
             }
             live = true;
-            if let Some(due) = link.next_due(cfg, started) {
-                wake = wake.min(due);
-            }
+            due = due.into_iter().chain(link.next_due(cfg, started)).min();
         }
         if !live {
             break;
         }
 
-        events.clear();
-        let timeout = wake.saturating_duration_since(Instant::now());
-        poller.wait(&mut events, Some(timeout))?;
+        wait_for_work(&mut *poller, &mut events, due)?;
         for ev in &events {
             let link = &mut links[ev.token];
-            let mut alive = true;
-            if ev.readable || ev.error {
-                alive = link.on_readable(cfg, &mut scratch, &mut hist);
-            }
-            if alive && ev.writable {
-                alive = link.flush(&mut *poller, ev.token).is_ok();
-            }
-            if !alive {
-                link.lose(cfg, &mut *poller);
+            let (conn, poller) = (link.conn, &mut *poller);
+            if (link.ledger).on_event(
+                conn,
+                &mut link.wire,
+                poller,
+                ev,
+                &mut scratch,
+                &mut hist,
+                &mut settled,
+            ) {
+                link.apply(cfg, &mut settled);
+            } else {
+                link.lost(cfg, &mut settled);
             }
         }
     }
@@ -1292,8 +1468,8 @@ fn drive_links(
     let mut report = LoadReport::default();
     let mut journal = Journal::default();
     for link in links {
-        report.merge(&link.report);
-        journal.merge(link.journal);
+        report.merge(&link.ledger.report);
+        journal.merge(link.ledger.journal);
     }
     Ok((report, hist, journal))
 }
@@ -1303,7 +1479,7 @@ fn drive_links(
 /// of resetting it, so a flapping endpoint — connect, serve one
 /// request, die, repeat — keeps paying near-full backoff rather than
 /// restarting from the base delay and hammering the node. Held per
-/// link by the engine and per endpoint by the cluster router.
+/// [`Wire`].
 #[derive(Debug, Clone, Default)]
 pub struct ReconnectBackoff {
     strikes: u32,

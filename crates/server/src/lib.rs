@@ -16,8 +16,8 @@
 //! - [`event_loop`] — the readiness-based single-thread server core:
 //!   accept, framing, and the one request dispatch;
 //! - [`client`] — the load generator: one readiness-driven connection
-//!   engine under the closed loop, replay and the many-connection
-//!   grouping, and its JSON report;
+//!   engine (transport and request ledger) under the closed loop, replay,
+//!   the many-connection grouping and the cluster router;
 //! - [`mux`] — the import path of that grouping's entry point;
 //! - [`recorder`] — live trace capture of every admitted request;
 //! - [`replay`] — driving a captured trace back through a live server.

@@ -5,7 +5,7 @@
 #
 # Steps: formatting, release build, test suite (default features plus the
 # gated proptest suites), the benchmark package's build plus its bit-true
-# decode and single-node serving workloads at smoke size, a determinism
+# decode, single-node and routed serving workloads at smoke size, a determinism
 # check that --threads does not change a single CSV byte, a trace
 # gate that replays a quick figure run through the invariant checker,
 # the lifetime-sweep smoke (learned-threshold retry activity against its
@@ -75,7 +75,7 @@ cargo test -q -p rif-cluster --features proptest --test proptest_map
 # break there makes the benchmark driver exit 101 with no result line,
 # and nothing above builds it. Then the decode kernel end to end on the
 # paper code: every successful decode must equal what was programmed.
-echo "==> rif-perf builds; ecc_bit_true and serve_node --quick are correct"
+echo "==> rif-perf builds; ecc_bit_true, serve_node and serve_cluster --quick are correct"
 cargo build --release --offline --manifest-path perf/Cargo.toml
 cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
     run --workload ecc_bit_true --quick > "$tmpdir/ecc_bit_true.txt"
@@ -87,6 +87,12 @@ cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
     run --workload serve_node --quick > "$tmpdir/serve_node.txt"
 tail -n 1 "$tmpdir/serve_node.txt"
 grep -q '"correct":true' "$tmpdir/serve_node.txt"
+# serve_cluster is the only thing in CI that runs rif-perf's routed
+# workload (run_routed over a directory and two RF=2 nodes).
+cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
+    run --workload serve_cluster --quick > "$tmpdir/serve_cluster.txt"
+tail -n 1 "$tmpdir/serve_cluster.txt"
+grep -q '"correct":true' "$tmpdir/serve_cluster.txt"
 
 echo "==> thread-count determinism (fig10, --threads 1 vs 8)"
 cargo run -q --release -p rif-bench --bin fig10_syndrome_correlation -- \
@@ -370,9 +376,12 @@ node_b_pid=""
 
 # Cluster chaos gate: kill one node mid-load, rebalance its ranges onto
 # the survivor — the strict contract checker must still pass and the
-# directory must really have moved ranges.
+# directory must really have moved ranges. Like the two gates below it
+# is sized so the fault-free load lasts twice the last scheduled fault
+# instant at the release router's measured speed: here 150k rps
+# unproxied against the rebalance at 250 ms.
 echo "==> cluster chaos gate (kill + rebalance, contract checker)"
-timeout 300 "$CHAOS" cluster --requests 20000 --seed 3 > "$tmpdir/cluster_chaos.json"
+timeout 300 "$CHAOS" cluster --requests 80000 --seed 3 > "$tmpdir/cluster_chaos.json"
 cat "$tmpdir/cluster_chaos.json"
 grep -q '"verdict":"PASS"' "$tmpdir/cluster_chaos.json"
 if grep -q '"ranges_moved":0' "$tmpdir/cluster_chaos.json"; then
@@ -392,9 +401,10 @@ fi
 # The binary exits non-zero unless the strict contract checker passes
 # AND no replicated-range read chain failed, so its exit code is the
 # gate; the greps pin the fault schedule actually fired and the
-# restarted directory restored the map byte-identically.
+# restarted directory restored the map byte-identically. (48k rps
+# through three proxied nodes against the partition healing at 370 ms.)
 echo "==> replication gate (RF=2, kill primary + one-way partition)"
-timeout 300 "$CHAOS" cluster --requests 20000 --nodes 3 --replicas 2 \
+timeout 300 "$CHAOS" cluster --requests 40000 --nodes 3 --replicas 2 \
     --seed 11 --deadline-ms 300 --kill-after-ms 150 \
     --rebalance-after-ms 100 --dir-restart-ms 350 \
     --plan "seed=9,part=2:up@120+250" > "$tmpdir/repl_gate.json"
@@ -415,9 +425,10 @@ fi
 # Multi-kill chaos gate: four RF=2 nodes behind the fault proxy, two
 # seeded node kills (150ms and 450ms) plus a one-way partition window —
 # the two survivors must keep every range at full replication, so the
-# same zero-failed-replicated-reads bar applies.
+# same zero-failed-replicated-reads bar applies. (52k rps through four
+# proxied nodes against the second rebalance at 550 ms.)
 echo "==> multi-kill chaos gate (4 nodes, 2 seeded kills + partition)"
-timeout 300 "$CHAOS" cluster --requests 12000 --nodes 4 --replicas 2 \
+timeout 300 "$CHAOS" cluster --requests 60000 --nodes 4 --replicas 2 \
     --seed 11 --deadline-ms 300 --rebalance-after-ms 100 \
     --plan "seed=9,part=1:up@120+250,nodekill=1@150,nodekill=3@450" \
     > "$tmpdir/multikill_gate.json"
