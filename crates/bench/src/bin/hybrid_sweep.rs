@@ -9,22 +9,16 @@
 //! SLC→QLC migrations and refresh rewrites contend with the same
 //! foreground reads.
 //!
-//! Outputs: the table on stdout and in `results/hybrid_sweep.txt`, plus
-//! machine-readable `BENCH_hybrid.json` with per-cell latencies and
-//! RiF's relative win per device config. Exits non-zero unless the win
-//! under QLC+background is strictly larger than under TLC-only — the
-//! acceptance gate CI runs in `--quick` mode.
+//! Prints the table and RiF's relative win per device config on stdout
+//! (`results/hybrid_sweep.txt` is a redirect of the full-size run) and
+//! writes no file. Exits non-zero unless the win under QLC+background is
+//! strictly larger than under TLC-only — the acceptance gate CI runs in
+//! `--quick` mode.
 
 use rif_bench::{geomean, run_observed, HarnessOpts};
-use rif_ssd::hybrid::{HybridConfig, MigrationPolicy};
-use rif_ssd::{RetryKind, SimReport, SsdConfig};
+use rif_ssd::hybrid::{CellMode, HybridConfig, MigrationPolicy};
+use rif_ssd::{RetryKind, SsdConfig};
 use rif_workloads::{SynthConfig, Trace};
-
-const OUT_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hybrid.json");
-const OUT_TXT: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../results/hybrid_sweep.txt"
-);
 
 const PE: u32 = 1500;
 
@@ -42,7 +36,13 @@ const BASELINES: [RetryKind; 4] = [
 
 fn device(mode: &str, bg: bool) -> Option<HybridConfig> {
     let mut h = match mode {
-        "tlc" => return None,
+        "tlc" if !bg => return None,
+        // TLC with background traffic: no cache, so no migrations, but
+        // the scheduler's refresh rewrites run.
+        "tlc" => HybridConfig {
+            capacity_mode: CellMode::Tlc,
+            ..HybridConfig::qlc()
+        },
         "qlc" => HybridConfig::qlc(),
         "hybrid" => HybridConfig::slc_qlc(),
         other => panic!("unknown mode {other}"),
@@ -89,30 +89,16 @@ fn main() {
     let opts = HarnessOpts::parse();
     let n = opts.pick(1500, 250);
 
-    let mut table = String::new();
-    let mut cells = Vec::new();
-    let line = |t: &mut String, s: String| {
-        println!("{s}");
-        t.push_str(&s);
-        t.push('\n');
-    };
-
-    line(
-        &mut table,
-        format!("== Hybrid sweep: mean read latency (µs) at {PE} P/E, {n} requests =="),
-    );
-    line(
-        &mut table,
-        format!(
-            "{:>8} {:>6} | {}",
-            "device",
-            "bg",
-            RetryKind::ALL
-                .iter()
-                .map(|r| format!("{:>9}", r.label()))
-                .collect::<Vec<_>>()
-                .join(" ")
-        ),
+    println!("== Hybrid sweep: mean read latency (µs) at {PE} P/E, {n} requests ==");
+    println!(
+        "{:>8} {:>6} | {}",
+        "device",
+        "bg",
+        RetryKind::ALL
+            .iter()
+            .map(|r| format!("{:>9}", r.label()))
+            .collect::<Vec<_>>()
+            .join(" ")
     );
 
     // win[mode][bg] = geomean over baselines of baseline/RiF mean latency.
@@ -130,18 +116,8 @@ fn main() {
                     if bg { "bgon" } else { "bgoff" },
                     retry.label()
                 );
-                let report: SimReport = run_observed(&opts, &label, cfg, &trace);
-                let mean_us = report.read_latency.mean().as_ns() as f64 / 1e3;
-                let bg_ops = report.hybrid.map_or(0, |h| h.bg_ops);
-                cells.push(format!(
-                    "    {{\"device\": \"{mode}\", \"bg\": {bg}, \"scheme\": \"{}\", \
-                     \"mean_read_us\": {mean_us:.3}, \"decode_failures\": {}, \
-                     \"in_die_retries\": {}, \"bg_ops\": {bg_ops}}}",
-                    retry.label(),
-                    report.decode_failures,
-                    report.in_die_retries,
-                ));
-                means.push((retry, mean_us));
+                let report = run_observed(&opts, &label, cfg, &trace);
+                means.push((retry, report.read_latency.mean().as_ns() as f64 / 1e3));
             }
             let rif = means
                 .iter()
@@ -156,62 +132,34 @@ fn main() {
                 format!("{mode}_{}", if bg { "on" } else { "off" }),
                 geomean(&ratios),
             ));
-            line(
-                &mut table,
-                format!(
-                    "{:>8} {:>6} | {}",
-                    mode,
-                    if bg { "on" } else { "off" },
-                    means
-                        .iter()
-                        .map(|(_, us)| format!("{us:>9.1}"))
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                ),
+            println!(
+                "{:>8} {:>6} | {}",
+                mode,
+                if bg { "on" } else { "off" },
+                means
+                    .iter()
+                    .map(|(_, us)| format!("{us:>9.1}"))
+                    .collect::<Vec<_>>()
+                    .join(" ")
             );
         }
     }
 
-    line(&mut table, String::new());
-    line(
-        &mut table,
-        "RiF win (geomean of baseline/RiF mean latency over SENC, SWR, SWR+, RPSSD):".into(),
-    );
+    println!();
+    println!("RiF win (geomean of baseline/RiF mean latency over SENC, SWR, SWR+, RPSSD):");
     for (key, w) in &wins {
-        line(&mut table, format!("  {key:>10}: {w:.3}x"));
+        println!("  {key:>10}: {w:.3}x");
     }
 
     let win_of = |key: &str| wins.iter().find(|(k, _)| k == key).expect("win key").1;
     let tlc_off = win_of("tlc_off");
     let qlc_on = win_of("qlc_on");
-    let hybrid_on = win_of("hybrid_on");
     let widens = qlc_on > tlc_off;
-    line(
-        &mut table,
-        format!(
-            "\nRiF's relative win under QLC+background ({qlc_on:.3}x) vs TLC-only \
-             ({tlc_off:.3}x): {}",
-            if widens { "WIDENS" } else { "DOES NOT WIDEN" }
-        ),
+    println!(
+        "\nRiF's relative win under QLC+background ({qlc_on:.3}x) vs TLC-only \
+         ({tlc_off:.3}x): {}",
+        if widens { "WIDENS" } else { "DOES NOT WIDEN" }
     );
-
-    let win_json: Vec<String> = wins
-        .iter()
-        .map(|(k, w)| format!("    \"{k}\": {w:.4}"))
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"hybrid_sweep\",\n  \"pe_cycles\": {PE},\n  \"requests\": {n},\n  \
-         \"cells\": [\n{}\n  ],\n  \"rif_win\": {{\n{}\n  }},\n  \
-         \"win_widens\": {widens},\n  \"hybrid_on_win\": {hybrid_on:.4}\n}}\n",
-        cells.join(",\n"),
-        win_json.join(",\n")
-    );
-    for (path, contents) in [(OUT_JSON, &json), (OUT_TXT, &table)] {
-        match std::fs::write(path, contents) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("warning: could not write {path}: {e}"),
-        }
-    }
 
     if !widens {
         eprintln!(

@@ -103,7 +103,8 @@ pub struct SsdConfig {
     pub forced_failure_slots: Option<Vec<u64>>,
     /// Hybrid SLC/QLC subsystem (DESIGN §14): cell-mode regions, SLC→QLC
     /// migration, and background GC/refresh traffic. `None` (the default)
-    /// keeps the pure-TLC device, byte-identical to earlier versions.
+    /// is the pure-TLC device: the same FTL with no cache region, no
+    /// RBER amplification and no background scheduler.
     pub hybrid: Option<HybridConfig>,
 }
 

@@ -18,8 +18,11 @@
 //! | `RPSSD`   | RP at the controller: early-terminates hopeless decodes |
 //! | `RiFSSD`  | the proposed scheme: on-die RP + RVS |
 //!
-//! Modules: [`config`] (Table I parameters), [`ftl`] (slot-granular page
-//! mapping, write allocation, greedy GC), [`retention`] (per-slot data
+//! Modules: [`config`] (Table I parameters), [`ftl`] (the one
+//! slot-granular page mapping: write allocation, greedy GC and an
+//! optional SLC cache region), [`hybrid`] (cell modes, RBER amplification
+//! and the background-scheduler knobs that region is driven by),
+//! [`retention`] (per-slot data
 //! ages driving retry frequency), [`retry`] (scheme behaviours),
 //! [`report`] (bandwidth/latency/channel-usage results), [`simulator`]
 //! (the event engine), and [`timeline`] (the 256-KiB worked example of
@@ -37,7 +40,7 @@ pub mod timeline;
 pub mod tracecheck;
 
 pub use config::{LearningMode, SsdConfig};
-pub use hybrid::{BgConfig, BgKind, CellMode, HybridConfig, HybridFtl, MigrationPolicy};
+pub use hybrid::{BgConfig, BgKind, CellMode, HybridConfig, MigrationPolicy};
 pub use report::{ChannelUsage, HybridSummary, LearnerSummary, SimReport};
 pub use retry::RetryKind;
 pub use rif_flash::learn::{DriftClock, LearnerConfig, LearnerState, LearnerStateError};

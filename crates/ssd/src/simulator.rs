@@ -21,6 +21,7 @@ use std::collections::VecDeque;
 
 use rif_events::trace::{labeled, MetricsRegistry, TraceSink, Tracer};
 use rif_events::{EventQueue, LatencyHistogram, SimDuration, SimRng, SimTime, UtilizationTracker};
+use rif_flash::chip::FlashTiming;
 use rif_flash::geometry::PageKind;
 use rif_flash::learn::{ReadOutcome, ThresholdLearner};
 use rif_flash::rber::BlockProfile;
@@ -29,10 +30,9 @@ use rif_flash::vth::OperatingPoint;
 use rif_workloads::{IoOp, IoRequest, Trace};
 
 use crate::config::SsdConfig;
-use crate::ftl::{Ftl, SlotLocation};
+use crate::ftl::{Ftl, GcWork, SlotLocation};
 use crate::hybrid::{
-    AmpTable, BgKind, HybridConfig, HybridFtl, MigrationPolicy, AMPLIFIED_RBER_CAP,
-    AMPLIFIED_RBER_FLOOR,
+    AmpTable, BgKind, HybridConfig, MigrationPolicy, AMPLIFIED_RBER_CAP, AMPLIFIED_RBER_FLOOR,
 };
 use crate::refresh::RefreshPolicy;
 use crate::report::{ChannelUsage, HybridSummary, LearnerSummary, SimReport};
@@ -242,11 +242,18 @@ enum HostJob {
     WriteIngress { req: usize },
 }
 
-/// Live state of the hybrid subsystem (DESIGN §14): the hybrid FTL, the
-/// precomputed cell-mode RBER amplification table, and the background
-/// scheduler's bookkeeping.
+/// Die time of a garbage collection: one copyback per relocated slot
+/// plus the block erase.
+fn gc_duration(t: &FlashTiming, work: &Option<GcWork>) -> SimDuration {
+    work.as_ref().map_or(SimDuration::ZERO, |w| {
+        (t.t_r + t.t_prog) * w.relocated as u64 + t.t_bers
+    })
+}
+
+/// Live state of the hybrid subsystem (DESIGN §14): the precomputed
+/// cell-mode RBER amplification table and the background scheduler's
+/// bookkeeping. The mapping itself is always `Simulator::ftl`.
 struct HybridState {
-    ftl: HybridFtl,
     amp: AmpTable,
     conf: HybridConfig,
     /// Whether a `BgTick` event is pending in the queue.
@@ -277,9 +284,11 @@ pub struct Simulator {
     cfg: SsdConfig,
     rng: SimRng,
     events: EventQueue<Ev>,
+    /// The one mapping layer; it has an SLC cache region only when the
+    /// hybrid configuration asks for one.
     ftl: Ftl,
-    /// Hybrid SLC/QLC subsystem; `None` keeps the pure-TLC device and
-    /// `self.ftl` authoritative.
+    /// Hybrid SLC/QLC subsystem: cell-mode amplification and the
+    /// background scheduler. `None` is the pure-TLC device.
     hybrid: Option<HybridState>,
     retention: RetentionTracker,
     dies: Vec<Die>,
@@ -342,8 +351,8 @@ impl Simulator {
         let swift = learner
             .as_ref()
             .map(|_| SwiftRead::new(cfg.error_model.tlc().clone()));
+        let cache_fraction = cfg.hybrid.as_ref().map_or(0.0, |h| h.cache_fraction);
         let hybrid = cfg.hybrid.clone().map(|conf| HybridState {
-            ftl: HybridFtl::new(cfg.geometry, conf.cache_fraction),
             // The table covers ages up to twice the refresh horizon;
             // clamped lookups handle deeper drift.
             amp: AmpTable::build(cfg.pe_cycles, cfg.refresh_days * 2.0),
@@ -357,7 +366,7 @@ impl Simulator {
         });
         Simulator {
             rng: SimRng::seed_from(cfg.seed),
-            ftl: Ftl::new(cfg.geometry),
+            ftl: Ftl::with_cache(cfg.geometry, cache_fraction),
             hybrid,
             learner,
             swift,
@@ -655,10 +664,7 @@ impl Simulator {
             in_die_retries: self.in_die_retries,
             uncor_page_transfers: self.uncor_page_transfers,
             page_senses: self.page_senses,
-            gc_relocations: match &self.hybrid {
-                Some(h) => h.ftl.relocations(),
-                None => self.ftl.relocations(),
-            },
+            gc_relocations: self.ftl.relocations(),
             hybrid: hybrid_summary,
         }
     }
@@ -669,7 +675,7 @@ impl Simulator {
     /// in flight.
     pub fn bg_summary(&self) -> Option<HybridSummary> {
         self.hybrid.as_ref().map(|h| HybridSummary {
-            cache_occupancy: h.ftl.cache_occupancy(),
+            cache_occupancy: self.ftl.cache_occupancy(),
             migrated_slots: h.migrated_slots,
             forced_evictions: h.forced_evictions,
             refreshed_slots: h.refreshed_slots,
@@ -755,25 +761,9 @@ impl Simulator {
         }
     }
 
-    /// Resolves a read mapping through the active FTL.
-    fn ftl_locate_read(&mut self, slot: u64) -> SlotLocation {
-        match self.hybrid.as_mut() {
-            Some(h) => h.ftl.locate_read(slot),
-            None => self.ftl.locate_read(slot),
-        }
-    }
-
-    /// Bumps the read-disturb counter through the active FTL.
-    fn ftl_note_read(&mut self, loc: SlotLocation) -> u64 {
-        match self.hybrid.as_mut() {
-            Some(h) => h.ftl.note_read(loc),
-            None => self.ftl.note_read(loc),
-        }
-    }
-
     fn new_read_group(&mut self, now: SimTime, req: usize, slot: u64, n_pages: usize) -> usize {
-        let loc = self.ftl_locate_read(slot);
-        let reads = self.ftl_note_read(loc);
+        let loc = self.ftl.locate_read(slot);
+        let reads = self.ftl.note_read(loc);
         let age = self.retention.age_days(slot, now);
         let mut op = OperatingPoint {
             pe_cycles: self.cfg.pe_cycles,
@@ -794,9 +784,10 @@ impl Simulator {
         // cell mode's amplification factor: SLC-cache reads are
         // effectively error-free, QLC capacity reads far noisier.
         let amp = match self.hybrid.as_ref() {
-            Some(h) => h
-                .amp
-                .factor(h.ftl.mode_of(loc, h.conf.capacity_mode), op.retention_days),
+            Some(h) => h.amp.factor(
+                self.ftl.mode_of(loc, h.conf.capacity_mode),
+                op.retention_days,
+            ),
             None => 1.0,
         };
         let amplify = |r: f64| (r * amp).clamp(AMPLIFIED_RBER_FLOOR, AMPLIFIED_RBER_CAP);
@@ -1078,6 +1069,17 @@ impl Simulator {
         let epoch = d.epoch;
         self.events
             .schedule(now + duration, Ev::DieDone(die, epoch));
+    }
+
+    /// Queues background work on `die` and starts it if the die is idle.
+    fn push_bg(&mut self, now: SimTime, die: usize, kind: BgKind, duration: SimDuration) {
+        self.dies[die].queue.push_back(DieCmd::Bg {
+            kind,
+            duration,
+            suspensions: 0,
+        });
+        self.note_die_queue(now, die);
+        self.die_try_start(now, die);
     }
 
     /// Queues a read sense, preempting an in-flight program/erase when
@@ -1564,52 +1566,36 @@ impl Simulator {
         let t = self.cfg.timing;
         for (slot, pages) in slots {
             self.retention.record_write(slot, now);
-            let gc_of = |w: Option<crate::ftl::GcWork>| {
-                w.map(|w| (t.t_r + t.t_prog) * w.relocated as u64 + t.t_bers)
-                    .unwrap_or(SimDuration::ZERO)
-            };
-            let (loc, gc_duration) = match self.hybrid.take() {
-                Some(mut h) => {
-                    let out = h.ftl.write(slot);
-                    // Cache-overflow evictions become immediate migrate
-                    // work on their dies, ahead of this write's program.
-                    let forced = out.evicted.len() as u64;
-                    for w in out.evicted {
-                        self.retention.record_write(w.slot, now);
-                        let dur = t.t_r + t.t_prog + gc_of(w.gc);
-                        self.dies[w.die_linear].queue.push_back(DieCmd::Bg {
-                            kind: BgKind::Migrate,
-                            duration: dur,
-                            suspensions: 0,
-                        });
-                        self.note_die_queue(now, w.die_linear);
-                        self.die_try_start(now, w.die_linear);
-                    }
-                    h.forced_evictions += forced;
-                    h.migrated_slots += forced;
-                    h.bg_ops += forced;
-                    self.hybrid = Some(h);
-                    if forced > 0 && self.observing() {
-                        self.count(now, "bg.forced_evictions", forced);
-                        self.count(now, "bg.migrated_slots", forced);
-                        self.count(now, "bg.ops", forced);
-                    }
-                    (out.loc, gc_of(out.gc))
+            let out = self.ftl.write(slot);
+            // Cache-overflow evictions (none on a device without a cache)
+            // become immediate migrate work on their dies, ahead of this
+            // write's program.
+            let forced = out.evicted.len() as u64;
+            for w in out.evicted {
+                self.retention.record_write(w.slot, now);
+                let dur = t.t_r + t.t_prog + gc_duration(&t, &w.gc);
+                self.push_bg(now, w.die_linear, BgKind::Migrate, dur);
+            }
+            if forced > 0 {
+                let h = self.hybrid.as_mut().expect("evictions imply a cache");
+                h.forced_evictions += forced;
+                h.migrated_slots += forced;
+                h.bg_ops += forced;
+                if self.observing() {
+                    self.count(now, "bg.forced_evictions", forced);
+                    self.count(now, "bg.migrated_slots", forced);
+                    self.count(now, "bg.ops", forced);
                 }
-                None => {
-                    let (loc, gc) = self.ftl.write(slot);
-                    (loc, gc_of(gc))
-                }
-            };
+            }
             let job = self.write_jobs.len();
             self.write_jobs.push(WriteJob {
                 req,
-                die_linear: loc.die_linear,
+                die_linear: out.loc.die_linear,
                 remaining_transfers: pages,
                 program_duration: t.t_prog,
-                gc_duration,
+                gc_duration: gc_duration(&t, &out.gc),
             });
-            let ch = loc.channel(&self.cfg.geometry);
+            let ch = out.loc.channel(&self.cfg.geometry);
             for _ in 0..pages {
                 self.channels[ch].queue.push_back(Transfer {
                     kind: XferKind::WritePage { job },
@@ -1632,11 +1618,6 @@ impl Simulator {
         };
         h.tick_armed = false;
         let t = self.cfg.timing;
-        let gc_of = |w: &Option<crate::ftl::GcWork>| {
-            w.as_ref()
-                .map(|w| (t.t_r + t.t_prog) * w.relocated as u64 + t.t_bers)
-                .unwrap_or(SimDuration::ZERO)
-        };
         let drift_secs = now.since(SimTime::ZERO).as_ns() as f64 / 1e9;
         let drift_days = if self.cfg.drift.enabled() {
             self.cfg.drift.extra_days(drift_secs)
@@ -1646,7 +1627,7 @@ impl Simulator {
 
         // --- SLC→QLC cache drain ---------------------------------------
         let mut migrated = 0u64;
-        if h.ftl.cache_occupancy() > h.conf.bg.high_watermark {
+        if self.ftl.cache_occupancy() > h.conf.bg.high_watermark {
             let allow = match h.conf.migration {
                 MigrationPolicy::Fifo => true,
                 MigrationPolicy::ReliabilityAware { dest_rber_margin } => {
@@ -1674,23 +1655,18 @@ impl Simulator {
                 }
             };
             if allow {
-                for slot in h.ftl.migration_candidates(h.conf.bg.migrate_batch) {
-                    if h.ftl.cache_occupancy() <= h.conf.bg.low_watermark {
+                for slot in self.ftl.migration_candidates(h.conf.bg.migrate_batch) {
+                    if self.ftl.cache_occupancy() <= h.conf.bg.low_watermark {
                         break;
                     }
-                    let Some(w) = h.ftl.migrate(slot) else {
+                    let Some(w) = self.ftl.migrate(slot) else {
                         continue;
                     };
                     // The copyback physically reprograms the data: its
                     // retention age restarts.
                     self.retention.record_write(slot, now);
-                    self.dies[w.die_linear].queue.push_back(DieCmd::Bg {
-                        kind: BgKind::Migrate,
-                        duration: t.t_r + t.t_prog + gc_of(&w.gc),
-                        suspensions: 0,
-                    });
-                    self.note_die_queue(now, w.die_linear);
-                    self.die_try_start(now, w.die_linear);
+                    let dur = t.t_r + t.t_prog + gc_duration(&t, &w.gc);
+                    self.push_bg(now, w.die_linear, BgKind::Migrate, dur);
                     migrated += 1;
                 }
             } else if self.observing() {
@@ -1700,13 +1676,13 @@ impl Simulator {
 
         // --- retention refresh ------------------------------------------
         let mut refreshed = 0u64;
-        if h.conf.bg.refresh_interval_days > 0.0 && !h.ftl.touched().is_empty() {
+        if h.conf.bg.refresh_interval_days > 0.0 && !self.ftl.touched().is_empty() {
             let policy = RefreshPolicy::new(h.conf.bg.refresh_interval_days);
-            let n = h.ftl.touched().len();
+            let n = self.ftl.touched().len();
             let batch = h.conf.bg.refresh_scan_batch.min(n);
             let window: Vec<(u64, f64)> = (0..batch)
                 .map(|k| {
-                    let slot = h.ftl.touched()[(h.refresh_cursor + k) % n];
+                    let slot = self.ftl.touched()[(h.refresh_cursor + k) % n];
                     (slot, self.retention.age_days(slot, now) + drift_days)
                 })
                 .collect();
@@ -1715,14 +1691,8 @@ impl Simulator {
                 // The rewrite resets the slot's age in place; the die
                 // pays a read + program.
                 self.retention.record_write(slot, now);
-                let loc = h.ftl.locate_read(slot);
-                self.dies[loc.die_linear].queue.push_back(DieCmd::Bg {
-                    kind: BgKind::Refresh,
-                    duration: t.t_r + t.t_prog,
-                    suspensions: 0,
-                });
-                self.note_die_queue(now, loc.die_linear);
-                self.die_try_start(now, loc.die_linear);
+                let loc = self.ftl.locate_read(slot);
+                self.push_bg(now, loc.die_linear, BgKind::Refresh, t.t_r + t.t_prog);
                 refreshed += 1;
             }
         }

@@ -3,9 +3,10 @@
 #
 #   scripts/ci.sh
 #
-# Steps: formatting, release build, test suite (default features plus the
-# gated proptest suites), the benchmark package's build plus its bit-true
-# decode, single-node and routed serving workloads at smoke size, a determinism
+# Steps: formatting, release build, test suite (the property suites are
+# plain integration tests and run with it), the benchmark package's
+# build plus its bit-true decode, single-node and routed serving
+# workloads at smoke size, a determinism
 # check that --threads does not change a single CSV byte, a trace
 # gate that replays a quick figure run through the invariant checker,
 # the lifetime-sweep smoke (learned-threshold retry activity against its
@@ -24,7 +25,8 @@
 # one-way-partition a second node mid-load — contract PASS, zero failed
 # reads on replicated ranges, byte-identical directory restart), and the
 # multi-kill chaos gate (two seeded node kills plus a partition through
-# the fault proxy on a four-node cluster, same bar).
+# the fault proxy on a four-node cluster, same bar). Last, a work-tree
+# guard: no step may have rewritten a tracked file.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -53,6 +55,22 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Work-tree guard, first half: no step below may rewrite a tracked file
+# (a binary that regenerates a checked-in artifact at smoke size makes
+# the artifact contradict the docs that quote it). The state is taken
+# again at the end and compared, so uncommitted edits made before the
+# run are fine.
+tree_state() {
+    git diff --name-only | while IFS= read -r f; do
+        if [ -f "$f" ]; then cksum "$f"; else echo "deleted $f"; fi
+    done
+}
+in_git=false
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    in_git=true
+    tree_state > "$tmpdir/tree_before.txt"
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -64,12 +82,6 @@ cargo test -q
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
-
-echo "==> cargo test -q --features proptest (vendored shim)"
-cargo test -q -p rif --features proptest --test proptest_invariants --test proptest_parser \
-    --test proptest_capture --test proptest_hybrid --test learner_convergence
-cargo test -q -p rif-server --features proptest --test proptest_frames
-cargo test -q -p rif-cluster --features proptest --test proptest_map
 
 # perf/ is its own workspace compiled against crates/* by path: an API
 # break there makes the benchmark driver exit 101 with no result line,
@@ -439,6 +451,15 @@ grep -q '"failed_replicated_reads":0,' "$tmpdir/multikill_gate.json"
 if grep -q '"partitions_fired":0,' "$tmpdir/multikill_gate.json"; then
     echo "partition window never fired"
     exit 1
+fi
+
+if $in_git; then
+    echo "==> work-tree guard (no step rewrote a tracked file)"
+    tree_state > "$tmpdir/tree_after.txt"
+    if ! diff "$tmpdir/tree_before.txt" "$tmpdir/tree_after.txt"; then
+        echo "a CI step modified the tracked files above (checksum size path)"
+        exit 1
+    fi
 fi
 
 echo "==> ci.sh: all green"

@@ -1,12 +1,13 @@
-//! Property-based tests over the hybrid SLC/QLC FTL's migration
-//! invariants (DESIGN §14): across arbitrary interleavings of writes,
+//! Property-based tests over the FTL's allocation, GC and SLC-cache
+//! migration invariants (DESIGN §14), at cache fractions from none to
+//! half the write region: across arbitrary interleavings of writes,
 //! migrations and the GC they trigger, no slot is ever lost or
 //! duplicated, the mapping stays total, and the cache never exceeds its
 //! configured capacity.
 
 use proptest::prelude::*;
 use rif::flash::FlashGeometry;
-use rif::ssd::hybrid::HybridFtl;
+use rif::ssd::ftl::Ftl;
 
 /// A geometry small enough that random workloads exercise GC, forced
 /// evictions and SLC block reclamation within a few hundred operations,
@@ -45,7 +46,7 @@ fn decode_op((kind, payload): (u64, u64), slots: u64) -> HybridOp {
     }
 }
 
-fn apply(ftl: &mut HybridFtl, op: HybridOp) {
+fn apply(ftl: &mut Ftl, op: HybridOp) {
     match op {
         HybridOp::Write(s) => {
             ftl.write(s);
@@ -76,7 +77,7 @@ proptest! {
         frac_tenths in 0u32..6,
         raw_ops in prop::collection::vec((0u64..9, any::<u64>()), 1..300),
     ) {
-        let mut ftl = HybridFtl::new(tiny_geometry(), f64::from(frac_tenths) / 10.0);
+        let mut ftl = Ftl::with_cache(tiny_geometry(), f64::from(frac_tenths) / 10.0);
         for (i, &raw) in raw_ops.iter().enumerate() {
             let op = decode_op(raw, 20);
             apply(&mut ftl, op);
@@ -94,7 +95,7 @@ proptest! {
         frac_tenths in 0u32..6,
         raw_ops in prop::collection::vec((0u64..9, any::<u64>()), 1..250),
     ) {
-        let mut ftl = HybridFtl::new(tiny_geometry(), f64::from(frac_tenths) / 10.0);
+        let mut ftl = Ftl::with_cache(tiny_geometry(), f64::from(frac_tenths) / 10.0);
         let mut touched = std::collections::BTreeSet::new();
         for &raw in &raw_ops {
             let op = decode_op(raw, 16);
@@ -121,7 +122,7 @@ proptest! {
         frac_tenths in 0u32..6,
         writes in prop::collection::vec(0u64..24, 1..400),
     ) {
-        let mut ftl = HybridFtl::new(tiny_geometry(), f64::from(frac_tenths) / 10.0);
+        let mut ftl = Ftl::with_cache(tiny_geometry(), f64::from(frac_tenths) / 10.0);
         for &s in &writes {
             ftl.write(s);
             prop_assert!(ftl.cached_slots() <= ftl.cache_capacity_slots());
@@ -138,7 +139,7 @@ proptest! {
     fn full_drain_empties_cache_and_preserves_mappings(
         writes in prop::collection::vec(0u64..24, 1..150),
     ) {
-        let mut ftl = HybridFtl::new(tiny_geometry(), 0.5);
+        let mut ftl = Ftl::with_cache(tiny_geometry(), 0.5);
         for &s in &writes {
             ftl.write(s);
         }

@@ -175,7 +175,7 @@ proptest! {
         let mut last_write = std::collections::HashMap::new();
         for (is_write, slot) in ops {
             if is_write {
-                let (loc, _) = ftl.write(slot);
+                let loc = ftl.write(slot).loc;
                 last_write.insert(slot, loc);
             } else {
                 let loc = ftl.locate_read(slot);

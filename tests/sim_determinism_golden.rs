@@ -8,8 +8,8 @@ use rif_events::parallel_trials;
 use rif_events::trace::{JsonlSink, SharedBuf};
 use rif_events::{SimDuration, SimTime};
 use rif_ssd::{
-    DriftClock, HybridConfig, LearnerConfig, LearningMode, MigrationPolicy, RetryKind, Simulator,
-    SsdConfig,
+    BgConfig, CellMode, DriftClock, HybridConfig, LearnerConfig, LearningMode, MigrationPolicy,
+    RetryKind, Simulator, SsdConfig,
 };
 use rif_workloads::{SynthConfig, Trace};
 
@@ -316,4 +316,49 @@ fn report_json_is_byte_stable_for_a_fixed_run() {
     // checks above cannot pass vacuously.
     let (c_json, _) = golden_run(RetryKind::Rif, 8);
     assert_ne!(a_json, c_json);
+}
+
+/// `SsdConfig.hybrid` selects cell modes and the background scheduler,
+/// never a mapping layer: a hybrid device with nothing to select — TLC
+/// capacity, no cache, refresh off, no read-over-background priority —
+/// reports exactly what the plain device does on a half-write trace.
+#[test]
+fn inert_hybrid_config_reports_what_the_plain_device_does() {
+    let inert = HybridConfig {
+        cache_fraction: 0.0,
+        capacity_mode: CellMode::Tlc,
+        migration: MigrationPolicy::Fifo,
+        bg: BgConfig {
+            refresh_interval_days: 0.0,
+            fg_priority: false,
+            ..BgConfig::default()
+        },
+    };
+    for retry in [
+        RetryKind::Sentinel,
+        RetryKind::SwiftReadPlus,
+        RetryKind::Rif,
+    ] {
+        for seed in [31u64, 32] {
+            let trace = SynthConfig {
+                read_ratio: 0.5,
+                cold_read_ratio: 0.5,
+                ..SynthConfig::default()
+            }
+            .generate(200, seed);
+            let mut cfg = SsdConfig::small(retry, 2000);
+            cfg.queue_depth = 16;
+            cfg.seed = seed;
+            let plain = Simulator::new(cfg.clone()).run(&trace);
+            cfg.hybrid = Some(inert.clone());
+            let mut hybrid = Simulator::new(cfg).run(&trace);
+            let summary = hybrid.hybrid.take().expect("hybrid run summarizes");
+            assert_eq!(summary.migrated_slots + summary.refreshed_slots, 0);
+            assert_eq!(
+                format!("{hybrid:?}"),
+                format!("{plain:?}"),
+                "{retry} seed {seed}: the hybrid option changed the device"
+            );
+        }
+    }
 }
