@@ -6,11 +6,14 @@
 //! accuracy. This sweep quantifies the trade-off on the boundary width
 //! and on end-to-end RiFSSD bandwidth.
 
-use rif_bench::{saturating_trace, HarnessOpts, TableWriter};
+use std::io::{self, Write};
+use std::process::ExitCode;
+
+use crate::{run_observed, saturating_trace, HarnessOpts, TableWriter};
 use rif_events::SimDuration;
 use rif_odear::rp::ReadRetryPredictor;
 use rif_odear::RpBehavior;
-use rif_ssd::{RetryKind, Simulator, SsdConfig};
+use rif_ssd::{RetryKind, SsdConfig};
 use rif_workloads::WorkloadProfile;
 
 /// RBER where the retry probability crosses `target`.
@@ -27,21 +30,23 @@ fn crossing(rp: &RpBehavior, target: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-fn main() {
-    let opts = HarnessOpts::parse();
+pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let wl = WorkloadProfile::by_name("Ali124").expect("table workload");
     let trace = saturating_trace(&wl, opts.pick(4_000, 500), opts.seed);
 
     let t = TableWriter::new(opts.csv, &[10, 10, 8, 12, 12, 10]);
-    t.heading("Ablation: RP chunk size (RiFSSD @ 1K P/E, Ali124)");
-    t.row(&[
-        "chunk_kib".into(),
-        "syndromes".into(),
-        "tpred_us".into(),
-        "band_width".into(),
-        "bandwidth".into(),
-        "misses".into(),
-    ]);
+    t.heading(out, "Ablation: RP chunk size (RiFSSD @ 1K P/E, Ali124)")?;
+    t.row(
+        out,
+        &[
+            "chunk_kib".into(),
+            "syndromes".into(),
+            "tpred_us".into(),
+            "band_width".into(),
+            "bandwidth".into(),
+            "misses".into(),
+        ],
+    )?;
     for chunk_kib in [1usize, 2, 4, 16] {
         // A k-KiB chunk reads k/4 of each segment: t·k/4 complete
         // syndromes (256 per KiB for the paper's t = 1024 code).
@@ -56,18 +61,28 @@ fn main() {
         cfg.rp = rp;
         cfg.timing.t_pred = tpred;
         cfg.seed = opts.seed;
-        let report = Simulator::new(cfg).run(&trace);
-        t.row(&[
-            chunk_kib.to_string(),
-            syndromes.to_string(),
-            format!("{:.2}", tpred.as_us()),
-            format!("{:.5}", band),
-            format!("{:.0}", report.io_bandwidth_mbps()),
-            report.decode_failures.to_string(),
-        ]);
+        let report = run_observed(opts, out, &format!("chunk{chunk_kib}k"), cfg, &trace)?;
+        t.row(
+            out,
+            &[
+                chunk_kib.to_string(),
+                syndromes.to_string(),
+                format!("{:.2}", tpred.as_us()),
+                format!("{:.5}", band),
+                format!("{:.0}", report.io_bandwidth_mbps()),
+                report.decode_failures.to_string(),
+            ],
+        )?;
     }
     if !opts.csv {
-        println!("\n(band_width = RBER span where RP's verdict is uncertain; misses =");
-        println!(" pages that reached the off-chip decoder and failed there)");
+        writeln!(
+            out,
+            "\n(band_width = RBER span where RP's verdict is uncertain; misses ="
+        )?;
+        writeln!(
+            out,
+            " pages that reached the off-chip decoder and failed there)"
+        )?;
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -14,26 +14,34 @@
 //!    the config path the hybrid_sweep harness and `rif-server --hybrid`
 //!    use.
 
-use rif_bench::{HarnessOpts, TableWriter};
+use std::io::{self, Write};
+use std::process::ExitCode;
+
+use crate::{run_observed, HarnessOpts, TableWriter};
 use rif_flash::vth::OperatingPoint;
 use rif_ssd::hybrid::{CellMode, HybridConfig};
-use rif_ssd::{RetryKind, Simulator, SsdConfig};
+use rif_ssd::{RetryKind, SsdConfig};
 use rif_workloads::SynthConfig;
 
-fn main() {
-    let opts = HarnessOpts::parse();
+pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let tlc = CellMode::Tlc.model();
     let qlc = CellMode::Qlc.model();
 
     let t = TableWriter::new(opts.csv, &[6, 14, 14, 16, 16]);
-    t.heading("Extension: TLC vs QLC capability-crossing days and retry pressure");
-    t.row(&[
-        "pe".into(),
-        "tlc_days".into(),
-        "qlc_days".into(),
-        "tlc_retry_30d".into(),
-        "qlc_retry_30d".into(),
-    ]);
+    t.heading(
+        out,
+        "Extension: TLC vs QLC capability-crossing days and retry pressure",
+    )?;
+    t.row(
+        out,
+        &[
+            "pe".into(),
+            "tlc_days".into(),
+            "qlc_days".into(),
+            "tlc_retry_30d".into(),
+            "qlc_retry_30d".into(),
+        ],
+    )?;
     for pe in [0u32, 200, 500, 1000, 2000] {
         let dt = tlc.days_to_exceed(pe, 0.0085, 120.0);
         let dq = qlc.days_to_exceed(pe, 0.0085, 120.0);
@@ -46,16 +54,16 @@ fn main() {
             Some(day) => format!("{day:.1}"),
             None => ">120".into(),
         };
-        t.row(&[pe.to_string(), fmt(dt), fmt(dq), frac(dt), frac(dq)]);
+        t.row(out, &[pe.to_string(), fmt(dt), fmt(dq), frac(dt), frac(dq)])?;
     }
 
     if !opts.csv {
         // RBER amplification at matched stress.
-        println!("\nRBER amplification (QLC / TLC) at matched stress:");
+        writeln!(out, "\nRBER amplification (QLC / TLC) at matched stress:")?;
         for &(pe, days) in &[(0u32, 5.0), (500, 5.0), (1000, 3.0)] {
             let op = OperatingPoint::new(pe, days);
             let ratio = qlc.rber_avg(op, 1.0) / tlc.rber_avg(op, 1.0).max(1e-12);
-            println!("  {pe:>4} P/E, {days:>3.0} days: {ratio:.0}x");
+            writeln!(out, "  {pe:>4} P/E, {days:>3.0} days: {ratio:.0}x")?;
         }
     }
 
@@ -72,40 +80,56 @@ fn main() {
     .generate(n_requests, opts.seed);
 
     let t = TableWriter::new(opts.csv, &[10, 12, 12, 12, 12]);
-    t.heading("Simulated mean read latency (µs) and retries, TLC vs QLC (hybrid config path)");
-    t.row(&[
-        "scheme".into(),
-        "tlc_us".into(),
-        "qlc_us".into(),
-        "tlc_retry".into(),
-        "qlc_retry".into(),
-    ]);
+    t.heading(
+        out,
+        "Simulated mean read latency (µs) and retries, TLC vs QLC (hybrid config path)",
+    )?;
+    t.row(
+        out,
+        &[
+            "scheme".into(),
+            "tlc_us".into(),
+            "qlc_us".into(),
+            "tlc_retry".into(),
+            "qlc_retry".into(),
+        ],
+    )?;
     for &retry in &[
         RetryKind::Zero,
         RetryKind::SwiftRead,
         RetryKind::RpSsd,
         RetryKind::Rif,
     ] {
-        let run = |hybrid: Option<HybridConfig>| {
+        let mut run = |cells: &str, hybrid: Option<HybridConfig>| {
             let mut cfg = SsdConfig::small(retry, 1000);
             cfg.seed = opts.seed;
             cfg.hybrid = hybrid;
-            Simulator::new(cfg).run(&trace)
+            run_observed(opts, out, &format!("{retry:?}-{cells}"), cfg, &trace)
         };
-        let rt = run(None);
-        let rq = run(Some(HybridConfig::qlc()));
-        t.row(&[
-            format!("{retry:?}"),
-            format!("{:.1}", rt.read_latency.mean().as_ns() as f64 / 1e3),
-            format!("{:.1}", rq.read_latency.mean().as_ns() as f64 / 1e3),
-            (rt.decode_failures + rt.in_die_retries).to_string(),
-            (rq.decode_failures + rq.in_die_retries).to_string(),
-        ]);
+        let rt = run("tlc", None)?;
+        let rq = run("qlc", Some(HybridConfig::qlc()))?;
+        t.row(
+            out,
+            &[
+                format!("{retry:?}"),
+                format!("{:.1}", rt.read_latency.mean().as_ns() as f64 / 1e3),
+                format!("{:.1}", rq.read_latency.mean().as_ns() as f64 / 1e3),
+                (rt.decode_failures + rt.in_die_retries).to_string(),
+                (rq.decode_failures + rq.in_die_retries).to_string(),
+            ],
+        )?;
     }
 
     if !opts.csv {
-        println!("\nWith QLC, nearly every cold read needs a retry within days of");
-        println!("programming — deciding retries on-die stops being an optimization");
-        println!("and becomes the only way to keep the channel usable.");
+        writeln!(
+            out,
+            "\nWith QLC, nearly every cold read needs a retry within days of"
+        )?;
+        writeln!(
+            out,
+            "programming — deciding retries on-die stops being an optimization"
+        )?;
+        writeln!(out, "and becomes the only way to keep the channel usable.")?;
     }
+    Ok(ExitCode::SUCCESS)
 }

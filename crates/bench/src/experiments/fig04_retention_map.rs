@@ -5,12 +5,14 @@
 //! 0 / 200 / 500 / 1000 P/E cycles; at 1–2 K P/E most of the population
 //! fails within the 30-day refresh horizon.
 
-use rif_bench::{HarnessOpts, TableWriter};
+use std::io::{self, Write};
+use std::process::ExitCode;
+
+use crate::{HarnessOpts, TableWriter};
 use rif_flash::characterize::retention_failure_map;
 use rif_flash::rber::ErrorModel;
 
-fn main() {
-    let opts = HarnessOpts::parse();
+pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let model = ErrorModel::calibrated();
     let pe_list = [0u32, 100, 200, 300, 500, 1000, 2000];
     let blocks = opts.pick(2_000, 200);
@@ -19,34 +21,39 @@ fn main() {
     let map = retention_failure_map(&model, &pe_list, max_day, blocks, 0.0085, opts.seed);
 
     let t = TableWriter::new(opts.csv, &[8, 6, 12]);
-    t.heading(&format!(
-        "Fig. 4: retention days until RBER exceeds 0.0085 ({blocks} blocks/stage)"
-    ));
+    t.heading(
+        out,
+        &format!("Fig. 4: retention days until RBER exceeds 0.0085 ({blocks} blocks/stage)"),
+    )?;
     if opts.csv {
-        t.row(&["pe".into(), "day".into(), "proportion".into()]);
+        t.row(out, &["pe".into(), "day".into(), "proportion".into()])?;
         for c in map.cells() {
-            t.row(&[
-                c.pe_cycles.to_string(),
-                c.day.to_string(),
-                format!("{:.4}", c.proportion),
-            ]);
+            t.row(
+                out,
+                &[
+                    c.pe_cycles.to_string(),
+                    c.day.to_string(),
+                    format!("{:.4}", c.proportion),
+                ],
+            )?;
         }
     } else {
         // Heat-map style rows, like the figure.
-        print!("{:>6} |", "P/E");
+        write!(out, "{:>6} |", "P/E")?;
         for d in 0..=max_day {
-            print!(
+            write!(
+                out,
                 "{}",
                 if d % 5 == 0 {
                     format!("{d:>3}")
                 } else {
                     "   ".into()
                 }
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
         for &pe in &pe_list {
-            print!("{pe:>6} |");
+            write!(out, "{pe:>6} |")?;
             for day in 0..=max_day {
                 let p = map
                     .cells()
@@ -61,15 +68,16 @@ fn main() {
                     p if p < 0.10 => "  *",
                     _ => "  #",
                 };
-                print!("{glyph}");
+                write!(out, "{glyph}")?;
             }
-            println!();
+            writeln!(out)?;
         }
-        println!("\nonset and median of the failure-day distribution:");
-        println!(
+        writeln!(out, "\nonset and median of the failure-day distribution:")?;
+        writeln!(
+            out,
             "{:>6} {:>10} {:>10} {:>10}",
             "P/E", "first", "median", "survive"
-        );
+        )?;
         for &pe in &pe_list {
             let first = map
                 .first_failure_day(pe)
@@ -85,9 +93,16 @@ fn main() {
                 .find(|(p, _)| *p == pe)
                 .map(|(_, s)| format!("{:.2}", s))
                 .unwrap_or_default();
-            println!("{pe:>6} {first:>10} {median:>10} {surv:>10}");
+            writeln!(out, "{pe:>6} {first:>10} {median:>10} {surv:>10}")?;
         }
-        println!("\npaper anchors: first failures ≈17/14/10/8 days at 0/200/500/1000 P/E;");
-        println!("with a 30-day refresh horizon, read-retry is the common case at ≥1K P/E.");
+        writeln!(
+            out,
+            "\npaper anchors: first failures ≈17/14/10/8 days at 0/200/500/1000 P/E;"
+        )?;
+        writeln!(
+            out,
+            "with a 30-day refresh horizon, read-retry is the common case at ≥1K P/E."
+        )?;
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -9,7 +9,10 @@
 //!
 //! Paper anchors: SSDzero 252 µs, SSDone 418 µs (+166), RiF 292 µs.
 
-use rif_bench::{trace_file, HarnessOpts, TableWriter};
+use std::io::{self, Write};
+use std::process::ExitCode;
+
+use crate::{named, trace_file, violations_error, write_metrics, HarnessOpts, TableWriter};
 use rif_events::trace::{JsonlSink, SharedBuf, TraceRecord};
 use rif_events::SimTime;
 use rif_ssd::timeline::example_256k_setup;
@@ -58,11 +61,12 @@ fn resource_spans(records: &[TraceRecord]) -> Vec<ResSpan> {
 }
 
 /// Prints the per-resource timeline rebuilt from the trace.
-fn print_timeline(scheme: RetryKind, spans: &[ResSpan]) {
-    println!(
+fn print_timeline(out: &mut dyn Write, scheme: RetryKind, spans: &[ResSpan]) -> io::Result<()> {
+    writeln!(
+        out,
         "\n-- {} timeline (µs, from the run's trace) --",
         scheme.label()
-    );
+    )?;
     let mut cur = "";
     let mut line = String::new();
     for s in spans {
@@ -71,7 +75,7 @@ fn print_timeline(scheme: RetryKind, spans: &[ResSpan]) {
         }
         if s.res != cur {
             if !line.is_empty() {
-                println!("{line}");
+                writeln!(out, "{line}")?;
             }
             cur = &s.res;
             line = format!("  {:<7}", s.res);
@@ -84,21 +88,27 @@ fn print_timeline(scheme: RetryKind, spans: &[ResSpan]) {
         ));
     }
     if !line.is_empty() {
-        println!("{line}");
+        writeln!(out, "{line}")?;
     }
+    Ok(())
 }
 
-fn main() {
-    let opts = HarnessOpts::parse();
+pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let t = TableWriter::new(opts.csv, &[8, 12, 12, 12, 14]);
-    t.heading("Figs. 7/8: 256-KiB read on a 2-die channel, A and B need a retry");
-    t.row(&[
-        "scheme".into(),
-        "total_us".into(),
-        "paper_us".into(),
-        "uncor_pgs".into(),
-        "in_die_retry".into(),
-    ]);
+    t.heading(
+        out,
+        "Figs. 7/8: 256-KiB read on a 2-die channel, A and B need a retry",
+    )?;
+    t.row(
+        out,
+        &[
+            "scheme".into(),
+            "total_us".into(),
+            "paper_us".into(),
+            "uncor_pgs".into(),
+            "in_die_retry".into(),
+        ],
+    )?;
     for (scheme, paper) in [
         (RetryKind::Zero, 252.0),
         (RetryKind::IdealOne, 418.0),
@@ -114,42 +124,34 @@ fn main() {
         let text = buf.contents();
         if let Some(prefix) = &opts.trace_out {
             let path = trace_file(prefix, scheme.label());
-            std::fs::write(&path, &text)
-                .unwrap_or_else(|e| panic!("cannot write trace file {path}: {e}"));
+            std::fs::write(&path, &text).map_err(|e| named(&path, e))?;
         }
         let records = TraceRecord::parse_jsonl(&text).expect("emitted trace parses");
-        let violations = TraceChecker::check(&records);
-        if !violations.is_empty() {
-            eprintln!(
-                "{}: {} invariant violation(s):",
-                scheme.label(),
-                violations.len()
-            );
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
-        }
-        t.row(&[
-            scheme.label().into(),
-            format!("{:.1}", report.makespan.as_us()),
-            format!("{paper:.0}"),
-            report.uncor_page_transfers.to_string(),
-            report.in_die_retries.to_string(),
-        ]);
+        violations_error(scheme.label(), &TraceChecker::check(&records))?;
+        t.row(
+            out,
+            &[
+                scheme.label().into(),
+                format!("{:.1}", report.makespan.as_us()),
+                format!("{paper:.0}"),
+                report.uncor_page_transfers.to_string(),
+                report.in_die_retries.to_string(),
+            ],
+        )?;
         if !opts.csv {
-            print_timeline(scheme, &resource_spans(&records));
+            print_timeline(out, scheme, &resource_spans(&records))?;
         }
-        if opts.metrics {
-            if let Some(m) = &report.metrics {
-                for line in m.lines() {
-                    println!("# metric {} {line}", scheme.label());
-                }
-            }
-        }
+        write_metrics(out, scheme.label(), &report)?;
     }
     if !opts.csv {
-        println!("\nSSDone pays the failed transfers and their 20-µs hopeless decodes;");
-        println!("RiF converts both retries into one extra tR inside each die.");
+        writeln!(
+            out,
+            "\nSSDone pays the failed transfers and their 20-µs hopeless decodes;"
+        )?;
+        writeln!(
+            out,
+            "RiF converts both retries into one extra tR inside each die."
+        )?;
     }
+    Ok(ExitCode::SUCCESS)
 }

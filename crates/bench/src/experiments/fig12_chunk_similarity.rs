@@ -6,12 +6,14 @@
 //! shrink (≈3× worse at 1 KiB) — data randomization spreads errors
 //! uniformly, but smaller samples are noisier.
 
-use rif_bench::{HarnessOpts, TableWriter};
+use std::io::{self, Write};
+use std::process::ExitCode;
+
+use crate::{HarnessOpts, TableWriter};
 use rif_flash::characterize::chunk_similarity;
 use rif_flash::rber::ErrorModel;
 
-fn main() {
-    let opts = HarnessOpts::parse();
+pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let model = ErrorModel::calibrated();
     let pe_list = [0u32, 1000, 2000];
     let days = [1u32, 3, 7, 14, 21, 28];
@@ -21,22 +23,29 @@ fn main() {
     let rows = chunk_similarity(&model, &pe_list, &days, &chunk_kibs, pages, opts.seed);
 
     let t = TableWriter::new(opts.csv, &[6, 6, 10, 12]);
-    t.heading(&format!(
-        "Fig. 12: max (RBERmax-RBERmin)/RBERmax among chunks ({pages} pages/point)"
-    ));
-    t.row(&[
-        "pe".into(),
-        "day".into(),
-        "chunk_kib".into(),
-        "max_ratio".into(),
-    ]);
+    t.heading(
+        out,
+        &format!("Fig. 12: max (RBERmax-RBERmin)/RBERmax among chunks ({pages} pages/point)"),
+    )?;
+    t.row(
+        out,
+        &[
+            "pe".into(),
+            "day".into(),
+            "chunk_kib".into(),
+            "max_ratio".into(),
+        ],
+    )?;
     for r in &rows {
-        t.row(&[
-            r.pe_cycles.to_string(),
-            r.day.to_string(),
-            r.chunk_kib.to_string(),
-            format!("{:.3}", r.max_ratio),
-        ]);
+        t.row(
+            out,
+            &[
+                r.pe_cycles.to_string(),
+                r.day.to_string(),
+                r.chunk_kib.to_string(),
+                format!("{:.3}", r.max_ratio),
+            ],
+        )?;
     }
     if !opts.csv {
         // Summarize the chunk-size trend where prediction matters: the
@@ -49,12 +58,20 @@ fn main() {
                 .filter(|r| r.chunk_kib == kib && r.pe_cycles >= 1000 && r.day >= 7)
                 .map(|r| r.max_ratio)
                 .fold(0.0f64, f64::max);
-            println!(
+            writeln!(
+                out,
                 "worst-case ratio at {kib}-KiB chunks (>=1K P/E, >=7 days): {:.1}%",
                 worst * 100.0
-            );
+            )?;
         }
-        println!("\n4-KiB chunks track the page RBER closely enough for prediction;");
-        println!("1-KiB chunks roughly triple the spread — the paper picks 4 KiB.");
+        writeln!(
+            out,
+            "\n4-KiB chunks track the page RBER closely enough for prediction;"
+        )?;
+        writeln!(
+            out,
+            "1-KiB chunks roughly triple the spread — the paper picks 4 KiB."
+        )?;
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -5,13 +5,15 @@
 //! Paper anchor: the approximations cost ≈0.4 points of accuracy
 //! (99.1 % → 98.7 % above the capability).
 
-use rif_bench::{HarnessOpts, TableWriter};
+use std::io::{self, Write};
+use std::process::ExitCode;
+
+use crate::{HarnessOpts, TableWriter};
 use rif_ldpc::QcLdpcCode;
 use rif_odear::accuracy::{mean_accuracy_above, measure_accuracy, measure_accuracy_with};
 use rif_odear::rp::ReadRetryPredictor;
 
-fn main() {
-    let opts = HarnessOpts::parse();
+pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let code = if opts.quick {
         QcLdpcCode::medium()
     } else {
@@ -38,25 +40,36 @@ fn main() {
     );
 
     let t = TableWriter::new(opts.csv, &[10, 16, 16]);
-    t.heading(&format!(
-        "Fig. 14: RP accuracy with vs without approximations (rho_s = {}, {} trials/point)",
-        rp.rho_s(),
-        trials
-    ));
-    t.row(&["rber".into(), "with_approx".into(), "without".into()]);
+    t.heading(
+        out,
+        &format!(
+            "Fig. 14: RP accuracy with vs without approximations (rho_s = {}, {} trials/point)",
+            rp.rho_s(),
+            trials
+        ),
+    )?;
+    t.row(
+        out,
+        &["rber".into(), "with_approx".into(), "without".into()],
+    )?;
     for (a, e) in approx.iter().zip(&exact) {
-        t.row(&[
-            format!("{:.3}", a.rber),
-            format!("{:.3}", a.accuracy),
-            format!("{:.3}", e.accuracy),
-        ]);
+        t.row(
+            out,
+            &[
+                format!("{:.3}", a.rber),
+                format!("{:.3}", a.accuracy),
+                format!("{:.3}", e.accuracy),
+            ],
+        )?;
     }
     if !opts.csv {
-        println!(
+        writeln!(
+            out,
             "\nmean accuracy above capability: with approximations {:.1}% (paper 98.7%), \
              without {:.1}% (paper 99.1%)",
             mean_accuracy_above(&approx, capability) * 100.0,
             mean_accuracy_above(&exact, capability) * 100.0
-        );
+        )?;
     }
+    Ok(ExitCode::SUCCESS)
 }

@@ -15,7 +15,10 @@
 //! strictly larger than under TLC-only — the acceptance gate CI runs in
 //! `--quick` mode.
 
-use rif_bench::{geomean, run_observed, HarnessOpts};
+use std::io::{self, Write};
+use std::process::ExitCode;
+
+use crate::{geomean, run_observed, HarnessOpts};
 use rif_ssd::hybrid::{CellMode, HybridConfig, MigrationPolicy};
 use rif_ssd::{RetryKind, SsdConfig};
 use rif_workloads::{SynthConfig, Trace};
@@ -85,12 +88,15 @@ fn foreground(n: usize, seed: u64) -> Trace {
     .generate(n, seed)
 }
 
-fn main() {
-    let opts = HarnessOpts::parse();
+pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let n = opts.pick(1500, 250);
 
-    println!("== Hybrid sweep: mean read latency (µs) at {PE} P/E, {n} requests ==");
-    println!(
+    writeln!(
+        out,
+        "== Hybrid sweep: mean read latency (µs) at {PE} P/E, {n} requests =="
+    )?;
+    writeln!(
+        out,
         "{:>8} {:>6} | {}",
         "device",
         "bg",
@@ -99,7 +105,7 @@ fn main() {
             .map(|r| format!("{:>9}", r.label()))
             .collect::<Vec<_>>()
             .join(" ")
-    );
+    )?;
 
     // win[mode][bg] = geomean over baselines of baseline/RiF mean latency.
     let mut wins: Vec<(String, f64)> = Vec::new();
@@ -116,7 +122,7 @@ fn main() {
                     if bg { "bgon" } else { "bgoff" },
                     retry.label()
                 );
-                let report = run_observed(&opts, &label, cfg, &trace);
+                let report = run_observed(opts, out, &label, cfg, &trace)?;
                 means.push((retry, report.read_latency.mean().as_ns() as f64 / 1e3));
             }
             let rif = means
@@ -132,7 +138,8 @@ fn main() {
                 format!("{mode}_{}", if bg { "on" } else { "off" }),
                 geomean(&ratios),
             ));
-            println!(
+            writeln!(
+                out,
                 "{:>8} {:>6} | {}",
                 mode,
                 if bg { "on" } else { "off" },
@@ -141,31 +148,36 @@ fn main() {
                     .map(|(_, us)| format!("{us:>9.1}"))
                     .collect::<Vec<_>>()
                     .join(" ")
-            );
+            )?;
         }
     }
 
-    println!();
-    println!("RiF win (geomean of baseline/RiF mean latency over SENC, SWR, SWR+, RPSSD):");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "RiF win (geomean of baseline/RiF mean latency over SENC, SWR, SWR+, RPSSD):"
+    )?;
     for (key, w) in &wins {
-        println!("  {key:>10}: {w:.3}x");
+        writeln!(out, "  {key:>10}: {w:.3}x")?;
     }
 
     let win_of = |key: &str| wins.iter().find(|(k, _)| k == key).expect("win key").1;
     let tlc_off = win_of("tlc_off");
     let qlc_on = win_of("qlc_on");
     let widens = qlc_on > tlc_off;
-    println!(
+    writeln!(
+        out,
         "\nRiF's relative win under QLC+background ({qlc_on:.3}x) vs TLC-only \
          ({tlc_off:.3}x): {}",
         if widens { "WIDENS" } else { "DOES NOT WIDEN" }
-    );
+    )?;
 
     if !widens {
         eprintln!(
             "FAIL: RiF's QLC+background win ({qlc_on:.3}x) does not exceed its TLC-only \
              win ({tlc_off:.3}x)"
         );
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
+    Ok(ExitCode::SUCCESS)
 }

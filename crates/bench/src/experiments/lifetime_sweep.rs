@@ -12,8 +12,8 @@
 //! error against the oracle's optimal offset.
 //!
 //! ```text
-//! lifetime_sweep [--quick] [--csv] [--seed N] [--schemes all|ci]
-//!                [--check-envelope FILE] [--write-envelope FILE]
+//! rif-bench run lifetime_sweep [--quick] [--csv] [--seed N] [--schemes all|ci]
+//!                              [--check-envelope FILE] [--write-envelope FILE]
 //! ```
 //!
 //! `--check-envelope` compares learned-mode retry activity against a
@@ -22,10 +22,13 @@
 //! (review the diff before committing it). Runs are deterministic for a
 //! fixed seed, so CI uses the envelope as a cheap behavioural pin.
 
+use std::io::{self, Write};
+use std::process::ExitCode;
+
 use std::fmt::Write as _;
 
-use rif_bench::{HarnessOpts, TableWriter};
-use rif_ssd::{DriftClock, LearnerConfig, LearningMode, RetryKind, Simulator, SsdConfig};
+use crate::{run_observed, HarnessOpts, TableWriter};
+use rif_ssd::{DriftClock, LearnerConfig, LearningMode, RetryKind, SsdConfig};
 use rif_workloads::SynthConfig;
 
 /// One lifetime stage: wear level plus in-run drift acceleration.
@@ -64,12 +67,14 @@ struct CellResult {
 }
 
 fn run_cell(
+    opts: &HarnessOpts,
+    out: &mut dyn Write,
     stage: &Stage,
     scheme: RetryKind,
     learned: bool,
     n_requests: usize,
-    seed: u64,
-) -> CellResult {
+) -> io::Result<CellResult> {
+    let seed = opts.seed;
     let trace = SynthConfig {
         read_ratio: 0.9,
         cold_read_ratio: 0.6,
@@ -86,17 +91,19 @@ fn run_cell(
     if learned {
         cfg.learning = LearningMode::Learned(LearnerConfig::default_paper());
     }
-    let report = Simulator::new(cfg).run(&trace);
-    CellResult {
+    let mode = if learned { "learned" } else { "oracle" };
+    let label = format!("{}-{}-{mode}", stage_label(stage), scheme.label());
+    let report = run_observed(opts, out, &label, cfg, &trace)?;
+    Ok(CellResult {
         stage: stage_label(stage),
         scheme: scheme.label(),
-        mode: if learned { "learned" } else { "oracle" },
+        mode,
         bandwidth_mbps: report.io_bandwidth_mbps(),
         decode_failures: report.decode_failures,
         in_die_retries: report.in_die_retries,
         learner_err: report.learner.map(|l| l.mean_abs_error),
         learner_updates: report.learner.map(|l| l.updates).unwrap_or(0),
-    }
+    })
 }
 
 fn stage_label(stage: &Stage) -> String {
@@ -124,7 +131,8 @@ fn envelope_rows(results: &[CellResult]) -> String {
     s
 }
 
-fn check_envelope(path: &str, results: &[CellResult]) -> Result<(), String> {
+/// The number of envelope bounds checked, all of which hold.
+fn check_envelope(path: &str, results: &[CellResult]) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut checked = 0usize;
     for (ln, line) in text.lines().enumerate() {
@@ -166,55 +174,62 @@ fn check_envelope(path: &str, results: &[CellResult]) -> Result<(), String> {
     if checked == 0 {
         return Err(format!("{path}: no envelope rows matched this run"));
     }
-    println!("envelope ok: {checked} learned-mode bounds hold");
-    Ok(())
+    Ok(checked)
 }
 
-fn main() {
-    // Split off the sweep-specific flags, hand the rest to the shared
-    // harness parser.
-    let mut check_path: Option<String> = None;
-    let mut write_path: Option<String> = None;
-    let mut ci_schemes = false;
-    let mut rest = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--check-envelope" => {
-                check_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--check-envelope needs a file");
-                    std::process::exit(2);
-                }))
-            }
-            "--write-envelope" => {
-                write_path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--write-envelope needs a file");
-                    std::process::exit(2);
-                }))
-            }
-            "--schemes" => match args.next().as_deref() {
-                Some("all") => ci_schemes = false,
-                Some("ci") => ci_schemes = true,
-                _ => {
-                    eprintln!("--schemes needs all|ci");
-                    std::process::exit(2);
+/// The sweep's own flags, accepted by `rif-bench run lifetime_sweep` only.
+#[derive(Debug, Default)]
+pub struct SweepFlags {
+    check_envelope: Option<String>,
+    write_envelope: Option<String>,
+    ci_schemes: bool,
+}
+
+/// Usage text of [`SweepFlags`].
+pub const FLAGS_USAGE: &str = "[--schemes all|ci] [--check-envelope FILE] [--write-envelope FILE]";
+
+impl SweepFlags {
+    /// Splits the sweep-specific flags off `args`; the rest are for the
+    /// shared harness parser.
+    pub fn split<I>(args: I) -> Result<(SweepFlags, Vec<String>), String>
+    where
+        I: IntoIterator<Item = String>,
+    {
+        let mut flags = SweepFlags::default();
+        let mut rest = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--check-envelope" => {
+                    flags.check_envelope = Some(args.next().ok_or("--check-envelope needs a file")?)
                 }
-            },
-            other => rest.push(other.to_string()),
+                "--write-envelope" => {
+                    flags.write_envelope = Some(args.next().ok_or("--write-envelope needs a file")?)
+                }
+                "--schemes" => match args.next().as_deref() {
+                    Some("all") => flags.ci_schemes = false,
+                    Some("ci") => flags.ci_schemes = true,
+                    _ => return Err("--schemes needs all|ci".into()),
+                },
+                _ => rest.push(a),
+            }
         }
+        Ok((flags, rest))
     }
-    let opts = match HarnessOpts::parse_from(rest) {
-        Ok(o) => o,
-        Err(_) => {
-            eprintln!(
-                "usage: lifetime_sweep [--quick] [--csv] [--seed N] [--schemes all|ci]\n\
-                 \x20                     [--check-envelope FILE] [--write-envelope FILE]"
-            );
-            std::process::exit(2);
-        }
-    };
+}
+
+/// The registry entry: all schemes, no envelope file.
+pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
+    run_with(opts, &SweepFlags::default(), out)
+}
+
+pub fn run_with(
+    opts: &HarnessOpts,
+    flags: &SweepFlags,
+    out: &mut dyn Write,
+) -> io::Result<ExitCode> {
     let n_requests = opts.pick(2_000, 250);
-    let schemes: &[RetryKind] = if ci_schemes {
+    let schemes: &[RetryKind] = if flags.ci_schemes {
         &CI_SCHEMES
     } else {
         &RetryKind::ALL
@@ -222,50 +237,63 @@ fn main() {
 
     let mut results = Vec::new();
     let t = TableWriter::new(opts.csv, &[12, 8, 8, 10, 8, 8, 10, 8]);
-    t.heading("Lifetime sweep: oracle vs learned thresholds as drift advances");
-    t.row(&[
-        "stage".into(),
-        "scheme".into(),
-        "mode".into(),
-        "bw_mbps".into(),
-        "dec_fail".into(),
-        "in_die".into(),
-        "learn_err".into(),
-        "updates".into(),
-    ]);
+    t.heading(
+        out,
+        "Lifetime sweep: oracle vs learned thresholds as drift advances",
+    )?;
+    t.row(
+        out,
+        &[
+            "stage".into(),
+            "scheme".into(),
+            "mode".into(),
+            "bw_mbps".into(),
+            "dec_fail".into(),
+            "in_die".into(),
+            "learn_err".into(),
+            "updates".into(),
+        ],
+    )?;
     for stage in &STAGES {
         for &scheme in schemes {
             for learned in [false, true] {
-                let r = run_cell(stage, scheme, learned, n_requests, opts.seed);
-                t.row(&[
-                    r.stage.clone(),
-                    r.scheme.to_string(),
-                    r.mode.to_string(),
-                    format!("{:.1}", r.bandwidth_mbps),
-                    r.decode_failures.to_string(),
-                    r.in_die_retries.to_string(),
-                    r.learner_err
-                        .map(|e| format!("{e:.4}"))
-                        .unwrap_or_else(|| "-".into()),
-                    r.learner_updates.to_string(),
-                ]);
+                let r = run_cell(opts, out, stage, scheme, learned, n_requests)?;
+                t.row(
+                    out,
+                    &[
+                        r.stage.clone(),
+                        r.scheme.to_string(),
+                        r.mode.to_string(),
+                        format!("{:.1}", r.bandwidth_mbps),
+                        r.decode_failures.to_string(),
+                        r.in_die_retries.to_string(),
+                        r.learner_err
+                            .map(|e| format!("{e:.4}"))
+                            .unwrap_or_else(|| "-".into()),
+                        r.learner_updates.to_string(),
+                    ],
+                )?;
                 results.push(r);
             }
         }
     }
 
-    if let Some(path) = write_path {
+    if let Some(path) = &flags.write_envelope {
         let rows = envelope_rows(&results);
-        if let Err(e) = std::fs::write(&path, rows) {
+        if let Err(e) = std::fs::write(path, rows) {
             eprintln!("cannot write envelope {path}: {e}");
-            std::process::exit(1);
+            return Ok(ExitCode::FAILURE);
         }
-        println!("wrote envelope to {path}");
+        writeln!(out, "wrote envelope to {path}")?;
     }
-    if let Some(path) = check_path {
-        if let Err(e) = check_envelope(&path, &results) {
-            eprintln!("lifetime_sweep: envelope check failed: {e}");
-            std::process::exit(1);
+    if let Some(path) = &flags.check_envelope {
+        match check_envelope(path, &results) {
+            Ok(checked) => writeln!(out, "envelope ok: {checked} learned-mode bounds hold")?,
+            Err(e) => {
+                eprintln!("lifetime_sweep: envelope check failed: {e}");
+                return Ok(ExitCode::FAILURE);
+            }
         }
     }
+    Ok(ExitCode::SUCCESS)
 }

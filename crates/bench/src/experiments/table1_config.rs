@@ -2,11 +2,13 @@
 //! `SsdConfig` so any drift between documentation and simulator is
 //! impossible.
 
-use rif_bench::HarnessOpts;
+use std::io::{self, Write};
+use std::process::ExitCode;
+
+use crate::HarnessOpts;
 use rif_ssd::{RetryKind, SsdConfig};
 
-fn main() {
-    let opts = HarnessOpts::parse();
+pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let c = SsdConfig::paper(RetryKind::Rif, 0);
     let g = c.geometry;
     let t = c.timing;
@@ -63,12 +65,13 @@ fn main() {
     ];
     if opts.csv {
         for (k, v) in rows {
-            println!("{k},{}", v.replace(',', ";"));
+            writeln!(out, "{k},{}", v.replace(',', ";"))?;
         }
     } else {
-        println!("== Table I: evaluated SSD configuration ==");
+        writeln!(out, "== Table I: evaluated SSD configuration ==")?;
         for (k, v) in rows {
-            println!("{k:>16} | {v}");
+            writeln!(out, "{k:>16} | {v}")?;
         }
     }
+    Ok(ExitCode::SUCCESS)
 }

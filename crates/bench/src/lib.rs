@@ -1,6 +1,16 @@
-//! Shared harness utilities for the figure/table reproduction binaries.
+//! The figure/table reproduction harness: one binary, `rif-bench`, over a
+//! registry of experiments ([`EXPERIMENTS`]).
 //!
-//! Every binary accepts:
+//! ```text
+//! rif-bench run <name>|--all [flags]   print what the experiment measures
+//! rif-bench check [<name>...]          regenerate at full size and compare
+//!                                      byte-for-byte with results/<name>.txt
+//! rif-bench list                       the registry's names
+//! rif-bench trace-check FILES...       replay JSONL traces through the
+//!                                      invariant checker
+//! ```
+//!
+//! `run` accepts:
 //!
 //! * `--quick` — a reduced-cost run (smaller codes / fewer trials /
 //!   shorter traces) for smoke testing;
@@ -8,26 +18,37 @@
 //! * `--seed N` — override the default seed;
 //! * `--threads N` — worker threads for the Monte-Carlo sweeps. Trials
 //!   use one RNG stream each, so the output is byte-identical for every
-//!   thread count.
-//!
-//! Simulator-backed binaries additionally accept:
-//!
+//!   thread count;
 //! * `--trace-out PREFIX` — each simulated run writes its JSONL trace to
-//!   `PREFIX-<label>.jsonl`, then replays it through the
-//!   [`TraceChecker`]; any violated invariant aborts the binary with
-//!   status 1, so a traced figure run is also a correctness check;
-//! * `--metrics` — each run collects a [`rif_events::MetricsRegistry`]
-//!   and prints its contents as `# metric <label> <line>` rows.
+//!   `PREFIX-<label>.jsonl` (`PREFIX-<name>-<label>.jsonl` under
+//!   `--all`), then replays it through the [`TraceChecker`]; any
+//!   violated invariant ends the run with status 1, so a traced run is
+//!   also a correctness check;
+//! * `--metrics` — each simulated run collects a
+//!   [`rif_events::MetricsRegistry`] and prints its contents as
+//!   `# metric <label> <line>` rows.
+
+pub mod experiments;
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{self, BufWriter, Write};
+use std::process::ExitCode;
 
 use rif_events::trace::JsonlSink;
 use rif_ssd::tracecheck::TraceChecker;
 use rif_ssd::{RetryKind, SimReport, Simulator, SsdConfig};
 use rif_workloads::{Trace, WorkloadProfile};
 
-/// Parsed command-line options common to all experiment binaries.
+pub use experiments::EXPERIMENTS;
+
+/// An experiment's entry point: writes what it measures to `out`; the
+/// exit code is non-success when the experiment gates on its own result.
+pub type RunFn = fn(&HarnessOpts, &mut dyn Write) -> io::Result<ExitCode>;
+
+/// Where the captured full-size outputs live (`results/<name>.txt`).
+pub const RESULTS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+
+/// Parsed command-line options common to all experiments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HarnessOpts {
     /// Reduced-cost run.
@@ -54,8 +75,9 @@ pub enum ParseError {
     Invalid(String),
 }
 
-const USAGE: &str =
-    "usage: <bin> [--quick] [--csv] [--seed N] [--threads N] [--trace-out PREFIX] [--metrics]";
+/// The flags [`HarnessOpts::parse_from`] accepts.
+pub const FLAGS_USAGE: &str =
+    "[--quick] [--csv] [--seed N] [--threads N] [--trace-out PREFIX] [--metrics]";
 
 impl Default for HarnessOpts {
     fn default() -> Self {
@@ -71,24 +93,7 @@ impl Default for HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses `std::env::args`, printing usage and exiting on `--help`
-    /// (status 0) or on unknown/malformed flags (status 2).
-    pub fn parse() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(ParseError::Help) => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            Err(ParseError::Invalid(msg)) => {
-                eprintln!("error: {msg}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Pure parsing core of [`HarnessOpts::parse`].
+    /// Parses the flags after `rif-bench run <name>`.
     pub fn parse_from<I>(args: I) -> Result<Self, ParseError>
     where
         I: IntoIterator<Item = String>,
@@ -155,24 +160,25 @@ impl TableWriter {
     }
 
     /// Prints one row of cells.
-    pub fn row(&self, cells: &[String]) {
+    pub fn row(&self, out: &mut dyn Write, cells: &[String]) -> io::Result<()> {
         if self.csv {
-            println!("{}", cells.join(","));
+            writeln!(out, "{}", cells.join(","))
         } else {
             let line: Vec<String> = cells
                 .iter()
                 .zip(self.widths.iter().chain(std::iter::repeat(&12)))
                 .map(|(c, w)| format!("{c:>w$}", w = *w))
                 .collect();
-            println!("{}", line.join(" "));
+            writeln!(out, "{}", line.join(" "))
         }
     }
 
     /// Prints a section heading (suppressed in CSV mode).
-    pub fn heading(&self, text: &str) {
+    pub fn heading(&self, out: &mut dyn Write, text: &str) -> io::Result<()> {
         if !self.csv {
-            println!("\n== {text} ==");
+            writeln!(out, "\n== {text} ==")?;
         }
+        Ok(())
     }
 }
 
@@ -188,13 +194,6 @@ pub fn saturating_trace(profile: &WorkloadProfile, n_requests: usize, seed: u64)
     cfg.generate(n_requests, seed)
 }
 
-/// Runs one paper-geometry simulation.
-pub fn run_paper_sim(retry: RetryKind, pe: u32, trace: &Trace, seed: u64) -> SimReport {
-    let mut cfg = SsdConfig::paper(retry, pe);
-    cfg.seed = seed;
-    Simulator::new(cfg).run(trace)
-}
-
 /// The trace file a labeled run writes under `--trace-out PREFIX`.
 pub fn trace_file(prefix: &str, label: &str) -> String {
     format!("{prefix}-{label}.jsonl")
@@ -204,69 +203,179 @@ pub fn trace_file(prefix: &str, label: &str) -> String {
 /// observability flags (see [`run_observed`]).
 pub fn run_paper_sim_observed(
     opts: &HarnessOpts,
+    out: &mut dyn Write,
     label: &str,
     retry: RetryKind,
     pe: u32,
     trace: &Trace,
-    seed: u64,
-) -> SimReport {
+) -> io::Result<SimReport> {
     let mut cfg = SsdConfig::paper(retry, pe);
-    cfg.seed = seed;
-    run_observed(opts, label, cfg, trace)
+    cfg.seed = opts.seed;
+    run_observed(opts, out, label, cfg, trace)
 }
 
-/// Runs one simulation with the harness's observability flags applied:
-///
-/// * with `--trace-out PREFIX`, the run streams its JSONL trace to
-///   `PREFIX-<label>.jsonl`, re-reads the file, and replays it through
-///   the [`TraceChecker`] — any violation is printed and the process
-///   exits with status 1;
-/// * with `--metrics`, the run's [`rif_events::MetricsRegistry`] is
-///   printed as `# metric <label> <line>` rows on stdout.
-pub fn run_observed(opts: &HarnessOpts, label: &str, cfg: SsdConfig, trace: &Trace) -> SimReport {
+/// Runs one simulation with the harness's observability flags applied
+/// ([`run_traced`]); with `--metrics`, the run's
+/// [`rif_events::MetricsRegistry`] is then printed to `out`
+/// ([`write_metrics`]).
+pub fn run_observed(
+    opts: &HarnessOpts,
+    out: &mut dyn Write,
+    label: &str,
+    cfg: SsdConfig,
+    trace: &Trace,
+) -> io::Result<SimReport> {
+    let report = run_traced(opts, label, cfg, trace)?;
+    write_metrics(out, label, &report)?;
+    Ok(report)
+}
+
+/// The part of [`run_observed`] that prints nothing, so a sweep can fan
+/// it out over worker threads: with `--trace-out PREFIX` the run streams
+/// its JSONL trace to `PREFIX-<label>.jsonl`, re-reads the file and
+/// replays it through the [`TraceChecker`] — any violation is the
+/// returned error; with `--metrics` the report carries the registry.
+pub fn run_traced(
+    opts: &HarnessOpts,
+    label: &str,
+    cfg: SsdConfig,
+    trace: &Trace,
+) -> io::Result<SimReport> {
     let mut sim = Simulator::new(cfg);
     if opts.metrics {
         sim = sim.with_metrics();
     }
     let path = opts.trace_out.as_deref().map(|p| trace_file(p, label));
     if let Some(path) = &path {
-        let f =
-            File::create(path).unwrap_or_else(|e| panic!("cannot create trace file {path}: {e}"));
+        let f = File::create(path).map_err(|e| named(path, e))?;
         sim = sim.with_tracer(Box::new(JsonlSink::new(BufWriter::new(f))));
     }
     let report = sim.run(trace);
     if let Some(path) = &path {
-        check_trace_file(path);
+        let text = std::fs::read_to_string(path).map_err(|e| named(path, e))?;
+        check_trace_text(path, &text)?;
     }
-    if opts.metrics {
-        if let Some(m) = &report.metrics {
-            for line in m.lines() {
-                println!("# metric {label} {line}");
-            }
-        }
-    }
-    report
+    Ok(report)
 }
 
-/// Parses and checks a trace file, exiting with status 1 on malformed
-/// input or any violated invariant.
-pub fn check_trace_file(path: &str) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read trace file {path}: {e}"));
-    match TraceChecker::check_jsonl(&text) {
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
+/// Prints a report's metrics, if it collected any, as
+/// `# metric <label> <line>` rows.
+pub fn write_metrics(out: &mut dyn Write, label: &str, report: &SimReport) -> io::Result<()> {
+    if let Some(m) = &report.metrics {
+        for line in m.lines() {
+            writeln!(out, "# metric {label} {line}")?;
         }
-        Ok(violations) if !violations.is_empty() => {
-            eprintln!("{path}: {} invariant violation(s):", violations.len());
-            for v in &violations {
-                eprintln!("  {v}");
-            }
-            std::process::exit(1);
-        }
-        Ok(_) => {}
     }
+    Ok(())
+}
+
+/// Prefixes an I/O error with the file it concerns.
+pub(crate) fn named(path: &str, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{path}: {e}"))
+}
+
+/// Parses a JSONL trace and replays it through the [`TraceChecker`];
+/// malformed input or any violated invariant is the error, named `what`.
+pub fn check_trace_text(what: &str, text: &str) -> io::Result<()> {
+    let violations = TraceChecker::check_jsonl(text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{what}: {e}")))?;
+    violations_error(what, &violations)
+}
+
+/// `Err` listing the violations of the trace named `what`, if any.
+pub fn violations_error<V: std::fmt::Display>(what: &str, violations: &[V]) -> io::Result<()> {
+    if violations.is_empty() {
+        return Ok(());
+    }
+    let mut msg = format!("{what}: {} invariant violation(s):", violations.len());
+    for v in violations {
+        msg.push_str(&format!("\n  {v}"));
+    }
+    Err(io::Error::other(msg))
+}
+
+/// `rif-bench trace-check`: validates JSONL trace files emitted under
+/// `--trace-out`; success when every file parses and satisfies all
+/// engine invariants.
+pub fn trace_check(files: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
+    let mut failed = 0usize;
+    for path in files {
+        let checked = std::fs::read_to_string(path)
+            .map_err(|e| named(path, e))
+            .and_then(|text| check_trace_text(path, &text).map(|()| text.lines().count()));
+        match checked {
+            Ok(lines) => writeln!(out, "{path}: ok ({lines} lines)")?,
+            Err(e) => {
+                eprintln!("{e}");
+                failed += 1;
+            }
+        }
+    }
+    Ok(tally(failed, files.len(), "file(s)"))
+}
+
+/// The exit code of a pass over `total` items of which `failed` failed.
+fn tally(failed: usize, total: usize, what: &str) -> ExitCode {
+    if failed == 0 {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("{failed} of {total} {what} failed");
+    ExitCode::FAILURE
+}
+
+/// Looks a registry entry up by name.
+pub fn experiment(name: &str) -> Option<&'static (&'static str, RunFn)> {
+    EXPERIMENTS.iter().find(|(n, _)| *n == name)
+}
+
+/// `Err` naming `file` and the first line where a regenerated output
+/// departs from its capture.
+pub fn compare_capture(file: &str, captured: &str, regenerated: &str) -> Result<(), String> {
+    if captured == regenerated {
+        return Ok(());
+    }
+    // `split`, not `lines`: a missing final newline is a difference too.
+    let (mut a, mut b) = (captured.split('\n'), regenerated.split('\n'));
+    let mut line = 1;
+    loop {
+        match (a.next(), b.next()) {
+            (x, y) if x == y => line += 1,
+            (x, y) => {
+                return Err(format!(
+                    "{file}:{line}: capture and regenerated output differ\n  captured:    {}\n  regenerated: {}",
+                    x.unwrap_or("<end of file>"),
+                    y.unwrap_or("<end of output>")
+                ))
+            }
+        }
+    }
+}
+
+/// `rif-bench check`: regenerates each given experiment at full size
+/// with the default options and compares the bytes with
+/// `results/<name>.txt`.
+pub fn check(entries: &[(&str, RunFn)], out: &mut dyn Write) -> io::Result<ExitCode> {
+    let mut failed = 0usize;
+    for (name, run) in entries {
+        let mut buf = Vec::new();
+        let code = run(&HarnessOpts::default(), &mut buf)?;
+        let file = format!("results/{name}.txt");
+        let captured = std::fs::read_to_string(format!("{RESULTS_DIR}/{name}.txt"))
+            .map_err(|e| named(&file, e))?;
+        let verdict = if code != ExitCode::SUCCESS {
+            Err(format!("{name}: the experiment's own gate failed"))
+        } else {
+            compare_capture(&file, &captured, &String::from_utf8_lossy(&buf))
+        };
+        match verdict {
+            Ok(()) => writeln!(out, "{name}: ok")?,
+            Err(msg) => {
+                eprintln!("{msg}");
+                failed += 1;
+            }
+        }
+    }
+    Ok(tally(failed, entries.len(), "capture(s)"))
 }
 
 /// Geometric mean helper (Fig. 17's summary column).

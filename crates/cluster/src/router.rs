@@ -87,9 +87,6 @@ pub struct RouterConfig {
     pub max_busy_retries: u32,
     /// In-flight deadline; expiry resolves the tag `TimedOut`.
     pub request_deadline: Duration,
-    /// Floor between two map refreshes (staleness signals inside the
-    /// window reuse the map already fetched).
-    pub map_refresh_floor: Duration,
 }
 
 impl Default for RouterConfig {
@@ -106,7 +103,6 @@ impl Default for RouterConfig {
             busy_backoff: Duration::from_millis(1),
             max_busy_retries: 100,
             request_deadline: Duration::from_secs(2),
-            map_refresh_floor: Duration::from_millis(25),
         }
     }
 }
@@ -224,6 +220,10 @@ pub fn run_routed(cfg: &RouterConfig) -> io::Result<(LoadReport, Journal)> {
     Ok(conclude(parts, started.elapsed()))
 }
 
+/// Floor between two map refreshes (staleness signals inside the window
+/// reuse the map already fetched).
+const MAP_REFRESH_FLOOR: Duration = Duration::from_millis(25);
+
 /// Fetches the current map over the directory connection.
 fn current_map(dir: &mut Conn) -> io::Result<ShardMap> {
     let (_epoch, text) = map_get(dir)?;
@@ -233,10 +233,10 @@ fn current_map(dir: &mut Conn) -> io::Result<ShardMap> {
 
 impl Run<'_> {
     /// Refreshes the map from the directory unless the last refresh is
-    /// within the configured floor. Adopts only a higher epoch and keeps
+    /// within [`MAP_REFRESH_FLOOR`]. Adopts only a higher epoch and keeps
     /// whatever map it has on any failure.
     fn refresh_if_stale(&mut self) {
-        if self.last_refresh.elapsed() < self.cfg.map_refresh_floor {
+        if self.last_refresh.elapsed() < MAP_REFRESH_FLOOR {
             return;
         }
         self.last_refresh = Instant::now();

@@ -88,19 +88,6 @@ impl FlashCommand {
     }
 }
 
-/// Die-level status register, mirroring the ready-flag handshake of
-/// Fig. 9: the controller polls `ready` before starting the data transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatusRegister {
-    /// Set when the die has data ready for transfer.
-    pub ready: bool,
-    /// Set when the last operation failed (program/erase failure).
-    pub fail: bool,
-    /// RiF extension: set when the ODEAR engine performed an in-die retry
-    /// for the last read (diagnostic visibility for the controller).
-    pub retried_in_die: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,11 +120,5 @@ mod tests {
         assert_eq!(swift.as_us(), 80.0);
         assert_eq!(rif_retry.as_us(), 82.5);
         assert_eq!(FlashCommand::Erase.die_occupancy(&t).as_us(), 3500.0);
-    }
-
-    #[test]
-    fn status_register_defaults_clear() {
-        let s = StatusRegister::default();
-        assert!(!s.ready && !s.fail && !s.retried_in_die);
     }
 }

@@ -15,15 +15,13 @@
 //! * [`rber`] — [`rber::ErrorModel`]: calibrated constants (Fig. 4 anchors),
 //!   log-normal per-block process variation, and fast per-block interpolated
 //!   lookup tables exactly as the extended MQSim-E consumes them;
-//! * [`vref`] — read-reference voltage sets, the vendor retry sequence, and
-//!   numerically optimal V_REF via distribution-intersection search;
+//! * [`vref`] — read-reference voltage sets and numerically optimal V_REF
+//!   via distribution-intersection search;
 //! * [`swift_read`] — the ones-count V_REF estimation of Swift-Read
 //!   (ISSCC'22), which the RVS module of a RiF die reuses (§IV-C);
 //! * [`learn`] — online per-block threshold learning from decode feedback
 //!   (pass/fail, retry counts, syndrome weight, re-calibration
 //!   observations) and the lifetime drift clock for long serving runs;
-//! * [`randomizer`] — the LFSR data scrambler that justifies the uniform
-//!   intra-page error distribution (Fig. 12);
 //! * [`chip`] — flash command timing (tR / tPROG / tBERS / page-buffer
 //!   readout) shared with the SSD simulator;
 //! * [`characterize`] — the synthetic "160-chip campaign" regenerating
@@ -35,9 +33,7 @@ pub mod chip;
 pub mod geometry;
 pub mod learn;
 pub mod mlc;
-pub mod randomizer;
 pub mod rber;
-pub mod sentinel;
 pub mod soft;
 pub mod swift_read;
 pub mod vref;

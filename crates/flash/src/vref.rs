@@ -1,10 +1,9 @@
-//! Read-reference voltage sets and the vendor read-retry sequence.
+//! Read-reference voltage sets.
 //!
 //! A TLC read compares cell V_TH against a subset of seven references
-//! R1–R7. When decoding fails, a conventional controller walks a
-//! *predetermined sequence* of reference sets supplied by the flash vendor
-//! (paper §II-B2), stepping the references downward because retention loss
-//! shifts distributions down.
+//! R1–R7. When decoding fails, a conventional controller re-reads with
+//! the references stepped downward, because retention loss shifts the
+//! distributions down (paper §II-B2).
 
 use crate::vth::{StateParam, TlcModel};
 
@@ -81,52 +80,6 @@ impl From<[f64; 7]> for ReadVoltages {
     }
 }
 
-/// The vendor's predetermined read-retry V_REF sequence: retry level `k`
-/// applies a uniform downward offset of `k · step` to all references.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetrySequence {
-    step: f64,
-    max_level: usize,
-}
-
-impl RetrySequence {
-    /// The default sequence: a normalized 0.04-V step per level, up to 8
-    /// levels — enough to track a month of retention loss in the
-    /// calibrated model.
-    pub fn vendor_default() -> Self {
-        RetrySequence {
-            step: 0.04,
-            max_level: 8,
-        }
-    }
-
-    /// Builds a custom sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `step > 0` and `max_level > 0`.
-    pub fn new(step: f64, max_level: usize) -> Self {
-        assert!(step > 0.0, "retry step must be positive");
-        assert!(max_level > 0, "need at least one retry level");
-        RetrySequence { step, max_level }
-    }
-
-    /// Number of levels in the sequence.
-    pub fn max_level(&self) -> usize {
-        self.max_level
-    }
-
-    /// References at retry level `level` (level 0 = `base`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` exceeds [`RetrySequence::max_level`].
-    pub fn refs_at(&self, base: ReadVoltages, level: usize) -> ReadVoltages {
-        assert!(level <= self.max_level, "retry level {level} out of range");
-        base.offset_all(-(self.step * level as f64))
-    }
-}
-
 /// Helper: the calibrated model's references packaged as [`ReadVoltages`].
 pub fn default_voltages(model: &TlcModel) -> ReadVoltages {
     ReadVoltages::new(model.default_refs())
@@ -163,38 +116,6 @@ mod tests {
         let each = v.offset_each(&[0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1]);
         assert!((each.get(1) - 0.6).abs() < 1e-12);
         assert!((each.get(4) - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn retry_sequence_steps_down() {
-        let model = TlcModel::calibrated();
-        let base = default_voltages(&model);
-        let seq = RetrySequence::vendor_default();
-        let mut last = base.get(4);
-        for level in 1..=seq.max_level() {
-            let v = seq.refs_at(base, level).get(4);
-            assert!(v < last, "level {level} did not lower R4");
-            last = v;
-        }
-    }
-
-    #[test]
-    fn retry_sequence_eventually_improves_aged_page_rber() {
-        // Walking the vendor sequence must find a level whose RBER is far
-        // below the default-reference RBER for a retention-shifted page —
-        // this is why read-retry works at all (§II-B2).
-        let model = TlcModel::calibrated();
-        let base = default_voltages(&model);
-        let seq = RetrySequence::vendor_default();
-        let op = OperatingPoint::new(1000, 20.0);
-        let default_rber = model.rber_avg(op, 1.0, base.as_array());
-        let best = (1..=seq.max_level())
-            .map(|l| model.rber_avg(op, 1.0, seq.refs_at(base, l).as_array()))
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            best < default_rber * 0.3,
-            "sequence best {best} vs default {default_rber}"
-        );
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! LDPC decoders: normalized min-sum (the channel-level ECC engine of the
-//! paper) and Gallager-B bit flipping (a cheap hard-decision cross-check).
+//! LDPC decoder: normalized min-sum (the channel-level ECC engine of the
+//! paper).
 //!
 //! The decoding-failure probability and iteration count of
 //! [`MinSumDecoder`] as functions of RBER are exactly the curves of
 //! Fig. 3; the iteration count maps onto the 1–20 µs tECC range of Table I.
 //!
-//! Both decoders run a fast path built on the quasi-cyclic structure: the
+//! Decoding runs a fast path built on the quasi-cyclic structure: the
 //! per-iteration syndrome check is a rotate-XOR over 64-bit-packed
 //! segments (each circulant `Q(s)` applied to a packed segment is a
 //! rotation, the same trick as [`QcLdpcCode::syndrome`]) instead of a walk
 //! over the `m × row_weight` edges one bit at a time, and the min-sum
 //! message passing is one fused kernel per block row (see
 //! [`MinSumDecoder::decode_llr`]). The straightforward per-edge
-//! implementations are kept as [`MinSumDecoder::decode_llr_reference`] and
-//! [`BitFlipDecoder::decode_reference`]; the fast paths are bit-identical
-//! to them (see the golden-equivalence suite in `tests/`).
+//! implementation is kept as [`MinSumDecoder::decode_llr_reference`]; the
+//! fast path is bit-identical to it (see the golden-equivalence suite in
+//! `tests/`).
 
 use std::cell::Cell;
 
@@ -175,23 +175,6 @@ impl Graph {
             }
         }
         true
-    }
-
-    /// Block-row syndromes of `hard` into `out` (`rows_b × t/64` words),
-    /// returning true when any check is unsatisfied.
-    fn block_syndromes(&self, hard: &[u64], out: &mut [u64]) -> bool {
-        let tw = self.t / 64;
-        out.fill(0);
-        let mut any = 0u64;
-        for (i, row) in self.block_rows.iter().enumerate() {
-            let acc = &mut out[i * tw..(i + 1) * tw];
-            for &(col, shift) in row {
-                let seg = &hard[col * tw..(col + 1) * tw];
-                xor_rotated(acc, seg, shift);
-            }
-            any |= acc.iter().fold(0, |a, &w| a | w);
-        }
-        any != 0
     }
 }
 
@@ -793,159 +776,6 @@ fn expand_hard_llr(words: &[u64], t: usize, stride: usize, out: &mut [f32]) {
     }
 }
 
-/// Gallager-B hard-decision bit-flipping decoder.
-///
-/// Flips every bit whose unsatisfied-check count reaches a majority of its
-/// degree. Much weaker than min-sum (it corrects roughly an order of
-/// magnitude fewer errors) but useful as an independent correctness check
-/// of the code construction.
-#[derive(Debug, Clone)]
-pub struct BitFlipDecoder {
-    graph: Graph,
-    max_iterations: u32,
-}
-
-impl BitFlipDecoder {
-    /// Builds a bit-flipping decoder with the paper's 20-iteration cap.
-    pub fn new(code: &QcLdpcCode) -> Self {
-        Self::with_max_iterations(code, PAPER_MAX_ITERATIONS)
-    }
-
-    /// Builds a bit-flipping decoder with a custom iteration cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_iterations` is zero.
-    pub fn with_max_iterations(code: &QcLdpcCode, max_iterations: u32) -> Self {
-        assert!(max_iterations > 0, "need at least one iteration");
-        BitFlipDecoder {
-            graph: Graph::build(code),
-            max_iterations,
-        }
-    }
-
-    /// Decodes a received hard-decision word.
-    ///
-    /// Fast path: parities come from the word-packed rotate-XOR block-row
-    /// syndrome, and only the set syndrome bits (unsatisfied checks) fan
-    /// out to per-variable counters — satisfied checks cost nothing.
-    pub fn decode(&self, received: &BitVec) -> DecodeOutcome {
-        let g = &self.graph;
-        assert_eq!(received.len(), g.n, "received word length mismatch");
-        let tw = g.t / 64;
-        let mut word = received.clone();
-        let mut unsat = vec![0u8; g.n];
-        let mut syn = vec![0u64; g.block_rows.len() * tw];
-
-        for iter in 0..=self.max_iterations {
-            let any = g.block_syndromes(word.as_words(), &mut syn);
-            if !any {
-                return DecodeOutcome {
-                    success: true,
-                    iterations: iter,
-                    decoded: word,
-                };
-            }
-            if iter == self.max_iterations {
-                break;
-            }
-            // Fan unsatisfied checks out to their variables. Syndrome bit
-            // k of block row i is check i·t + k, whose variables are
-            // col·t + (k + shift) mod t for each block in the row.
-            unsat.fill(0);
-            for (i, row) in g.block_rows.iter().enumerate() {
-                for w in 0..tw {
-                    let mut bits = syn[i * tw + w];
-                    while bits != 0 {
-                        let k = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        for &(col, shift) in row {
-                            unsat[col * g.t + (k + shift) % g.t] += 1;
-                        }
-                    }
-                }
-            }
-            // Flip strict majorities.
-            let mut flipped = false;
-            for v in 0..g.n {
-                let deg = (g.var_ptr[v + 1] - g.var_ptr[v]) as u8;
-                if unsat[v] * 2 > deg {
-                    word.flip(v);
-                    flipped = true;
-                }
-            }
-            if !flipped {
-                // Stuck: no strict majority anywhere.
-                break;
-            }
-        }
-
-        DecodeOutcome {
-            success: false,
-            iterations: self.max_iterations,
-            decoded: word,
-        }
-    }
-
-    /// Straightforward per-edge implementation kept as the correctness
-    /// reference for [`BitFlipDecoder::decode`].
-    pub fn decode_reference(&self, received: &BitVec) -> DecodeOutcome {
-        let g = &self.graph;
-        assert_eq!(received.len(), g.n, "received word length mismatch");
-        let mut word = received.clone();
-        let mut unsat = vec![0u8; g.n];
-
-        for iter in 0..=self.max_iterations {
-            // Count unsatisfied checks per variable.
-            unsat.fill(0);
-            let mut any = false;
-            for c in 0..g.m {
-                let lo = g.chk_ptr[c] as usize;
-                let hi = g.chk_ptr[c + 1] as usize;
-                let mut parity = false;
-                for e in lo..hi {
-                    parity ^= word.get(g.chk_vars[e] as usize);
-                }
-                if parity {
-                    any = true;
-                    for e in lo..hi {
-                        unsat[g.chk_vars[e] as usize] += 1;
-                    }
-                }
-            }
-            if !any {
-                return DecodeOutcome {
-                    success: true,
-                    iterations: iter,
-                    decoded: word,
-                };
-            }
-            if iter == self.max_iterations {
-                break;
-            }
-            // Flip strict majorities.
-            let mut flipped = false;
-            for v in 0..g.n {
-                let deg = (g.var_ptr[v + 1] - g.var_ptr[v]) as u8;
-                if unsat[v] * 2 > deg {
-                    word.flip(v);
-                    flipped = true;
-                }
-            }
-            if !flipped {
-                // Stuck: no strict majority anywhere.
-                break;
-            }
-        }
-
-        DecodeOutcome {
-            success: false,
-            iterations: self.max_iterations,
-            decoded: word,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1018,7 +848,6 @@ mod tests {
     fn fast_path_matches_reference_across_rbers() {
         let (code, cw, mut rng) = setup();
         let ms = MinSumDecoder::new(&code);
-        let bf = BitFlipDecoder::new(&code);
         for &p in &[0.001, 0.004, 0.008, 0.02] {
             for _ in 0..5 {
                 let noisy = Bsc::new(p).corrupt(&cw, &mut rng);
@@ -1026,11 +855,6 @@ mod tests {
                     ms.decode(&noisy),
                     ms.decode_reference(&noisy),
                     "min-sum at p={p}"
-                );
-                assert_eq!(
-                    bf.decode(&noisy),
-                    bf.decode_reference(&noisy),
-                    "bit-flip at p={p}"
                 );
             }
         }
@@ -1136,43 +960,17 @@ mod tests {
     }
 
     #[test]
-    fn bitflip_corrects_few_errors() {
-        let (code, cw, mut rng) = setup();
-        let dec = BitFlipDecoder::new(&code);
-        for _ in 0..10 {
-            let noisy = Bsc::corrupt_exact(&cw, 2, &mut rng);
-            let out = dec.decode(&noisy);
-            assert!(out.success, "bit flip failed on 2 errors");
-            assert_eq!(out.decoded, cw);
-        }
-    }
-
-    #[test]
-    fn bitflip_clean_input() {
-        let (code, cw, _) = setup();
-        let out = BitFlipDecoder::new(&code).decode(&cw);
-        assert!(out.success);
-        assert_eq!(out.iterations, 0);
-    }
-
-    #[test]
-    fn minsum_outperforms_bitflip() {
+    fn minsum_corrects_a_dozen_errors() {
         let (code, cw, mut rng) = setup();
         let ms = MinSumDecoder::new(&code);
-        let bf = BitFlipDecoder::new(&code);
-        let k = 12; // beyond Gallager-B comfort, fine for min-sum
+        let k = 12; // beyond hard-decision bit flipping, fine for min-sum
         let mut ms_wins = 0;
-        let mut bf_wins = 0;
         for _ in 0..20 {
             let noisy = Bsc::corrupt_exact(&cw, k, &mut rng);
             if ms.decode(&noisy).success {
                 ms_wins += 1;
             }
-            if bf.decode(&noisy).success {
-                bf_wins += 1;
-            }
         }
-        assert!(ms_wins >= bf_wins, "min-sum {ms_wins} < bit-flip {bf_wins}");
         assert!(ms_wins >= 15, "min-sum too weak: {ms_wins}/20");
     }
 

@@ -9,8 +9,6 @@
 //!   dual-diagonal encodable parity part) and systematic encoding;
 //! * [`decoder::MinSumDecoder`] — normalized min-sum decoding with iteration
 //!   counts and early termination (backs Fig. 3);
-//! * [`decoder::BitFlipDecoder`] — Gallager-B hard-decision decoding, used as
-//!   a cheap cross-check;
 //! * [`syndrome`] — syndrome vectors, syndrome weight, the *pruned* weight
 //!   over the first block row (paper §V-A2), and chunk selection;
 //! * [`rearrange`] — the codeword rearrangement of §V-B that turns the first

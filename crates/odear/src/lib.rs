@@ -39,7 +39,6 @@
 
 pub mod accuracy;
 pub mod engine;
-pub mod pipeline;
 pub mod ppa;
 pub mod rp;
 pub mod rvs;

@@ -106,22 +106,9 @@ pub struct LoadConfig {
     pub max_busy_retries: u32,
     /// A request with no response after this long resolves as timed out.
     pub request_deadline: Duration,
-    /// Re-issue budget per operation for non-BUSY recoveries (timeouts,
-    /// worker crashes, connection loss). Only safely-retryable work is
-    /// re-issued: reads, plus anything that provably never reached a
-    /// simulator.
-    pub max_resends: u32,
-    /// Reconnect attempts per connection before giving up on it.
-    pub max_reconnects: u32,
-    /// Base reconnect backoff; attempt `k` waits `base * 2^k` (capped)
-    /// plus seeded jitter in `[0, base)`.
-    pub reconnect_backoff: Duration,
     /// Requests per BATCH frame (`<= 1` disables batching: every request
     /// rides its own single-request frame).
     pub batch: usize,
-    /// Longest a partially-filled batch waits for more requests before
-    /// being flushed anyway.
-    pub batch_deadline: Duration,
 }
 
 impl Default for LoadConfig {
@@ -139,11 +126,7 @@ impl Default for LoadConfig {
             busy_backoff: Duration::from_micros(200),
             max_busy_retries: 50,
             request_deadline: Duration::from_secs(2),
-            max_resends: 16,
-            max_reconnects: 8,
-            reconnect_backoff: Duration::from_millis(10),
             batch: 1,
-            batch_deadline: Duration::from_millis(2),
         }
     }
 }
@@ -1196,6 +1179,20 @@ struct Budgets {
     resends: u32,
 }
 
+/// Re-issue budget per operation for non-BUSY recoveries (timeouts,
+/// worker crashes, connection loss). Only safely-retryable work is
+/// re-issued: reads, plus anything that provably never reached a
+/// simulator.
+const MAX_RESENDS: u32 = 16;
+/// Reconnect attempts per link before giving up on it.
+const MAX_RECONNECTS: u32 = 8;
+/// Base reconnect backoff; attempt `k` waits `base * 2^k` (capped) plus
+/// seeded jitter in `[0, base)`.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(10);
+/// Longest a partially-filled batch waits for more requests before
+/// being flushed anyway.
+const BATCH_DEADLINE: Duration = Duration::from_millis(2);
+
 /// One link of the closed-loop driver: a [`Ledger`] over a [`Wire`],
 /// plus this driver's policy — a queue and window of its own, BATCH
 /// accumulation, a link-wide refusal back-off and a bounded reconnect
@@ -1224,7 +1221,7 @@ impl Link {
                 .map(|io| Op::new(io, Budgets::default()))
                 .collect(),
             ledger: Ledger::new(((conn as u64) << 32) | 1, cfg.request_deadline),
-            wire: Wire::new(cfg.addr.clone(), token, cfg.reconnect_backoff, jitter),
+            wire: Wire::new(cfg.addr.clone(), token, RECONNECT_BACKOFF, jitter),
             pending_batch: Vec::new(),
             batch_started: None,
             paused_until: Instant::now(),
@@ -1241,10 +1238,10 @@ impl Link {
     /// connect draws on the same bounded budget as a mid-run loss; `Err`
     /// only when the link could never be opened at all, which fails the
     /// run instead of being counted `failed`.
-    fn ensure_up(&mut self, cfg: &LoadConfig, poller: &mut dyn Poller) -> io::Result<bool> {
+    fn ensure_up(&mut self, poller: &mut dyn Poller) -> io::Result<bool> {
         let up = self.wire.ensure_up(poller, &mut self.ledger.journal);
         up.or_else(|e| {
-            let forgiven = self.spend_reconnect(cfg) || self.wire.ever_up;
+            let forgiven = self.spend_reconnect() || self.wire.ever_up;
             forgiven.then_some(false).ok_or(e)
         })
     }
@@ -1252,8 +1249,8 @@ impl Link {
     /// Draws one attempt from the reconnect budget and returns true, or —
     /// budget spent — gives the link up and returns false: everything
     /// left in the queue was never submitted; fail it.
-    fn spend_reconnect(&mut self, cfg: &LoadConfig) -> bool {
-        let armed = self.reconnects_used < cfg.max_reconnects;
+    fn spend_reconnect(&mut self) -> bool {
+        let armed = self.reconnects_used < MAX_RECONNECTS;
         if armed {
             self.reconnects_used += 1;
         } else {
@@ -1271,7 +1268,7 @@ impl Link {
         self.pending_batch.clear();
         self.batch_started = None;
         self.apply(cfg, settled);
-        self.spend_reconnect(cfg);
+        self.spend_reconnect();
     }
 
     /// One turn of everything time-driven: reopen if the back-off has
@@ -1285,7 +1282,7 @@ impl Link {
         now: Instant,
         settled: &mut Vec<Settled<Budgets>>,
     ) -> io::Result<()> {
-        if !self.ensure_up(cfg, poller)? {
+        if !self.ensure_up(poller)? {
             return Ok(());
         }
         if now >= self.paused_until {
@@ -1307,7 +1304,7 @@ impl Link {
         if self.wire.sock.is_none() {
             return Some(self.wire.down_until);
         }
-        let batch = self.batch_started.map(|t| t + cfg.batch_deadline);
+        let batch = self.batch_started.map(|t| t + BATCH_DEADLINE);
         let head = self
             .queue
             .front()
@@ -1350,7 +1347,7 @@ impl Link {
         // deadline passes — partial frames must not wait forever.
         let expired = self
             .batch_started
-            .is_some_and(|t| now >= t + cfg.batch_deadline);
+            .is_some_and(|t| now >= t + BATCH_DEADLINE);
         if expired || self.queue.is_empty() || self.ledger.in_flight() >= cfg.depth {
             self.flush_batch();
         }
@@ -1390,7 +1387,7 @@ impl Link {
                 // A lost answer, a lost connection, a worker crash
                 // mid-flight: the I/O may have run.
                 How::TimedOut | How::ConnError | How::Error(ErrorCode::Internal)
-                    if op.reissuable(how) && op.policy.resends < cfg.max_resends =>
+                    if op.reissuable(how) && op.policy.resends < MAX_RESENDS =>
                 {
                     op.policy.resends += 1;
                     self.queue.push_back(op);
@@ -1422,7 +1419,7 @@ fn drive_links(
     // Open every link before the clock starts, so replay due-times and
     // first-request latencies do not include a sibling's handshake.
     for link in links.iter_mut() {
-        link.ensure_up(cfg, &mut *poller)?;
+        link.ensure_up(&mut *poller)?;
     }
     let started = Instant::now();
 

@@ -3,19 +3,22 @@
 #
 #   scripts/ci.sh
 #
-# Steps: formatting, release build, test suite (the property suites are
-# plain integration tests and run with it), the benchmark package's
-# build plus its bit-true decode, single-node and routed serving
-# workloads at smoke size, a determinism
-# check that --threads does not change a single CSV byte, a trace
-# gate that replays a quick figure run through the invariant checker,
-# the lifetime-sweep smoke (learned-threshold retry activity against its
-# checked-in envelope),
+# Steps: formatting, release build (rif-bench, the one experiment
+# binary, included), test suite (the property suites and the experiment
+# registry's smoke runs are plain integration tests and run with it), the
+# benchmark package's build plus its bit-true decode, single-node and
+# routed serving workloads at smoke size, a determinism check that
+# --threads does not change a single CSV byte of any experiment, a trace
+# gate that replays every simulated run of every experiment through the
+# invariant checker, the lifetime-sweep smoke (learned-threshold retry
+# activity against its checked-in envelope), the capture check (every
+# experiment regenerated at full size, byte-for-byte against
+# results/*.txt),
 # a loopback serving smoke (rif-server + rif-client over TCP), the
 # hybrid serving gate (rif-server --hybrid: clean foreground I/O while
 # background migrations and refresh run, nonzero server.bg.* gauges),
 # the hybrid sweep smoke (RiF's QLC+background win must widen vs
-# TLC-only — the binary self-gates via its exit code), the
+# TLC-only — the experiment self-gates via its exit code), the
 # event-loop high-concurrency gate (1k connections on two client threads), a
 # front-door bench smoke, the chaos gate, the cluster serving gate (two
 # cluster nodes behind the shard directory: routed load, live
@@ -106,25 +109,31 @@ cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
 tail -n 1 "$tmpdir/serve_cluster.txt"
 grep -q '"correct":true' "$tmpdir/serve_cluster.txt"
 
-echo "==> thread-count determinism (fig10, --threads 1 vs 8)"
-cargo run -q --release -p rif-bench --bin fig10_syndrome_correlation -- \
-    --quick --csv --seed 42 --threads 1 > "$tmpdir/t1.csv"
-cargo run -q --release -p rif-bench --bin fig10_syndrome_correlation -- \
-    --quick --csv --seed 42 --threads 8 > "$tmpdir/t8.csv"
+# The one experiment binary, built by `cargo build --release` above
+# (rif-bench is a default member).
+BENCH=./target/release/rif-bench
+
+echo "==> thread-count determinism (every experiment, --threads 1 vs 8)"
+"$BENCH" run --all --quick --csv --seed 42 --threads 1 > "$tmpdir/t1.csv"
+"$BENCH" run --all --quick --csv --seed 42 --threads 8 > "$tmpdir/t8.csv"
 diff "$tmpdir/t1.csv" "$tmpdir/t8.csv"
 
-echo "==> trace-invariant gate (fig19 --trace-out, then trace_check)"
-cargo run -q --release -p rif-bench --bin fig19_latency_cdf -- \
-    --quick --seed 42 --trace-out "$tmpdir/trace" > /dev/null
-cargo run -q --release -p rif-bench --bin trace_check -- "$tmpdir"/trace-*.jsonl
+# Every simulated run of every experiment writes its trace and is
+# replayed through TraceChecker on the spot; trace-check then replays
+# the files standalone. (~400 MB of JSONL, removed straight after.)
+echo "==> trace-invariant gate (run --all --trace-out, then trace-check)"
+"$BENCH" run --all --quick --seed 42 --trace-out "$tmpdir/trace" > /dev/null
+"$BENCH" trace-check "$tmpdir"/trace-*.jsonl > "$tmpdir/trace_check.txt"
+tail -n 1 "$tmpdir/trace_check.txt"
+rm -f "$tmpdir"/trace-*.jsonl
 
 echo "==> lifetime-sweep smoke (learned thresholds inside the envelope)"
 # Oracle-vs-learned sweep over the CI scheme subset; learned-mode retry
 # activity must stay inside the checked-in behavioural envelope
 # (regenerate with --write-envelope and review the diff when the learner
 # constants change intentionally).
-cargo run -q --release -p rif-bench --bin lifetime_sweep -- \
-    --quick --schemes ci --seed 42 --check-envelope results/lifetime_envelope.csv
+"$BENCH" run lifetime_sweep --quick --schemes ci --seed 42 \
+    --check-envelope results/lifetime_envelope.csv
 
 echo "==> loopback serving smoke (rif-server + rif-client)"
 # Every client step runs under a hard timeout so a wedged server cannot
@@ -301,11 +310,11 @@ echo "==> bench smoke (scripts/bench_server.sh --smoke)"
 sh scripts/bench_server.sh --smoke --out "$tmpdir/BENCH_server.json" > /dev/null
 grep -q '"event_loop": {"completed":20000' "$tmpdir/BENCH_server.json"
 
-# Hybrid sweep smoke: the binary exits non-zero unless RiF's relative
-# win under QLC+background exceeds its TLC-only win (the tentpole
-# acceptance criterion), so running it IS the gate.
+# Hybrid sweep smoke: the experiment exits non-zero unless RiF's
+# relative win under QLC+background exceeds its TLC-only win (the
+# tentpole acceptance criterion), so running it IS the gate.
 echo "==> hybrid sweep smoke (QLC+bg win must widen vs TLC-only)"
-cargo run -q --release -p rif-bench --bin hybrid_sweep -- --quick > /dev/null
+"$BENCH" run hybrid_sweep --quick > /dev/null
 
 # Chaos gate: 10k requests through the fault-injecting proxy — 10% drop,
 # 5% delay, 2% duplicate, one mid-run worker kill — must finish under the
@@ -452,6 +461,12 @@ if grep -q '"partitions_fired":0,' "$tmpdir/multikill_gate.json"; then
     echo "partition window never fired"
     exit 1
 fi
+
+# Capture check: every experiment regenerated at full size with the
+# default seed must equal results/<name>.txt byte for byte — the numbers
+# EXPERIMENTS.md quotes are read off those files.
+echo "==> capture check (rif-bench check: results/*.txt regenerate byte-for-byte)"
+"$BENCH" check
 
 if $in_git; then
     echo "==> work-tree guard (no step rewrote a tracked file)"
