@@ -3,9 +3,23 @@
 //! Events scheduled at the same instant are delivered in FIFO scheduling
 //! order (a monotonically increasing sequence number breaks ties), which
 //! keeps simulations reproducible regardless of heap internals.
+//!
+//! The queue has two lanes behind one `schedule`/`pop`. An event whose
+//! instant is not earlier than the last one appended to the *run* is
+//! appended to it in O(1); any other event goes to a binary heap. A
+//! simulator that submits a whole trace of arrivals up front, or a
+//! stepper chunk of them, fills the run, and the heap holds only the
+//! few in-flight device events.
+//!
+//! The delivery order is the one a single heap gives, by construction:
+//! every entry carries `(at, seq)` with `seq` unique, so "smallest
+//! `(at, seq)` first" is a total order with no ties; `seq` only grows,
+//! so appending when `at >= run.back().at` keeps the run sorted by
+//! `(at, seq)` and its front is its minimum; the heap's top is the
+//! heap's minimum; and `pop` takes the smaller of the two.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -15,9 +29,16 @@ struct Entry<E> {
     payload: E,
 }
 
+impl<E> Entry<E> {
+    /// The delivery order: earliest instant, then first scheduled.
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -32,10 +53,7 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (then
         // first-scheduled) entry is popped first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -54,6 +72,9 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(order, ["a", "b", "c"]);
 /// ```
 pub struct EventQueue<E> {
+    /// Entries scheduled in non-decreasing time order, earliest first.
+    run: VecDeque<Entry<E>>,
+    /// Every entry scheduled earlier than the run's back at the time.
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
@@ -69,6 +90,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
@@ -94,13 +116,33 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, payload });
+        let entry = Entry { at, seq, payload };
+        match self.run.back() {
+            Some(last) if at < last.at => self.heap.push(entry),
+            _ => self.run.push_back(entry),
+        }
+    }
+
+    /// Whether the next event in delivery order sits at the run's front
+    /// (`false`: on the heap's top). `None` when the queue is empty.
+    fn next_in_run(&self) -> Option<bool> {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(h)) => Some(r.key() < h.key()),
+            (Some(_), None) => Some(true),
+            (None, Some(_)) => Some(false),
+            (None, None) => None,
+        }
     }
 
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
+        let entry = if self.next_in_run()? {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        }
+        .expect("the lane just peeked is non-empty");
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
         Some((entry.at, entry.payload))
@@ -108,17 +150,21 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        if self.next_in_run()? {
+            self.run.front().map(|e| e.at)
+        } else {
+            self.heap.peek().map(|e| e.at)
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 }
 
@@ -126,7 +172,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.len())
             .finish()
     }
 }

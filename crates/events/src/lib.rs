@@ -4,7 +4,8 @@
 //! The paper evaluates RiF with an extended MQSim-E, a discrete-event SSD
 //! simulator. This crate provides the equivalent substrate: a nanosecond
 //! [`SimTime`] clock, a deterministic [`EventQueue`], seedable random-number
-//! helpers ([`rng`]), and measurement utilities ([`stats`]) such as latency
+//! helpers ([`rng`]), a cheap seeded hasher for integer-keyed maps
+//! ([`hash`]), and measurement utilities ([`stats`]) such as latency
 //! histograms and time-weighted utilization trackers.
 //!
 //! # Example
@@ -21,6 +22,7 @@
 //! ```
 
 pub mod event;
+pub mod hash;
 pub mod pool;
 pub mod rng;
 pub mod stats;

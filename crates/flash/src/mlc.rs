@@ -14,9 +14,7 @@
 //! references as evenly as possible across the pages, mirroring the
 //! 2-3-2 TLC and 4-4-4-3 QLC schemes of real devices.
 
-use rif_ldpc::model::normal_cdf;
-
-use crate::vth::{OperatingPoint, StateParam};
+use crate::vth::{gauss_mass, OperatingPoint, StateParam};
 
 /// A `b`-bit-per-cell V_TH model.
 ///
@@ -197,22 +195,26 @@ impl MlcModel {
     pub fn rber(&self, op: OperatingPoint, process_factor: f64, refs: &[f64], page: usize) -> f64 {
         assert_eq!(refs.len(), self.n_states() - 1, "reference count mismatch");
         let params = self.state_params(op, process_factor);
-        let bounds: Vec<f64> = self.refs_of(page).iter().map(|&r| refs[r - 1]).collect();
         let mut err = 0.0;
         let inv_states = 1.0 / self.n_states() as f64;
         for (s, p) in params.iter().enumerate() {
             let want = self.bit_of(page, s);
             let mut region_bit = self.bit_of(page, 0);
             let mut lo = f64::NEG_INFINITY;
-            for &b in &bounds {
+            // Region boundaries in ascending voltage order: the references
+            // where this page's bit flips.
+            let bounds = (1..self.n_states())
+                .filter(|&r| self.bit_of(page, r - 1) != self.bit_of(page, r))
+                .map(|r| refs[r - 1]);
+            for b in bounds {
                 if region_bit != want {
-                    err += mass(p, lo, b) * inv_states;
+                    err += gauss_mass(p, lo, b) * inv_states;
                 }
                 lo = b;
                 region_bit = !region_bit;
             }
             if region_bit != want {
-                err += mass(p, lo, f64::INFINITY) * inv_states;
+                err += gauss_mass(p, lo, f64::INFINITY) * inv_states;
             }
         }
         err
@@ -248,19 +250,6 @@ impl MlcModel {
         }
         Some(0.5 * (lo + hi))
     }
-}
-
-fn mass(p: &StateParam, lo: f64, hi: f64) -> f64 {
-    let cdf = |x: f64| {
-        if x == f64::INFINITY {
-            1.0
-        } else if x == f64::NEG_INFINITY {
-            0.0
-        } else {
-            normal_cdf((x - p.mean) / p.sigma)
-        }
-    };
-    (cdf(hi) - cdf(lo)).max(0.0)
 }
 
 fn intersection(a: StateParam, b: StateParam) -> f64 {

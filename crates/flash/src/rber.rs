@@ -5,14 +5,20 @@
 //! block read counts from the device characterization results of a randomly
 //! chosen test block" (§VI-A). [`ErrorModel`] plays the role of the
 //! 160-chip characterization: it samples per-block process variation and
-//! evaluates the physical V_TH model; [`BlockErrorTable`] is the baked
-//! lookup table the event-level simulator reads on every page access.
+//! evaluates the physical V_TH model. The event-level simulator calls it
+//! directly for every read group ([`ErrorModel::state_params`], then
+//! [`ErrorModel::rber_default_with`], [`ErrorModel::rber_optimal_with`]
+//! and [`ErrorModel::rber_at_with`]), so its RBERs are exact at any age,
+//! wear and read count. [`BlockErrorTable`] is the paper-style baked
+//! table with linear interpolation between grid days; the simulator does
+//! not read it (interpolating would change every simulated result — its
+//! only user is a look-up microcell of the benchmark under `perf/`).
 
 use rif_events::SimRng;
 
 use crate::geometry::PageKind;
 use crate::vref::ReadVoltages;
-use crate::vth::{OperatingPoint, TlcModel};
+use crate::vth::{OperatingPoint, StateParam, TlcModel};
 
 /// Per-block reliability profile drawn from process variation.
 ///
@@ -57,6 +63,8 @@ impl BlockProfile {
 pub struct ErrorModel {
     tlc: TlcModel,
     default_refs: [f64; 7],
+    /// `tlc.state_scaling()`, fixed with the model.
+    state_scaling: [f64; 8],
 }
 
 impl ErrorModel {
@@ -68,7 +76,12 @@ impl ErrorModel {
     /// Wraps an arbitrary V_TH model.
     pub fn new(tlc: TlcModel) -> Self {
         let default_refs = tlc.default_refs();
-        ErrorModel { tlc, default_refs }
+        let state_scaling = tlc.state_scaling();
+        ErrorModel {
+            tlc,
+            default_refs,
+            state_scaling,
+        }
     }
 
     /// The underlying V_TH model.
@@ -81,17 +94,34 @@ impl ErrorModel {
         ReadVoltages::new(self.default_refs)
     }
 
+    /// V_TH state distributions of `block` at `op`. One read usually
+    /// prices several reference sets against the same distributions:
+    /// evaluate them once and hand them to the `*_with` methods.
+    pub fn state_params(&self, block: BlockProfile, op: OperatingPoint) -> [StateParam; 8] {
+        self.tlc
+            .state_params_scaled(&self.state_scaling, op, block.factor)
+    }
+
     /// RBER of a page read at the default references.
     pub fn rber_default(&self, block: BlockProfile, op: OperatingPoint, kind: PageKind) -> f64 {
-        self.tlc.rber(op, block.factor, &self.default_refs, kind)
+        self.rber_default_with(&self.state_params(block, op), kind)
+    }
+
+    /// [`ErrorModel::rber_default`] from precomputed state distributions.
+    pub fn rber_default_with(&self, params: &[StateParam; 8], kind: PageKind) -> f64 {
+        self.tlc.rber_with_params(params, &self.default_refs, kind)
     }
 
     /// RBER of a page re-read at *near-optimal* references (what an ideal
     /// retry achieves). This is the RBER for which tECC ≈ 1 µs in Table I.
     pub fn rber_optimal(&self, block: BlockProfile, op: OperatingPoint, kind: PageKind) -> f64 {
-        let params = self.tlc.state_params(op, block.factor);
-        let refs = self.tlc.optimal_refs(params);
-        self.tlc.rber_with_params(&params, &refs, kind)
+        self.rber_optimal_with(&self.state_params(block, op), kind)
+    }
+
+    /// [`ErrorModel::rber_optimal`] from precomputed state distributions.
+    pub fn rber_optimal_with(&self, params: &[StateParam; 8], kind: PageKind) -> f64 {
+        let refs = self.tlc.optimal_refs(*params);
+        self.tlc.rber_with_params(params, &refs, kind)
     }
 
     /// RBER of a page read at arbitrary references.
@@ -102,7 +132,17 @@ impl ErrorModel {
         refs: ReadVoltages,
         kind: PageKind,
     ) -> f64 {
-        self.tlc.rber(op, block.factor, refs.as_array(), kind)
+        self.rber_at_with(&self.state_params(block, op), refs, kind)
+    }
+
+    /// [`ErrorModel::rber_at`] from precomputed state distributions.
+    pub fn rber_at_with(
+        &self,
+        params: &[StateParam; 8],
+        refs: ReadVoltages,
+        kind: PageKind,
+    ) -> f64 {
+        self.tlc.rber_with_params(params, refs.as_array(), kind)
     }
 
     /// Kind-averaged RBER at default references.
@@ -115,7 +155,7 @@ impl ErrorModel {
     /// (optimal − default). This is the scalar ground truth the online
     /// [`crate::learn::ThresholdLearner`] is judged against.
     pub fn optimal_offset(&self, block: BlockProfile, op: OperatingPoint) -> f64 {
-        let params = self.tlc.state_params(op, block.factor);
+        let params = self.state_params(block, op);
         let optimal = self.tlc.optimal_refs(params);
         optimal
             .iter()
@@ -156,8 +196,10 @@ impl ErrorModel {
 }
 
 /// A baked per-block RBER lookup table: retention-day axis at a fixed P/E
-/// count, one row per page kind, with linear interpolation — the exact
+/// count, one row per page kind, with linear interpolation — the kind of
 /// artifact the extended MQSim-E consults on every simulated page read.
+/// This repository's simulator evaluates [`ErrorModel`] instead (see the
+/// module documentation).
 #[derive(Debug, Clone)]
 pub struct BlockErrorTable {
     pe_cycles: u32,

@@ -37,15 +37,19 @@ use crate::vth::{OperatingPoint, TlcModel};
 pub struct SwiftRead {
     model: TlcModel,
     default_refs: [f64; 7],
+    /// `model.state_scaling()`: one inversion evaluates 42 ages.
+    state_scaling: [f64; 8],
 }
 
 impl SwiftRead {
     /// Builds an estimator over the given V_TH model.
     pub fn new(model: TlcModel) -> Self {
         let default_refs = model.default_refs();
+        let state_scaling = model.state_scaling();
         SwiftRead {
             model,
             default_refs,
+            state_scaling,
         }
     }
 
@@ -61,7 +65,9 @@ impl SwiftRead {
         rng: &mut SimRng,
     ) -> f64 {
         assert!(n_cells > 0, "page must have at least one cell");
-        let params = self.model.state_params(op, process_factor);
+        let params = self
+            .model
+            .state_params_scaled(&self.state_scaling, op, process_factor);
         let f = self.model.ones_fraction(&params, &self.default_refs, kind);
         let noise_sigma = (f * (1.0 - f) / n_cells as f64).sqrt();
         (f + rng.gaussian_with(0.0, noise_sigma)).clamp(0.0, 1.0)
@@ -81,11 +87,16 @@ impl SwiftRead {
         observed_ones: f64,
     ) -> ReadVoltages {
         // Ones-fraction at default refs as a function of hypothetical age.
+        let params_at = |days: f64| {
+            self.model.state_params_scaled(
+                &self.state_scaling,
+                OperatingPoint::new(pe_cycles, days),
+                1.0,
+            )
+        };
         let f_of = |days: f64| {
-            let params = self
-                .model
-                .state_params(OperatingPoint::new(pe_cycles, days), 1.0);
-            self.model.ones_fraction(&params, &self.default_refs, kind)
+            self.model
+                .ones_fraction(&params_at(days), &self.default_refs, kind)
         };
         let (mut lo, mut hi) = (0.0_f64, 60.0_f64);
         let (f_lo, f_hi) = (f_of(lo), f_of(hi));
@@ -106,10 +117,7 @@ impl SwiftRead {
             }
         }
         let est_days = 0.5 * (lo + hi);
-        let params = self
-            .model
-            .state_params(OperatingPoint::new(pe_cycles, est_days), 1.0);
-        ReadVoltages::new(self.model.optimal_refs(params))
+        ReadVoltages::new(self.model.optimal_refs(params_at(est_days)))
     }
 
     /// Full Swift-Read flow: sense at default references, count ones,

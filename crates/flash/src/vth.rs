@@ -151,10 +151,29 @@ impl TlcModel {
         1.0 + self.wear_amp * (pe as f64 / 1000.0).powf(self.wear_exp)
     }
 
+    /// The state-level retention scaling `(s/7)^γ` of the eight states.
+    /// It depends on the model alone, so a caller that evaluates many
+    /// operating points computes it once and passes it to
+    /// [`TlcModel::state_params_scaled`].
+    pub fn state_scaling(&self) -> [f64; 8] {
+        std::array::from_fn(|s| (s as f64 / 7.0).powf(self.state_gamma))
+    }
+
     /// V_TH distribution parameters of all eight states under the given
     /// stress. `process_factor` scales the retention shift and models
     /// block-to-block process variation (1.0 = median block).
     pub fn state_params(&self, op: OperatingPoint, process_factor: f64) -> [StateParam; 8] {
+        self.state_params_scaled(&self.state_scaling(), op, process_factor)
+    }
+
+    /// [`TlcModel::state_params`] with this model's
+    /// [`TlcModel::state_scaling`] already computed.
+    pub fn state_params_scaled(
+        &self,
+        scaling: &[f64; 8],
+        op: OperatingPoint,
+        process_factor: f64,
+    ) -> [StateParam; 8] {
         let wear = self.wear(op.pe_cycles);
         let ln_t = (1.0 + op.retention_days.max(0.0)).ln();
         let widen =
@@ -175,11 +194,7 @@ impl TlcModel {
             } else {
                 self.sigma_prog
             };
-            let shift = self.retention_a
-                * process_factor
-                * wear
-                * ln_t
-                * (s as f64 / 7.0).powf(self.state_gamma);
+            let shift = self.retention_a * process_factor * wear * ln_t * scaling[s];
             // Read disturb weakly programs the erased state upward.
             let disturb = if s == 0 { rd } else { 0.0 };
             *slot = StateParam {
@@ -243,6 +258,21 @@ impl TlcModel {
         self.rber_with_params(&params, refs, kind)
     }
 
+    /// Region boundaries of a `kind` page in ascending voltage order —
+    /// the references where its Gray bit flips (two for LSB and MSB,
+    /// three for CSB) — and how many of the three slots are in use.
+    fn kind_bounds(kind: PageKind, refs: &[f64; 7]) -> ([f64; 3], usize) {
+        let mut bounds = [0.0; 3];
+        let mut n = 0;
+        for r in 1..8 {
+            if Self::bit_of(kind, r - 1) != Self::bit_of(kind, r) {
+                bounds[n] = refs[r - 1];
+                n += 1;
+            }
+        }
+        (bounds, n)
+    }
+
     /// RBER from precomputed state parameters (see [`TlcModel::rber`]).
     pub fn rber_with_params(
         &self,
@@ -250,24 +280,21 @@ impl TlcModel {
         refs: &[f64; 7],
         kind: PageKind,
     ) -> f64 {
-        let kind_refs = Self::refs_of(kind);
-        // Region boundaries for this page kind, in ascending voltage order.
-        let bounds: Vec<f64> = kind_refs.iter().map(|&r| refs[r - 1]).collect();
+        let (bounds, n) = Self::kind_bounds(kind, refs);
         let mut err = 0.0;
         for (s, p) in params.iter().enumerate() {
             let want = Self::bit_of(kind, s);
-            // Walk the regions: region k spans (bounds[k-1], bounds[k]).
-            // The decoded bit of the lowest region is the bit of state 0.
+            // Walk the regions: region k spans (bounds[k-1], bounds[k]),
+            // and crossing a bound flips the decoded bit. The decoded bit
+            // of the lowest region is the bit of state 0.
             let mut region_bit = Self::bit_of(kind, 0);
             let mut lo = f64::NEG_INFINITY;
             let mut wrong_mass = 0.0;
-            for (k, &b) in bounds.iter().enumerate() {
+            for &b in &bounds[..n] {
                 if region_bit != want {
                     wrong_mass += gauss_mass(p, lo, b);
                 }
                 lo = b;
-                // Crossing reference kind_refs[k] flips the decoded bit.
-                let _ = k;
                 region_bit = !region_bit;
             }
             if region_bit != want {
@@ -291,13 +318,12 @@ impl TlcModel {
     /// Expected fraction of cells of a `kind` page that read as 1 at the
     /// given references — what a Swift-Read ones-count measures.
     pub fn ones_fraction(&self, params: &[StateParam; 8], refs: &[f64; 7], kind: PageKind) -> f64 {
-        let kind_refs = Self::refs_of(kind);
-        let bounds: Vec<f64> = kind_refs.iter().map(|&r| refs[r - 1]).collect();
+        let (bounds, n) = Self::kind_bounds(kind, refs);
         let mut ones = 0.0;
         for p in params.iter() {
             let mut region_bit = Self::bit_of(kind, 0);
             let mut lo = f64::NEG_INFINITY;
-            for &b in &bounds {
+            for &b in &bounds[..n] {
                 if region_bit {
                     ones += gauss_mass(p, lo, b) / 8.0;
                 }
@@ -312,7 +338,9 @@ impl TlcModel {
     }
 }
 
-fn gauss_mass(p: &StateParam, lo: f64, hi: f64) -> f64 {
+/// Probability mass the Gaussian `p` places in `(lo, hi)`; either end
+/// may be infinite.
+pub(crate) fn gauss_mass(p: &StateParam, lo: f64, hi: f64) -> f64 {
     let cdf = |x: f64| {
         if x == f64::INFINITY {
             1.0
@@ -377,6 +405,91 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, vec![1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    /// [`TlcModel::rber_with_params`] as it was before the region bounds
+    /// moved to the stack: `refs_of` and a collected `Vec` per call.
+    fn rber_with_params_vec(params: &[StateParam; 8], refs: &[f64; 7], kind: PageKind) -> f64 {
+        let bounds: Vec<f64> = TlcModel::refs_of(kind)
+            .iter()
+            .map(|&r| refs[r - 1])
+            .collect();
+        let mut err = 0.0;
+        for (s, p) in params.iter().enumerate() {
+            let want = TlcModel::bit_of(kind, s);
+            let mut region_bit = TlcModel::bit_of(kind, 0);
+            let mut lo = f64::NEG_INFINITY;
+            let mut wrong_mass = 0.0;
+            for &b in &bounds {
+                if region_bit != want {
+                    wrong_mass += gauss_mass(p, lo, b);
+                }
+                lo = b;
+                region_bit = !region_bit;
+            }
+            if region_bit != want {
+                wrong_mass += gauss_mass(p, lo, f64::INFINITY);
+            }
+            err += wrong_mass / 8.0;
+        }
+        err
+    }
+
+    /// [`TlcModel::ones_fraction`] as it was, likewise.
+    fn ones_fraction_vec(params: &[StateParam; 8], refs: &[f64; 7], kind: PageKind) -> f64 {
+        let bounds: Vec<f64> = TlcModel::refs_of(kind)
+            .iter()
+            .map(|&r| refs[r - 1])
+            .collect();
+        let mut ones = 0.0;
+        for p in params.iter() {
+            let mut region_bit = TlcModel::bit_of(kind, 0);
+            let mut lo = f64::NEG_INFINITY;
+            for &b in &bounds {
+                if region_bit {
+                    ones += gauss_mass(p, lo, b) / 8.0;
+                }
+                lo = b;
+                region_bit = !region_bit;
+            }
+            if region_bit {
+                ones += gauss_mass(p, lo, f64::INFINITY) / 8.0;
+            }
+        }
+        ones
+    }
+
+    #[test]
+    fn stack_bounds_match_the_vec_path_bit_for_bit() {
+        // Every (P/E, days) point the tests of this module read, each
+        // page kind, a strong, median and weak block, at the default
+        // references and at the point's own optimal ones.
+        let m = TlcModel::calibrated();
+        let default = m.default_refs();
+        for pe in [0u32, 200, 500, 1000, 2000] {
+            for days in [
+                0.0, 2.0, 5.0, 8.0, 10.0, 12.0, 15.0, 16.0, 19.0, 20.0, 25.0, 30.0,
+            ] {
+                for factor in [0.7, 1.0, 1.5] {
+                    let params = m.state_params(OperatingPoint::new(pe, days), factor);
+                    for refs in [default, m.optimal_refs(params)] {
+                        for kind in PageKind::ALL {
+                            let at = format!("pe={pe} days={days} factor={factor} {kind}");
+                            assert_eq!(
+                                m.rber_with_params(&params, &refs, kind).to_bits(),
+                                rber_with_params_vec(&params, &refs, kind).to_bits(),
+                                "rber_with_params at {at}"
+                            );
+                            assert_eq!(
+                                m.ones_fraction(&params, &refs, kind).to_bits(),
+                                ones_fraction_vec(&params, &refs, kind).to_bits(),
+                                "ones_fraction at {at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,11 +14,27 @@ use crate::analysis::{capability_sweep, CapabilityPoint};
 use crate::code::{QcLdpcCode, PAPER_CORRECTION_CAPABILITY};
 use crate::decoder::PAPER_MAX_ITERATIONS;
 
+/// `|x/√2|` from which [`erf`] is exactly ±1: its correction term
+/// `poly(t)·t·e^{-z²}` is below `0.1·e^{-36} ≈ 2.3e-17 < 2^-54` there, so
+/// `1.0 - term` already rounds to `1.0`.
+const ERF_SATURATES_AT: f64 = 6.0;
+
 /// Standard normal CDF via the Abramowitz–Stegun erf approximation
 /// (absolute error < 1.5e-7 — far below Monte-Carlo noise).
+///
+/// Beyond the saturation point the tails return the `1.0` / `0.0` the
+/// expression rounds to anyway, without evaluating `exp`: the result is
+/// bit-identical to the full expression for every input (tested against
+/// it), and most of a V_TH model's per-state look-ups land out there.
 pub fn normal_cdf(x: f64) -> f64 {
     let z = x / std::f64::consts::SQRT_2;
-    0.5 * (1.0 + erf(z))
+    if z >= ERF_SATURATES_AT {
+        1.0
+    } else if z <= -ERF_SATURATES_AT {
+        0.0
+    } else {
+        0.5 * (1.0 + erf(z))
+    }
 }
 
 fn erf(x: f64) -> f64 {
@@ -271,6 +287,64 @@ fn probit(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`normal_cdf`] without the tail shortcut: the expression every
+    /// checked-in result was produced with.
+    fn normal_cdf_unshortened(x: f64) -> f64 {
+        0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
+    }
+
+    #[test]
+    fn normal_cdf_tail_shortcut_is_bit_exact() {
+        let same = |x: f64| {
+            let (got, want) = (normal_cdf(x), normal_cdf_unshortened(x));
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "x = {x:e} ({:#x}): {got:e} vs {want:e}",
+                x.to_bits()
+            );
+        };
+        let sqrt2 = std::f64::consts::SQRT_2;
+        // Every representable x for 100k steps on either side of the two
+        // cut points x/√2 = ±6.
+        let cut = ERF_SATURATES_AT * sqrt2;
+        for i in 0..100_000u64 {
+            for bits in [cut.to_bits() + i, cut.to_bits() - i] {
+                same(f64::from_bits(bits));
+                same(-f64::from_bits(bits));
+            }
+        }
+        // A dense grid over x/√2 in ±[5, 7].
+        let steps = 400_000;
+        for i in 0..=steps {
+            let z = 5.0 + 2.0 * i as f64 / steps as f64;
+            same(z * sqrt2);
+            same(-z * sqrt2);
+        }
+        // Seeded random points over ±12 (x/√2 to ±8.5: both sides of
+        // both cuts), then the edge values.
+        let mut rng = SimRng::seed_from(0xCDF);
+        for _ in 0..1_000_000 {
+            same(rng.uniform_range(-12.0, 12.0));
+        }
+        for x in [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            12.0 * sqrt2,
+            -12.0 * sqrt2,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            same(x);
+        }
+        assert_eq!(normal_cdf(f64::NEG_INFINITY).to_bits(), 0.0f64.to_bits());
+        assert!(normal_cdf(f64::NAN).is_nan());
+    }
 
     #[test]
     fn normal_cdf_sanity() {

@@ -18,6 +18,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
+use rif_events::hash::{IntBuildHasher, IntMap};
 use rif_flash::geometry::{FlashGeometry, PageKind};
 
 use crate::hybrid::CellMode;
@@ -180,17 +181,17 @@ impl DieState {
 #[derive(Debug, Clone)]
 pub struct Ftl {
     geometry: FlashGeometry,
-    mapping: HashMap<u64, SlotLocation>,
+    mapping: IntMap<u64, SlotLocation>,
     dies: Vec<DieState>,
     /// Live-slot tracking for write-half blocks, keyed by (die, block).
-    blocks: HashMap<(usize, usize), BlockLive>,
+    blocks: IntMap<(usize, usize), BlockLive>,
     /// Per-block read counters (read disturb), keyed by global block id.
-    read_counts: HashMap<u64, u64>,
+    read_counts: IntMap<u64, u64>,
     /// Slots ever touched, in first-touch order (the refresh scan's
     /// deterministic iteration universe).
     touched: Vec<u64>,
     /// Cache membership: slot → its live fifo sequence number.
-    cached: HashMap<u64, u64>,
+    cached: IntMap<u64, u64>,
     write_base: usize,
     /// First SLC-mode block index (== `blocks_per_plane` when no cache).
     slc_base: usize,
@@ -218,6 +219,17 @@ impl Ftl {
     /// Panics unless `cache_fraction` is in `[0, 0.9]` and the geometry
     /// leaves at least two capacity write blocks per die.
     pub fn with_cache(geometry: FlashGeometry, cache_fraction: f64) -> Self {
+        Self::with_hasher(geometry, cache_fraction, IntBuildHasher::default())
+    }
+
+    /// [`Ftl::with_cache`] with the hasher of the slot- and block-keyed
+    /// maps given. No result depends on it; the tests that prove so run
+    /// under two seeds.
+    pub(crate) fn with_hasher(
+        geometry: FlashGeometry,
+        cache_fraction: f64,
+        hasher: IntBuildHasher,
+    ) -> Self {
         assert!(
             (0.0..=0.9).contains(&cache_fraction),
             "cache fraction {cache_fraction} outside [0, 0.9]"
@@ -247,12 +259,12 @@ impl Ftl {
             .collect();
         Ftl {
             geometry,
-            mapping: HashMap::new(),
+            mapping: IntMap::with_hasher(hasher),
             dies,
-            blocks: HashMap::new(),
-            read_counts: HashMap::new(),
+            blocks: IntMap::with_hasher(hasher),
+            read_counts: IntMap::with_hasher(hasher),
             touched: Vec::new(),
-            cached: HashMap::new(),
+            cached: IntMap::with_hasher(hasher),
             write_base,
             slc_base,
             write_rr: 0,
@@ -692,13 +704,15 @@ mod tests {
 
     #[test]
     fn gc_layout_is_identical_across_ftl_instances() {
-        // Every std HashMap hashes with its own random keys, so any GC
-        // decision that leaked iteration order would already differ
-        // between two instances in one process (and between the threads
-        // of a parallel sweep). Pin that victim choice and survivor
-        // layout depend only on the operation sequence.
-        let run = || {
-            let mut ftl = Ftl::new(tiny_geometry());
+        // The slot- and block-keyed maps hash with a fixed seed, so two
+        // default instances walk them alike and would agree even if a GC
+        // decision leaked iteration order. Run under two different
+        // seeds instead, which do walk differently (each block's small
+        // live table still draws std's random keys on top). Pin that
+        // victim choice and survivor layout depend only on the
+        // operation sequence.
+        let run = |seed: u64| {
+            let mut ftl = Ftl::with_hasher(tiny_geometry(), 0.0, IntBuildHasher::with_seed(seed));
             // Overwrite a 24-slot working set in a 32-slot write region
             // in an irregular (hashed) order: victims carry live
             // survivors and candidates tie on live count.
@@ -706,11 +720,16 @@ mod tests {
                 ftl.write((i.wrapping_mul(0x9E37_79B9) >> 7) % 24);
             }
             let locs: Vec<SlotLocation> = (0..24u64).map(|s| ftl.locate_read(s)).collect();
-            (locs, ftl.relocations(), ftl.erases())
+            let walk: Vec<u64> = ftl.mapping.keys().copied().collect();
+            (locs, ftl.relocations(), ftl.erases(), walk)
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "GC outcome depends on hash iteration order");
+        let (a, b) = (run(0x5EED_0001), run(0x5EED_0002));
+        assert_ne!(a.3, b.3, "the two seeds walk the mapping in one order");
+        assert_eq!(
+            (&a.0, a.1, a.2),
+            (&b.0, b.1, b.2),
+            "GC outcome depends on hash iteration order"
+        );
         assert!(a.1 > 0, "workload never triggered GC");
     }
 

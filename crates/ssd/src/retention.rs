@@ -8,8 +8,7 @@
 //! deterministically per slot so every scheme sees the identical stress
 //! pattern.
 
-use std::collections::HashMap;
-
+use rif_events::hash::{IntBuildHasher, IntMap};
 use rif_events::SimTime;
 
 /// Tracks when each 64-KiB slot (a multi-plane page group) was last
@@ -17,7 +16,7 @@ use rif_events::SimTime;
 #[derive(Debug, Clone)]
 pub struct RetentionTracker {
     refresh_days: f64,
-    write_time: HashMap<u64, SimTime>,
+    write_time: IntMap<u64, SimTime>,
     seed: u64,
 }
 
@@ -28,10 +27,16 @@ impl RetentionTracker {
     ///
     /// Panics unless `refresh_days` is positive.
     pub fn new(refresh_days: f64, seed: u64) -> Self {
+        Self::with_hasher(refresh_days, seed, IntBuildHasher::default())
+    }
+
+    /// [`RetentionTracker::new`] with the write-time map's hasher given
+    /// (no age depends on it; see [`rif_events::hash`]).
+    pub(crate) fn with_hasher(refresh_days: f64, seed: u64, hasher: IntBuildHasher) -> Self {
         assert!(refresh_days > 0.0, "refresh horizon must be positive");
         RetentionTracker {
             refresh_days,
-            write_time: HashMap::new(),
+            write_time: IntMap::with_hasher(hasher),
             seed,
         }
     }

@@ -6,8 +6,9 @@
 # Steps: formatting, release build (rif-bench, the one experiment
 # binary, included), test suite (the property suites and the experiment
 # registry's smoke runs are plain integration tests and run with it), the
-# benchmark package's build plus its bit-true decode, single-node and
-# routed serving workloads at smoke size, a determinism check that
+# benchmark package's build plus all five of its workloads at smoke size
+# (the two simulator ones twice on one seed: their reports must hash
+# alike), a determinism check that
 # --threads does not change a single CSV byte of any experiment, a trace
 # gate that replays every simulated run of every experiment through the
 # invariant checker, the lifetime-sweep smoke (learned-threshold retry
@@ -90,8 +91,22 @@ cargo test -q --workspace
 # break there makes the benchmark driver exit 101 with no result line,
 # and nothing above builds it. Then the decode kernel end to end on the
 # paper code: every successful decode must equal what was programmed.
-echo "==> rif-perf builds; ecc_bit_true, serve_node and serve_cluster --quick are correct"
+echo "==> rif-perf builds; all five workloads --quick are correct, sim_* repeat per seed"
 cargo build --release --offline --manifest-path perf/Cargo.toml
+# The two simulator workloads: each must check its own outputs, and two
+# runs on one seed must hash every cell's SimReport alike (the per-seed
+# determinism perf/README.md promises for ssd.report_fnv; a simulator
+# speed-up is only a speed-up while that holds).
+for w in sim_read_retry sim_write_bg; do
+    for pass in a b; do
+        cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
+            run --workload "$w" --quick --seed 42 > "$tmpdir/$w.$pass.txt"
+        grep -q '"correct":true' "$tmpdir/$w.$pass.txt"
+        grep '^ *ssd\.report_fnv ' "$tmpdir/$w.$pass.txt" > "$tmpdir/$w.$pass.fnv"
+    done
+    cat "$tmpdir/$w.a.fnv"
+    diff "$tmpdir/$w.a.fnv" "$tmpdir/$w.b.fnv"
+done
 cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
     run --workload ecc_bit_true --quick > "$tmpdir/ecc_bit_true.txt"
 tail -n 1 "$tmpdir/ecc_bit_true.txt"
