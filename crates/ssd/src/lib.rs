@@ -18,15 +18,28 @@
 //! | `RPSSD`   | RP at the controller: early-terminates hopeless decodes |
 //! | `RiFSSD`  | the proposed scheme: on-die RP + RVS |
 //!
+//! What a scheme does differently is one row of the table in [`retry`];
+//! the engine asks the row and never names a scheme.
+//!
+//! ```no_run
+//! use rif_ssd::{RetryKind, Simulator, SsdConfig};
+//! use rif_workloads::WorkloadProfile;
+//!
+//! let trace = WorkloadProfile::by_name("Ali124").unwrap().generate(5_000, 1);
+//! let report = Simulator::new(SsdConfig::paper(RetryKind::Rif, 1000)).run(&trace);
+//! println!("{:.0} MB/s", report.io_bandwidth_mbps());
+//! ```
+//!
 //! Modules: [`config`] (Table I parameters), [`ftl`] (the one
 //! slot-granular page mapping: write allocation, greedy GC and an
 //! optional SLC cache region), [`hybrid`] (cell modes, RBER amplification
 //! and the background-scheduler knobs that region is driven by),
-//! [`retention`] (per-slot data
-//! ages driving retry frequency), [`retry`] (scheme behaviours),
-//! [`report`] (bandwidth/latency/channel-usage results), [`simulator`]
-//! (the event engine), and [`timeline`] (the 256-KiB worked example of
-//! Figs. 7/8).
+//! [`retention`] (per-slot data ages driving retry frequency), [`retry`]
+//! (the schemes, one table row each), [`report`]
+//! (bandwidth/latency/channel-usage results), [`simulator`] (the event
+//! engine, a module per resource: dies, channels, ECC engines, the host
+//! side, plus the read path and the background scheduler), and
+//! [`timeline`] (the 256-KiB worked example of Figs. 7/8).
 
 pub mod config;
 pub mod ftl;

@@ -1,0 +1,243 @@
+//! The host side: requests admitted up to the queue depth and completed
+//! under the id they were submitted with; the host link between —
+//! completed read data out, write data in, one request at a time in
+//! arrival order — and the write launch behind it: mapping, channel
+//! transfers, then the die program.
+
+use super::*;
+
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Request {
+    /// Position in submission order: what [`Simulator::submit`] returned,
+    /// what the [`Completion`] and every trace record carry. The slot in
+    /// the table is reused; the id never is.
+    pub(super) id: u64,
+    pub(super) arrival: SimTime,
+    pub(super) op: IoOp,
+    pub(super) offset: u64,
+    pub(super) bytes: u32,
+    pub(super) remaining: usize,
+    /// Trace span from admission to completion (0 when tracing is off).
+    pub(super) span: u64,
+}
+
+/// A finished host request, as surfaced by
+/// [`Simulator::drain_completions`].
+///
+/// The service layer built on the stepper API uses these to answer the
+/// wire requests it injected with [`Simulator::submit`]; batch callers
+/// can ignore them (the [`SimReport`] aggregates the same data).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Completion {
+    /// The id returned by the [`Simulator::submit`] call that started
+    /// this request (its position in submission order).
+    pub id: u64,
+    /// Read or write.
+    pub op: IoOp,
+    /// Starting logical byte address.
+    pub offset: u64,
+    /// Request length in bytes.
+    pub bytes: u32,
+    /// When the request arrived (after any clamping to the clock).
+    pub arrival: SimTime,
+    /// When the last byte reached the host (reads) or the program
+    /// finished (writes).
+    pub finished: SimTime,
+}
+
+impl Completion {
+    /// End-to-end latency on the simulation clock.
+    pub fn latency(&self) -> SimDuration {
+        self.finished.since(self.arrival)
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+pub(super) enum HostJob {
+    ReadCompletion { req: usize },
+    WriteIngress { req: usize },
+}
+
+/// One slot's worth of a write between its mapping and its program.
+#[derive(Debug)]
+pub(super) struct WriteJob {
+    pub(super) req: usize,
+    die_linear: usize,
+    remaining_transfers: usize,
+    gc_duration: SimDuration,
+}
+
+impl Simulator {
+    pub(super) fn on_arrive(&mut self, now: SimTime, req: usize) {
+        if self.outstanding < self.cfg.queue_depth {
+            self.admit(now, req);
+        } else {
+            self.backlog.push_back(req);
+        }
+    }
+
+    fn admit(&mut self, now: SimTime, req: usize) {
+        self.outstanding += 1;
+        let r = self.requests[req];
+        if self.observing() {
+            let name = match r.op {
+                IoOp::Read => "request_read",
+                IoOp::Write => "request_write",
+            };
+            let (id, bytes) = (Some(r.id), Some(r.bytes as u64));
+            self.requests[req].span = self.tracer.span_begin(now, name, None, None, id, bytes);
+            self.count(now, "requests.admitted", 1);
+            if let Some(m) = &mut self.metrics {
+                m.observe("queueing.admission_wait", now.since(r.arrival));
+            }
+        }
+        match r.op {
+            IoOp::Read => self.admit_read(now, req),
+            // Write data first crosses the host link into the controller.
+            IoOp::Write => self.host_enqueue(now, HostJob::WriteIngress { req }),
+        }
+    }
+
+    /// Slot ranges `(slot, pages_in_slot)` covered by a request, in slot
+    /// order. The iterator owns what it needs, so the caller may mutate
+    /// the simulator while walking it.
+    #[inline]
+    pub(super) fn slots_of(&self, req: usize) -> impl ExactSizeIterator<Item = (u64, usize)> {
+        let r = &self.requests[req];
+        let pb = self.cfg.geometry.page_bytes as u64;
+        // A slot is one multi-plane page group.
+        let sb = pb * self.cfg.geometry.planes_per_die as u64;
+        let (offset, end) = (r.offset, r.offset + r.bytes as u64);
+        let (first, last) = (offset / sb, (end - 1) / sb);
+        (0..(last - first + 1) as usize).map(move |i| {
+            let slot = first + i as u64;
+            let lo = offset.max(slot * sb);
+            let hi = end.min((slot + 1) * sb);
+            let pages = ((hi - lo).div_ceil(pb)) as usize;
+            (slot, pages.max(1))
+        })
+    }
+
+    #[inline]
+    pub(super) fn host_enqueue(&mut self, now: SimTime, job: HostJob) {
+        self.host.queue.push_back(job);
+        self.host_try_start(now);
+    }
+
+    fn host_try_start(&mut self, now: SimTime) {
+        if !self.host.idle() {
+            return;
+        }
+        let Some(job) = self.host.queue.pop_front() else {
+            return;
+        };
+        let (name, req) = match job {
+            HostJob::ReadCompletion { req } => ("host_read", req),
+            HostJob::WriteIngress { req } => ("host_write_ingress", req),
+        };
+        let req = &self.requests[req];
+        let bytes = req.bytes as u64;
+        let span = self
+            .observing()
+            .then_some((name, req.span, Some(req.id), Some(bytes)));
+        self.host.begin(now, &mut self.tracer, job, span);
+        self.events
+            .schedule(now + self.cfg.host_transfer(bytes), Ev::HostDone);
+    }
+
+    pub(super) fn on_host_done(&mut self, now: SimTime) {
+        match self.host.finish(now, &mut self.tracer) {
+            HostJob::ReadCompletion { req } => self.complete_request(now, req),
+            HostJob::WriteIngress { req } => self.launch_write(now, req),
+        }
+        self.host_try_start(now);
+    }
+
+    fn launch_write(&mut self, now: SimTime, req: usize) {
+        let slots = self.slots_of(req);
+        self.requests[req].remaining = slots.len();
+        let t = self.cfg.timing;
+        for (slot, pages) in slots {
+            self.retention.record_write(slot, now);
+            let out = self.ftl.write(slot);
+            // Cache-overflow evictions (none on a device without a cache)
+            // become immediate migrate work on their dies, ahead of this
+            // write's program.
+            let forced = out.evicted.len() as u64;
+            for w in out.evicted {
+                self.retention.record_write(w.slot, now);
+                let dur = t.t_r + t.t_prog + gc_duration(&t, &w.gc);
+                self.push_bg(now, w.die_linear, BgKind::Migrate, dur);
+            }
+            if forced > 0 {
+                self.note_bg(now, forced, forced, 0, 0);
+            }
+            let job = self.write_jobs.insert(WriteJob {
+                req,
+                die_linear: out.loc.die_linear,
+                remaining_transfers: pages,
+                gc_duration: gc_duration(&t, &out.gc),
+            });
+            let ch = out.loc.channel(&self.cfg.geometry);
+            let kind = XferKind::WritePage { job };
+            let pages = std::iter::repeat_n(Transfer { kind, uncor: false }, pages);
+            self.channels[ch].station.queue.extend(pages);
+            self.chan_try_start(now, ch);
+        }
+    }
+
+    /// One page of a write job has crossed its channel; the last one
+    /// queues the job's die work (the GC its allocation triggered, then
+    /// the program) and frees the job.
+    pub(super) fn on_write_page_landed(&mut self, now: SimTime, job: usize) {
+        let j = &mut self.write_jobs[job];
+        j.remaining_transfers -= 1;
+        if j.remaining_transfers > 0 {
+            return;
+        }
+        let (req, die, gc) = (j.req, j.die_linear, j.gc_duration);
+        self.write_jobs.release(job);
+        if !gc.is_zero() {
+            let cmd = DieCmd::new(DieWork::Bg(BgKind::Gc), gc);
+            self.dies[die].station.queue.push_back(cmd);
+            self.note_bg(now, 0, 0, 0, 1);
+        }
+        let cmd = DieCmd::new(DieWork::Program { req }, self.cfg.timing.t_prog);
+        self.dies[die].station.queue.push_back(cmd);
+        self.note_die_queue(now, die);
+        self.die_try_start(now, die);
+    }
+
+    /// Closes a request's books and its span, surfaces the completion
+    /// under the request's id, frees its slot and admits the next
+    /// backlogged request.
+    pub(super) fn complete_request(&mut self, now: SimTime, req: usize) {
+        let r = self.requests[req];
+        // Admitted, every group or program done: nothing names the slot.
+        self.requests.release(req);
+        if r.op == IoOp::Read {
+            self.read_bytes += r.bytes as u64;
+            self.read_latency.record(now.since(r.arrival));
+            if let Some(m) = &mut self.metrics {
+                m.observe("latency.read", now.since(r.arrival));
+            }
+        }
+        self.tracer.span_end(now, r.span);
+        self.tally(now, |s| &mut s.completed_requests, "requests.completed", 1);
+        let bytes = r.bytes as u64;
+        self.tally(now, |s| &mut s.completed_bytes, "bytes.completed", bytes);
+        self.last_completion = now;
+        self.completions.push(Completion {
+            id: r.id,
+            op: r.op,
+            offset: r.offset,
+            bytes: r.bytes,
+            arrival: r.arrival,
+            finished: now,
+        });
+        self.outstanding -= 1;
+        if let Some(next) = self.backlog.pop_front() {
+            self.admit(now, next);
+        }
+    }
+}

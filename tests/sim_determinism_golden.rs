@@ -136,9 +136,11 @@ fn stepper_completions_account_for_every_request() {
     assert_eq!(sim.unfinished_requests(), 0);
 }
 
-/// Oracle-mode reports are pinned to a checked-in golden file: any byte
-/// drift in the seven schemes' canonical reports — from refactors of the
-/// simulator, the retry engines, or the serializer — fails here until the
+/// Simulator outputs are pinned to a checked-in golden file: the seven
+/// schemes' oracle-mode runs, one learned + drift run and one hybrid
+/// run, each as its canonical report followed by a 64-bit FNV-1a of its
+/// JSONL trace. Any byte drift — from refactors of the simulator, the
+/// retry engines, the tracer or the serializer — fails here until the
 /// dump is intentionally regenerated and the diff reviewed:
 ///
 /// ```sh
@@ -146,18 +148,33 @@ fn stepper_completions_account_for_every_request() {
 /// ```
 #[test]
 fn oracle_reports_match_pinned_golden() {
-    let mut dump = String::new();
+    let mut runs = Vec::new();
     for (i, retry) in RetryKind::ALL.into_iter().enumerate() {
         let seed = 100 + i as u64;
-        let (json, trace) = golden_run(retry, seed);
-        assert!(!trace.is_empty(), "{retry}: traced run produced no log");
-        dump.push_str(&format!("=== {} seed {seed} ===\n", retry.label()));
-        dump.push_str(&json);
+        runs.push((
+            format!("{} seed {seed}", retry.label()),
+            golden_run(retry, seed),
+        ));
+    }
+    runs.push((
+        "learned RiFSSD drift 400 seed 301".to_string(),
+        learned_run(RetryKind::Rif, 400.0, 301),
+    ));
+    runs.push(("hybrid RiFSSD seed 500".to_string(), hybrid_run(500)));
+    let mut dump = String::new();
+    for (header, (json, trace)) in runs {
+        assert!(!trace.is_empty(), "{header}: traced run produced no log");
+        let fnv = trace.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        dump.push_str(&format!(
+            "=== {header} ===\n{json}trace_fnv1a64 {fnv:016x}\n"
+        ));
     }
     let pinned = include_str!("golden/oracle_seed_reports.json");
     assert!(
         dump == pinned,
-        "oracle reports drifted from tests/golden/oracle_seed_reports.json; \
+        "reports or traces drifted from tests/golden/oracle_seed_reports.json; \
          if the change is intentional, regenerate the dump and review the diff"
     );
 }
