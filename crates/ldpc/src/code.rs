@@ -1,6 +1,7 @@
 //! The QC-LDPC code: geometry, systematic encoding and membership checks.
 
 use crate::bits::BitVec;
+use crate::circulant::{row_circulants, rows_clear};
 use crate::matrix::QcMatrix;
 
 /// A systematic QC-LDPC code over a [`QcMatrix`].
@@ -162,9 +163,18 @@ impl QcLdpcCode {
         cw
     }
 
-    /// True when `cw` satisfies every parity check.
+    /// True when `cw` satisfies every parity check. Block rows are tested
+    /// in order, stopping at the first unsatisfied one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cw` is not [`QcLdpcCode::n`] bits long.
     pub fn check(&self, cw: &BitVec) -> bool {
-        self.syndrome(cw).is_zero()
+        assert_eq!(cw.len(), self.n(), "codeword length mismatch");
+        let h = &self.h;
+        let mut acc = vec![0u64; h.t() / 64];
+        let rows = (0..h.rows_b()).map(|i| row_circulants(h, i));
+        rows_clear(&mut acc, cw.as_words(), rows)
     }
 
     /// Extracts the systematic data bits of a codeword.

@@ -8,9 +8,12 @@
 //! Decoding runs a fast path built on the quasi-cyclic structure: the
 //! per-iteration syndrome check is a rotate-XOR over 64-bit-packed
 //! segments (each circulant `Q(s)` applied to a packed segment is a
-//! rotation, the same trick as [`QcLdpcCode::syndrome`]) instead of a walk
+//! rotation; the crate's one implementation of it also backs
+//! [`QcLdpcCode::check`] and [`QcLdpcCode::syndrome`]) instead of a walk
 //! over the `m × row_weight` edges one bit at a time, and the min-sum
-//! message passing is one fused kernel per block row (see
+//! message passing is one fused kernel per block row, written once over
+//! a lane vector type of which the widest the CPU has runs: 16 lanes of
+//! AVX-512F, 8 of AVX2, or a portable 8-float array (see
 //! [`MinSumDecoder::decode_llr`]). The straightforward per-edge
 //! implementation is kept as [`MinSumDecoder::decode_llr_reference`]; the
 //! fast path is bit-identical to it (see the golden-equivalence suite in
@@ -19,8 +22,9 @@
 use std::cell::Cell;
 
 use crate::bits::BitVec;
+use crate::circulant::{row_circulants, rows_clear};
 use crate::code::QcLdpcCode;
-use crate::lanes::{Lanes, Portable, WIDTH};
+use crate::lanes::{LaneKind, Lanes, Portable, MAX_WIDTH};
 
 /// Result of a decoding attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,9 +38,10 @@ pub struct DecodeOutcome {
     pub decoded: BitVec,
 }
 
-/// Checks one kernel chunk covers: two lane vectors, so two independent
-/// min/max dependency chains are in flight per circulant.
-const CHUNK: usize = 2 * WIDTH;
+/// Checks of the widest kernel chunk. A chunk is two lane vectors, so two
+/// independent min/max dependency chains are in flight per circulant: 32
+/// checks under AVX-512, 16 under AVX2 and the portable lanes.
+const MAX_CHUNK: usize = 2 * MAX_WIDTH;
 
 /// Floats of padding after each `t`-float message slab and totals segment
 /// in the kernel's arrays (one 64-byte cache line). With `t = 1024` the
@@ -62,11 +67,8 @@ struct Graph {
     /// `(col, shift)` of each block, grouped by block row — the circulant
     /// structure backing the rotate-XOR syndrome.
     block_rows: Vec<Vec<(usize, usize)>>,
-    /// `(col_base, shift, msg_offset)` per block, grouped by block row:
-    /// where the block's column segment starts in a padded totals array
-    /// and where its message slab starts in the padded message array
-    /// (both strides are `t + PAD` floats).
-    plan_rows: Vec<Vec<(usize, usize, usize)>>,
+    /// The kernel's blocks, grouped by block row.
+    plan_rows: Vec<Vec<PlanBlock>>,
     /// Circulant size (a multiple of 64).
     t: usize,
     n: usize,
@@ -109,24 +111,37 @@ impl Graph {
             cursor[v as usize] += 1;
         }
 
-        let block_rows: Vec<Vec<(usize, usize)>> = row_blocks
-            .iter()
-            .map(|row| row.iter().map(|b| (b.col, b.shift % t)).collect())
+        let block_rows: Vec<Vec<(usize, usize)>> = (0..h.rows_b())
+            .map(|i| row_circulants(h, i).collect())
             .collect();
 
         // Kernel plan: one padded message slab per block, in row-major
-        // block order.
+        // block order; rows run in ascending order, so a column's first
+        // block is the one that meets it in the lowest row.
         let stride = t + PAD;
         let mut msg_offsets = (0..).step_by(stride);
+        let mut met = vec![false; h.cols_b()];
         let plan_rows = block_rows
             .iter()
             .map(|row| {
                 row.iter()
                     .zip(&mut msg_offsets)
-                    .map(|(&(col, shift), msg)| (col * stride, shift, msg))
+                    .map(|(&(col, shift), msg)| PlanBlock {
+                        col_base: col * stride,
+                        shift,
+                        msg,
+                        first: !std::mem::replace(&mut met[col], true),
+                    })
                     .collect()
             })
             .collect();
+        // Pass 2 of the kernel writes every variable's new total through
+        // its column's first block; a column no row meets would keep a
+        // stale one.
+        assert!(
+            met.iter().all(|&m| m),
+            "every block column must meet some block row"
+        );
 
         Graph {
             chk_ptr,
@@ -162,39 +177,29 @@ impl Graph {
     /// out on the first nonzero syndrome word.
     fn syndrome_clear_words(&self, hard: &[u64], acc: &mut [u64]) -> bool {
         debug_assert_eq!(hard.len() * 64, self.n);
-        let tw = self.t / 64;
-        debug_assert_eq!(acc.len(), tw);
-        for row in &self.block_rows {
-            acc.fill(0);
-            for &(col, shift) in row {
-                let seg = &hard[col * tw..(col + 1) * tw];
-                xor_rotated(acc, seg, shift);
-            }
-            if acc.iter().any(|&w| w != 0) {
-                return false;
-            }
-        }
-        true
+        debug_assert_eq!(acc.len(), self.t / 64);
+        rows_clear(
+            acc,
+            hard,
+            self.block_rows.iter().map(|row| row.iter().copied()),
+        )
     }
 }
 
-/// XORs `seg` rotated left by `shift < t` bits into `acc` (both `t/64`
-/// words). Output bit `k` of the rotation is input bit `(k + shift) mod t`.
-#[inline]
-fn xor_rotated(acc: &mut [u64], seg: &[u64], shift: usize) {
-    let nw = seg.len();
-    let bs = shift % 64;
-    // Source words wrap by a compare, not a division per word.
-    let mut lo_at = shift / 64;
-    for a in acc.iter_mut() {
-        let hi_at = if lo_at + 1 == nw { 0 } else { lo_at + 1 };
-        *a ^= if bs == 0 {
-            seg[lo_at]
-        } else {
-            (seg[lo_at] >> bs) | (seg[hi_at] << (64 - bs))
-        };
-        lo_at = hi_at;
-    }
+/// One block of the kernel plan.
+#[derive(Debug, Clone, Copy)]
+struct PlanBlock {
+    /// Where the block's column segment starts in a padded totals array
+    /// (stride `t + PAD` floats).
+    col_base: usize,
+    /// The circulant's shift, below `t`.
+    shift: usize,
+    /// Where the block's message slab starts in the padded message array
+    /// (stride `t + PAD` floats).
+    msg: usize,
+    /// The block is its column's first (lowest block row): its pass 2
+    /// starts the column's next totals from the channel LLRs.
+    first: bool,
 }
 
 /// Normalized min-sum decoder.
@@ -259,7 +264,7 @@ impl MinSumDecoder {
         let g = &self.graph;
         assert_eq!(received.len(), g.n, "received word length mismatch");
         let words = received.as_words();
-        self.decode_in_scratch(avx2_detected(), words.to_vec(), |llr| {
+        self.decode_in_scratch(LaneKind::detect(), words.to_vec(), |llr| {
             expand_hard_llr(words, g.t, g.t + PAD, llr)
         })
     }
@@ -282,30 +287,34 @@ impl MinSumDecoder {
     /// Fast path: flooding min-sum as one fused kernel per block row,
     /// written over the quasi-cyclic structure instead of CSR edge lists.
     ///
-    /// * A block row's `t` checks are walked in chunks of 16. A chunk's
-    ///   sign product and two smallest magnitudes stay in registers while
-    ///   pass 1 streams over the row's circulants (`v2c = total − c2v`,
-    ///   kept in a small buffer) and pass 2 writes every new `c2v` from
-    ///   them. The argmin is not tracked: the edge whose `|v2c|` equals
-    ///   `min1` takes `min2`, and where two edges tie `min2 == min1`, so
-    ///   either choice is the reference's value.
+    /// * A block row's `t` checks are walked in chunks of two lane vectors
+    ///   (32 checks under AVX-512, 16 otherwise). A chunk's sign product
+    ///   and two smallest magnitudes stay in registers while pass 1
+    ///   streams over the row's circulants (`v2c = total − c2v`, kept in a
+    ///   small buffer) and pass 2 writes every new `c2v` from them. The
+    ///   argmin is not tracked: the edge whose `|v2c|` equals `min1` takes
+    ///   `min2`, and where two edges tie `min2 == min1`, so either choice
+    ///   is the reference's value.
     /// * Pass 2 also adds each new `c2v` straight into the *next*
-    ///   iteration's totals, which start from the channel LLRs. Block rows
-    ///   run in ascending order and a column meets each row once, so a
-    ///   variable's total is `llr + row0 + row1 + …` — the reference's
-    ///   operand order — and no separate variable-node pass exists.
+    ///   iteration's totals: a column's first block row writes `llr + c2v`,
+    ///   every later one adds to that. Block rows run in ascending order
+    ///   and a column meets each row once, so a variable's total is
+    ///   `llr + row0 + row1 + …` — the reference's operand order — and
+    ///   neither a separate variable-node pass nor a per-iteration copy of
+    ///   the LLRs exists.
     /// * Circulant `Q(s)` makes check `k` read variable `(k + s) mod t` of
     ///   its column segment: a contiguous run per lane vector, except the
     ///   one vector per circulant that straddles the wrap.
     /// * Message slabs and totals segments are padded apart (see `PAD`)
-    ///   and live in a per-thread scratch reused across calls; in the
-    ///   first iteration `c2v ≡ 0` is not read (`x − 0.0 == x`), so the
-    ///   message array is never cleared.
-    /// * The kernel body is generic over an 8-lane vector type, AVX2
-    ///   where the CPU has it and a portable array otherwise; all lane
-    ///   operations are exact per-lane IEEE operations.
+    ///   and live in a per-thread scratch of cache-line-aligned floats
+    ///   reused across calls; in the first iteration `c2v ≡ 0` is not
+    ///   read (`x − 0.0 == x`), so the message array is never cleared.
+    /// * The kernel body is generic over a lane vector type: 16 lanes of
+    ///   AVX-512 where the CPU has AVX-512F, else 8 of AVX2, else a
+    ///   portable 8-float array; all lane operations are exact per-lane
+    ///   IEEE operations.
     /// * The convergence test is the word-packed rotate-XOR syndrome on
-    ///   hard decisions packed 8 lanes at a time.
+    ///   hard decisions packed a lane vector at a time.
     ///
     /// Every float is produced by the same operands in the same order as
     /// [`MinSumDecoder::decode_llr_reference`], so outcomes are
@@ -313,21 +322,22 @@ impl MinSumDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if `llr` is not codeword-length.
+    /// Panics if `llr` is not codeword-length or holds a non-finite value
+    /// (an infinity, or a NaN, has no min-sum meaning, and vector min/max
+    /// order NaNs differently from the reference's scalar compares).
     pub fn decode_llr(&self, llr: &[f32]) -> DecodeOutcome {
-        self.decode_llr_on(avx2_detected(), llr)
+        self.decode_llr_on(LaneKind::detect(), llr)
     }
 
-    /// [`MinSumDecoder::decode_llr`] on a chosen lane implementation
-    /// (`avx2` must not be set on a CPU without it), so tests can run the
-    /// portable lanes on AVX2 hosts.
-    fn decode_llr_on(&self, avx2: bool, llr: &[f32]) -> DecodeOutcome {
+    /// [`MinSumDecoder::decode_llr`] on a chosen lane implementation (one
+    /// the CPU has), so tests can run every lane type the host supports.
+    fn decode_llr_on(&self, lanes: LaneKind, llr: &[f32]) -> DecodeOutcome {
         let g = &self.graph;
-        assert_eq!(llr.len(), g.n, "LLR vector length mismatch");
+        assert_llrs(llr, g.n);
         let mut hard = vec![0u64; g.n / 64];
         // SAFETY: the portable lanes need no CPU feature.
         unsafe { pack_signs::<Portable>(llr, g.t, g.t, &mut hard) };
-        self.decode_in_scratch(avx2, hard, |padded| {
+        self.decode_in_scratch(lanes, hard, |padded| {
             for (dst, src) in padded
                 .chunks_exact_mut(g.t + PAD)
                 .zip(llr.chunks_exact(g.t))
@@ -342,14 +352,15 @@ impl MinSumDecoder {
     /// totals layout and is only called when `hard` is not a codeword.
     fn decode_in_scratch(
         &self,
-        avx2: bool,
+        lanes: LaneKind,
         hard: Vec<u64>,
         fill_llr: impl FnOnce(&mut [f32]),
     ) -> DecodeOutcome {
         let g = &self.graph;
+        assert!(lanes.available(), "{lanes:?} lanes on a CPU without them");
         // Taken out of the cell rather than borrowed inside
         // `LocalKey::with`: a closure is not compiled with the caller's
-        // target features, so the kernel would lose AVX2 there. A panic
+        // target features, so the kernel would lose AVX there. A panic
         // below drops the buffers and the next call allocates new ones.
         let mut scratch = SCRATCH.take();
         scratch.fit(g);
@@ -360,20 +371,32 @@ impl MinSumDecoder {
                 decoded: BitVec::from_words(hard, g.n),
             }
         } else {
-            fill_llr(&mut scratch.llr);
-            match avx2 {
+            fill_llr(scratch.llr.as_mut_slice());
+            // SAFETY (every arm): the CPU has the lanes' instruction set,
+            // asserted on entry.
+            match lanes {
                 #[cfg(target_arch = "x86_64")]
-                true => {
-                    assert!(avx2_detected(), "AVX2 lanes on a CPU without AVX2");
-                    // SAFETY: the CPU reports AVX2, checked on the line above.
-                    unsafe { self.iterate_avx2(&mut scratch, hard) }
-                }
-                // SAFETY: the portable lanes need no CPU feature.
+                LaneKind::Avx512 => unsafe { self.iterate_avx512(&mut scratch, hard) },
+                #[cfg(target_arch = "x86_64")]
+                LaneKind::Avx2 => unsafe { self.iterate_avx2(&mut scratch, hard) },
                 _ => unsafe { self.iterate::<Portable>(&mut scratch, hard) },
             }
         };
         SCRATCH.set(scratch);
         outcome
+    }
+
+    /// [`MinSumDecoder::iterate`] on AVX-512 lanes, compiled with
+    /// AVX-512F.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn iterate_avx512(&self, scratch: &mut Scratch, hard: Vec<u64>) -> DecodeOutcome {
+        // SAFETY: AVX-512F is the caller's guarantee.
+        unsafe { self.iterate::<crate::lanes::Avx512>(scratch, hard) }
     }
 
     /// [`MinSumDecoder::iterate`] on AVX2 lanes, compiled with AVX2.
@@ -404,18 +427,18 @@ impl MinSumDecoder {
             v2c,
             syn,
         } = scratch;
+        let (llr, c2v, v2c) = (llr.as_slice(), c2v.as_mut_slice(), v2c.as_mut_slice());
         let (mut cur, mut next) = (cur.as_mut_slice(), next.as_mut_slice());
 
         for iter in 1..=self.max_iterations {
-            next.copy_from_slice(llr);
             // SAFETY (both arms and `pack_signs`): `L`'s instruction set
             // is this function's own precondition.
             unsafe {
                 if iter == 1 {
                     // The first totals are the channel LLRs themselves.
-                    sweep::<L, true>(g, self.alpha, llr, next, c2v, v2c);
+                    sweep::<L, true>(g, self.alpha, llr, llr, next, c2v, v2c);
                 } else {
-                    sweep::<L, false>(g, self.alpha, cur, next, c2v, v2c);
+                    sweep::<L, false>(g, self.alpha, llr, cur, next, c2v, v2c);
                 }
                 pack_signs::<L>(next, g.t, g.t + PAD, &mut hard);
             }
@@ -443,10 +466,11 @@ impl MinSumDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if `llr` is not codeword-length.
+    /// Panics if `llr` is not codeword-length or holds a non-finite value,
+    /// as [`MinSumDecoder::decode_llr`] does.
     pub fn decode_llr_reference(&self, llr: &[f32]) -> DecodeOutcome {
         let g = &self.graph;
-        assert_eq!(llr.len(), g.n, "LLR vector length mismatch");
+        assert_llrs(llr, g.n);
 
         let mut hard = BitVec::zeros(g.n);
         for (v, &l) in llr.iter().enumerate() {
@@ -522,16 +546,10 @@ impl MinSumDecoder {
     }
 }
 
-/// True when the running CPU has AVX2 (never on other architectures).
-fn avx2_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+/// The soft-input entry points' precondition: `n` finite LLRs.
+fn assert_llrs(llr: &[f32], n: usize) {
+    assert_eq!(llr.len(), n, "LLR vector length mismatch");
+    assert!(llr.iter().all(|l| l.is_finite()), "LLRs must be finite");
 }
 
 /// Buffers of the fused kernel, kept per thread and reused across decodes
@@ -540,13 +558,14 @@ fn avx2_detected() -> bool {
 #[derive(Default)]
 struct Scratch {
     /// Channel LLRs in the padded totals layout.
-    llr: Vec<f32>,
+    llr: Lines,
     /// Variable totals of the previous and of the running iteration.
-    totals: [Vec<f32>; 2],
+    totals: [Lines; 2],
     /// Check-to-variable messages, one padded slab per block.
-    c2v: Vec<f32>,
-    /// One chunk of `v2c` per block of the widest block row.
-    v2c: Vec<f32>,
+    c2v: Lines,
+    /// One chunk of `v2c` per block of the widest block row (sized for
+    /// the widest chunk).
+    v2c: Lines,
     /// Accumulator of the rotate-XOR syndrome check.
     syn: Vec<u64>,
 }
@@ -563,42 +582,66 @@ impl Scratch {
         let blocks: usize = g.plan_rows.iter().map(Vec::len).sum();
         let widest = g.plan_rows.iter().map(Vec::len).max().unwrap_or(0);
         let segments = g.n / g.t;
-        self.llr.resize(segments * stride, 0.0);
+        self.llr.resize(segments * stride);
         for totals in &mut self.totals {
-            totals.resize(segments * stride, 0.0);
+            totals.resize(segments * stride);
         }
-        self.c2v.resize(blocks * stride, 0.0);
-        self.v2c.resize(widest * CHUNK, 0.0);
+        self.c2v.resize(blocks * stride);
+        self.v2c.resize(widest * MAX_CHUNK);
         self.syn.resize(g.t / 64, 0);
     }
 }
 
-/// One kernel chunk of floats, as its two lane vectors.
-type ChunkBuf = [[f32; WIDTH]; 2];
+/// A float buffer of whole cache lines starting on a line boundary, so
+/// that a message or `v2c` chunk (which starts a multiple of 16 floats
+/// in) never splits a line: one AVX-512 load is one line.
+#[derive(Default)]
+struct Lines(Vec<Line>);
 
-/// The chunk of `s` starting at `at`, without a bounds check.
-///
-/// # Safety
-///
-/// `at + CHUNK <= s.len()`.
-#[inline(always)]
-unsafe fn chunk_at(s: &[f32], at: usize) -> &ChunkBuf {
-    debug_assert!(at + CHUNK <= s.len());
-    // SAFETY: the run is in bounds by the caller's guarantee, and `CHUNK`
-    // consecutive floats have the layout of a `ChunkBuf`.
-    unsafe { &*s.as_ptr().add(at).cast() }
+#[derive(Clone, Copy, Default)]
+#[repr(C, align(64))]
+struct Line([f32; 16]);
+
+impl Lines {
+    /// Resizes to `len` floats, a multiple of 16.
+    fn resize(&mut self, len: usize) {
+        assert!(len.is_multiple_of(16));
+        self.0.resize(len / 16, Line::default());
+    }
+
+    fn as_slice(&self) -> &[f32] {
+        // SAFETY: a `Line` is 16 floats with no padding.
+        unsafe { std::slice::from_raw_parts(self.0.as_ptr().cast(), self.0.len() * 16) }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [f32] {
+        // SAFETY: as in `as_slice`, through a unique borrow.
+        unsafe { std::slice::from_raw_parts_mut(self.0.as_mut_ptr().cast(), self.0.len() * 16) }
+    }
 }
 
-/// Mutable twin of [`chunk_at`].
+/// Pointer to `s[at]`, the start of a run of `len` floats.
 ///
 /// # Safety
 ///
-/// `at + CHUNK <= s.len()`.
+/// `at + len <= s.len()`; the bound is checked in debug builds only.
 #[inline(always)]
-unsafe fn chunk_at_mut(s: &mut [f32], at: usize) -> &mut ChunkBuf {
-    debug_assert!(at + CHUNK <= s.len());
-    // SAFETY: as in `chunk_at`, through a unique borrow.
-    unsafe { &mut *s.as_mut_ptr().add(at).cast() }
+unsafe fn run_at(s: &[f32], at: usize, len: usize) -> *const f32 {
+    debug_assert!(at + len <= s.len());
+    // SAFETY: in bounds by the caller's guarantee.
+    unsafe { s.as_ptr().add(at) }
+}
+
+/// Mutable twin of [`run_at`].
+///
+/// # Safety
+///
+/// `at + len <= s.len()`.
+#[inline(always)]
+unsafe fn run_at_mut(s: &mut [f32], at: usize, len: usize) -> *mut f32 {
+    debug_assert!(at + len <= s.len());
+    // SAFETY: as in `run_at`, through a unique borrow.
+    unsafe { s.as_mut_ptr().add(at) }
 }
 
 /// Position in its column segment of the variable check `k` reaches
@@ -613,32 +656,33 @@ fn rotated(k: usize, shift: usize, t: usize) -> usize {
     }
 }
 
-/// The chunk of the cyclic segment `seg` that starts at `at` and runs
-/// over the segment's end (one chunk per circulant at most).
+/// Fills `chunk` from the cyclic segment `seg`, starting at `at` and
+/// running over the segment's end (one chunk per circulant at most).
 #[cold]
 #[inline(never)]
-fn gather_wrapped(seg: &[f32], at: usize) -> ChunkBuf {
-    let mut chunk = [[0.0; WIDTH]; 2];
-    for (i, x) in chunk.as_flattened_mut().iter_mut().enumerate() {
+fn gather_wrapped(seg: &[f32], at: usize, chunk: &mut [f32]) {
+    for (i, x) in chunk.iter_mut().enumerate() {
         *x = seg[rotated(at, i, seg.len())];
     }
-    chunk
 }
 
-/// Adds `chunk` into the cyclic segment `seg` from `at` on, over its end.
+/// Adds `chunk` into the cyclic segment `seg` from `at` on, over its end:
+/// to `seg`'s own values, or to `base`'s where given (a column's first
+/// block row, whose totals start from the channel LLRs).
 #[cold]
 #[inline(never)]
-fn scatter_add_wrapped(seg: &mut [f32], at: usize, chunk: &ChunkBuf) {
-    for (i, &x) in chunk.as_flattened().iter().enumerate() {
-        seg[rotated(at, i, seg.len())] += x;
+fn scatter_add_wrapped(seg: &mut [f32], base: Option<&[f32]>, at: usize, chunk: &[f32]) {
+    for (i, &x) in chunk.iter().enumerate() {
+        let r = rotated(at, i, seg.len());
+        seg[r] = base.map_or(seg[r], |b| b[r]) + x;
     }
 }
 
 /// The check-node update of one flooding iteration, fused with the
 /// variable-node accumulation: reads the totals `cur` (and, unless
-/// `FIRST`, the messages `c2v`), writes every new message and adds it
-/// into `next`, which the caller has set to the channel LLRs. `v2c` holds
-/// one chunk per block of a row between the two passes.
+/// `FIRST`, the messages `c2v`), writes every new message and the next
+/// totals `next` — `llr` plus the column's messages in row order. `v2c`
+/// holds one chunk per block of a row between the two passes.
 ///
 /// # Safety
 ///
@@ -647,91 +691,108 @@ fn scatter_add_wrapped(seg: &mut [f32], at: usize, chunk: &ChunkBuf) {
 unsafe fn sweep<L: Lanes, const FIRST: bool>(
     g: &Graph,
     alpha: f32,
+    llr: &[f32],
     cur: &[f32],
     next: &mut [f32],
     c2v: &mut [f32],
     v2c: &mut [f32],
 ) {
     let t = g.t;
+    let width = L::WIDTH;
+    let chunk = 2 * width;
     // Chunk accesses in the loops are unchecked (bounds-checked they read
     // 101 µs per iteration on the paper code against 91); every index is
-    // covered here, once per sweep. Chunk starts are `k0 ≤ t − CHUNK`, so:
+    // covered here, once per sweep. Chunk starts are `k0 ≤ t − chunk`, so:
     // a message chunk ends by `msg + t`; a totals chunk taken when
-    // `at + CHUNK ≤ t` ends by `col_base + t`; block `b` of a row owns
-    // `v2c[b * CHUNK..][..CHUNK]`.
+    // `at + chunk ≤ t` ends by `col_base + t`; block `b` of a row owns
+    // `v2c[b * chunk..][..chunk]`.
     assert!(
-        t.is_multiple_of(CHUNK),
+        t.is_multiple_of(chunk) && chunk <= MAX_CHUNK,
         "circulant size must be whole chunks"
     );
     for row in &g.plan_rows {
-        assert!(row.len() * CHUNK <= v2c.len());
-        for &(col_base, shift, msg) in row {
-            assert!(shift < t && msg + t <= c2v.len());
-            assert!(col_base + t <= cur.len() && col_base + t <= next.len());
+        assert!(row.len() * chunk <= v2c.len());
+        for b in row {
+            assert!(b.shift < t && b.msg + t <= c2v.len());
+            let end = b.col_base + t;
+            assert!(end <= cur.len() && end <= next.len() && end <= llr.len());
         }
     }
     // SAFETY: lane operations need `L`'s instruction set, the caller's
-    // guarantee; `chunk_at`/`chunk_at_mut` ranges are in bounds by the
-    // assertions above.
+    // guarantee; `run_at`/`run_at_mut` ranges (and the message chunk
+    // re-borrowed as a slice) are in bounds by the assertions above, and
+    // `wrapped` holds `MAX_CHUNK ≥ chunk` floats.
     unsafe {
         let alpha = L::splat(alpha);
         let no_sign = L::splat(0.0);
         let inf = L::splat(f32::INFINITY);
+        let mut wrapped = [0.0f32; MAX_CHUNK];
         for row in &g.plan_rows {
-            for k0 in (0..t).step_by(CHUNK) {
+            for k0 in (0..t).step_by(chunk) {
                 // Pass 1: v2c, and the chunk's sign product and two minima.
                 let mut sign = [no_sign; 2];
                 let mut min1 = [inf; 2];
                 let mut min2 = [inf; 2];
-                for (b, &(col_base, shift, msg)) in row.iter().enumerate() {
-                    let at = rotated(k0, shift, t);
-                    let wrapped;
-                    let totals = if at + CHUNK <= t {
-                        chunk_at(cur, col_base + at)
+                for (b, block) in row.iter().enumerate() {
+                    let at = rotated(k0, block.shift, t);
+                    let totals = if at + chunk <= t {
+                        run_at(cur, block.col_base + at, chunk)
                     } else {
-                        wrapped = gather_wrapped(&cur[col_base..col_base + t], at);
-                        &wrapped
+                        let seg = &cur[block.col_base..block.col_base + t];
+                        gather_wrapped(seg, at, &mut wrapped[..chunk]);
+                        wrapped.as_ptr()
                     };
-                    let msgs = chunk_at(c2v, msg + k0);
-                    let buf = chunk_at_mut(v2c, b * CHUNK);
+                    let msgs = run_at(c2v, block.msg + k0, chunk);
+                    let buf = run_at_mut(v2c, b * chunk, chunk);
                     for h in 0..2 {
-                        let total = L::load(&totals[h]);
+                        let total = L::load(totals.add(h * width));
                         let v = if FIRST {
                             total
                         } else {
-                            total.sub(L::load(&msgs[h]))
+                            total.sub(L::load(msgs.add(h * width)))
                         };
-                        v.store(&mut buf[h]);
+                        v.store(buf.add(h * width));
                         let mag = v.abs();
                         sign[h] = sign[h].xor(v.sign_if_negative());
                         min2[h] = min2[h].min(min1[h].max(mag));
                         min1[h] = min1[h].min(mag);
                     }
                 }
-                // Pass 2: new c2v, added straight into the next totals.
+                // Pass 2: new c2v, added into the next totals — to the
+                // LLRs for a column's first block, to the running sum
+                // for every later one.
                 let out1 = [alpha.mul(min1[0]), alpha.mul(min1[1])];
                 let out2 = [alpha.mul(min2[0]), alpha.mul(min2[1])];
-                for (b, &(col_base, shift, msg)) in row.iter().enumerate() {
-                    let buf = chunk_at(v2c, b * CHUNK);
-                    let msgs = chunk_at_mut(c2v, msg + k0);
+                for (b, block) in row.iter().enumerate() {
+                    let buf = run_at(v2c, b * chunk, chunk);
+                    let msgs = run_at_mut(c2v, block.msg + k0, chunk);
                     let mut out = [no_sign; 2];
                     for h in 0..2 {
-                        let v = L::load(&buf[h]);
+                        let v = L::load(buf.add(h * width));
                         out[h] = v
                             .abs()
                             .pick_eq(min1[h], out2[h], out1[h])
                             .xor(sign[h])
                             .xor(v.sign_if_negative());
-                        out[h].store(&mut msgs[h]);
+                        out[h].store(msgs.add(h * width));
                     }
-                    let at = rotated(k0, shift, t);
-                    if at + CHUNK <= t {
-                        let sums = chunk_at_mut(next, col_base + at);
-                        for h in 0..2 {
-                            L::load(&sums[h]).add(out[h]).store(&mut sums[h]);
+                    let at = rotated(k0, block.shift, t);
+                    if at + chunk <= t {
+                        let sums = run_at_mut(next, block.col_base + at, chunk);
+                        let base = if block.first {
+                            run_at(llr, block.col_base + at, chunk)
+                        } else {
+                            sums
+                        };
+                        for (h, &out) in out.iter().enumerate() {
+                            let sum = L::load(base.add(h * width)).add(out);
+                            sum.store(sums.add(h * width));
                         }
                     } else {
-                        scatter_add_wrapped(&mut next[col_base..col_base + t], at, msgs);
+                        let range = block.col_base..block.col_base + t;
+                        let base = block.first.then(|| &llr[range.clone()]);
+                        let msgs = std::slice::from_raw_parts(msgs, chunk);
+                        scatter_add_wrapped(&mut next[range], base, at, msgs);
                     }
                 }
             }
@@ -740,7 +801,7 @@ unsafe fn sweep<L: Lanes, const FIRST: bool>(
 }
 
 /// Packs the signs of `values` into `hard` (bit set ⇔ value < 0 ⇔ bit 1),
-/// `WIDTH` lanes at a time; segment `j` (`t` floats) starts at
+/// a lane vector at a time; segment `j` (`t` floats) starts at
 /// `values[j * stride]`.
 ///
 /// # Safety
@@ -752,11 +813,11 @@ unsafe fn pack_signs<L: Lanes>(values: &[f32], t: usize, stride: usize, hard: &m
     for (seg, words) in segments.zip(hard.chunks_exact_mut(t / 64)) {
         for (word, run) in words.iter_mut().zip(seg.chunks_exact(64)) {
             *word = 0;
-            for (i, lanes) in run.chunks_exact(WIDTH).enumerate() {
-                let lanes = lanes.try_into().expect("chunks_exact(WIDTH)");
-                // SAFETY: `L`'s instruction set is the caller's guarantee.
-                let mask = unsafe { L::load(lanes).negative_mask() };
-                *word |= u64::from(mask) << (i * WIDTH);
+            for (i, lanes) in run.chunks_exact(L::WIDTH).enumerate() {
+                // SAFETY: `L`'s instruction set is the caller's guarantee;
+                // `lanes` holds `WIDTH` floats.
+                let mask = unsafe { L::load(lanes.as_ptr()).negative_mask() };
+                *word |= u64::from(mask) << (i * L::WIDTH);
             }
         }
     }
@@ -764,13 +825,14 @@ unsafe fn pack_signs<L: Lanes>(values: &[f32], t: usize, stride: usize, hard: &m
 
 /// Channel LLRs of a hard-decision word, +1 for a received 0 and −1 for
 /// a 1, a packed word at a time; segment `j` (`t` bits) lands at
-/// `out[j * stride..]`.
+/// `out[j * stride..]`. The bit goes straight into the float's sign.
 fn expand_hard_llr(words: &[u64], t: usize, stride: usize, out: &mut [f32]) {
+    const ONE: u32 = 0x3f80_0000;
     let segments = out.chunks_mut(stride).zip(words.chunks_exact(t / 64));
     for (dst, seg_words) in segments {
         for (run, &word) in dst.chunks_exact_mut(64).zip(seg_words) {
             for (b, o) in run.iter_mut().enumerate() {
-                *o = if (word >> b) & 1 == 1 { -1.0 } else { 1.0 };
+                *o = f32::from_bits(ONE | ((word >> b) as u32 & 1) << 31);
             }
         }
     }
@@ -860,14 +922,35 @@ mod tests {
         }
     }
 
-    /// Both lane implementations (AVX2 only where the host has it) against
-    /// the reference on `llr`.
+    /// Every lane implementation the host has against the reference on
+    /// `llr`.
     fn assert_all_lanes_match_reference(dec: &MinSumDecoder, llr: &[f32], what: &str) {
         let reference = dec.decode_llr_reference(llr);
-        assert_eq!(dec.decode_llr_on(false, llr), reference, "portable: {what}");
-        if avx2_detected() {
-            assert_eq!(dec.decode_llr_on(true, llr), reference, "avx2: {what}");
+        for lanes in LaneKind::ALL.into_iter().filter(|l| l.available()) {
+            assert_eq!(
+                dec.decode_llr_on(lanes, llr),
+                reference,
+                "{lanes:?}: {what}"
+            );
         }
+    }
+
+    #[test]
+    fn the_widest_lanes_the_host_reports_are_the_ones_decoding() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let expected = if std::arch::is_x86_feature_detected!("avx512f") {
+                LaneKind::Avx512
+            } else if std::arch::is_x86_feature_detected!("avx2") {
+                LaneKind::Avx2
+            } else {
+                LaneKind::Portable
+            };
+            assert_eq!(LaneKind::detect(), expected);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(LaneKind::detect(), LaneKind::Portable);
+        assert!(LaneKind::detect().available() && LaneKind::Portable.available());
     }
 
     #[test]
@@ -895,15 +978,16 @@ mod tests {
 
     #[test]
     fn shifts_that_wrap_inside_a_chunk_match_reference() {
-        // Shift 0 never wraps, t − 16 wraps exactly between two chunks;
-        // the others put the wrap at the first, second-to-last and last
-        // lane of a chunk, from either end of the segment.
+        // Shift 0 never wraps; t − 16 and t − 32 wrap exactly between two
+        // 16- or 32-float chunks; the others put the wrap at the first,
+        // second-to-last and last lane of a chunk of either size, from
+        // either end of the segment.
         for t in [64usize, 192] {
-            let shifts = [0, 1, 15, t - 16, t - 15, t - 1];
-            // Three block rows over six columns, each column meeting
+            let shifts = [0, 1, 15, 31, t - 32, t - 31, t - 16, t - 15, t - 1];
+            // Three block rows over nine columns, each column meeting
             // three different shifts; no zero blocks.
             let coeffs = (0..3)
-                .flat_map(|i| (0..6).map(move |j| Some(shifts[(2 * i + j) % 6])))
+                .flat_map(|i| (0..9).map(move |j| Some(shifts[(3 * i + j) % 9])))
                 .collect();
             let code = QcLdpcCode::new(crate::QcMatrix::from_coeffs(3, t, coeffs));
             let dec = MinSumDecoder::new(&code);
@@ -953,7 +1037,9 @@ mod tests {
         // Warm the scratch, then die between taking it and putting it back.
         assert!(dec.decode(&noisy).success);
         let died = std::panic::catch_unwind(|| {
-            dec.decode_in_scratch(false, noisy.as_words().to_vec(), |_| panic!("mid-decode"))
+            dec.decode_in_scratch(LaneKind::Portable, noisy.as_words().to_vec(), |_| {
+                panic!("mid-decode")
+            })
         });
         assert!(died.is_err());
         assert_eq!(dec.decode(&noisy), dec.decode_reference(&noisy));
@@ -982,6 +1068,46 @@ mod tests {
         let a = dec.decode(&noisy);
         let b = dec.decode(&noisy);
         assert_eq!(a, b);
+    }
+
+    /// A soft word of the small code with one infinite LLR.
+    fn llrs_with_an_infinity() -> (MinSumDecoder, Vec<f32>) {
+        let (code, cw, mut rng) = setup();
+        let mut llr = SoftChannel::new(0.004).transmit(&cw, &mut rng);
+        llr[17] = f32::INFINITY;
+        (MinSumDecoder::new(&code), llr)
+    }
+
+    #[test]
+    #[should_panic(expected = "LLRs must be finite")]
+    fn fast_path_rejects_an_infinite_llr() {
+        let (dec, llr) = llrs_with_an_infinity();
+        dec.decode_llr(&llr);
+    }
+
+    #[test]
+    #[should_panic(expected = "LLRs must be finite")]
+    fn reference_rejects_an_infinite_llr() {
+        let (dec, llr) = llrs_with_an_infinity();
+        dec.decode_llr_reference(&llr);
+    }
+
+    #[test]
+    #[should_panic(expected = "every block column must meet some block row")]
+    fn a_column_no_row_meets_is_rejected() {
+        let coeffs = vec![
+            Some(0),
+            Some(1),
+            None,
+            Some(2),
+            Some(3),
+            None,
+            Some(4),
+            Some(5),
+            None,
+        ];
+        let code = QcLdpcCode::new(crate::QcMatrix::from_coeffs(3, 64, coeffs));
+        let _ = MinSumDecoder::new(&code);
     }
 
     #[test]

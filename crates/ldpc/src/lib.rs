@@ -40,6 +40,7 @@
 pub mod analysis;
 pub mod bits;
 pub mod channel;
+mod circulant;
 pub mod code;
 pub mod decoder;
 mod lanes;

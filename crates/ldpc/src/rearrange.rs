@@ -13,6 +13,7 @@
 //! original layout.
 
 use crate::bits::BitVec;
+use crate::circulant::{row_circulants, xor_block_row, xor_rotated};
 use crate::code::QcLdpcCode;
 
 impl QcLdpcCode {
@@ -23,37 +24,30 @@ impl QcLdpcCode {
     ///
     /// Panics if `cw` is not [`QcLdpcCode::n`] bits long.
     pub fn rearrange(&self, cw: &BitVec) -> BitVec {
-        assert_eq!(cw.len(), self.n(), "codeword length mismatch");
-        let h = self.matrix();
-        let t = h.t();
-        let mut out = BitVec::zeros(self.n());
-        for j in 0..h.cols_b() {
-            let seg = cw.slice(j * t, t);
-            let placed = match h.coeff(0, j) {
-                Some(shift) => seg.rotate_left(shift),
-                None => seg,
-            };
-            out.copy_from(j * t, &placed);
-        }
-        out
+        self.rotate_segments(cw, |shift| shift)
     }
 
     /// Inverse of [`QcLdpcCode::rearrange`]: recovers the original codeword
     /// layout from the on-flash layout.
     pub fn restore(&self, rearranged: &BitVec) -> BitVec {
-        assert_eq!(rearranged.len(), self.n(), "codeword length mismatch");
+        let t = self.matrix().t();
+        self.rotate_segments(rearranged, |shift| (t - shift) % t)
+    }
+
+    /// `cw` with every segment `j` of the first block row rotated left by
+    /// `left(C(0,j) mod t)`; the other segments are copied.
+    fn rotate_segments(&self, cw: &BitVec, left: impl Fn(usize) -> usize) -> BitVec {
+        assert_eq!(cw.len(), self.n(), "codeword length mismatch");
         let h = self.matrix();
         let t = h.t();
-        let mut out = BitVec::zeros(self.n());
-        for j in 0..h.cols_b() {
-            let seg = rearranged.slice(j * t, t);
-            let placed = match h.coeff(0, j) {
-                Some(shift) => seg.rotate_right(shift),
-                None => seg,
-            };
-            out.copy_from(j * t, &placed);
+        let mut out = vec![0u64; self.n() / 64];
+        let segments = out
+            .chunks_exact_mut(t / 64)
+            .zip(cw.as_words().chunks_exact(t / 64));
+        for (j, (dst, src)) in segments.enumerate() {
+            xor_rotated(dst, src, h.coeff(0, j).map_or(0, |s| left(s % t)));
         }
-        out
+        BitVec::from_words(out, self.n())
     }
 
     /// Pruned syndrome weight computed directly on the *rearranged* layout:
@@ -62,14 +56,10 @@ impl QcLdpcCode {
     pub fn pruned_weight_rearranged(&self, rearranged: &BitVec) -> usize {
         assert_eq!(rearranged.len(), self.n(), "codeword length mismatch");
         let h = self.matrix();
-        let t = h.t();
-        let mut acc = BitVec::zeros(t);
-        for j in 0..h.cols_b() {
-            if h.coeff(0, j).is_some() {
-                acc.xor_assign(&rearranged.slice(j * t, t));
-            }
-        }
-        acc.count_ones()
+        let mut acc = vec![0u64; h.t() / 64];
+        let identities = row_circulants(h, 0).map(|(col, _)| (col, 0));
+        xor_block_row(&mut acc, rearranged.as_words(), identities);
+        BitVec::from_words(acc, h.t()).count_ones()
     }
 }
 

@@ -12,6 +12,7 @@
 //!   same bits (§V-A2).
 
 use crate::bits::BitVec;
+use crate::circulant::{row_circulants, xor_block_row};
 use crate::code::QcLdpcCode;
 
 impl QcLdpcCode {
@@ -20,7 +21,8 @@ impl QcLdpcCode {
     ///
     /// Computed segment-at-a-time: the circulant `Q(s)` applied to segment
     /// `d` is `rotate_left(d, s)`, so each block contributes one rotated
-    /// XOR — no per-edge work.
+    /// XOR of packed words into the result — no per-edge work and no
+    /// per-block allocation.
     ///
     /// # Panics
     ///
@@ -28,13 +30,11 @@ impl QcLdpcCode {
     pub fn syndrome(&self, cw: &BitVec) -> BitVec {
         assert_eq!(cw.len(), self.n(), "codeword length mismatch");
         let h = self.matrix();
-        let t = h.t();
-        let mut syn = BitVec::zeros(h.m());
-        for i in 0..h.rows_b() {
-            let row = self.block_row_syndrome(cw, i);
-            syn.copy_from(i * t, &row);
+        let mut syn = vec![0u64; h.m() / 64];
+        for (i, acc) in syn.chunks_exact_mut(h.t() / 64).enumerate() {
+            xor_block_row(acc, cw.as_words(), row_circulants(h, i));
         }
-        syn
+        BitVec::from_words(syn, h.m())
     }
 
     /// Syndrome bits of one block row (a `t`-bit vector).
@@ -45,13 +45,9 @@ impl QcLdpcCode {
     pub fn block_row_syndrome(&self, cw: &BitVec, i: usize) -> BitVec {
         assert_eq!(cw.len(), self.n(), "codeword length mismatch");
         let h = self.matrix();
-        let t = h.t();
-        let mut acc = BitVec::zeros(t);
-        for b in h.row_blocks(i) {
-            let seg = cw.slice(b.col * t, t);
-            acc.xor_assign(&seg.rotate_left(b.shift));
-        }
-        acc
+        let mut acc = vec![0u64; h.t() / 64];
+        xor_block_row(&mut acc, cw.as_words(), row_circulants(h, i));
+        BitVec::from_words(acc, h.t())
     }
 
     /// Hamming weight of the full syndrome (`Σ s_k` over all `r·t` checks).

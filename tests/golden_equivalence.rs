@@ -2,9 +2,10 @@
 //! to their scalar references, and the parallel Monte-Carlo harness must be
 //! thread-count invariant.
 //!
-//! The fast min-sum path is one fused kernel per block row over 8-lane
-//! vectors (AVX2 where the CPU has it, a portable array otherwise), in a
-//! per-thread scratch. It is a pure reordering of exact float operations, so
+//! The fast min-sum path is one fused kernel per block row over lane
+//! vectors — 16 lanes of AVX-512 where the CPU has AVX-512F, else 8 of
+//! AVX2, else a portable 8-float array; the widest the host has is the one
+//! these tests run — in a per-thread scratch. It is a pure reordering of exact float operations, so
 //! `DecodeOutcome`s — success flag, iteration count and decoded word —
 //! must match the references on every input, not just statistically.
 

@@ -62,6 +62,27 @@ proptest! {
     }
 
     #[test]
+    fn restore_inverts_rearrange_on_any_word(v in bitvec_strategy(2304)) {
+        let code = QcLdpcCode::small_test();
+        prop_assert_eq!(code.restore(&code.rearrange(&v)), v.clone());
+        prop_assert_eq!(code.rearrange(&code.restore(&v)), v);
+    }
+
+    #[test]
+    fn check_accepts_exactly_the_zero_syndrome_words(seed in any::<u64>(), flips in 0usize..3) {
+        let code = QcLdpcCode::small_test();
+        let mut rng = SimRng::seed_from(seed);
+        let mut word = code.encode(&BitVec::random(code.data_bits(), &mut rng));
+        prop_assert!(code.check(&word));
+        for _ in 0..flips {
+            word.flip(rng.index(code.n()));
+        }
+        prop_assert_eq!(code.check(&word), code.syndrome(&word).is_zero());
+        let random = BitVec::random(code.n(), &mut rng);
+        prop_assert_eq!(code.check(&random), code.syndrome(&random).is_zero());
+    }
+
+    #[test]
     fn minsum_corrects_small_error_bursts(seed in any::<u64>(), k in 0usize..6) {
         let code = QcLdpcCode::small_test();
         let dec = MinSumDecoder::new(&code);
