@@ -2,8 +2,8 @@
 //!
 //! [`ChaosProxy`] listens on a loopback port and forwards each accepted
 //! connection to the upstream `rif-server`, pumping the two directions in
-//! separate threads. Every *frame* (length-prefixed, reassembled with
-//! [`FrameBuffer`] so faults never split the protocol mid-header by
+//! separate threads. Every *frame* (length-prefixed, read straight into
+//! a [`FrameBuffer`] so faults never split the protocol mid-header by
 //! accident) is passed through the plan's [`DecisionStream`] for its
 //! connection and direction, then forwarded, dropped, delayed,
 //! duplicated, bit-corrupted, truncated, or the connection reset.
@@ -20,7 +20,7 @@
 //! that do get through.
 
 use std::io;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -376,14 +376,13 @@ fn pump(
     let mut src = src;
     let mut dst = dst;
     let mut frames = FrameBuffer::new();
-    let mut buf = [0u8; 16 * 1024];
     'outer: loop {
         if shutdown.load(Ordering::SeqCst) || !alive.load(Ordering::SeqCst) {
             break;
         }
-        match src.read(&mut buf) {
+        match frames.read_from(&mut src) {
             Ok(0) => break,
-            Ok(n) => frames.feed(&buf[..n]),
+            Ok(_) => {}
             Err(e)
                 if matches!(
                     e.kind(),
@@ -418,7 +417,7 @@ fn pump(
             match decisions.next_decision() {
                 Decision::Forward => {
                     stats.forwarded.fetch_add(1, Ordering::Relaxed);
-                    if emit(&mut dst, &frame).is_err() {
+                    if emit(&mut dst, frame).is_err() {
                         break 'outer;
                     }
                 }
@@ -428,19 +427,19 @@ fn pump(
                 Decision::Delay { us } => {
                     stats.delayed.fetch_add(1, Ordering::Relaxed);
                     thread::sleep(Duration::from_micros(us));
-                    if emit(&mut dst, &frame).is_err() {
+                    if emit(&mut dst, frame).is_err() {
                         break 'outer;
                     }
                 }
                 Decision::Duplicate => {
                     stats.duplicated.fetch_add(1, Ordering::Relaxed);
-                    if emit(&mut dst, &frame).is_err() || emit(&mut dst, &frame).is_err() {
+                    if emit(&mut dst, frame).is_err() || emit(&mut dst, frame).is_err() {
                         break 'outer;
                     }
                 }
                 Decision::Corrupt { salt } => {
                     stats.corrupted.fetch_add(1, Ordering::Relaxed);
-                    let mut mangled = frame.clone();
+                    let mut mangled = frame.to_vec();
                     if !mangled.is_empty() {
                         let bit = (salt % (mangled.len() as u64 * 8)) as usize;
                         mangled[bit / 8] ^= 1 << (bit % 8);

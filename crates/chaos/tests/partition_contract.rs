@@ -25,7 +25,7 @@ fn try_response(conn: &mut Conn, window: Duration) -> Option<Response> {
     let deadline = Instant::now() + window;
     while Instant::now() < deadline {
         if let Ok(Some(payload)) = conn.next_frame() {
-            return Some(decode_response(&payload).expect("decodable"));
+            return Some(decode_response(payload).expect("decodable"));
         }
         conn.pump().expect("conn alive");
         std::thread::sleep(Duration::from_millis(1));

@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rif_server::client::Conn;
 use rif_server::protocol::{
@@ -120,24 +120,6 @@ pub struct Directory {
     accept: Option<thread::JoinHandle<()>>,
 }
 
-/// Sends one request on an open connection and waits for the reply
-/// (directory RPCs are strictly one-at-a-time per connection).
-fn rpc(conn: &mut Conn, req: &Request) -> io::Result<Response> {
-    conn.send(req)?;
-    let deadline = Instant::now() + RPC_TIMEOUT;
-    while Instant::now() < deadline {
-        if let Some(payload) = conn
-            .next_frame()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        {
-            return rif_server::protocol::decode_response(&payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-        }
-        conn.pump()?;
-    }
-    Err(io::ErrorKind::TimedOut.into())
-}
-
 /// Pushes `map` to the node at `addr`, telling it which ranges it owns,
 /// which it follows, and where to ship each owned range's replicas.
 /// Returns the epoch the node acknowledged.
@@ -152,8 +134,7 @@ fn push_to(addr: &str, map: &ShardMap, id: &str) -> io::Result<u64> {
         })
         .collect();
     let mut conn = Conn::connect(addr)?;
-    let resp = rpc(
-        &mut conn,
+    let resp = conn.call(
         &Request::MapPush {
             tag: DIRECTORY_TAG,
             epoch: map.epoch,
@@ -164,6 +145,7 @@ fn push_to(addr: &str, map: &ShardMap, id: &str) -> io::Result<u64> {
             replicas,
             map_text: map.to_text(),
         },
+        RPC_TIMEOUT,
     )?;
     match resp {
         Response::MapResp { epoch, .. } => Ok(epoch),
@@ -298,7 +280,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// One `MAP_GET` on an open directory connection (the router keeps one
 /// for its refreshes): `(epoch, map text)`.
 pub(crate) fn map_get(conn: &mut Conn) -> io::Result<(u64, String)> {
-    match rpc(conn, &Request::MapGet { tag: DIRECTORY_TAG })? {
+    match conn.call(&Request::MapGet { tag: DIRECTORY_TAG }, RPC_TIMEOUT)? {
         Response::MapResp { epoch, text, .. } => Ok((epoch, text)),
         other => Err(unexpected("MAP_GET", &other)),
     }
@@ -318,7 +300,7 @@ pub fn request_migrate(addr: &str, range: u32, to_id: &str) -> io::Result<(u64, 
         range,
         node: to_id.to_string(),
     };
-    match rpc(&mut conn, &req)? {
+    match conn.call(&req, RPC_TIMEOUT)? {
         Response::MapResp { epoch, text, .. } => Ok((epoch, text)),
         other => Err(unexpected("MIGRATE", &other)),
     }
@@ -327,7 +309,7 @@ pub fn request_migrate(addr: &str, range: u32, to_id: &str) -> io::Result<(u64, 
 /// Admin client: fetches the aggregated cluster STATS report.
 pub fn fetch_cluster_stats(addr: &str) -> io::Result<String> {
     let mut conn = Conn::connect(addr)?;
-    match rpc(&mut conn, &Request::Stats { tag: DIRECTORY_TAG })? {
+    match conn.call(&Request::Stats { tag: DIRECTORY_TAG }, RPC_TIMEOUT)? {
         Response::Stats { text, .. } => Ok(text),
         other => Err(unexpected("STATS", &other)),
     }
@@ -373,12 +355,12 @@ fn migrate_locked(inner: &Inner, range: u32, to_id: &str) -> io::Result<u64> {
     // Step 1: drain + snapshot at the source. An unreachable source
     // degrades to a failover with an empty snapshot.
     let state = match Conn::connect(&source.addr) {
-        Ok(mut conn) => match rpc(
-            &mut conn,
+        Ok(mut conn) => match conn.call(
             &Request::MigrateOut {
                 tag: DIRECTORY_TAG,
                 range,
             },
+            RPC_TIMEOUT,
         ) {
             Ok(Response::Migrated { state, .. }) => state,
             _ => String::new(),
@@ -391,13 +373,13 @@ fn migrate_locked(inner: &Inner, range: u32, to_id: &str) -> io::Result<u64> {
     // source's sealed range is re-opened by the push.
     let target = next.node_of(range).clone();
     let seeded = Conn::connect(&target.addr).and_then(|mut conn| {
-        rpc(
-            &mut conn,
+        conn.call(
             &Request::MigrateIn {
                 tag: DIRECTORY_TAG,
                 range,
                 state,
             },
+            RPC_TIMEOUT,
         )
     });
     if !matches!(seeded, Ok(Response::Migrated { .. })) {
@@ -422,7 +404,7 @@ fn fanout_stats(map: &ShardMap) -> String {
         .iter()
         .map(|n| {
             let stats = Conn::connect(&n.addr)
-                .and_then(|mut conn| rpc(&mut conn, &Request::Stats { tag: DIRECTORY_TAG }))
+                .and_then(|mut conn| conn.call(&Request::Stats { tag: DIRECTORY_TAG }, RPC_TIMEOUT))
                 .ok()
                 .and_then(|resp| match resp {
                     Response::Stats { text, .. } => NodeStats::parse_text(&text).ok(),
@@ -453,21 +435,21 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
 }
 
 fn serve_conn(stream: TcpStream, inner: Arc<Inner>) {
-    use std::io::Read;
     stream.set_nodelay(true).ok();
     if stream.set_read_timeout(Some(ACCEPT_TICK)).is_err() {
         return;
     }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = io::BufReader::new(read_half);
-    let mut writer = io::BufWriter::new(stream);
+    let mut writer = io::BufWriter::new(&stream);
     let mut frames = FrameBuffer::new();
-    let mut buf = [0u8; 16 * 1024];
     'conn: while !inner.stop.load(Ordering::SeqCst) {
-        while let Ok(Some(payload)) = frames.next_frame() {
-            let Ok(req) = decode_request(&payload) else {
+        loop {
+            let payload = match frames.next_frame() {
+                Ok(Some(payload)) => payload,
+                Ok(None) => break,
+                // The length prefix lied: frame sync is gone for good.
+                Err(_) => break 'conn,
+            };
+            let Ok(req) = decode_request(payload) else {
                 let resp = Response::Error {
                     tag: 0,
                     code: ErrorCode::BadRequest,
@@ -535,9 +517,9 @@ fn serve_conn(stream: TcpStream, inner: Arc<Inner>) {
                 break 'conn;
             }
         }
-        match reader.read(&mut buf) {
+        match frames.read_from(&mut &stream) {
             Ok(0) => break,
-            Ok(n) => frames.feed(&buf[..n]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             }

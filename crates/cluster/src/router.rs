@@ -173,7 +173,6 @@ pub fn run_routed(cfg: &RouterConfig) -> io::Result<(LoadReport, Journal)> {
         settled: 0,
     };
     let mut hist = LatencyHistogram::new();
-    let mut scratch = [0u8; 16 * 1024];
     let mut events = Vec::new();
     let mut resolved = Vec::new();
     let started = Instant::now();
@@ -203,15 +202,7 @@ pub fn run_routed(cfg: &RouterConfig) -> io::Result<(LoadReport, Journal)> {
         for ev in &events {
             let (conn, wire) = (ev.token as u32, &mut run.endpoints[ev.token]);
             let poller = &mut *run.poller;
-            (run.ledger).on_event(
-                conn,
-                wire,
-                poller,
-                ev,
-                &mut scratch,
-                &mut hist,
-                &mut resolved,
-            );
+            (run.ledger).on_event(conn, wire, poller, ev, &mut hist, &mut resolved);
         }
         run.apply(&mut resolved, Instant::now());
     }

@@ -14,7 +14,7 @@
 //!   source's pre-migration value instead of restarting at zero);
 //! * the cluster STATS plane sees both nodes and sums their counters.
 
-use std::io::BufReader;
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -23,7 +23,7 @@ use rif_cluster::{Directory, NodeInfo, RouterConfig, ShardMap};
 use rif_server::client::Conn;
 use rif_server::protocol::{
     decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response,
-    PROTOCOL_VERSION,
+    MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use rif_server::server::{Server, ServerConfig};
 
@@ -53,7 +53,7 @@ fn node_stats(addr: &str) -> NodeStats {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         if let Ok(Some(payload)) = conn.next_frame() {
-            match decode_response(&payload) {
+            match decode_response(payload) {
                 Ok(Response::Stats { text, .. }) => {
                     return NodeStats::parse_text(&text).expect("stats text parses")
                 }
@@ -251,7 +251,7 @@ fn wait_response(conn: &mut Conn) -> Response {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         if let Ok(Some(payload)) = conn.next_frame() {
-            return decode_response(&payload).expect("decodable");
+            return decode_response(payload).expect("decodable");
         }
         conn.pump().expect("conn alive");
     }
@@ -280,19 +280,20 @@ fn raw_exchange(addr: &str, reqs: &[Request]) -> Vec<Response> {
     replies
 }
 
+/// A directory over one node nobody listens on: enough to exercise its
+/// own listener.
+fn lone_directory() -> Directory {
+    let node = NodeInfo {
+        id: "a".into(),
+        addr: "127.0.0.1:1".into(),
+    };
+    let map = ShardMap::rebalanced(1, CAPACITY, RANGES, vec![node]).expect("valid map");
+    Directory::start(map, 0).expect("directory starts")
+}
+
 #[test]
 fn directory_refuses_a_hello_for_another_version_and_closes() {
-    let map = ShardMap::rebalanced(
-        1,
-        CAPACITY,
-        RANGES,
-        vec![NodeInfo {
-            id: "a".into(),
-            addr: "127.0.0.1:1".into(),
-        }],
-    )
-    .expect("valid map");
-    let dir = Directory::start(map, 0).expect("directory starts");
+    let dir = lone_directory();
     let addr = dir.addr().to_string();
     for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
         // The MAP_GET pipelined behind the HELLO must never be answered:
@@ -317,5 +318,26 @@ fn directory_refuses_a_hello_for_another_version_and_closes() {
         Conn::connect(&addr).is_ok(),
         "the matching version connects"
     );
+    dir.stop();
+}
+
+#[test]
+fn directory_closes_a_peer_that_sends_an_oversized_length_prefix() {
+    let dir = lone_directory();
+    let mut stream = TcpStream::connect(dir.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    // A header announcing one byte more than any frame may carry: frame
+    // sync is gone for good, so the directory hangs up instead of
+    // buffering whatever the peer sends next.
+    stream
+        .write_all(&(MAX_FRAME_BYTES + 1).to_le_bytes())
+        .expect("write header");
+    let mut byte = [0u8; 1];
+    match stream.read(&mut byte) {
+        Ok(0) => {}
+        other => panic!("expected EOF within 1 s, got {other:?}"),
+    }
     dir.stop();
 }

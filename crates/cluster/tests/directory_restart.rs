@@ -46,7 +46,7 @@ fn wait_response(conn: &mut Conn) -> Response {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         if let Ok(Some(payload)) = conn.next_frame() {
-            return rif_server::protocol::decode_response(&payload).expect("decodable");
+            return rif_server::protocol::decode_response(payload).expect("decodable");
         }
         conn.pump().expect("conn alive");
     }

@@ -1,5 +1,5 @@
-//! Property suite for the versioned shard map (vendored proptest shim;
-//! compile with `--features proptest`).
+//! Property suite for the versioned shard map (a plain integration test
+//! on the vendored proptest shim; it runs under `cargo test`).
 //!
 //! Invariants under test:
 //!

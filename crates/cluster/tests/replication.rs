@@ -45,7 +45,7 @@ fn node_stats(addr: &str) -> NodeStats {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         if let Ok(Some(payload)) = conn.next_frame() {
-            match rif_server::protocol::decode_response(&payload) {
+            match rif_server::protocol::decode_response(payload) {
                 Ok(Response::Stats { text, .. }) => {
                     return NodeStats::parse_text(&text).expect("stats text parses")
                 }
@@ -66,7 +66,7 @@ fn wait_response(conn: &mut Conn) -> Response {
     let deadline = Instant::now() + Duration::from_secs(5);
     while Instant::now() < deadline {
         if let Ok(Some(payload)) = conn.next_frame() {
-            return rif_server::protocol::decode_response(&payload).expect("decodable");
+            return rif_server::protocol::decode_response(payload).expect("decodable");
         }
         conn.pump().expect("conn alive");
     }

@@ -75,8 +75,9 @@ use rif_workloads::{IoOp, SynthConfig};
 use crate::poller::{best_poller, Interest, PollEvent, Poller};
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, BatchEntry, BusyReason, ErrorCode,
-    FrameBuffer, Request, Response, MAX_BATCH_ENTRIES, PROTOCOL_VERSION,
+    FrameBuffer, Request, Response, WireError, MAX_BATCH_ENTRIES, PROTOCOL_VERSION,
 };
+use crate::ring::READ_CHUNK;
 
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
@@ -545,9 +546,26 @@ impl Conn {
         write_frame(&mut self.writer, &encode_request(req))
     }
 
-    /// The next complete response payload already buffered, if any.
-    /// An `Err` means frame sync is unrecoverable (oversized prefix).
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, crate::protocol::WireError> {
+    /// Sends `req` and waits up to `timeout` for the next response: the
+    /// one-at-a-time RPC of the HELLO check and the directory. EOF, a
+    /// transport error, an undecodable frame and silence are all `Err`.
+    pub fn call(&mut self, req: &Request, timeout: Duration) -> io::Result<Response> {
+        self.send(req)?;
+        let deadline = Instant::now() + timeout;
+        let invalid = |e: WireError| io::Error::new(io::ErrorKind::InvalidData, e);
+        while Instant::now() < deadline {
+            if let Some(payload) = self.next_frame().map_err(invalid)? {
+                return decode_response(payload).map_err(invalid);
+            }
+            self.pump()?;
+        }
+        Err(io::Error::new(io::ErrorKind::TimedOut, "no response"))
+    }
+
+    /// The next complete response payload already buffered, if any, as
+    /// a borrow of the receive buffer. An `Err` means frame sync is
+    /// unrecoverable (oversized prefix).
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
         self.frames.next_frame()
     }
 
@@ -555,13 +573,9 @@ impl Conn {
     /// into the frame buffer. `Ok(true)` if bytes arrived, `Ok(false)`
     /// on a timeout tick, `Err` on EOF or a transport error.
     pub fn pump(&mut self) -> io::Result<bool> {
-        let mut buf = [0u8; 16 * 1024];
-        match self.stream.read(&mut buf) {
+        match self.frames.read_from(&mut self.stream) {
             Ok(0) => Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => {
-                self.frames.feed(&buf[..n]);
-                Ok(true)
-            }
+            Ok(_) => Ok(true),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -583,28 +597,17 @@ pub const HELLO_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Blocking HELLO handshake: `Ok` only on `HELLO_ACK(PROTOCOL_VERSION)`.
 fn check_hello(c: &mut Conn) -> io::Result<()> {
-    c.send(&Request::Hello {
+    let hello = Request::Hello {
         tag: HELLO_TAG,
         version: PROTOCOL_VERSION,
-    })?;
-    let deadline = Instant::now() + HELLO_TIMEOUT;
-    while Instant::now() < deadline {
-        c.pump()?;
-        let Some(payload) = c
-            .next_frame()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-        else {
-            continue;
-        };
-        return match decode_response(&payload) {
-            Ok(Response::HelloAck { version, .. }) if version == PROTOCOL_VERSION => Ok(()),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("HELLO refused: {other:?}"),
-            )),
-        };
+    };
+    match c.call(&hello, HELLO_TIMEOUT)? {
+        Response::HelloAck { version, .. } if version == PROTOCOL_VERSION => Ok(()),
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("HELLO refused: {other:?}"),
+        )),
     }
-    Err(io::Error::new(io::ErrorKind::TimedOut, "no HELLO_ACK"))
 }
 
 /// One planned operation moving through a driver's retry machinery.
@@ -772,20 +775,18 @@ impl<T> Ledger<T> {
     /// One poller event for connection `conn`: books what arrived into
     /// `settled` and resumes a stuck write. `false` means the connection
     /// was lost, and [`lose`](Ledger::lose) has dealt with it.
-    #[allow(clippy::too_many_arguments)]
     pub fn on_event(
         &mut self,
         conn: u32,
         wire: &mut Wire,
         poller: &mut dyn Poller,
         ev: &PollEvent,
-        scratch: &mut [u8],
         hist: &mut LatencyHistogram,
         settled: &mut Vec<Settled<T>>,
     ) -> bool {
         let mut alive = true;
         if ev.readable || ev.error {
-            alive = self.pump(wire, scratch, hist, settled);
+            alive = self.pump(wire, hist, settled);
         }
         if alive && ev.writable {
             alive = wire.flush(poller, true).is_ok();
@@ -801,7 +802,6 @@ impl<T> Ledger<T> {
     fn pump(
         &mut self,
         wire: &mut Wire,
-        scratch: &mut [u8],
         hist: &mut LatencyHistogram,
         settled: &mut Vec<Settled<T>>,
     ) -> bool {
@@ -809,17 +809,16 @@ impl<T> Ledger<T> {
             let Some((stream, frames)) = wire.sock.as_mut() else {
                 return true;
             };
-            let n = match stream.read(scratch) {
+            let n = match frames.read_from(stream) {
                 Ok(0) => return false,
                 Ok(n) => n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
             };
-            frames.feed(&scratch[..n]);
             loop {
                 match frames.next_frame() {
-                    Ok(Some(payload)) => settled.extend(self.receive(&payload, hist)),
+                    Ok(Some(payload)) => settled.extend(self.receive(payload, hist)),
                     Ok(None) => break,
                     Err(_) => {
                         // Oversized prefix: framing is unrecoverable.
@@ -831,7 +830,7 @@ impl<T> Ledger<T> {
             }
             // A short read drained the socket; the poller is
             // level-triggered, so anything newer fires again.
-            if n < scratch.len() {
+            if n < READ_CHUNK {
                 return true;
             }
         }
@@ -1085,10 +1084,7 @@ impl Wire {
 
     /// Appends one length-prefixed request frame to the unsent bytes.
     fn enqueue(&mut self, req: &Request) {
-        let payload = encode_request(req);
-        self.out
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.out.extend_from_slice(&payload);
+        write_frame(&mut self.out, &encode_request(req)).expect("a Vec takes every byte");
     }
 
     /// Writes unsent bytes until they are gone or the socket pushes back,
@@ -1412,7 +1408,6 @@ fn drive_links(
         .map(|(token, (conn, plan))| Link::new(cfg, token, conn, plan))
         .collect();
     let mut hist = LatencyHistogram::new();
-    let mut scratch = [0u8; 16 * 1024];
     let mut events = Vec::new();
     let mut settled = Vec::new();
 
@@ -1446,15 +1441,7 @@ fn drive_links(
         for ev in &events {
             let link = &mut links[ev.token];
             let (conn, poller) = (link.conn, &mut *poller);
-            if (link.ledger).on_event(
-                conn,
-                &mut link.wire,
-                poller,
-                ev,
-                &mut scratch,
-                &mut hist,
-                &mut settled,
-            ) {
+            if (link.ledger).on_event(conn, &mut link.wire, poller, ev, &mut hist, &mut settled) {
                 link.apply(cfg, &mut settled);
             } else {
                 link.lost(cfg, &mut settled);

@@ -4,7 +4,7 @@
 //! One thread owns every connection socket plus the listener: a
 //! [`Poller`](crate::poller::Poller) (epoll on Linux, `poll(2)`
 //! elsewhere) reports readiness, nonblocking reads land in each
-//! connection's [`RecvBuffer`], frames decode in place via
+//! connection's [`FrameBuffer`], frames decode in place via
 //! [`decode_request_view`] (no per-frame allocation), and responses
 //! queue in per-connection [`WriteQueue`]s flushed with vectored
 //! writes. Writable interest is registered only while a queue holds
@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use crate::poller::{best_poller, Interest, PollEvent, Poller, Waker};
 use crate::protocol::{BusyReason, ErrorCode, Response, PROTOCOL_VERSION};
-use crate::ring::{decode_request_view, RecvBuffer, RequestView, WriteQueue};
+use crate::ring::{decode_request_view, FrameBuffer, RequestView, WriteQueue};
 use crate::server::{
     admit_batch, admit_io, at_conn_limit, handle_map_push, handle_migrate_in, handle_migrate_out,
     handle_replicate, refuse_over_limit, render_stats, RangeStatus, Shared,
@@ -59,7 +59,7 @@ const DRAIN_TICK: Duration = Duration::from_millis(20);
 /// Per-connection state, owned exclusively by the loop thread.
 struct Conn {
     stream: TcpStream,
-    ring: RecvBuffer,
+    ring: FrameBuffer,
     wq: WriteQueue,
     /// Interest currently registered with the poller.
     interest: Interest,
@@ -375,7 +375,7 @@ fn accept_ready(
             .fetch_add(1, Ordering::AcqRel);
         let slot = slab.insert(Conn {
             stream,
-            ring: RecvBuffer::new(),
+            ring: FrameBuffer::new(),
             wq: WriteQueue::new(),
             interest: Interest::READ,
             last_wq: 0,

@@ -10,7 +10,9 @@
 //! - [`bucket`] — per-tenant token-bucket rate limiting;
 //! - [`pacing`] — the virtual-time ↔ wall-clock bridge;
 //! - [`poller`] — vendored epoll shim with a portable `poll(2)` fallback;
-//! - [`ring`] — zero-copy receive rings and vectored write queues;
+//! - [`ring`] — zero-copy framing: the one receive buffer
+//!   ([`FrameBuffer`]), the one request decoder, and vectored write
+//!   queues;
 //! - [`shard`] — one simulator worker thread per LBA range;
 //! - [`server`] — start/stop, admission control, metrics;
 //! - [`event_loop`] — the readiness-based single-thread server core:

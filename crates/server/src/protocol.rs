@@ -535,10 +535,10 @@ impl std::error::Error for WireError {}
 
 // ----- field cursors -----------------------------------------------------
 
-/// Field cursor shared by the owning decoders here and the zero-copy
-/// view decoder in [`crate::ring`]. Error layout (the exact `need`/`got`
-/// of a `Truncated`) is part of both decoders' contract: the view
-/// decoder must be byte-for-byte equivalent to [`decode_request`].
+/// Field cursor of the response decoder here and the request decoder in
+/// [`crate::ring`]. Error layout (the exact `need`/`got` of a
+/// `Truncated`: the byte the short field ends at, and the payload
+/// length) is part of the wire contract.
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -753,143 +753,11 @@ pub fn encode_request(r: &Request) -> Vec<u8> {
     b
 }
 
-/// Parses a request payload.
+/// Parses a request payload into an owned [`Request`]: the one
+/// decoder, [`decode_request_view`](crate::ring::decode_request_view),
+/// materialized.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut r = Reader::new(payload);
-    let op = r.u8().map_err(|_| WireError::Empty)?;
-    let req = match op {
-        OP_READ | OP_WRITE => {
-            let tenant = r.u32()?;
-            let tag = r.u64()?;
-            let offset = r.u64()?;
-            let bytes = r.u32()?;
-            if op == OP_READ {
-                Request::Read {
-                    tenant,
-                    tag,
-                    offset,
-                    bytes,
-                }
-            } else {
-                Request::Write {
-                    tenant,
-                    tag,
-                    offset,
-                    bytes,
-                }
-            }
-        }
-        OP_STATS => Request::Stats { tag: r.u64()? },
-        OP_FLUSH => Request::Flush { tag: r.u64()? },
-        OP_SHUTDOWN => Request::Shutdown { tag: r.u64()? },
-        OP_HELLO => Request::Hello {
-            tag: r.u64()?,
-            version: r.u32()?,
-        },
-        OP_BATCH => {
-            let count = u16::from_le_bytes([r.u8()?, r.u8()?]);
-            if count == 0 {
-                return Err(WireError::EmptyBatch);
-            }
-            if count > MAX_BATCH_ENTRIES {
-                return Err(WireError::BatchTooLarge { count });
-            }
-            let mut entries = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let op = match r.u8()? {
-                    OP_READ => IoOp::Read,
-                    OP_WRITE => IoOp::Write,
-                    v => {
-                        return Err(WireError::BadEnum {
-                            field: "batch_entry_op",
-                            value: v,
-                        })
-                    }
-                };
-                entries.push(BatchEntry {
-                    op,
-                    tenant: r.u32()?,
-                    tag: r.u64()?,
-                    offset: r.u64()?,
-                    bytes: r.u32()?,
-                    retry_of: r.u64()?,
-                });
-            }
-            Request::Batch(entries)
-        }
-        OP_MAP_GET => Request::MapGet { tag: r.u64()? },
-        OP_MAP_PUSH => {
-            let tag = r.u64()?;
-            let epoch = r.u64()?;
-            let capacity_bytes = r.u64()?;
-            let ranges = r.u32()?;
-            let count = u16::from_le_bytes([r.u8()?, r.u8()?]);
-            let mut owned = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                owned.push(r.u32()?);
-            }
-            let count = u16::from_le_bytes([r.u8()?, r.u8()?]);
-            let mut followed = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                followed.push(r.u32()?);
-            }
-            let count = u16::from_le_bytes([r.u8()?, r.u8()?]);
-            let mut replicas = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let range = r.u32()?;
-                let len = u16::from_le_bytes([r.u8()?, r.u8()?]);
-                let addr = std::str::from_utf8(r.take(len as usize)?)
-                    .map_err(|_| WireError::BadUtf8)?
-                    .to_string();
-                replicas.push((range, addr));
-            }
-            let map_text = std::str::from_utf8(r.rest())
-                .map_err(|_| WireError::BadUtf8)?
-                .to_string();
-            Request::MapPush {
-                tag,
-                epoch,
-                capacity_bytes,
-                ranges,
-                owned,
-                followed,
-                replicas,
-                map_text,
-            }
-        }
-        OP_MIGRATE_OUT => Request::MigrateOut {
-            tag: r.u64()?,
-            range: r.u32()?,
-        },
-        OP_MIGRATE_IN => {
-            let tag = r.u64()?;
-            let range = r.u32()?;
-            let state = std::str::from_utf8(r.rest())
-                .map_err(|_| WireError::BadUtf8)?
-                .to_string();
-            Request::MigrateIn { tag, range, state }
-        }
-        OP_MIGRATE => {
-            let tag = r.u64()?;
-            let range = r.u32()?;
-            let node = std::str::from_utf8(r.rest())
-                .map_err(|_| WireError::BadUtf8)?
-                .to_string();
-            Request::Migrate { tag, range, node }
-        }
-        OP_REPLICATE => Request::Replicate {
-            tag: r.u64()?,
-            range: r.u32()?,
-            epoch: r.u64()?,
-            seq: r.u64()?,
-            tenant: r.u32()?,
-            offset: r.u64()?,
-            bytes: r.u32()?,
-        },
-        other => return Err(WireError::UnknownOpcode(other)),
-    };
-    r.done()?;
-    Ok(req)
+    crate::ring::decode_request_view(payload).map(|v| v.to_request())
 }
 
 /// Serializes a response into a frame payload (no length prefix).
@@ -1079,6 +947,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 
 // ----- frame I/O ---------------------------------------------------------
 
+/// The one receive buffer: every socket reader pulls bytes into it with
+/// [`FrameBuffer::read_from`] and pops borrowed frame payloads.
+pub use crate::ring::FrameBuffer;
+
 /// Writes one length-prefixed frame.
 ///
 /// # Panics
@@ -1121,55 +993,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
-}
-
-/// Incremental frame parser for peers that read with a timeout.
-///
-/// `read_frame` assumes a blocking stream: a read timeout striking
-/// mid-frame would lose the bytes already consumed and de-sync the
-/// stream. A `FrameBuffer` instead accumulates whatever bytes arrive and
-/// yields complete frames as they become available, so a caller can poll
-/// with `set_read_timeout` and keep partial frames intact across wakeups.
-#[derive(Debug, Default)]
-pub struct FrameBuffer {
-    buf: Vec<u8>,
-}
-
-impl FrameBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        FrameBuffer::default()
-    }
-
-    /// Appends raw stream bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Pops the next complete frame payload, if one is fully buffered.
-    /// An oversized length prefix poisons the stream permanently (the
-    /// frame boundary is unrecoverable) and is reported as `Err`.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-        if len > MAX_FRAME_BYTES {
-            return Err(WireError::Oversized { len });
-        }
-        let total = 4 + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload = self.buf[4..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some(payload))
-    }
 }
 
 #[cfg(test)]
@@ -1645,7 +1468,7 @@ mod tests {
         for b in &wire {
             fb.feed(std::slice::from_ref(b));
             while let Some(p) = fb.next_frame().unwrap() {
-                got.push(p);
+                got.push(p.to_vec());
             }
         }
         assert_eq!(got, vec![b"hello".to_vec(), Vec::new(), b"world!".to_vec()]);

@@ -1,19 +1,24 @@
-//! Property-based tests for the wire protocol (run with
-//! `--features proptest`).
+//! Property-based tests for the wire protocol (plain integration tests
+//! on the vendored proptest shim; they run under `cargo test`).
 //!
 //! Three families:
 //! - round-trip: encode → decode is the identity for every request and
-//!   response the encoders can produce;
-//! - rejection: every strict prefix of a valid payload is refused, and a
+//!   response the encoders can produce, cluster messages included;
+//! - rejection: every strict prefix of a valid payload is refused (or,
+//!   inside a trailing text, decodes to that text cut short), and a
 //!   frame header announcing more than `MAX_FRAME_BYTES` is refused
 //!   before any payload is read;
-//! - framing: a stream of many frames survives concatenation — each
-//!   payload comes back whole and in order.
+//! - framing: a stream of many frames survives concatenation and any
+//!   read boundaries — each payload comes back whole and in order.
+//!
+//! There is one request decoder (`decode_request` materializes
+//! `decode_request_view`) and one receive buffer (`FrameBuffer`), so every
+//! property here runs the path the server runs.
 
 use proptest::prelude::*;
 use rif_server::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    BatchEntry, BusyReason, ErrorCode, Request, Response, WireError, MAX_FRAME_BYTES,
+    BatchEntry, BusyReason, ErrorCode, FrameBuffer, Request, Response, WireError, MAX_FRAME_BYTES,
 };
 use rif_workloads::IoOp;
 use std::io::Cursor;
@@ -70,6 +75,89 @@ fn batch_strategy() -> impl Strategy<Value = Request> {
 
 fn hello_strategy() -> impl Strategy<Value = Request> {
     (any::<u64>(), any::<u32>()).prop_map(|(tag, version)| Request::Hello { tag, version })
+}
+
+/// Printable-ASCII text (the shim has no regex strategies).
+fn text_strategy(max: usize) -> impl Strategy<Value = String> {
+    prop::collection::vec(0x20u8..0x7F, 0..max)
+        .prop_map(|b| String::from_utf8(b).expect("printable ascii"))
+}
+
+/// Every cluster message: MAP_GET, MAP_PUSH with owned, followed and
+/// replica lists, MIGRATE_OUT, MIGRATE_IN, MIGRATE and REPLICATE.
+fn cluster_request_strategy() -> impl Strategy<Value = Request> {
+    (
+        0u8..6,
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>()),
+        (any::<u64>(), any::<u32>(), any::<u32>()),
+        (
+            prop::collection::vec(any::<u32>(), 0..8),
+            prop::collection::vec(any::<u32>(), 0..8),
+            prop::collection::vec((any::<u32>(), text_strategy(24)), 0..4),
+        ),
+        text_strategy(120),
+    )
+        .prop_map(
+            |(
+                kind,
+                (tag, epoch, big, small),
+                (seq, tenant, bytes),
+                (owned, followed, replicas),
+                text,
+            )| {
+                match kind {
+                    0 => Request::MapGet { tag },
+                    1 => Request::MapPush {
+                        tag,
+                        epoch,
+                        capacity_bytes: big,
+                        ranges: small,
+                        owned,
+                        followed,
+                        replicas,
+                        map_text: text,
+                    },
+                    2 => Request::MigrateOut { tag, range: small },
+                    3 => Request::MigrateIn {
+                        tag,
+                        range: small,
+                        state: text,
+                    },
+                    4 => Request::Migrate {
+                        tag,
+                        range: small,
+                        node: text,
+                    },
+                    _ => Request::Replicate {
+                        tag,
+                        range: small,
+                        epoch,
+                        seq,
+                        tenant,
+                        offset: big,
+                        bytes,
+                    },
+                }
+            },
+        )
+}
+
+/// Any request the encoders can produce: singles, batches, HELLO, and
+/// (two thirds of the draws) the cluster messages.
+fn any_request_strategy() -> impl Strategy<Value = Request> {
+    (
+        0u8..9,
+        request_strategy(),
+        batch_strategy(),
+        hello_strategy(),
+        cluster_request_strategy(),
+    )
+        .prop_map(|(kind, single, batch, hello, cluster)| match kind {
+            0 => single,
+            1 => batch,
+            2 => hello,
+            _ => cluster,
+        })
 }
 
 fn response_strategy() -> impl Strategy<Value = Response> {
@@ -131,7 +219,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn request_encode_decode_roundtrips(req in request_strategy()) {
+    fn request_encode_decode_roundtrips(req in any_request_strategy()) {
         let enc = encode_request(&req);
         prop_assert_eq!(decode_request(&enc), Ok(req));
     }
@@ -152,6 +240,36 @@ proptest! {
             matches!(e, WireError::Truncated { .. } | WireError::Empty),
             "cut {}: {:?}", cut, e
         );
+    }
+
+    #[test]
+    fn every_prefix_of_any_request_is_rejected_or_cuts_its_text(
+        req in any_request_strategy(),
+        cut_seed in any::<u64>(),
+    ) {
+        let enc = encode_request(&req);
+        let cut = (cut_seed as usize) % enc.len();
+        match decode_request(&enc[..cut]) {
+            Err(WireError::Empty) => prop_assert_eq!(cut, 0),
+            // The short field names where it ran out.
+            Err(WireError::Truncated { need, got }) => {
+                prop_assert_eq!(got, cut);
+                prop_assert!(cut < need && need <= enc.len(), "cut {} need {}", cut, need);
+            }
+            // Only a cut inside a trailing text decodes: the same message
+            // with that text shortened to the prefix.
+            Ok(short) => {
+                prop_assert!(
+                    matches!(
+                        req,
+                        Request::MapPush { .. } | Request::MigrateIn { .. } | Request::Migrate { .. }
+                    ),
+                    "cut {} of {:?} decoded", cut, req
+                );
+                prop_assert_eq!(encode_request(&short), enc[..cut].to_vec());
+            }
+            Err(e) => prop_assert!(false, "cut {}: {:?}", cut, e),
+        }
     }
 
     #[test]
@@ -196,7 +314,7 @@ proptest! {
 
     #[test]
     fn mutated_requests_never_panic_the_decoder(
-        req in request_strategy(),
+        req in any_request_strategy(),
         kind in 0u8..3,
         pos_seed in any::<u64>(),
         byte in any::<u8>(),
@@ -231,7 +349,6 @@ proptest! {
         byte in any::<u8>(),
         chunk in 1usize..17,
     ) {
-        use rif_server::protocol::FrameBuffer;
         let mut wire = Vec::new();
         for p in &payloads {
             write_frame(&mut wire, p).expect("write");
@@ -248,8 +365,8 @@ proptest! {
                 match fb.next_frame() {
                     Ok(Some(frame)) => {
                         prop_assert!(!poisoned, "frame after poison");
-                        let _ = decode_request(&frame);
-                        let _ = decode_response(&frame);
+                        let _ = decode_request(frame);
+                        let _ = decode_response(frame);
                     }
                     Ok(None) => break,
                     Err(_) => {
@@ -315,7 +432,6 @@ proptest! {
         byte in any::<u8>(),
         chunk in 1usize..17,
     ) {
-        use rif_server::protocol::FrameBuffer;
         // A stream of valid BATCH frames, vandalized once (bit flip,
         // byte splice, or truncation — including mid-count and mid-entry
         // positions), fed in odd-sized chunks. The framing layer and the
@@ -333,7 +449,7 @@ proptest! {
                 match fb.next_frame() {
                     Ok(Some(frame)) => {
                         prop_assert!(!poisoned, "frame after poison");
-                        let _ = decode_request(&frame);
+                        let _ = decode_request(frame);
                     }
                     Ok(None) => break,
                     Err(_) => {
@@ -360,111 +476,52 @@ proptest! {
     }
 }
 
-// ----- zero-copy path equivalence ----------------------------------------
-//
-// The event-loop core decodes frames in place (`decode_request_view`,
-// `RecvBuffer`) instead of copying (`decode_request`, `FrameBuffer`).
-// These properties pin the two paths byte-for-byte equal on valid,
-// vandalized, and arbitrary inputs, at every possible read boundary.
-
-/// Any request the encoders can produce: singles, batches, or HELLO.
-fn any_request_strategy() -> impl Strategy<Value = Request> {
-    (
-        0u8..3,
-        request_strategy(),
-        batch_strategy(),
-        hello_strategy(),
-    )
-        .prop_map(|(kind, single, batch, hello)| match kind {
-            0 => single,
-            1 => batch,
-            _ => hello,
-        })
-}
+// ----- the receive buffer against its oracle -----------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn view_decoder_matches_decode_request_on_vandalized_encodings(
-        req in any_request_strategy(),
-        vandalize in any::<bool>(),
-        kind in 0u8..3,
-        pos_seed in any::<u64>(),
-        byte in any::<u8>(),
-    ) {
-        use rif_server::ring::decode_request_view;
-        let mut enc = encode_request(&req);
-        if vandalize {
-            mutate(&mut enc, kind, pos_seed, byte);
-        }
-        match (decode_request(&enc), decode_request_view(&enc)) {
-            (Ok(owned), Ok(view)) => prop_assert_eq!(owned, view.to_request()),
-            (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
-            (owned, view) => prop_assert!(
-                false,
-                "decoders disagree: owned={owned:?} view={view:?}"
-            ),
-        }
-    }
-
-    #[test]
-    fn view_decoder_matches_decode_request_on_arbitrary_bytes(
-        payload in prop::collection::vec(any::<u8>(), 0..96),
-    ) {
-        use rif_server::ring::decode_request_view;
-        match (decode_request(&payload), decode_request_view(&payload)) {
-            (Ok(owned), Ok(view)) => prop_assert_eq!(owned, view.to_request()),
-            (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
-            (owned, view) => prop_assert!(
-                false,
-                "decoders disagree: owned={owned:?} view={view:?}"
-            ),
-        }
-    }
-
-    #[test]
-    fn recv_buffer_matches_frame_buffer_at_every_read_boundary(
+    fn frame_buffer_yields_exactly_the_fed_payloads_at_every_read_boundary(
         reqs in prop::collection::vec(any_request_strategy(), 0..6),
         tail_kind in 0u8..3,
         tail_seed in any::<u64>(),
         chunk_seeds in prop::collection::vec(any::<u16>(), 1..12),
     ) {
-        use rif_server::protocol::FrameBuffer;
-        use rif_server::ring::RecvBuffer;
-
-        // Build one contiguous stream of length-prefixed frames...
+        // One contiguous stream of length-prefixed frames; the payloads
+        // themselves are the oracle.
+        let payloads: Vec<Vec<u8>> = reqs.iter().map(encode_request).collect();
         let mut stream = Vec::new();
-        for r in &reqs {
-            let payload = encode_request(r);
-            stream.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            stream.extend_from_slice(&payload);
+        let mut ends = Vec::new();
+        for p in &payloads {
+            write_frame(&mut stream, p).expect("vec write");
+            ends.push(stream.len());
         }
-        // ...optionally ending in hostility: an oversized header that
-        // must poison both buffers identically, or a truncated frame
-        // that must leave both waiting forever.
+        // Optionally ending in hostility: an oversized header that poisons
+        // the buffer once its fourth byte arrives, or a truncated frame
+        // that leaves it waiting forever.
+        let oversized = MAX_FRAME_BYTES + 1 + (tail_seed as u32 % 1024);
+        let poison_at = stream.len() + 4;
         match tail_kind {
             1 => {
-                let len = MAX_FRAME_BYTES + 1 + (tail_seed as u32 % 1024);
-                stream.extend_from_slice(&len.to_le_bytes());
+                stream.extend_from_slice(&oversized.to_le_bytes());
                 stream.extend_from_slice(&[0xAB; 7]);
             }
             2 => {
                 let payload = encode_request(&Request::Stats { tag: tail_seed });
                 stream.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                let keep = (tail_seed as usize) % (payload.len().max(1));
+                let keep = (tail_seed as usize) % payload.len();
                 stream.extend_from_slice(&payload[..keep]);
             }
             _ => {}
         }
+        let poisoned = |fed: usize| tail_kind == 1 && fed >= poison_at;
 
-        // Feed both buffers the same chunks, popping everything after
-        // every chunk: equivalence must hold at every read boundary,
-        // not just at end of stream.
+        // Pop everything after every chunk: at each read boundary the
+        // buffer has yielded exactly the payloads fed so far, in order.
         let mut fb = FrameBuffer::new();
-        let mut rb = RecvBuffer::new();
+        let mut got: Vec<Vec<u8>> = Vec::new();
         let mut off = 0usize;
-        let mut fb_err: Option<WireError> = None;
         for seed in chunk_seeds.iter().chain(std::iter::once(&u16::MAX)) {
             let remaining = stream.len() - off;
             if remaining == 0 {
@@ -476,33 +533,41 @@ proptest! {
                 1 + (*seed as usize) % remaining
             };
             fb.feed(&stream[off..off + n]);
-            rb.feed(&stream[off..off + n]);
             off += n;
-            loop {
-                // FrameBuffer's Err is sticky by construction (the bad
-                // header is never consumed); RecvBuffer poisons
-                // explicitly. Model both as terminal.
-                let want = match &fb_err {
-                    Some(e) => Err(e.clone()),
-                    None => fb.next_frame(),
-                };
-                if let Err(e) = &want {
-                    fb_err = Some(e.clone());
+            let err = loop {
+                match fb.next_frame() {
+                    Ok(Some(p)) => got.push(p.to_vec()),
+                    Ok(None) => break None,
+                    Err(e) => break Some(e),
                 }
-                let got = rb.next_frame();
-                match (want, got) {
-                    (Ok(Some(a)), Ok(Some(b))) => prop_assert_eq!(a, b.to_vec()),
-                    (Ok(None), Ok(None)) => break,
-                    (Err(e1), Err(e2)) => {
-                        prop_assert_eq!(e1, e2);
-                        break;
-                    }
-                    (want, got) => prop_assert!(
-                        false,
-                        "buffers disagree: frame={want:?} ring={got:?}"
-                    ),
+            };
+            let done = ends.iter().filter(|&&e| e <= off).count();
+            prop_assert_eq!(&got, &payloads[..done]);
+            let want = poisoned(off).then_some(WireError::Oversized { len: oversized });
+            prop_assert_eq!(err, want);
+        }
+        prop_assert_eq!(&got, &payloads);
+        match tail_kind {
+            // Poisoned for good, even after a well-formed frame arrives.
+            1 => {
+                write_frame(&mut stream, &encode_request(&Request::Stats { tag: 1 }))
+                    .expect("vec write");
+                fb.feed(&stream[off..]);
+                for _ in 0..3 {
+                    prop_assert_eq!(
+                        fb.next_frame(),
+                        Err(WireError::Oversized { len: oversized })
+                    );
                 }
             }
+            // The cut frame never completes: `None` however often asked.
+            2 => {
+                for _ in 0..3 {
+                    prop_assert_eq!(fb.next_frame(), Ok(None));
+                }
+                prop_assert_eq!(fb.buffered(), stream.len() - ends.last().unwrap_or(&0));
+            }
+            _ => prop_assert_eq!(fb.buffered(), 0),
         }
     }
 

@@ -15,8 +15,8 @@
 //!    byte-identical whether runs execute on one thread or race on
 //!    eight, so CI's thread-determinism gate extends to learned mode.
 //!
-//! Compiled only with `--features proptest` (see the root `Cargo.toml`
-//! `[[test]]` entry), like the other property suites.
+//! A plain integration test on the vendored proptest shim, run under
+//! `cargo test` like the other property suites.
 
 use proptest::prelude::*;
 use rif::flash::learn::{LearnerConfig, ReadOutcome, ThresholdLearner};

@@ -1,5 +1,6 @@
-//! Property-based tests for the captured-trace CSV codec (run with
-//! `--features proptest`).
+//! Property-based tests for the captured-trace CSV codec (plain
+//! integration tests on the vendored proptest shim; they run under
+//! `cargo test`).
 //!
 //! Two families:
 //! - round-trip: serialize → parse → re-serialize is byte-identical for
