@@ -14,7 +14,7 @@
 //!   source's pre-migration value instead of restarting at zero);
 //! * the cluster STATS plane sees both nodes and sums their counters.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -22,7 +22,7 @@ use rif_cluster::stats::NodeStats;
 use rif_cluster::{Directory, NodeInfo, RouterConfig, ShardMap};
 use rif_server::client::Conn;
 use rif_server::protocol::{
-    decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response,
+    decode_response, encode_request, write_frame, ErrorCode, FrameBuffer, Request, Response,
     MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use rif_server::server::{Server, ServerConfig};
@@ -272,11 +272,14 @@ fn raw_exchange(addr: &str, reqs: &[Request]) -> Vec<Response> {
     stream
         .shutdown(std::net::Shutdown::Write)
         .expect("half-close");
-    let mut reader = BufReader::new(stream);
+    let mut frames = FrameBuffer::new();
     let mut replies = Vec::new();
-    while let Some(payload) = read_frame(&mut reader).expect("read frame") {
-        replies.push(decode_response(&payload).expect("decodable"));
+    while frames.read_from(&mut stream).expect("read") > 0 {
+        while let Some(payload) = frames.next_frame().expect("frame sync") {
+            replies.push(decode_response(payload).expect("decodable"));
+        }
     }
+    assert_eq!(frames.buffered(), 0, "the peer closed mid-frame");
     replies
 }
 

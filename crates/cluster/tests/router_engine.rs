@@ -8,14 +8,13 @@
 //! every node it lists.
 
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use rif_cluster::{Directory, NodeInfo, RouterConfig, ShardMap};
 use rif_server::client::Outcome;
 use rif_server::protocol::{
-    decode_request, encode_response, read_frame, write_frame, BatchEntry, BusyReason, Request,
+    decode_request, encode_response, write_frame, BatchEntry, BusyReason, FrameBuffer, Request,
     Response,
 };
 
@@ -24,8 +23,8 @@ const CAPACITY: u64 = 8 << 30;
 /// The node side of one router endpoint, scripted by a test: a blocking
 /// socket that has already acked the endpoint's HELLO.
 struct PeerLink {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    frames: FrameBuffer,
     /// The request frame that told the router's connection apart from a
     /// directory push; [`recv`](PeerLink::recv) hands it out first.
     first: Option<Request>,
@@ -39,8 +38,8 @@ impl PeerLink {
             let (stream, _) = listener.accept().expect("accept");
             stream.set_nodelay(true).ok();
             let mut link = PeerLink {
-                reader: BufReader::new(stream.try_clone().expect("clone")),
-                writer: stream,
+                stream,
+                frames: FrameBuffer::new(),
                 first: None,
             };
             match link.next_request() {
@@ -64,8 +63,14 @@ impl PeerLink {
     }
 
     fn next_request(&mut self) -> Option<Request> {
-        let payload = read_frame(&mut self.reader).expect("read frame")?;
-        Some(decode_request(&payload).expect("decodable request"))
+        loop {
+            if let Some(payload) = self.frames.next_frame().expect("frame sync") {
+                return Some(decode_request(payload).expect("decodable request"));
+            }
+            if self.frames.read_from(&mut self.stream).expect("read") == 0 {
+                return None;
+            }
+        }
     }
 
     /// The next submission — a one-entry BATCH as sent, a single
@@ -99,7 +104,7 @@ impl PeerLink {
     }
 
     fn reply(&mut self, resp: &Response) {
-        write_frame(&mut self.writer, &encode_response(resp)).expect("reply");
+        write_frame(&mut self.stream, &encode_response(resp)).expect("reply");
     }
 
     fn done(&mut self, tag: u64) {

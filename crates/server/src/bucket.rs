@@ -117,12 +117,6 @@ impl TenantBuckets {
         self.rate_per_sec <= 0.0
     }
 
-    /// Admits one request for `tenant` at time `now`, creating the
-    /// tenant's bucket (full) on first sight.
-    pub fn admit(&mut self, tenant: u32, now: f64) -> bool {
-        self.admit_n(tenant, now, 1)
-    }
-
     /// Admits `n` requests for `tenant` atomically (all tokens or none),
     /// creating the tenant's bucket (full) on first sight.
     pub fn admit_n(&mut self, tenant: u32, now: f64, n: u32) -> bool {
@@ -284,11 +278,11 @@ mod tests {
         t.refund(1, 3);
         // Tenant 1's full burst is intact again.
         assert!(t.admit_n(1, 0.0, 4));
-        assert!(!t.admit(1, 0.0));
+        assert!(!t.admit_n(1, 0.0, 1));
         // Refunds cap at burst and unseen tenants are a no-op.
         t.refund(1, 100);
         assert!(t.admit_n(1, 0.0, 4));
-        assert!(!t.admit(1, 0.0));
+        assert!(!t.admit_n(1, 0.0, 1));
         t.refund(99, 7);
     }
 
@@ -296,12 +290,12 @@ mod tests {
     fn tenants_are_isolated() {
         let mut t = TenantBuckets::new(10.0, 2.0);
         // Tenant 1 burns its burst; tenant 2 is unaffected.
-        assert!(t.admit(1, 0.0));
-        assert!(t.admit(1, 0.0));
-        assert!(!t.admit(1, 0.0));
-        assert!(t.admit(2, 0.0));
-        assert!(t.admit(2, 0.0));
-        assert!(!t.admit(2, 0.0));
+        assert!(t.admit_n(1, 0.0, 1));
+        assert!(t.admit_n(1, 0.0, 1));
+        assert!(!t.admit_n(1, 0.0, 1));
+        assert!(t.admit_n(2, 0.0, 1));
+        assert!(t.admit_n(2, 0.0, 1));
+        assert!(!t.admit_n(2, 0.0, 1));
         assert_eq!(t.tenants(), 2);
     }
 }

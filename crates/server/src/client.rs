@@ -63,7 +63,7 @@
 //! aggregated in a log-bucketed histogram for p50/p99/p99.9.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
@@ -74,8 +74,8 @@ use rif_workloads::{IoOp, SynthConfig};
 
 use crate::poller::{best_poller, Interest, PollEvent, Poller};
 use crate::protocol::{
-    decode_response, encode_request, read_frame, write_frame, BatchEntry, BusyReason, ErrorCode,
-    FrameBuffer, Request, Response, WireError, MAX_BATCH_ENTRIES, PROTOCOL_VERSION,
+    decode_response, encode_request, write_frame, BatchEntry, BusyReason, ErrorCode, FrameBuffer,
+    Request, Response, WireError, MAX_BATCH_ENTRIES, PROTOCOL_VERSION,
 };
 use crate::ring::READ_CHUNK;
 
@@ -497,8 +497,8 @@ fn fingerprint(payload: &[u8]) -> u64 {
 
 /// One client connection past its HELLO check: a nodelay TCP stream, its
 /// buffered writer, and an incremental frame decoder — the blocking
-/// one-at-a-time RPC connection of the directory and the admin clients,
-/// and what a [`Wire`] takes its socket from.
+/// one-at-a-time RPC connection of the directory, the admin clients and
+/// the replication shipper, and what a [`Wire`] takes its socket from.
 pub struct Conn {
     stream: TcpStream,
     writer: BufWriter<TcpStream>,
@@ -547,13 +547,15 @@ impl Conn {
     }
 
     /// Sends `req` and waits up to `timeout` for the next response: the
-    /// one-at-a-time RPC of the HELLO check and the directory. EOF, a
-    /// transport error, an undecodable frame and silence are all `Err`.
+    /// one-at-a-time RPC of the HELLO check, the directory, the admin
+    /// one-shots and the replication shipper. EOF, a transport error, an
+    /// undecodable frame and silence are all `Err`; a `timeout` past any
+    /// representable instant (`Duration::MAX`) waits as long as it takes.
     pub fn call(&mut self, req: &Request, timeout: Duration) -> io::Result<Response> {
         self.send(req)?;
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let invalid = |e: WireError| io::Error::new(io::ErrorKind::InvalidData, e);
-        while Instant::now() < deadline {
+        while deadline.is_none_or(|d| Instant::now() < d) {
             if let Some(payload) = self.next_frame().map_err(invalid)? {
                 return decode_response(payload).map_err(invalid);
             }
@@ -1500,23 +1502,15 @@ impl ReconnectBackoff {
 
 /// Requests a STATS snapshot on a fresh connection.
 pub fn fetch_stats(addr: &str) -> io::Result<String> {
-    let stream = TcpStream::connect(addr)?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut reader = io::BufReader::new(stream);
-    write_frame(&mut writer, &encode_request(&Request::Stats { tag: 1 }))?;
-    match read_and_decode(&mut reader)? {
+    match Conn::connect(addr)?.call(&Request::Stats { tag: 1 }, Duration::MAX)? {
         Response::Stats { text, .. } => Ok(text),
         other => Err(bad_reply("STATS", &other)),
     }
 }
 
-/// Asks every shard to drain, blocking until the server acks.
+/// Asks every shard to drain, blocking for as long as the drain takes.
 pub fn flush(addr: &str) -> io::Result<()> {
-    let stream = TcpStream::connect(addr)?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut reader = io::BufReader::new(stream);
-    write_frame(&mut writer, &encode_request(&Request::Flush { tag: 2 }))?;
-    match read_and_decode(&mut reader)? {
+    match Conn::connect(addr)?.call(&Request::Flush { tag: 2 }, Duration::MAX)? {
         Response::Flushed { .. } => Ok(()),
         other => Err(bad_reply("FLUSH", &other)),
     }
@@ -1524,24 +1518,10 @@ pub fn flush(addr: &str) -> io::Result<()> {
 
 /// Sends SHUTDOWN and waits for the GOODBYE ack.
 pub fn send_shutdown(addr: &str) -> io::Result<()> {
-    let stream = TcpStream::connect(addr)?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut reader = io::BufReader::new(stream);
-    write_frame(&mut writer, &encode_request(&Request::Shutdown { tag: 3 }))?;
-    match read_and_decode(&mut reader)? {
+    match Conn::connect(addr)?.call(&Request::Shutdown { tag: 3 }, Duration::MAX)? {
         Response::Goodbye { .. } => Ok(()),
         other => Err(bad_reply("SHUTDOWN", &other)),
     }
-}
-
-fn read_and_decode<R: Read>(r: &mut R) -> io::Result<Response> {
-    let payload = read_frame(r)?.ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "server closed before replying",
-        )
-    })?;
-    decode_response(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 fn bad_reply(what: &str, got: &Response) -> io::Error {

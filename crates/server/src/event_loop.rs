@@ -33,11 +33,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::poller::{best_poller, Interest, PollEvent, Poller, Waker};
-use crate::protocol::{BusyReason, ErrorCode, Response, PROTOCOL_VERSION};
+use crate::protocol::{BatchEntry, BusyReason, ErrorCode, Response, PROTOCOL_VERSION};
 use crate::ring::{decode_request_view, FrameBuffer, RequestView, WriteQueue};
 use crate::server::{
-    admit_batch, admit_io, at_conn_limit, handle_map_push, handle_migrate_in, handle_migrate_out,
-    handle_replicate, refuse_over_limit, render_stats, RangeStatus, Shared,
+    admit, at_conn_limit, bad_request, handle_map_push, handle_migrate_in, handle_migrate_out,
+    handle_replicate, refuse_busy, refuse_over_limit, render_stats, RangeStatus, Shared,
 };
 use crate::shard::{ReplyTo, ShardMsg};
 use rif_workloads::IoOp;
@@ -463,46 +463,20 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
             }
         };
 
-        // Shed IO once the peer's write queue is past the limit: a
-        // small BUSY beats queueing an admission it will not drain.
-        let limit = shared.cfg.write_queue_limit;
-        let overloaded = limit > 0 && conn.wq.len() >= limit;
         match view {
-            RequestView::Read {
-                tenant,
-                tag,
-                offset,
-                bytes,
-            } => {
-                if overloaded {
-                    shed(shared, reply, tag, 1);
-                } else {
-                    admit_io(shared, reply, tenant, tag, offset, bytes, IoOp::Read, 0);
-                }
-            }
-            RequestView::Write {
-                tenant,
-                tag,
-                offset,
-                bytes,
-            } => {
-                if overloaded {
-                    shed(shared, reply, tag, 1);
-                } else {
-                    admit_io(shared, reply, tenant, tag, offset, bytes, IoOp::Write, 0);
-                }
-            }
-            RequestView::Batch(batch) => {
-                if overloaded {
+            RequestView::Read { .. } | RequestView::Write { .. } | RequestView::Batch(_) => {
+                if let RequestView::Batch(_) = view {
                     shared.metrics().inc("server.batches", 1);
-                    for e in batch.iter() {
-                        shed(shared, reply, e.tag, 0);
-                    }
-                    shared
-                        .metrics()
-                        .inc("server.busy.writeq", batch.count() as u64);
+                }
+                // Shed I/O once the peer's write queue is past the limit:
+                // a small BUSY beats queueing an admission it will not
+                // drain.
+                let limit = shared.cfg.write_queue_limit;
+                if limit > 0 && conn.wq.len() >= limit {
+                    let tags = io_entries(view).map(|e| e.tag);
+                    refuse_busy(shared, reply, tags, "server.busy.writeq", BusyReason::Queue);
                 } else {
-                    admit_batch(shared, reply, batch.iter());
+                    admit(shared, reply, io_entries(view));
                 }
             }
             RequestView::MapGet { tag } => {
@@ -548,27 +522,21 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
             RequestView::MigrateIn { tag, range, state } => {
                 handle_migrate_in(shared, reply, tag, range, state.to_string());
             }
-            RequestView::Migrate { tag, .. } => {
-                // Directory-only operation; a node refuses it.
-                shared.metrics().inc("server.protocol_errors", 1);
-                reply.send(Response::Error {
-                    tag,
-                    code: ErrorCode::BadRequest,
-                });
-            }
+            // Directory-only operation; a node refuses it.
+            RequestView::Migrate { tag, .. } => bad_request(shared, reply, tag),
             RequestView::Replicate {
                 tag,
                 range,
                 epoch,
                 seq,
-                tenant,
                 offset,
                 bytes,
+                ..
             } => {
                 // Internal primary→follower traffic: never shed (the
-                // primary's watermark would stall on a transient queue),
-                // admitted through its own slot-reserving gate.
-                handle_replicate(shared, reply, tag, range, epoch, seq, tenant, offset, bytes);
+                // primary's watermark would stall on a transient queue);
+                // its own ownership check, then the gate's shared tail.
+                handle_replicate(shared, reply, tag, range, epoch, seq, offset, bytes);
             }
             RequestView::Hello { tag, version } => {
                 if version != PROTOCOL_VERSION {
@@ -588,9 +556,11 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                 let text = render_stats(shared);
                 reply.send(Response::Stats { tag, text });
             }
-            RequestView::Flush { tag } => {
-                flush_async(shared, reply, tag);
-            }
+            // FLUSH answers once every shard has acked its drain.
+            RequestView::Flush { tag } => off_loop(shared, reply, "rif-flush", move |sh, r| {
+                wait_shards_flushed(sh);
+                r.send(Response::Flushed { tag });
+            }),
             RequestView::Shutdown { tag } => {
                 reply.send(Response::Goodbye { tag });
                 conn.close_after_flush = true;
@@ -603,67 +573,71 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
     }
 }
 
-/// Answers one shed request with `BUSY(queue)`; `count_metric` requests
-/// are charged to the shed counter (0 lets batch paths bulk-charge).
-fn shed(shared: &Shared, reply: &ReplyTo, tag: u64, count_metric: u64) {
-    if count_metric > 0 {
-        shared.metrics().inc("server.busy.writeq", count_metric);
-    }
-    reply.send(Response::Busy {
+/// The I/O entries of a READ, WRITE or BATCH frame, in order: a single
+/// frame is a one-entry group with no `retry_of`. Any other request has
+/// none.
+fn io_entries(view: RequestView<'_>) -> impl Iterator<Item = BatchEntry> + '_ {
+    let single = |op, tenant, tag, offset, bytes| BatchEntry {
+        op,
+        tenant,
         tag,
-        reason: BusyReason::Queue,
-    });
+        offset,
+        bytes,
+        retry_of: 0,
+    };
+    let (one, batch) = match view {
+        RequestView::Read {
+            tenant,
+            tag,
+            offset,
+            bytes,
+        } => (Some(single(IoOp::Read, tenant, tag, offset, bytes)), None),
+        RequestView::Write {
+            tenant,
+            tag,
+            offset,
+            bytes,
+        } => (Some(single(IoOp::Write, tenant, tag, offset, bytes)), None),
+        RequestView::Batch(b) => (None, Some(b)),
+        _ => (None, None),
+    };
+    one.into_iter()
+        .chain(batch.into_iter().flat_map(|b| b.iter()))
 }
 
-/// FLUSH without stalling the loop: an ephemeral thread waits for every
-/// shard's drain ack, then routes `Flushed` back through the completion
-/// channel like any other response.
-fn flush_async(shared: &Arc<Shared>, reply: &ReplyTo, tag: u64) {
-    let sh = Arc::clone(shared);
-    let thread_reply = reply.clone();
+/// Runs `job` on an ephemeral thread so the loop never waits out a shard
+/// drain; its reply travels the completion channel like any other. If
+/// the OS refuses the thread, `job` runs inline: slow, but the semantics
+/// hold.
+fn off_loop(
+    shared: &Arc<Shared>,
+    reply: &ReplyTo,
+    name: &str,
+    job: impl Fn(&Shared, &ReplyTo) + Copy + Send + 'static,
+) {
+    let (sh, thread_reply) = (Arc::clone(shared), reply.clone());
     let spawned = std::thread::Builder::new()
-        .name("rif-flush".into())
-        .spawn(move || {
-            wait_shards_flushed(&sh);
-            thread_reply.send(Response::Flushed { tag });
-        });
+        .name(name.into())
+        .spawn(move || job(&sh, &thread_reply));
     if let Err(e) = spawned {
-        // Thread exhaustion: fall back to flushing inline. Slow, but
-        // the barrier semantics hold.
-        eprintln!("rif-server: flush thread spawn failed ({e}); flushing inline");
-        wait_shards_flushed(shared);
-        reply.send(Response::Flushed { tag });
+        eprintln!("rif-server: {name} thread spawn failed ({e}); running inline");
+        job(shared, reply);
     }
 }
 
-/// MIGRATE_OUT without stalling the loop: the range is sealed inline
-/// (so the bounce takes effect before the next frame is read), then an
-/// ephemeral thread waits out the shard drain and sends the `Migrated`
-/// reply through the completion channel.
+/// MIGRATE_OUT: the range is checked and sealed inline, so the bounce
+/// takes effect before the next frame is read and no request pipelined
+/// behind the MIGRATE_OUT can slip into the shard after the drain
+/// starts; the drain and the `Migrated` reply run off the loop.
 fn migrate_out_async(shared: &Arc<Shared>, reply: &ReplyTo, tag: u64, range: u32) {
     if shared.cluster.is_none() || range as usize >= shared.cfg.shards {
-        shared.metrics().inc("server.protocol_errors", 1);
-        reply.send(Response::Error {
-            tag,
-            code: ErrorCode::BadRequest,
-        });
+        bad_request(shared, reply, tag);
         return;
     }
-    // Seal before the loop reads the next frame, so no request pipelined
-    // behind the MIGRATE_OUT can slip into the shard after the drain
-    // starts (the handler's own seal is then a harmless re-set).
     shared.cluster_state().status[range as usize] = RangeStatus::Moving;
-    let sh = Arc::clone(shared);
-    let thread_reply = reply.clone();
-    let spawned = std::thread::Builder::new()
-        .name("rif-migrate".into())
-        .spawn(move || {
-            handle_migrate_out(&sh, &thread_reply, tag, range);
-        });
-    if let Err(e) = spawned {
-        eprintln!("rif-server: migrate thread spawn failed ({e}); draining inline");
-        handle_migrate_out(shared, reply, tag, range);
-    }
+    off_loop(shared, reply, "rif-migrate", move |sh, r| {
+        handle_migrate_out(sh, r, tag, range);
+    });
 }
 
 fn wait_shards_flushed(shared: &Shared) {

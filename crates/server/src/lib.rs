@@ -13,13 +13,18 @@
 //! - [`ring`] — zero-copy framing: the one receive buffer
 //!   ([`FrameBuffer`]), the one request decoder, and vectored write
 //!   queues;
-//! - [`shard`] — one simulator worker thread per LBA range;
-//! - [`server`] — start/stop, admission control, metrics;
+//! - [`shard`] — one simulator worker thread per LBA range, fed one
+//!   submit message per admitted group;
+//! - [`server`] — start/stop, metrics, and the one admission gate: READ,
+//!   WRITE and BATCH are one group path, and REPLICATE puts its own
+//!   ownership check ahead of the same reserve-and-dispatch tail;
 //! - [`event_loop`] — the readiness-based single-thread server core:
 //!   accept, framing, and the one request dispatch;
 //! - [`client`] — the load generator: one readiness-driven connection
 //!   engine (transport and request ledger) under the closed loop, replay,
-//!   the many-connection grouping and the cluster router;
+//!   the many-connection grouping and the cluster router, plus
+//!   [`Conn::call`](client::Conn::call), the blocking one-at-a-time RPC of
+//!   the admin one-shots, the directory and the replication shipper;
 //! - [`mux`] — the import path of that grouping's entry point;
 //! - [`recorder`] — live trace capture of every admitted request;
 //! - [`replay`] — driving a captured trace back through a live server.

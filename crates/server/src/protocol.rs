@@ -86,7 +86,7 @@
 //! [`MAX_FRAME_BYTES`] is rejected before any allocation.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use rif_workloads::IoOp;
 
@@ -968,33 +968,6 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF at
-/// a frame boundary; an EOF mid-frame is an [`io::ErrorKind::UnexpectedEof`]
-/// error and an oversized length prefix is [`io::ErrorKind::InvalidData`]
-/// (carrying a [`WireError::Oversized`]).
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    // Distinguish "no more frames" from "died mid-header".
-    match r.read(&mut len_buf) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r.read_exact(&mut len_buf[n..])?,
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-            r.read_exact(&mut len_buf)?;
-        }
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::Oversized { len },
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1441,18 +1414,11 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"abc").unwrap();
         write_frame(&mut buf, b"").unwrap();
-        let mut cur = Cursor::new(buf);
-        assert_eq!(read_frame(&mut cur).unwrap().as_deref(), Some(&b"abc"[..]));
-        assert_eq!(read_frame(&mut cur).unwrap().as_deref(), Some(&b""[..]));
-        assert_eq!(read_frame(&mut cur).unwrap(), None);
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected_before_allocation() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let e = read_frame(&mut Cursor::new(buf)).expect_err("must reject");
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        let mut fb = FrameBuffer::new();
+        assert_eq!(fb.read_from(&mut Cursor::new(buf)).unwrap(), 11);
+        assert_eq!(fb.next_frame(), Ok(Some(&b"abc"[..])));
+        assert_eq!(fb.next_frame(), Ok(Some(&b""[..])));
+        assert_eq!(fb.next_frame(), Ok(None));
     }
 
     #[test]
@@ -1480,14 +1446,5 @@ mod tests {
         let mut fb = FrameBuffer::new();
         fb.feed(&(MAX_FRAME_BYTES + 1).to_le_bytes());
         assert!(matches!(fb.next_frame(), Err(WireError::Oversized { .. })));
-    }
-
-    #[test]
-    fn eof_mid_frame_is_an_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"abcdef").unwrap();
-        buf.truncate(buf.len() - 3); // lose half the payload
-        let e = read_frame(&mut Cursor::new(buf)).expect_err("must reject");
-        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

@@ -24,14 +24,14 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::protocol::{decode_response, read_frame, write_frame, Request, Response};
+use crate::client::Conn;
+use crate::protocol::{Request, Response};
 
 /// How long a follower stays skipped after a connect/ship failure.
 const DOWN_BACKOFF: Duration = Duration::from_millis(500);
@@ -173,7 +173,7 @@ impl Replicator {
 /// connections, assigns per-range sequence numbers, and advances
 /// watermarks on contiguous all-follower acks.
 fn ship_loop(repl: &Replicator, rx: &Receiver<ReplJob>) {
-    let mut conns: HashMap<String, TcpStream> = HashMap::new();
+    let mut conns: HashMap<String, Conn> = HashMap::new();
     let mut down: HashMap<String, Instant> = HashMap::new();
     let mut seqs: HashMap<u32, u64> = HashMap::new();
     let mut stalled: HashSet<u32> = HashSet::new();
@@ -239,63 +239,45 @@ fn ship_loop(repl: &Replicator, rx: &Receiver<ReplJob>) {
 }
 
 /// Ships one write to one follower over its (lazily opened) connection
-/// and waits for the matching response. `Ok(true)` = acked, `Ok(false)`
-/// = refused (connection stays usable), `Err` = transport failure.
+/// and waits for the answer. `Ok(true)` = acked, `Ok(false)` = refused
+/// (the connection stays usable), `Err` = transport failure, timeout or
+/// an answer to another tag — the caller then drops the connection, so
+/// a late ack can never be read as the next shipment's.
 fn ship_one(
-    conns: &mut HashMap<String, TcpStream>,
+    conns: &mut HashMap<String, Conn>,
     addr: &str,
     tag: u64,
     job: &ReplJob,
     seq: u64,
 ) -> io::Result<bool> {
+    let req = Request::Replicate {
+        tag,
+        range: job.range,
+        epoch: job.epoch,
+        seq,
+        tenant: job.tenant,
+        offset: job.offset,
+        bytes: job.bytes,
+    };
     for attempt in 0..=BUSY_RETRIES {
         if !conns.contains_key(addr) {
-            let stream = TcpStream::connect(addr)?;
-            stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(SHIP_TIMEOUT))?;
-            stream.set_write_timeout(Some(SHIP_TIMEOUT))?;
-            conns.insert(addr.to_string(), stream);
+            conns.insert(addr.to_string(), Conn::connect(addr)?);
         }
-        let stream = conns.get_mut(addr).expect("just inserted");
-        let req = Request::Replicate {
-            tag,
-            range: job.range,
-            epoch: job.epoch,
-            seq,
-            tenant: job.tenant,
-            offset: job.offset,
-            bytes: job.bytes,
-        };
-        write_frame(stream, &crate::protocol::encode_request(&req))?;
-        loop {
-            let payload = match read_frame(stream)? {
-                Some(p) => p,
-                None => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "follower eof")),
-            };
-            let resp = match decode_response(&payload) {
-                Ok(r) => r,
-                // An undecodable frame on our private connection means
-                // the peer is not speaking the protocol: give up on it.
-                Err(_) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "undecodable follower frame",
-                    ))
-                }
-            };
-            if resp.tag() != tag {
-                // Not ours (cannot happen on a private connection, but
-                // harmless to skip).
-                continue;
+        let conn = conns.get_mut(addr).expect("just inserted");
+        let resp = conn.call(&req, SHIP_TIMEOUT)?;
+        if resp.tag() != tag {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "follower answered another tag",
+            ));
+        }
+        match resp {
+            Response::ReplAck { .. } => return Ok(true),
+            // Retry the shipment on the same connection.
+            Response::Busy { .. } if attempt < BUSY_RETRIES => {
+                std::thread::sleep(Duration::from_millis(2));
             }
-            return match resp {
-                Response::ReplAck { .. } => Ok(true),
-                Response::Busy { .. } if attempt < BUSY_RETRIES => {
-                    std::thread::sleep(Duration::from_millis(2));
-                    break; // retry the shipment on the same connection
-                }
-                _ => Ok(false),
-            };
+            _ => return Ok(false),
         }
     }
     unreachable!("busy-retry loop always returns before exhausting attempts");

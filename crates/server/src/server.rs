@@ -7,13 +7,27 @@
 //! from different shards interleave freely and may be out of submission
 //! order — the tag is the correlation key.
 //!
-//! Admission happens before a request ever reaches a simulator:
+//! Admission happens before a request ever reaches a simulator, at one
+//! gate (`admit`) that takes READ, WRITE and BATCH alike — a single
+//! frame is a one-entry group — in this order:
 //!
-//! 1. **Queue backpressure** — each shard exposes an atomic in-flight
-//!    count; if the target shard is at `inflight_limit`, the server
-//!    answers `BUSY(queue)` immediately instead of queueing unboundedly.
-//! 2. **Rate limiting** — a per-tenant token bucket; an empty bucket
-//!    answers `BUSY(rate_limit)`.
+//! 1. **Shutdown** — once shutdown began, every entry answers
+//!    `ERROR(ShuttingDown)`.
+//! 2. **Per entry** — a zero or oversized length answers
+//!    `ERROR(BadLength)`; on a cluster node, a range this node may not
+//!    serve answers `WRONG_SHARD(epoch)` or `BUSY(moving)`. Such an entry
+//!    is answered alone and the rest of the group goes on.
+//! 3. **Rate limiting** — a per-tenant token bucket charged for the
+//!    whole group or not at all; a short tenant bounces every entry with
+//!    `BUSY(rate_limit)`.
+//! 4. **Queue backpressure** — each shard exposes an atomic in-flight
+//!    count; the group reserves its slots on every shard it touches or
+//!    none, and a full window bounces every entry with `BUSY(queue)`
+//!    instead of queueing unboundedly.
+//!
+//! A REPLICATE shipment asks its own ownership question
+//! (`handle_replicate`) and then takes the same shutdown, length,
+//! reservation and dispatch steps.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -169,7 +183,7 @@ pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) clock: VirtualClock,
     pub(crate) metrics: Arc<Mutex<MetricsRegistry>>,
-    pub(crate) buckets: Mutex<TenantBuckets>,
+    gate: Mutex<Gate>,
     pub(crate) shards: Vec<ShardTarget>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) started: Instant,
@@ -191,9 +205,9 @@ impl Shared {
         self.metrics.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Locks the tenant buckets with the same poisoned-lock recovery.
-    pub(crate) fn buckets(&self) -> std::sync::MutexGuard<'_, TenantBuckets> {
-        self.buckets.lock().unwrap_or_else(|e| e.into_inner())
+    /// Locks the admission gate with the same poisoned-lock recovery.
+    fn gate(&self) -> std::sync::MutexGuard<'_, Gate> {
+        self.gate.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Locks the cluster state (must only be called in cluster mode),
@@ -300,7 +314,12 @@ impl Server {
             None
         };
         let shared = Arc::new(Shared {
-            buckets: Mutex::new(TenantBuckets::new(cfg.rate_per_sec, cfg.burst)),
+            gate: Mutex::new(Gate {
+                buckets: TenantBuckets::new(cfg.rate_per_sec, cfg.burst),
+                valid: Vec::new(),
+                tenants: Vec::new(),
+                shards: Vec::new(),
+            }),
             cfg,
             clock,
             metrics,
@@ -464,11 +483,7 @@ pub(crate) fn handle_map_push(
             .iter()
             .any(|&(r, _)| r as usize >= shared.cfg.shards);
     if bad {
-        shared.metrics().inc("server.protocol_errors", 1);
-        reply.send(Response::Error {
-            tag,
-            code: ErrorCode::BadRequest,
-        });
+        bad_request(shared, reply, tag);
         return;
     }
     let (cur_epoch, text) = {
@@ -502,11 +517,13 @@ pub(crate) fn handle_map_push(
     });
 }
 
-/// Handles a primary's REPLICATE shipment on a follower: applies the
-/// write to the range's shard and acks with `REPL_ACK(range, seq)` via
-/// the [`ReplyTo::Replication`] wrapper. Shipments skip the recorder
-/// and the tenant rate limiter — they are internal traffic mirroring a
-/// write the primary already admitted, journaled, and charged.
+/// Handles a primary's REPLICATE shipment on a follower. Its own gate
+/// asks one question — may a primary at `epoch` write `range` here? —
+/// and the rest is the client path's: the shutdown and length refusals,
+/// the slot reservation and the dispatch. The shard's `Done` becomes
+/// `REPL_ACK(range, seq)` via the [`ReplyTo::Replication`] wrapper.
+/// Shipments skip the rate limiter and are never journaled: they mirror
+/// a write the primary already admitted, charged and journaled.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn handle_replicate(
     shared: &Shared,
@@ -515,42 +532,22 @@ pub(crate) fn handle_replicate(
     range: u32,
     epoch: u64,
     seq: u64,
-    tenant: u32,
     offset: u64,
     bytes: u32,
 ) {
-    let _ = tenant;
-    if shared.shutdown.load(Ordering::Acquire) {
-        reply.send(Response::Error {
-            tag,
-            code: ErrorCode::ShuttingDown,
-        });
+    if refuse_shutdown(shared, reply, [tag]) {
         return;
     }
     if shared.cluster.is_none() || range as usize >= shared.cfg.shards {
-        shared.metrics().inc("server.protocol_errors", 1);
-        reply.send(Response::Error {
-            tag,
-            code: ErrorCode::BadRequest,
-        });
+        bad_request(shared, reply, tag);
         return;
     }
-    if bytes == 0 || bytes > MAX_IO_BYTES {
-        shared.metrics().inc("server.protocol_errors", 1);
-        reply.send(Response::Error {
-            tag,
-            code: ErrorCode::BadLength,
-        });
+    if refuse_bad_length(shared, reply, tag, bytes) {
         return;
     }
-    let wrapped = offset % shared.cfg.capacity_bytes;
-    let idx = ShardSpec::route(shared.cfg.capacity_bytes, shared.cfg.shards, wrapped);
+    let (wrapped, idx) = route(shared, offset);
     if idx != range as usize {
-        shared.metrics().inc("server.protocol_errors", 1);
-        reply.send(Response::Error {
-            tag,
-            code: ErrorCode::BadRequest,
-        });
+        bad_request(shared, reply, tag);
         return;
     }
     let (status, cur_epoch) = {
@@ -561,83 +558,52 @@ pub(crate) fn handle_replicate(
     // moved past) is told to refetch; a primary *ahead* of us is fine —
     // its directory push is merely still in flight to this node.
     let stale = epoch < cur_epoch;
-    if stale || !matches!(status, RangeStatus::Following | RangeStatus::Owned) {
-        if status == RangeStatus::Moving && !stale {
-            shared.metrics().inc("server.busy.moving", 1);
-            reply.send(Response::Busy {
-                tag,
-                reason: BusyReason::Moving,
-            });
-        } else {
+    match status {
+        RangeStatus::Following | RangeStatus::Owned if !stale => {}
+        RangeStatus::Moving if !stale => {
+            refuse_busy(
+                shared,
+                reply,
+                [tag],
+                "server.busy.moving",
+                BusyReason::Moving,
+            );
+            return;
+        }
+        _ => {
             shared.metrics().inc("server.wrong_shard", 1);
             reply.send(Response::WrongShard {
                 tag,
                 epoch: cur_epoch,
             });
+            return;
         }
-        return;
     }
-    let target = &shared.shards[idx];
-    let local = wrapped - target.spec.base_offset;
-    let reserved = target
-        .inflight
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-            (n < shared.cfg.inflight_limit).then_some(n + 1)
-        });
-    if reserved.is_err() {
-        shared.metrics().inc("server.busy.queue", 1);
-        reply.send(Response::Busy {
-            tag,
-            reason: BusyReason::Queue,
-        });
+    if !reserve(shared, idx, 1) {
+        refuse_busy(shared, reply, [tag], "server.busy.queue", BusyReason::Queue);
         return;
     }
     shared.metrics().inc("server.repl.applied", 1);
-    let sent = target.tx.send(ShardMsg::Submit(Submission {
+    let reply = ReplyTo::Replication {
+        inner: Box::new(reply.clone()),
+        range,
+        seq,
+    };
+    let shipment = Submission {
         tag,
         op: IoOp::Write,
-        offset: local,
+        offset: wrapped - shared.shards[idx].spec.base_offset,
         bytes,
-        reply: ReplyTo::Replication {
-            inner: Box::new(reply.clone()),
-            range,
-            seq,
-        },
-    }));
-    if sent.is_err() {
-        target.inflight.fetch_sub(1, Ordering::AcqRel);
-        if shared.shutdown.load(Ordering::Acquire) {
-            reply.send(Response::Error {
-                tag,
-                code: ErrorCode::ShuttingDown,
-            });
-        } else {
-            shared.metrics().inc("server.busy.unavailable", 1);
-            reply.send(Response::Busy {
-                tag,
-                reason: BusyReason::Unavailable,
-            });
-        }
-    }
+        reply,
+    };
+    dispatch(shared, idx, shipment, Vec::new());
 }
 
-/// Handles MIGRATE_OUT: seals the range (new arrivals bounce with
-/// `BUSY(moving)` from this point on), drains the shard, and replies
-/// with the learner snapshot. Blocks until the drain completes — the
-/// event loop calls this from an ephemeral thread.
+/// Handles MIGRATE_OUT on a range the event loop has already checked
+/// and sealed (new arrivals bounce with `BUSY(moving)` from then on):
+/// drains the shard and replies with the learner snapshot. Blocks until
+/// the drain completes, so the loop runs it on an ephemeral thread.
 pub(crate) fn handle_migrate_out(shared: &Shared, reply: &ReplyTo, tag: u64, range: u32) {
-    if shared.cluster.is_none() || range as usize >= shared.cfg.shards {
-        shared.metrics().inc("server.protocol_errors", 1);
-        reply.send(Response::Error {
-            tag,
-            code: ErrorCode::BadRequest,
-        });
-        return;
-    }
-    // Seal strictly before the Yield is queued: everything admitted
-    // earlier is already in the worker's channel ahead of the Yield, so
-    // the drain covers it; everything later bounces at admission.
-    shared.cluster_state().status[range as usize] = RangeStatus::Moving;
     shared.metrics().inc("server.migrations.out", 1);
     let (state_tx, state_rx) = mpsc::channel();
     let sent = shared.shards[range as usize]
@@ -646,8 +612,8 @@ pub(crate) fn handle_migrate_out(shared: &Shared, reply: &ReplyTo, tag: u64, ran
     let state = match sent {
         Ok(()) => state_rx.recv().unwrap_or_default(),
         // Worker gone (stopping node): hand off without a snapshot —
-        // the learner state is a performance hint, the seal above is
-        // what correctness needs.
+        // the learner state is a performance hint, the seal is what
+        // correctness needs.
         Err(_) => String::new(),
     };
     reply.send(Response::Migrated { tag, range, state });
@@ -664,11 +630,7 @@ pub(crate) fn handle_migrate_in(
     state: String,
 ) {
     if shared.cluster.is_none() || range as usize >= shared.cfg.shards {
-        shared.metrics().inc("server.protocol_errors", 1);
-        reply.send(Response::Error {
-            tag,
-            code: ErrorCode::BadRequest,
-        });
+        bad_request(shared, reply, tag);
         return;
     }
     shared.metrics().inc("server.migrations.in", 1);
@@ -686,19 +648,129 @@ pub(crate) fn handle_migrate_in(
     });
 }
 
+/// Answers a request this node cannot act on with `ERROR(BadRequest)`,
+/// charged to `server.protocol_errors`.
+pub(crate) fn bad_request(shared: &Shared, reply: &ReplyTo, tag: u64) {
+    shared.metrics().inc("server.protocol_errors", 1);
+    reply.send(Response::Error {
+        tag,
+        code: ErrorCode::BadRequest,
+    });
+}
+
+/// Answers every tag `BUSY(reason)`, charging `counter` once per tag.
+pub(crate) fn refuse_busy(
+    shared: &Shared,
+    reply: &ReplyTo,
+    tags: impl IntoIterator<Item = u64>,
+    counter: &str,
+    reason: BusyReason,
+) {
+    let mut n = 0;
+    for tag in tags {
+        reply.send(Response::Busy { tag, reason });
+        n += 1;
+    }
+    shared.metrics().inc(counter, n);
+}
+
+/// Once shutdown began, answers every tag `ERROR(ShuttingDown)` and
+/// returns true.
+fn refuse_shutdown(shared: &Shared, reply: &ReplyTo, tags: impl IntoIterator<Item = u64>) -> bool {
+    if !shared.shutdown.load(Ordering::Acquire) {
+        return false;
+    }
+    for tag in tags {
+        reply.send(Response::Error {
+            tag,
+            code: ErrorCode::ShuttingDown,
+        });
+    }
+    true
+}
+
+/// Answers a transfer no shard can take — zero bytes or more than
+/// [`MAX_IO_BYTES`] — with `ERROR(BadLength)` and returns true.
+fn refuse_bad_length(shared: &Shared, reply: &ReplyTo, tag: u64, bytes: u32) -> bool {
+    if bytes > 0 && bytes <= MAX_IO_BYTES {
+        return false;
+    }
+    shared.metrics().inc("server.protocol_errors", 1);
+    reply.send(Response::Error {
+        tag,
+        code: ErrorCode::BadLength,
+    });
+    true
+}
+
+/// Wraps `offset` into capacity and picks the shard that owns it:
+/// `(wrapped, shard)`.
+fn route(shared: &Shared, offset: u64) -> (u64, usize) {
+    let wrapped = offset % shared.cfg.capacity_bytes;
+    let idx = ShardSpec::route(shared.cfg.capacity_bytes, shared.cfg.shards, wrapped);
+    (wrapped, idx)
+}
+
+/// Reserves `k` in-flight slots on shard `idx` as one atomic step, or
+/// none when they would overrun `inflight_limit`.
+fn reserve(shared: &Shared, idx: usize, k: usize) -> bool {
+    shared.shards[idx]
+        .inflight
+        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+            (n + k <= shared.cfg.inflight_limit).then_some(n + k)
+        })
+        .is_ok()
+}
+
+/// The one send to a shard: hands shard `idx` a group (`first`, then
+/// `rest`) whose slots are reserved, and returns true when the worker
+/// took it. A worker that is gone never saw the group: its slots are
+/// released, its journaled admissions retracted, and every entry
+/// answered — `ERROR(ShuttingDown)` during shutdown, else
+/// `BUSY(unavailable)`, which is retryable since nothing was admitted.
+fn dispatch(shared: &Shared, idx: usize, first: Submission, rest: Vec<Submission>) -> bool {
+    let target = &shared.shards[idx];
+    let (first, rest) = match target.tx.send(ShardMsg::Submit(first, rest)) {
+        Ok(()) => return true,
+        Err(mpsc::SendError(ShardMsg::Submit(first, rest))) => (first, rest),
+        Err(_) => unreachable!("send hands back the message it took"),
+    };
+    let k = 1 + rest.len();
+    target.inflight.fetch_sub(k, Ordering::AcqRel);
+    let shutting = shared.shutdown.load(Ordering::Acquire);
+    if !shutting {
+        shared.metrics().inc("server.busy.unavailable", k as u64);
+    }
+    for s in std::iter::once(first).chain(rest) {
+        if s.reply.journaled() {
+            shared.recorder.reject(s.tag);
+        }
+        s.reply.send(if shutting {
+            Response::Error {
+                tag: s.tag,
+                code: ErrorCode::ShuttingDown,
+            }
+        } else {
+            Response::Busy {
+                tag: s.tag,
+                reason: BusyReason::Unavailable,
+            }
+        });
+    }
+    false
+}
+
 /// Cluster admission gate: answers `true` when this node currently owns
-/// the range `offset` routes to (or when not in cluster mode). A
-/// non-owned range refuses with `WRONG_SHARD(epoch)` so the client
-/// refetches the map; a migrating range refuses with `BUSY(moving)`.
-/// A *followed* range admits reads (the router's failover path reads
-/// from replicas) but bounces writes — only the primary may originate
-/// a write, or exactly-once and the replication stream fall apart.
-fn cluster_admits(shared: &Shared, reply: &ReplyTo, tag: u64, offset: u64, op: IoOp) -> bool {
+/// shard `idx`'s range (or when not in cluster mode). A non-owned range
+/// refuses with `WRONG_SHARD(epoch)` so the client refetches the map; a
+/// migrating range refuses with `BUSY(moving)`. A *followed* range
+/// admits reads (the router's failover path reads from replicas) but
+/// bounces writes — only the primary may originate a write, or
+/// exactly-once and the replication stream fall apart.
+fn cluster_admits(shared: &Shared, reply: &ReplyTo, tag: u64, idx: usize, op: IoOp) -> bool {
     if shared.cluster.is_none() {
         return true;
     }
-    let wrapped = offset % shared.cfg.capacity_bytes;
-    let idx = ShardSpec::route(shared.cfg.capacity_bytes, shared.cfg.shards, wrapped);
     let (status, epoch) = {
         let cl = shared.cluster_state();
         (cl.status[idx], cl.epoch)
@@ -710,11 +782,13 @@ fn cluster_admits(shared: &Shared, reply: &ReplyTo, tag: u64, offset: u64, op: I
             true
         }
         RangeStatus::Moving => {
-            shared.metrics().inc("server.busy.moving", 1);
-            reply.send(Response::Busy {
-                tag,
-                reason: BusyReason::Moving,
-            });
+            refuse_busy(
+                shared,
+                reply,
+                [tag],
+                "server.busy.moving",
+                BusyReason::Moving,
+            );
             false
         }
         RangeStatus::NotOwned | RangeStatus::Following => {
@@ -725,191 +799,92 @@ fn cluster_admits(shared: &Shared, reply: &ReplyTo, tag: u64, offset: u64, op: I
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn admit_io(
-    shared: &Shared,
-    reply: &ReplyTo,
-    tenant: u32,
-    tag: u64,
-    offset: u64,
-    bytes: u32,
-    op: IoOp,
-    retry_of: u64,
-) {
-    if shared.shutdown.load(Ordering::Acquire) {
-        reply.send(Response::Error {
-            tag,
-            code: ErrorCode::ShuttingDown,
-        });
-        return;
-    }
-    if bytes == 0 || bytes > MAX_IO_BYTES {
-        shared.metrics().inc("server.protocol_errors", 1);
-        reply.send(Response::Error {
-            tag,
-            code: ErrorCode::BadLength,
-        });
-        return;
-    }
-    if !cluster_admits(shared, reply, tag, offset, op) {
-        return;
-    }
+/// The admission gate's state: the tenant buckets, plus three tables
+/// reused from call to call, so that admitting a group allocates only
+/// the `Vec` its shard message carries past the first entry — nothing
+/// for a group of one. Only the event loop admits, so the lock is never
+/// contended.
+pub(crate) struct Gate {
+    buckets: TenantBuckets,
+    /// Each entry past the per-entry checks, its offset wrapped into
+    /// capacity, with its shard.
+    valid: Vec<(BatchEntry, usize)>,
+    /// `(tenant, entries)`, in first-seen order.
+    tenants: Vec<(u32, usize)>,
+    /// `(shard, entries)`, in first-seen order.
+    shards: Vec<(usize, usize)>,
+}
 
-    {
-        let mut m = shared.metrics();
-        m.inc(
-            if op == IoOp::Read {
-                "server.requests.read"
-            } else {
-                "server.requests.write"
-            },
-            1,
-        );
-    }
-
-    // Rate limit first: a rejected request must not consume queue budget.
-    let wall_secs = shared.started.elapsed().as_secs_f64();
-    let admitted = shared.buckets().admit(tenant, wall_secs);
-    if !admitted {
-        shared.metrics().inc("server.busy.ratelimit", 1);
-        reply.send(Response::Busy {
-            tag,
-            reason: BusyReason::RateLimit,
-        });
-        return;
-    }
-
-    // Route: wrap into capacity, pick the shard, rebase into its local
-    // dense LBA space, and align down to the simulator's page grid.
-    let wrapped = offset % shared.cfg.capacity_bytes;
-    let idx = ShardSpec::route(shared.cfg.capacity_bytes, shared.cfg.shards, wrapped);
-    let target = &shared.shards[idx];
-    let local = wrapped - target.spec.base_offset;
-
-    // Queue backpressure: reserve an in-flight slot or refuse.
-    let reserved = target
-        .inflight
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-            (n < shared.cfg.inflight_limit).then_some(n + 1)
-        });
-    if reserved.is_err() {
-        shared.metrics().inc("server.busy.queue", 1);
-        reply.send(Response::Busy {
-            tag,
-            reason: BusyReason::Queue,
-        });
-        return;
-    }
-
-    // Journal the admission with the *wrapped* global offset — a replay
-    // through a same-shaped server routes it identically — and do it
-    // BEFORE handing the submission to the worker: the worker's
-    // reject/complete for this tag must never race ahead of its
-    // admission, or the record sticks half-written.
-    shared
-        .recorder
-        .admit(tag, retry_of, op, wrapped, bytes, tenant, idx as u32);
-    let sent = target.tx.send(ShardMsg::Submit(Submission {
-        tag,
-        op,
-        offset: local,
-        bytes,
-        reply: reply.clone(),
-    }));
-    if sent.is_ok() {
-        // Admitted for real: offer writes to the replication shipper
-        // (no-op unless this node is the range's primary with
-        // followers).
-        if op == IoOp::Write {
-            if let Some(repl) = &shared.repl {
-                repl.offer(idx as u32, tenant, wrapped, bytes);
-            }
-        }
-    } else {
-        // The worker never saw it: retract the admission.
-        shared.recorder.reject(tag);
-        // Worker channel gone: release the slot and report. During
-        // shutdown that is expected; otherwise the worker thread itself
-        // died, which is retryable — the request was never admitted.
-        target.inflight.fetch_sub(1, Ordering::AcqRel);
-        if shared.shutdown.load(Ordering::Acquire) {
-            reply.send(Response::Error {
-                tag,
-                code: ErrorCode::ShuttingDown,
-            });
-        } else {
-            shared.metrics().inc("server.busy.unavailable", 1);
-            reply.send(Response::Busy {
-                tag,
-                reason: BusyReason::Unavailable,
-            });
-        }
+/// Counts one more entry for `key` in a first-seen-order table (a group
+/// rarely spans many tenants or shards, so a small vec beats a map).
+fn tally<K: PartialEq>(table: &mut Vec<(K, usize)>, key: K) {
+    match table.iter_mut().find(|(k, _)| *k == key) {
+        Some((_, n)) => *n += 1,
+        None => table.push((key, 1)),
     }
 }
 
-/// Admits a BATCH as **one unit**. The contract is all-or-nothing for
-/// every admission check:
+/// The admission gate for READ, WRITE and BATCH: `entries` is one group,
+/// a single frame being a group of one, so a BATCH of one is admitted
+/// exactly as the frame it wraps. Every check that spans the group is
+/// all-or-nothing:
 ///
 /// - each tenant's token bucket is charged once for all of its entries
 ///   (`admit_n`); if any tenant comes up short, tenants already charged
 ///   are refunded and every entry answers `BUSY(rate_limit)`;
-/// - the in-flight cap is reserved per shard for the whole group; if any
-///   shard cannot take its share, reservations made so far are rolled
-///   back and every entry answers `BUSY(queue)` (rate-limit tokens stay
-///   spent, exactly as a refused single request's token does);
-/// - admitted entries go to each shard as one [`ShardMsg::SubmitMany`].
+/// - the in-flight cap is reserved per shard for the group's share; if
+///   any shard cannot take its share, the reservations made so far are
+///   released and every entry answers `BUSY(queue)` (rate-limit tokens
+///   stay spent, exactly as a refused single request's token does);
+/// - admitted entries go to each shard as one [`ShardMsg::Submit`].
 ///
-/// Malformed entries (zero/oversized length) are answered individually
-/// with `ERROR(BadLength)` and do not count against the batch — they
-/// could never be admitted, so they cannot hold the rest hostage.
-pub(crate) fn admit_batch<I>(shared: &Shared, reply: &ReplyTo, entries: I)
-where
-    I: IntoIterator<Item = BatchEntry>,
-{
-    shared.metrics().inc("server.batches", 1);
-    if shared.shutdown.load(Ordering::Acquire) {
-        for e in entries {
-            reply.send(Response::Error {
-                tag: e.tag,
-                code: ErrorCode::ShuttingDown,
-            });
-        }
+/// An entry with a bad length or for a range this node may not serve
+/// is answered alone and does not count against the group: it could
+/// never be admitted, so it cannot hold the rest hostage.
+pub(crate) fn admit(
+    shared: &Shared,
+    reply: &ReplyTo,
+    entries: impl IntoIterator<Item = BatchEntry>,
+) {
+    let mut entries = entries.into_iter();
+    if refuse_shutdown(shared, reply, entries.by_ref().map(|e| e.tag)) {
         return;
     }
-
-    // Pass 1: validate and route. `valid` keeps (entry, shard, local
-    // offset) for everything admissible.
-    let mut valid: Vec<(BatchEntry, usize, u64)> = Vec::new();
-    let (mut reads, mut writes, mut bad) = (0u64, 0u64, 0u64);
-    for e in entries {
-        if e.bytes == 0 || e.bytes > MAX_IO_BYTES {
-            bad += 1;
-            reply.send(Response::Error {
-                tag: e.tag,
-                code: ErrorCode::BadLength,
-            });
+    let mut gate = shared.gate();
+    let Gate {
+        buckets,
+        valid,
+        tenants,
+        shards,
+    } = &mut *gate;
+    valid.clear();
+    tenants.clear();
+    shards.clear();
+    let (mut reads, mut writes) = (0, 0);
+    for mut e in entries {
+        if refuse_bad_length(shared, reply, e.tag, e.bytes) {
             continue;
         }
-        // The cluster gate refuses per entry, like BadLength: a stray
-        // entry for a moved range must not hold the batch hostage.
-        if !cluster_admits(shared, reply, e.tag, e.offset, e.op) {
+        let (wrapped, idx) = route(shared, e.offset);
+        if !cluster_admits(shared, reply, e.tag, idx, e.op) {
             continue;
         }
-        if e.op == IoOp::Read {
-            reads += 1;
-        } else {
-            writes += 1;
+        match e.op {
+            IoOp::Read => reads += 1,
+            IoOp::Write => writes += 1,
         }
-        let wrapped = e.offset % shared.cfg.capacity_bytes;
-        let idx = ShardSpec::route(shared.cfg.capacity_bytes, shared.cfg.shards, wrapped);
-        let local = wrapped - shared.shards[idx].spec.base_offset;
-        valid.push((e, idx, local));
+        e.offset = wrapped;
+        if !buckets.unlimited() {
+            tally(tenants, e.tenant);
+        }
+        tally(shards, idx);
+        valid.push((e, idx));
+    }
+    if valid.is_empty() {
+        return;
     }
     {
         let mut m = shared.metrics();
-        if bad > 0 {
-            m.inc("server.protocol_errors", bad);
-        }
         if reads > 0 {
             m.inc("server.requests.read", reads);
         }
@@ -917,171 +892,73 @@ where
             m.inc("server.requests.write", writes);
         }
     }
-    if valid.is_empty() {
+    let tags = || valid.iter().map(|(e, _)| e.tag);
+
+    // Rate limit first (no tenant is tallied while limiting is off), so
+    // a refused group consumes no queue budget. `position` stops at the
+    // first short tenant; the ones before it were charged and are
+    // refunded at the same `now`, so exactly.
+    let now = shared.started.elapsed().as_secs_f64();
+    if let Some(short) = tenants
+        .iter()
+        .position(|&(t, n)| !buckets.admit_n(t, now, n as u32))
+    {
+        for &(t, n) in &tenants[..short] {
+            buckets.refund(t, n as u32);
+        }
+        refuse_busy(
+            shared,
+            reply,
+            tags(),
+            "server.busy.ratelimit",
+            BusyReason::RateLimit,
+        );
         return;
     }
-
-    // Per-tenant entry counts (a batch rarely spans many tenants, so a
-    // small vec beats a map).
-    let mut tenants: Vec<(u32, u32)> = Vec::new();
-    for (e, _, _) in &valid {
-        match tenants.iter_mut().find(|(t, _)| *t == e.tenant) {
-            Some((_, n)) => *n += 1,
-            None => tenants.push((e.tenant, 1)),
-        }
-    }
-
-    // Rate limit: charge every tenant for its whole share or nobody.
-    let wall_secs = shared.started.elapsed().as_secs_f64();
-    {
-        let mut buckets = shared.buckets();
-        if !buckets.unlimited() {
-            let mut short = None;
-            for (i, (t, n)) in tenants.iter().enumerate() {
-                if !buckets.admit_n(*t, wall_secs, *n) {
-                    short = Some(i);
-                    break;
-                }
-            }
-            if let Some(charged) = short {
-                // Same `wall_secs`, so the rollback is exact.
-                for (t, n) in &tenants[..charged] {
-                    buckets.refund(*t, *n);
-                }
-                drop(buckets);
-                shared
-                    .metrics()
-                    .inc("server.busy.ratelimit", valid.len() as u64);
-                for (e, _, _) in &valid {
-                    reply.send(Response::Busy {
-                        tag: e.tag,
-                        reason: BusyReason::RateLimit,
-                    });
-                }
-                return;
-            }
-        }
-    }
-
-    // In-flight cap: reserve each shard's share of slots as one atomic
-    // update; on any refusal, roll back every reservation made so far.
-    let mut per_shard: Vec<(usize, usize)> = Vec::new();
-    for (_, idx, _) in &valid {
-        match per_shard.iter_mut().find(|(i, _)| i == idx) {
-            Some((_, k)) => *k += 1,
-            None => per_shard.push((*idx, 1)),
-        }
-    }
-    let mut reserved = 0;
-    let all_reserved = per_shard.iter().all(|&(idx, k)| {
-        let ok = shared.shards[idx]
-            .inflight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                (n + k <= shared.cfg.inflight_limit).then_some(n + k)
-            })
-            .is_ok();
-        if ok {
-            reserved += 1;
-        }
-        ok
-    });
-    if !all_reserved {
-        for &(idx, k) in &per_shard[..reserved] {
+    if let Some(short) = shards.iter().position(|&(idx, k)| !reserve(shared, idx, k)) {
+        for &(idx, k) in &shards[..short] {
             shared.shards[idx].inflight.fetch_sub(k, Ordering::AcqRel);
         }
-        shared
-            .metrics()
-            .inc("server.busy.queue", valid.len() as u64);
-        for (e, _, _) in &valid {
-            reply.send(Response::Busy {
-                tag: e.tag,
-                reason: BusyReason::Queue,
-            });
-        }
+        refuse_busy(
+            shared,
+            reply,
+            tags(),
+            "server.busy.queue",
+            BusyReason::Queue,
+        );
         return;
     }
 
-    // Admitted. Journal every entry (admit strictly before the worker
-    // can see it), then hand each shard its whole share in one message.
-    let mut groups: Vec<(usize, Vec<Submission>)> = per_shard
-        .iter()
-        .map(|&(idx, k)| (idx, Vec::with_capacity(k)))
-        .collect();
-    for (e, idx, local) in &valid {
-        let wrapped = e.offset % shared.cfg.capacity_bytes;
-        shared.recorder.admit(
-            e.tag,
-            e.retry_of,
-            e.op,
-            wrapped,
-            e.bytes,
-            e.tenant,
-            *idx as u32,
-        );
-        let g = groups
-            .iter_mut()
-            .find(|(i, _)| i == idx)
-            .expect("group exists for every routed shard");
-        g.1.push(Submission {
+    // Admitted. Journal every entry with its wrapped offset (a replay
+    // through a same-shaped server routes it identically) strictly
+    // before its worker can see it, or the worker's reject/complete
+    // could race ahead of the admission and leave the record
+    // half-written.
+    for (e, idx) in valid.iter() {
+        let shard = *idx as u32;
+        let recorder = &shared.recorder;
+        recorder.admit(e.tag, e.retry_of, e.op, e.offset, e.bytes, e.tenant, shard);
+    }
+    for &(idx, k) in shards.iter() {
+        let share = || valid.iter().filter(move |(_, i)| *i == idx).map(|(e, _)| e);
+        let base = shared.shards[idx].spec.base_offset;
+        let mut group = share().map(|e| Submission {
             tag: e.tag,
             op: e.op,
-            offset: *local,
+            offset: e.offset - base,
             bytes: e.bytes,
             reply: reply.clone(),
         });
-    }
-    // Writes to offer to the replication shipper per shard, mirrored
-    // from `valid` so a failed SubmitMany ships nothing for its group.
-    let mut offers: Vec<(usize, u32, u64, u32)> = Vec::new();
-    if shared.repl.is_some() {
-        for (e, idx, _) in &valid {
-            if e.op == IoOp::Write {
-                offers.push((
-                    *idx,
-                    e.tenant,
-                    e.offset % shared.cfg.capacity_bytes,
-                    e.bytes,
-                ));
-            }
-        }
-    }
-    for (idx, batch) in groups {
-        let k = batch.len();
-        match shared.shards[idx].tx.send(ShardMsg::SubmitMany(batch)) {
-            Ok(()) => {
-                if let Some(repl) = &shared.repl {
-                    for &(oidx, tenant, wrapped, bytes) in &offers {
-                        if oidx == idx {
-                            repl.offer(idx as u32, tenant, wrapped, bytes);
-                        }
-                    }
-                }
-            }
-            Err(mpsc::SendError(msg)) => {
-                // The worker never saw the group: retract the admissions,
-                // release the slots, and answer every entry.
-                let batch = match msg {
-                    ShardMsg::SubmitMany(b) => b,
-                    _ => unreachable!("send returns the message it took"),
-                };
-                shared.shards[idx].inflight.fetch_sub(k, Ordering::AcqRel);
-                let shutting = shared.shutdown.load(Ordering::Acquire);
-                if !shutting {
-                    shared.metrics().inc("server.busy.unavailable", k as u64);
-                }
-                for s in batch {
-                    shared.recorder.reject(s.tag);
-                    if shutting {
-                        s.reply.send(Response::Error {
-                            tag: s.tag,
-                            code: ErrorCode::ShuttingDown,
-                        });
-                    } else {
-                        s.reply.send(Response::Busy {
-                            tag: s.tag,
-                            reason: BusyReason::Unavailable,
-                        });
-                    }
+        let first = group.next().expect("a tallied shard has an entry");
+        let mut rest = Vec::with_capacity(k - 1);
+        rest.extend(group);
+        // Only writes a shard took are offered to the replication
+        // shipper (a no-op unless this node is the range's primary and
+        // has followers).
+        if dispatch(shared, idx, first, rest) {
+            if let Some(repl) = &shared.repl {
+                for e in share().filter(|e| e.op == IoOp::Write) {
+                    repl.offer(idx as u32, e.tenant, e.offset, e.bytes);
                 }
             }
         }

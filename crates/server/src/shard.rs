@@ -76,6 +76,13 @@ pub enum ReplyTo {
 }
 
 impl ReplyTo {
+    /// False for a replicated write's reply: the recorder journals client
+    /// admissions only, and a shipment's tag is the primary's, free to
+    /// equal an unrelated client's.
+    pub(crate) fn journaled(&self) -> bool {
+        !matches!(self, ReplyTo::Replication { .. })
+    }
+
     /// Delivers `resp`. A closed receiver means the whole loop is gone;
     /// the response is dropped.
     pub fn send(&self, resp: Response) {
@@ -154,12 +161,12 @@ pub struct Submission {
 
 /// Messages a shard worker consumes.
 pub enum ShardMsg {
-    /// Simulate one I/O.
-    Submit(Submission),
-    /// Simulate a group of I/Os admitted as one unit (one BATCH × this
-    /// shard): all entries enter the simulator at the same virtual time,
-    /// one channel send instead of one per entry.
-    SubmitMany(Vec<Submission>),
+    /// Simulate a group of I/Os admitted as one unit (a single frame,
+    /// one BATCH's share of this shard, or a REPLICATE shipment), each
+    /// with its slot already reserved; they enter the simulator in order.
+    /// The first travels inline and the rest in the `Vec`, so a group of
+    /// one — every READ, WRITE and REPLICATE frame — needs no `Vec`.
+    Submit(Submission, Vec<Submission>),
     /// Fast-forward the simulator until nothing is in flight, then ack.
     Flush(Sender<()>),
     /// Kill the worker's simulator state: fail everything in flight with
@@ -273,7 +280,9 @@ impl Worker {
             // server reserved is released here, and the recorder
             // retracts the admission — this I/O never ran.
             self.inflight.fetch_sub(1, Ordering::AcqRel);
-            self.recorder.reject(s.tag);
+            if s.reply.journaled() {
+                self.recorder.reject(s.tag);
+            }
             self.metrics().inc("server.busy.unavailable", 1);
             s.reply.send(Response::Busy {
                 tag: s.tag,
@@ -292,9 +301,8 @@ impl Worker {
 
     fn handle(&mut self, msg: ShardMsg) {
         match msg {
-            ShardMsg::Submit(s) => self.submit_one(s),
-            ShardMsg::SubmitMany(batch) => {
-                for s in batch {
+            ShardMsg::Submit(first, rest) => {
+                for s in std::iter::once(first).chain(rest) {
                     self.submit_one(s);
                 }
             }
@@ -331,7 +339,9 @@ impl Worker {
         }
         for (_, (tag, reply)) in self.pending.drain() {
             self.inflight.fetch_sub(1, Ordering::AcqRel);
-            self.recorder.complete(tag, false);
+            if reply.journaled() {
+                self.recorder.complete(tag, false);
+            }
             reply.send(Response::Error {
                 tag,
                 code: ErrorCode::Internal,
@@ -424,7 +434,9 @@ impl Worker {
         for c in done {
             self.inflight.fetch_sub(1, Ordering::AcqRel);
             if let Some((tag, reply)) = self.pending.remove(&c.id) {
-                self.recorder.complete(tag, true);
+                if reply.journaled() {
+                    self.recorder.complete(tag, true);
+                }
                 // A dead connection just drops its completions.
                 reply.send(Response::Done {
                     tag,
@@ -462,11 +474,8 @@ fn run_worker(
 
     loop {
         // Ingest everything queued without blocking.
-        loop {
-            match rx.try_recv() {
-                Ok(msg) => w.handle(msg),
-                Err(_) => break,
-            }
+        while let Ok(msg) = rx.try_recv() {
+            w.handle(msg);
         }
 
         w.maybe_restart();
@@ -515,13 +524,58 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rif_ssd::RetryKind;
+    use std::sync::mpsc;
 
     /// The event loop's reply route, for driving a worker directly:
     /// completions arrive on the receiver as `(key, response)`.
     fn event_reply() -> (ReplyTo, Receiver<(u64, Response)>) {
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = mpsc::channel();
         let (waker, _read_end) = Waker::new().expect("waker");
         (ReplyTo::Event { tx, key: 7, waker }, rx)
+    }
+
+    /// Starts shard `index`, spanning 1 GiB from offset 0, with its own
+    /// metrics registry.
+    fn spawn(
+        index: usize,
+        cfg: SsdConfig,
+        clock: VirtualClock,
+        recorder: Arc<TraceRecorder>,
+    ) -> (ShardHandle, Arc<Mutex<MetricsRegistry>>) {
+        let (tx, rx) = mpsc::channel();
+        let spec = ShardSpec {
+            index,
+            base_offset: 0,
+            span_bytes: 1 << 30,
+        };
+        let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
+        let handle = spawn_shard(spec, cfg, clock, Arc::clone(&metrics), recorder, rx, tx)
+            .expect("spawn shard");
+        (handle, metrics)
+    }
+
+    /// Reserves a slot, as admission does, and submits one I/O.
+    fn submit(shard: &ShardHandle, tag: u64, op: IoOp, offset: u64, bytes: u32, reply: &ReplyTo) {
+        shard.inflight.fetch_add(1, Ordering::AcqRel);
+        let s = Submission {
+            tag,
+            op,
+            offset,
+            bytes,
+            reply: reply.clone(),
+        };
+        shard.tx.send(ShardMsg::Submit(s, Vec::new())).unwrap();
+    }
+
+    fn next(rx: &Receiver<(u64, Response)>, what: &str) -> Response {
+        rx.recv_timeout(Duration::from_secs(10)).expect(what).1
+    }
+
+    fn learned() -> SsdConfig {
+        let mut cfg = SsdConfig::small(RetryKind::Rif, 2000);
+        cfg.learning = rif_ssd::LearningMode::Learned(rif_ssd::LearnerConfig::default_paper());
+        cfg
     }
 
     #[test]
@@ -562,51 +616,24 @@ mod tests {
 
     #[test]
     fn crashed_worker_fails_pending_and_bounces_then_restarts() {
-        use rif_ssd::RetryKind;
-        use std::sync::mpsc;
-
-        let clock = VirtualClock::start(1000.0);
-        let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
-        let (tx, rx) = mpsc::channel();
-        let spec = ShardSpec {
-            index: 0,
-            base_offset: 0,
-            span_bytes: 1 << 30,
-        };
-        let cfg = SsdConfig::small(RetryKind::Rif, 2000);
-        let recorder = Arc::new(TraceRecorder::new(false));
-        let handle = spawn_shard(
-            spec,
-            cfg,
-            clock,
-            Arc::clone(&metrics),
-            recorder,
-            rx,
-            tx.clone(),
-        )
-        .expect("spawn shard");
-
+        let (handle, metrics) = spawn(
+            0,
+            SsdConfig::small(RetryKind::Rif, 2000),
+            VirtualClock::start(1000.0),
+            Arc::new(TraceRecorder::new(false)),
+        );
         let (reply, reply_rx) = event_reply();
         // Submit one request, then crash before it can complete. The
         // reserved in-flight slot is what the worker must release.
-        handle.inflight.fetch_add(1, Ordering::AcqRel);
-        tx.send(ShardMsg::Submit(Submission {
-            tag: 7,
-            op: IoOp::Read,
-            offset: 0,
-            bytes: 4096,
-            reply: reply.clone(),
-        }))
-        .unwrap();
-        tx.send(ShardMsg::Crash {
-            restart_after: Duration::from_millis(30),
-        })
-        .unwrap();
+        submit(&handle, 7, IoOp::Read, 0, 4096, &reply);
+        handle
+            .tx
+            .send(ShardMsg::Crash {
+                restart_after: Duration::from_millis(30),
+            })
+            .unwrap();
 
-        let first = reply_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("crash must resolve the in-flight request")
-            .1;
+        let first = next(&reply_rx, "crash must resolve the in-flight request");
         // Either the request completed before the crash landed (DONE) or
         // the crash failed it (ERROR Internal) — silence is the only
         // forbidden outcome.
@@ -624,19 +651,8 @@ mod tests {
         assert_eq!(handle.inflight.load(Ordering::Acquire), 0);
 
         // While dead, submissions bounce with BUSY(Unavailable).
-        handle.inflight.fetch_add(1, Ordering::AcqRel);
-        tx.send(ShardMsg::Submit(Submission {
-            tag: 8,
-            op: IoOp::Read,
-            offset: 0,
-            bytes: 4096,
-            reply: reply.clone(),
-        }))
-        .unwrap();
-        let bounced = reply_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("dead shard must answer, not hang")
-            .1;
+        submit(&handle, 8, IoOp::Read, 0, 4096, &reply);
+        let bounced = next(&reply_rx, "dead shard must answer, not hang");
         assert_eq!(
             bounced,
             Response::Busy {
@@ -648,19 +664,8 @@ mod tests {
 
         // After the restart window the shard serves again.
         std::thread::sleep(Duration::from_millis(60));
-        handle.inflight.fetch_add(1, Ordering::AcqRel);
-        tx.send(ShardMsg::Submit(Submission {
-            tag: 9,
-            op: IoOp::Write,
-            offset: 4096,
-            bytes: 4096,
-            reply,
-        }))
-        .unwrap();
-        let served = reply_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("restarted shard must serve")
-            .1;
+        submit(&handle, 9, IoOp::Write, 4096, 4096, &reply);
+        let served = next(&reply_rx, "restarted shard must serve");
         assert!(
             matches!(served, Response::Done { tag: 9, .. }),
             "unexpected: {served:?}"
@@ -672,49 +677,58 @@ mod tests {
     }
 
     #[test]
-    fn learned_shard_exports_learner_gauges() {
-        use rif_ssd::{LearnerConfig, LearningMode, RetryKind};
-        use std::sync::mpsc;
+    fn a_replicated_write_leaves_the_capture_journal_alone() {
+        use rif_workloads::CaptureOutcome;
 
-        let clock = VirtualClock::start(10_000.0);
-        let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
-        let (tx, rx) = mpsc::channel();
-        let spec = ShardSpec {
-            index: 0,
-            base_offset: 0,
-            span_bytes: 1 << 30,
+        let recorder = Arc::new(TraceRecorder::new(true));
+        let (handle, _) = spawn(
+            0,
+            SsdConfig::small(RetryKind::Rif, 2000),
+            VirtualClock::start(1000.0),
+            Arc::clone(&recorder),
+        );
+        // A client request journaled under tag 5, not yet answered…
+        recorder.admit(5, 0, IoOp::Read, 0, 4096, 0, 0);
+        // …and a primary's shipment that happens to carry tag 5 too:
+        // shipper tags count from 1 just as client tags do.
+        let (inner, reply_rx) = event_reply();
+        let shipment = ReplyTo::Replication {
+            inner: Box::new(inner),
+            range: 0,
+            seq: 1,
         };
-        let mut cfg = SsdConfig::small(RetryKind::Rif, 2000);
-        cfg.learning = LearningMode::Learned(LearnerConfig::default_paper());
-        let recorder = Arc::new(TraceRecorder::new(false));
-        let handle = spawn_shard(
-            spec,
-            cfg,
-            clock,
-            Arc::clone(&metrics),
-            recorder,
-            rx,
-            tx.clone(),
-        )
-        .expect("spawn shard");
+        submit(&handle, 5, IoOp::Write, 4096, 4096, &shipment);
+        let ack = next(&reply_rx, "shipment acked");
+        assert_eq!(
+            ack,
+            Response::ReplAck {
+                tag: 5,
+                range: 0,
+                seq: 1
+            }
+        );
+        // The shipment's DONE resolved nothing: the client's record is
+        // still open, which a capture renders as an error.
+        let capture = recorder.capture();
+        assert_eq!(capture.len(), 1);
+        assert_eq!(capture.records[0].outcome, CaptureOutcome::Error);
+        handle.stop();
+    }
 
+    #[test]
+    fn learned_shard_exports_learner_gauges() {
+        let (handle, metrics) = spawn(
+            0,
+            learned(),
+            VirtualClock::start(10_000.0),
+            Arc::new(TraceRecorder::new(false)),
+        );
         let (reply, reply_rx) = event_reply();
         for i in 0..8u64 {
-            handle.inflight.fetch_add(1, Ordering::AcqRel);
-            tx.send(ShardMsg::Submit(Submission {
-                tag: i,
-                op: IoOp::Read,
-                offset: i * 65536,
-                bytes: 65536,
-                reply: reply.clone(),
-            }))
-            .unwrap();
+            submit(&handle, i, IoOp::Read, i * 65536, 65536, &reply);
         }
         for _ in 0..8 {
-            let r = reply_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("learned shard must serve")
-                .1;
+            let r = next(&reply_rx, "learned shard must serve");
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
         }
         let m = metrics.lock().unwrap().clone();
@@ -731,17 +745,8 @@ mod tests {
 
     #[test]
     fn hybrid_shard_exports_bg_gauges() {
-        use rif_ssd::{HybridConfig, MigrationPolicy, RetryKind};
-        use std::sync::mpsc;
+        use rif_ssd::{HybridConfig, MigrationPolicy};
 
-        let clock = VirtualClock::start(10_000.0);
-        let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
-        let (tx, rx) = mpsc::channel();
-        let spec = ShardSpec {
-            index: 0,
-            base_offset: 0,
-            span_bytes: 1 << 30,
-        };
         let mut cfg = SsdConfig::small(RetryKind::Rif, 2000);
         // The server's --hybrid wiring: eager unconditional destage.
         let mut h = HybridConfig::slc_qlc();
@@ -750,53 +755,30 @@ mod tests {
         h.bg.low_watermark = 0.0;
         h.bg.refresh_scan_batch = 8;
         cfg.hybrid = Some(h);
-        let recorder = Arc::new(TraceRecorder::new(false));
-        let handle = spawn_shard(
-            spec,
+        let (handle, metrics) = spawn(
+            0,
             cfg,
-            clock,
-            Arc::clone(&metrics),
-            recorder,
-            rx,
-            tx.clone(),
-        )
-        .expect("spawn shard");
-
+            VirtualClock::start(10_000.0),
+            Arc::new(TraceRecorder::new(false)),
+        );
         let (reply, reply_rx) = event_reply();
-        let submit = |tag: u64, op: IoOp| {
-            handle.inflight.fetch_add(1, Ordering::AcqRel);
-            tx.send(ShardMsg::Submit(Submission {
-                tag,
-                op,
-                offset: tag * 65536,
-                bytes: 65536,
-                reply: reply.clone(),
-            }))
-            .unwrap();
-        };
         // Writes land in the SLC cache; the eager drain migrates them as
         // soon as the scheduler ticks.
         for i in 0..8u64 {
-            submit(i, IoOp::Write);
+            submit(&handle, i, IoOp::Write, i * 65536, 65536, &reply);
         }
         for _ in 0..8 {
-            let r = reply_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("hybrid shard must serve writes")
-                .1;
+            let r = next(&reply_rx, "hybrid shard must serve writes");
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
         }
         // Give the virtual clock room for several scheduler ticks, then
         // read: the completion drain re-exports the bg gauges.
         std::thread::sleep(Duration::from_millis(20));
         for i in 8..16u64 {
-            submit(i, IoOp::Read);
+            submit(&handle, i, IoOp::Read, i * 65536, 65536, &reply);
         }
         for _ in 0..8 {
-            let r = reply_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("hybrid shard must serve reads")
-                .1;
+            let r = next(&reply_rx, "hybrid shard must serve reads");
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
         }
         let m = metrics.lock().unwrap().clone();
@@ -814,61 +796,35 @@ mod tests {
 
     #[test]
     fn yield_then_adopt_carries_learner_state_across_workers() {
-        use rif_ssd::{LearnerConfig, LearnerState, LearningMode, RetryKind};
-        use std::sync::mpsc;
+        use rif_ssd::LearnerState;
 
         let clock = VirtualClock::start(10_000.0);
-        let mut cfg = SsdConfig::small(RetryKind::Rif, 2000);
-        cfg.learning = LearningMode::Learned(LearnerConfig::default_paper());
-        let spawn = |index: usize| {
-            let (tx, rx) = mpsc::channel();
-            let spec = ShardSpec {
+        let start = |index| {
+            spawn(
                 index,
-                base_offset: 0,
-                span_bytes: 1 << 30,
-            };
-            let h = spawn_shard(
-                spec,
-                cfg.clone(),
+                learned(),
                 clock.clone(),
-                Arc::new(Mutex::new(MetricsRegistry::new())),
                 Arc::new(TraceRecorder::new(false)),
-                rx,
-                tx.clone(),
             )
-            .expect("spawn shard");
-            (tx, h)
+            .0
         };
-        let (src_tx, src) = spawn(0);
-        let (dst_tx, dst) = spawn(1);
+        let (src, dst) = (start(0), start(1));
 
         // Warm the source learner, with the last submission still in
         // flight when the Yield lands — the drain must cover it.
         let (reply, reply_rx) = event_reply();
         for i in 0..8u64 {
-            src.inflight.fetch_add(1, Ordering::AcqRel);
-            src_tx
-                .send(ShardMsg::Submit(Submission {
-                    tag: i,
-                    op: IoOp::Read,
-                    offset: i * 65536,
-                    bytes: 65536,
-                    reply: reply.clone(),
-                }))
-                .unwrap();
+            submit(&src, i, IoOp::Read, i * 65536, 65536, &reply);
         }
         let (yield_tx, yield_rx) = mpsc::channel();
-        src_tx.send(ShardMsg::Yield(yield_tx)).unwrap();
+        src.tx.send(ShardMsg::Yield(yield_tx)).unwrap();
         let state_text = yield_rx
             .recv_timeout(Duration::from_secs(10))
             .expect("yield must answer");
         // All 8 submissions preceded the Yield in the channel, so the
         // snapshot reflects every one of them.
         for _ in 0..8 {
-            let r = reply_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("yield must not drop in-flight requests")
-                .1;
+            let r = next(&reply_rx, "yield must not drop in-flight requests");
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
         }
         let state = LearnerState::parse_text(&state_text).expect("learned mode exports state");
@@ -876,7 +832,7 @@ mod tests {
 
         // Adopt on the target: its learner resumes the source's counters.
         let (ack_tx, ack_rx) = mpsc::channel();
-        dst_tx
+        dst.tx
             .send(ShardMsg::Adopt {
                 state: state_text,
                 ack: ack_tx,
@@ -886,7 +842,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("adopt must ack");
         let (y2_tx, y2_rx) = mpsc::channel();
-        dst_tx.send(ShardMsg::Yield(y2_tx)).unwrap();
+        dst.tx.send(ShardMsg::Yield(y2_tx)).unwrap();
         let adopted = LearnerState::parse_text(
             &y2_rx
                 .recv_timeout(Duration::from_secs(10))
@@ -896,20 +852,8 @@ mod tests {
         assert_eq!(adopted, state, "state must survive the handoff intact");
 
         // The source keeps serving after a Yield — no dead window.
-        src.inflight.fetch_add(1, Ordering::AcqRel);
-        src_tx
-            .send(ShardMsg::Submit(Submission {
-                tag: 99,
-                op: IoOp::Read,
-                offset: 0,
-                bytes: 4096,
-                reply,
-            }))
-            .unwrap();
-        let r = reply_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("source keeps serving after yield")
-            .1;
+        submit(&src, 99, IoOp::Read, 0, 4096, &reply);
+        let r = next(&reply_rx, "source keeps serving after yield");
         assert!(
             matches!(r, Response::Done { tag: 99, .. }),
             "unexpected: {r:?}"

@@ -4,7 +4,7 @@
 //! per-link behaviour against a scripted peer — all over real loopback
 //! TCP.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -14,16 +14,29 @@ use rif_server::client::{
 use rif_server::mux::run_mux_load;
 use rif_server::protocol::{
     decode_request, decode_response, encode_request, encode_response, encode_response_frame_into,
-    read_frame, write_frame, BatchEntry, BusyReason, ErrorCode, Request, Response,
+    write_frame, BatchEntry, BusyReason, ErrorCode, FrameBuffer, Request, Response,
     PROTOCOL_VERSION,
 };
 use rif_server::server::{Server, ServerConfig};
 use rif_workloads::IoOp;
 
+/// The next frame payload from a blocking `stream`, read through
+/// `frames`, or `None` on EOF.
+fn next_payload(mut stream: &TcpStream, frames: &mut FrameBuffer) -> Option<Vec<u8>> {
+    loop {
+        if let Some(p) = frames.next_frame().expect("frame sync") {
+            return Some(p.to_vec());
+        }
+        if frames.read_from(&mut stream).expect("read") == 0 {
+            return None;
+        }
+    }
+}
+
 /// A raw blocking protocol connection for surgical frame-level tests.
 struct Raw {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    frames: FrameBuffer,
 }
 
 impl Raw {
@@ -34,26 +47,22 @@ impl Raw {
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         Raw {
-            writer: stream.try_clone().expect("clone"),
-            reader: BufReader::new(stream),
+            stream,
+            frames: FrameBuffer::new(),
         }
     }
 
     fn send(&mut self, req: &Request) {
-        write_frame(&mut self.writer, &encode_request(req)).expect("write frame");
+        write_frame(&mut self.stream, &encode_request(req)).expect("write frame");
     }
 
     fn recv(&mut self) -> Response {
-        let payload = read_frame(&mut self.reader)
-            .expect("read frame")
-            .expect("peer closed before responding");
-        decode_response(&payload).expect("decodable response")
+        self.recv_or_eof().expect("peer closed before responding")
     }
 
     /// Reads one frame, allowing EOF (`None`).
     fn recv_or_eof(&mut self) -> Option<Response> {
-        read_frame(&mut self.reader)
-            .expect("read frame")
+        next_payload(&self.stream, &mut self.frames)
             .map(|p| decode_response(&p).expect("decodable response"))
     }
 
@@ -357,8 +366,7 @@ fn fake_peer(answer: impl FnOnce(TcpStream) + Send + 'static) -> String {
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
         let (stream, _) = listener.accept().expect("accept");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        read_frame(&mut reader).expect("HELLO arrives");
+        next_payload(&stream, &mut FrameBuffer::new()).expect("HELLO arrives");
         answer(stream);
     });
     addr
@@ -408,8 +416,8 @@ fn connect_fails_unless_the_peer_acks_the_matching_version() {
 /// The server side of one engine link, scripted by a test: a blocking
 /// socket that has already acked the link's HELLO.
 struct PeerLink {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    frames: FrameBuffer,
 }
 
 impl PeerLink {
@@ -418,11 +426,11 @@ impl PeerLink {
         let (stream, _) = listener.accept().expect("accept");
         stream.set_nodelay(true).ok();
         let mut link = PeerLink {
-            reader: BufReader::new(stream.try_clone().expect("clone")),
-            writer: stream,
+            stream,
+            frames: FrameBuffer::new(),
         };
-        let hello = read_frame(&mut link.reader).expect("HELLO arrives");
-        match decode_request(&hello.expect("HELLO before EOF")) {
+        let hello = next_payload(&link.stream, &mut link.frames).expect("HELLO before EOF");
+        match decode_request(&hello) {
             Ok(Request::Hello { tag, version }) => link.reply(&Response::HelloAck { tag, version }),
             other => panic!("a link must open with HELLO, got {other:?}"),
         }
@@ -432,7 +440,7 @@ impl PeerLink {
     /// The entries of the next request frame — a BATCH as sent, a single
     /// READ/WRITE as one entry with no `retry_of` — or `None` on EOF.
     fn recv(&mut self) -> Option<Vec<BatchEntry>> {
-        let payload = read_frame(&mut self.reader).expect("read frame")?;
+        let payload = next_payload(&self.stream, &mut self.frames)?;
         Some(match decode_request(&payload).expect("decodable request") {
             Request::Batch(entries) => entries,
             Request::Read {
@@ -452,7 +460,7 @@ impl PeerLink {
     }
 
     fn reply(&mut self, resp: &Response) {
-        write_frame(&mut self.writer, &encode_response(resp)).expect("reply");
+        write_frame(&mut self.stream, &encode_response(resp)).expect("reply");
     }
 
     fn done(&mut self, tag: u64) {
@@ -527,21 +535,18 @@ fn a_batch_frame_cut_short_by_a_full_socket_resumes_where_it_stopped() {
     let peer = std::thread::spawn(move || {
         let mut link = PeerLink::accept(&listener);
         std::thread::sleep(Duration::from_millis(100));
+        // The link's receive buffer is empty past the HELLO: the client
+        // sends nothing before the ack. Trickle straight off the socket,
+        // then hand the trickled head of the stream to the buffer.
         let mut trickle = [0u8; 1024];
-        let mut raw = Vec::new();
         for _ in 0..40 {
-            link.reader.read_exact(&mut trickle).expect("trickle read");
-            raw.extend_from_slice(&trickle);
+            link.stream.read_exact(&mut trickle).expect("trickle read");
+            link.frames.feed(&trickle);
             std::thread::sleep(Duration::from_millis(5));
         }
-        // The trickled bytes are the head of the first frame(s): replay
-        // them in front of the rest of the stream.
-        let mut stream = std::io::Cursor::new(raw).chain(&mut link.reader);
         let mut tags = Vec::with_capacity(requests);
         while tags.len() < requests {
-            let payload = read_frame(&mut stream)
-                .expect("a torn frame would fail here")
-                .expect("frames before EOF");
+            let payload = next_payload(&link.stream, &mut link.frames).expect("frames before EOF");
             match decode_request(&payload).expect("every frame decodes") {
                 Request::Batch(entries) => tags.extend(entries.iter().map(|e| e.tag)),
                 other => panic!("expected BATCH, got {other:?}"),
@@ -555,7 +560,7 @@ fn a_batch_frame_cut_short_by_a_full_socket_resumes_where_it_stopped() {
             };
             encode_response_frame_into(&done, &mut out);
         }
-        link.writer.write_all(&out).expect("answer everything");
+        link.stream.write_all(&out).expect("answer everything");
     });
 
     let plan: Vec<PlannedIo> = (0..requests)

@@ -17,8 +17,8 @@
 
 use proptest::prelude::*;
 use rif_server::protocol::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    BatchEntry, BusyReason, ErrorCode, FrameBuffer, Request, Response, WireError, MAX_FRAME_BYTES,
+    decode_request, decode_response, encode_request, encode_response, write_frame, BatchEntry,
+    BusyReason, ErrorCode, FrameBuffer, Request, Response, WireError, MAX_FRAME_BYTES,
 };
 use rif_workloads::IoOp;
 use std::io::Cursor;
@@ -289,11 +289,11 @@ proptest! {
     #[test]
     fn oversized_lengths_are_rejected_before_payload_io(extra in 1u32..1_000_000) {
         let len = MAX_FRAME_BYTES.saturating_add(extra);
-        let mut buf = len.to_le_bytes().to_vec();
-        // No payload behind the header at all: the reader must refuse on
-        // the header alone instead of trying to allocate and read.
-        let e = read_frame(&mut Cursor::new(&mut buf)).expect_err("oversized must fail");
-        prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        // No payload behind the header at all: the buffer must refuse on
+        // the header alone instead of waiting for (or sizing for) it.
+        let mut fb = FrameBuffer::new();
+        fb.feed(&len.to_le_bytes());
+        prop_assert_eq!(fb.next_frame(), Err(WireError::Oversized { len }));
     }
 
     #[test]
@@ -305,11 +305,12 @@ proptest! {
             write_frame(&mut wire, p).expect("write");
         }
         let mut cur = Cursor::new(wire);
+        let mut fb = FrameBuffer::new();
+        while fb.read_from(&mut cur).expect("read") > 0 {}
         for p in &payloads {
-            let got = read_frame(&mut cur).expect("read").expect("frame present");
-            prop_assert_eq!(&got, p);
+            prop_assert_eq!(fb.next_frame().expect("in sync"), Some(&p[..]));
         }
-        prop_assert_eq!(read_frame(&mut cur).expect("eof read"), None);
+        prop_assert_eq!(fb.next_frame(), Ok(None));
     }
 
     #[test]
