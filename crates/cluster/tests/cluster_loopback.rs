@@ -107,10 +107,11 @@ fn live_migration_under_load_is_exactly_once_with_learner_continuity() {
         ("a", node_a.local_addr().to_string())
     };
 
-    // Sized so the load lasts twice the 300 ms pre-migration learning
-    // window at the router's measured 35k rps in this (debug) profile —
-    // the migration must land mid-load for the WRONG_SHARD/BUSY(moving)
-    // assertions below to mean anything.
+    // The migration starts once the source has admitted an eighth of the
+    // load as reads (about a third of the load, by the zipf head's share)
+    // and must end while the load still runs: a position in the request
+    // count, not a wall-clock delay, so it lands mid-load in any build
+    // profile. The WRONG_SHARD/BUSY(moving) assertions below need that.
     let requests: u64 = 25_000;
     let cfg = RouterConfig {
         directory: dir.addr().to_string(),
@@ -125,8 +126,18 @@ fn live_migration_under_load_is_exactly_once_with_learner_continuity() {
 
     // Let the source learn on live traffic, snapshot its progress, then
     // migrate mid-load.
-    std::thread::sleep(Duration::from_millis(300));
-    let before = learner_updates(&node_stats(&source_addr), hot_range);
+    let before = loop {
+        let stats = node_stats(&source_addr);
+        let reads = stats.counters.get("server.requests.read").copied();
+        if reads.unwrap_or(0) >= requests / 8 {
+            break learner_updates(&stats, hot_range);
+        }
+        assert!(
+            !loader.is_finished(),
+            "the load ended before the source saw an eighth of it"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
     assert!(
         before > 0.0,
         "source learner never updated before the migration (gauge missing?)"
@@ -134,6 +145,10 @@ fn live_migration_under_load_is_exactly_once_with_learner_continuity() {
     let epoch = dir
         .migrate(hot_range, target_id)
         .expect("migration succeeds");
+    assert!(
+        !loader.is_finished(),
+        "the load ended before the migration did: nothing tested the handoff"
+    );
     assert_eq!(epoch, 2, "one migration bumps epoch 1 -> 2");
 
     let (report, journal) = loader.join().expect("router thread");

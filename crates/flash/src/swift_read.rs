@@ -8,11 +8,44 @@
 //! involvement — which is exactly the mechanism the RVS module of a
 //! RiF-enabled die reuses.
 
+use std::cell::Cell;
+use std::fmt;
+use std::sync::Mutex;
+
 use rif_events::SimRng;
 
 use crate::geometry::PageKind;
 use crate::vref::ReadVoltages;
-use crate::vth::{OperatingPoint, TlcModel};
+use crate::vth::{Aging, OperatingPoint, TlcModel};
+
+/// Retention ages the inversion searches: `[0, SEARCH_DAYS]` days.
+const SEARCH_DAYS: f64 = 60.0;
+/// Bisection steps of the inversion.
+const STEPS: u32 = 40;
+/// Steps answered from the memo. Their midpoints are the ages
+/// `SEARCH_DAYS · j / 2⁸`, every one exactly representable and produced
+/// bit for bit by `0.5 * (lo + hi)`.
+const MEMO_LEVELS: u32 = 8;
+/// Ages per memoized curve: `j = 0..=256`.
+const NODES: usize = (1 << MEMO_LEVELS) + 1;
+/// Days between adjacent memo ages (60/256, exact).
+const NODE_DAYS: f64 = SEARCH_DAYS / (NODES - 1) as f64;
+/// (P/E, kind) curves the memo holds; the oldest is replaced beyond. A
+/// curve is 257 `f64`s, so the memo never exceeds 16 × 2 056 B ≈ 33 KiB.
+const MEMO_CURVES: usize = 16;
+/// Bound on the rounding error of one computed ones-fraction `f`: its
+/// distance from the same formulas in exact arithmetic. At most six of
+/// its CDF look-ups sit near a state's peak (two states beside each of
+/// ≤ 3 references); each carries ≤ 3.8e-15 (mean/σ rounding times the
+/// density, plus `erf`'s own), weighted 1/8, and the 16 additions add
+/// ≤ 8.9e-16: ≈ 4.1e-15 in all. The largest measured deviation from a
+/// fitted line over 1e-10-day grids is 7.9e-16.
+const F_ROUNDING: f64 = 1e-14;
+/// Safety factor of the replay's window over the smallest one that
+/// rounding allows.
+const MARGIN: f64 = 100.0;
+/// Secant probes before the replay gives up and bisects.
+const MAX_PROBES: u32 = 6;
 
 /// The Swift-Read estimator.
 ///
@@ -37,8 +70,100 @@ use crate::vth::{OperatingPoint, TlcModel};
 pub struct SwiftRead {
     model: TlcModel,
     default_refs: [f64; 7],
-    /// `model.state_scaling()`: one inversion evaluates 42 ages.
+    /// `model.state_scaling()`, fixed with the model.
     state_scaling: [f64; 8],
+    memo: Memo,
+}
+
+/// f at the memo ages for one (P/E, kind); NaN marks an age not yet
+/// evaluated.
+struct Curve {
+    pe_cycles: u32,
+    kind: PageKind,
+    f: [f64; NODES],
+}
+
+#[derive(Default)]
+struct Curves {
+    curves: Vec<Curve>,
+    /// The curve replaced next once all `MEMO_CURVES` are in use.
+    next: usize,
+}
+
+impl Curves {
+    fn get(&mut self, pe_cycles: u32, kind: PageKind) -> &mut [f64; NODES] {
+        let found = self
+            .curves
+            .iter()
+            .position(|c| c.pe_cycles == pe_cycles && c.kind == kind);
+        let i = found.unwrap_or_else(|| {
+            let fresh = Curve {
+                pe_cycles,
+                kind,
+                f: [f64::NAN; NODES],
+            };
+            if self.curves.len() < MEMO_CURVES {
+                self.curves.push(fresh);
+                self.curves.len() - 1
+            } else {
+                let i = self.next;
+                self.curves[i] = fresh;
+                self.next = (i + 1) % MEMO_CURVES;
+                i
+            }
+        });
+        &mut self.curves[i].f
+    }
+}
+
+/// The bounded, lazily filled memo of f at the first `MEMO_LEVELS`
+/// bisection levels. A cache of a pure function: a clone starts empty and
+/// equality ignores it. The lock keeps [`SwiftRead`] `Send + Sync`; an
+/// inversion that finds it held evaluates f itself.
+#[derive(Default)]
+struct Memo(Mutex<Curves>);
+
+impl Clone for Memo {
+    fn clone(&self) -> Self {
+        Memo::default()
+    }
+}
+
+impl PartialEq for Memo {
+    fn eq(&self, _: &Memo) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Memo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Memo")
+    }
+}
+
+/// How one inversion ran (the tests read how).
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(test), allow(dead_code))]
+struct Inversion {
+    days: f64,
+    /// Evaluations of f, memo fills included.
+    evals: u32,
+    /// Whether the replay's checks failed and plain bisection finished.
+    fell_back: bool,
+}
+
+/// `steps` bisection steps on `[lo, hi]`; `left(mid)` says whether the
+/// crossing lies above `mid`. Returns the final bracket.
+fn bisect(mut lo: f64, mut hi: f64, steps: u32, mut left: impl FnMut(f64) -> bool) -> (f64, f64) {
+    for _ in 0..steps {
+        let mid = 0.5 * (lo + hi);
+        if left(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, hi)
 }
 
 impl SwiftRead {
@@ -50,6 +175,7 @@ impl SwiftRead {
             model,
             default_refs,
             state_scaling,
+            memo: Memo::default(),
         }
     }
 
@@ -78,28 +204,60 @@ impl SwiftRead {
     ///
     /// The die knows its own P/E count but not the page's true retention
     /// age or the block's process corner; the ones-count collapses both
-    /// into a single drift magnitude, which is searched by bisection over
-    /// the retention axis (monotone in drift).
+    /// into a single drift magnitude. The age is the end of a 40-step
+    /// bisection over `[0, 60]` days on f, the ones-fraction at the
+    /// default references, with the observation clamped to f's range
+    /// there. f is strictly monotone in retention for every kind up to
+    /// ≈ 4.5K P/E (tested on a 0.01-day grid to 4 500). Beyond, LSB
+    /// turns over (near 55 days at 5K, 27 at 10K) and the bisection
+    /// settles on one of the crossings.
+    ///
+    /// The result is bit-identical to that bisection, at about a quarter
+    /// of its 42 evaluations of f (DESIGN §12.2): the first eight steps
+    /// read a memo, and the other 32 are replayed against a located
+    /// crossing, evaluating f only where rounding could decide the step.
     pub fn refs_from_observation(
         &self,
         pe_cycles: u32,
         kind: PageKind,
         observed_ones: f64,
     ) -> ReadVoltages {
-        // Ones-fraction at default refs as a function of hypothetical age.
-        let params_at = |days: f64| {
-            self.model.state_params_scaled(
-                &self.state_scaling,
-                OperatingPoint::new(pe_cycles, days),
-                1.0,
-            )
-        };
-        let f_of = |days: f64| {
+        let aging = self.model.aging(&self.state_scaling, pe_cycles, 0, 1.0);
+        let days = self.invert(&aging, pe_cycles, kind, observed_ones).days;
+        ReadVoltages::new(self.model.optimal_refs(aging.at(days)))
+    }
+
+    fn invert(
+        &self,
+        aging: &Aging,
+        pe_cycles: u32,
+        kind: PageKind,
+        observed_ones: f64,
+    ) -> Inversion {
+        let evals = Cell::new(0);
+        let f = |days: f64| {
+            evals.set(evals.get() + 1);
             self.model
-                .ones_fraction(&params_at(days), &self.default_refs, kind)
+                .ones_fraction(&aging.at(days), &self.default_refs, kind)
         };
-        let (mut lo, mut hi) = (0.0_f64, 60.0_f64);
-        let (f_lo, f_hi) = (f_of(lo), f_of(hi));
+        let mut guard = self.memo.0.try_lock().ok();
+        let mut unshared;
+        let nodes = match guard.as_deref_mut() {
+            Some(curves) => curves.get(pe_cycles, kind),
+            None => {
+                unshared = [f64::NAN; NODES];
+                &mut unshared
+            }
+        };
+        let mut node = |days: f64| {
+            let j = (days / NODE_DAYS) as usize;
+            if nodes[j].is_nan() {
+                nodes[j] = f(days);
+            }
+            nodes[j]
+        };
+
+        let (f_lo, f_hi) = (node(0.0), node(SEARCH_DAYS));
         let increasing = f_hi > f_lo;
         // Clamp observations outside the representable drift range.
         let target = if increasing {
@@ -107,17 +265,47 @@ impl SwiftRead {
         } else {
             observed_ones.clamp(f_hi, f_lo)
         };
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            let fm = f_of(mid);
-            if (fm < target) == increasing {
-                lo = mid;
+        let search = Search { increasing, target };
+
+        // Steps 1–8 from the memo, checking that every midpoint's f lies
+        // strictly between its bracket's ends.
+        let (mut fl, mut fh, mut ordered) = (f_lo, f_hi, true);
+        let (lo, hi) = bisect(0.0, SEARCH_DAYS, MEMO_LEVELS, |mid| {
+            let fm = node(mid);
+            ordered &= search.beyond(fl, fm) && search.beyond(fm, fh);
+            if search.left(fm) {
+                fl = fm;
+                true
             } else {
-                hi = mid;
+                fh = fm;
+                false
             }
+        });
+        drop(guard);
+
+        let rest = STEPS - MEMO_LEVELS;
+        let plan = if ordered {
+            crossing(search, (lo, fl), (hi, fh), f)
+        } else {
+            None
+        };
+        let (lo, hi) = match plan {
+            Some((x, delta)) => bisect(lo, hi, rest, |mid| {
+                if mid < x - delta {
+                    true
+                } else if mid > x + delta {
+                    false
+                } else {
+                    search.left(f(mid))
+                }
+            }),
+            None => bisect(lo, hi, rest, |mid| search.left(f(mid))),
+        };
+        Inversion {
+            days: 0.5 * (lo + hi),
+            evals: evals.get(),
+            fell_back: plan.is_none(),
         }
-        let est_days = 0.5 * (lo + hi);
-        ReadVoltages::new(self.model.optimal_refs(params_at(est_days)))
     }
 
     /// Full Swift-Read flow: sense at default references, count ones,
@@ -136,9 +324,102 @@ impl SwiftRead {
     }
 }
 
+/// Which way f runs over the search, and the value the bisection seeks.
+#[derive(Clone, Copy)]
+struct Search {
+    increasing: bool,
+    target: f64,
+}
+
+impl Search {
+    /// The bisection's step rule: whether an age where f = `fm` lies
+    /// below the crossing.
+    fn left(self, fm: f64) -> bool {
+        (fm < self.target) == self.increasing
+    }
+
+    /// Whether `b` lies strictly beyond `a` in f's direction.
+    fn beyond(self, a: f64, b: f64) -> bool {
+        if self.increasing {
+            a < b
+        } else {
+            a > b
+        }
+    }
+}
+
+/// Locates the crossing inside the level-8 bracket (its ends as
+/// `(days, f)`) and the window `Δ` around it outside which a step is
+/// decided by its side. `None` when a check fails: the caller bisects.
+///
+/// Every probe must find f strictly between the ends' values and the
+/// secant slope to each end at least `floor`, half the bracket's: an
+/// extremum inside the bracket fails that (for a quadratic f, always).
+/// Δ is `MARGIN` times the distance over which slope `floor` moves f by
+/// `2 · F_ROUNDING`, the most rounding can separate two computed values,
+/// so a step further than Δ from the crossing compares f with the target
+/// the same way whatever the rounding.
+fn crossing(
+    search: Search,
+    (lo, fl): (f64, f64),
+    (hi, fh): (f64, f64),
+    f: impl Fn(f64) -> f64,
+) -> Option<(f64, f64)> {
+    let floor = 0.5 * (fh - fl).abs() / (hi - lo);
+    let delta = MARGIN * 2.0 * F_ROUNDING / floor;
+    // Slope floor: a window this wide saves nothing over bisecting.
+    if delta >= (hi - lo) / 8.0 {
+        return None;
+    }
+    let sound = |x: f64, fx: f64| {
+        search.beyond(fl, fx)
+            && search.beyond(fx, fh)
+            && (fx - fl).abs() >= floor * (x - lo)
+            && (fh - fx).abs() >= floor * (hi - x)
+    };
+    // The crossing at or beyond an end (a clamped or tied target): one
+    // probe in the middle.
+    let target = search.target;
+    let end = if fl == target || !search.left(fl) {
+        Some(lo)
+    } else if fh == target || search.left(fh) {
+        Some(hi)
+    } else {
+        None
+    };
+    if let Some(x) = end {
+        let mid = 0.5 * (lo + hi);
+        return sound(mid, f(mid)).then_some((x, delta));
+    }
+    // Secant iterations in ln(1 + days), along which the drift is linear,
+    // until a step moves the estimate by less than Δ/16.
+    let mut a = (lo.ln_1p(), fl - target);
+    let mut b = (hi.ln_1p(), fh - target);
+    let mut last = f64::INFINITY;
+    for _ in 0..MAX_PROBES {
+        let x = (b.0 - b.1 * (b.0 - a.0) / (b.1 - a.1)).exp_m1();
+        if (x - last).abs() <= delta / 16.0 {
+            return Some((x, delta));
+        }
+        if !(lo < x && x < hi) {
+            return None;
+        }
+        let fx = f(x);
+        if !sound(x, fx) {
+            return None;
+        }
+        a = b;
+        b = (x.ln_1p(), fx - target);
+        last = x;
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     fn rel_gap(
         model: &TlcModel,
@@ -226,5 +507,259 @@ mod tests {
             assert!(lo.get(r) < lo.get(r + 1));
             assert!(hi.get(r) < hi.get(r + 1));
         }
+    }
+
+    /// f at `days`, as the inversion has always computed it.
+    fn f_at(sr: &SwiftRead, pe_cycles: u32, kind: PageKind, days: f64) -> f64 {
+        let params = sr.model.state_params_scaled(
+            &sr.state_scaling,
+            OperatingPoint::new(pe_cycles, days),
+            1.0,
+        );
+        sr.model.ones_fraction(&params, &sr.default_refs, kind)
+    }
+
+    /// The reference: the plain 40-step bisection, f evaluated at every
+    /// step — what `refs_from_observation` computed before the memo and
+    /// the replay.
+    fn reference_days(sr: &SwiftRead, pe_cycles: u32, kind: PageKind, observed: f64) -> f64 {
+        let f = |days: f64| f_at(sr, pe_cycles, kind, days);
+        let (f_lo, f_hi) = (f(0.0), f(SEARCH_DAYS));
+        let increasing = f_hi > f_lo;
+        let target = if increasing {
+            observed.clamp(f_lo, f_hi)
+        } else {
+            observed.clamp(f_hi, f_lo)
+        };
+        let (lo, hi) = bisect(0.0, SEARCH_DAYS, STEPS, |mid| {
+            (f(mid) < target) == increasing
+        });
+        0.5 * (lo + hi)
+    }
+
+    fn invert(sr: &SwiftRead, pe_cycles: u32, kind: PageKind, observed: f64) -> Inversion {
+        let aging = sr.model.aging(&sr.state_scaling, pe_cycles, 0, 1.0);
+        sr.invert(&aging, pe_cycles, kind, observed)
+    }
+
+    /// Asserts the inversion equals the reference bit for bit, and the
+    /// references it returns equal the reference's.
+    fn same_as_reference(sr: &SwiftRead, pe: u32, kind: PageKind, observed: f64) -> Inversion {
+        let got = invert(sr, pe, kind, observed);
+        let want = reference_days(sr, pe, kind, observed);
+        assert_eq!(
+            got.days.to_bits(),
+            want.to_bits(),
+            "pe={pe} {kind} observed={observed:e}: {} vs reference {want} ({got:?})",
+            got.days
+        );
+        let params =
+            sr.model
+                .state_params_scaled(&sr.state_scaling, OperatingPoint::new(pe, want), 1.0);
+        assert_eq!(
+            sr.refs_from_observation(pe, kind, observed),
+            ReadVoltages::new(sr.model.optimal_refs(params))
+        );
+        got
+    }
+
+    /// A model whose drift is faster and whose erased state is disturbed
+    /// harder than the calibrated one's.
+    fn altered() -> TlcModel {
+        TlcModel {
+            retention_a: 0.13,
+            read_disturb: 0.05,
+            ..TlcModel::calibrated()
+        }
+    }
+
+    /// One estimator per model, shared by every case (and test thread),
+    /// so the memo is exercised warm as well as cold.
+    fn shared() -> &'static [SwiftRead; 2] {
+        static SHARED: OnceLock<[SwiftRead; 2]> = OnceLock::new();
+        SHARED.get_or_init(|| {
+            [
+                SwiftRead::new(TlcModel::calibrated()),
+                SwiftRead::new(altered()),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fast_inversion_equals_the_bisection(
+            pe_any in 0u32..12_001,
+            pe_warm in 0u32..5,
+            warm in any::<bool>(),
+            kind in 0usize..3,
+            observed in -0.05f64..1.05,
+            level in 1u32..41,
+            node in any::<u64>(),
+        ) {
+            let pe = if warm { pe_warm * 1000 } else { pe_any };
+            let kind = PageKind::ALL[kind];
+            // An age the bisection visits at `level`: its f is a tie.
+            let tie_days = SEARCH_DAYS * ((node >> (64 - level)) | 1) as f64
+                / (1u64 << level) as f64;
+            for sr in shared() {
+                let (f0, f60) = (f_at(sr, pe, kind, 0.0), f_at(sr, pe, kind, SEARCH_DAYS));
+                for obs in [
+                    observed,
+                    f_at(sr, pe, kind, tie_days),
+                    f0,
+                    f60,
+                    f0.min(f60) - 1e-3,
+                    f0.max(f60) + 1e-3,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                ] {
+                    same_as_reference(sr, pe, kind, obs);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "1 M cases, ~20 s in release; run by scripts/ci.sh"]
+    fn fast_inversion_equals_the_bisection_on_a_million_cases() {
+        // Realistic observations (the ones-count of a page of some age on
+        // some block) and uniform ones, P/E 0–4000, every kind, on one
+        // warm estimator per model.
+        let mut rng = SimRng::seed_from(0x5817);
+        let (mut evals, mut fallbacks) = (0u64, 0u64);
+        let n = 1_000_000;
+        for i in 0..n {
+            let sr = &shared()[i % 2];
+            let pe = if i % 4 < 2 {
+                1000 * rng.index(5) as u32
+            } else {
+                rng.index(4001) as u32
+            };
+            let kind = PageKind::ALL[rng.index(3)];
+            let observed = if i % 3 == 0 {
+                rng.uniform_range(-0.05, 1.05)
+            } else {
+                let op = OperatingPoint::new(pe, rng.uniform_range(0.0, 60.0));
+                let factor = rng.uniform_range(0.55, 2.2);
+                sr.observe_ones(op, factor, kind, 131_072, &mut rng)
+            };
+            let got = same_as_reference(sr, pe, kind, observed);
+            evals += u64::from(got.evals);
+            fallbacks += u64::from(got.fell_back);
+        }
+        eprintln!(
+            "{n} cases: {:.2} evaluations of f per inversion, {fallbacks} fallbacks",
+            evals as f64 / n as f64
+        );
+    }
+
+    #[test]
+    fn ones_fraction_is_strictly_monotone_in_retention_to_4500_pe() {
+        let sr = SwiftRead::new(TlcModel::calibrated());
+        for pe in (0..=4500).step_by(500) {
+            for kind in PageKind::ALL {
+                let f = |i: u32| f_at(&sr, pe, kind, f64::from(i) * 0.01);
+                let increasing = f(6000) > f(0);
+                let mut prev = f(0);
+                for i in 1..=6000 {
+                    let next = f(i);
+                    assert!(
+                        if increasing { next > prev } else { next < prev },
+                        "pe={pe} {kind}: f not strictly monotone at {} days",
+                        f64::from(i) * 0.01
+                    );
+                    prev = next;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lsb_turns_over_beyond_4500_pe_and_the_inversion_falls_back() {
+        let sr = SwiftRead::new(TlcModel::calibrated());
+        for pe in [5000, 10_000] {
+            let f = |days: f64| f_at(&sr, pe, PageKind::Lsb, days);
+            let grid: Vec<f64> = (0..=6000).map(|i| f(f64::from(i) * 0.01)).collect();
+            let falls = grid.windows(2).any(|w| w[1] < w[0]);
+            let rises = grid.windows(2).any(|w| w[1] > w[0]);
+            assert!(falls && rises, "pe={pe}: LSB f is monotone");
+            // The all-zeros clamp targets f(60 days), whose crossings
+            // straddle the turnover: the walk sees it and falls back. At
+            // 10K the first midpoint (30 days) is already past it, so
+            // every inversion does.
+            let got = same_as_reference(&sr, pe, PageKind::Lsb, 0.0);
+            assert!(got.fell_back, "pe={pe}: {got:?}");
+            let (f0, f60) = (f(0.0), f(SEARCH_DAYS));
+            for i in 0..=200 {
+                let observed = f60 + (f0 - f60) * f64::from(i) / 200.0;
+                let got = same_as_reference(&sr, pe, PageKind::Lsb, observed);
+                assert!(got.fell_back || pe < 10_000, "observed={observed}: {got:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn warm_inversions_evaluate_f_about_a_third_as_often() {
+        // A P/E seen once costs no more than the bisection's 42
+        // evaluations; once its memo is warm, well under half of them.
+        let mut rng = SimRng::seed_from(42);
+        let sr = SwiftRead::new(TlcModel::calibrated());
+        let mut observe = |kind| {
+            let op = OperatingPoint::new(2000, rng.uniform_range(0.0, 30.0));
+            let factor = rng.uniform_range(0.6, 2.0);
+            sr.observe_ones(op, factor, kind, 131_072, &mut rng)
+        };
+        let mut warm = 0;
+        for i in 0..600 {
+            let kind = PageKind::ALL[i % 3];
+            let obs = observe(kind);
+            let cold = invert(&SwiftRead::new(TlcModel::calibrated()), 2000, kind, obs);
+            assert!(cold.evals <= 42, "{cold:?}");
+            warm += same_as_reference(&sr, 2000, kind, obs).evals;
+        }
+        let mean = f64::from(warm) / 600.0;
+        assert!(mean < 18.0, "{mean} evaluations per warm inversion");
+    }
+
+    #[test]
+    fn the_memo_is_bounded_and_shared_across_threads() {
+        let sr = SwiftRead::new(TlcModel::calibrated());
+        std::thread::scope(|s| {
+            for t in 0..2u32 {
+                let sr = &sr;
+                s.spawn(move || {
+                    for pe in (0..40).map(|i| 100 * i + t) {
+                        for kind in PageKind::ALL {
+                            same_as_reference(sr, pe, kind, 0.49);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(sr.memo.0.lock().unwrap().curves.len(), MEMO_CURVES);
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<SwiftRead>();
+        send_sync::<crate::ErrorModel>();
+    }
+
+    #[test]
+    fn memo_ages_are_the_bisection_midpoints() {
+        // Every midpoint of the first eight levels is a node of the memo,
+        // and the node index recovers it exactly.
+        let mut seen = 0;
+        for path in 0u32..(1 << MEMO_LEVELS) {
+            let mut step = 0;
+            bisect(0.0, SEARCH_DAYS, MEMO_LEVELS, |mid| {
+                let j = (mid / NODE_DAYS) as usize;
+                assert_eq!(j as f64 * NODE_DAYS, mid);
+                step += 1;
+                seen += 1;
+                path >> (MEMO_LEVELS - step) & 1 == 1
+            });
+        }
+        assert_eq!(seen, MEMO_LEVELS << MEMO_LEVELS);
     }
 }

@@ -174,35 +174,29 @@ impl TlcModel {
         op: OperatingPoint,
         process_factor: f64,
     ) -> [StateParam; 8] {
-        let wear = self.wear(op.pe_cycles);
-        let ln_t = (1.0 + op.retention_days.max(0.0)).ln();
-        let widen =
-            1.0 + self.widen_pe * op.pe_cycles as f64 / 1000.0 + self.widen_ret * ln_t * wear;
-        let rd = self.read_disturb * (1.0 + op.reads as f64 / 1000.0).ln();
-        let mut out = [StateParam {
-            mean: 0.0,
-            sigma: 0.0,
-        }; 8];
-        for (s, slot) in out.iter_mut().enumerate() {
-            let base_mean = if s == 0 {
-                self.erase_mean
-            } else {
-                s as f64 * self.state_gap
-            };
-            let base_sigma = if s == 0 {
-                self.sigma_erase
-            } else {
-                self.sigma_prog
-            };
-            let shift = self.retention_a * process_factor * wear * ln_t * scaling[s];
-            // Read disturb weakly programs the erased state upward.
-            let disturb = if s == 0 { rd } else { 0.0 };
-            *slot = StateParam {
-                mean: base_mean - shift + disturb,
-                sigma: base_sigma * widen,
-            };
+        self.aging(scaling, op.pe_cycles, op.reads, process_factor)
+            .at(op.retention_days)
+    }
+
+    /// The age-independent part of [`TlcModel::state_params_scaled`]:
+    /// the wear `powf` and the read-disturb `ln`, computed once for a
+    /// caller that sweeps the retention age.
+    pub(crate) fn aging<'a>(
+        &'a self,
+        scaling: &'a [f64; 8],
+        pe_cycles: u32,
+        reads: u64,
+        process_factor: f64,
+    ) -> Aging<'a> {
+        let wear = self.wear(pe_cycles);
+        Aging {
+            model: self,
+            scaling,
+            wear,
+            pe_widen: 1.0 + self.widen_pe * pe_cycles as f64 / 1000.0,
+            retention: self.retention_a * process_factor * wear,
+            disturb: self.read_disturb * (1.0 + reads as f64 / 1000.0).ln(),
         }
-        out
     }
 
     /// The bit a cell in `state` contributes to a page of `kind`.
@@ -338,16 +332,69 @@ impl TlcModel {
     }
 }
 
-/// Probability mass the Gaussian `p` places in `(lo, hi)`; either end
-/// may be infinite.
+/// One block's V_TH states as a function of retention age alone
+/// (see [`TlcModel::aging`]); [`Aging::at`] returns exactly what
+/// [`TlcModel::state_params_scaled`] does at that age.
+pub(crate) struct Aging<'a> {
+    model: &'a TlcModel,
+    scaling: &'a [f64; 8],
+    wear: f64,
+    /// `1 + widen_pe · pe/1000`.
+    pe_widen: f64,
+    /// `retention_a · process_factor · wear`.
+    retention: f64,
+    /// Upward shift of the erased state from read disturb.
+    disturb: f64,
+}
+
+impl Aging<'_> {
+    /// State distributions after `retention_days` of retention.
+    pub(crate) fn at(&self, retention_days: f64) -> [StateParam; 8] {
+        let m = self.model;
+        let ln_t = (1.0 + retention_days.max(0.0)).ln();
+        let widen = self.pe_widen + m.widen_ret * ln_t * self.wear;
+        let mut out = [StateParam {
+            mean: 0.0,
+            sigma: 0.0,
+        }; 8];
+        for (s, slot) in out.iter_mut().enumerate() {
+            let base_mean = if s == 0 {
+                m.erase_mean
+            } else {
+                s as f64 * m.state_gap
+            };
+            let base_sigma = if s == 0 { m.sigma_erase } else { m.sigma_prog };
+            let shift = self.retention * ln_t * self.scaling[s];
+            // Read disturb weakly programs the erased state upward.
+            let disturb = if s == 0 { self.disturb } else { 0.0 };
+            *slot = StateParam {
+                mean: base_mean - shift + disturb,
+                sigma: base_sigma * widen,
+            };
+        }
+        out
+    }
+}
+
+/// Distance from the mean, in standard deviations, from which a state's
+/// CDF is a saturated 0 or 1: the quotient then exceeds 8.5·(1 − 2⁻⁵²)
+/// > 6√2 ≈ 8.485, where [`normal_cdf`] returns the constant itself.
+const CDF_SATURATES_AT_SIGMAS: f64 = 8.5;
+
+/// Probability mass the Gaussian `p` (σ > 0, as every state the model
+/// builds) places in `(lo, hi)`; either end may be infinite. A bound
+/// [`CDF_SATURATES_AT_SIGMAS`] or more from the mean skips the division
+/// and returns what `normal_cdf` would, bit for bit (tested).
 pub(crate) fn gauss_mass(p: &StateParam, lo: f64, hi: f64) -> f64 {
+    let reach = CDF_SATURATES_AT_SIGMAS * p.sigma;
     let cdf = |x: f64| {
-        if x == f64::INFINITY {
+        let d = x - p.mean;
+        if d >= reach {
             1.0
-        } else if x == f64::NEG_INFINITY {
+        } else if d <= -reach {
             0.0
         } else {
-            normal_cdf((x - p.mean) / p.sigma)
+            normal_cdf(d / p.sigma)
         }
     };
     (cdf(hi) - cdf(lo)).max(0.0)
@@ -488,6 +535,139 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// [`TlcModel::state_params_scaled`] as it was before its
+    /// age-independent terms moved to [`Aging`]: one expression per state.
+    fn state_params_unhoisted(
+        m: &TlcModel,
+        scaling: &[f64; 8],
+        op: OperatingPoint,
+        process_factor: f64,
+    ) -> [StateParam; 8] {
+        let wear = m.wear(op.pe_cycles);
+        let ln_t = (1.0 + op.retention_days.max(0.0)).ln();
+        let widen = 1.0 + m.widen_pe * op.pe_cycles as f64 / 1000.0 + m.widen_ret * ln_t * wear;
+        let rd = m.read_disturb * (1.0 + op.reads as f64 / 1000.0).ln();
+        std::array::from_fn(|s| {
+            let (base_mean, base_sigma) = if s == 0 {
+                (m.erase_mean, m.sigma_erase)
+            } else {
+                (s as f64 * m.state_gap, m.sigma_prog)
+            };
+            let shift = m.retention_a * process_factor * wear * ln_t * scaling[s];
+            let disturb = if s == 0 { rd } else { 0.0 };
+            StateParam {
+                mean: base_mean - shift + disturb,
+                sigma: base_sigma * widen,
+            }
+        })
+    }
+
+    #[test]
+    fn hoisted_state_params_match_the_unhoisted_formula_bit_for_bit() {
+        let altered = TlcModel {
+            retention_a: 0.13,
+            read_disturb: 0.05,
+            ..TlcModel::calibrated()
+        };
+        for m in [TlcModel::calibrated(), altered] {
+            let scaling = m.state_scaling();
+            for pe in [0u32, 1, 200, 999, 2000, 4500, 12_000] {
+                for days in [-1.0, 0.0, 1e-9, 0.234_375, 3.7, 17.0, 59.99, 60.0, 365.0] {
+                    for reads in [0u64, 1, 999, 500_000] {
+                        for factor in [0.55, 1.0, 2.2] {
+                            let op = OperatingPoint {
+                                pe_cycles: pe,
+                                retention_days: days,
+                                reads,
+                            };
+                            let got = m.state_params_scaled(&scaling, op, factor);
+                            let want = state_params_unhoisted(&m, &scaling, op, factor);
+                            for (g, w) in got.iter().zip(&want) {
+                                assert_eq!(
+                                    (g.mean.to_bits(), g.sigma.to_bits()),
+                                    (w.mean.to_bits(), w.sigma.to_bits()),
+                                    "pe={pe} days={days} reads={reads} factor={factor}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`gauss_mass`] without the saturation cut: every finite bound is
+    /// divided and handed to `normal_cdf`, which saturates it.
+    fn gauss_mass_divided(p: &StateParam, lo: f64, hi: f64) -> f64 {
+        let cdf = |x: f64| {
+            if x == f64::INFINITY {
+                1.0
+            } else if x == f64::NEG_INFINITY {
+                0.0
+            } else {
+                normal_cdf((x - p.mean) / p.sigma)
+            }
+        };
+        (cdf(hi) - cdf(lo)).max(0.0)
+    }
+
+    #[test]
+    fn gauss_mass_saturation_cut_is_bit_exact() {
+        let states = [
+            (-1.0, 0.3),
+            (-0.93, 0.41),
+            (3.0, 0.14),
+            (6.2, 0.213),
+            (0.0, 1e-3),
+        ];
+        let mut rng = rif_events::SimRng::seed_from(0x8_5);
+        for (mean, sigma) in states {
+            let p = StateParam { mean, sigma };
+            let same = |x: f64| {
+                for (lo, hi) in [
+                    (f64::NEG_INFINITY, x),
+                    (x, f64::INFINITY),
+                    (x, x + sigma),
+                    (x - sigma, x),
+                ] {
+                    let (got, want) = (gauss_mass(&p, lo, hi), gauss_mass_divided(&p, lo, hi));
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "N({mean}, {sigma}) on ({lo:e}, {hi:e}): {got:e} vs {want:e}"
+                    );
+                }
+            };
+            for side in [1.0, -1.0] {
+                // Every representable bound for 20k steps either side of
+                // the cut at mean ± 8.5σ, then a dense grid over 8–9σ.
+                let cut: f64 = mean + side * CDF_SATURATES_AT_SIGMAS * sigma;
+                for i in 0..20_000u64 {
+                    same(f64::from_bits(cut.to_bits() + i));
+                    same(f64::from_bits(cut.to_bits() - i));
+                }
+                let steps = 100_000;
+                for i in 0..=steps {
+                    same(mean + side * (8.0 + f64::from(i) / f64::from(steps)) * sigma);
+                }
+            }
+            // Seeded random bounds over ±12σ, then the edge values.
+            for _ in 0..100_000 {
+                same(mean + rng.uniform_range(-12.0, 12.0) * sigma);
+            }
+            for x in [
+                mean,
+                f64::MAX,
+                f64::MIN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ] {
+                same(x);
             }
         }
     }

@@ -27,7 +27,9 @@ pub(super) struct ReadGroup {
     op: OperatingPoint,
     /// Process-variation profile of the block holding the slot.
     block: BlockProfile,
-    rber_optimal: f64,
+    /// RBER at the oracle's optimal references, what an oracle retry
+    /// senses at (`None` in learned mode, whose retries re-calibrate).
+    rber_optimal: Option<f64>,
     /// RBER of the currently sensed data.
     cur_rber: f64,
     /// RBER the first decode attempt saw (the syndrome-weight signal the
@@ -98,16 +100,19 @@ impl Simulator {
         // reference set this read is tried at.
         let model = &self.cfg.error_model;
         let params = model.state_params(block, op);
-        let rber_default = amplify(model.rber_default_with(&params, kind));
-        let rber_optimal = amplify(model.rber_optimal_with(&params, kind));
-        let initial = match &self.learner {
+        let (initial, rber_optimal) = match &self.learner {
             // Learned mode: every scheme starts from the controller's
             // current per-block V_REF estimate, not the oracle tables.
             Some(l) => {
                 let refs = l.refs_for(block_id, model.default_refs());
-                amplify(model.rber_at_with(&params, refs, kind))
+                (amplify(model.rber_at_with(&params, refs, kind)), None)
             }
-            None => self.cfg.retry.initial_rber(rber_default, rber_optimal),
+            None => {
+                let rber_default = amplify(model.rber_default_with(&params, kind));
+                let rber_optimal = amplify(model.rber_optimal_with(&params, kind));
+                let initial = self.cfg.retry.initial_rber(rber_default, rber_optimal);
+                (initial, Some(rber_optimal))
+            }
         };
         let group = ReadGroup {
             req,
@@ -212,7 +217,10 @@ impl Simulator {
     fn corrective_rber(&mut self, gid: usize) -> (f64, Option<f64>) {
         let g = &self.groups[gid];
         let Some(sw) = &self.swift else {
-            return (g.rber_optimal, None);
+            return (
+                g.rber_optimal.expect("oracle groups price the optimum"),
+                None,
+            );
         };
         let (op, block, kind) = (g.op, g.block, g.loc.kind());
         let n_cells = self.cfg.geometry.page_bytes * 8;
