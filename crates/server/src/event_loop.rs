@@ -646,7 +646,7 @@ fn wait_shards_flushed(shared: &Shared) {
         let _ = s.tx.send(ShardMsg::Flush(done_tx.clone()));
     }
     drop(done_tx);
-    // Workers ack after force-draining; a crashed worker shows up as a
-    // disconnect, which also ends the wait.
+    // Workers ack after force-draining; an exited worker's inbox hands
+    // the Flush back and drops its sender, which also ends the wait.
     while done_rx.recv().is_ok() {}
 }

@@ -3,8 +3,9 @@
 //! The simulator's clock is pure virtual nanoseconds; the service runs in
 //! wall time. A [`VirtualClock`] maps the wall-clock interval since server
 //! start onto the simulation timeline with a configurable scale factor:
-//! `scale` simulated nanoseconds elapse per wall nanosecond. Requests are
-//! submitted at the virtual *now*, and each shard repeatedly advances its
+//! `scale` simulated nanoseconds elapse per wall nanosecond. Each request
+//! is stamped with the virtual *now* as it enters its shard's inbox and
+//! submitted at that instant, and each shard repeatedly advances its
 //! simulator up to the virtual now — so a simulated 55-µs read completes
 //! roughly `55 µs / scale` of wall time after it was admitted.
 //!
@@ -64,10 +65,16 @@ impl VirtualClock {
     }
 
     /// Wall time remaining until virtual time `t`, as a `Duration`
-    /// suitable for `recv_timeout`. Zero if `t` has already passed.
+    /// suitable for `park_timeout`. Zero if `t` has already passed.
     pub fn wall_until(&self, t: SimTime) -> std::time::Duration {
         let wall_ns = wall_ns_until(self.start.elapsed().as_nanos() as u64, t, self.scale);
         std::time::Duration::from_nanos(wall_ns)
+    }
+
+    /// The virtual instant `wall` from now.
+    pub(crate) fn after(&self, wall: std::time::Duration) -> SimTime {
+        let ns = self.start.elapsed().saturating_add(wall).as_nanos();
+        map_elapsed(ns.min(u128::from(u64::MAX)) as u64, self.scale)
     }
 }
 
@@ -114,6 +121,18 @@ mod tests {
         assert!(b > a, "virtual time must advance with wall time");
         // 2 ms wall at 100× is at least 200 ms virtual.
         assert!(b.since(a) >= rif_events::SimDuration::from_ms(200));
+    }
+
+    #[test]
+    fn after_maps_a_wall_delay_onto_the_virtual_timeline() {
+        let c = VirtualClock::start(100.0);
+        let before = c.now();
+        let t = c.after(std::time::Duration::from_millis(10));
+        // 10 ms of wall time at 100× is 1 s of virtual time.
+        let second = rif_events::SimDuration::from_secs(1);
+        assert!(t >= before + second);
+        assert!(t <= c.now() + second);
+        assert_eq!(c.after(std::time::Duration::MAX), SimTime::MAX);
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -47,7 +47,7 @@ use crate::poller::Waker;
 use crate::protocol::{encode_response, write_frame, BatchEntry, BusyReason, ErrorCode, Response};
 use crate::recorder::TraceRecorder;
 use crate::replicate::Replicator;
-use crate::shard::{spawn_shard, ReplyTo, ShardHandle, ShardMsg, ShardSpec, Submission};
+use crate::shard::{spawn_shard, ReplyTo, ShardHandle, ShardMsg, ShardSpec, ShardTx, Submission};
 
 /// Largest single transfer the service accepts: 1 MiB keeps one request
 /// from monopolizing a shard's event queue.
@@ -224,7 +224,7 @@ impl Shared {
 /// The parts of a shard a connection needs: inbox + admission counter.
 pub(crate) struct ShardTarget {
     pub(crate) spec: ShardSpec,
-    pub(crate) tx: Sender<ShardMsg>,
+    pub(crate) tx: ShardTx,
     pub(crate) inflight: Arc<AtomicUsize>,
 }
 
@@ -283,19 +283,16 @@ impl Server {
                 h.bg.refresh_scan_batch = 8;
                 sim_cfg.hybrid = Some(h);
             }
-            let (tx, rx) = mpsc::channel();
             let handle = spawn_shard(
                 spec,
                 sim_cfg,
                 clock.clone(),
                 Arc::clone(&metrics),
                 Arc::clone(&recorder),
-                rx,
-                tx.clone(),
             )?;
             targets.push(ShardTarget {
                 spec,
-                tx,
+                tx: handle.tx.clone(),
                 inflight: Arc::clone(&handle.inflight),
             });
             shard_handles.push(handle);
@@ -722,18 +719,16 @@ fn reserve(shared: &Shared, idx: usize, k: usize) -> bool {
         .is_ok()
 }
 
-/// The one send to a shard: hands shard `idx` a group (`first`, then
-/// `rest`) whose slots are reserved, and returns true when the worker
-/// took it. A worker that is gone never saw the group: its slots are
-/// released, its journaled admissions retracted, and every entry
+/// The one submission to a shard: hands shard `idx` a group (`first`,
+/// then `rest`) whose slots are reserved, and returns true when the
+/// worker took it. A worker that is gone never saw the group: its slots
+/// are released, its journaled admissions retracted, and every entry
 /// answered — `ERROR(ShuttingDown)` during shutdown, else
 /// `BUSY(unavailable)`, which is retryable since nothing was admitted.
 fn dispatch(shared: &Shared, idx: usize, first: Submission, rest: Vec<Submission>) -> bool {
     let target = &shared.shards[idx];
-    let (first, rest) = match target.tx.send(ShardMsg::Submit(first, rest)) {
-        Ok(()) => return true,
-        Err(mpsc::SendError(ShardMsg::Submit(first, rest))) => (first, rest),
-        Err(_) => unreachable!("send hands back the message it took"),
+    let Err((first, rest)) = target.tx.submit(first, rest) else {
+        return true;
     };
     let k = 1 + rest.len();
     target.inflight.fetch_sub(k, Ordering::AcqRel);
@@ -836,7 +831,7 @@ fn tally<K: PartialEq>(table: &mut Vec<(K, usize)>, key: K) {
 ///   any shard cannot take its share, the reservations made so far are
 ///   released and every entry answers `BUSY(queue)` (rate-limit tokens
 ///   stay spent, exactly as a refused single request's token does);
-/// - admitted entries go to each shard as one [`ShardMsg::Submit`].
+/// - admitted entries go to each shard as one [`ShardTx::submit`].
 ///
 /// An entry with a bad length or for a range this node may not serve
 /// is answered alone and does not count against the group: it could

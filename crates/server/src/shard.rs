@@ -2,12 +2,31 @@
 //!
 //! The server partitions the logical address space into `n` equal spans;
 //! shard `i` owns `[i * span, (i + 1) * span)` and runs a private
-//! [`Simulator`] for it. Requests arrive over an mpsc channel, are
-//! submitted at the current virtual time, and the worker repeatedly
-//! advances its simulator up to the [`VirtualClock`]'s *now* — which is
-//! what turns the discrete-event core into a live, wall-clock-paced
-//! service. Completions are answered to each request's originating
-//! connection through the [`ReplyTo`] carried in the [`Submission`].
+//! [`Simulator`] for it. The worker repeatedly advances its simulator up
+//! to the [`VirtualClock`]'s *now* — which is what turns the
+//! discrete-event core into a live, wall-clock-paced service — and
+//! answers each completion to the request's originating connection
+//! through the [`ReplyTo`] carried in the [`Submission`].
+//!
+//! # The inbox
+//!
+//! A worker's inbox is one lock over its queued messages and the virtual
+//! instant it next wakes by itself (`wake_at`), plus its thread to
+//! unpark. The event loop pushes under that lock and stamps each group
+//! it submits with the virtual now; the worker takes everything queued
+//! and reads the horizon it advances to under the same lock. So every
+//! request the worker takes was stamped at or after its previous horizon
+//! and at or before this one: it enters the simulator at the instant it
+//! was admitted, never behind the simulator clock.
+//!
+//! The worker sleeps until its next simulated event is due, or until
+//! unparked when it has nothing scheduled, with 1-ns timer slack on
+//! Linux so that a timed sleep ends on time. A submission unparks it only
+//! if it would otherwise sleep past `arrival + min_service`, the soonest
+//! the new request could complete ([`SsdConfig::min_service`]). A worker
+//! left asleep wakes before then and submits the request at its stamped
+//! instant, so nothing observable is processed late. Control messages
+//! always wake it.
 //!
 //! # Crash injection
 //!
@@ -19,25 +38,25 @@
 //!   or may not have executed, so the client must decide whether a retry
 //!   is safe (reads: yes, writes: no);
 //! - for the configured restart window the shard is *dead*: submissions
-//!   are bounced immediately with `BUSY(Unavailable)` (never admitted,
-//!   always safe to retry) instead of hanging;
+//!   stamped inside it are bounced with `BUSY(Unavailable)` (never
+//!   admitted, always safe to retry) instead of hanging;
 //! - after the window the worker builds a fresh simulator (seed salted
 //!   by the crash generation so replays stay deterministic) and resumes.
 //!
-//! The worker thread itself never exits on a crash — that keeps the mpsc
-//! channel alive, so the server's routing table needs no swap and no
-//! request can race into a closed channel during the restart.
+//! The worker thread itself never exits on a crash — that keeps the
+//! inbox open, so the server's routing table needs no swap and no
+//! request can race into a closed inbox during the restart.
 
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::{JoinHandle, Thread};
+use std::time::Duration;
 
 use rif_events::trace::MetricsRegistry;
-use rif_events::SimTime;
+use rif_events::{SimDuration, SimTime};
 use rif_ssd::{Simulator, SsdConfig};
 use rif_workloads::{IoOp, IoRequest};
 
@@ -159,14 +178,9 @@ pub struct Submission {
     pub reply: ReplyTo,
 }
 
-/// Messages a shard worker consumes.
+/// Control messages a shard worker consumes; I/O enters through
+/// [`ShardTx::submit`].
 pub enum ShardMsg {
-    /// Simulate a group of I/Os admitted as one unit (a single frame,
-    /// one BATCH's share of this shard, or a REPLICATE shipment), each
-    /// with its slot already reserved; they enter the simulator in order.
-    /// The first travels inline and the rest in the `Vec`, so a group of
-    /// one — every READ, WRITE and REPLICATE frame — needs no `Vec`.
-    Submit(Submission, Vec<Submission>),
     /// Fast-forward the simulator until nothing is in flight, then ack.
     Flush(Sender<()>),
     /// Kill the worker's simulator state: fail everything in flight with
@@ -194,10 +208,201 @@ pub enum ShardMsg {
     Stop,
 }
 
+/// What an inbox queues.
+enum Msg {
+    /// A group admitted as one unit (a single frame, one BATCH's share of
+    /// this shard, or a REPLICATE shipment), each entry with its slot
+    /// already reserved. The entries enter the simulator in order at
+    /// `arrival`, which the push stamps. The first travels inline and the
+    /// rest in the `Vec`, so a group of one — every READ, WRITE and
+    /// REPLICATE frame — needs no `Vec`.
+    Submit {
+        arrival: SimTime,
+        first: Submission,
+        rest: Vec<Submission>,
+    },
+    Control(ShardMsg),
+}
+
+/// The part of an inbox both sides touch, under one lock.
+struct InboxState {
+    /// Pushed and not yet taken, in push order.
+    msgs: Vec<Msg>,
+    /// The virtual instant the worker wakes by itself: its next event,
+    /// or its restart deadline while dead; `SimTime::MAX` while it has
+    /// nothing scheduled, and `SimTime::ZERO` while it is awake and bound
+    /// to look at `msgs` before it sleeps again.
+    wake_at: SimTime,
+    /// The worker has exited: a push hands its message back.
+    closed: bool,
+}
+
+/// A shard worker's inbox.
+struct Inbox {
+    state: Mutex<InboxState>,
+    /// The worker's thread, set once it is spawned.
+    worker: OnceLock<Thread>,
+    clock: VirtualClock,
+    /// The soonest any request completes after it arrives.
+    min_service: SimDuration,
+    /// Live [`ShardTx`] handles; dropping the last one stops the worker.
+    senders: AtomicUsize,
+}
+
+impl Inbox {
+    fn new(clock: VirtualClock, min_service: SimDuration) -> Inbox {
+        Inbox {
+            state: Mutex::new(InboxState {
+                msgs: Vec::new(),
+                wake_at: SimTime::ZERO,
+                closed: false,
+            }),
+            worker: OnceLock::new(),
+            clock,
+            min_service,
+            senders: AtomicUsize::new(1),
+        }
+    }
+
+    /// Locks the state, recovering from poisoning like every other
+    /// serving-plane lock.
+    fn lock(&self) -> MutexGuard<'_, InboxState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Queues `msg`, stamping a submission with the virtual now, and
+    /// unparks the worker unless it wakes by itself before the stamped
+    /// submission could complete. Hands `msg` back once the worker has
+    /// exited.
+    fn push(&self, mut msg: Msg) -> Result<(), Msg> {
+        let mut st = self.lock();
+        if st.closed {
+            return Err(msg);
+        }
+        let due = match &mut msg {
+            Msg::Submit { arrival, .. } => {
+                *arrival = self.clock.now();
+                *arrival + self.min_service
+            }
+            Msg::Control(_) => SimTime::ZERO,
+        };
+        st.msgs.push(msg);
+        let unpark = st.wake_at > due;
+        if unpark {
+            // Awake from here on until it has looked at the inbox: later
+            // pushes need not unpark it again.
+            st.wake_at = SimTime::ZERO;
+        }
+        drop(st);
+        if unpark {
+            if let Some(worker) = self.worker.get() {
+                worker.unpark();
+            }
+        }
+        Ok(())
+    }
+
+    /// Swaps everything queued into `into` (empty) and returns the
+    /// horizon the worker may advance to: the virtual now, read under the
+    /// lock every push stamps under.
+    fn take(&self, into: &mut Vec<Msg>) -> SimTime {
+        let mut st = self.lock();
+        std::mem::swap(&mut st.msgs, into);
+        st.wake_at = SimTime::ZERO;
+        self.clock.now()
+    }
+
+    /// Publishes `wake_at` and sleeps until virtual time `wake_at`
+    /// (`SimTime::MAX`: until unparked), unless a message is already
+    /// queued. May return early; the caller loops.
+    fn park_until(&self, wake_at: SimTime) {
+        {
+            let mut st = self.lock();
+            if !st.msgs.is_empty() {
+                return;
+            }
+            st.wake_at = wake_at;
+        }
+        if wake_at == SimTime::MAX {
+            std::thread::park();
+        } else {
+            let nap = self.clock.wall_until(wake_at);
+            if !nap.is_zero() {
+                std::thread::park_timeout(nap);
+            }
+        }
+    }
+
+    /// Closes the inbox if nothing is queued, and says whether it did.
+    fn close_if_empty(&self) -> bool {
+        let mut st = self.lock();
+        st.closed = st.msgs.is_empty();
+        st.closed
+    }
+}
+
+/// A sending handle to a shard worker's inbox. The worker stops once
+/// every handle is gone.
+pub struct ShardTx {
+    inbox: Arc<Inbox>,
+}
+
+impl ShardTx {
+    /// Queues a group admitted as one unit, each entry's slot already
+    /// reserved, to enter the simulator in order at the virtual now.
+    /// Hands the group back if the worker has exited.
+    pub fn submit(
+        &self,
+        first: Submission,
+        rest: Vec<Submission>,
+    ) -> Result<(), (Submission, Vec<Submission>)> {
+        let arrival = SimTime::ZERO; // stamped by the push
+        match self.inbox.push(Msg::Submit {
+            arrival,
+            first,
+            rest,
+        }) {
+            Ok(()) => Ok(()),
+            Err(Msg::Submit { first, rest, .. }) => Err((first, rest)),
+            Err(Msg::Control(_)) => unreachable!("push hands back the message it took"),
+        }
+    }
+
+    /// Queues a control message and wakes the worker. Hands the message
+    /// back if the worker has exited.
+    pub fn send(&self, msg: ShardMsg) -> Result<(), ShardMsg> {
+        match self.inbox.push(Msg::Control(msg)) {
+            Ok(()) => Ok(()),
+            Err(Msg::Control(msg)) => Err(msg),
+            Err(Msg::Submit { .. }) => unreachable!("push hands back the message it took"),
+        }
+    }
+}
+
+impl Clone for ShardTx {
+    fn clone(&self) -> ShardTx {
+        // Relaxed as in `Arc::clone`: a handle is cloned from a live one,
+        // so the count cannot reach zero meanwhile. The decrement that
+        // may reach zero is AcqRel.
+        self.inbox.senders.fetch_add(1, Ordering::Relaxed);
+        ShardTx {
+            inbox: Arc::clone(&self.inbox),
+        }
+    }
+}
+
+impl Drop for ShardTx {
+    fn drop(&mut self) {
+        if self.inbox.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _ = self.inbox.push(Msg::Control(ShardMsg::Stop));
+        }
+    }
+}
+
 /// Handle to a running shard worker.
 pub struct ShardHandle {
     /// The worker's inbox.
-    pub tx: Sender<ShardMsg>,
+    pub tx: ShardTx,
     /// In-flight count, shared with the admission check in the server.
     pub inflight: Arc<AtomicUsize>,
     join: JoinHandle<()>,
@@ -211,10 +416,6 @@ impl ShardHandle {
     }
 }
 
-/// Longest the worker sleeps between polls even with nothing scheduled,
-/// so Stop/Flush messages are always picked up promptly.
-const IDLE_POLL: Duration = Duration::from_micros(500);
-
 /// Salt mixed into the simulator seed on each crash generation, so a
 /// restarted shard gets a fresh but still seed-deterministic stream.
 const GENERATION_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -227,22 +428,82 @@ pub fn spawn_shard(
     clock: VirtualClock,
     metrics: Arc<Mutex<MetricsRegistry>>,
     recorder: Arc<TraceRecorder>,
-    rx: Receiver<ShardMsg>,
-    tx: Sender<ShardMsg>,
 ) -> io::Result<ShardHandle> {
+    let inbox = Arc::new(Inbox::new(clock, cfg.min_service()));
     let inflight = Arc::new(AtomicUsize::new(0));
-    let inflight_worker = Arc::clone(&inflight);
+    let (worker_inbox, worker_inflight) = (Arc::clone(&inbox), Arc::clone(&inflight));
     let join = std::thread::Builder::new()
         .name(format!("rif-shard-{}", spec.index))
-        .spawn(move || run_worker(spec, cfg, clock, inflight_worker, metrics, recorder, rx))?;
-    Ok(ShardHandle { tx, inflight, join })
+        .spawn(move || {
+            run_worker(Worker::new(
+                spec,
+                cfg,
+                worker_inbox,
+                worker_inflight,
+                metrics,
+                recorder,
+            ))
+        })?;
+    // Nothing can push before the handle exists, and the worker looks at
+    // its inbox before it first sleeps.
+    let _ = inbox.worker.set(join.thread().clone());
+    Ok(ShardHandle {
+        tx: ShardTx { inbox },
+        inflight,
+        join,
+    })
+}
+
+/// A shard's metric names, built once when its worker starts.
+struct Keys {
+    /// `server.completed.shard<i>`.
+    completed: String,
+    /// `server.shard_crashes.shard<i>`.
+    crashes: String,
+    /// `server.learner.shard<i>.{updates, recalibrations, blocks_tracked,
+    /// mean_abs_error}`.
+    learner: [String; 4],
+    /// `server.bg.shard<i>.{cache_occupancy, migrated_slots,
+    /// refreshed_slots, bg_ops}`.
+    bg: [String; 4],
+}
+
+impl Keys {
+    fn new(index: usize) -> Keys {
+        let label = format!("shard{index}");
+        let names = |group: &str, fields: [&str; 4]| {
+            fields.map(|field| format!("server.{group}.{label}.{field}"))
+        };
+        Keys {
+            completed: format!("server.completed.{label}"),
+            crashes: format!("server.shard_crashes.{label}"),
+            learner: names(
+                "learner",
+                [
+                    "updates",
+                    "recalibrations",
+                    "blocks_tracked",
+                    "mean_abs_error",
+                ],
+            ),
+            bg: names(
+                "bg",
+                [
+                    "cache_occupancy",
+                    "migrated_slots",
+                    "refreshed_slots",
+                    "bg_ops",
+                ],
+            ),
+        }
+    }
 }
 
 /// The worker's mutable state, factored out so message handling and the
 /// main loop can share it without borrow gymnastics.
 struct Worker {
     cfg: SsdConfig,
-    clock: VirtualClock,
+    inbox: Arc<Inbox>,
     inflight: Arc<AtomicUsize>,
     metrics: Arc<Mutex<MetricsRegistry>>,
     recorder: Arc<TraceRecorder>,
@@ -253,14 +514,45 @@ struct Worker {
     /// Migration snapshots waiting for the in-flight set to drain.
     yield_waiters: Vec<Sender<String>>,
     stopping: bool,
-    /// `Some(t)` while the shard is dead; it restarts once `Instant::now() >= t`.
-    dead_until: Option<Instant>,
+    /// `Some(t)` while the shard is dead: submissions stamped before
+    /// virtual time `t` bounce, and it restarts once its horizon reaches `t`.
+    dead_until: Option<SimTime>,
     /// Crash count; salts the restarted simulator's seed.
     generation: u64,
-    shard_label: String,
+    /// The simulator clock may be ahead of the virtual clock: set by a
+    /// fast-forward, cleared once the virtual clock catches up. Only
+    /// then can an arrival land behind it (the simulator clamps it).
+    ahead: bool,
+    keys: Keys,
 }
 
 impl Worker {
+    fn new(
+        spec: ShardSpec,
+        cfg: SsdConfig,
+        inbox: Arc<Inbox>,
+        inflight: Arc<AtomicUsize>,
+        metrics: Arc<Mutex<MetricsRegistry>>,
+        recorder: Arc<TraceRecorder>,
+    ) -> Worker {
+        Worker {
+            keys: Keys::new(spec.index),
+            sim: Worker::sim_for_generation(&cfg, 0),
+            cfg,
+            inbox,
+            inflight,
+            metrics,
+            recorder,
+            pending: HashMap::new(),
+            flush_waiters: Vec::new(),
+            yield_waiters: Vec::new(),
+            stopping: false,
+            dead_until: None,
+            generation: 0,
+            ahead: false,
+        }
+    }
+
     fn sim_for_generation(cfg: &SsdConfig, generation: u64) -> Simulator {
         let mut c = cfg.clone();
         c.seed = c
@@ -274,8 +566,8 @@ impl Worker {
         self.metrics.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn submit_one(&mut self, s: Submission) {
-        if self.dead_until.is_some() {
+    fn submit_one(&mut self, s: Submission, arrival: SimTime) {
+        if self.dead_until.is_some_and(|t| arrival < t) {
             // Dead shard: never admit, never hang. The slot the
             // server reserved is released here, and the recorder
             // retracts the admission — this I/O never ran.
@@ -290,8 +582,13 @@ impl Worker {
             });
             return;
         }
+        debug_assert!(
+            self.ahead || arrival >= self.sim.now(),
+            "arrival {arrival:?} stamped behind the simulator clock {:?}",
+            self.sim.now()
+        );
         let id = self.sim.submit(IoRequest {
-            arrival: self.clock.now(),
+            arrival,
             op: s.op,
             offset: s.offset,
             bytes: s.bytes,
@@ -299,13 +596,21 @@ impl Worker {
         self.pending.insert(id, (s.tag, s.reply));
     }
 
-    fn handle(&mut self, msg: ShardMsg) {
-        match msg {
-            ShardMsg::Submit(first, rest) => {
+    fn handle(&mut self, msg: Msg) {
+        let msg = match msg {
+            Msg::Submit {
+                arrival,
+                first,
+                rest,
+            } => {
                 for s in std::iter::once(first).chain(rest) {
-                    self.submit_one(s);
+                    self.submit_one(s, arrival);
                 }
+                return;
             }
+            Msg::Control(msg) => msg,
+        };
+        match msg {
             ShardMsg::Flush(done) => self.flush_waiters.push(done),
             ShardMsg::Yield(out) => self.yield_waiters.push(out),
             ShardMsg::Adopt { state, ack } => {
@@ -335,7 +640,7 @@ impl Worker {
         {
             let mut m = self.metrics();
             m.inc("server.shard_crashes", 1);
-            m.inc(&format!("server.shard_crashes.{}", self.shard_label), 1);
+            m.inc(&self.keys.crashes, 1);
         }
         for (_, (tag, reply)) in self.pending.drain() {
             self.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -348,10 +653,11 @@ impl Worker {
             });
         }
         // Replace the simulator now so crashed state is gone immediately;
-        // it is rebuilt again (fresh) at restart anyway.
+        // the restarted shard serves from this fresh one.
         self.generation += 1;
         self.sim = Self::sim_for_generation(&self.cfg, self.generation);
-        let deadline = Instant::now() + restart_after;
+        self.ahead = false;
+        let deadline = self.inbox.clock.after(restart_after);
         // A crash during the dead window extends it.
         self.dead_until = Some(match self.dead_until {
             Some(t) => t.max(deadline),
@@ -359,76 +665,62 @@ impl Worker {
         });
     }
 
-    /// Leaves the dead window if its deadline has passed.
-    fn maybe_restart(&mut self) {
-        if let Some(t) = self.dead_until {
-            if Instant::now() >= t {
-                self.dead_until = None;
-                self.metrics().inc("server.shard_restarts", 1);
-            }
+    /// Leaves the dead window once `horizon` has reached its deadline.
+    fn maybe_restart(&mut self, horizon: SimTime) {
+        if self.dead_until.is_some_and(|t| horizon >= t) {
+            self.dead_until = None;
+            self.metrics().inc("server.shard_restarts", 1);
         }
     }
 
-    /// Advances the simulator and answers completions.
-    fn advance_and_complete(&mut self) {
+    /// Advances the simulator to `horizon` and answers completions.
+    fn advance_and_complete(&mut self, horizon: SimTime) {
         // Flush and shutdown fast-forward past wall-clock pacing: the
         // simulator is advanced until nothing is left in flight. Later
-        // submissions clamp their arrival to the simulator clock, so time
-        // stays monotonic.
-        let horizon =
-            if self.stopping || !self.flush_waiters.is_empty() || !self.yield_waiters.is_empty() {
-                SimTime::MAX
-            } else {
-                self.clock.now()
-            };
+        // submissions clamp their arrival to the simulator clock until
+        // the virtual clock catches up, so time stays monotonic.
+        let fast_forward =
+            self.stopping || !self.flush_waiters.is_empty() || !self.yield_waiters.is_empty();
+        let horizon = if fast_forward { SimTime::MAX } else { horizon };
         self.sim.advance_until(horizon);
+        self.ahead = fast_forward || (self.ahead && self.sim.now() > horizon);
 
         let done = self.sim.drain_completions();
-        if !done.is_empty() {
-            let learner = self.sim.learner_summary();
-            let bg = self.sim.bg_summary();
+        if done.is_empty() {
+            return;
+        }
+        let learner = self.sim.learner_summary();
+        let bg = self.sim.bg_summary();
+        let now = self.inbox.clock.now();
+        {
             let mut m = self.metrics();
+            m.inc("server.completed", done.len() as u64);
+            m.inc(&self.keys.completed, done.len() as u64);
             for c in &done {
-                m.inc("server.completed", 1);
-                m.inc(&format!("server.completed.{}", self.shard_label), 1);
                 m.observe("server.latency.virtual", c.latency());
+                // How late the worker answers what the simulator already
+                // finished: its wake-up latency, plus any fast-forward
+                // (which answers early, and counts as zero).
+                m.observe("server.pacing.lag", now.saturating_since(c.finished));
             }
             // Learned mode: export the shard's live learner state so STATS
             // shows threshold-learning progress while the server runs.
             if let Some(l) = learner {
-                let tag = &self.shard_label;
-                m.set_gauge(&format!("server.learner.{tag}.updates"), l.updates as f64);
-                m.set_gauge(
-                    &format!("server.learner.{tag}.recalibrations"),
-                    l.recalibrations as f64,
-                );
-                m.set_gauge(
-                    &format!("server.learner.{tag}.blocks_tracked"),
-                    l.blocks_tracked as f64,
-                );
-                m.set_gauge(
-                    &format!("server.learner.{tag}.mean_abs_error"),
-                    l.mean_abs_error,
-                );
+                let [updates, recalibrations, blocks, error] = &self.keys.learner;
+                m.set_gauge(updates, l.updates as f64);
+                m.set_gauge(recalibrations, l.recalibrations as f64);
+                m.set_gauge(blocks, l.blocks_tracked as f64);
+                m.set_gauge(error, l.mean_abs_error);
             }
             // Hybrid mode: export the shard's live background-traffic
             // state so STATS shows cache destaging and refresh progress
             // while the server runs.
             if let Some(h) = bg {
-                let tag = &self.shard_label;
-                m.set_gauge(
-                    &format!("server.bg.{tag}.cache_occupancy"),
-                    h.cache_occupancy,
-                );
-                m.set_gauge(
-                    &format!("server.bg.{tag}.migrated_slots"),
-                    h.migrated_slots as f64,
-                );
-                m.set_gauge(
-                    &format!("server.bg.{tag}.refreshed_slots"),
-                    h.refreshed_slots as f64,
-                );
-                m.set_gauge(&format!("server.bg.{tag}.bg_ops"), h.bg_ops as f64);
+                let [occupancy, migrated, refreshed, ops] = &self.keys.bg;
+                m.set_gauge(occupancy, h.cache_occupancy);
+                m.set_gauge(migrated, h.migrated_slots as f64);
+                m.set_gauge(refreshed, h.refreshed_slots as f64);
+                m.set_gauge(ops, h.bg_ops as f64);
             }
         }
         for c in done {
@@ -447,40 +739,36 @@ impl Worker {
     }
 }
 
-fn run_worker(
-    spec: ShardSpec,
-    cfg: SsdConfig,
-    clock: VirtualClock,
-    inflight: Arc<AtomicUsize>,
-    metrics: Arc<Mutex<MetricsRegistry>>,
-    recorder: Arc<TraceRecorder>,
-    rx: Receiver<ShardMsg>,
-) {
-    let mut w = Worker {
-        shard_label: format!("shard{}", spec.index),
-        sim: Worker::sim_for_generation(&cfg, 0),
-        cfg,
-        clock,
-        inflight,
-        metrics,
-        recorder,
-        pending: HashMap::new(),
-        flush_waiters: Vec::new(),
-        yield_waiters: Vec::new(),
-        stopping: false,
-        dead_until: None,
-        generation: 0,
-    };
+/// Sets the calling thread's timer slack to 1 ns. Linux lets a timed
+/// sleep overrun by the thread's slack (50 µs by default) so that
+/// wake-ups batch; a worker sleeping until its next simulated event
+/// would then run that event up to 50 µs late.
+#[cfg(target_os = "linux")]
+fn tighten_timer_slack() {
+    const PR_SET_TIMERSLACK: i32 = 29;
+    extern "C" {
+        fn prctl(option: i32, ...) -> i32;
+    }
+    // SAFETY: PR_SET_TIMERSLACK reads one unsigned long and changes only
+    // the calling thread's slack; a failure leaves the default in place.
+    unsafe { prctl(PR_SET_TIMERSLACK, 1 as std::os::raw::c_ulong) };
+}
 
+#[cfg(not(target_os = "linux"))]
+fn tighten_timer_slack() {}
+
+fn run_worker(mut w: Worker) {
+    tighten_timer_slack();
+    let mut msgs = Vec::new();
     loop {
-        // Ingest everything queued without blocking.
-        while let Ok(msg) = rx.try_recv() {
+        let horizon = w.inbox.take(&mut msgs);
+        for msg in msgs.drain(..) {
             w.handle(msg);
         }
 
-        w.maybe_restart();
+        w.maybe_restart(horizon);
         if w.dead_until.is_none() {
-            w.advance_and_complete();
+            w.advance_and_complete(horizon);
         }
 
         // A crash clears `pending`, so flushes ack immediately while dead.
@@ -498,26 +786,19 @@ fn run_worker(
                 let _ = waiter.send(snapshot.clone());
             }
         }
-        if w.stopping && w.pending.is_empty() {
+        // Whatever was pushed before the close is still served.
+        if w.stopping && w.pending.is_empty() && w.inbox.close_if_empty() {
             return;
         }
 
         // Sleep until the next simulated event is due on the wall clock,
-        // waking early for new messages. A dead shard just polls its
-        // inbox until the restart deadline.
-        let nap = if w.dead_until.is_some() {
-            IDLE_POLL
-        } else {
-            match w.sim.next_event_time() {
-                Some(t) => w.clock.wall_until(t).min(IDLE_POLL),
-                None => IDLE_POLL,
-            }
+        // or, dead, until the restart deadline; a message that cannot
+        // wait unparks it sooner.
+        let wake_at = match w.dead_until {
+            Some(t) => t,
+            None => w.sim.next_event_time().unwrap_or(SimTime::MAX),
         };
-        match rx.recv_timeout(nap) {
-            Ok(msg) => w.handle(msg),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => w.stopping = true,
-        }
+        w.inbox.park_until(wake_at);
     }
 }
 
@@ -525,7 +806,8 @@ fn run_worker(
 mod tests {
     use super::*;
     use rif_ssd::RetryKind;
-    use std::sync::mpsc;
+    use std::sync::mpsc::{self, Receiver, TryRecvError};
+    use std::time::Instant;
 
     /// The event loop's reply route, for driving a worker directly:
     /// completions arrive on the receiver as `(key, response)`.
@@ -543,15 +825,14 @@ mod tests {
         clock: VirtualClock,
         recorder: Arc<TraceRecorder>,
     ) -> (ShardHandle, Arc<Mutex<MetricsRegistry>>) {
-        let (tx, rx) = mpsc::channel();
         let spec = ShardSpec {
             index,
             base_offset: 0,
             span_bytes: 1 << 30,
         };
         let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
-        let handle = spawn_shard(spec, cfg, clock, Arc::clone(&metrics), recorder, rx, tx)
-            .expect("spawn shard");
+        let handle =
+            spawn_shard(spec, cfg, clock, Arc::clone(&metrics), recorder).expect("spawn shard");
         (handle, metrics)
     }
 
@@ -565,11 +846,26 @@ mod tests {
             bytes,
             reply: reply.clone(),
         };
-        shard.tx.send(ShardMsg::Submit(s, Vec::new())).unwrap();
+        assert!(shard.tx.submit(s, Vec::new()).is_ok(), "worker gone");
+    }
+
+    /// The next value on `rx`, failing the test after 10 s rather than
+    /// hanging it on a wedged worker.
+    fn within<T>(rx: &Receiver<T>, what: &str) -> T {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match rx.try_recv() {
+                Ok(v) => return v,
+                Err(TryRecvError::Empty) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(1))
+                }
+                Err(e) => panic!("{what}: {e}"),
+            }
+        }
     }
 
     fn next(rx: &Receiver<(u64, Response)>, what: &str) -> Response {
-        rx.recv_timeout(Duration::from_secs(10)).expect(what).1
+        within(rx, what).1
     }
 
     fn learned() -> SsdConfig {
@@ -626,12 +922,10 @@ mod tests {
         // Submit one request, then crash before it can complete. The
         // reserved in-flight slot is what the worker must release.
         submit(&handle, 7, IoOp::Read, 0, 4096, &reply);
-        handle
-            .tx
-            .send(ShardMsg::Crash {
-                restart_after: Duration::from_millis(30),
-            })
-            .unwrap();
+        let crash = ShardMsg::Crash {
+            restart_after: Duration::from_millis(30),
+        };
+        assert!(handle.tx.send(crash).is_ok());
 
         let first = next(&reply_rx, "crash must resolve the in-flight request");
         // Either the request completed before the crash landed (DONE) or
@@ -740,6 +1034,11 @@ mod tests {
             .gauge("server.learner.shard0.mean_abs_error")
             .expect("error gauge present");
         assert!(err.is_finite() && err >= 0.0);
+        assert_eq!(m.counter("server.completed.shard0"), 8);
+        let lag = m
+            .histogram("server.pacing.lag")
+            .expect("pacing lag recorded");
+        assert_eq!(lag.count(), 8, "one pacing-lag sample per completion");
         handle.stop();
     }
 
@@ -817,11 +1116,9 @@ mod tests {
             submit(&src, i, IoOp::Read, i * 65536, 65536, &reply);
         }
         let (yield_tx, yield_rx) = mpsc::channel();
-        src.tx.send(ShardMsg::Yield(yield_tx)).unwrap();
-        let state_text = yield_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("yield must answer");
-        // All 8 submissions preceded the Yield in the channel, so the
+        assert!(src.tx.send(ShardMsg::Yield(yield_tx)).is_ok());
+        let state_text = within(&yield_rx, "yield must answer");
+        // All 8 submissions preceded the Yield in the inbox, so the
         // snapshot reflects every one of them.
         for _ in 0..8 {
             let r = next(&reply_rx, "yield must not drop in-flight requests");
@@ -832,23 +1129,16 @@ mod tests {
 
         // Adopt on the target: its learner resumes the source's counters.
         let (ack_tx, ack_rx) = mpsc::channel();
-        dst.tx
-            .send(ShardMsg::Adopt {
-                state: state_text,
-                ack: ack_tx,
-            })
-            .unwrap();
-        ack_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("adopt must ack");
+        let adopt = ShardMsg::Adopt {
+            state: state_text,
+            ack: ack_tx,
+        };
+        assert!(dst.tx.send(adopt).is_ok());
+        within(&ack_rx, "adopt must ack");
         let (y2_tx, y2_rx) = mpsc::channel();
-        dst.tx.send(ShardMsg::Yield(y2_tx)).unwrap();
-        let adopted = LearnerState::parse_text(
-            &y2_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("second yield answers"),
-        )
-        .expect("adopted state parses");
+        assert!(dst.tx.send(ShardMsg::Yield(y2_tx)).is_ok());
+        let adopted = LearnerState::parse_text(&within(&y2_rx, "second yield answers"))
+            .expect("adopted state parses");
         assert_eq!(adopted, state, "state must survive the handoff intact");
 
         // The source keeps serving after a Yield — no dead window.
@@ -861,5 +1151,94 @@ mod tests {
 
         src.stop();
         dst.stop();
+    }
+
+    #[test]
+    fn a_worker_whose_senders_are_all_gone_stops() {
+        let (handle, _) = spawn(
+            0,
+            SsdConfig::small(RetryKind::Rif, 2000),
+            VirtualClock::start(1000.0),
+            Arc::new(TraceRecorder::new(false)),
+        );
+        let ShardHandle { tx, join, .. } = handle;
+        let second = tx.clone();
+        drop(tx);
+        drop(second);
+        join.join()
+            .expect("worker exits once its last sender is dropped");
+    }
+
+    #[test]
+    fn drained_arrivals_lie_between_consecutive_horizons() {
+        // A pusher stamps and pushes with random gaps while this thread
+        // drains as a worker does, sleeping in between until unparked or
+        // until a deadline of its own. Every group it takes must carry
+        // an arrival in [previous horizon, this horizon]: stamps and
+        // horizons are read under one lock, so the inbox is linearizable
+        // and nothing a worker takes is stamped behind its clock.
+        const GROUPS: usize = 2000;
+        let min_service = SimDuration::from_us(40);
+        let inbox = Arc::new(Inbox::new(VirtualClock::start(1.0), min_service));
+        let _ = inbox.worker.set(std::thread::current());
+        let (reply, _replies) = event_reply();
+        let pusher = {
+            let inbox = Arc::clone(&inbox);
+            std::thread::spawn(move || {
+                let mut rng = rif_events::SimRng::seed_from(29);
+                for tag in 0..GROUPS as u64 {
+                    let first = Submission {
+                        tag,
+                        op: IoOp::Read,
+                        offset: 0,
+                        bytes: 4096,
+                        reply: reply.clone(),
+                    };
+                    let msg = Msg::Submit {
+                        arrival: SimTime::ZERO,
+                        first,
+                        rest: Vec::new(),
+                    };
+                    assert!(inbox.push(msg).is_ok());
+                    match rng.next_u64() % 4 {
+                        0 => {}
+                        1 => std::thread::yield_now(),
+                        _ => std::thread::sleep(Duration::from_micros(rng.next_u64() % 60)),
+                    }
+                }
+            })
+        };
+        let mut msgs = Vec::new();
+        let mut previous = SimTime::ZERO;
+        let mut taken = 0;
+        for round in 0u64.. {
+            let horizon = inbox.take(&mut msgs);
+            assert!(horizon >= previous, "horizons went backwards");
+            for msg in msgs.drain(..) {
+                let Msg::Submit { arrival, first, .. } = msg else {
+                    panic!("only submissions were pushed");
+                };
+                assert!(
+                    (previous..=horizon).contains(&arrival),
+                    "group {} stamped {arrival:?} outside [{previous:?}, {horizon:?}]",
+                    first.tag
+                );
+                taken += 1;
+            }
+            previous = horizon;
+            if taken == GROUPS {
+                break;
+            }
+            // Alternate an open-ended sleep (every push unparks) with a
+            // deadline inside the next push's service time (no push
+            // unparks; the timeout must end the sleep).
+            let wake_at = if round % 2 == 0 {
+                SimTime::MAX
+            } else {
+                horizon + SimDuration::from_us(20)
+            };
+            inbox.park_until(wake_at);
+        }
+        pusher.join().unwrap();
     }
 }

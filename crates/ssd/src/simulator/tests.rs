@@ -758,6 +758,56 @@ fn hybrid_stepper_terminates_without_foreground_work() {
 }
 
 #[test]
+fn no_request_completes_sooner_than_min_service() {
+    // A serving shard sleeps through a new arrival when its next event
+    // is due before the arrival could complete: that rests on every
+    // request taking at least `min_service` from arrival to finish.
+    let check = |what: &str, cfg: SsdConfig, trace: &Trace| {
+        let floor = cfg.min_service();
+        let mut sim = Simulator::new(cfg);
+        for r in trace {
+            sim.submit(*r);
+        }
+        sim.advance_until(SimTime::MAX);
+        let done = sim.drain_completions();
+        assert_eq!(done.len(), trace.len(), "{what}: requests left over");
+        for c in &done {
+            assert!(
+                c.latency() >= floor,
+                "{what}: request {} took {:?} < {floor:?}",
+                c.id,
+                c.latency()
+            );
+        }
+    };
+    let mixed = mixed_trace(300, 37);
+    for kind in RetryKind::ALL {
+        check(
+            &format!("oracle {kind}"),
+            SsdConfig::small(kind, 2000),
+            &mixed,
+        );
+    }
+    let mut learned = learned_cfg(RetryKind::Rif, 2000);
+    learned.drift = rif_flash::learn::DriftClock {
+        days_per_sec: 2000.0,
+        pe_per_sec: 100_000.0,
+    };
+    check("learned + drift", learned, &aged_trace(300, 39));
+    let mut hybrid = hybrid_cfg(RetryKind::Rif, 1500);
+    let h = hybrid.hybrid.as_mut().unwrap();
+    h.migration = crate::hybrid::MigrationPolicy::Fifo;
+    h.bg.high_watermark = 0.0;
+    h.bg.low_watermark = 0.0;
+    check("hybrid + background", hybrid, &mixed);
+    for kind in RetryKind::ALL {
+        let mut forced = SsdConfig::small(kind, 1000);
+        forced.forced_failure_slots = Some((0..4096).step_by(3).collect());
+        check(&format!("forced retries {kind}"), forced, &mixed);
+    }
+}
+
+#[test]
 fn oracle_mode_draws_no_learner_randomness() {
     // The learned path must not perturb the oracle path's RNG stream:
     // an oracle run constructed after the learned types existed still
