@@ -220,7 +220,7 @@ pub struct LoadReport {
     /// Protocol errors: undecodable frames, unsolicited response kinds,
     /// and ERROR(BadRequest/BadLength) replies.
     pub protocol_errors: u64,
-    /// ERROR(Internal) replies (worker crashed with the request in
+    /// ERROR(Internal) replies (shard crashed with the request in
     /// flight).
     pub internal_errors: u64,
     /// Tags that resolved by deadline expiry.
@@ -638,7 +638,7 @@ impl<T> Op<T> {
     /// latest submission resolved `how`, can never execute it twice. A
     /// refusal provably preceded admission, so either kind may go again;
     /// after anything else the request may have been admitted (answer
-    /// lost, worker crashed mid-flight), so only a read — idempotent —
+    /// lost, shard crashed mid-flight), so only a read — idempotent —
     /// may, and a write's unknown fate is failed upward.
     pub fn reissuable(&self, how: How) -> bool {
         matches!(how, How::Busy(_) | How::WrongShard) || self.io.op == IoOp::Read
@@ -1178,7 +1178,7 @@ struct Budgets {
 }
 
 /// Re-issue budget per operation for non-BUSY recoveries (timeouts,
-/// worker crashes, connection loss). Only safely-retryable work is
+/// shard crashes, connection loss). Only safely-retryable work is
 /// re-issued: reads, plus anything that provably never reached a
 /// simulator.
 const MAX_RESENDS: u32 = 16;
@@ -1382,7 +1382,7 @@ impl Link {
                     }
                     self.paused_until = self.paused_until.max(Instant::now()) + cfg.busy_backoff;
                 }
-                // A lost answer, a lost connection, a worker crash
+                // A lost answer, a lost connection, a shard crash
                 // mid-flight: the I/O may have run.
                 How::TimedOut | How::ConnError | How::Error(ErrorCode::Internal)
                     if op.reissuable(how) && op.policy.resends < MAX_RESENDS =>

@@ -1,21 +1,28 @@
-//! The readiness-based single-thread server core, and the single place
-//! a request frame is dispatched ([`drain_frames`]).
+//! The node's one thread: the readiness-based server core, the single
+//! place a request frame is dispatched ([`drain_frames`]), and the
+//! stepper of every shard.
 //!
-//! One thread owns every connection socket plus the listener: a
-//! [`Poller`](crate::poller::Poller) (epoll on Linux, `poll(2)`
-//! elsewhere) reports readiness, nonblocking reads land in each
+//! One thread owns every connection socket, the listener and the shards
+//! ([`Node`]): a [`Poller`](crate::poller::Poller) (epoll on Linux,
+//! `poll(2)` elsewhere) reports readiness, nonblocking reads land in each
 //! connection's [`FrameBuffer`], frames decode in place via
 //! [`decode_request_view`] (no per-frame allocation), and responses
-//! queue in per-connection [`WriteQueue`]s flushed with vectored
-//! writes. Writable interest is registered only while a queue holds
-//! unflushed bytes, so an idle server produces near-zero wakeups.
+//! queue in per-connection [`WriteQueue`]s flushed with vectored writes.
+//! Writable interest is registered only while a queue holds unflushed
+//! bytes, so an idle server produces near-zero wakeups.
 //!
-//! Every response — synchronous (HELLO ack, STATS, admission refusals)
-//! and asynchronous (shard completions) — travels the same path: a
-//! `(key, Response)` completion channel plus a [`Waker`]. The key packs
-//! `slot | generation << 32`; a completion that outlives its connection
-//! (the slot was closed and recycled) fails the generation check and is
-//! dropped instead of landing on a stranger's socket.
+//! Each wake-up reads the virtual clock once and stamps every request
+//! it admits with that instant; then it advances every shard to the
+//! virtual now and pushes each completion straight onto its connection's
+//! write queue. A completion names its connection by a key packing
+//! `slot | generation << 32`: one that outlives its connection (the slot
+//! was closed and recycled) fails the generation check and is dropped
+//! instead of landing on a stranger's socket. The loop then sleeps until
+//! a socket is ready or the earliest shard has something due, mapped to
+//! wall time, with 1-ns timer slack so that the sleep ends on time, but
+//! never for less than [`MIN_SLEEP`] (DESIGN §8.3). Other threads reach
+//! it only through the [`Waker`]: for shutdown and for the crash orders
+//! queued in [`Shared::crashes`].
 //!
 //! Backpressure is layered per connection: once the write queue exceeds
 //! [`ServerConfig::write_queue_limit`](crate::server::ServerConfig),
@@ -28,18 +35,17 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::poller::{best_poller, Interest, PollEvent, Poller, Waker};
 use crate::protocol::{BatchEntry, BusyReason, ErrorCode, Response, PROTOCOL_VERSION};
-use crate::ring::{decode_request_view, FrameBuffer, RequestView, WriteQueue};
+use crate::ring::{decode_request_view, FrameBuffer, RequestView, WriteQueue, READ_CHUNK};
 use crate::server::{
-    admit, at_conn_limit, bad_request, handle_map_push, handle_migrate_in, handle_migrate_out,
-    handle_replicate, refuse_busy, refuse_over_limit, render_stats, RangeStatus, Shared,
+    admit, at_conn_limit, bad_request, handle_map_push, handle_migrate_in, handle_replicate,
+    refuse_busy, refuse_over_limit, render_stats, seal_for_migration, Node, Reply, Shared,
 };
-use crate::shard::{ReplyTo, ShardMsg};
+use crate::shard::Shard;
 use rif_workloads::IoOp;
 
 /// Poller token of the listening socket.
@@ -52,9 +58,13 @@ const TOK_CONN0: usize = 2;
 /// How long the drain phase waits for queued responses (the GOODBYE
 /// among them) to reach their sockets before tearing down anyway.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(1);
-/// Poll granularity while draining (the only time the loop uses a
-/// timeout at all — steady state blocks indefinitely).
+/// The longest poll wait while draining.
 const DRAIN_TICK: Duration = Duration::from_millis(20);
+/// The shortest timed sleep the loop takes. Arming a timer, switching
+/// away and being switched back costs a few microseconds of CPU, more
+/// than a sleep this short saves; so an event due sooner is answered up
+/// to this late. An event already due is answered at once.
+const MIN_SLEEP: Duration = Duration::from_micros(5);
 
 /// Per-connection state, owned exclusively by the loop thread.
 struct Conn {
@@ -130,29 +140,85 @@ fn comp_key(slot: usize, generation: u32) -> u64 {
     (slot as u64) | (u64::from(generation) << 32)
 }
 
-/// Builds the reply route for `slot`: completions land on the channel
-/// and the waker kicks the loop out of its blocking wait.
-fn reply_for(comp_tx: &Sender<(u64, Response)>, waker: &Waker, slot: usize, gen: u32) -> ReplyTo {
-    ReplyTo::Event {
-        tx: comp_tx.clone(),
-        key: comp_key(slot, gen),
-        waker: waker.clone(),
+/// A frame whose answer waits on the shards: run after this wake-up's
+/// reads, once every connection can take the answers it releases.
+enum Drain {
+    /// FLUSH: every shard fast-forwards, then `FLUSHED`.
+    Flush { key: u64, tag: u64 },
+    /// MIGRATE_OUT on a range already sealed: its shard fast-forwards,
+    /// then `MIGRATED` carries the learner snapshot.
+    Migrate { key: u64, tag: u64, range: u32 },
+}
+
+/// Schedules the calling thread the way the loop needs it (Linux;
+/// elsewhere a no-op). Both settings are fixed behaviour:
+///
+/// - 1-ns timer slack. Linux lets a timed sleep overrun by the thread's
+///   slack (50 µs by default) so that wake-ups batch; a loop sleeping
+///   until its next simulated event would then run that event up to
+///   50 µs late.
+/// - `SCHED_BATCH`. A wake-up (a readable socket, an expired timer) then
+///   does not preempt the thread running on the loop's CPU; the loop runs
+///   once that thread blocks, yields or ends its slice. On a CPU of its
+///   own nothing changes. On a CPU it shares with a client, a client that
+///   sends k frames in a row keeps the CPU for all k, and the loop reads
+///   and answers them in one wake-up instead of k (DESIGN §8.3).
+#[cfg(target_os = "linux")]
+fn tune_loop_thread() {
+    const PR_SET_TIMERSLACK: i32 = 29;
+    const SCHED_BATCH: i32 = 3;
+    #[repr(C)]
+    struct SchedParam {
+        sched_priority: i32,
+    }
+    extern "C" {
+        fn prctl(option: i32, ...) -> i32;
+        fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+    }
+    let param = SchedParam { sched_priority: 0 };
+    // SAFETY: pid 0 names the calling thread, whose policy SCHED_BATCH
+    // (priority 0, no privilege needed) replaces, and PR_SET_TIMERSLACK
+    // reads one unsigned long; both change only this thread, and a
+    // failure leaves its default in place. The slack goes last, so a
+    // thread reading 1 ns has both.
+    unsafe {
+        sched_setscheduler(0, SCHED_BATCH, &param);
+        prctl(PR_SET_TIMERSLACK, 1 as std::os::raw::c_ulong);
     }
 }
 
+#[cfg(not(target_os = "linux"))]
+fn tune_loop_thread() {}
+
 /// Entry point spawned by [`Server::start`](crate::server::Server):
-/// runs until shutdown, logging (not panicking) on a fatal loop error
-/// so the owning process can still drain shards and exit.
+/// runs until shutdown, logging (not panicking) on a fatal loop error.
+/// Either way it then takes the crash orders still queued and drains
+/// every shard, so the journal and the counters see every admitted
+/// request resolved.
 pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, waker: Waker, waker_rx: UnixStream) {
-    if let Err(e) = run_inner(&listener, &shared, &waker, &waker_rx) {
+    tune_loop_thread();
+    let mut node = Node::new(&shared);
+    if let Err(e) = run_inner(&listener, &shared, &mut node, &waker, &waker_rx) {
         eprintln!("rif-server: event loop failed: {e}");
         shared.shutdown.store(true, Ordering::Release);
     }
+    let orders = shared.crashes().take().unwrap_or_default();
+    let now = shared.clock.now();
+    let mut gone = |_, _| {};
+    for (i, restart_after) in orders {
+        let deadline = shared.clock.after(restart_after);
+        node.shards[i].crash(&shared, deadline, &mut gone);
+    }
+    for shard in &mut node.shards {
+        shard.fast_forward(&shared, now, &mut gone);
+    }
+    node.publish(&shared);
 }
 
 fn run_inner(
     listener: &TcpListener,
     shared: &Arc<Shared>,
+    node: &mut Node,
     waker: &Waker,
     waker_rx: &UnixStream,
 ) -> io::Result<()> {
@@ -164,26 +230,25 @@ fn run_inner(
         f64::from(u8::from(poller.name() == "epoll")),
     );
 
-    // Every response funnels through here; the waker kicks the loop out
-    // of `wait` when a completion arrives from a shard thread.
-    let (comp_tx, comp_rx) = mpsc::channel::<(u64, Response)>();
-
     let mut slab = Slab::new();
     let mut events: Vec<PollEvent> = Vec::new();
     // Slots touched this iteration (new bytes, new responses, state
     // flags) that the sweep phase must flush / re-register / close.
     let mut touched: Vec<usize> = Vec::new();
+    let mut drains: Vec<Drain> = Vec::new();
     let mut draining: Option<Instant> = None;
+    let mut timeout = None;
 
     loop {
         events.clear();
-        let timeout = draining.map(|_| DRAIN_TICK);
         poller.wait(&mut events, timeout)?;
         shared
             .front_door
             .epoll_wakeups
             .fetch_add(1, Ordering::Relaxed);
+        node.now = shared.clock.now();
 
+        let mut woken = false;
         for i in 0..events.len() {
             let ev = events[i];
             match ev.token {
@@ -192,18 +257,18 @@ fn run_inner(
                         accept_ready(
                             listener,
                             shared,
+                            node,
                             poller.as_mut(),
                             &mut slab,
                             &mut touched,
-                            &comp_tx,
-                            waker,
+                            &mut drains,
                         )?;
                     }
                 }
-                TOK_WAKER => {} // drained below, every iteration
+                TOK_WAKER => woken = true,
                 tok => {
                     let slot = tok - TOK_CONN0;
-                    let gen = slab.gens[slot];
+                    let key = comp_key(slot, slab.gens[slot]);
                     let Some(conn) = slab.get_mut(slot) else {
                         continue; // closed earlier this iteration
                     };
@@ -213,33 +278,48 @@ fn run_inner(
                         continue;
                     }
                     if ev.readable && !conn.close_now && !conn.close_after_flush {
-                        let reply = reply_for(&comp_tx, waker, slot, gen);
-                        read_ready(conn, shared, &reply);
+                        read_ready(conn, key, shared, node, &mut drains);
                     }
                     // Writability is consumed by the sweep's flush.
                 }
             }
         }
 
-        // Drain the waker *before* the completion queue: a completion
-        // racing this drain either lands in the queue we are about to
-        // empty or re-arms the pipe for the next `wait`.
-        waker.drain(waker_rx);
-        while let Ok((key, resp)) = comp_rx.try_recv() {
-            let slot = (key & u64::from(u32::MAX)) as usize;
-            let gen = (key >> 32) as u32;
-            if slab.gens.get(slot).copied() != Some(gen) {
-                continue; // late completion for a recycled slot: drop
-            }
-            if let Some(conn) = slab.get_mut(slot) {
-                conn.wq.push_response(&resp);
-                shared
-                    .front_door
-                    .write_queue_max_bytes
-                    .fetch_max(conn.wq.len(), Ordering::Relaxed);
-                touch(conn, slot, &mut touched);
+        let mut out = |key: u64, resp: Response| deliver(&mut slab, &mut touched, key, &resp);
+        // Drain the waker *before* taking the crash orders: an order
+        // racing this drain either is in the queue taken next or re-arms
+        // the pipe for the next `wait`.
+        if woken {
+            waker.drain(waker_rx);
+            let orders = shared.crashes().as_mut().map(std::mem::take);
+            for (i, restart_after) in orders.into_iter().flatten() {
+                let deadline = shared.clock.after(restart_after);
+                node.shards[i].crash(shared, deadline, &mut out);
             }
         }
+        for drain in drains.drain(..) {
+            match drain {
+                Drain::Flush { key, tag } => {
+                    for shard in &mut node.shards {
+                        shard.fast_forward(shared, node.now, &mut out);
+                    }
+                    out(key, Response::Flushed { tag });
+                }
+                Drain::Migrate { key, tag, range } => {
+                    let shard = &mut node.shards[range as usize];
+                    shard.fast_forward(shared, node.now, &mut out);
+                    let state = shard.learner_snapshot();
+                    out(key, Response::Migrated { tag, range, state });
+                }
+            }
+        }
+        // Every shard to the virtual now: what completed by then is
+        // answered in this iteration's sweep.
+        let horizon = shared.clock.now();
+        for shard in &mut node.shards {
+            shard.advance(shared, horizon, &mut out);
+        }
+        node.publish(shared);
 
         // A SHUTDOWN frame (or an external `request_shutdown`) starts
         // the drain: stop accepting, flush what every socket is owed,
@@ -263,6 +343,10 @@ fn run_inner(
             };
             conn.dirty = false;
             if !conn.close_now && !conn.wq.is_empty() {
+                shared
+                    .front_door
+                    .write_queue_max_bytes
+                    .fetch_max(conn.wq.len(), Ordering::Relaxed);
                 let mut dst = &conn.stream;
                 if conn.wq.flush(&mut dst).is_err() {
                     conn.close_now = true;
@@ -296,6 +380,30 @@ fn run_inner(
                 return Ok(());
             }
         }
+        // Sleep until a socket is ready or the earliest shard has
+        // something due.
+        let due = node.shards.iter().filter_map(Shard::next_wake).min();
+        timeout = due.map(|t| match shared.clock.wall_until(t) {
+            nap if nap.is_zero() => nap,
+            nap => nap.max(MIN_SLEEP),
+        });
+        if draining.is_some() {
+            timeout = Some(timeout.map_or(DRAIN_TICK, |t| t.min(DRAIN_TICK)));
+        }
+    }
+}
+
+/// Pushes `resp` onto the write queue of the connection `key` names,
+/// unless that connection has closed: its slot may hold another by now,
+/// and the generation says so.
+fn deliver(slab: &mut Slab, touched: &mut Vec<usize>, key: u64, resp: &Response) {
+    let slot = (key & u64::from(u32::MAX)) as usize;
+    if slab.gens.get(slot).copied() != Some((key >> 32) as u32) {
+        return;
+    }
+    if let Some(conn) = slab.get_mut(slot) {
+        conn.wq.push_response(resp);
+        touch(conn, slot, touched);
     }
 }
 
@@ -338,15 +446,14 @@ fn desired_interest(shared: &Shared, conn: &Conn) -> Interest {
 /// limit and registering each new socket read-only. Bytes that arrived
 /// with the connection are served immediately instead of waiting for
 /// the next readiness round.
-#[allow(clippy::too_many_arguments)]
 fn accept_ready(
     listener: &TcpListener,
     shared: &Arc<Shared>,
+    node: &mut Node,
     poller: &mut dyn Poller,
     slab: &mut Slab,
     touched: &mut Vec<usize>,
-    comp_tx: &Sender<(u64, Response)>,
-    waker: &Waker,
+    drains: &mut Vec<Drain>,
 ) -> io::Result<()> {
     loop {
         let (stream, _peer) = match listener.accept() {
@@ -383,7 +490,7 @@ fn accept_ready(
             close_now: false,
             dirty: false,
         });
-        let gen = slab.gens[slot];
+        let key = comp_key(slot, slab.gens[slot]);
         let conn = slab.get_mut(slot).expect("just inserted");
         if let Err(e) = poller.register(conn.stream.as_raw_fd(), TOK_CONN0 + slot, Interest::READ) {
             slab.remove(slot);
@@ -394,27 +501,38 @@ fn accept_ready(
             return Err(e);
         }
         touch(conn, slot, touched);
-        let reply = reply_for(comp_tx, waker, slot, gen);
-        read_ready(conn, shared, &reply);
+        read_ready(conn, key, shared, node, drains);
     }
 }
 
 /// Reads until the socket would block (or EOF), decoding and
 /// dispatching every complete frame in the ring.
-fn read_ready(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) {
+fn read_ready(
+    conn: &mut Conn,
+    key: u64,
+    shared: &Arc<Shared>,
+    node: &mut Node,
+    drains: &mut Vec<Drain>,
+) {
     loop {
         let mut src = &conn.stream;
         match conn.ring.read_from(&mut src) {
             Ok(0) => {
                 // EOF: serve what is buffered, flush what is owed, then
                 // close. No more bytes will ever arrive.
-                drain_frames(conn, shared, reply);
+                drain_frames(conn, key, shared, node, drains);
                 conn.close_after_flush = true;
                 return;
             }
-            Ok(_) => {
-                if !drain_frames(conn, shared, reply) {
+            Ok(n) => {
+                if !drain_frames(conn, key, shared, node, drains) {
                     return; // poisoned or closing: stop reading
+                }
+                // A short read emptied the socket: the read that would
+                // say `WouldBlock` is skipped, and bytes arriving later
+                // make the socket readable for the next wait.
+                if n < READ_CHUNK {
+                    return;
                 }
                 // Stop pulling once the peer has pushed us past the
                 // hard backpressure line; readable interest drops in
@@ -434,19 +552,34 @@ fn read_ready(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) {
     }
 }
 
-/// Decodes and dispatches every complete frame currently buffered.
-/// Returns false when the connection should not be read further (the
-/// ring is poisoned, a HELLO named another protocol version, or SHUTDOWN
+/// Decodes and dispatches every complete frame currently buffered,
+/// answering inline onto the connection's write queue. Returns false
+/// when the connection should not be read further (the ring is
+/// poisoned, a HELLO named another protocol version, or SHUTDOWN
 /// started the goodbye handshake).
-fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool {
+fn drain_frames(
+    conn: &mut Conn,
+    key: u64,
+    shared: &Arc<Shared>,
+    node: &mut Node,
+    drains: &mut Vec<Drain>,
+) -> bool {
+    let Conn {
+        ring,
+        wq,
+        close_after_flush,
+        close_now,
+        ..
+    } = conn;
+    let reply = &mut Reply { key, wq };
     loop {
-        let payload = match conn.ring.next_frame() {
+        let payload = match ring.next_frame() {
             Ok(Some(p)) => p,
             Ok(None) => return true,
             Err(_) => {
                 // The length prefix lied: frame sync is gone for good.
                 shared.metrics().inc("server.protocol_errors", 1);
-                conn.close_now = true;
+                *close_now = true;
                 return false;
             }
         };
@@ -472,11 +605,11 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                 // a small BUSY beats queueing an admission it will not
                 // drain.
                 let limit = shared.cfg.write_queue_limit;
-                if limit > 0 && conn.wq.len() >= limit {
+                if limit > 0 && reply.wq.len() >= limit {
                     let tags = io_entries(view).map(|e| e.tag);
                     refuse_busy(shared, reply, tags, "server.busy.writeq", BusyReason::Queue);
                 } else {
-                    admit(shared, reply, io_entries(view));
+                    admit(shared, node, reply, io_entries(view));
                 }
             }
             RequestView::MapGet { tag } => {
@@ -516,11 +649,15 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                     map_text.to_string(),
                 );
             }
+            // Sealed here, so that no request behind it in this read can
+            // slip into the shard; drained once the reads are done.
             RequestView::MigrateOut { tag, range } => {
-                migrate_out_async(shared, reply, tag, range);
+                if seal_for_migration(shared, reply, tag, range) {
+                    drains.push(Drain::Migrate { key, tag, range });
+                }
             }
             RequestView::MigrateIn { tag, range, state } => {
-                handle_migrate_in(shared, reply, tag, range, state.to_string());
+                handle_migrate_in(shared, node, reply, tag, range, state);
             }
             // Directory-only operation; a node refuses it.
             RequestView::Migrate { tag, .. } => bad_request(shared, reply, tag),
@@ -536,7 +673,7 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                 // Internal primary→follower traffic: never shed (the
                 // primary's watermark would stall on a transient queue);
                 // its own ownership check, then the gate's shared tail.
-                handle_replicate(shared, reply, tag, range, epoch, seq, offset, bytes);
+                handle_replicate(shared, node, reply, tag, range, epoch, seq, offset, bytes);
             }
             RequestView::Hello { tag, version } => {
                 if version != PROTOCOL_VERSION {
@@ -547,23 +684,21 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                         tag,
                         code: ErrorCode::BadRequest,
                     });
-                    conn.close_after_flush = true;
+                    *close_after_flush = true;
                     return false;
                 }
                 reply.send(Response::HelloAck { tag, version });
             }
             RequestView::Stats { tag } => {
+                node.publish(shared);
                 let text = render_stats(shared);
                 reply.send(Response::Stats { tag, text });
             }
-            // FLUSH answers once every shard has acked its drain.
-            RequestView::Flush { tag } => off_loop(shared, reply, "rif-flush", move |sh, r| {
-                wait_shards_flushed(sh);
-                r.send(Response::Flushed { tag });
-            }),
+            // FLUSH answers once every shard has drained.
+            RequestView::Flush { tag } => drains.push(Drain::Flush { key, tag }),
             RequestView::Shutdown { tag } => {
                 reply.send(Response::Goodbye { tag });
-                conn.close_after_flush = true;
+                *close_after_flush = true;
                 shared.shutdown.store(true, Ordering::Release);
                 // Anything pipelined behind SHUTDOWN is intentionally
                 // not served.
@@ -603,50 +738,4 @@ fn io_entries(view: RequestView<'_>) -> impl Iterator<Item = BatchEntry> + '_ {
     };
     one.into_iter()
         .chain(batch.into_iter().flat_map(|b| b.iter()))
-}
-
-/// Runs `job` on an ephemeral thread so the loop never waits out a shard
-/// drain; its reply travels the completion channel like any other. If
-/// the OS refuses the thread, `job` runs inline: slow, but the semantics
-/// hold.
-fn off_loop(
-    shared: &Arc<Shared>,
-    reply: &ReplyTo,
-    name: &str,
-    job: impl Fn(&Shared, &ReplyTo) + Copy + Send + 'static,
-) {
-    let (sh, thread_reply) = (Arc::clone(shared), reply.clone());
-    let spawned = std::thread::Builder::new()
-        .name(name.into())
-        .spawn(move || job(&sh, &thread_reply));
-    if let Err(e) = spawned {
-        eprintln!("rif-server: {name} thread spawn failed ({e}); running inline");
-        job(shared, reply);
-    }
-}
-
-/// MIGRATE_OUT: the range is checked and sealed inline, so the bounce
-/// takes effect before the next frame is read and no request pipelined
-/// behind the MIGRATE_OUT can slip into the shard after the drain
-/// starts; the drain and the `Migrated` reply run off the loop.
-fn migrate_out_async(shared: &Arc<Shared>, reply: &ReplyTo, tag: u64, range: u32) {
-    if shared.cluster.is_none() || range as usize >= shared.cfg.shards {
-        bad_request(shared, reply, tag);
-        return;
-    }
-    shared.cluster_state().status[range as usize] = RangeStatus::Moving;
-    off_loop(shared, reply, "rif-migrate", move |sh, r| {
-        handle_migrate_out(sh, r, tag, range);
-    });
-}
-
-fn wait_shards_flushed(shared: &Shared) {
-    let (done_tx, done_rx) = mpsc::channel();
-    for s in &shared.shards {
-        let _ = s.tx.send(ShardMsg::Flush(done_tx.clone()));
-    }
-    drop(done_tx);
-    // Workers ack after force-draining; an exited worker's inbox hands
-    // the Flush back and drops its sender, which also ends the wait.
-    while done_rx.recv().is_ok() {}
 }

@@ -13,13 +13,13 @@
 //! - [`ring`] — zero-copy framing: the one receive buffer
 //!   ([`FrameBuffer`]), the one request decoder, and vectored write
 //!   queues;
-//! - [`shard`] — one simulator worker thread per LBA range, fed one
-//!   submit message per admitted group;
+//! - [`shard`] — one simulator per LBA range, a plain value the event
+//!   loop steps;
 //! - [`server`] — start/stop, metrics, and the one admission gate: READ,
 //!   WRITE and BATCH are one group path, and REPLICATE puts its own
-//!   ownership check ahead of the same reserve-and-dispatch tail;
-//! - [`event_loop`] — the readiness-based single-thread server core:
-//!   accept, framing, and the one request dispatch;
+//!   ownership check ahead of the same room-and-submit tail;
+//! - [`event_loop`] — the node's one thread: accept, framing, the one
+//!   request dispatch, and the stepping of every shard;
 //! - [`client`] — the load generator: one readiness-driven connection
 //!   engine (transport and request ledger) under the closed loop, replay,
 //!   the many-connection grouping and the cluster router, plus
@@ -29,8 +29,8 @@
 //! - [`recorder`] — live trace capture of every admitted request;
 //! - [`replay`] — driving a captured trace back through a live server.
 //!
-//! Everything is plain `std` (threads, mpsc, sockets): the service layer
-//! adds no dependencies beyond the simulator itself.
+//! Everything is plain `std` (threads, sockets, `extern "C"` syscalls):
+//! the service layer adds no dependencies beyond the simulator itself.
 //!
 //! # Example
 //!

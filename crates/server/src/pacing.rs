@@ -3,9 +3,9 @@
 //! The simulator's clock is pure virtual nanoseconds; the service runs in
 //! wall time. A [`VirtualClock`] maps the wall-clock interval since server
 //! start onto the simulation timeline with a configurable scale factor:
-//! `scale` simulated nanoseconds elapse per wall nanosecond. Each request
-//! is stamped with the virtual *now* as it enters its shard's inbox and
-//! submitted at that instant, and each shard repeatedly advances its
+//! `scale` simulated nanoseconds elapse per wall nanosecond. The event
+//! loop stamps each request it admits with the virtual *now* of its
+//! wake-up and submits it at that instant, and advances every shard's
 //! simulator up to the virtual now — so a simulated 55-µs read completes
 //! roughly `55 µs / scale` of wall time after it was admitted.
 //!
@@ -64,8 +64,8 @@ impl VirtualClock {
         map_elapsed(self.start.elapsed().as_nanos() as u64, self.scale)
     }
 
-    /// Wall time remaining until virtual time `t`, as a `Duration`
-    /// suitable for `park_timeout`. Zero if `t` has already passed.
+    /// Wall time remaining until virtual time `t`, as a poll timeout.
+    /// Zero if `t` has already passed.
     pub fn wall_until(&self, t: SimTime) -> std::time::Duration {
         let wall_ns = wall_ns_until(self.start.elapsed().as_nanos() as u64, t, self.scale);
         std::time::Duration::from_nanos(wall_ns)

@@ -6,22 +6,24 @@
 //! readiness operations — register, re-register, deregister, wait — so
 //! that is the whole [`Poller`] trait. Two implementations exist:
 //!
-//! - [`Epoll`]: raw `epoll_create1`/`epoll_ctl`/`epoll_wait` syscalls
+//! - [`Epoll`]: raw `epoll_create1`/`epoll_ctl`/`epoll_pwait2` syscalls
 //!   declared directly against libc (which every Rust binary on Linux
-//!   already links), O(ready) per wakeup. Linux only.
+//!   already links), O(ready) per wakeup, timeouts to the nanosecond.
+//!   Linux only.
 //! - [`PollFallback`]: POSIX `poll(2)` over a maintained fd table,
-//!   O(registered) per wakeup. Portable to every Unix (macOS included),
-//!   and the reference implementation the tests compare `Epoll` against.
+//!   O(registered) per wakeup, timeouts rounded up to the millisecond.
+//!   Portable to every Unix (macOS included), and the reference
+//!   implementation the tests compare `Epoll` against.
 //!
 //! Both are **level-triggered**: an event keeps firing while the
 //! condition holds, so a handler that drains partially is woken again —
 //! no starvation bookkeeping needed in the loop.
 //!
-//! A [`Waker`] lets other threads (shard workers, `Server::stop`) pull
-//! the loop out of a blocking wait: a nonblocking loopback socket pair
-//! whose read end is registered like any connection. Writes are
-//! deduplicated with an atomic flag so a storm of completions costs one
-//! pipe byte, not thousands.
+//! A [`Waker`] lets other threads (`Server::stop`, a crash injected from
+//! a test or the chaos harness) pull the loop out of a blocking wait: a
+//! nonblocking loopback socket pair whose read end is registered like any
+//! connection. Writes are deduplicated with an atomic flag so a storm of
+//! wakes costs one pipe byte, not thousands.
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -96,6 +98,7 @@ pub fn best_poller() -> io::Result<Box<dyn Poller>> {
     Ok(Box::new(PollFallback::new()))
 }
 
+/// A timeout in the whole milliseconds `poll(2)` and `epoll_wait` take.
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         // Round up so a 100µs timeout polls at 1ms, not busily at 0ms.
@@ -134,22 +137,43 @@ mod epoll_sys {
     pub const EPOLLERR: u32 = 0x008;
     pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
+    /// `epoll_pwait2`'s syscall number, the same on every architecture
+    /// (Linux ≥ 5.11).
+    pub const SYS_EPOLL_PWAIT2: std::os::raw::c_long = 441;
+    pub const EPERM: i32 = 1;
+    pub const ENOSYS: i32 = 38;
+
+    /// The kernel's `struct __kernel_timespec`: 64-bit fields everywhere.
+    #[repr(C)]
+    pub struct Timespec {
+        pub tv_sec: i64,
+        pub tv_nsec: i64,
+    }
 
     extern "C" {
         pub fn epoll_create1(flags: i32) -> i32;
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+        // `epoll_pwait2` goes through `syscall(2)`: glibc exports a wrapper
+        // only from 2.35 on, and linking against it would fail before.
+        pub fn syscall(number: std::os::raw::c_long, ...) -> std::os::raw::c_long;
         pub fn close(fd: i32) -> i32;
     }
 }
 
 /// The Linux `epoll` poller: O(ready) wakeups, which is what makes a
-/// 10k-connection loop cheap when only a handful are active.
+/// 10k-connection loop cheap when only a handful are active. It waits
+/// with `epoll_pwait2`, whose timeout is a `timespec`, so a 40-µs
+/// timeout ends after 40 µs rather than a millisecond; on a kernel
+/// without it (`ENOSYS`, or `EPERM` from a seccomp filter that does not
+/// know it) it falls back to `epoll_wait` and whole milliseconds.
 #[cfg(target_os = "linux")]
 pub struct Epoll {
     epfd: RawFd,
     /// Scratch buffer reused across waits (no per-wait allocation).
     events: Vec<EpollEvent>,
+    /// `epoll_pwait2` is available; cleared the first time it is not.
+    pwait2: bool,
 }
 
 #[cfg(target_os = "linux")]
@@ -164,7 +188,39 @@ impl Epoll {
         Ok(Epoll {
             epfd,
             events: vec![EpollEvent { events: 0, data: 0 }; 1024],
+            pwait2: true,
         })
+    }
+
+    /// One wait: the ready count, or -1 with `errno` set.
+    fn wait_once(&mut self, timeout: Option<Duration>) -> i32 {
+        let (events, max) = (self.events.as_mut_ptr(), self.events.len() as i32);
+        if !self.pwait2 {
+            // SAFETY: the events buffer outlives the call and maxevents
+            // matches its length.
+            return unsafe { epoll_sys::epoll_wait(self.epfd, events, max, timeout_ms(timeout)) };
+        }
+        let ts = timeout.map(|t| epoll_sys::Timespec {
+            tv_sec: t.as_secs().min(i64::MAX as u64) as i64,
+            tv_nsec: i64::from(t.subsec_nanos()),
+        });
+        let ts_ptr = ts.as_ref().map_or(std::ptr::null(), |t| t as *const _);
+        // SAFETY: epoll_pwait2(epfd, events, maxevents, timeout, sigmask,
+        // sigsetsize): the events buffer outlives the call and maxevents
+        // matches its length, the timespec (or NULL: no timeout) lives
+        // across it, and a NULL sigmask leaves the signal mask alone.
+        let rc = unsafe {
+            epoll_sys::syscall(
+                epoll_sys::SYS_EPOLL_PWAIT2,
+                std::os::raw::c_long::from(self.epfd),
+                events,
+                std::os::raw::c_long::from(max),
+                ts_ptr,
+                std::ptr::null::<u8>(),
+                0 as std::os::raw::c_long,
+            )
+        };
+        rc as i32
     }
 
     fn ctl(&self, op: i32, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
@@ -209,20 +265,16 @@ impl Poller for Epoll {
 
     fn wait(&mut self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<usize> {
         let n = loop {
-            // SAFETY: the events buffer outlives the call and maxevents
-            // matches its length.
-            let rc = unsafe {
-                epoll_sys::epoll_wait(
-                    self.epfd,
-                    self.events.as_mut_ptr(),
-                    self.events.len() as i32,
-                    timeout_ms(timeout),
-                )
-            };
+            let rc = self.wait_once(timeout);
             if rc >= 0 {
                 break rc as usize;
             }
             let e = io::Error::last_os_error();
+            let missing = matches!(e.raw_os_error(), Some(epoll_sys::ENOSYS | epoll_sys::EPERM));
+            if self.pwait2 && missing {
+                self.pwait2 = false;
+                continue;
+            }
             if e.kind() != io::ErrorKind::Interrupted {
                 return Err(e);
             }
@@ -278,7 +330,9 @@ mod poll_sys {
 
 /// Portable `poll(2)` poller: the whole fd table is handed to the kernel
 /// on every wait, so it is O(registered) — fine for tests and moderate
-/// fan-in, and the semantic reference for [`Epoll`].
+/// fan-in, and the semantic reference for [`Epoll`]. `poll(2)` takes its
+/// timeout in milliseconds, so a timeout is rounded *up* to the next
+/// whole one: a 40-µs wait ends after about a millisecond, never early.
 pub struct PollFallback {
     fds: Vec<PollFd>,
     tokens: Vec<usize>,
@@ -437,8 +491,13 @@ impl Waker {
             return; // a byte is already in flight
         }
         // A full pipe still wakes the reader; WouldBlock is success here.
+        // Any other failure means the read end is gone with its loop.
         use std::io::Write;
-        let _ = (&self.inner.write).write(&[1u8]);
+        while let Err(e) = (&self.inner.write).write(&[1u8]) {
+            if e.kind() != io::ErrorKind::Interrupted {
+                break;
+            }
+        }
     }
 
     /// Drains queued wake bytes, then clears the pending flag — in that
@@ -448,12 +507,26 @@ impl Waker {
     /// between the two steps here is harmless as long as the loop calls
     /// this *before* re-checking its work queues: the waker pushed its
     /// work before calling `wake()`, so that check sees it.
+    ///
+    /// With the flag clear no byte is in the pipe or on its way, so the
+    /// drain returns without a `read(2)`. A drain that finds the flag set
+    /// but the pipe empty has met a `wake()` between its flag swap and
+    /// its write; the flag stays set, and the byte that write delivers
+    /// wakes the next wait, whose drain reads it and clears the flag.
     pub fn drain(&self, read_end: &UnixStream) {
         use std::io::Read;
+        if !self.inner.pending.load(Ordering::Acquire) {
+            return;
+        }
         let mut buf = [0u8; 64];
         let mut r = read_end;
-        while matches!(r.read(&mut buf), Ok(n) if n > 0) {}
-        self.inner.pending.store(false, Ordering::Release);
+        let mut read_any = false;
+        while matches!(r.read(&mut buf), Ok(n) if n > 0) {
+            read_any = true;
+        }
+        if read_any {
+            self.inner.pending.store(false, Ordering::Release);
+        }
     }
 }
 
@@ -613,6 +686,67 @@ mod tests {
             ack_tx.send(got).ok();
         }
         producer.join().unwrap();
+    }
+
+    #[test]
+    fn a_drain_with_nothing_pending_still_lets_the_next_wake_through() {
+        for mut p in pollers() {
+            let (waker, read_end) = Waker::new().unwrap();
+            p.register(read_end.as_raw_fd(), 0, Interest::READ).unwrap();
+            // Nothing pending: the drain skips its read.
+            waker.drain(&read_end);
+            waker.wake();
+            let mut evs = Vec::new();
+            let n = p.wait(&mut evs, Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(n, 1, "{}: wake after an empty drain lost", p.name());
+            waker.drain(&read_end);
+            evs.clear();
+            assert_eq!(p.wait(&mut evs, Some(Duration::ZERO)).unwrap(), 0);
+        }
+    }
+
+    #[test]
+    fn a_byte_written_behind_a_drain_is_read_by_the_next_one() {
+        let mut p = best_poller().unwrap();
+        let (waker, read_end) = Waker::new().unwrap();
+        p.register(read_end.as_raw_fd(), 0, Interest::READ).unwrap();
+        // A wake that has swapped the flag but not yet written its byte
+        // when the loop drains: the drain reads nothing and keeps the
+        // flag.
+        waker.inner.pending.store(true, Ordering::Release);
+        waker.drain(&read_end);
+        assert!(waker.inner.pending.load(Ordering::Acquire));
+        (&waker.inner.write).write_all(&[1]).unwrap();
+        // The late byte wakes the next wait, and that drain reads it.
+        let mut evs = Vec::new();
+        assert_eq!(p.wait(&mut evs, Some(Duration::from_secs(5))).unwrap(), 1);
+        waker.drain(&read_end);
+        evs.clear();
+        assert_eq!(p.wait(&mut evs, Some(Duration::ZERO)).unwrap(), 0);
+        // The flag is clear again, so the next wake writes.
+        waker.wake();
+        assert_eq!(p.wait(&mut evs, Some(Duration::from_secs(5))).unwrap(), 1);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn epoll_times_out_below_a_millisecond() {
+        let mut p = Epoll::new().unwrap();
+        let timeout = Duration::from_micros(300);
+        let mut evs = Vec::new();
+        let mut took: Vec<Duration> = (0..9)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                assert_eq!(p.wait(&mut evs, Some(timeout)).unwrap(), 0);
+                started.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(took[0] >= timeout, "a wait ended early: {took:?}");
+        assert!(
+            took[took.len() / 2] < Duration::from_millis(1),
+            "a 300-µs timeout is not rounded to a millisecond: {took:?}"
+        );
     }
 
     #[test]

@@ -137,7 +137,7 @@ pub enum BusyReason {
     Queue,
     /// The tenant's token bucket is empty (rate limit).
     RateLimit,
-    /// The target shard's worker is dead and has not restarted yet. The
+    /// The target shard is dead and has not restarted yet. The
     /// request was *not* admitted, so retrying is always safe.
     Unavailable,
     /// The addressed LBA range is mid-migration to another node. The
@@ -155,7 +155,7 @@ pub enum ErrorCode {
     BadLength,
     /// The server is shutting down.
     ShuttingDown,
-    /// The shard worker crashed with this request in flight: the I/O may
+    /// The shard crashed with this request in flight: the I/O may
     /// or may not have executed. Reads can be retried; writes must be
     /// surfaced to the caller.
     Internal,

@@ -1,8 +1,8 @@
 //! Live trace capture: journaling every admitted request.
 //!
 //! A [`TraceRecorder`] sits in the server's admission path and records
-//! each I/O that actually reached a shard worker — arrival wall time,
-//! op, wrapped offset, bytes, tenant, shard, and (once the worker
+//! each I/O that actually reached a shard — arrival wall time,
+//! op, wrapped offset, bytes, tenant, shard, and (once the shard
 //! answers) the terminal outcome. [`TraceRecorder::capture`] renders the
 //! journal as a [`rif_workloads::Capture`], the CSV format the offline
 //! simulator and figure pipeline replay bit-for-bit.
@@ -15,7 +15,7 @@
 //!   retry *aliases* onto that record instead of creating a new one —
 //!   the logical request appears once no matter how many times flaky
 //!   transport made the client resend it.
-//! - **Dead-shard bounces.** A worker in its post-crash dead window
+//! - **Dead-shard bounces.** A shard in its post-crash dead window
 //!   answers `BUSY(Unavailable)` for a request the server already
 //!   admitted (and journaled). [`TraceRecorder::reject`] retracts that
 //!   admission; a record with no live admission and no outcome is
@@ -92,7 +92,7 @@ impl TraceRecorder {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Journals an admission: the request was handed to shard worker
+    /// Journals an admission: the request was handed to shard
     /// `shard`. `retry_of` is the ROOT tag of the client's retry chain
     /// when this is a re-issue (zero otherwise); a known `retry_of`
     /// aliases this tag onto the original record instead of journaling

@@ -1,11 +1,13 @@
 //! The loopback TCP storage service.
 //!
-//! One readiness-driven thread ([`crate::event_loop`]) owns the listener
-//! and every connection socket: it decodes frames, runs the admission
-//! control below, and routes admitted I/O to the shards. Shard workers
-//! answer completions onto the loop's completion queue, so responses
-//! from different shards interleave freely and may be out of submission
-//! order — the tag is the correlation key.
+//! One readiness-driven thread ([`crate::event_loop`]) is the whole node
+//! apart from the replication shipper: it owns the listener, every
+//! connection socket and every shard ([`Node`]). It decodes frames, runs
+//! the admission control below, submits admitted I/O to the shards, steps
+//! them to the virtual now and pushes their completions onto the
+//! connections' write queues. Responses from different shards interleave
+//! freely and may be out of submission order — the tag is the
+//! correlation key.
 //!
 //! Admission happens before a request ever reaches a simulator, at one
 //! gate (`admit`) that takes READ, WRITE and BATCH alike — a single
@@ -20,24 +22,24 @@
 //! 3. **Rate limiting** — a per-tenant token bucket charged for the
 //!    whole group or not at all; a short tenant bounces every entry with
 //!    `BUSY(rate_limit)`.
-//! 4. **Queue backpressure** — each shard exposes an atomic in-flight
-//!    count; the group reserves its slots on every shard it touches or
-//!    none, and a full window bounces every entry with `BUSY(queue)`
-//!    instead of queueing unboundedly.
+//! 4. **Queue backpressure** — a group needs room for its share under
+//!    the in-flight cap of every shard it touches, or takes none: a full
+//!    window bounces every entry with `BUSY(queue)` instead of queueing
+//!    unboundedly.
 //!
 //! A REPLICATE shipment asks its own ownership question
 //! (`handle_replicate`) and then takes the same shutdown, length,
-//! reservation and dispatch steps.
+//! room and submission steps.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rif_events::trace::MetricsRegistry;
+use rif_events::SimTime;
 use rif_ssd::{RetryKind, SsdConfig};
 use rif_workloads::IoOp;
 
@@ -47,7 +49,8 @@ use crate::poller::Waker;
 use crate::protocol::{encode_response, write_frame, BatchEntry, BusyReason, ErrorCode, Response};
 use crate::recorder::TraceRecorder;
 use crate::replicate::Replicator;
-use crate::shard::{spawn_shard, ReplyTo, ShardHandle, ShardMsg, ShardSpec, ShardTx, Submission};
+use crate::ring::WriteQueue;
+use crate::shard::{ReplyTo, Shard, ShardSpec, Submission};
 
 /// Largest single transfer the service accepts: 1 MiB keeps one request
 /// from monopolizing a shard's event queue.
@@ -56,7 +59,7 @@ pub const MAX_IO_BYTES: u32 = 1 << 20;
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of shard workers (simulators).
+    /// Number of shards (simulators).
     pub shards: usize,
     /// Logical capacity served; request offsets are wrapped into it.
     pub capacity_bytes: u64,
@@ -182,13 +185,17 @@ pub(crate) struct FrontDoor {
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) clock: VirtualClock,
-    pub(crate) metrics: Arc<Mutex<MetricsRegistry>>,
-    gate: Mutex<Gate>,
-    pub(crate) shards: Vec<ShardTarget>,
+    metrics: Mutex<MetricsRegistry>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) started: Instant,
     pub(crate) recorder: Arc<TraceRecorder>,
     pub(crate) front_door: FrontDoor,
+    /// Each shard's in-flight count as the loop last published it, for
+    /// the `server.inflight.shard<i>` gauges read off the loop thread.
+    pub(crate) inflight: Vec<AtomicUsize>,
+    /// Crash orders from other threads, `(shard, restart_after)`, which
+    /// the loop takes when its waker fires; `None` once it has exited.
+    pub(crate) crashes: Mutex<Option<Vec<(usize, Duration)>>>,
     /// `Some` iff [`ServerConfig::cluster`] — the node's map view.
     pub(crate) cluster: Option<Mutex<ClusterState>>,
     /// `Some` iff [`ServerConfig::cluster`] — the primary-side
@@ -197,107 +204,9 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Locks the metrics registry, recovering from poisoning: a panic in
-    /// some other holder (e.g. an injected worker fault) must not wedge
-    /// STATS or admission for everyone else. Counters are monotonic
-    /// u64s, so a partially-applied update cannot corrupt the registry.
-    pub(crate) fn metrics(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
-        self.metrics.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Locks the admission gate with the same poisoned-lock recovery.
-    fn gate(&self) -> std::sync::MutexGuard<'_, Gate> {
-        self.gate.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Locks the cluster state (must only be called in cluster mode),
-    /// with the same poisoned-lock recovery.
-    pub(crate) fn cluster_state(&self) -> std::sync::MutexGuard<'_, ClusterState> {
-        self.cluster
-            .as_ref()
-            .expect("cluster state accessed outside cluster mode")
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// The parts of a shard a connection needs: inbox + admission counter.
-pub(crate) struct ShardTarget {
-    pub(crate) spec: ShardSpec,
-    pub(crate) tx: ShardTx,
-    pub(crate) inflight: Arc<AtomicUsize>,
-}
-
-/// A running service instance.
-pub struct Server {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    shard_handles: Vec<ShardHandle>,
-    /// Wakes the event loop out of a blocking poll wait on shutdown.
-    loop_waker: Waker,
-}
-
-impl Server {
-    /// Binds `127.0.0.1:port` (`port = 0` picks a free port) and starts
-    /// the shard workers and the event loop.
-    pub fn start(cfg: ServerConfig, port: u16) -> io::Result<Server> {
-        assert!(cfg.shards > 0, "need at least one shard");
-        assert!(cfg.inflight_limit > 0, "inflight limit must be positive");
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
-        let clock = VirtualClock::start(cfg.time_scale);
-        let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
-        let recorder = Arc::new(TraceRecorder::new(cfg.capture));
-        let specs = ShardSpec::partition(cfg.capacity_bytes, cfg.shards);
-        let mut shard_handles = Vec::with_capacity(cfg.shards);
-        let mut targets = Vec::with_capacity(cfg.shards);
-        for spec in specs {
-            let mut sim_cfg = SsdConfig::small(cfg.retry, cfg.pe_cycles);
-            sim_cfg.queue_depth = cfg.queue_depth;
-            sim_cfg.seed = cfg.seed + spec.index as u64;
-            if cfg.learn {
-                sim_cfg.learning =
-                    rif_ssd::LearningMode::Learned(rif_ssd::LearnerConfig::default_paper());
-            }
-            if cfg.drift_days_per_sec > 0.0 {
-                sim_cfg.drift = rif_ssd::DriftClock {
-                    days_per_sec: cfg.drift_days_per_sec,
-                    pe_per_sec: 0.0,
-                };
-            }
-            if cfg.hybrid {
-                let mut h = rif_ssd::HybridConfig::slc_qlc();
-                // A serving shard destages its SLC cache eagerly (any
-                // cached slot starts a drain, like idle-time destaging on
-                // real drives) and unconditionally: the reliability gate
-                // evaluates worst-case QLC residency, which would defer
-                // every migration at high drift rates and leave the cache
-                // to fill until forced eviction. The refresh scan is kept
-                // small so drift-driven rewrites stay bounded per tick.
-                h.migration = rif_ssd::MigrationPolicy::Fifo;
-                h.bg.high_watermark = 0.0;
-                h.bg.low_watermark = 0.0;
-                h.bg.refresh_scan_batch = 8;
-                sim_cfg.hybrid = Some(h);
-            }
-            let handle = spawn_shard(
-                spec,
-                sim_cfg,
-                clock.clone(),
-                Arc::clone(&metrics),
-                Arc::clone(&recorder),
-            )?;
-            targets.push(ShardTarget {
-                spec,
-                tx: handle.tx.clone(),
-                inflight: Arc::clone(&handle.inflight),
-            });
-            shard_handles.push(handle);
-        }
-
+    /// The node-wide state for `cfg`, its clock started now; in cluster
+    /// mode this starts the replication shipper's thread.
+    pub(crate) fn new(cfg: ServerConfig) -> io::Result<Shared> {
         let cluster = cfg.cluster.then(|| {
             Mutex::new(ClusterState {
                 epoch: 0,
@@ -310,37 +219,162 @@ impl Server {
         } else {
             None
         };
-        let shared = Arc::new(Shared {
-            gate: Mutex::new(Gate {
-                buckets: TenantBuckets::new(cfg.rate_per_sec, cfg.burst),
-                valid: Vec::new(),
-                tenants: Vec::new(),
-                shards: Vec::new(),
-            }),
-            cfg,
-            clock,
-            metrics,
-            shards: targets,
+        Ok(Shared {
+            clock: VirtualClock::start(cfg.time_scale),
+            metrics: Mutex::new(MetricsRegistry::new()),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
-            recorder,
+            recorder: Arc::new(TraceRecorder::new(cfg.capture)),
             front_door: FrontDoor::default(),
+            inflight: (0..cfg.shards).map(|_| AtomicUsize::new(0)).collect(),
+            crashes: Mutex::new(Some(Vec::new())),
             cluster,
             repl,
-        });
+            cfg,
+        })
+    }
 
-        let accept_shared = Arc::clone(&shared);
+    /// Locks the metrics registry, recovering from poisoning: a panic in
+    /// some other holder must not wedge STATS or admission for everyone
+    /// else. Counters are monotonic u64s, so a partially-applied update
+    /// cannot corrupt the registry.
+    pub(crate) fn metrics(&self) -> MutexGuard<'_, MetricsRegistry> {
+        self.metrics.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Locks the crash-order queue with the same poisoned-lock recovery.
+    pub(crate) fn crashes(&self) -> MutexGuard<'_, Option<Vec<(usize, Duration)>>> {
+        self.crashes.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Locks the cluster state (must only be called in cluster mode),
+    /// with the same poisoned-lock recovery.
+    pub(crate) fn cluster_state(&self) -> MutexGuard<'_, ClusterState> {
+        self.cluster
+            .as_ref()
+            .expect("cluster state accessed outside cluster mode")
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// The event loop's half of the node: the shards it steps, the
+/// admission gate's state, and the virtual instant this wake-up's
+/// arrivals are stamped with. Only the loop thread touches it, so nothing
+/// in it is locked.
+pub(crate) struct Node {
+    pub(crate) shards: Vec<Shard>,
+    gate: Gate,
+    /// Read from the clock once per wake-up: every request admitted in
+    /// it enters its simulator at this instant.
+    pub(crate) now: SimTime,
+}
+
+impl Node {
+    /// Builds the shards `shared.cfg` asks for. A simulator is not `Send`,
+    /// so this runs on the loop thread.
+    pub(crate) fn new(shared: &Shared) -> Node {
+        let cfg = &shared.cfg;
+        Node {
+            shards: ShardSpec::partition(cfg.capacity_bytes, cfg.shards)
+                .into_iter()
+                .map(|spec| Shard::new(spec, shard_config(cfg, spec.index)))
+                .collect(),
+            gate: Gate {
+                buckets: TenantBuckets::new(shared.cfg.rate_per_sec, shared.cfg.burst),
+                valid: Vec::new(),
+                tenants: Vec::new(),
+                per_shard: Vec::new(),
+            },
+            now: SimTime::ZERO,
+        }
+    }
+
+    /// Publishes each shard's in-flight count for STATS.
+    pub(crate) fn publish(&self, shared: &Shared) {
+        for (shard, gauge) in self.shards.iter().zip(&shared.inflight) {
+            gauge.store(shard.inflight(), Ordering::Relaxed);
+        }
+    }
+}
+
+/// The connection a frame came in on: the key its submissions are
+/// answered under, and the write queue every inline answer goes onto.
+pub(crate) struct Reply<'a> {
+    pub(crate) key: u64,
+    pub(crate) wq: &'a mut WriteQueue,
+}
+
+impl Reply<'_> {
+    pub(crate) fn send(&mut self, resp: Response) {
+        self.wq.push_response(&resp);
+    }
+}
+
+/// A running service instance.
+pub struct Server {
+    shared: Arc<Shared>,
+    addr: SocketAddr,
+    event_loop: Option<JoinHandle<()>>,
+    /// Wakes the event loop out of a blocking poll wait for a crash
+    /// order or shutdown.
+    loop_waker: Waker,
+}
+
+/// The simulator configuration of shard `index` under `cfg`.
+fn shard_config(cfg: &ServerConfig, index: usize) -> SsdConfig {
+    let mut sim_cfg = SsdConfig::small(cfg.retry, cfg.pe_cycles);
+    sim_cfg.queue_depth = cfg.queue_depth;
+    sim_cfg.seed = cfg.seed + index as u64;
+    if cfg.learn {
+        sim_cfg.learning = rif_ssd::LearningMode::Learned(rif_ssd::LearnerConfig::default_paper());
+    }
+    if cfg.drift_days_per_sec > 0.0 {
+        sim_cfg.drift = rif_ssd::DriftClock {
+            days_per_sec: cfg.drift_days_per_sec,
+            pe_per_sec: 0.0,
+        };
+    }
+    if cfg.hybrid {
+        let mut h = rif_ssd::HybridConfig::slc_qlc();
+        // A serving shard destages its SLC cache eagerly (any cached
+        // slot starts a drain, like idle-time destaging on real drives)
+        // and unconditionally: the reliability gate evaluates worst-case
+        // QLC residency, which would defer every migration at high drift
+        // rates and leave the cache to fill until forced eviction. The
+        // refresh scan is kept small so drift-driven rewrites stay
+        // bounded per tick.
+        h.migration = rif_ssd::MigrationPolicy::Fifo;
+        h.bg.high_watermark = 0.0;
+        h.bg.low_watermark = 0.0;
+        h.bg.refresh_scan_batch = 8;
+        sim_cfg.hybrid = Some(h);
+    }
+    sim_cfg
+}
+
+impl Server {
+    /// Binds `127.0.0.1:port` (`port = 0` picks a free port) and starts
+    /// the event loop, which builds the shards and owns them.
+    pub fn start(cfg: ServerConfig, port: u16) -> io::Result<Server> {
+        assert!(cfg.shards > 0, "need at least one shard");
+        assert!(cfg.inflight_limit > 0, "inflight limit must be positive");
+        let listener = TcpListener::bind(("127.0.0.1", port))?;
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+
+        let shared = Arc::new(Shared::new(cfg)?);
+        let loop_shared = Arc::clone(&shared);
         let (waker, waker_rx) = Waker::new()?;
         let loop_waker = waker.clone();
-        let acceptor = std::thread::Builder::new()
+        let event_loop = std::thread::Builder::new()
             .name("rif-event-loop".into())
-            .spawn(move || crate::event_loop::run(listener, accept_shared, waker, waker_rx))?;
+            .spawn(move || crate::event_loop::run(listener, loop_shared, waker, waker_rx))?;
 
         Ok(Server {
             shared,
             addr,
-            acceptor: Some(acceptor),
-            shard_handles,
+            event_loop: Some(event_loop),
             loop_waker,
         })
     }
@@ -373,14 +407,11 @@ impl Server {
     /// threads.
     pub fn stop(mut self) {
         self.request_shutdown();
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        if let Some(event_loop) = self.event_loop.take() {
+            let _ = event_loop.join();
         }
         if let Some(repl) = &self.shared.repl {
             repl.stop();
-        }
-        for h in self.shard_handles.drain(..) {
-            h.stop();
         }
     }
 
@@ -391,28 +422,39 @@ impl Server {
         m
     }
 
-    /// Fault-injection hook: kills shard `index`'s worker state mid-load.
-    /// In-flight requests on that shard resolve to `ERROR(Internal)`, new
-    /// submissions bounce with `BUSY(Unavailable)` for `restart_after`,
-    /// then the worker restarts with a fresh simulator. Returns false if
-    /// the index is out of range or the worker is already gone.
+    /// Fault-injection hook: kills shard `index`'s simulator state
+    /// mid-load. In-flight requests on that shard resolve to
+    /// `ERROR(Internal)`, new submissions bounce with `BUSY(Unavailable)`
+    /// for `restart_after`, then the shard restarts with a fresh
+    /// simulator. Returns false if the index is out of range or the event
+    /// loop has exited.
     pub fn inject_shard_crash(&self, index: usize, restart_after: Duration) -> bool {
-        match self.shared.shards.get(index) {
-            Some(target) => target.tx.send(ShardMsg::Crash { restart_after }).is_ok(),
-            None => false,
+        if index >= self.shard_count() {
+            return false;
         }
+        let queued = match self.shared.crashes().as_mut() {
+            Some(orders) => {
+                orders.push((index, restart_after));
+                true
+            }
+            None => false,
+        };
+        if queued {
+            self.loop_waker.wake();
+        }
+        queued
     }
 
-    /// Number of shard workers (for harnesses picking a crash target).
+    /// Number of shards (for harnesses picking a crash target).
     pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
+        self.shared.cfg.shards
     }
 
     /// Hard-kills the whole node, for cluster fault injection: every
-    /// shard worker crashes (in-flight requests resolve to
-    /// `ERROR(Internal)`, nothing hangs), then the node stops serving.
-    /// The directory notices via connection failure and rebalances the
-    /// node's ranges away.
+    /// shard crashes (in-flight requests resolve to `ERROR(Internal)`,
+    /// nothing hangs), then the node stops serving. The directory
+    /// notices via connection failure and rebalances the node's ranges
+    /// away.
     pub fn kill(self) {
         for i in 0..self.shard_count() {
             self.inject_shard_crash(i, Duration::from_secs(3600));
@@ -461,7 +503,7 @@ pub(crate) fn at_conn_limit(shared: &Shared) -> bool {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn handle_map_push(
     shared: &Shared,
-    reply: &ReplyTo,
+    reply: &mut Reply<'_>,
     tag: u64,
     epoch: u64,
     capacity_bytes: u64,
@@ -517,14 +559,15 @@ pub(crate) fn handle_map_push(
 /// Handles a primary's REPLICATE shipment on a follower. Its own gate
 /// asks one question — may a primary at `epoch` write `range` here? —
 /// and the rest is the client path's: the shutdown and length refusals,
-/// the slot reservation and the dispatch. The shard's `Done` becomes
-/// `REPL_ACK(range, seq)` via the [`ReplyTo::Replication`] wrapper.
-/// Shipments skip the rate limiter and are never journaled: they mirror
-/// a write the primary already admitted, charged and journaled.
+/// the room check and the submission. The shard's `Done` becomes
+/// `REPL_ACK(range, seq)` via [`ReplyTo::shipment`]. Shipments skip the
+/// rate limiter and are never journaled: they mirror a write the primary
+/// already admitted, charged and journaled.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn handle_replicate(
     shared: &Shared,
-    reply: &ReplyTo,
+    node: &mut Node,
+    reply: &mut Reply<'_>,
     tag: u64,
     range: u32,
     epoch: u64,
@@ -576,44 +619,42 @@ pub(crate) fn handle_replicate(
             return;
         }
     }
-    if !reserve(shared, idx, 1) {
+    let shard = &mut node.shards[idx];
+    if !has_room(shared, shard, 1) {
         refuse_busy(shared, reply, [tag], "server.busy.queue", BusyReason::Queue);
         return;
     }
     shared.metrics().inc("server.repl.applied", 1);
-    let reply = ReplyTo::Replication {
-        inner: Box::new(reply.clone()),
-        range,
-        seq,
-    };
     let shipment = Submission {
         tag,
         op: IoOp::Write,
-        offset: wrapped - shared.shards[idx].spec.base_offset,
+        offset: wrapped - shard.spec().base_offset,
         bytes,
-        reply,
+        reply: ReplyTo {
+            key: reply.key,
+            shipment: Some((range, seq)),
+        },
     };
-    dispatch(shared, idx, shipment, Vec::new());
+    shard.submit(shared, node.now, shipment, &mut |_, resp| reply.send(resp));
 }
 
-/// Handles MIGRATE_OUT on a range the event loop has already checked
-/// and sealed (new arrivals bounce with `BUSY(moving)` from then on):
-/// drains the shard and replies with the learner snapshot. Blocks until
-/// the drain completes, so the loop runs it on an ephemeral thread.
-pub(crate) fn handle_migrate_out(shared: &Shared, reply: &ReplyTo, tag: u64, range: u32) {
+/// Handles MIGRATE_OUT's first half: checks the range and seals it, so
+/// that from the next frame on its arrivals bounce with `BUSY(moving)`.
+/// Returns false, having answered, when there is nothing to seal; the
+/// loop then drains the shard and answers with its learner snapshot.
+pub(crate) fn seal_for_migration(
+    shared: &Shared,
+    reply: &mut Reply<'_>,
+    tag: u64,
+    range: u32,
+) -> bool {
+    if shared.cluster.is_none() || range as usize >= shared.cfg.shards {
+        bad_request(shared, reply, tag);
+        return false;
+    }
+    shared.cluster_state().status[range as usize] = RangeStatus::Moving;
     shared.metrics().inc("server.migrations.out", 1);
-    let (state_tx, state_rx) = mpsc::channel();
-    let sent = shared.shards[range as usize]
-        .tx
-        .send(ShardMsg::Yield(state_tx));
-    let state = match sent {
-        Ok(()) => state_rx.recv().unwrap_or_default(),
-        // Worker gone (stopping node): hand off without a snapshot —
-        // the learner state is a performance hint, the seal is what
-        // correctness needs.
-        Err(_) => String::new(),
-    };
-    reply.send(Response::Migrated { tag, range, state });
+    true
 }
 
 /// Handles MIGRATE_IN: seeds the range's learner from the transferred
@@ -621,23 +662,18 @@ pub(crate) fn handle_migrate_out(shared: &Shared, reply: &ReplyTo, tag: u64, ran
 /// subsequent MAP_PUSH, never here.
 pub(crate) fn handle_migrate_in(
     shared: &Shared,
-    reply: &ReplyTo,
+    node: &mut Node,
+    reply: &mut Reply<'_>,
     tag: u64,
     range: u32,
-    state: String,
+    state: &str,
 ) {
     if shared.cluster.is_none() || range as usize >= shared.cfg.shards {
         bad_request(shared, reply, tag);
         return;
     }
     shared.metrics().inc("server.migrations.in", 1);
-    let (ack_tx, ack_rx) = mpsc::channel();
-    let sent = shared.shards[range as usize]
-        .tx
-        .send(ShardMsg::Adopt { state, ack: ack_tx });
-    if sent.is_ok() {
-        let _ = ack_rx.recv();
-    }
+    node.shards[range as usize].adopt(state);
     reply.send(Response::Migrated {
         tag,
         range,
@@ -647,7 +683,7 @@ pub(crate) fn handle_migrate_in(
 
 /// Answers a request this node cannot act on with `ERROR(BadRequest)`,
 /// charged to `server.protocol_errors`.
-pub(crate) fn bad_request(shared: &Shared, reply: &ReplyTo, tag: u64) {
+pub(crate) fn bad_request(shared: &Shared, reply: &mut Reply<'_>, tag: u64) {
     shared.metrics().inc("server.protocol_errors", 1);
     reply.send(Response::Error {
         tag,
@@ -658,7 +694,7 @@ pub(crate) fn bad_request(shared: &Shared, reply: &ReplyTo, tag: u64) {
 /// Answers every tag `BUSY(reason)`, charging `counter` once per tag.
 pub(crate) fn refuse_busy(
     shared: &Shared,
-    reply: &ReplyTo,
+    reply: &mut Reply<'_>,
     tags: impl IntoIterator<Item = u64>,
     counter: &str,
     reason: BusyReason,
@@ -673,7 +709,11 @@ pub(crate) fn refuse_busy(
 
 /// Once shutdown began, answers every tag `ERROR(ShuttingDown)` and
 /// returns true.
-fn refuse_shutdown(shared: &Shared, reply: &ReplyTo, tags: impl IntoIterator<Item = u64>) -> bool {
+fn refuse_shutdown(
+    shared: &Shared,
+    reply: &mut Reply<'_>,
+    tags: impl IntoIterator<Item = u64>,
+) -> bool {
     if !shared.shutdown.load(Ordering::Acquire) {
         return false;
     }
@@ -688,7 +728,7 @@ fn refuse_shutdown(shared: &Shared, reply: &ReplyTo, tags: impl IntoIterator<Ite
 
 /// Answers a transfer no shard can take — zero bytes or more than
 /// [`MAX_IO_BYTES`] — with `ERROR(BadLength)` and returns true.
-fn refuse_bad_length(shared: &Shared, reply: &ReplyTo, tag: u64, bytes: u32) -> bool {
+fn refuse_bad_length(shared: &Shared, reply: &mut Reply<'_>, tag: u64, bytes: u32) -> bool {
     if bytes > 0 && bytes <= MAX_IO_BYTES {
         return false;
     }
@@ -708,51 +748,11 @@ fn route(shared: &Shared, offset: u64) -> (u64, usize) {
     (wrapped, idx)
 }
 
-/// Reserves `k` in-flight slots on shard `idx` as one atomic step, or
-/// none when they would overrun `inflight_limit`.
-fn reserve(shared: &Shared, idx: usize, k: usize) -> bool {
-    shared.shards[idx]
-        .inflight
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-            (n + k <= shared.cfg.inflight_limit).then_some(n + k)
-        })
-        .is_ok()
-}
-
-/// The one submission to a shard: hands shard `idx` a group (`first`,
-/// then `rest`) whose slots are reserved, and returns true when the
-/// worker took it. A worker that is gone never saw the group: its slots
-/// are released, its journaled admissions retracted, and every entry
-/// answered — `ERROR(ShuttingDown)` during shutdown, else
-/// `BUSY(unavailable)`, which is retryable since nothing was admitted.
-fn dispatch(shared: &Shared, idx: usize, first: Submission, rest: Vec<Submission>) -> bool {
-    let target = &shared.shards[idx];
-    let Err((first, rest)) = target.tx.submit(first, rest) else {
-        return true;
-    };
-    let k = 1 + rest.len();
-    target.inflight.fetch_sub(k, Ordering::AcqRel);
-    let shutting = shared.shutdown.load(Ordering::Acquire);
-    if !shutting {
-        shared.metrics().inc("server.busy.unavailable", k as u64);
-    }
-    for s in std::iter::once(first).chain(rest) {
-        if s.reply.journaled() {
-            shared.recorder.reject(s.tag);
-        }
-        s.reply.send(if shutting {
-            Response::Error {
-                tag: s.tag,
-                code: ErrorCode::ShuttingDown,
-            }
-        } else {
-            Response::Busy {
-                tag: s.tag,
-                reason: BusyReason::Unavailable,
-            }
-        });
-    }
-    false
+/// Whether `shard` can take `k` more requests within `inflight_limit`:
+/// the one slot check. Nothing runs on the loop between it and the
+/// submissions that fill the slots.
+fn has_room(shared: &Shared, shard: &Shard, k: usize) -> bool {
+    shard.inflight() + k <= shared.cfg.inflight_limit
 }
 
 /// Cluster admission gate: answers `true` when this node currently owns
@@ -762,7 +762,7 @@ fn dispatch(shared: &Shared, idx: usize, first: Submission, rest: Vec<Submission
 /// admits reads (the router's failover path reads from replicas) but
 /// bounces writes — only the primary may originate a write, or
 /// exactly-once and the replication stream fall apart.
-fn cluster_admits(shared: &Shared, reply: &ReplyTo, tag: u64, idx: usize, op: IoOp) -> bool {
+fn cluster_admits(shared: &Shared, reply: &mut Reply<'_>, tag: u64, idx: usize, op: IoOp) -> bool {
     if shared.cluster.is_none() {
         return true;
     }
@@ -795,11 +795,9 @@ fn cluster_admits(shared: &Shared, reply: &ReplyTo, tag: u64, idx: usize, op: Io
 }
 
 /// The admission gate's state: the tenant buckets, plus three tables
-/// reused from call to call, so that admitting a group allocates only
-/// the `Vec` its shard message carries past the first entry — nothing
-/// for a group of one. Only the event loop admits, so the lock is never
-/// contended.
-pub(crate) struct Gate {
+/// reused from call to call, so that admitting a group allocates
+/// nothing.
+struct Gate {
     buckets: TenantBuckets,
     /// Each entry past the per-entry checks, its offset wrapped into
     /// capacity, with its shard.
@@ -807,7 +805,7 @@ pub(crate) struct Gate {
     /// `(tenant, entries)`, in first-seen order.
     tenants: Vec<(u32, usize)>,
     /// `(shard, entries)`, in first-seen order.
-    shards: Vec<(usize, usize)>,
+    per_shard: Vec<(usize, usize)>,
 }
 
 /// Counts one more entry for `key` in a first-seen-order table (a group
@@ -827,34 +825,36 @@ fn tally<K: PartialEq>(table: &mut Vec<(K, usize)>, key: K) {
 /// - each tenant's token bucket is charged once for all of its entries
 ///   (`admit_n`); if any tenant comes up short, tenants already charged
 ///   are refunded and every entry answers `BUSY(rate_limit)`;
-/// - the in-flight cap is reserved per shard for the group's share; if
-///   any shard cannot take its share, the reservations made so far are
-///   released and every entry answers `BUSY(queue)` (rate-limit tokens
-///   stay spent, exactly as a refused single request's token does);
-/// - admitted entries go to each shard as one [`ShardTx::submit`].
+/// - every shard the group touches needs room for its share under the
+///   in-flight cap; if any has not, every entry answers `BUSY(queue)`
+///   (rate-limit tokens stay spent, exactly as a refused single
+///   request's token does);
+/// - admitted entries enter their shards in order, stamped
+///   [`Node::now`].
 ///
 /// An entry with a bad length or for a range this node may not serve
 /// is answered alone and does not count against the group: it could
 /// never be admitted, so it cannot hold the rest hostage.
 pub(crate) fn admit(
     shared: &Shared,
-    reply: &ReplyTo,
+    node: &mut Node,
+    reply: &mut Reply<'_>,
     entries: impl IntoIterator<Item = BatchEntry>,
 ) {
     let mut entries = entries.into_iter();
     if refuse_shutdown(shared, reply, entries.by_ref().map(|e| e.tag)) {
         return;
     }
-    let mut gate = shared.gate();
+    let Node { shards, gate, now } = node;
     let Gate {
         buckets,
         valid,
         tenants,
-        shards,
-    } = &mut *gate;
+        per_shard,
+    } = gate;
     valid.clear();
     tenants.clear();
-    shards.clear();
+    per_shard.clear();
     let (mut reads, mut writes) = (0, 0);
     for mut e in entries {
         if refuse_bad_length(shared, reply, e.tag, e.bytes) {
@@ -872,7 +872,7 @@ pub(crate) fn admit(
         if !buckets.unlimited() {
             tally(tenants, e.tenant);
         }
-        tally(shards, idx);
+        tally(per_shard, idx);
         valid.push((e, idx));
     }
     if valid.is_empty() {
@@ -893,10 +893,10 @@ pub(crate) fn admit(
     // a refused group consumes no queue budget. `position` stops at the
     // first short tenant; the ones before it were charged and are
     // refunded at the same `now`, so exactly.
-    let now = shared.started.elapsed().as_secs_f64();
+    let wall_now = shared.started.elapsed().as_secs_f64();
     if let Some(short) = tenants
         .iter()
-        .position(|&(t, n)| !buckets.admit_n(t, now, n as u32))
+        .position(|&(t, n)| !buckets.admit_n(t, wall_now, n as u32))
     {
         for &(t, n) in &tenants[..short] {
             buckets.refund(t, n as u32);
@@ -910,10 +910,10 @@ pub(crate) fn admit(
         );
         return;
     }
-    if let Some(short) = shards.iter().position(|&(idx, k)| !reserve(shared, idx, k)) {
-        for &(idx, k) in &shards[..short] {
-            shared.shards[idx].inflight.fetch_sub(k, Ordering::AcqRel);
-        }
+    if !per_shard
+        .iter()
+        .all(|&(idx, k)| has_room(shared, &shards[idx], k))
+    {
         refuse_busy(
             shared,
             reply,
@@ -925,37 +925,31 @@ pub(crate) fn admit(
     }
 
     // Admitted. Journal every entry with its wrapped offset (a replay
-    // through a same-shaped server routes it identically) strictly
-    // before its worker can see it, or the worker's reject/complete
-    // could race ahead of the admission and leave the record
-    // half-written.
+    // through a same-shaped server routes it identically) before its
+    // shard answers it.
     for (e, idx) in valid.iter() {
         let shard = *idx as u32;
         let recorder = &shared.recorder;
         recorder.admit(e.tag, e.retry_of, e.op, e.offset, e.bytes, e.tenant, shard);
     }
-    for &(idx, k) in shards.iter() {
-        let share = || valid.iter().filter(move |(_, i)| *i == idx).map(|(e, _)| e);
-        let base = shared.shards[idx].spec.base_offset;
-        let mut group = share().map(|e| Submission {
+    for &(e, idx) in valid.iter() {
+        let shard = &mut shards[idx];
+        let s = Submission {
             tag: e.tag,
             op: e.op,
-            offset: e.offset - base,
+            offset: e.offset - shard.spec().base_offset,
             bytes: e.bytes,
-            reply: reply.clone(),
-        });
-        let first = group.next().expect("a tallied shard has an entry");
-        let mut rest = Vec::with_capacity(k - 1);
-        rest.extend(group);
+            reply: ReplyTo {
+                key: reply.key,
+                shipment: None,
+            },
+        };
+        let taken = shard.submit(shared, *now, s, &mut |_, resp| reply.send(resp));
         // Only writes a shard took are offered to the replication
         // shipper (a no-op unless this node is the range's primary and
         // has followers).
-        if dispatch(shared, idx, first, rest) {
-            if let Some(repl) = &shared.repl {
-                for e in share().filter(|e| e.op == IoOp::Write) {
-                    repl.offer(idx as u32, e.tenant, e.offset, e.bytes);
-                }
-            }
+        if let (true, IoOp::Write, Some(repl)) = (taken, e.op, &shared.repl) {
+            repl.offer(idx as u32, e.tenant, e.offset, e.bytes);
         }
     }
 }
@@ -965,11 +959,9 @@ pub(crate) fn admit(
 /// [`Server::metrics_snapshot`] so in-process tests see the same view a
 /// wire client does.
 pub(crate) fn fold_runtime_gauges(shared: &Shared, m: &mut MetricsRegistry) {
-    for s in &shared.shards {
-        m.set_gauge(
-            &format!("server.inflight.shard{}", s.spec.index),
-            s.inflight.load(Ordering::Acquire) as f64,
-        );
+    for (i, n) in shared.inflight.iter().enumerate() {
+        let key = format!("server.inflight.shard{i}");
+        m.set_gauge(&key, n.load(Ordering::Relaxed) as f64);
     }
     let fd = &shared.front_door;
     m.set_gauge(

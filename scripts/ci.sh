@@ -6,8 +6,9 @@
 # Steps: formatting, release build (rif-bench, the one experiment
 # binary, included), a guard that the simulator engine names no retry
 # scheme, a guard that the serving plane has one framing layer, a guard
-# that it has one admission gate, a guard that shard workers never poll
-# on a timer, test suite (the property suites and the experiment
+# that it has one admission gate, a guard that a node is one thread (no
+# shard threads, inboxes or completion channels, nothing polled on a
+# timer), test suite (the property suites and the experiment
 # registry's smoke runs are plain integration tests and run with it), the
 # decoder's lane-parity tests again in a release build, the Swift-Read
 # inversion's equivalence suite and 1 M-case sweep and the cluster
@@ -104,20 +105,29 @@ if [ "$(grep -r 'OP_MAP_PUSH =>' crates/server/src | wc -l)" -ne 1 ]; then
 fi
 
 # One admission gate: a READ or WRITE is a one-entry group through the
-# BATCH gate, REPLICATE shares its reservation and dispatch, shard slots
-# are reserved in one place, and no blocking frame reader is left.
-echo "==> one admission gate (no admit_io, no SubmitMany, one fetch_update, no read_frame)"
+# BATCH gate, REPLICATE shares its room check and submission, a shard's
+# in-flight count is held against the cap in one place, and no blocking
+# frame reader is left.
+echo "==> one admission gate (no admit_io, no SubmitMany, one slot check, no read_frame)"
 if grep -rn 'fn admit_io\|SubmitMany' crates/; then exit 1; fi
-if [ "$(grep -c 'fetch_update(' crates/server/src/server.rs)" -gt 1 ]; then
-    echo "more than one slot reservation in crates/server/src/server.rs"
+if [ "$(grep -rn 'inflight() +' crates/server/src | wc -l)" -ne 1 ]; then
+    echo "not exactly one in-flight slot check under crates/server/src"
     exit 1
 fi
 if grep -rn 'fn read_frame' crates/; then exit 1; fi
 
-# Shard workers sleep until their simulator has an event due or a
-# message cannot wait (DESIGN §8.3): no timed channel wait, no idle poll.
-echo "==> shard workers never poll (no recv_timeout, no IDLE_POLL under crates/server/src)"
-if grep -rn 'recv_timeout\|IDLE_POLL' crates/server/src; then exit 1; fi
+# A node is one thread (DESIGN §8.3): the event loop steps the shards
+# itself and pushes their answers onto the write queues, and sleeps until
+# a socket is ready or a shard has something due. No shard thread, inbox
+# or park, no thread per FLUSH or MIGRATE_OUT, no completion channel, no
+# timed channel wait, no idle poll.
+echo "==> one thread per node (no shard threads, ShardTx, off_loop, park_timeout or channels in the loop)"
+if grep -rn 'park_timeout\|ShardTx\|off_loop\|rif-shard-\|recv_timeout\|IDLE_POLL' crates/server/src; then
+    exit 1
+fi
+if grep -n 'mpsc' crates/server/src/event_loop.rs crates/server/src/shard.rs crates/server/src/server.rs; then
+    exit 1
+fi
 
 echo "==> cargo test -q"
 cargo test -q
