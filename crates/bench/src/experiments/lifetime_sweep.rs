@@ -12,20 +12,14 @@
 //! error against the oracle's optimal offset.
 //!
 //! ```text
-//! rif-bench run lifetime_sweep [--quick] [--csv] [--seed N] [--schemes all|ci]
-//!                              [--check-envelope FILE] [--write-envelope FILE]
+//! rif-bench run lifetime_sweep [--quick] [--csv] [--seed N]
 //! ```
 //!
-//! `--check-envelope` compares learned-mode retry activity against a
-//! checked-in min/max envelope (see `results/lifetime_envelope.csv`) and
-//! exits 1 on any excursion; `--write-envelope` regenerates that file
-//! (review the diff before committing it). Runs are deterministic for a
-//! fixed seed, so CI uses the envelope as a cheap behavioural pin.
+//! Runs are deterministic for a fixed seed; `rif-bench check` pins every
+//! cell of the full-size run against `results/lifetime_sweep.txt`.
 
 use std::io::{self, Write};
 use std::process::ExitCode;
-
-use std::fmt::Write as _;
 
 use crate::{run_observed, HarnessOpts, TableWriter};
 use rif_ssd::{DriftClock, LearnerConfig, LearningMode, RetryKind, SsdConfig};
@@ -51,9 +45,6 @@ const STAGES: [Stage; 3] = [
         days_per_sec: 1600.0,
     },
 ];
-
-/// The two-scheme subset the CI smoke gate sweeps.
-const CI_SCHEMES: [RetryKind; 2] = [RetryKind::SwiftReadPlus, RetryKind::Rif];
 
 struct CellResult {
     stage: String,
@@ -110,132 +101,9 @@ fn stage_label(stage: &Stage) -> String {
     format!("pe{}-d{}", stage.pe_cycles, stage.days_per_sec as u64)
 }
 
-/// Envelope line: `stage,scheme,metric,min,max`.
-fn envelope_rows(results: &[CellResult]) -> String {
-    let mut s = String::from("# stage,scheme,metric,min,max (learned-mode retry activity)\n");
-    for r in results.iter().filter(|r| r.mode == "learned") {
-        for (metric, v) in [
-            ("decode_failures", r.decode_failures),
-            ("in_die_retries", r.in_die_retries),
-        ] {
-            // ±40 % plus a small absolute slack on both sides: wide
-            // enough to absorb intentional tuning of the learner
-            // constants (including runs that do strictly better, down
-            // to zero), tight enough to catch a broken learned read
-            // path (e.g. 10× retries).
-            let lo = ((v as f64 * 0.6).floor() as u64).saturating_sub(8);
-            let hi = (v as f64 * 1.4).ceil() as u64 + 8;
-            let _ = writeln!(s, "{},{},{metric},{lo},{hi}", r.stage, r.scheme);
-        }
-    }
-    s
-}
-
-/// The number of envelope bounds checked, all of which hold.
-fn check_envelope(path: &str, results: &[CellResult]) -> Result<usize, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut checked = 0usize;
-    for (ln, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 5 {
-            return Err(format!("{path}:{}: expected 5 fields", ln + 1));
-        }
-        let (stage, scheme, metric) = (fields[0], fields[1], fields[2]);
-        let lo: u64 = fields[3]
-            .parse()
-            .map_err(|_| format!("{path}:{}: bad min", ln + 1))?;
-        let hi: u64 = fields[4]
-            .parse()
-            .map_err(|_| format!("{path}:{}: bad max", ln + 1))?;
-        let Some(r) = results
-            .iter()
-            .find(|r| r.mode == "learned" && r.stage == stage && r.scheme == scheme)
-        else {
-            // Envelope rows for stages/schemes outside this run's subset
-            // are ignored, so one checked-in file covers quick and full.
-            continue;
-        };
-        let v = match metric {
-            "decode_failures" => r.decode_failures,
-            "in_die_retries" => r.in_die_retries,
-            other => return Err(format!("{path}:{}: unknown metric {other}", ln + 1)),
-        };
-        if !(lo..=hi).contains(&v) {
-            return Err(format!(
-                "{stage}/{scheme}/{metric} = {v} outside envelope [{lo}, {hi}]"
-            ));
-        }
-        checked += 1;
-    }
-    if checked == 0 {
-        return Err(format!("{path}: no envelope rows matched this run"));
-    }
-    Ok(checked)
-}
-
-/// The sweep's own flags, accepted by `rif-bench run lifetime_sweep` only.
-#[derive(Debug, Default)]
-pub struct SweepFlags {
-    check_envelope: Option<String>,
-    write_envelope: Option<String>,
-    ci_schemes: bool,
-}
-
-/// Usage text of [`SweepFlags`].
-pub const FLAGS_USAGE: &str = "[--schemes all|ci] [--check-envelope FILE] [--write-envelope FILE]";
-
-impl SweepFlags {
-    /// Splits the sweep-specific flags off `args`; the rest are for the
-    /// shared harness parser.
-    pub fn split<I>(args: I) -> Result<(SweepFlags, Vec<String>), String>
-    where
-        I: IntoIterator<Item = String>,
-    {
-        let mut flags = SweepFlags::default();
-        let mut rest = Vec::new();
-        let mut args = args.into_iter();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--check-envelope" => {
-                    flags.check_envelope = Some(args.next().ok_or("--check-envelope needs a file")?)
-                }
-                "--write-envelope" => {
-                    flags.write_envelope = Some(args.next().ok_or("--write-envelope needs a file")?)
-                }
-                "--schemes" => match args.next().as_deref() {
-                    Some("all") => flags.ci_schemes = false,
-                    Some("ci") => flags.ci_schemes = true,
-                    _ => return Err("--schemes needs all|ci".into()),
-                },
-                _ => rest.push(a),
-            }
-        }
-        Ok((flags, rest))
-    }
-}
-
-/// The registry entry: all schemes, no envelope file.
+/// The registry entry: every scheme at every stage, oracle and learned.
 pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
-    run_with(opts, &SweepFlags::default(), out)
-}
-
-pub fn run_with(
-    opts: &HarnessOpts,
-    flags: &SweepFlags,
-    out: &mut dyn Write,
-) -> io::Result<ExitCode> {
     let n_requests = opts.pick(2_000, 250);
-    let schemes: &[RetryKind] = if flags.ci_schemes {
-        &CI_SCHEMES
-    } else {
-        &RetryKind::ALL
-    };
-
-    let mut results = Vec::new();
     let t = TableWriter::new(opts.csv, &[12, 8, 8, 10, 8, 8, 10, 8]);
     t.heading(
         out,
@@ -255,7 +123,7 @@ pub fn run_with(
         ],
     )?;
     for stage in &STAGES {
-        for &scheme in schemes {
+        for scheme in RetryKind::ALL {
             for learned in [false, true] {
                 let r = run_cell(opts, out, stage, scheme, learned, n_requests)?;
                 t.row(
@@ -273,25 +141,6 @@ pub fn run_with(
                         r.learner_updates.to_string(),
                     ],
                 )?;
-                results.push(r);
-            }
-        }
-    }
-
-    if let Some(path) = &flags.write_envelope {
-        let rows = envelope_rows(&results);
-        if let Err(e) = std::fs::write(path, rows) {
-            eprintln!("cannot write envelope {path}: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
-        writeln!(out, "wrote envelope to {path}")?;
-    }
-    if let Some(path) = &flags.check_envelope {
-        match check_envelope(path, &results) {
-            Ok(checked) => writeln!(out, "envelope ok: {checked} learned-mode bounds hold")?,
-            Err(e) => {
-                eprintln!("lifetime_sweep: envelope check failed: {e}");
-                return Ok(ExitCode::FAILURE);
             }
         }
     }

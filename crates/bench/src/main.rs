@@ -5,7 +5,6 @@
 use std::io::{self, Write};
 use std::process::ExitCode;
 
-use rif_bench::experiments::lifetime_sweep::{self, SweepFlags};
 use rif_bench::{
     check, experiment, trace_check, HarnessOpts, ParseError, EXPERIMENTS, FLAGS_USAGE,
 };
@@ -13,11 +12,9 @@ use rif_bench::{
 fn usage() -> String {
     format!(
         "usage: rif-bench run <name>|--all {FLAGS_USAGE}\n\
-         \x20      rif-bench run lifetime_sweep ... {}\n\
          \x20      rif-bench check [<name>...]\n\
          \x20      rif-bench list\n\
-         \x20      rif-bench trace-check FILES...",
-        lifetime_sweep::FLAGS_USAGE
+         \x20      rif-bench trace-check FILES..."
     )
 }
 
@@ -37,16 +34,7 @@ fn run(args: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let Some((target, flags)) = args.split_first() else {
         return usage_error("run needs an experiment name or --all");
     };
-    // Only the lifetime sweep takes flags of its own.
-    let (sweep, flags) = if target == "lifetime_sweep" {
-        match SweepFlags::split(flags.iter().cloned()) {
-            Ok((sweep, rest)) => (Some(sweep), rest),
-            Err(msg) => return usage_error(&msg),
-        }
-    } else {
-        (None, flags.to_vec())
-    };
-    let opts = match HarnessOpts::parse_from(flags) {
+    let opts = match HarnessOpts::parse_from(flags.to_vec()) {
         Ok(opts) => opts,
         Err(ParseError::Help) => {
             writeln!(out, "{}", usage())?;
@@ -54,9 +42,6 @@ fn run(args: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
         }
         Err(ParseError::Invalid(msg)) => return usage_error(&msg),
     };
-    if let Some(sweep) = sweep {
-        return lifetime_sweep::run_with(&opts, &sweep, out);
-    }
     if target != "--all" {
         return match experiment(target) {
             Some((_, run)) => run(&opts, out),

@@ -21,8 +21,8 @@
 //! a socket is ready or the earliest shard has something due, mapped to
 //! wall time, with 1-ns timer slack so that the sleep ends on time, but
 //! never for less than [`MIN_SLEEP`] (DESIGN §8.3). Other threads reach
-//! it only through the [`Waker`]: for shutdown and for the crash orders
-//! queued in [`Shared::crashes`].
+//! it only through the control queue ([`Shared::control`]) and its
+//! waker: for shutdown, crash orders and snapshot requests.
 //!
 //! Backpressure is layered per connection: once the write queue exceeds
 //! [`ServerConfig::write_queue_limit`](crate::server::ServerConfig),
@@ -38,12 +38,15 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::poller::{best_poller, Interest, PollEvent, Poller, Waker};
-use crate::protocol::{BatchEntry, BusyReason, ErrorCode, Response, PROTOCOL_VERSION};
+use rif_events::trace::MetricsRegistry;
+
+use crate::poller::{best_poller, Interest, PollEvent, Poller};
+use crate::protocol::{BatchEntry, BusyReason, Response, PROTOCOL_VERSION};
+use crate::replicate::Shipper;
 use crate::ring::{decode_request_view, FrameBuffer, RequestView, WriteQueue, READ_CHUNK};
 use crate::server::{
-    admit, at_conn_limit, bad_request, handle_map_push, handle_migrate_in, handle_replicate,
-    refuse_busy, refuse_over_limit, render_stats, seal_for_migration, Node, Reply, Shared,
+    admit, bad_request, fold_runtime_gauges, handle_map_get, handle_map_push, handle_migrate_in,
+    handle_replicate, refuse_busy, refuse_over_limit, seal_for_migration, Node, Reply, Shared,
 };
 use crate::shard::Shard;
 use rif_workloads::IoOp;
@@ -73,8 +76,6 @@ struct Conn {
     wq: WriteQueue,
     /// Interest currently registered with the poller.
     interest: Interest,
-    /// `wq.len()` as last accounted into the aggregate gauge.
-    last_wq: usize,
     /// Close once the write queue drains (EOF seen or GOODBYE queued).
     close_after_flush: bool,
     /// Close in the next sweep regardless of queued bytes.
@@ -133,6 +134,11 @@ impl Slab {
     fn open(&self) -> usize {
         self.conns.len() - self.free.len()
     }
+
+    /// Unflushed response bytes across the connections in the slab.
+    fn queued_bytes(&self) -> usize {
+        self.conns.iter().flatten().map(|c| c.wq.len()).sum()
+    }
 }
 
 /// Packs a completion key for `slot` at generation `generation`.
@@ -190,47 +196,67 @@ fn tune_loop_thread() {
 #[cfg(not(target_os = "linux"))]
 fn tune_loop_thread() {}
 
+/// Closes the control queue and raises the shutdown flag when the loop
+/// thread leaves [`run`], by return or by panic, so that no caller waits
+/// on a loop that is gone.
+struct OnExit<'a>(&'a Shared);
+
+impl Drop for OnExit<'_> {
+    fn drop(&mut self) {
+        self.0.control.exit(|_| MetricsRegistry::new());
+        self.0.shutdown.store(true, Ordering::Release);
+    }
+}
+
 /// Entry point spawned by [`Server::start`](crate::server::Server):
 /// runs until shutdown, logging (not panicking) on a fatal loop error.
-/// Either way it then takes the crash orders still queued and drains
-/// every shard, so the journal and the counters see every admitted
-/// request resolved.
-pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, waker: Waker, waker_rx: UnixStream) {
+/// Either way it then closes the control queue, applies the crash orders
+/// still queued and drains every shard, so the journal and the counters
+/// see every admitted request resolved, and leaves the registry for
+/// later snapshots.
+pub(crate) fn run(
+    listener: TcpListener,
+    shared: Arc<Shared>,
+    shipper: Option<Shipper>,
+    waker_rx: UnixStream,
+) {
+    let _exit = OnExit(&shared);
     tune_loop_thread();
-    let mut node = Node::new(&shared);
-    if let Err(e) = run_inner(&listener, &shared, &mut node, &waker, &waker_rx) {
+    let mut node = Node::new(&shared.cfg, shipper);
+    let mut slab = Slab::new();
+    if let Err(e) = run_inner(&listener, &shared, &mut node, &mut slab, &waker_rx) {
         eprintln!("rif-server: event loop failed: {e}");
-        shared.shutdown.store(true, Ordering::Release);
     }
-    let orders = shared.crashes().take().unwrap_or_default();
-    let now = shared.clock.now();
-    let mut gone = |_, _| {};
-    for (i, restart_after) in orders {
-        let deadline = shared.clock.after(restart_after);
-        node.shards[i].crash(&shared, deadline, &mut gone);
-    }
-    for shard in &mut node.shards {
-        shard.fast_forward(&shared, now, &mut gone);
-    }
-    node.publish(&shared);
+    shared.control.exit(|orders| {
+        let now = shared.clock.now();
+        let mut gone = |_, _| {};
+        let (shards, metrics) = (&mut node.shards, &mut node.metrics);
+        for (i, restart_after) in orders {
+            let deadline = shared.clock.after(restart_after);
+            shards[i].crash(metrics, &shared.recorder, deadline, &mut gone);
+        }
+        for shard in shards.iter_mut() {
+            shard.fast_forward(metrics, &shared.recorder, now, &mut gone);
+        }
+        fold_runtime_gauges(&shared, &node, slab.open(), slab.queued_bytes())
+    });
 }
 
 fn run_inner(
     listener: &TcpListener,
     shared: &Arc<Shared>,
     node: &mut Node,
-    waker: &Waker,
+    slab: &mut Slab,
     waker_rx: &UnixStream,
 ) -> io::Result<()> {
     let mut poller = best_poller()?;
     poller.register(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
     poller.register(waker_rx.as_raw_fd(), TOK_WAKER, Interest::READ)?;
-    shared.metrics().set_gauge(
+    node.metrics.set_gauge(
         "server.poller_is_epoll",
         f64::from(u8::from(poller.name() == "epoll")),
     );
 
-    let mut slab = Slab::new();
     let mut events: Vec<PollEvent> = Vec::new();
     // Slots touched this iteration (new bytes, new responses, state
     // flags) that the sweep phase must flush / re-register / close.
@@ -242,10 +268,7 @@ fn run_inner(
     loop {
         events.clear();
         poller.wait(&mut events, timeout)?;
-        shared
-            .front_door
-            .epoll_wakeups
-            .fetch_add(1, Ordering::Relaxed);
+        node.wakeups += 1;
         node.now = shared.clock.now();
 
         let mut woken = false;
@@ -259,7 +282,7 @@ fn run_inner(
                             shared,
                             node,
                             poller.as_mut(),
-                            &mut slab,
+                            slab,
                             &mut touched,
                             &mut drains,
                         )?;
@@ -268,7 +291,6 @@ fn run_inner(
                 TOK_WAKER => woken = true,
                 tok => {
                     let slot = tok - TOK_CONN0;
-                    let key = comp_key(slot, slab.gens[slot]);
                     let Some(conn) = slab.get_mut(slot) else {
                         continue; // closed earlier this iteration
                     };
@@ -278,36 +300,40 @@ fn run_inner(
                         continue;
                     }
                     if ev.readable && !conn.close_now && !conn.close_after_flush {
-                        read_ready(conn, key, shared, node, &mut drains);
+                        read_ready(slab, slot, shared, node, &mut drains);
                     }
                     // Writability is consumed by the sweep's flush.
                 }
             }
         }
 
-        let mut out = |key: u64, resp: Response| deliver(&mut slab, &mut touched, key, &resp);
-        // Drain the waker *before* taking the crash orders: an order
-        // racing this drain either is in the queue taken next or re-arms
-        // the pipe for the next `wait`.
+        let mut out = |key: u64, resp: Response| deliver(slab, &mut touched, key, &resp);
+        let recorder = &shared.recorder;
+        let (shards, metrics, now) = (&mut node.shards, &mut node.metrics, node.now);
+        // Drain the waker *before* taking the control queue: an order or
+        // request racing this drain either is in the queue taken next or
+        // re-arms the pipe for the next `wait`.
+        let mut snapshot = None;
         if woken {
-            waker.drain(waker_rx);
-            let orders = shared.crashes().as_mut().map(std::mem::take);
-            for (i, restart_after) in orders.into_iter().flatten() {
+            shared.control.waker.drain(waker_rx);
+            let (orders, ticket) = shared.control.take();
+            snapshot = ticket;
+            for (i, restart_after) in orders {
                 let deadline = shared.clock.after(restart_after);
-                node.shards[i].crash(shared, deadline, &mut out);
+                shards[i].crash(metrics, recorder, deadline, &mut out);
             }
         }
         for drain in drains.drain(..) {
             match drain {
                 Drain::Flush { key, tag } => {
-                    for shard in &mut node.shards {
-                        shard.fast_forward(shared, node.now, &mut out);
+                    for shard in shards.iter_mut() {
+                        shard.fast_forward(metrics, recorder, now, &mut out);
                     }
                     out(key, Response::Flushed { tag });
                 }
                 Drain::Migrate { key, tag, range } => {
-                    let shard = &mut node.shards[range as usize];
-                    shard.fast_forward(shared, node.now, &mut out);
+                    let shard = &mut shards[range as usize];
+                    shard.fast_forward(metrics, recorder, now, &mut out);
                     let state = shard.learner_snapshot();
                     out(key, Response::Migrated { tag, range, state });
                 }
@@ -316,10 +342,9 @@ fn run_inner(
         // Every shard to the virtual now: what completed by then is
         // answered in this iteration's sweep.
         let horizon = shared.clock.now();
-        for shard in &mut node.shards {
-            shard.advance(shared, horizon, &mut out);
+        for shard in shards.iter_mut() {
+            shard.advance(metrics, recorder, horizon, &mut out);
         }
-        node.publish(shared);
 
         // A SHUTDOWN frame (or an external `request_shutdown`) starts
         // the drain: stop accepting, flush what every socket is owed,
@@ -343,29 +368,15 @@ fn run_inner(
             };
             conn.dirty = false;
             if !conn.close_now && !conn.wq.is_empty() {
-                shared
-                    .front_door
-                    .write_queue_max_bytes
-                    .fetch_max(conn.wq.len(), Ordering::Relaxed);
+                node.wq_max_bytes = node.wq_max_bytes.max(conn.wq.len());
                 let mut dst = &conn.stream;
                 if conn.wq.flush(&mut dst).is_err() {
                     conn.close_now = true;
                 }
             }
-            account_wq(shared, conn);
             if conn.close_now || (conn.close_after_flush && conn.wq.is_empty()) {
-                let fd = conn.stream.as_raw_fd();
-                poller.deregister(fd)?;
-                let gone = slab.remove(slot).expect("slot occupied");
-                // Gauge bookkeeping before the socket drops.
-                shared
-                    .front_door
-                    .write_queue_bytes
-                    .fetch_sub(gone.last_wq, Ordering::AcqRel);
-                shared
-                    .front_door
-                    .connections_open
-                    .fetch_sub(1, Ordering::AcqRel);
+                poller.deregister(conn.stream.as_raw_fd())?;
+                slab.remove(slot);
                 continue;
             }
             let desired = desired_interest(shared, conn);
@@ -375,6 +386,10 @@ fn run_inner(
             }
         }
 
+        if let Some(ticket) = snapshot {
+            let m = fold_runtime_gauges(shared, node, slab.open(), slab.queued_bytes());
+            shared.control.answer(ticket, m);
+        }
         if let Some(started) = draining {
             if slab.open() == 0 || started.elapsed() >= DRAIN_DEADLINE {
                 return Ok(());
@@ -415,20 +430,6 @@ fn touch(conn: &mut Conn, slot: usize, touched: &mut Vec<usize>) {
     }
 }
 
-/// Folds a connection's write-queue delta into the aggregate gauge.
-fn account_wq(shared: &Shared, conn: &mut Conn) {
-    let now = conn.wq.len();
-    if now != conn.last_wq {
-        let gauge = &shared.front_door.write_queue_bytes;
-        if now > conn.last_wq {
-            gauge.fetch_add(now - conn.last_wq, Ordering::AcqRel);
-        } else {
-            gauge.fetch_sub(conn.last_wq - now, Ordering::AcqRel);
-        }
-        conn.last_wq = now;
-    }
-}
-
 /// The interest a connection should be registered with right now:
 /// writable only while bytes are queued, readable unless the peer owes
 /// us a drain (queue past twice the shed limit) or the connection is on
@@ -464,92 +465,86 @@ fn accept_ready(
             // exhaustion, ...) must not kill the loop.
             Err(_) => return Ok(()),
         };
-        if at_conn_limit(shared) {
-            refuse_over_limit(stream, shared);
+        let limit = shared.cfg.max_connections;
+        if limit > 0 && slab.open() >= limit {
+            refuse_over_limit(stream, &mut node.metrics);
             continue;
         }
         if stream.set_nonblocking(true).is_err() {
             continue;
         }
         stream.set_nodelay(true).ok();
-        shared
-            .front_door
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .front_door
-            .connections_open
-            .fetch_add(1, Ordering::AcqRel);
+        node.accepted += 1;
         let slot = slab.insert(Conn {
             stream,
             ring: FrameBuffer::new(),
             wq: WriteQueue::new(),
             interest: Interest::READ,
-            last_wq: 0,
             close_after_flush: false,
             close_now: false,
             dirty: false,
         });
-        let key = comp_key(slot, slab.gens[slot]);
         let conn = slab.get_mut(slot).expect("just inserted");
         if let Err(e) = poller.register(conn.stream.as_raw_fd(), TOK_CONN0 + slot, Interest::READ) {
             slab.remove(slot);
-            shared
-                .front_door
-                .connections_open
-                .fetch_sub(1, Ordering::AcqRel);
             return Err(e);
         }
         touch(conn, slot, touched);
-        read_ready(conn, key, shared, node, drains);
+        read_ready(slab, slot, shared, node, drains);
     }
 }
 
-/// Reads until the socket would block (or EOF), decoding and
-/// dispatching every complete frame in the ring.
+/// Reads the connection in `slot` until its socket would block (or
+/// EOF), decoding and dispatching every complete frame in the ring. The
+/// connection is out of the slab meanwhile, so that STATS can count the
+/// others.
 fn read_ready(
-    conn: &mut Conn,
-    key: u64,
+    slab: &mut Slab,
+    slot: usize,
     shared: &Arc<Shared>,
     node: &mut Node,
     drains: &mut Vec<Drain>,
 ) {
+    let key = comp_key(slot, slab.gens[slot]);
+    let mut conn = slab.conns[slot].take().expect("slot occupied");
+    let others = &*slab;
     loop {
         let mut src = &conn.stream;
         match conn.ring.read_from(&mut src) {
             Ok(0) => {
                 // EOF: serve what is buffered, flush what is owed, then
                 // close. No more bytes will ever arrive.
-                drain_frames(conn, key, shared, node, drains);
+                drain_frames(&mut conn, key, others, shared, node, drains);
                 conn.close_after_flush = true;
-                return;
+                break;
             }
             Ok(n) => {
-                if !drain_frames(conn, key, shared, node, drains) {
-                    return; // poisoned or closing: stop reading
+                if !drain_frames(&mut conn, key, others, shared, node, drains) {
+                    break; // poisoned or closing: stop reading
                 }
                 // A short read emptied the socket: the read that would
                 // say `WouldBlock` is skipped, and bytes arriving later
                 // make the socket readable for the next wait.
                 if n < READ_CHUNK {
-                    return;
+                    break;
                 }
                 // Stop pulling once the peer has pushed us past the
                 // hard backpressure line; readable interest drops in
                 // the sweep and resumes after the queue drains.
                 let limit = shared.cfg.write_queue_limit;
                 if limit > 0 && conn.wq.len() >= limit.saturating_mul(2) {
-                    return;
+                    break;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 conn.close_now = true;
-                return;
+                break;
             }
         }
     }
+    slab.conns[slot] = Some(conn);
 }
 
 /// Decodes and dispatches every complete frame currently buffered,
@@ -560,6 +555,7 @@ fn read_ready(
 fn drain_frames(
     conn: &mut Conn,
     key: u64,
+    others: &Slab,
     shared: &Arc<Shared>,
     node: &mut Node,
     drains: &mut Vec<Drain>,
@@ -578,7 +574,7 @@ fn drain_frames(
             Ok(None) => return true,
             Err(_) => {
                 // The length prefix lied: frame sync is gone for good.
-                shared.metrics().inc("server.protocol_errors", 1);
+                node.metrics.inc("server.protocol_errors", 1);
                 *close_now = true;
                 return false;
             }
@@ -586,12 +582,8 @@ fn drain_frames(
         let view = match decode_request_view(payload) {
             Ok(view) => view,
             Err(_) => {
-                shared.metrics().inc("server.protocol_errors", 1);
                 // Frame boundaries survived; the stream stays usable.
-                reply.send(Response::Error {
-                    tag: 0,
-                    code: ErrorCode::BadRequest,
-                });
+                bad_request(&mut node.metrics, reply, 0);
                 continue;
             }
         };
@@ -599,7 +591,7 @@ fn drain_frames(
         match view {
             RequestView::Read { .. } | RequestView::Write { .. } | RequestView::Batch(_) => {
                 if let RequestView::Batch(_) = view {
-                    shared.metrics().inc("server.batches", 1);
+                    node.metrics.inc("server.batches", 1);
                 }
                 // Shed I/O once the peer's write queue is past the limit:
                 // a small BUSY beats queueing an admission it will not
@@ -607,21 +599,13 @@ fn drain_frames(
                 let limit = shared.cfg.write_queue_limit;
                 if limit > 0 && reply.wq.len() >= limit {
                     let tags = io_entries(view).map(|e| e.tag);
-                    refuse_busy(shared, reply, tags, "server.busy.writeq", BusyReason::Queue);
+                    let m = &mut node.metrics;
+                    refuse_busy(m, reply, tags, "server.busy.writeq", BusyReason::Queue);
                 } else {
                     admit(shared, node, reply, io_entries(view));
                 }
             }
-            RequestView::MapGet { tag } => {
-                let (epoch, text) = match &shared.cluster {
-                    Some(_) => {
-                        let cl = shared.cluster_state();
-                        (cl.epoch, cl.map_text.clone())
-                    }
-                    None => (0, String::new()),
-                };
-                reply.send(Response::MapResp { tag, epoch, text });
-            }
+            RequestView::MapGet { tag } => handle_map_get(node, reply, tag),
             RequestView::MapPush {
                 tag,
                 epoch,
@@ -631,28 +615,23 @@ fn drain_frames(
                 followed,
                 replicas,
                 map_text,
-            } => {
-                let owned: Vec<u32> = owned.iter().collect();
-                let followed: Vec<u32> = followed.iter().collect();
-                let replicas: Vec<(u32, String)> =
-                    replicas.iter().map(|(r, a)| (r, a.to_string())).collect();
-                handle_map_push(
-                    shared,
-                    reply,
-                    tag,
-                    epoch,
-                    capacity_bytes,
-                    ranges,
-                    &owned,
-                    &followed,
-                    &replicas,
-                    map_text.to_string(),
-                );
-            }
+            } => handle_map_push(
+                shared,
+                node,
+                reply,
+                tag,
+                epoch,
+                capacity_bytes,
+                ranges,
+                owned,
+                followed,
+                replicas,
+                map_text,
+            ),
             // Sealed here, so that no request behind it in this read can
             // slip into the shard; drained once the reads are done.
             RequestView::MigrateOut { tag, range } => {
-                if seal_for_migration(shared, reply, tag, range) {
+                if seal_for_migration(shared, node, reply, tag, range) {
                     drains.push(Drain::Migrate { key, tag, range });
                 }
             }
@@ -660,7 +639,7 @@ fn drain_frames(
                 handle_migrate_in(shared, node, reply, tag, range, state);
             }
             // Directory-only operation; a node refuses it.
-            RequestView::Migrate { tag, .. } => bad_request(shared, reply, tag),
+            RequestView::Migrate { tag, .. } => bad_request(&mut node.metrics, reply, tag),
             RequestView::Replicate {
                 tag,
                 range,
@@ -679,19 +658,17 @@ fn drain_frames(
                 if version != PROTOCOL_VERSION {
                     // One wire version: a peer built against another is
                     // told so and dropped instead of being half-served.
-                    shared.metrics().inc("server.protocol_errors", 1);
-                    reply.send(Response::Error {
-                        tag,
-                        code: ErrorCode::BadRequest,
-                    });
+                    bad_request(&mut node.metrics, reply, tag);
                     *close_after_flush = true;
                     return false;
                 }
                 reply.send(Response::HelloAck { tag, version });
             }
             RequestView::Stats { tag } => {
-                node.publish(shared);
-                let text = render_stats(shared);
+                // This connection is out of the slab: count it back in.
+                let queued = others.queued_bytes() + reply.wq.len();
+                let m = fold_runtime_gauges(shared, node, others.open(), queued);
+                let text = m.lines().join("\n");
                 reply.send(Response::Stats { tag, text });
             }
             // FLUSH answers once every shard has drained.

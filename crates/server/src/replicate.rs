@@ -1,12 +1,14 @@
 //! Primary-side replication shipper (DESIGN §15).
 //!
 //! In cluster mode every admitted client write on an owned range with
-//! followers is offered to the [`Replicator`], which ships it
-//! asynchronously as a version-stamped `REPLICATE` frame to each
-//! follower. One ship thread owns all follower connections and assigns
-//! each range's shipment sequence number **at ship time**, so sequence
-//! order equals ship order by construction and the follower applies
-//! writes in the order the primary shipped them.
+//! followers is offered to the event loop's [`Shipper`] (the target
+//! table), which queues it with the followers for the ship thread to
+//! send asynchronously as a version-stamped `REPLICATE` frame to each.
+//! The ship thread shares only its epoch, watermarks and counters
+//! ([`Replicator`]). It owns all follower connections and assigns each
+//! range's shipment sequence number **at ship time**, so sequence order
+//! equals ship order by construction and the follower applies writes in
+//! the order the primary shipped them.
 //!
 //! The per-range **watermark** is the highest sequence number through
 //! which *every* shipment so far has been acked by *all* followers —
@@ -26,12 +28,13 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Mutex;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::client::Conn;
 use crate::protocol::{Request, Response};
+use crate::ring::ReplicaListView;
 
 /// How long a follower stays skipped after a connect/ship failure.
 const DOWN_BACKOFF: Duration = Duration::from_millis(500);
@@ -45,7 +48,7 @@ const SHIP_TIMEOUT: Duration = Duration::from_millis(1000);
 const BUSY_RETRIES: usize = 3;
 
 /// One write queued for shipment to a range's followers.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct ReplJob {
     /// Epoch captured at offer time; stale jobs are dropped at ship
     /// time so an epoch flip cannot advance the new epoch's watermark
@@ -56,6 +59,9 @@ struct ReplJob {
     /// Wrapped global offset (the follower rebases it itself).
     offset: u64,
     bytes: u32,
+    /// The range's followers in `epoch` (a thin pointer: jobs queue up
+    /// behind a slow follower, so their size is the queue's).
+    followers: Arc<Vec<String>>,
 }
 
 /// Counters the ship thread exports into STATS.
@@ -72,79 +78,24 @@ pub(crate) struct ReplCounters {
     pub(crate) failed: AtomicU64,
 }
 
-/// The primary-side shipping engine: target table, watermarks, and the
-/// ship thread's inbox. Lives in `Shared` for cluster-mode servers.
+/// What the ship thread shares with the rest of the node: the epoch it
+/// checks jobs against, the watermarks it advances and its counters.
+/// Lives in `Shared` for cluster-mode servers.
 pub(crate) struct Replicator {
-    /// Epoch the target table belongs to.
+    /// Epoch the loop's target table belongs to.
     epoch: AtomicU64,
-    /// range → follower addresses (from the directory's MAP_PUSH).
-    targets: Mutex<HashMap<u32, Vec<String>>>,
     /// Per-range contiguous replicated prefix (0 = nothing replicated).
     watermarks: Vec<AtomicU64>,
     pub(crate) counters: ReplCounters,
-    tx: Mutex<Option<Sender<ReplJob>>>,
-    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Replicator {
-    /// Creates the engine and starts its ship thread.
-    pub(crate) fn start(shards: usize) -> io::Result<std::sync::Arc<Replicator>> {
-        let (tx, rx) = mpsc::channel();
-        let repl = std::sync::Arc::new(Replicator {
+    /// Tracks `shards` ranges, nothing replicated yet.
+    pub(crate) fn new(shards: usize) -> Replicator {
+        Replicator {
             epoch: AtomicU64::new(0),
-            targets: Mutex::new(HashMap::new()),
             watermarks: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             counters: ReplCounters::default(),
-            tx: Mutex::new(Some(tx)),
-            thread: Mutex::new(None),
-        });
-        let worker = std::sync::Arc::clone(&repl);
-        let handle = std::thread::Builder::new()
-            .name("rif-repl-ship".into())
-            .spawn(move || ship_loop(&worker, &rx))?;
-        *repl.thread.lock().unwrap_or_else(|e| e.into_inner()) = Some(handle);
-        Ok(repl)
-    }
-
-    /// Installs a new epoch's shipping targets, resetting sequences and
-    /// watermarks (the follower set changed, so the old contiguous
-    /// prefix is meaningless). Called under the MAP_PUSH epoch gate.
-    pub(crate) fn update_targets(&self, epoch: u64, replicas: &[(u32, String)]) {
-        let mut grouped: HashMap<u32, Vec<String>> = HashMap::new();
-        for (range, addr) in replicas {
-            grouped.entry(*range).or_default().push(addr.clone());
-        }
-        {
-            let mut t = self.targets.lock().unwrap_or_else(|e| e.into_inner());
-            *t = grouped;
-        }
-        for w in &self.watermarks {
-            w.store(0, Ordering::Release);
-        }
-        // Publish the epoch last: a job offered against the old epoch
-        // after this point is dropped by the ship thread's stale check.
-        self.epoch.store(epoch, Ordering::Release);
-    }
-
-    /// Offers an admitted client write for shipment. Cheap when the
-    /// range has no followers (one lock, no queueing).
-    pub(crate) fn offer(&self, range: u32, tenant: u32, offset: u64, bytes: u32) {
-        {
-            let t = self.targets.lock().unwrap_or_else(|e| e.into_inner());
-            match t.get(&range) {
-                Some(f) if !f.is_empty() => {}
-                _ => return,
-            }
-        }
-        let job = ReplJob {
-            epoch: self.epoch.load(Ordering::Acquire),
-            range,
-            tenant,
-            offset,
-            bytes,
-        };
-        if let Some(tx) = self.tx.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
-            let _ = tx.send(job);
         }
     }
 
@@ -158,14 +109,70 @@ impl Replicator {
     pub(crate) fn shards(&self) -> usize {
         self.watermarks.len()
     }
+}
 
-    /// Stops the ship thread (drains nothing: pending jobs are dropped,
-    /// which only stalls watermarks — acceptable at shutdown).
-    pub(crate) fn stop(&self) {
-        drop(self.tx.lock().unwrap_or_else(|e| e.into_inner()).take());
-        if let Some(h) = self.thread.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            let _ = h.join();
+/// The event loop's half of replication: the target table and the ship
+/// thread's inbox. The ship thread ships what is queued and ends once
+/// its `Shipper` is dropped, which the loop does as it exits.
+pub(crate) struct Shipper {
+    repl: Arc<Replicator>,
+    /// range → follower addresses (from the directory's MAP_PUSH).
+    targets: HashMap<u32, Arc<Vec<String>>>,
+    tx: Sender<ReplJob>,
+}
+
+impl Shipper {
+    /// Starts the ship thread for `repl`: the loop keeps the `Shipper`,
+    /// the server the thread's handle.
+    pub(crate) fn start(repl: Arc<Replicator>) -> io::Result<(Shipper, JoinHandle<()>)> {
+        let (tx, rx) = mpsc::channel();
+        let worker = Arc::clone(&repl);
+        let handle = std::thread::Builder::new()
+            .name("rif-repl-ship".into())
+            .spawn(move || ship_loop(&worker, &rx))?;
+        let shipper = Shipper {
+            repl,
+            targets: HashMap::new(),
+            tx,
+        };
+        Ok((shipper, handle))
+    }
+
+    /// Installs a new epoch's shipping targets, resetting sequences and
+    /// watermarks (the follower set changed, so the old contiguous
+    /// prefix is meaningless). Called under the MAP_PUSH epoch gate.
+    pub(crate) fn update_targets(&mut self, epoch: u64, replicas: ReplicaListView<'_>) {
+        let mut grouped: HashMap<u32, Vec<String>> = HashMap::new();
+        for (range, addr) in replicas.iter() {
+            grouped.entry(range).or_default().push(addr.to_string());
         }
+        self.targets = grouped
+            .into_iter()
+            .map(|(range, addrs)| (range, Arc::new(addrs)))
+            .collect();
+        for w in &self.repl.watermarks {
+            w.store(0, Ordering::Release);
+        }
+        // Publish the epoch last: a job offered against the old epoch
+        // after this point is dropped by the ship thread's stale check.
+        self.repl.epoch.store(epoch, Ordering::Release);
+    }
+
+    /// Offers an admitted client write for shipment; a range with no
+    /// followers costs one map look-up.
+    pub(crate) fn offer(&self, range: u32, tenant: u32, offset: u64, bytes: u32) {
+        let Some(followers) = self.targets.get(&range) else {
+            return;
+        };
+        let job = ReplJob {
+            epoch: self.repl.epoch.load(Ordering::Acquire),
+            range,
+            tenant,
+            offset,
+            bytes,
+            followers: Arc::clone(followers),
+        };
+        let _ = self.tx.send(job);
     }
 }
 
@@ -189,31 +196,24 @@ fn ship_loop(repl: &Replicator, rx: &Receiver<ReplJob>) {
             stalled.clear();
             shipped_epoch = job.epoch;
         }
-        let followers: Vec<String> = {
-            let t = repl.targets.lock().unwrap_or_else(|e| e.into_inner());
-            t.get(&job.range).cloned().unwrap_or_default()
-        };
-        if followers.is_empty() {
-            continue;
-        }
         let seq = {
             let e = seqs.entry(job.range).or_insert(0);
             *e += 1;
             *e
         };
         let mut all_acked = true;
-        for addr in followers {
-            if let Some(until) = down.get(&addr) {
+        for addr in job.followers.iter() {
+            if let Some(until) = down.get(addr) {
                 if Instant::now() < *until {
                     repl.counters.skipped.fetch_add(1, Ordering::Relaxed);
                     all_acked = false;
                     continue;
                 }
-                down.remove(&addr);
+                down.remove(addr);
             }
             let tag = next_tag;
             next_tag += 1;
-            match ship_one(&mut conns, &addr, tag, &job, seq) {
+            match ship_one(&mut conns, addr, tag, &job, seq) {
                 Ok(true) => {
                     repl.counters.acked.fetch_add(1, Ordering::Relaxed);
                 }
@@ -224,8 +224,8 @@ fn ship_loop(repl: &Replicator, rx: &Receiver<ReplJob>) {
                 Err(_) => {
                     repl.counters.failed.fetch_add(1, Ordering::Relaxed);
                     all_acked = false;
-                    conns.remove(&addr);
-                    down.insert(addr, Instant::now() + DOWN_BACKOFF);
+                    conns.remove(addr);
+                    down.insert(addr.clone(), Instant::now() + DOWN_BACKOFF);
                 }
             }
         }

@@ -30,11 +30,14 @@
 //! A REPLICATE shipment asks its own ownership question
 //! (`handle_replicate`) and then takes the same shutdown, length,
 //! room and submission steps.
+//!
+//! The loop is the only owner of the node's state ([`Node`]); another
+//! thread orders a crash or asks for a snapshot on one queue (`Control`).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -48,8 +51,8 @@ use crate::pacing::VirtualClock;
 use crate::poller::Waker;
 use crate::protocol::{encode_response, write_frame, BatchEntry, BusyReason, ErrorCode, Response};
 use crate::recorder::TraceRecorder;
-use crate::replicate::Replicator;
-use crate::ring::WriteQueue;
+use crate::replicate::{Replicator, Shipper};
+use crate::ring::{RangeListView, ReplicaListView, WriteQueue};
 use crate::shard::{ReplyTo, Shard, ShardSpec, Submission};
 
 /// Largest single transfer the service accepts: 1 MiB keeps one request
@@ -157,143 +160,133 @@ pub(crate) enum RangeStatus {
 /// text is carried verbatim (the node never parses it) so MAP_GET can
 /// serve it back to clients without the server depending on the cluster
 /// crate's parser.
-pub(crate) struct ClusterState {
-    pub(crate) epoch: u64,
-    pub(crate) map_text: String,
-    pub(crate) status: Vec<RangeStatus>,
+struct ClusterState {
+    epoch: u64,
+    map_text: String,
+    status: Vec<RangeStatus>,
+    /// The replication target table and the ship thread's inbox.
+    shipper: Shipper,
 }
 
-/// Front-door saturation counters, surfaced in STATS. Plain atomics
-/// (not the metrics registry) because the event loop bumps some of them
-/// on every wakeup.
-#[derive(Debug, Default)]
-pub(crate) struct FrontDoor {
-    /// Currently open connections (gauge).
-    pub(crate) connections_open: AtomicUsize,
-    /// Connections accepted since start (counter).
-    pub(crate) connections_accepted: AtomicU64,
-    /// Accepts refused by the connection limit (counter).
-    pub(crate) conn_limit_rejected: AtomicU64,
-    /// Times the event loop's poll wait returned (counter).
-    pub(crate) epoll_wakeups: AtomicU64,
-    /// Total unflushed response bytes across all connections (gauge).
-    pub(crate) write_queue_bytes: AtomicUsize,
-    /// Largest single connection's unflushed response bytes (gauge).
-    pub(crate) write_queue_max_bytes: AtomicUsize,
-}
-
+/// What threads other than the event loop must reach. Everything else
+/// about a node is the loop's own ([`Node`]).
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) clock: VirtualClock,
-    metrics: Mutex<MetricsRegistry>,
-    pub(crate) shutdown: AtomicBool,
     pub(crate) started: Instant,
+    pub(crate) shutdown: AtomicBool,
+    pub(crate) control: Control,
+    /// The capture journal; [`Server::recorder`] hands it out.
     pub(crate) recorder: Arc<TraceRecorder>,
-    pub(crate) front_door: FrontDoor,
-    /// Each shard's in-flight count as the loop last published it, for
-    /// the `server.inflight.shard<i>` gauges read off the loop thread.
-    pub(crate) inflight: Vec<AtomicUsize>,
-    /// Crash orders from other threads, `(shard, restart_after)`, which
-    /// the loop takes when its waker fires; `None` once it has exited.
-    pub(crate) crashes: Mutex<Option<Vec<(usize, Duration)>>>,
-    /// `Some` iff [`ServerConfig::cluster`] — the node's map view.
-    pub(crate) cluster: Option<Mutex<ClusterState>>,
-    /// `Some` iff [`ServerConfig::cluster`] — the primary-side
-    /// replication shipper (DESIGN §15).
+    /// `Some` iff [`ServerConfig::cluster`] — the ship thread's counters,
+    /// watermarks and epoch (DESIGN §15.2).
     pub(crate) repl: Option<Arc<Replicator>>,
 }
 
-impl Shared {
-    /// The node-wide state for `cfg`, its clock started now; in cluster
-    /// mode this starts the replication shipper's thread.
-    pub(crate) fn new(cfg: ServerConfig) -> io::Result<Shared> {
-        let cluster = cfg.cluster.then(|| {
-            Mutex::new(ClusterState {
-                epoch: 0,
-                map_text: String::new(),
-                status: vec![RangeStatus::NotOwned; cfg.shards],
-            })
-        });
-        let repl = if cfg.cluster {
-            Some(Replicator::start(cfg.shards)?)
-        } else {
-            None
-        };
-        Ok(Shared {
-            clock: VirtualClock::start(cfg.time_scale),
-            metrics: Mutex::new(MetricsRegistry::new()),
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            recorder: Arc::new(TraceRecorder::new(cfg.capture)),
-            front_door: FrontDoor::default(),
-            inflight: (0..cfg.shards).map(|_| AtomicUsize::new(0)).collect(),
-            crashes: Mutex::new(Some(Vec::new())),
-            cluster,
-            repl,
-            cfg,
-        })
+/// The one way into the loop from another thread: crash orders and
+/// snapshot requests, taken when the loop's waker fires. Once the loop
+/// has exited, an order is refused and a snapshot is answered at once
+/// with the registry the loop left (an empty one after a panic).
+pub(crate) struct Control {
+    queue: Mutex<Queue>,
+    /// Signalled when snapshots are answered or the loop exits.
+    answered: Condvar,
+    pub(crate) waker: Waker,
+}
+
+#[derive(Default)]
+struct Queue {
+    /// `(shard, restart_after)`, in arrival order.
+    crashes: Vec<(usize, Duration)>,
+    /// Snapshot requests made, and answered, so far.
+    asked: u64,
+    answered: u64,
+    /// The last snapshot answered, or the registry the loop left.
+    snapshot: MetricsRegistry,
+    exited: bool,
+}
+
+impl Control {
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        // Every update leaves the queue valid, so a poisoned one is whole.
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Locks the metrics registry, recovering from poisoning: a panic in
-    /// some other holder must not wedge STATS or admission for everyone
-    /// else. Counters are monotonic u64s, so a partially-applied update
-    /// cannot corrupt the registry.
-    pub(crate) fn metrics(&self) -> MutexGuard<'_, MetricsRegistry> {
-        self.metrics.lock().unwrap_or_else(|e| e.into_inner())
+    /// The loop's side: the crash orders queued so far, and the newest
+    /// snapshot request still unanswered.
+    pub(crate) fn take(&self) -> (Vec<(usize, Duration)>, Option<u64>) {
+        let mut q = self.queue();
+        let ticket = (q.asked > q.answered).then_some(q.asked);
+        (std::mem::take(&mut q.crashes), ticket)
     }
 
-    /// Locks the crash-order queue with the same poisoned-lock recovery.
-    pub(crate) fn crashes(&self) -> MutexGuard<'_, Option<Vec<(usize, Duration)>>> {
-        self.crashes.lock().unwrap_or_else(|e| e.into_inner())
+    /// Answers the snapshot requests up to `ticket` with `m`.
+    pub(crate) fn answer(&self, ticket: u64, m: MetricsRegistry) {
+        let mut q = self.queue();
+        q.snapshot = m;
+        q.answered = q.answered.max(ticket);
+        self.answered.notify_all();
     }
 
-    /// Locks the cluster state (must only be called in cluster mode),
-    /// with the same poisoned-lock recovery.
-    pub(crate) fn cluster_state(&self) -> MutexGuard<'_, ClusterState> {
-        self.cluster
-            .as_ref()
-            .expect("cluster state accessed outside cluster mode")
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    /// Closes the queue as the loop exits: `last` takes the orders still
+    /// queued and gives the registry later snapshots get. Only the first
+    /// call counts: the loop's own, or its exit guard's after a panic.
+    pub(crate) fn exit(&self, last: impl FnOnce(Vec<(usize, Duration)>) -> MetricsRegistry) {
+        let mut q = self.queue();
+        if !q.exited {
+            q.snapshot = last(std::mem::take(&mut q.crashes));
+            q.exited = true;
+            self.answered.notify_all();
+        }
     }
 }
 
-/// The event loop's half of the node: the shards it steps, the
-/// admission gate's state, and the virtual instant this wake-up's
-/// arrivals are stamped with. Only the loop thread touches it, so nothing
-/// in it is locked.
+/// Everything about a node that only its event loop touches, none of it
+/// locked: the shards it steps, the admission gate's state, the metrics
+/// registry, the front-door counters and the cluster map view.
 pub(crate) struct Node {
     pub(crate) shards: Vec<Shard>,
     gate: Gate,
     /// Read from the clock once per wake-up: every request admitted in
     /// it enters its simulator at this instant.
     pub(crate) now: SimTime,
+    pub(crate) metrics: MetricsRegistry,
+    /// Connections accepted, and poll waits returned, since start.
+    pub(crate) accepted: u64,
+    pub(crate) wakeups: u64,
+    /// Largest single connection's unflushed response bytes seen.
+    pub(crate) wq_max_bytes: usize,
+    /// `Some` iff [`ServerConfig::cluster`] — the node's map view.
+    cluster: Option<ClusterState>,
 }
 
 impl Node {
-    /// Builds the shards `shared.cfg` asks for. A simulator is not `Send`,
-    /// so this runs on the loop thread.
-    pub(crate) fn new(shared: &Shared) -> Node {
-        let cfg = &shared.cfg;
+    /// Builds the shards `cfg` asks for, and in cluster mode a map view
+    /// that owns no range yet around `shipper`. A simulator is not
+    /// `Send`, so this runs on the loop thread.
+    pub(crate) fn new(cfg: &ServerConfig, shipper: Option<Shipper>) -> Node {
         Node {
             shards: ShardSpec::partition(cfg.capacity_bytes, cfg.shards)
                 .into_iter()
                 .map(|spec| Shard::new(spec, shard_config(cfg, spec.index)))
                 .collect(),
             gate: Gate {
-                buckets: TenantBuckets::new(shared.cfg.rate_per_sec, shared.cfg.burst),
+                buckets: TenantBuckets::new(cfg.rate_per_sec, cfg.burst),
                 valid: Vec::new(),
                 tenants: Vec::new(),
                 per_shard: Vec::new(),
             },
             now: SimTime::ZERO,
-        }
-    }
-
-    /// Publishes each shard's in-flight count for STATS.
-    pub(crate) fn publish(&self, shared: &Shared) {
-        for (shard, gauge) in self.shards.iter().zip(&shared.inflight) {
-            gauge.store(shard.inflight(), Ordering::Relaxed);
+            metrics: MetricsRegistry::new(),
+            accepted: 0,
+            wakeups: 0,
+            wq_max_bytes: 0,
+            cluster: shipper.map(|shipper| ClusterState {
+                epoch: 0,
+                map_text: String::new(),
+                status: vec![RangeStatus::NotOwned; cfg.shards],
+                shipper,
+            }),
         }
     }
 }
@@ -316,9 +309,8 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     event_loop: Option<JoinHandle<()>>,
-    /// Wakes the event loop out of a blocking poll wait for a crash
-    /// order or shutdown.
-    loop_waker: Waker,
+    /// `rif-repl-ship`, in cluster mode: it ends once the loop has exited.
+    ship_thread: Option<JoinHandle<()>>,
 }
 
 /// The simulator configuration of shard `index` under `cfg`.
@@ -353,29 +345,65 @@ fn shard_config(cfg: &ServerConfig, index: usize) -> SsdConfig {
     sim_cfg
 }
 
+/// Refuses, as `InvalidInput`, a configuration the loop thread could not
+/// build or serve: it would panic there, after `start` had returned.
+fn validate(cfg: &ServerConfig) -> io::Result<()> {
+    let problem = if cfg.shards == 0 {
+        "need at least one shard"
+    } else if cfg.inflight_limit == 0 {
+        "inflight limit must be positive"
+    } else if cfg.queue_depth == 0 {
+        "queue depth must be positive"
+    } else if cfg.capacity_bytes < cfg.shards as u64 {
+        "capacity too small to shard"
+    } else if !(cfg.time_scale.is_finite() && cfg.time_scale > 0.0) {
+        "time scale must be positive and finite"
+    } else if cfg.rate_per_sec > 0.0 && (cfg.burst.is_nan() || cfg.burst < 1.0) {
+        "a rate limit needs a burst of at least 1"
+    } else {
+        return Ok(());
+    };
+    Err(io::Error::new(io::ErrorKind::InvalidInput, problem))
+}
+
 impl Server {
     /// Binds `127.0.0.1:port` (`port = 0` picks a free port) and starts
-    /// the event loop, which builds the shards and owns them.
+    /// the event loop, which builds the shards and owns them. A
+    /// configuration the node cannot run fails with `InvalidInput`
+    /// before anything is bound.
     pub fn start(cfg: ServerConfig, port: u16) -> io::Result<Server> {
-        assert!(cfg.shards > 0, "need at least one shard");
-        assert!(cfg.inflight_limit > 0, "inflight limit must be positive");
+        validate(&cfg)?;
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let shared = Arc::new(Shared::new(cfg)?);
-        let loop_shared = Arc::clone(&shared);
+        let repl = cfg.cluster.then(|| Arc::new(Replicator::new(cfg.shards)));
+        let shipping = repl.as_ref().map(|r| Shipper::start(Arc::clone(r)));
+        let (shipper, ship_thread) = shipping.transpose()?.unzip();
         let (waker, waker_rx) = Waker::new()?;
-        let loop_waker = waker.clone();
+        let shared = Arc::new(Shared {
+            clock: VirtualClock::start(cfg.time_scale),
+            started: Instant::now(),
+            shutdown: AtomicBool::new(false),
+            control: Control {
+                queue: Mutex::default(),
+                answered: Condvar::new(),
+                waker,
+            },
+            recorder: Arc::new(TraceRecorder::new(cfg.capture)),
+            repl,
+            cfg,
+        });
+        let loop_shared = Arc::clone(&shared);
         let event_loop = std::thread::Builder::new()
             .name("rif-event-loop".into())
-            .spawn(move || crate::event_loop::run(listener, loop_shared, waker, waker_rx))?;
+            .spawn(move || crate::event_loop::run(listener, loop_shared, shipper, waker_rx))?;
 
         Ok(Server {
             shared,
             addr,
             event_loop: Some(event_loop),
-            loop_waker,
+            ship_thread,
         })
     }
 
@@ -393,10 +421,11 @@ impl Server {
     /// SHUTDOWN frame).
     pub fn request_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.loop_waker.wake();
+        self.shared.control.waker.wake();
     }
 
-    /// Blocks until shutdown is requested, polling every few ms.
+    /// Blocks until shutdown is requested or the event loop has exited,
+    /// polling every few ms.
     pub fn wait_for_shutdown(&self) {
         while !self.shutdown_requested() {
             std::thread::sleep(Duration::from_millis(20));
@@ -410,16 +439,27 @@ impl Server {
         if let Some(event_loop) = self.event_loop.take() {
             let _ = event_loop.join();
         }
-        if let Some(repl) = &self.shared.repl {
-            repl.stop();
+        // The exited loop dropped the ship thread's inbox: the thread
+        // ships what is still queued and ends.
+        if let Some(ship_thread) = self.ship_thread.take() {
+            let _ = ship_thread.join();
         }
     }
 
-    /// A snapshot of the metrics registry (for in-process tests).
+    /// A snapshot of the metrics registry with the runtime gauges STATS
+    /// shows, taken by the event loop (for in-process tests). Once the
+    /// loop has exited it is the registry the loop left, returned at
+    /// once.
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
-        let mut m = self.shared.metrics().clone();
-        fold_runtime_gauges(&self.shared, &mut m);
-        m
+        let control = &self.shared.control;
+        let mut q = control.queue();
+        q.asked += 1;
+        let ticket = q.asked;
+        control.waker.wake();
+        while !q.exited && q.answered < ticket {
+            q = control.answered.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+        q.snapshot.clone()
     }
 
     /// Fault-injection hook: kills shard `index`'s simulator state
@@ -429,18 +469,12 @@ impl Server {
     /// simulator. Returns false if the index is out of range or the event
     /// loop has exited.
     pub fn inject_shard_crash(&self, index: usize, restart_after: Duration) -> bool {
-        if index >= self.shard_count() {
-            return false;
-        }
-        let queued = match self.shared.crashes().as_mut() {
-            Some(orders) => {
-                orders.push((index, restart_after));
-                true
-            }
-            None => false,
-        };
+        let control = &self.shared.control;
+        let mut q = control.queue();
+        let queued = index < self.shard_count() && !q.exited;
         if queued {
-            self.loop_waker.wake();
+            q.crashes.push((index, restart_after));
+            control.waker.wake();
         }
         queued
     }
@@ -472,12 +506,8 @@ impl Server {
 
 /// Answers an over-limit accept: a best-effort `ERROR(ConnLimit)` frame
 /// so the peer knows why, then a close.
-pub(crate) fn refuse_over_limit(mut stream: TcpStream, shared: &Shared) {
-    shared
-        .front_door
-        .conn_limit_rejected
-        .fetch_add(1, Ordering::Relaxed);
-    shared.metrics().inc("server.conn_limit_rejected", 1);
+pub(crate) fn refuse_over_limit(mut stream: TcpStream, m: &mut MetricsRegistry) {
+    m.inc("server.conn_limit_rejected", 1);
     stream
         .set_write_timeout(Some(Duration::from_millis(50)))
         .ok();
@@ -490,10 +520,14 @@ pub(crate) fn refuse_over_limit(mut stream: TcpStream, shared: &Shared) {
     );
 }
 
-/// True when accepting one more connection would exceed the limit.
-pub(crate) fn at_conn_limit(shared: &Shared) -> bool {
-    let limit = shared.cfg.max_connections;
-    limit > 0 && shared.front_door.connections_open.load(Ordering::Acquire) >= limit
+/// Handles MAP_GET: the map text and epoch of the directory's last push
+/// (empty at epoch 0 outside cluster mode).
+pub(crate) fn handle_map_get(node: &Node, reply: &mut Reply<'_>, tag: u64) {
+    let (epoch, text) = match &node.cluster {
+        Some(cl) => (cl.epoch, cl.map_text.clone()),
+        None => (0, String::new()),
+    };
+    reply.send(Response::MapResp { tag, epoch, text });
 }
 
 /// Handles MAP_PUSH: installs a newer map's ownership (owned ranges
@@ -503,63 +537,58 @@ pub(crate) fn at_conn_limit(shared: &Shared) -> bool {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn handle_map_push(
     shared: &Shared,
+    node: &mut Node,
     reply: &mut Reply<'_>,
     tag: u64,
     epoch: u64,
     capacity_bytes: u64,
     ranges: u32,
-    owned: &[u32],
-    followed: &[u32],
-    replicas: &[(u32, String)],
-    map_text: String,
+    owned: RangeListView<'_>,
+    followed: RangeListView<'_>,
+    replicas: ReplicaListView<'_>,
+    map_text: &str,
 ) {
-    let bad = shared.cluster.is_none()
-        || capacity_bytes != shared.cfg.capacity_bytes
-        || ranges as usize != shared.cfg.shards
-        || owned.iter().any(|&r| r as usize >= shared.cfg.shards)
-        || followed.iter().any(|&r| r as usize >= shared.cfg.shards)
-        || replicas
+    let shards = shared.cfg.shards;
+    let bad = capacity_bytes != shared.cfg.capacity_bytes
+        || ranges as usize != shards
+        || owned
             .iter()
-            .any(|&(r, _)| r as usize >= shared.cfg.shards);
-    if bad {
-        bad_request(shared, reply, tag);
-        return;
-    }
-    let (cur_epoch, text) = {
-        let mut cl = shared.cluster_state();
-        if epoch > cl.epoch {
-            cl.epoch = epoch;
-            cl.map_text = map_text;
-            // A push settles every range: Moving survives only within an
-            // epoch, never across one. Owned wins over Following if the
-            // directory ever lists a range as both.
-            for s in cl.status.iter_mut() {
-                *s = RangeStatus::NotOwned;
-            }
-            for &r in followed {
-                cl.status[r as usize] = RangeStatus::Following;
-            }
-            for &r in owned {
-                cl.status[r as usize] = RangeStatus::Owned;
-            }
-            if let Some(repl) = &shared.repl {
-                repl.update_targets(epoch, replicas);
-            }
-        }
-        (cl.epoch, cl.map_text.clone())
+            .chain(followed.iter())
+            .any(|r| r as usize >= shards)
+        || replicas.iter().any(|(r, _)| r as usize >= shards);
+    let cl = match &mut node.cluster {
+        Some(cl) if !bad => cl,
+        _ => return bad_request(&mut node.metrics, reply, tag),
     };
-    shared.metrics().inc("server.map_pushes", 1);
+    if epoch > cl.epoch {
+        cl.epoch = epoch;
+        cl.map_text = map_text.to_string();
+        // A push settles every range: Moving survives only within an
+        // epoch, never across one. Owned wins over Following if the
+        // directory ever lists a range as both.
+        for s in cl.status.iter_mut() {
+            *s = RangeStatus::NotOwned;
+        }
+        for r in followed.iter() {
+            cl.status[r as usize] = RangeStatus::Following;
+        }
+        for r in owned.iter() {
+            cl.status[r as usize] = RangeStatus::Owned;
+        }
+        cl.shipper.update_targets(epoch, replicas);
+    }
+    node.metrics.inc("server.map_pushes", 1);
     reply.send(Response::MapResp {
         tag,
-        epoch: cur_epoch,
-        text,
+        epoch: cl.epoch,
+        text: cl.map_text.clone(),
     });
 }
 
 /// Handles a primary's REPLICATE shipment on a follower. Its own gate
-/// asks one question — may a primary at `epoch` write `range` here? —
-/// and the rest is the client path's: the shutdown and length refusals,
-/// the room check and the submission. The shard's `Done` becomes
+/// asks one question — may a primary at `primary_epoch` write `range`
+/// here? — and the rest is the client path's: the shutdown and length
+/// refusals, the room check and the submission. The shard's `Done` becomes
 /// `REPL_ACK(range, seq)` via [`ReplyTo::shipment`]. Shipments skip the
 /// rate limiter and are never journaled: they mirror a write the primary
 /// already admitted, charged and journaled.
@@ -570,7 +599,7 @@ pub(crate) fn handle_replicate(
     reply: &mut Reply<'_>,
     tag: u64,
     range: u32,
-    epoch: u64,
+    primary_epoch: u64,
     seq: u64,
     offset: u64,
     bytes: u32,
@@ -578,53 +607,38 @@ pub(crate) fn handle_replicate(
     if refuse_shutdown(shared, reply, [tag]) {
         return;
     }
-    if shared.cluster.is_none() || range as usize >= shared.cfg.shards {
-        bad_request(shared, reply, tag);
-        return;
-    }
-    if refuse_bad_length(shared, reply, tag, bytes) {
+    let m = &mut node.metrics;
+    let cl = match &node.cluster {
+        Some(cl) if (range as usize) < shared.cfg.shards => cl,
+        _ => return bad_request(m, reply, tag),
+    };
+    if refuse_bad_length(m, reply, tag, bytes) {
         return;
     }
     let (wrapped, idx) = route(shared, offset);
     if idx != range as usize {
-        bad_request(shared, reply, tag);
-        return;
+        return bad_request(m, reply, tag);
     }
-    let (status, cur_epoch) = {
-        let cl = shared.cluster_state();
-        (cl.status[idx], cl.epoch)
-    };
+    let (status, epoch) = (cl.status[idx], cl.epoch);
     // A stale primary (shipping under an epoch this node has already
     // moved past) is told to refetch; a primary *ahead* of us is fine —
     // its directory push is merely still in flight to this node.
-    let stale = epoch < cur_epoch;
+    let stale = primary_epoch < epoch;
     match status {
         RangeStatus::Following | RangeStatus::Owned if !stale => {}
         RangeStatus::Moving if !stale => {
-            refuse_busy(
-                shared,
-                reply,
-                [tag],
-                "server.busy.moving",
-                BusyReason::Moving,
-            );
-            return;
+            return refuse_busy(m, reply, [tag], "server.busy.moving", BusyReason::Moving);
         }
         _ => {
-            shared.metrics().inc("server.wrong_shard", 1);
-            reply.send(Response::WrongShard {
-                tag,
-                epoch: cur_epoch,
-            });
-            return;
+            m.inc("server.wrong_shard", 1);
+            return reply.send(Response::WrongShard { tag, epoch });
         }
     }
     let shard = &mut node.shards[idx];
     if !has_room(shared, shard, 1) {
-        refuse_busy(shared, reply, [tag], "server.busy.queue", BusyReason::Queue);
-        return;
+        return refuse_busy(m, reply, [tag], "server.busy.queue", BusyReason::Queue);
     }
-    shared.metrics().inc("server.repl.applied", 1);
+    m.inc("server.repl.applied", 1);
     let shipment = Submission {
         tag,
         op: IoOp::Write,
@@ -635,7 +649,9 @@ pub(crate) fn handle_replicate(
             shipment: Some((range, seq)),
         },
     };
-    shard.submit(shared, node.now, shipment, &mut |_, resp| reply.send(resp));
+    shard.submit(m, &shared.recorder, node.now, shipment, &mut |_, resp| {
+        reply.send(resp)
+    });
 }
 
 /// Handles MIGRATE_OUT's first half: checks the range and seals it, so
@@ -644,16 +660,21 @@ pub(crate) fn handle_replicate(
 /// loop then drains the shard and answers with its learner snapshot.
 pub(crate) fn seal_for_migration(
     shared: &Shared,
+    node: &mut Node,
     reply: &mut Reply<'_>,
     tag: u64,
     range: u32,
 ) -> bool {
-    if shared.cluster.is_none() || range as usize >= shared.cfg.shards {
-        bad_request(shared, reply, tag);
+    let Some(cl) = node
+        .cluster
+        .as_mut()
+        .filter(|_| (range as usize) < shared.cfg.shards)
+    else {
+        bad_request(&mut node.metrics, reply, tag);
         return false;
-    }
-    shared.cluster_state().status[range as usize] = RangeStatus::Moving;
-    shared.metrics().inc("server.migrations.out", 1);
+    };
+    cl.status[range as usize] = RangeStatus::Moving;
+    node.metrics.inc("server.migrations.out", 1);
     true
 }
 
@@ -668,11 +689,11 @@ pub(crate) fn handle_migrate_in(
     range: u32,
     state: &str,
 ) {
-    if shared.cluster.is_none() || range as usize >= shared.cfg.shards {
-        bad_request(shared, reply, tag);
+    if node.cluster.is_none() || range as usize >= shared.cfg.shards {
+        bad_request(&mut node.metrics, reply, tag);
         return;
     }
-    shared.metrics().inc("server.migrations.in", 1);
+    node.metrics.inc("server.migrations.in", 1);
     node.shards[range as usize].adopt(state);
     reply.send(Response::Migrated {
         tag,
@@ -683,8 +704,8 @@ pub(crate) fn handle_migrate_in(
 
 /// Answers a request this node cannot act on with `ERROR(BadRequest)`,
 /// charged to `server.protocol_errors`.
-pub(crate) fn bad_request(shared: &Shared, reply: &mut Reply<'_>, tag: u64) {
-    shared.metrics().inc("server.protocol_errors", 1);
+pub(crate) fn bad_request(m: &mut MetricsRegistry, reply: &mut Reply<'_>, tag: u64) {
+    m.inc("server.protocol_errors", 1);
     reply.send(Response::Error {
         tag,
         code: ErrorCode::BadRequest,
@@ -693,7 +714,7 @@ pub(crate) fn bad_request(shared: &Shared, reply: &mut Reply<'_>, tag: u64) {
 
 /// Answers every tag `BUSY(reason)`, charging `counter` once per tag.
 pub(crate) fn refuse_busy(
-    shared: &Shared,
+    m: &mut MetricsRegistry,
     reply: &mut Reply<'_>,
     tags: impl IntoIterator<Item = u64>,
     counter: &str,
@@ -704,7 +725,7 @@ pub(crate) fn refuse_busy(
         reply.send(Response::Busy { tag, reason });
         n += 1;
     }
-    shared.metrics().inc(counter, n);
+    m.inc(counter, n);
 }
 
 /// Once shutdown began, answers every tag `ERROR(ShuttingDown)` and
@@ -728,11 +749,11 @@ fn refuse_shutdown(
 
 /// Answers a transfer no shard can take — zero bytes or more than
 /// [`MAX_IO_BYTES`] — with `ERROR(BadLength)` and returns true.
-fn refuse_bad_length(shared: &Shared, reply: &mut Reply<'_>, tag: u64, bytes: u32) -> bool {
+fn refuse_bad_length(m: &mut MetricsRegistry, reply: &mut Reply<'_>, tag: u64, bytes: u32) -> bool {
     if bytes > 0 && bytes <= MAX_IO_BYTES {
         return false;
     }
-    shared.metrics().inc("server.protocol_errors", 1);
+    m.inc("server.protocol_errors", 1);
     reply.send(Response::Error {
         tag,
         code: ErrorCode::BadLength,
@@ -762,32 +783,30 @@ fn has_room(shared: &Shared, shard: &Shard, k: usize) -> bool {
 /// admits reads (the router's failover path reads from replicas) but
 /// bounces writes — only the primary may originate a write, or
 /// exactly-once and the replication stream fall apart.
-fn cluster_admits(shared: &Shared, reply: &mut Reply<'_>, tag: u64, idx: usize, op: IoOp) -> bool {
-    if shared.cluster.is_none() {
+fn cluster_admits(
+    cluster: Option<&ClusterState>,
+    m: &mut MetricsRegistry,
+    reply: &mut Reply<'_>,
+    tag: u64,
+    idx: usize,
+    op: IoOp,
+) -> bool {
+    let Some(cl) = cluster else {
         return true;
-    }
-    let (status, epoch) = {
-        let cl = shared.cluster_state();
-        (cl.status[idx], cl.epoch)
     };
-    match status {
+    let epoch = cl.epoch;
+    match cl.status[idx] {
         RangeStatus::Owned => true,
         RangeStatus::Following if op == IoOp::Read => {
-            shared.metrics().inc("server.repl.follower_reads", 1);
+            m.inc("server.repl.follower_reads", 1);
             true
         }
         RangeStatus::Moving => {
-            refuse_busy(
-                shared,
-                reply,
-                [tag],
-                "server.busy.moving",
-                BusyReason::Moving,
-            );
+            refuse_busy(m, reply, [tag], "server.busy.moving", BusyReason::Moving);
             false
         }
         RangeStatus::NotOwned | RangeStatus::Following => {
-            shared.metrics().inc("server.wrong_shard", 1);
+            m.inc("server.wrong_shard", 1);
             reply.send(Response::WrongShard { tag, epoch });
             false
         }
@@ -845,7 +864,14 @@ pub(crate) fn admit(
     if refuse_shutdown(shared, reply, entries.by_ref().map(|e| e.tag)) {
         return;
     }
-    let Node { shards, gate, now } = node;
+    let Node {
+        shards,
+        gate,
+        now,
+        metrics,
+        cluster,
+        ..
+    } = node;
     let Gate {
         buckets,
         valid,
@@ -857,11 +883,11 @@ pub(crate) fn admit(
     per_shard.clear();
     let (mut reads, mut writes) = (0, 0);
     for mut e in entries {
-        if refuse_bad_length(shared, reply, e.tag, e.bytes) {
+        if refuse_bad_length(metrics, reply, e.tag, e.bytes) {
             continue;
         }
         let (wrapped, idx) = route(shared, e.offset);
-        if !cluster_admits(shared, reply, e.tag, idx, e.op) {
+        if !cluster_admits(cluster.as_ref(), metrics, reply, e.tag, idx, e.op) {
             continue;
         }
         match e.op {
@@ -878,14 +904,11 @@ pub(crate) fn admit(
     if valid.is_empty() {
         return;
     }
-    {
-        let mut m = shared.metrics();
-        if reads > 0 {
-            m.inc("server.requests.read", reads);
-        }
-        if writes > 0 {
-            m.inc("server.requests.write", writes);
-        }
+    if reads > 0 {
+        metrics.inc("server.requests.read", reads);
+    }
+    if writes > 0 {
+        metrics.inc("server.requests.write", writes);
     }
     let tags = || valid.iter().map(|(e, _)| e.tag);
 
@@ -902,7 +925,7 @@ pub(crate) fn admit(
             buckets.refund(t, n as u32);
         }
         refuse_busy(
-            shared,
+            metrics,
             reply,
             tags(),
             "server.busy.ratelimit",
@@ -915,7 +938,7 @@ pub(crate) fn admit(
         .all(|&(idx, k)| has_room(shared, &shards[idx], k))
     {
         refuse_busy(
-            shared,
+            metrics,
             reply,
             tags(),
             "server.busy.queue",
@@ -927,9 +950,9 @@ pub(crate) fn admit(
     // Admitted. Journal every entry with its wrapped offset (a replay
     // through a same-shaped server routes it identically) before its
     // shard answers it.
+    let recorder = &shared.recorder;
     for (e, idx) in valid.iter() {
         let shard = *idx as u32;
-        let recorder = &shared.recorder;
         recorder.admit(e.tag, e.retry_of, e.op, e.offset, e.bytes, e.tenant, shard);
     }
     for &(e, idx) in valid.iter() {
@@ -944,46 +967,36 @@ pub(crate) fn admit(
                 shipment: None,
             },
         };
-        let taken = shard.submit(shared, *now, s, &mut |_, resp| reply.send(resp));
+        let taken = shard.submit(metrics, recorder, *now, s, &mut |_, resp| reply.send(resp));
         // Only writes a shard took are offered to the replication
         // shipper (a no-op unless this node is the range's primary and
         // has followers).
-        if let (true, IoOp::Write, Some(repl)) = (taken, e.op, &shared.repl) {
-            repl.offer(idx as u32, e.tenant, e.offset, e.bytes);
+        if let (true, IoOp::Write, Some(cl)) = (taken, e.op, cluster.as_ref()) {
+            cl.shipper.offer(idx as u32, e.tenant, e.offset, e.bytes);
         }
     }
 }
 
-/// Folds live runtime state (shard windows, front-door saturation,
-/// clocks) into a registry snapshot. Shared by the STATS renderer and
-/// [`Server::metrics_snapshot`] so in-process tests see the same view a
-/// wire client does.
-pub(crate) fn fold_runtime_gauges(shared: &Shared, m: &mut MetricsRegistry) {
-    for (i, n) in shared.inflight.iter().enumerate() {
+/// The loop's registry with shard windows, front-door figures
+/// (`conns_open` and `queued_bytes` counted off the connection slab),
+/// clocks and replication folded in: what STATS renders and
+/// [`Server::metrics_snapshot`] returns.
+pub(crate) fn fold_runtime_gauges(
+    shared: &Shared,
+    node: &Node,
+    conns_open: usize,
+    queued_bytes: usize,
+) -> MetricsRegistry {
+    let mut m = node.metrics.clone();
+    for (i, shard) in node.shards.iter().enumerate() {
         let key = format!("server.inflight.shard{i}");
-        m.set_gauge(&key, n.load(Ordering::Relaxed) as f64);
+        m.set_gauge(&key, shard.inflight() as f64);
     }
-    let fd = &shared.front_door;
-    m.set_gauge(
-        "server.connections_open",
-        fd.connections_open.load(Ordering::Acquire) as f64,
-    );
-    m.inc(
-        "server.connections_accepted",
-        fd.connections_accepted.load(Ordering::Relaxed),
-    );
-    m.inc(
-        "server.epoll_wakeups",
-        fd.epoll_wakeups.load(Ordering::Relaxed),
-    );
-    m.set_gauge(
-        "server.write_queue.total_bytes",
-        fd.write_queue_bytes.load(Ordering::Acquire) as f64,
-    );
-    m.set_gauge(
-        "server.write_queue.max_bytes",
-        fd.write_queue_max_bytes.load(Ordering::Acquire) as f64,
-    );
+    m.set_gauge("server.connections_open", conns_open as f64);
+    m.inc("server.connections_accepted", node.accepted);
+    m.inc("server.epoll_wakeups", node.wakeups);
+    m.set_gauge("server.write_queue.total_bytes", queued_bytes as f64);
+    m.set_gauge("server.write_queue.max_bytes", node.wq_max_bytes as f64);
     m.set_gauge("server.uptime_secs", shared.started.elapsed().as_secs_f64());
     m.set_gauge("server.virtual_now_us", shared.clock.now().as_us());
     if let Some(repl) = &shared.repl {
@@ -999,10 +1012,5 @@ pub(crate) fn fold_runtime_gauges(shared: &Shared, m: &mut MetricsRegistry) {
             );
         }
     }
-}
-
-pub(crate) fn render_stats(shared: &Shared) -> String {
-    let mut m = shared.metrics().clone();
-    fold_runtime_gauges(shared, &mut m);
-    m.lines().join("\n")
+    m
 }

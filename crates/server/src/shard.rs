@@ -27,12 +27,13 @@
 
 use std::collections::HashMap;
 
+use rif_events::trace::MetricsRegistry;
 use rif_events::SimTime;
 use rif_ssd::{Simulator, SsdConfig};
 use rif_workloads::{IoOp, IoRequest};
 
 use crate::protocol::{BusyReason, ErrorCode, Response};
-use crate::server::Shared;
+use crate::recorder::TraceRecorder;
 
 /// Where an answer goes: the event loop's generation-tagged key of the
 /// connection the request came in on, plus, for a follower applying a
@@ -232,11 +233,11 @@ impl Shard {
 
     /// Leaves the dead window once `now` has reached its deadline, and
     /// says whether the shard is still dead.
-    fn dead_at(&mut self, shared: &Shared, now: SimTime) -> bool {
+    fn dead_at(&mut self, m: &mut MetricsRegistry, now: SimTime) -> bool {
         match self.dead_until {
             Some(t) if now >= t => {
                 self.dead_until = None;
-                shared.metrics().inc("server.shard_restarts", 1);
+                m.inc("server.shard_restarts", 1);
                 false
             }
             dead => dead.is_some(),
@@ -247,18 +248,19 @@ impl Shard {
     /// a dead shard instead answers `BUSY(Unavailable)` and returns false.
     pub(crate) fn submit(
         &mut self,
-        shared: &Shared,
+        m: &mut MetricsRegistry,
+        recorder: &TraceRecorder,
         arrival: SimTime,
         s: Submission,
         out: &mut impl FnMut(u64, Response),
     ) -> bool {
-        if self.dead_at(shared, arrival) {
+        if self.dead_at(m, arrival) {
             // Dead shard: never admit, never hang. The recorder retracts
             // the admission — this I/O never ran.
             if s.reply.journaled() {
-                shared.recorder.reject(s.tag);
+                recorder.reject(s.tag);
             }
-            shared.metrics().inc("server.busy.unavailable", 1);
+            m.inc("server.busy.unavailable", 1);
             let busy = Response::Busy {
                 tag: s.tag,
                 reason: BusyReason::Unavailable,
@@ -285,16 +287,17 @@ impl Shard {
     /// deadline it reaches) and answers what completed.
     pub(crate) fn advance(
         &mut self,
-        shared: &Shared,
+        m: &mut MetricsRegistry,
+        recorder: &TraceRecorder,
         horizon: SimTime,
         out: &mut impl FnMut(u64, Response),
     ) {
-        if self.dead_at(shared, horizon) {
+        if self.dead_at(m, horizon) {
             return;
         }
         self.sim.advance_until(horizon);
         self.ahead = self.ahead && self.sim.now() > horizon;
-        self.answer(shared, horizon, out);
+        self.answer(m, recorder, horizon, out);
     }
 
     /// FLUSH, a migration's drain and shutdown: advances past wall-clock
@@ -304,62 +307,66 @@ impl Shard {
     /// shard has nothing in flight: its crash answered it all.
     pub(crate) fn fast_forward(
         &mut self,
-        shared: &Shared,
+        m: &mut MetricsRegistry,
+        recorder: &TraceRecorder,
         now: SimTime,
         out: &mut impl FnMut(u64, Response),
     ) {
-        if self.dead_at(shared, now) {
+        if self.dead_at(m, now) {
             return;
         }
         self.sim.advance_until(SimTime::MAX);
         self.ahead = true;
-        self.answer(shared, now, out);
+        self.answer(m, recorder, now, out);
     }
 
     /// Answers the simulator's completions, `now` being the virtual
     /// instant they are answered at.
-    fn answer(&mut self, shared: &Shared, now: SimTime, out: &mut impl FnMut(u64, Response)) {
+    fn answer(
+        &mut self,
+        m: &mut MetricsRegistry,
+        recorder: &TraceRecorder,
+        now: SimTime,
+        out: &mut impl FnMut(u64, Response),
+    ) {
         let done = self.sim.drain_completions();
         if done.is_empty() {
             return;
         }
         let learner = self.sim.learner_summary();
         let bg = self.sim.bg_summary();
-        {
-            let mut m = shared.metrics();
-            m.inc("server.completed", done.len() as u64);
-            m.inc(&self.keys.completed, done.len() as u64);
-            for c in &done {
-                m.observe("server.latency.virtual", c.latency());
-                // How late the loop answers what the simulator already
-                // finished: its wake-up latency, plus any fast-forward
-                // (which answers early, and counts as zero).
-                m.observe("server.pacing.lag", now.saturating_since(c.finished));
-            }
-            // Learned mode: export the shard's live learner state so STATS
-            // shows threshold-learning progress while the server runs.
-            if let Some(l) = learner {
-                let [updates, recalibrations, blocks, error] = &self.keys.learner;
-                m.set_gauge(updates, l.updates as f64);
-                m.set_gauge(recalibrations, l.recalibrations as f64);
-                m.set_gauge(blocks, l.blocks_tracked as f64);
-                m.set_gauge(error, l.mean_abs_error);
-            }
-            // Hybrid mode: export the shard's live background-traffic
-            // state so STATS shows cache destaging and refresh progress
-            // while the server runs.
-            if let Some(h) = bg {
-                let [occupancy, migrated, refreshed, ops] = &self.keys.bg;
-                m.set_gauge(occupancy, h.cache_occupancy);
-                m.set_gauge(migrated, h.migrated_slots as f64);
-                m.set_gauge(refreshed, h.refreshed_slots as f64);
-                m.set_gauge(ops, h.bg_ops as f64);
-            }
+        m.inc("server.completed", done.len() as u64);
+        m.inc(&self.keys.completed, done.len() as u64);
+        for c in &done {
+            m.observe("server.latency.virtual", c.latency());
+            // How late the loop answers what the simulator already
+            // finished: its wake-up latency, plus any fast-forward
+            // (which answers early, and counts as zero).
+            m.observe("server.pacing.lag", now.saturating_since(c.finished));
+        }
+        // Learned mode: export the shard's live learner state so STATS
+        // shows threshold-learning progress while the server runs.
+        if let Some(l) = learner {
+            let [updates, recalibrations, blocks, error] = &self.keys.learner;
+            m.set_gauge(updates, l.updates as f64);
+            m.set_gauge(recalibrations, l.recalibrations as f64);
+            m.set_gauge(blocks, l.blocks_tracked as f64);
+            m.set_gauge(error, l.mean_abs_error);
+        }
+        // Hybrid mode: export the shard's live background-traffic
+        // state so STATS shows cache destaging and refresh progress
+        // while the server runs.
+        if let Some(h) = bg {
+            let [occupancy, migrated, refreshed, ops] = &self.keys.bg;
+            m.set_gauge(occupancy, h.cache_occupancy);
+            m.set_gauge(migrated, h.migrated_slots as f64);
+            m.set_gauge(refreshed, h.refreshed_slots as f64);
+            m.set_gauge(ops, h.bg_ops as f64);
         }
         for c in done {
             if let Some((tag, reply)) = self.pending.remove(&c.id) {
                 if reply.journaled() {
-                    shared.recorder.complete(tag, true);
+                    recorder.complete(tag, true);
                 }
                 let latency_ns = c.latency().as_ns();
                 out(reply.key, reply.wrap(Response::Done { tag, latency_ns }));
@@ -393,18 +400,16 @@ impl Shard {
     /// (a crash inside the window extends it).
     pub(crate) fn crash(
         &mut self,
-        shared: &Shared,
+        m: &mut MetricsRegistry,
+        recorder: &TraceRecorder,
         deadline: SimTime,
         out: &mut impl FnMut(u64, Response),
     ) {
-        {
-            let mut m = shared.metrics();
-            m.inc("server.shard_crashes", 1);
-            m.inc(&self.keys.crashes, 1);
-        }
+        m.inc("server.shard_crashes", 1);
+        m.inc(&self.keys.crashes, 1);
         for (_, (tag, reply)) in self.pending.drain() {
             if reply.journaled() {
-                shared.recorder.complete(tag, false);
+                recorder.complete(tag, false);
             }
             let code = ErrorCode::Internal;
             out(reply.key, reply.wrap(Response::Error { tag, code }));
@@ -421,21 +426,11 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::ServerConfig;
     use rif_events::SimDuration;
     use rif_ssd::RetryKind;
 
     /// The connection every test request comes from.
     const KEY: u64 = 7;
-
-    /// Node-wide books (metrics, capture journal) for shards under test.
-    fn books(capture: bool) -> Shared {
-        let cfg = ServerConfig {
-            capture,
-            ..ServerConfig::default()
-        };
-        Shared::new(cfg).expect("books")
-    }
 
     /// Shard `index`, spanning 1 GiB from offset 0.
     fn shard(index: usize, cfg: SsdConfig) -> Shard {
@@ -469,11 +464,11 @@ mod tests {
 
     /// Steps `shard` event by event, as the loop does when it sleeps until
     /// `next_wake`, until `n` answers are out or nothing is left to do.
-    fn step_until(shard: &mut Shard, sh: &Shared, n: usize) -> Answers {
+    fn step_until(s: &mut Shard, m: &mut MetricsRegistry, r: &TraceRecorder, n: usize) -> Answers {
         let mut answers = Vec::new();
         while answers.len() < n {
-            let Some(t) = shard.next_wake() else { break };
-            shard.advance(sh, t, &mut collect(&mut answers));
+            let Some(t) = s.next_wake() else { break };
+            s.advance(m, r, t, &mut collect(&mut answers));
         }
         answers
     }
@@ -526,22 +521,33 @@ mod tests {
 
     #[test]
     fn completions_are_answered_at_their_due_instants() {
-        let sh = books(false);
+        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(false));
         let mut s = shard(0, small());
         let arrival = SimTime::from_us(10);
         for (tag, op) in [(1, IoOp::Read), (2, IoOp::Write)] {
-            assert!(s.submit(&sh, arrival, io(tag, op, tag << 20, 4096), &mut |_, _| {}));
+            assert!(s.submit(
+                &mut m,
+                &rec,
+                arrival,
+                io(tag, op, tag << 20, 4096),
+                &mut |_, _| {}
+            ));
         }
         assert_eq!(s.inflight(), 2);
         let mut answered = Vec::new();
         while let Some(t) = s.next_wake() {
             // Nothing is answered a nanosecond before an event is due…
             let mut early = Vec::new();
-            s.advance(&sh, t - SimDuration::from_ns(1), &mut collect(&mut early));
+            s.advance(
+                &mut m,
+                &rec,
+                t - SimDuration::from_ns(1),
+                &mut collect(&mut early),
+            );
             assert!(early.is_empty(), "answered ahead of its event: {early:?}");
             // …and what that event completes is answered at it.
             let mut at_t = Vec::new();
-            s.advance(&sh, t, &mut collect(&mut at_t));
+            s.advance(&mut m, &rec, t, &mut collect(&mut at_t));
             for (key, resp) in at_t {
                 assert_eq!(key, KEY);
                 let Response::Done { tag, latency_ns } = resp else {
@@ -554,7 +560,6 @@ mod tests {
         answered.sort_unstable();
         assert_eq!(answered, [1, 2]);
         assert_eq!(s.inflight(), 0);
-        let m = sh.metrics().clone();
         assert_eq!(m.counter("server.completed"), 2);
         assert_eq!(m.counter("server.completed.shard0"), 2);
         let lag = m.histogram("server.pacing.lag").expect("pacing lag");
@@ -564,10 +569,11 @@ mod tests {
 
     #[test]
     fn crashed_worker_fails_pending_and_bounces_then_restarts() {
-        let sh = books(false);
+        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(false));
         let mut s = shard(0, small());
         assert!(s.submit(
-            &sh,
+            &mut m,
+            &rec,
             SimTime::ZERO,
             io(7, IoOp::Read, 0, 4096),
             &mut |_, _| {}
@@ -575,7 +581,7 @@ mod tests {
         // Crash before the read can complete: it fails, fate unknown.
         let deadline = SimTime::from_ms(30);
         let mut answers = Vec::new();
-        s.crash(&sh, deadline, &mut collect(&mut answers));
+        s.crash(&mut m, &rec, deadline, &mut collect(&mut answers));
         let internal = Response::Error {
             tag: 7,
             code: ErrorCode::Internal,
@@ -588,7 +594,8 @@ mod tests {
         let mut answers = Vec::new();
         let early = deadline - SimDuration::from_ns(1);
         assert!(!s.submit(
-            &sh,
+            &mut m,
+            &rec,
             early,
             io(8, IoOp::Read, 0, 4096),
             &mut collect(&mut answers)
@@ -601,25 +608,27 @@ mod tests {
         assert_eq!(s.inflight(), 0);
 
         // Still dead short of the deadline; restarted at it.
-        s.advance(&sh, early, &mut |_, _| {
+        s.advance(&mut m, &rec, early, &mut |_, _| {
             panic!("a dead shard answers nothing")
         });
-        assert_eq!(sh.metrics().counter("server.shard_restarts"), 0);
-        s.advance(&sh, deadline, &mut |_, _| panic!("nothing is in flight"));
-        assert_eq!(sh.metrics().counter("server.shard_restarts"), 1);
+        assert_eq!(m.counter("server.shard_restarts"), 0);
+        s.advance(&mut m, &rec, deadline, &mut |_, _| {
+            panic!("nothing is in flight")
+        });
+        assert_eq!(m.counter("server.shard_restarts"), 1);
         assert!(s.submit(
-            &sh,
+            &mut m,
+            &rec,
             deadline,
             io(9, IoOp::Write, 4096, 4096),
             &mut |_, _| {}
         ));
-        let served = step_until(&mut s, &sh, 1);
+        let served = step_until(&mut s, &mut m, &rec, 1);
         assert!(
             matches!(served[..], [(KEY, Response::Done { tag: 9, .. })]),
             "restarted shard must serve: {served:?}"
         );
 
-        let m = sh.metrics().clone();
         assert_eq!(m.counter("server.shard_crashes"), 1);
         assert_eq!(m.counter("server.shard_crashes.shard0"), 1);
         assert_eq!(m.counter("server.busy.unavailable"), 1);
@@ -629,16 +638,16 @@ mod tests {
     fn a_replicated_write_leaves_the_capture_journal_alone() {
         use rif_workloads::CaptureOutcome;
 
-        let sh = books(true);
+        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(true));
         let mut s = shard(0, small());
         // A client request journaled under tag 5, not yet answered…
-        sh.recorder.admit(5, 0, IoOp::Read, 0, 4096, 0, 0);
+        rec.admit(5, 0, IoOp::Read, 0, 4096, 0, 0);
         // …and a primary's shipment that happens to carry tag 5 too:
         // shipper tags count from 1 just as client tags do.
         let mut shipment = io(5, IoOp::Write, 4096, 4096);
         shipment.reply.shipment = Some((0, 1));
-        assert!(s.submit(&sh, SimTime::ZERO, shipment, &mut |_, _| {}));
-        let ack = step_until(&mut s, &sh, 1);
+        assert!(s.submit(&mut m, &rec, SimTime::ZERO, shipment, &mut |_, _| {}));
+        let ack = step_until(&mut s, &mut m, &rec, 1);
         let want = Response::ReplAck {
             tag: 5,
             range: 0,
@@ -647,29 +656,29 @@ mod tests {
         assert_eq!(ack, [(KEY, want)]);
         // The shipment's DONE resolved nothing: the client's record is
         // still open, which a capture renders as an error.
-        let capture = sh.recorder.capture();
+        let capture = rec.capture();
         assert_eq!(capture.len(), 1);
         assert_eq!(capture.records[0].outcome, CaptureOutcome::Error);
     }
 
     #[test]
     fn learned_shard_exports_learner_gauges() {
-        let sh = books(false);
+        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(false));
         let mut s = shard(0, learned());
         for i in 0..8u64 {
             assert!(s.submit(
-                &sh,
+                &mut m,
+                &rec,
                 SimTime::ZERO,
                 io(i, IoOp::Read, i * 65536, 65536),
                 &mut |_, _| {}
             ));
         }
-        let answers = step_until(&mut s, &sh, 8);
+        let answers = step_until(&mut s, &mut m, &rec, 8);
         assert_eq!(answers.len(), 8);
         assert!(answers
             .iter()
             .all(|(_, r)| matches!(r, Response::Done { .. })));
-        let m = sh.metrics().clone();
         assert!(
             m.gauge("server.learner.shard0.updates").unwrap_or(0.0) > 0.0,
             "learner update gauge missing from STATS metrics"
@@ -693,33 +702,34 @@ mod tests {
         h.bg.low_watermark = 0.0;
         h.bg.refresh_scan_batch = 8;
         cfg.hybrid = Some(h);
-        let sh = books(false);
+        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(false));
         let mut s = shard(0, cfg);
         // Writes land in the SLC cache; the eager drain migrates them as
         // soon as the scheduler ticks.
         for i in 0..8u64 {
             assert!(s.submit(
-                &sh,
+                &mut m,
+                &rec,
                 SimTime::ZERO,
                 io(i, IoOp::Write, i * 65536, 65536),
                 &mut |_, _| {}
             ));
         }
-        assert_eq!(step_until(&mut s, &sh, 8).len(), 8);
+        assert_eq!(step_until(&mut s, &mut m, &rec, 8).len(), 8);
         // Leave room for several scheduler ticks, then read: the
         // completion drain re-exports the bg gauges.
         let later = s.sim.now() + SimDuration::from_ms(20);
-        s.advance(&sh, later, &mut |_, _| {});
+        s.advance(&mut m, &rec, later, &mut |_, _| {});
         for i in 8..16u64 {
             assert!(s.submit(
-                &sh,
+                &mut m,
+                &rec,
                 later,
                 io(i, IoOp::Read, i * 65536, 65536),
                 &mut |_, _| {}
             ));
         }
-        assert_eq!(step_until(&mut s, &sh, 8).len(), 8);
-        let m = sh.metrics().clone();
+        assert_eq!(step_until(&mut s, &mut m, &rec, 8).len(), 8);
         assert!(
             m.gauge("server.bg.shard0.migrated_slots").unwrap_or(0.0) > 0.0,
             "eager destage must have migrated the cached writes"
@@ -735,21 +745,22 @@ mod tests {
     fn yield_then_adopt_carries_learner_state_across_workers() {
         use rif_ssd::LearnerState;
 
-        let sh = books(false);
+        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(false));
         let (mut src, mut dst) = (shard(0, learned()), shard(1, learned()));
 
         // Warm the source learner with everything still in flight when
         // the drain starts: the fast-forward must cover all of it.
         for i in 0..8u64 {
             assert!(src.submit(
-                &sh,
+                &mut m,
+                &rec,
                 SimTime::ZERO,
                 io(i, IoOp::Read, i * 65536, 65536),
                 &mut |_, _| {}
             ));
         }
         let mut answers = Vec::new();
-        src.fast_forward(&sh, SimTime::ZERO, &mut collect(&mut answers));
+        src.fast_forward(&mut m, &rec, SimTime::ZERO, &mut collect(&mut answers));
         assert_eq!(answers.len(), 8, "the drain answers every request");
         assert_eq!(src.inflight(), 0);
         let state_text = src.learner_snapshot();
@@ -764,12 +775,13 @@ mod tests {
         // The source keeps serving after a drain — no dead window. Its
         // simulator clock ran ahead; the arrival clamps to it.
         assert!(src.submit(
-            &sh,
+            &mut m,
+            &rec,
             SimTime::from_us(1),
             io(99, IoOp::Read, 0, 4096),
             &mut |_, _| {}
         ));
-        let served = step_until(&mut src, &sh, 1);
+        let served = step_until(&mut src, &mut m, &rec, 1);
         assert!(
             matches!(served[..], [(KEY, Response::Done { tag: 99, .. })]),
             "source keeps serving after a drain: {served:?}"

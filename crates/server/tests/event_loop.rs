@@ -1,5 +1,7 @@
 //! Event-loop core integration: connection limits, idle wakeups,
-//! all-or-nothing batch admission, the strict HELLO check, the
+//! all-or-nothing batch admission, the strict HELLO check, the control
+//! path from other threads (snapshots and crash orders, before and after
+//! the loop exits), configurations refused at start, the
 //! many-connections-per-thread client grouping, and the client engine's
 //! per-link behaviour against a scripted peer — all over real loopback
 //! TCP.
@@ -9,7 +11,7 @@ use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use rif_server::client::{
-    run_load, run_plans, Conn, LoadConfig, Outcome, PlannedIo, HELLO_TIMEOUT,
+    fetch_stats, run_load, run_plans, Conn, LoadConfig, Outcome, PlannedIo, HELLO_TIMEOUT,
 };
 use rif_server::mux::run_mux_load;
 use rif_server::protocol::{
@@ -356,6 +358,164 @@ fn hello_with_another_version_is_refused_and_closed() {
         );
     }
     Conn::connect(&addr).expect("the matching version connects");
+    server.stop();
+}
+
+#[test]
+fn a_config_the_node_cannot_run_fails_start_with_invalid_input() {
+    let cases: [(&str, ServerConfig); 7] = [
+        (
+            "no shards",
+            ServerConfig {
+                shards: 0,
+                ..ServerConfig::default()
+            },
+        ),
+        (
+            "no in-flight slots",
+            ServerConfig {
+                inflight_limit: 0,
+                ..ServerConfig::default()
+            },
+        ),
+        (
+            "queue depth 0",
+            ServerConfig {
+                queue_depth: 0,
+                ..ServerConfig::default()
+            },
+        ),
+        (
+            "capacity below shards",
+            ServerConfig {
+                capacity_bytes: 1,
+                ..ServerConfig::default()
+            },
+        ),
+        (
+            "time scale 0",
+            ServerConfig {
+                time_scale: 0.0,
+                ..ServerConfig::default()
+            },
+        ),
+        (
+            "time scale NaN",
+            ServerConfig {
+                time_scale: f64::NAN,
+                ..ServerConfig::default()
+            },
+        ),
+        (
+            "rate without burst",
+            ServerConfig {
+                rate_per_sec: 100.0,
+                burst: 0.5,
+                ..ServerConfig::default()
+            },
+        ),
+    ];
+    for (what, cfg) in cases {
+        match Server::start(cfg, 0) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{what}: {e}"),
+            Ok(server) => {
+                server.stop();
+                panic!("{what}: started");
+            }
+        }
+    }
+}
+
+#[test]
+fn after_a_shutdown_frame_the_exited_loop_answers_snapshots_and_refuses_crashes() {
+    let server = Server::start(
+        ServerConfig {
+            time_scale: 200.0,
+            ..ServerConfig::default()
+        },
+        0,
+    )
+    .expect("bind");
+    let mut conn = Raw::connect(&server.local_addr().to_string());
+    assert_eq!(conn.hello(), PROTOCOL_VERSION);
+    const READS: u64 = 20;
+    for tag in 10..10 + READS {
+        conn.send(&Request::Read {
+            tenant: 0,
+            tag,
+            offset: tag << 16,
+            bytes: 4096,
+        });
+    }
+    let mut done = 0;
+    for _ in 0..READS {
+        if let Response::Done { .. } = conn.recv() {
+            done += 1;
+        }
+    }
+    conn.send(&Request::Shutdown { tag: 99 });
+    assert!(matches!(conn.recv(), Response::Goodbye { tag: 99 }));
+    // The loop closes the last connection, then exits.
+    assert!(
+        conn.recv_or_eof().is_none(),
+        "the goodbye closes the socket"
+    );
+
+    let asked = Instant::now();
+    let m = server.metrics_snapshot();
+    let took = asked.elapsed();
+    assert!(took < Duration::from_millis(100), "snapshot took {took:?}");
+    assert_eq!(m.counter("server.completed"), done);
+    assert!(
+        !server.inject_shard_crash(0, Duration::from_millis(10)),
+        "an exited loop takes no crash order"
+    );
+    assert!(server.shutdown_requested());
+    server.stop();
+}
+
+#[test]
+fn a_snapshot_shows_the_counters_and_histograms_a_wire_stats_shows() {
+    let server = Server::start(
+        ServerConfig {
+            time_scale: 200.0,
+            ..ServerConfig::default()
+        },
+        0,
+    )
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let report = run_load(&LoadConfig {
+        addr: addr.clone(),
+        connections: 2,
+        depth: 4,
+        requests: 200,
+        seed: 3,
+        ..LoadConfig::default()
+    })
+    .expect("load");
+    assert_eq!(report.completed, 200, "{}", report.to_json());
+
+    // Quiescent: every request is answered. Only the wake-up counter
+    // moves between the two reads (each read wakes the loop).
+    let wire = fetch_stats(&addr).expect("STATS");
+    let snapshot = server.metrics_snapshot().lines();
+    let pick = |lines: Vec<String>| -> Vec<String> {
+        lines
+            .into_iter()
+            .filter(|l| l.starts_with("counter ") || l.starts_with("histogram "))
+            .filter(|l| !l.starts_with("counter server.epoll_wakeups "))
+            .collect()
+    };
+    let wire = pick(wire.lines().map(str::to_string).collect());
+    assert!(
+        wire.iter().any(|l| l == "counter server.completed 200"),
+        "{wire:?}"
+    );
+    assert!(wire
+        .iter()
+        .any(|l| l.starts_with("histogram server.latency.virtual ")));
+    assert_eq!(pick(snapshot), wire);
     server.stop();
 }
 

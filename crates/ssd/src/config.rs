@@ -152,13 +152,6 @@ impl SsdConfig {
         SimDuration::from_transfer(bytes, self.host_bw_bytes_per_sec)
     }
 
-    /// The shortest time any host request can take from arrival to
-    /// completion: every read senses at least once (≥ tR) and every
-    /// write programs at least once (≥ tPROG) before it completes.
-    pub fn min_service(&self) -> SimDuration {
-        self.timing.t_r.min(self.timing.t_prog)
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -210,15 +203,6 @@ mod tests {
         let t64k = c.host_transfer(64 * 1024);
         // 64 KiB at 8 GB/s = 8.192 µs.
         assert!((t64k.as_us() - 8.192).abs() < 0.01, "{}", t64k.as_us());
-    }
-
-    #[test]
-    fn min_service_is_the_shorter_of_tr_and_tprog() {
-        let mut c = SsdConfig::paper(RetryKind::Rif, 0);
-        assert_eq!(c.min_service(), c.timing.t_r);
-        assert_eq!(c.min_service().as_us(), 40.0);
-        c.timing.t_prog = SimDuration::from_us(30);
-        assert_eq!(c.min_service(), SimDuration::from_us(30));
     }
 
     #[test]

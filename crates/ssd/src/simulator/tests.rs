@@ -759,11 +759,10 @@ fn hybrid_stepper_terminates_without_foreground_work() {
 
 #[test]
 fn no_request_completes_sooner_than_min_service() {
-    // A serving shard sleeps through a new arrival when its next event
-    // is due before the arrival could complete: that rests on every
-    // request taking at least `min_service` from arrival to finish.
+    // Every read senses at least once (≥ tR) and every write programs at
+    // least once (≥ tPROG) before it completes.
     let check = |what: &str, cfg: SsdConfig, trace: &Trace| {
-        let floor = cfg.min_service();
+        let floor = cfg.timing.t_r.min(cfg.timing.t_prog);
         let mut sim = Simulator::new(cfg);
         for r in trace {
             sim.submit(*r);
