@@ -2,8 +2,9 @@
 //!
 //! A `Directory` owns the authoritative map and serves it over the same
 //! length-prefixed wire protocol the nodes speak. It is a plain `std`
-//! TCP service — accept loop on one thread, one handler thread per
-//! connection — answering:
+//! TCP service — an accept loop blocked in `accept` on one thread (a
+//! stop wakes it with a connect to its own address), one handler thread
+//! per connection — answering:
 //!
 //! - `HELLO` — the strict version check, like any node: acks
 //!   `PROTOCOL_VERSION`, answers any other with `ERROR(BadRequest)` and
@@ -62,10 +63,13 @@ const DIRECTORY_TAG: u64 = u64::MAX - 1;
 /// node unreachable.
 const RPC_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Accept-loop poll cadence while idle.
+/// Read timeout of a handler connection: how soon an idle one notices a
+/// stop.
 const ACCEPT_TICK: Duration = Duration::from_millis(5);
 
 struct Inner {
+    /// The listening address; a connect to it wakes the blocked accept.
+    addr: SocketAddr,
     map: Mutex<ShardMap>,
     /// Serializes migrations and rebalances so two admin requests can
     /// never interleave their epoch bumps.
@@ -194,9 +198,9 @@ impl Directory {
 
     fn start_inner(map: ShardMap, port: u16, persist: Option<PathBuf>) -> io::Result<Directory> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
+            addr,
             map: Mutex::new(map),
             admin: Mutex::new(()),
             stop: AtomicBool::new(false),
@@ -254,23 +258,28 @@ impl Directory {
         self.inner.stop.load(Ordering::SeqCst)
     }
 
-    /// Stops the accept loop and joins it. Open handler connections wind
-    /// down on their next poll tick.
-    pub fn stop(mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
+    /// Stops the accept loop and joins it (what dropping the directory
+    /// does). Open handler connections wind down on their next read
+    /// tick.
+    pub fn stop(self) {
+        drop(self);
+    }
+}
+
+impl Drop for Directory {
+    fn drop(&mut self) {
+        halt(&self.inner);
         if let Some(h) = self.accept.take() {
             h.join().ok();
         }
     }
 }
 
-impl Drop for Directory {
-    fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            h.join().ok();
-        }
-    }
+/// Raises the stop flag and wakes the accept loop, blocked in `accept`,
+/// with a connect to its own address.
+fn halt(inner: &Inner) {
+    inner.stop.store(true, Ordering::SeqCst);
+    TcpStream::connect(inner.addr).ok();
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -419,13 +428,16 @@ fn fanout_stats(map: &ShardMap) -> String {
 
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     let mut handlers = Vec::new();
-    while !inner.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for stream in listener.incoming() {
+        // A stop wakes the accept with a connect of its own.
+        if inner.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
                 let inner = inner.clone();
                 handlers.push(thread::spawn(move || serve_conn(stream, inner)));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_TICK),
             Err(_) => break,
         }
     }
@@ -505,7 +517,7 @@ fn serve_conn(stream: TcpStream, inner: Arc<Inner>) {
                 }
                 Request::Shutdown { tag } => {
                     write_frame(&mut writer, &encode_response(&Response::Goodbye { tag })).ok();
-                    inner.stop.store(true, Ordering::SeqCst);
+                    halt(&inner);
                     break 'conn;
                 }
                 other => Response::Error {

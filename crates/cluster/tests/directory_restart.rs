@@ -12,9 +12,12 @@
 //! silently replaced, while a *missing* file means "first boot" and the
 //! argument map is used. And the write side of the same promise: an
 //! epoch the directory could not persist is never installed or pushed.
+//! Last, the accept path: a fresh connection is served at once, not
+//! after an idle poll.
 
 use std::time::{Duration, Instant};
 
+use rif_cluster::directory::fetch_map_text;
 use rif_cluster::{load_map, Directory, MapLoadError, NodeInfo, ShardMap};
 use rif_server::client::Conn;
 use rif_server::protocol::{Request, Response};
@@ -200,5 +203,31 @@ fn an_epoch_that_cannot_be_persisted_is_not_installed() {
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
     assert_eq!(dir.map().epoch, map.epoch, "epoch moved without persisting");
     assert_eq!(dir.map().to_text(), map.to_text());
+    dir.stop();
+}
+
+#[test]
+fn a_fresh_connection_is_served_without_waiting_for_an_accept_poll() {
+    // The one node is not running: the directory's first push to it is
+    // refused, which leaves it serving.
+    let node = NodeInfo {
+        id: "a".into(),
+        addr: "127.0.0.1:1".into(),
+    };
+    let map = ShardMap::rebalanced(1, CAPACITY, RANGES, vec![node]).expect("valid map");
+    let dir = Directory::start(map, 0).expect("directory starts");
+    let addr = dir.addr().to_string();
+    fetch_map_text(&addr).expect("first MAP_GET");
+    const CALLS: u32 = 20;
+    let started = Instant::now();
+    for _ in 0..CALLS {
+        let (epoch, _) = fetch_map_text(&addr).expect("MAP_GET");
+        assert_eq!(epoch, 1);
+    }
+    let mean = started.elapsed() / CALLS;
+    assert!(
+        mean < Duration::from_millis(1),
+        "a MAP_GET on a fresh connection took {mean:?} on average"
+    );
     dir.stop();
 }

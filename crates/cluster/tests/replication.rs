@@ -11,13 +11,17 @@
 //!   router's failover target) and counts them;
 //! * a follower still bounces client *writes* with WRONG_SHARD — only
 //!   the primary admits writes, which is what keeps the Journal
-//!   exactly-once story intact.
+//!   exactly-once story intact;
+//! * a write burst leaves a backlog queued at the primary
+//!   (`server.repl.queued`) that drains to zero, and a primary stopped
+//!   with a backlog stops at once: it ships nothing more and counts the
+//!   backlog as skipped.
 
 use std::time::{Duration, Instant};
 
 use rif_cluster::stats::NodeStats;
 use rif_cluster::{Directory, NodeInfo, RouterConfig, ShardMap};
-use rif_server::client::Conn;
+use rif_server::client::{run_load, Conn, LoadConfig, LoadReport};
 use rif_server::protocol::{Request, Response};
 use rif_server::server::{Server, ServerConfig};
 
@@ -101,7 +105,7 @@ fn writes_replicate_and_followers_serve_reads_but_bounce_writes() {
     let follower = map.followers_of(hot_range)[0].clone();
     let dir = Directory::start(map, 0).expect("directory starts");
 
-    // A write-heavy routed load gives the ship thread plenty to do.
+    // A write-heavy routed load gives the shipper plenty to do.
     let requests: u64 = 4_000;
     let cfg = RouterConfig {
         directory: dir.addr().to_string(),
@@ -185,4 +189,106 @@ fn writes_replicate_and_followers_serve_reads_but_bounce_writes() {
     dir.stop();
     node_a.stop();
     node_b.stop();
+}
+
+/// Two real-time one-range nodes under an RF = 2 map, and a burst of
+/// `writes` straight at the primary: `(primary, follower, directory,
+/// report)`. The follower applies one shipment at a time, each at least
+/// a simulated program long, so the primary takes the burst far faster
+/// than it can ship it.
+fn burst_at_a_primary(writes: usize) -> (Server, Server, Directory, LoadReport) {
+    let start = |seed| {
+        Server::start(
+            ServerConfig {
+                shards: 1,
+                capacity_bytes: CAPACITY,
+                cluster: true,
+                time_scale: 1.0,
+                seed,
+                ..ServerConfig::default()
+            },
+            0,
+        )
+        .expect("node starts")
+    };
+    let nodes = [start(61), start(62)];
+    let infos = (nodes.iter().zip(["a", "b"]))
+        .map(|(n, id)| NodeInfo {
+            id: id.into(),
+            addr: n.local_addr().to_string(),
+        })
+        .collect();
+    let map = ShardMap::replicated(1, CAPACITY, 1, infos, 2).expect("valid replicated map");
+    let primary_id = map.route(0).1.id.clone();
+    let dir = Directory::start(map, 0).expect("directory starts");
+    let [a, b] = nodes;
+    let (primary, follower) = if primary_id == "a" { (a, b) } else { (b, a) };
+    let report = run_load(&LoadConfig {
+        addr: primary.local_addr().to_string(),
+        connections: 4,
+        depth: 16,
+        requests: writes,
+        read_ratio: 0.0,
+        request_bytes: 16 * 1024,
+        seed: 5,
+        ..LoadConfig::default()
+    })
+    .expect("write burst");
+    assert_eq!(report.completed, writes as u64, "{}", report.to_json());
+    (primary, follower, dir, report)
+}
+
+#[test]
+fn a_write_burst_queues_at_the_primary_until_shipped() {
+    let (primary, follower, dir, report) = burst_at_a_primary(2_000);
+    let queued = |m: &rif_events::MetricsRegistry| m.gauge("server.repl.queued").unwrap_or(-1.0);
+    let m = primary.metrics_snapshot();
+    assert!(queued(&m) > 0.0, "no backlog right after the burst");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut m = m;
+    while queued(&m) > 0.0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        m = primary.metrics_snapshot();
+    }
+    assert_eq!(queued(&m), 0.0, "the backlog never drained");
+    assert_eq!(m.counter("server.repl.shipped"), report.completed);
+    assert_eq!(m.counter("server.repl.acked"), report.completed);
+    dir.stop();
+    primary.stop();
+    follower.stop();
+}
+
+#[test]
+fn a_stopped_primary_stops_at_once_and_ships_nothing_more() {
+    let (primary, follower, dir, report) = burst_at_a_primary(4_000);
+    let stopping = Instant::now();
+    let last = primary.stop();
+    let took = stopping.elapsed();
+    assert!(took < Duration::from_millis(300), "stop took {took:?}");
+    let (shipped, skipped) = (
+        last.counter("server.repl.shipped"),
+        last.counter("server.repl.skipped"),
+    );
+    assert!(skipped > 0, "no backlog was left to skip");
+    assert_eq!(
+        shipped + skipped,
+        report.completed,
+        "an offered write went uncounted"
+    );
+    assert_eq!(last.gauge("server.repl.queued"), Some(0.0));
+    // The shipment in flight when the primary stopped may still land.
+    std::thread::sleep(Duration::from_millis(50));
+    let applied = follower.metrics_snapshot().counter("server.repl.applied");
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(
+        follower.metrics_snapshot().counter("server.repl.applied"),
+        applied,
+        "the follower kept applying after the primary stopped"
+    );
+    assert!(
+        applied <= shipped + 1,
+        "applied {applied}, shipped {shipped}"
+    );
+    dir.stop();
+    follower.stop();
 }

@@ -497,8 +497,8 @@ fn fingerprint(payload: &[u8]) -> u64 {
 
 /// One client connection past its HELLO check: a nodelay TCP stream, its
 /// buffered writer, and an incremental frame decoder — the blocking
-/// one-at-a-time RPC connection of the directory, the admin clients and
-/// the replication shipper, and what a [`Wire`] takes its socket from.
+/// one-at-a-time RPC connection of the directory and the admin clients,
+/// and what [`Wire::ensure_up`] takes its socket from.
 pub struct Conn {
     stream: TcpStream,
     writer: BufWriter<TcpStream>,
@@ -547,8 +547,8 @@ impl Conn {
     }
 
     /// Sends `req` and waits up to `timeout` for the next response: the
-    /// one-at-a-time RPC of the HELLO check, the directory, the admin
-    /// one-shots and the replication shipper. EOF, a transport error, an
+    /// one-at-a-time RPC of the HELLO check, the directory and the admin
+    /// one-shots. EOF, a transport error, an
     /// undecodable frame and silence are all `Err`; a `timeout` past any
     /// representable instant (`Duration::MAX`) waits as long as it takes.
     pub fn call(&mut self, req: &Request, timeout: Duration) -> io::Result<Response> {
@@ -591,7 +591,7 @@ impl Conn {
 
 /// Correlation tag reserved for the HELLO handshake. Load tags are
 /// `(conn << 32) | counter`, so `u64::MAX` can never collide.
-const HELLO_TAG: u64 = u64::MAX;
+pub(crate) const HELLO_TAG: u64 = u64::MAX;
 
 /// How long the handshake waits for HELLO_ACK before the connect fails
 /// (a peer that is not serving, or a transport that ate the ack).
@@ -807,33 +807,16 @@ impl<T> Ledger<T> {
         hist: &mut LatencyHistogram,
         settled: &mut Vec<Settled<T>>,
     ) -> bool {
-        loop {
-            let Some((stream, frames)) = wire.sock.as_mut() else {
-                return true;
-            };
-            let n = match frames.read_from(stream) {
-                Ok(0) => return false,
-                Ok(n) => n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            };
-            loop {
-                match frames.next_frame() {
-                    Ok(Some(payload)) => settled.extend(self.receive(payload, hist)),
-                    Ok(None) => break,
-                    Err(_) => {
-                        // Oversized prefix: framing is unrecoverable.
-                        self.journal.undecodable_frames += 1;
-                        self.report.protocol_errors += 1;
-                        return false;
-                    }
+        let read = wire.recv_frames(|payload| settled.extend(self.receive(payload, hist)));
+        match read {
+            Ok(()) => true,
+            Err(e) => {
+                if e.kind() == io::ErrorKind::InvalidData {
+                    // Oversized prefix: framing is unrecoverable.
+                    self.journal.undecodable_frames += 1;
+                    self.report.protocol_errors += 1;
                 }
-            }
-            // A short read drained the socket; the poller is
-            // level-triggered, so anything newer fires again.
-            if n < READ_CHUNK {
-                return true;
+                false
             }
         }
     }
@@ -954,11 +937,9 @@ impl<T> Ledger<T> {
         poller: &mut dyn Poller,
         settled: &mut Vec<Settled<T>>,
     ) {
-        wire.close(poller);
         // Unsent bytes die with the connection; their tags are in flight
         // and resolve just below.
-        wire.out.clear();
-        wire.back_off();
+        wire.fail(poller);
         self.journal.conn_losses += 1;
         let (records, first) = (&self.journal.records, self.first_tag);
         let tags: Vec<u64> = (self.inflight.keys().copied())
@@ -1034,18 +1015,41 @@ impl Wire {
         if self.sock.is_some() || Instant::now() < self.down_until {
             return Ok(self.sock.is_some());
         }
-        let opened = Conn::connect(&self.addr).and_then(|conn| {
-            let Conn { stream, frames, .. } = conn;
-            stream.set_nonblocking(true)?;
-            poller.register(stream.as_raw_fd(), self.token, Interest::READ)?;
-            Ok((stream, frames))
-        });
-        self.sock = Some(opened.inspect_err(|_| self.back_off())?);
-        self.backoff.note_success();
+        let opened = Conn::connect(&self.addr)
+            .and_then(|Conn { stream, frames, .. }| self.adopt(stream, frames, poller));
+        opened.inspect_err(|_| self.back_off())?;
         // The first connect is not a *re*connect.
         journal.reconnects += u64::from(self.ever_up);
         self.ever_up = true;
         Ok(true)
+    }
+
+    /// Takes `stream`, already connected to this wire's address, as its
+    /// socket, with `frames` holding what was read from it so far: made
+    /// non-blocking and registered read-only under the wire's token. The
+    /// HELLO is the caller's: [`ensure_up`](Wire::ensure_up) checks it
+    /// first, the replication shipper queues it ahead of its first frame.
+    pub(crate) fn adopt(
+        &mut self,
+        stream: TcpStream,
+        frames: FrameBuffer,
+        poller: &mut dyn Poller,
+    ) -> io::Result<()> {
+        stream.set_nonblocking(true)?;
+        poller.register(stream.as_raw_fd(), self.token, Interest::READ)?;
+        self.sock = Some((stream, frames));
+        self.backoff.note_success();
+        Ok(())
+    }
+
+    /// Whether a socket is open.
+    pub(crate) fn is_up(&self) -> bool {
+        self.sock.is_some()
+    }
+
+    /// Whether the wire is down and its reconnect back-off has not passed.
+    pub(crate) fn backing_off(&self, now: Instant) -> bool {
+        self.sock.is_none() && now < self.down_until
     }
 
     /// Arms the reconnect back-off (one more strike).
@@ -1059,6 +1063,42 @@ impl Wire {
         if let Some((stream, _)) = self.sock.take() {
             poller.deregister(stream.as_raw_fd()).ok();
             self.write_interest = false;
+        }
+    }
+
+    /// The connection is lost: the socket goes, the bytes it never took
+    /// die with it, and the reconnect back-off is armed.
+    pub(crate) fn fail(&mut self, poller: &mut dyn Poller) {
+        self.close(poller);
+        self.out.clear();
+        self.back_off();
+    }
+
+    /// Reads what the socket holds and hands every complete frame to
+    /// `each`. An error means the connection is lost: EOF, a transport
+    /// error, or an oversized length prefix (`InvalidData`: frame sync is
+    /// gone for good).
+    pub(crate) fn recv_frames(&mut self, mut each: impl FnMut(&[u8])) -> io::Result<()> {
+        let Some((stream, frames)) = self.sock.as_mut() else {
+            return Ok(());
+        };
+        loop {
+            let n = match frames.read_from(stream) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let invalid = |e: WireError| io::Error::new(io::ErrorKind::InvalidData, e);
+            while let Some(payload) = frames.next_frame().map_err(invalid)? {
+                each(payload);
+            }
+            // A short read drained the socket; the poller is
+            // level-triggered, so anything newer fires again.
+            if n < READ_CHUNK {
+                return Ok(());
+            }
         }
     }
 
@@ -1085,7 +1125,7 @@ impl Wire {
     }
 
     /// Appends one length-prefixed request frame to the unsent bytes.
-    fn enqueue(&mut self, req: &Request) {
+    pub(crate) fn enqueue(&mut self, req: &Request) {
         write_frame(&mut self.out, &encode_request(req)).expect("a Vec takes every byte");
     }
 

@@ -24,6 +24,12 @@
 //! it only through the control queue ([`Shared::control`]) and its
 //! waker: for shutdown, crash orders and snapshot requests.
 //!
+//! In cluster mode the loop also drives the node's replication shipper
+//! (`replicate::Shipper`, DESIGN §15.2): its follower links are polled
+//! under tokens of their own, each wake-up ships what admission offered,
+//! and the shipper's due-times (a `BUSY` re-send, an ack deadline) bound
+//! the sleep next to the shards'.
+//!
 //! Backpressure is layered per connection: once the write queue exceeds
 //! [`ServerConfig::write_queue_limit`](crate::server::ServerConfig),
 //! new IO requests are shed with `BUSY(queue)` instead of admitted, and
@@ -42,7 +48,7 @@ use rif_events::trace::MetricsRegistry;
 
 use crate::poller::{best_poller, Interest, PollEvent, Poller};
 use crate::protocol::{BatchEntry, BusyReason, Response, PROTOCOL_VERSION};
-use crate::replicate::Shipper;
+use crate::replicate::TOK_LINK0;
 use crate::ring::{decode_request_view, FrameBuffer, RequestView, WriteQueue, READ_CHUNK};
 use crate::server::{
     admit, bad_request, fold_runtime_gauges, handle_map_get, handle_map_push, handle_migrate_in,
@@ -212,17 +218,12 @@ impl Drop for OnExit<'_> {
 /// runs until shutdown, logging (not panicking) on a fatal loop error.
 /// Either way it then closes the control queue, applies the crash orders
 /// still queued and drains every shard, so the journal and the counters
-/// see every admitted request resolved, and leaves the registry for
-/// later snapshots.
-pub(crate) fn run(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    shipper: Option<Shipper>,
-    waker_rx: UnixStream,
-) {
+/// see every admitted request resolved, counts the replication jobs left
+/// unshipped as skipped, and leaves the registry for later snapshots.
+pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, waker_rx: UnixStream) {
     let _exit = OnExit(&shared);
     tune_loop_thread();
-    let mut node = Node::new(&shared.cfg, shipper);
+    let mut node = Node::new(&shared.cfg);
     let mut slab = Slab::new();
     if let Err(e) = run_inner(&listener, &shared, &mut node, &mut slab, &waker_rx) {
         eprintln!("rif-server: event loop failed: {e}");
@@ -237,6 +238,9 @@ pub(crate) fn run(
         }
         for shard in shards.iter_mut() {
             shard.fast_forward(metrics, &shared.recorder, now, &mut gone);
+        }
+        if let Some(shipper) = node.shipper() {
+            shipper.abandon();
         }
         fold_runtime_gauges(&shared, &node, slab.open(), slab.queued_bytes())
     });
@@ -289,6 +293,11 @@ fn run_inner(
                     }
                 }
                 TOK_WAKER => woken = true,
+                tok if tok >= TOK_LINK0 => {
+                    if let Some(shipper) = node.shipper() {
+                        shipper.on_event(poller.as_mut(), &ev, Instant::now());
+                    }
+                }
                 tok => {
                     let slot = tok - TOK_CONN0;
                     let Some(conn) = slab.get_mut(slot) else {
@@ -345,6 +354,10 @@ fn run_inner(
         for shard in shards.iter_mut() {
             shard.advance(metrics, recorder, horizon, &mut out);
         }
+        // Ship what this wake-up admitted, and whatever came due.
+        if let Some(shipper) = node.shipper() {
+            shipper.service(poller.as_mut(), Instant::now());
+        }
 
         // A SHUTDOWN frame (or an external `request_shutdown`) starts
         // the drain: stop accepting, flush what every socket is owed,
@@ -395,13 +408,17 @@ fn run_inner(
                 return Ok(());
             }
         }
-        // Sleep until a socket is ready or the earliest shard has
-        // something due.
+        // Sleep until a socket is ready or the earliest shard, or the
+        // shipper, has something due.
         let due = node.shards.iter().filter_map(Shard::next_wake).min();
         timeout = due.map(|t| match shared.clock.wall_until(t) {
             nap if nap.is_zero() => nap,
             nap => nap.max(MIN_SLEEP),
         });
+        if let Some(at) = node.shipper().and_then(|s| s.next_due()) {
+            let nap = at.saturating_duration_since(Instant::now());
+            timeout = Some(timeout.map_or(nap, |t| t.min(nap)));
+        }
         if draining.is_some() {
             timeout = Some(timeout.map_or(DRAIN_TICK, |t| t.min(DRAIN_TICK)));
         }

@@ -19,12 +19,13 @@
 //!   WRITE and BATCH are one group path, and REPLICATE puts its own
 //!   ownership check ahead of the same room-and-submit tail;
 //! - [`event_loop`] — the node's one thread: accept, framing, the one
-//!   request dispatch, and the stepping of every shard;
+//!   request dispatch, the stepping of every shard and, in cluster mode,
+//!   replication shipping;
 //! - [`client`] — the load generator: one readiness-driven connection
 //!   engine (transport and request ledger) under the closed loop, replay,
 //!   the many-connection grouping and the cluster router, plus
 //!   [`Conn::call`](client::Conn::call), the blocking one-at-a-time RPC of
-//!   the admin one-shots, the directory and the replication shipper;
+//!   the admin one-shots and the directory;
 //! - [`mux`] — the import path of that grouping's entry point;
 //! - [`recorder`] — live trace capture of every admitted request;
 //! - [`replay`] — driving a captured trace back through a live server.

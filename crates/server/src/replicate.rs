@@ -1,284 +1,349 @@
-//! Primary-side replication shipper (DESIGN §15).
+//! Primary-side replication shipper (DESIGN §15.2).
 //!
-//! In cluster mode every admitted client write on an owned range with
-//! followers is offered to the event loop's [`Shipper`] (the target
-//! table), which queues it with the followers for the ship thread to
-//! send asynchronously as a version-stamped `REPLICATE` frame to each.
-//! The ship thread shares only its epoch, watermarks and counters
-//! ([`Replicator`]). It owns all follower connections and assigns each
-//! range's shipment sequence number **at ship time**, so sequence order
-//! equals ship order by construction and the follower applies writes in
-//! the order the primary shipped them.
+//! In cluster mode the event loop offers every admitted client write on
+//! an owned range with followers to its [`Shipper`], which ships it as a
+//! version-stamped `REPLICATE` frame to each follower over a [`Wire`] on
+//! the loop's own poller. One shipment is in flight per node, in offer
+//! order, and each range's sequence number is assigned **at ship time**,
+//! so the follower applies writes in the order the primary shipped them.
 //!
 //! The per-range **watermark** is the highest sequence number through
-//! which *every* shipment so far has been acked by *all* followers —
-//! i.e. the contiguous replicated prefix of the range's write stream.
-//! A refused, timed-out, or skipped shipment stalls the watermark for
-//! the rest of the epoch: replication is an availability hint, and the
-//! stall makes the gap observable instead of papering over it. A new
-//! epoch (the directory re-pushing after promotion or migration) resets
-//! sequences and watermarks, because the follower set itself changed.
+//! which every shipment so far was acked by all followers: the
+//! contiguous replicated prefix of the range's write stream. A refused,
+//! timed-out or skipped shipment stalls it for the rest of the epoch, so
+//! the gap stays observable. A new epoch (the directory re-pushing after
+//! promotion or migration) resets sequences and watermarks, because the
+//! follower set changed, and skips the old epoch's queued jobs.
 //!
-//! A follower that refuses a connection is marked down and skipped for
-//! [`DOWN_BACKOFF`] instead of blocking the ship thread on every job —
-//! a dead follower costs one connect timeout per backoff window, not
-//! one per write.
+//! Nothing here blocks the loop but a bounded loopback connect. A link's
+//! HELLO goes out ahead of its first `REPLICATE` and is never waited
+//! for; a `BUSY` answer is re-sent [`BUSY_PAUSE`] later, and a follower
+//! silent for [`SHIP_TIMEOUT`] fails: both are due-times of the loop's
+//! wait ([`Shipper::next_due`]). A failed link is skipped for its wire's
+//! reconnect back-off, so a dead follower costs one failure per back-off
+//! window, not one per write. Once the loop exits nothing more ships
+//! ([`Shipper::abandon`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use crate::client::Conn;
-use crate::protocol::{Request, Response};
+use rif_events::trace::MetricsRegistry;
+use rif_events::SimRng;
+
+use crate::client::{Wire, HELLO_TAG};
+use crate::poller::{PollEvent, Poller};
+use crate::protocol::{decode_response, FrameBuffer, Request, Response, PROTOCOL_VERSION};
 use crate::ring::ReplicaListView;
 
-/// How long a follower stays skipped after a connect/ship failure.
-const DOWN_BACKOFF: Duration = Duration::from_millis(500);
+/// Poller token of follower link 0; link `i` is `TOK_LINK0 + i`. The
+/// loop's own tokens (listener, waker, connections) stay below it.
+pub(crate) const TOK_LINK0: usize = usize::MAX / 2;
 
-/// Per-shipment socket timeout: a follower that cannot ack within this
-/// is treated as failed (and backed off), not waited on.
+/// Bound on opening a follower link: a loopback connect completes or is
+/// refused at once, so this only caps a full accept backlog.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// A follower that does not answer a shipment within this has failed.
 const SHIP_TIMEOUT: Duration = Duration::from_millis(1000);
 
-/// Bounded in-place retries when a follower answers `BUSY` (its shard
-/// queue is momentarily full under shared load).
-const BUSY_RETRIES: usize = 3;
+/// Re-sends of a shipment a follower answers `BUSY` (its shard queue is
+/// momentarily full), each [`BUSY_PAUSE`] after the refusal.
+const BUSY_RETRIES: u32 = 3;
+const BUSY_PAUSE: Duration = Duration::from_millis(2);
 
-/// One write queued for shipment to a range's followers.
-#[derive(Debug)]
-struct ReplJob {
-    /// Epoch captured at offer time; stale jobs are dropped at ship
-    /// time so an epoch flip cannot advance the new epoch's watermark
-    /// with old-epoch traffic.
-    epoch: u64,
+/// Reconnect back-off base of a follower link: a failing follower is
+/// skipped for 250 ms, doubling to the wire's 500-ms cap, plus up to
+/// 250 ms of jitter.
+const DOWN_BACKOFF: Duration = Duration::from_millis(250);
+
+/// One write queued for shipment; its followers are looked up when it
+/// ships.
+struct Job {
     range: u32,
     tenant: u32,
     /// Wrapped global offset (the follower rebases it itself).
     offset: u64,
     bytes: u32,
-    /// The range's followers in `epoch` (a thin pointer: jobs queue up
-    /// behind a slow follower, so their size is the queue's).
-    followers: Arc<Vec<String>>,
 }
 
-/// Counters the ship thread exports into STATS.
-#[derive(Debug, Default)]
-pub(crate) struct ReplCounters {
-    /// Jobs processed (one per admitted write on a replicated range).
-    pub(crate) shipped: AtomicU64,
-    /// Follower acks received.
-    pub(crate) acked: AtomicU64,
-    /// Shipments skipped because the follower was backed off or the
-    /// job's epoch was stale.
-    pub(crate) skipped: AtomicU64,
-    /// Shipments refused or lost (connect/send/ack failure).
-    pub(crate) failed: AtomicU64,
+/// The job being shipped, one follower after another.
+struct InFlight {
+    job: Job,
+    epoch: u64,
+    seq: u64,
+    /// Position of the follower being shipped to in the range's list.
+    next: usize,
+    all_acked: bool,
+    /// The link whose answer to `tag` is awaited, until `due`; with none,
+    /// the pause after a `BUSY`, until `due`.
+    link: Option<usize>,
+    tag: u64,
+    busy: u32,
+    due: Instant,
 }
 
-/// What the ship thread shares with the rest of the node: the epoch it
-/// checks jobs against, the watermarks it advances and its counters.
-/// Lives in `Shared` for cluster-mode servers.
-pub(crate) struct Replicator {
-    /// Epoch the loop's target table belongs to.
-    epoch: AtomicU64,
-    /// Per-range contiguous replicated prefix (0 = nothing replicated).
-    watermarks: Vec<AtomicU64>,
-    pub(crate) counters: ReplCounters,
+/// One range, this epoch: its followers' links, the last sequence
+/// number assigned, and its watermark (0 = nothing yet), which has
+/// stopped for the epoch once `stalled`.
+#[derive(Default)]
+struct Range {
+    followers: Vec<usize>,
+    seq: u64,
+    stalled: bool,
+    watermark: u64,
 }
 
-impl Replicator {
-    /// Tracks `shards` ranges, nothing replicated yet.
-    pub(crate) fn new(shards: usize) -> Replicator {
-        Replicator {
-            epoch: AtomicU64::new(0),
-            watermarks: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            counters: ReplCounters::default(),
-        }
-    }
-
-    /// The range's replication watermark: every shipment with
-    /// `seq <= watermark` was acked by all followers this epoch.
-    pub(crate) fn watermark(&self, range: usize) -> u64 {
-        self.watermarks[range].load(Ordering::Acquire)
-    }
-
-    /// Number of ranges the engine tracks.
-    pub(crate) fn shards(&self) -> usize {
-        self.watermarks.len()
-    }
-}
-
-/// The event loop's half of replication: the target table and the ship
-/// thread's inbox. The ship thread ships what is queued and ends once
-/// its `Shipper` is dropped, which the loop does as it exits.
+/// The event loop's replication state: targets, job queue, follower
+/// links, and the counters and watermarks STATS shows.
+#[derive(Default)]
 pub(crate) struct Shipper {
-    repl: Arc<Replicator>,
-    /// range → follower addresses (from the directory's MAP_PUSH).
-    targets: HashMap<u32, Arc<Vec<String>>>,
-    tx: Sender<ReplJob>,
+    epoch: u64,
+    ranges: Vec<Range>,
+    /// One wire per follower address ever targeted.
+    links: Vec<Wire>,
+    queue: VecDeque<Job>,
+    current: Option<InFlight>,
+    last_tag: u64,
+    /// Seeds each link's back-off jitter.
+    seed: u64,
+    /// Jobs shipped (one per admitted write on a replicated range).
+    shipped: u64,
+    /// Follower acks received.
+    acked: u64,
+    /// Shipments skipped: the follower was backed off, the job's epoch
+    /// was stale, or the loop exited first.
+    skipped: u64,
+    /// Shipments refused or lost (connect, send or ack failure).
+    failed: u64,
 }
 
 impl Shipper {
-    /// Starts the ship thread for `repl`: the loop keeps the `Shipper`,
-    /// the server the thread's handle.
-    pub(crate) fn start(repl: Arc<Replicator>) -> io::Result<(Shipper, JoinHandle<()>)> {
-        let (tx, rx) = mpsc::channel();
-        let worker = Arc::clone(&repl);
-        let handle = std::thread::Builder::new()
-            .name("rif-repl-ship".into())
-            .spawn(move || ship_loop(&worker, &rx))?;
-        let shipper = Shipper {
-            repl,
-            targets: HashMap::new(),
-            tx,
-        };
-        Ok((shipper, handle))
+    /// Tracks `ranges` ranges, with no target yet.
+    pub(crate) fn new(ranges: usize, seed: u64) -> Shipper {
+        let ranges = (0..ranges).map(|_| Range::default()).collect();
+        Shipper {
+            ranges,
+            seed,
+            ..Shipper::default()
+        }
     }
 
-    /// Installs a new epoch's shipping targets, resetting sequences and
-    /// watermarks (the follower set changed, so the old contiguous
-    /// prefix is meaningless). Called under the MAP_PUSH epoch gate.
+    /// Installs a new epoch's shipping targets (called under the
+    /// MAP_PUSH epoch gate). The follower set changed, so sequences and
+    /// watermarks restart and the old epoch's queued jobs are skipped; a
+    /// job in flight ends with its call.
     pub(crate) fn update_targets(&mut self, epoch: u64, replicas: ReplicaListView<'_>) {
-        let mut grouped: HashMap<u32, Vec<String>> = HashMap::new();
+        self.ranges.iter_mut().for_each(|r| *r = Range::default());
         for (range, addr) in replicas.iter() {
-            grouped.entry(range).or_default().push(addr.to_string());
+            let known = self.links.iter().position(|w| w.addr() == addr);
+            let link = known.unwrap_or(self.links.len());
+            if known.is_none() {
+                let jitter = SimRng::stream(self.seed, link as u64);
+                let wire = Wire::new(addr.to_string(), TOK_LINK0 + link, DOWN_BACKOFF, jitter);
+                self.links.push(wire);
+            }
+            self.ranges[range as usize].followers.push(link);
         }
-        self.targets = grouped
-            .into_iter()
-            .map(|(range, addrs)| (range, Arc::new(addrs)))
-            .collect();
-        for w in &self.repl.watermarks {
-            w.store(0, Ordering::Release);
-        }
-        // Publish the epoch last: a job offered against the old epoch
-        // after this point is dropped by the ship thread's stale check.
-        self.repl.epoch.store(epoch, Ordering::Release);
+        self.skipped += self.queue.len() as u64;
+        self.queue.clear();
+        self.epoch = epoch;
     }
 
     /// Offers an admitted client write for shipment; a range with no
-    /// followers costs one map look-up.
-    pub(crate) fn offer(&self, range: u32, tenant: u32, offset: u64, bytes: u32) {
-        let Some(followers) = self.targets.get(&range) else {
+    /// followers costs one look-up.
+    pub(crate) fn offer(&mut self, range: u32, tenant: u32, offset: u64, bytes: u32) {
+        if !self.ranges[range as usize].followers.is_empty() {
+            let job = Job {
+                range,
+                tenant,
+                offset,
+                bytes,
+            };
+            self.queue.push_back(job);
+        }
+    }
+
+    /// Jobs offered and not yet shipped or skipped.
+    fn queued(&self) -> usize {
+        self.queue.len() + usize::from(self.current.is_some())
+    }
+
+    /// When the loop must come back even if no link stirs: an ack
+    /// deadline, or the end of a `BUSY` pause.
+    pub(crate) fn next_due(&self) -> Option<Instant> {
+        self.current.as_ref().map(|s| s.due)
+    }
+
+    /// One turn of everything time-driven: fail a follower silent past
+    /// its deadline, and ship what is queued or paused.
+    pub(crate) fn service(&mut self, poller: &mut dyn Poller, now: Instant) {
+        let late = self.current.as_ref().filter(|s| now >= s.due);
+        if let Some(link) = late.and_then(|s| s.link) {
+            self.links[link].fail(poller);
+            self.settle(None, now);
+        }
+        self.advance(poller, now);
+    }
+
+    /// One poller event on a follower link: books the answer to the call
+    /// awaited on it and resumes a stuck write. A lost socket, a refused
+    /// HELLO or a frame that answers no call fails the link; a HELLO_ACK
+    /// is ignored.
+    pub(crate) fn on_event(&mut self, poller: &mut dyn Poller, ev: &PollEvent, now: Instant) {
+        let link = ev.token - TOK_LINK0;
+        let Some(wire) = self.links.get_mut(link) else {
             return;
         };
-        let job = ReplJob {
-            epoch: self.repl.epoch.load(Ordering::Acquire),
-            range,
-            tenant,
-            offset,
-            bytes,
-            followers: Arc::clone(followers),
+        let current = self.current.as_ref();
+        let awaited = current.filter(|s| s.link == Some(link)).map(|s| s.tag);
+        let (mut answer, mut stray, mut read) = (None, false, Ok(()));
+        if ev.readable || ev.error {
+            read = wire.recv_frames(|payload| match decode_response(payload) {
+                Ok(Response::HelloAck { .. }) => {}
+                Ok(resp) if answer.is_none() && Some(resp.tag()) == awaited => answer = Some(resp),
+                _ => stray = true,
+            });
+        }
+        let lost = read.is_err() || stray || (ev.writable && wire.flush(poller, true).is_err());
+        if lost {
+            wire.fail(poller);
+        }
+        if awaited.is_some() && (lost || answer.is_some()) {
+            self.settle(answer, now);
+            self.advance(poller, now);
+        }
+    }
+
+    /// Books the answer to the call in flight, `None` if its link failed
+    /// first: a `BUSY` with re-sends left pauses the follower, anything
+    /// else moves on to the next.
+    fn settle(&mut self, answer: Option<Response>, now: Instant) {
+        let Some(s) = self.current.as_mut() else {
+            return;
         };
-        let _ = self.tx.send(job);
+        s.link = None;
+        match answer {
+            Some(Response::Busy { .. }) if s.busy < BUSY_RETRIES => {
+                s.busy += 1;
+                s.due = now + BUSY_PAUSE;
+                return;
+            }
+            Some(Response::ReplAck { .. }) => self.acked += 1,
+            _ => {
+                self.failed += 1;
+                s.all_acked = false;
+            }
+        }
+        (s.next, s.busy, s.due) = (s.next + 1, 0, now);
+    }
+
+    /// Ships until a call is in flight, a follower is paused, or nothing
+    /// is queued: the job in flight goes to its next follower, a finished
+    /// one settles its range's watermark, and the next job takes its
+    /// sequence number.
+    fn advance(&mut self, poller: &mut dyn Poller, now: Instant) {
+        loop {
+            let Some(s) = self.current.as_mut() else {
+                let Some(job) = self.queue.pop_front() else {
+                    return;
+                };
+                let range = &mut self.ranges[job.range as usize];
+                range.seq += 1;
+                self.current = Some(InFlight {
+                    job,
+                    epoch: self.epoch,
+                    seq: range.seq,
+                    next: 0,
+                    all_acked: true,
+                    link: None,
+                    tag: 0,
+                    busy: 0,
+                    due: now,
+                });
+                continue;
+            };
+            if s.link.is_some() || now < s.due {
+                return;
+            }
+            let range = &mut self.ranges[s.job.range as usize];
+            let stale = s.epoch != self.epoch;
+            let Some(&link) = range.followers.get(s.next).filter(|_| !stale) else {
+                // Every follower has answered, or the epoch moved on.
+                self.shipped += 1;
+                if !stale && s.all_acked && !range.stalled {
+                    range.watermark = s.seq;
+                } else if !stale {
+                    range.stalled = true;
+                }
+                self.current = None;
+                continue;
+            };
+            let wire = &mut self.links[link];
+            if wire.backing_off(now) {
+                self.skipped += 1;
+                (s.next, s.all_acked) = (s.next + 1, false);
+                continue;
+            }
+            self.last_tag += 1;
+            let req = Request::Replicate {
+                tag: self.last_tag,
+                range: s.job.range,
+                epoch: s.epoch,
+                seq: s.seq,
+                tenant: s.job.tenant,
+                offset: s.job.offset,
+                bytes: s.job.bytes,
+            };
+            let sent = (wire.is_up() || open(wire, poller).is_ok()) && {
+                wire.enqueue(&req);
+                wire.flush(poller, false).is_ok()
+            };
+            if sent {
+                (s.link, s.tag, s.due) = (Some(link), self.last_tag, now + SHIP_TIMEOUT);
+                return;
+            }
+            wire.fail(poller);
+            self.failed += 1;
+            (s.next, s.all_acked) = (s.next + 1, false);
+        }
+    }
+
+    /// The loop is exiting and nothing more ships: every job still queued
+    /// or in flight counts as skipped.
+    pub(crate) fn abandon(&mut self) {
+        self.skipped += self.queued() as u64;
+        self.queue.clear();
+        self.current = None;
+    }
+
+    /// Folds the counters, the queue length and the watermarks into `m`.
+    pub(crate) fn fold_into(&self, m: &mut MetricsRegistry) {
+        m.inc("server.repl.shipped", self.shipped);
+        m.inc("server.repl.acked", self.acked);
+        m.inc("server.repl.skipped", self.skipped);
+        m.inc("server.repl.failed", self.failed);
+        m.set_gauge("server.repl.queued", self.queued() as f64);
+        for (r, range) in self.ranges.iter().enumerate() {
+            let key = format!("server.repl.watermark.range{r}");
+            m.set_gauge(&key, range.watermark as f64);
+        }
     }
 }
 
-/// The ship thread: drains jobs in order, owns all follower
-/// connections, assigns per-range sequence numbers, and advances
-/// watermarks on contiguous all-follower acks.
-fn ship_loop(repl: &Replicator, rx: &Receiver<ReplJob>) {
-    let mut conns: HashMap<String, Conn> = HashMap::new();
-    let mut down: HashMap<String, Instant> = HashMap::new();
-    let mut seqs: HashMap<u32, u64> = HashMap::new();
-    let mut stalled: HashSet<u32> = HashSet::new();
-    let mut shipped_epoch = 0u64;
-    let mut next_tag = 1u64;
-    while let Ok(job) = rx.recv() {
-        if job.epoch != repl.epoch.load(Ordering::Acquire) {
-            repl.counters.skipped.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        if job.epoch != shipped_epoch {
-            seqs.clear();
-            stalled.clear();
-            shipped_epoch = job.epoch;
-        }
-        let seq = {
-            let e = seqs.entry(job.range).or_insert(0);
-            *e += 1;
-            *e
-        };
-        let mut all_acked = true;
-        for addr in job.followers.iter() {
-            if let Some(until) = down.get(addr) {
-                if Instant::now() < *until {
-                    repl.counters.skipped.fetch_add(1, Ordering::Relaxed);
-                    all_acked = false;
-                    continue;
-                }
-                down.remove(addr);
-            }
-            let tag = next_tag;
-            next_tag += 1;
-            match ship_one(&mut conns, addr, tag, &job, seq) {
-                Ok(true) => {
-                    repl.counters.acked.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(false) => {
-                    repl.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    all_acked = false;
-                }
-                Err(_) => {
-                    repl.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    all_acked = false;
-                    conns.remove(addr);
-                    down.insert(addr.clone(), Instant::now() + DOWN_BACKOFF);
-                }
-            }
-        }
-        repl.counters.shipped.fetch_add(1, Ordering::Relaxed);
-        if all_acked && !stalled.contains(&job.range) {
-            repl.watermarks[job.range as usize].store(seq, Ordering::Release);
-        } else {
-            stalled.insert(job.range);
-        }
-    }
-}
-
-/// Ships one write to one follower over its (lazily opened) connection
-/// and waits for the answer. `Ok(true)` = acked, `Ok(false)` = refused
-/// (the connection stays usable), `Err` = transport failure, timeout or
-/// an answer to another tag — the caller then drops the connection, so
-/// a late ack can never be read as the next shipment's.
-fn ship_one(
-    conns: &mut HashMap<String, Conn>,
-    addr: &str,
-    tag: u64,
-    job: &ReplJob,
-    seq: u64,
-) -> io::Result<bool> {
-    let req = Request::Replicate {
-        tag,
-        range: job.range,
-        epoch: job.epoch,
-        seq,
-        tenant: job.tenant,
-        offset: job.offset,
-        bytes: job.bytes,
+/// Opens `wire`'s socket with a bounded connect and queues the HELLO
+/// ahead of the first `REPLICATE`; its ack is never waited for.
+fn open(wire: &mut Wire, poller: &mut dyn Poller) -> io::Result<()> {
+    let addr = (wire.addr().to_socket_addrs()?.next())
+        .ok_or_else(|| io::Error::from(io::ErrorKind::AddrNotAvailable))?;
+    let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+    stream.set_nodelay(true).ok();
+    wire.adopt(stream, FrameBuffer::new(), poller)?;
+    let hello = Request::Hello {
+        tag: HELLO_TAG,
+        version: PROTOCOL_VERSION,
     };
-    for attempt in 0..=BUSY_RETRIES {
-        if !conns.contains_key(addr) {
-            conns.insert(addr.to_string(), Conn::connect(addr)?);
-        }
-        let conn = conns.get_mut(addr).expect("just inserted");
-        let resp = conn.call(&req, SHIP_TIMEOUT)?;
-        if resp.tag() != tag {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "follower answered another tag",
-            ));
-        }
-        match resp {
-            Response::ReplAck { .. } => return Ok(true),
-            // Retry the shipment on the same connection.
-            Response::Busy { .. } if attempt < BUSY_RETRIES => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            _ => return Ok(false),
-        }
-    }
-    unreachable!("busy-retry loop always returns before exhausting attempts");
+    wire.enqueue(&hello);
+    Ok(())
 }

@@ -1,8 +1,8 @@
 //! The loopback TCP storage service.
 //!
-//! One readiness-driven thread ([`crate::event_loop`]) is the whole node
-//! apart from the replication shipper: it owns the listener, every
-//! connection socket and every shard ([`Node`]). It decodes frames, runs
+//! One readiness-driven thread ([`crate::event_loop`]) is the whole node:
+//! it owns the listener, every connection socket, every shard and, in
+//! cluster mode, the replication shipper ([`Node`]). It decodes frames, runs
 //! the admission control below, submits admitted I/O to the shards, steps
 //! them to the virtual now and pushes their completions onto the
 //! connections' write queues. Responses from different shards interleave
@@ -51,7 +51,7 @@ use crate::pacing::VirtualClock;
 use crate::poller::Waker;
 use crate::protocol::{encode_response, write_frame, BatchEntry, BusyReason, ErrorCode, Response};
 use crate::recorder::TraceRecorder;
-use crate::replicate::{Replicator, Shipper};
+use crate::replicate::Shipper;
 use crate::ring::{RangeListView, ReplicaListView, WriteQueue};
 use crate::shard::{ReplyTo, Shard, ShardSpec, Submission};
 
@@ -164,7 +164,7 @@ struct ClusterState {
     epoch: u64,
     map_text: String,
     status: Vec<RangeStatus>,
-    /// The replication target table and the ship thread's inbox.
+    /// The replication targets, job queue and follower links.
     shipper: Shipper,
 }
 
@@ -178,9 +178,6 @@ pub(crate) struct Shared {
     pub(crate) control: Control,
     /// The capture journal; [`Server::recorder`] hands it out.
     pub(crate) recorder: Arc<TraceRecorder>,
-    /// `Some` iff [`ServerConfig::cluster`] — the ship thread's counters,
-    /// watermarks and epoch (DESIGN §15.2).
-    pub(crate) repl: Option<Arc<Replicator>>,
 }
 
 /// The one way into the loop from another thread: crash orders and
@@ -262,9 +259,9 @@ pub(crate) struct Node {
 
 impl Node {
     /// Builds the shards `cfg` asks for, and in cluster mode a map view
-    /// that owns no range yet around `shipper`. A simulator is not
-    /// `Send`, so this runs on the loop thread.
-    pub(crate) fn new(cfg: &ServerConfig, shipper: Option<Shipper>) -> Node {
+    /// that owns no range yet and ships to no follower yet. A simulator
+    /// is not `Send`, so this runs on the loop thread.
+    pub(crate) fn new(cfg: &ServerConfig) -> Node {
         Node {
             shards: ShardSpec::partition(cfg.capacity_bytes, cfg.shards)
                 .into_iter()
@@ -281,13 +278,18 @@ impl Node {
             accepted: 0,
             wakeups: 0,
             wq_max_bytes: 0,
-            cluster: shipper.map(|shipper| ClusterState {
+            cluster: cfg.cluster.then(|| ClusterState {
                 epoch: 0,
                 map_text: String::new(),
                 status: vec![RangeStatus::NotOwned; cfg.shards],
-                shipper,
+                shipper: Shipper::new(cfg.shards, cfg.seed),
             }),
         }
+    }
+
+    /// The replication shipper, in cluster mode.
+    pub(crate) fn shipper(&mut self) -> Option<&mut Shipper> {
+        self.cluster.as_mut().map(|cl| &mut cl.shipper)
     }
 }
 
@@ -309,8 +311,6 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     event_loop: Option<JoinHandle<()>>,
-    /// `rif-repl-ship`, in cluster mode: it ends once the loop has exited.
-    ship_thread: Option<JoinHandle<()>>,
 }
 
 /// The simulator configuration of shard `index` under `cfg`.
@@ -377,9 +377,6 @@ impl Server {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let repl = cfg.cluster.then(|| Arc::new(Replicator::new(cfg.shards)));
-        let shipping = repl.as_ref().map(|r| Shipper::start(Arc::clone(r)));
-        let (shipper, ship_thread) = shipping.transpose()?.unzip();
         let (waker, waker_rx) = Waker::new()?;
         let shared = Arc::new(Shared {
             clock: VirtualClock::start(cfg.time_scale),
@@ -391,19 +388,17 @@ impl Server {
                 waker,
             },
             recorder: Arc::new(TraceRecorder::new(cfg.capture)),
-            repl,
             cfg,
         });
         let loop_shared = Arc::clone(&shared);
         let event_loop = std::thread::Builder::new()
             .name("rif-event-loop".into())
-            .spawn(move || crate::event_loop::run(listener, loop_shared, shipper, waker_rx))?;
+            .spawn(move || crate::event_loop::run(listener, loop_shared, waker_rx))?;
 
         Ok(Server {
             shared,
             addr,
             event_loop: Some(event_loop),
-            ship_thread,
         })
     }
 
@@ -432,18 +427,15 @@ impl Server {
         }
     }
 
-    /// Stops accepting, drains every shard, and joins all service
-    /// threads.
-    pub fn stop(mut self) {
+    /// Stops accepting, drains every shard, joins the event loop and
+    /// returns the registry it left: the node's final counters. A
+    /// replication backlog is not shipped; it counts as skipped.
+    pub fn stop(mut self) -> MetricsRegistry {
         self.request_shutdown();
         if let Some(event_loop) = self.event_loop.take() {
             let _ = event_loop.join();
         }
-        // The exited loop dropped the ship thread's inbox: the thread
-        // ships what is still queued and ends.
-        if let Some(ship_thread) = self.ship_thread.take() {
-            let _ = ship_thread.join();
-        }
+        std::mem::take(&mut self.shared.control.queue().snapshot)
     }
 
     /// A snapshot of the metrics registry with the runtime gauges STATS
@@ -971,7 +963,7 @@ pub(crate) fn admit(
         // Only writes a shard took are offered to the replication
         // shipper (a no-op unless this node is the range's primary and
         // has followers).
-        if let (true, IoOp::Write, Some(cl)) = (taken, e.op, cluster.as_ref()) {
+        if let (true, IoOp::Write, Some(cl)) = (taken, e.op, cluster.as_mut()) {
             cl.shipper.offer(idx as u32, e.tenant, e.offset, e.bytes);
         }
     }
@@ -999,18 +991,8 @@ pub(crate) fn fold_runtime_gauges(
     m.set_gauge("server.write_queue.max_bytes", node.wq_max_bytes as f64);
     m.set_gauge("server.uptime_secs", shared.started.elapsed().as_secs_f64());
     m.set_gauge("server.virtual_now_us", shared.clock.now().as_us());
-    if let Some(repl) = &shared.repl {
-        let c = &repl.counters;
-        m.inc("server.repl.shipped", c.shipped.load(Ordering::Relaxed));
-        m.inc("server.repl.acked", c.acked.load(Ordering::Relaxed));
-        m.inc("server.repl.skipped", c.skipped.load(Ordering::Relaxed));
-        m.inc("server.repl.failed", c.failed.load(Ordering::Relaxed));
-        for r in 0..repl.shards() {
-            m.set_gauge(
-                &format!("server.repl.watermark.range{r}"),
-                repl.watermark(r) as f64,
-            );
-        }
+    if let Some(cl) = &node.cluster {
+        cl.shipper.fold_into(&mut m);
     }
     m
 }

@@ -1,15 +1,20 @@
 //! A node is one thread: the event loop steps the shards itself, so no
-//! shard thread exists. An idle loop sleeps until something arrives, and
-//! sleeps with 1-ns timer slack so that a timed sleep ends when it is
-//! due, under `SCHED_BATCH` so that its wake-ups do not preempt. Linux
-//! only: every fact is read from per-thread files under `/proc`.
+//! shard thread exists, and in cluster mode it ships replication itself,
+//! so no ship thread exists either. An idle loop sleeps until something
+//! arrives, and sleeps with 1-ns timer slack so that a timed sleep ends
+//! when it is due, under `SCHED_BATCH` so that its wake-ups do not
+//! preempt. Linux only: every fact is read from per-thread files under
+//! `/proc`.
 #![cfg(target_os = "linux")]
 
 use std::fs;
+use std::net::TcpListener;
 use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use rif_server::client::Conn;
+use rif_server::protocol::{Request, Response};
 use rif_server::server::{Server, ServerConfig};
 
 /// Each test reads every thread of this process, so the tests take turns.
@@ -18,7 +23,12 @@ static ONE_SERVER: Mutex<()> = Mutex::new(());
 /// Starts a default server (two shards) and waits until its event-loop
 /// thread exists and has set its timer slack, the last thing it tunes.
 fn start() -> (Server, String) {
-    let server = Server::start(ServerConfig::default(), 0).expect("server starts");
+    start_with(ServerConfig::default())
+}
+
+/// Starts a server on `cfg`, then as [`start`].
+fn start_with(cfg: ServerConfig) -> (Server, String) {
+    let server = Server::start(cfg, 0).expect("server starts");
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let tids = tids_named("rif-event-loop");
@@ -88,19 +98,61 @@ fn a_node_runs_its_shards_on_the_event_loop_thread() {
     server.stop();
 }
 
-#[test]
-fn an_idle_event_loop_sleeps_until_something_arrives() {
-    let _turn = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
-    let (server, tid) = start();
+/// Asserts that the loop thread `tid`, once settled, wakes at most 4
+/// times in 200 ms.
+fn assert_sleeps_when_idle(tid: &str) {
     // Let the loop finish starting up and go to sleep.
     thread::sleep(Duration::from_millis(50));
-    let before = voluntary_switches(&tid);
+    let before = voluntary_switches(tid);
     thread::sleep(Duration::from_millis(200));
-    let wakeups = voluntary_switches(&tid) - before;
+    let wakeups = voluntary_switches(tid) - before;
     assert!(
         wakeups <= 4,
         "idle event-loop thread {tid} woke {wakeups} times in 200 ms"
     );
+}
+
+#[test]
+fn an_idle_event_loop_sleeps_until_something_arrives() {
+    let _turn = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
+    let (server, tid) = start();
+    assert_sleeps_when_idle(&tid);
+    server.stop();
+}
+
+#[test]
+fn a_cluster_node_with_followers_is_one_thread() {
+    let _turn = ONE_SERVER.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = ServerConfig {
+        cluster: true,
+        ..ServerConfig::default()
+    };
+    let capacity_bytes = cfg.capacity_bytes;
+    let (server, tid) = start_with(cfg);
+    // A follower address, so that both ranges have a shipping target.
+    let follower = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = follower.local_addr().expect("addr").to_string();
+    let push = Request::MapPush {
+        tag: 1,
+        epoch: 1,
+        capacity_bytes,
+        ranges: 2,
+        owned: vec![0, 1],
+        followed: vec![],
+        replicas: vec![(0, addr.clone()), (1, addr)],
+        map_text: String::new(),
+    };
+    let mut conn = Conn::connect(&server.local_addr().to_string()).expect("connect");
+    let resp = conn.call(&push, Duration::from_secs(5)).expect("MAP_PUSH");
+    assert!(
+        matches!(resp, Response::MapResp { epoch: 1, .. }),
+        "{resp:?}"
+    );
+    drop(conn);
+    // The event loop is the process's only `rif-` thread: no shard
+    // thread and no replication thread.
+    assert_eq!(tids_named("rif-"), vec![tid.clone()]);
+    assert_sleeps_when_idle(&tid);
     server.stop();
 }
 
