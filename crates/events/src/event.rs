@@ -2,58 +2,48 @@
 //!
 //! Events scheduled at the same instant are delivered in FIFO scheduling
 //! order (a monotonically increasing sequence number breaks ties), which
-//! keeps simulations reproducible regardless of heap internals.
+//! keeps simulations reproducible regardless of the lanes' layout.
 //!
-//! The queue has two lanes behind one `schedule`/`pop`. An event whose
-//! instant is not earlier than the last one appended to the *run* is
-//! appended to it in O(1); any other event goes to a binary heap. A
-//! simulator that submits a whole trace of arrivals up front, or a
-//! stepper chunk of them, fills the run, and the heap holds only the
-//! few in-flight device events.
+//! Every entry carries one packed `u128` key, `at_ns << 64 | seq`, with
+//! `seq` unique and only growing, so "smallest key first" is the total
+//! order "earliest instant, then first scheduled" and comparing two
+//! entries is one integer compare.
 //!
-//! The delivery order is the one a single heap gives, by construction:
-//! every entry carries `(at, seq)` with `seq` unique, so "smallest
-//! `(at, seq)` first" is a total order with no ties; `seq` only grows,
-//! so appending when `at >= run.back().at` keeps the run sorted by
-//! `(at, seq)` and its front is its minimum; the heap's top is the
-//! heap's minimum; and `pop` takes the smaller of the two.
+//! The queue has two lanes behind one `schedule`/`pop`:
+//!
+//! * the *run*, a deque in ascending key order: an event whose instant is
+//!   not earlier than the run's back is appended to it in O(1). A
+//!   simulator that submits a whole trace of arrivals up front, or a
+//!   stepper chunk of them, fills the run;
+//! * the *out-of-order lane*, a flat vector in descending key order:
+//!   every other event is inserted at the place a binary search finds, and
+//!   the earliest sits at the back, where `pop` takes it. In the simulator
+//!   this lane holds only the in-flight device completions (at most one
+//!   per die, channel, ECC engine and host link, plus a suspended die
+//!   command's stale one), a few dozen entries: a shift of that many
+//!   16-byte-keyed entries is cheaper than a heap's sift, and `pop` is a
+//!   plain `Vec::pop`. A caller that keeps thousands of events pending out
+//!   of order pays O(n) per `schedule` instead of O(log n).
+//!
+//! The delivery order is the one a single priority queue gives, by
+//! construction: appending when `at >= run.back().at` keeps the run
+//! sorted (the new `seq` is the largest yet), so its front is its
+//! minimum; the lane's back is the lane's minimum; and `pop` takes the
+//! smaller of the two.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
 struct Entry<E> {
-    at: SimTime,
-    seq: u64,
+    /// `at_ns << 64 | seq`: the delivery order as one integer.
+    key: u128,
     payload: E,
 }
 
 impl<E> Entry<E> {
-    /// The delivery order: earliest instant, then first scheduled.
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (then
-        // first-scheduled) entry is popped first.
-        other.key().cmp(&self.key())
+    fn at(&self) -> SimTime {
+        SimTime::from_ns((self.key >> 64) as u64)
     }
 }
 
@@ -74,8 +64,9 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     /// Entries scheduled in non-decreasing time order, earliest first.
     run: VecDeque<Entry<E>>,
-    /// Every entry scheduled earlier than the run's back at the time.
-    heap: BinaryHeap<Entry<E>>,
+    /// Every entry scheduled earlier than the run's back at the time, in
+    /// descending key order: the earliest is last.
+    lane: Vec<Entry<E>>,
     next_seq: u64,
     now: SimTime,
 }
@@ -91,10 +82,17 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             run: VecDeque::new(),
-            heap: BinaryHeap::new(),
+            lane: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
+    }
+
+    /// Reserves room for `additional` more events scheduled in time order
+    /// (a trace of arrivals about to be submitted), so the run does not
+    /// regrow while they are appended.
+    pub fn reserve(&mut self, additional: usize) {
+        self.run.reserve(additional);
     }
 
     /// The instant of the most recently popped event (the simulation clock).
@@ -116,18 +114,22 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { at, seq, payload };
+        let key = (at.as_ns() as u128) << 64 | seq as u128;
+        let entry = Entry { key, payload };
         match self.run.back() {
-            Some(last) if at < last.at => self.heap.push(entry),
+            Some(last) if key < last.key => {
+                let i = self.lane.partition_point(|e| e.key > key);
+                self.lane.insert(i, entry);
+            }
             _ => self.run.push_back(entry),
         }
     }
 
     /// Whether the next event in delivery order sits at the run's front
-    /// (`false`: on the heap's top). `None` when the queue is empty.
+    /// (`false`: at the lane's back). `None` when the queue is empty.
     fn next_in_run(&self) -> Option<bool> {
-        match (self.run.front(), self.heap.peek()) {
-            (Some(r), Some(h)) => Some(r.key() < h.key()),
+        match (self.run.front(), self.lane.last()) {
+            (Some(r), Some(l)) => Some(r.key < l.key),
             (Some(_), None) => Some(true),
             (None, Some(_)) => Some(false),
             (None, None) => None,
@@ -140,31 +142,32 @@ impl<E> EventQueue<E> {
         let entry = if self.next_in_run()? {
             self.run.pop_front()
         } else {
-            self.heap.pop()
+            self.lane.pop()
         }
         .expect("the lane just peeked is non-empty");
-        debug_assert!(entry.at >= self.now);
-        self.now = entry.at;
-        Some((entry.at, entry.payload))
+        let at = entry.at();
+        debug_assert!(at >= self.now);
+        self.now = at;
+        Some((at, entry.payload))
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         if self.next_in_run()? {
-            self.run.front().map(|e| e.at)
+            self.run.front().map(Entry::at)
         } else {
-            self.heap.peek().map(|e| e.at)
+            self.lane.last().map(Entry::at)
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
+        self.run.len() + self.lane.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.heap.is_empty()
+        self.run.is_empty() && self.lane.is_empty()
     }
 }
 
@@ -234,6 +237,17 @@ mod tests {
         q.schedule(SimTime::from_us(2), ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_us(2)));
+    }
+
+    #[test]
+    fn instants_survive_the_packed_key() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::MAX, "last");
+        q.schedule(SimTime::from_ns(u64::MAX - 1), "max-1");
+        q.schedule(SimTime::ZERO, "zero");
+        assert_eq!(q.pop(), Some((SimTime::ZERO, "zero")));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(u64::MAX - 1), "max-1")));
+        assert_eq!(q.pop(), Some((SimTime::MAX, "last")));
     }
 
     #[test]

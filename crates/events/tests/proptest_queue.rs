@@ -6,6 +6,7 @@
 //! the sorted run's back, arrivals out of order — must pop the same
 //! events in the same order as the model, and agree with it on
 //! `peek_time`, `len`, `is_empty` and `now` after every single step.
+//! `reserve` calls mixed in must change nothing.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,6 +63,11 @@ impl Pair {
         self.agree();
     }
 
+    fn reserve(&mut self, additional: usize) {
+        self.queue.reserve(additional);
+        self.agree();
+    }
+
     fn agree(&self) {
         assert_eq!(self.queue.peek_time(), self.model.peek_time());
         assert_eq!(self.queue.len(), self.model.heap.len());
@@ -100,7 +106,7 @@ fn step(pair: &mut Pair, (kind, a, b): (u64, u64, u64)) {
             }
         }
         // Far future: parks at the run's back, so everything scheduled
-        // after it goes to the heap until it pops.
+        // after it goes to the out-of-order lane until it pops.
         6 => pair.schedule_in(1_000_000_000 + a % 1_000),
         // Arrivals out of order: descending instants.
         7 => {
@@ -108,8 +114,10 @@ fn step(pair: &mut Pair, (kind, a, b): (u64, u64, u64)) {
                 pair.schedule_in(i * (1 + a % 400));
             }
         }
+        // Room for a burst that may never come.
+        8 => pair.reserve((a % 512) as usize),
         // Pop a few.
-        8..=11 => {
+        9..=11 => {
             for _ in 0..1 + b % 8 {
                 pair.pop();
             }
@@ -131,6 +139,27 @@ proptest! {
         let mut pair = Pair::default();
         for op in ops {
             step(&mut pair, op);
+        }
+        pair.drain();
+    }
+
+    /// The out-of-order lane's worst case: a far-future event parked at
+    /// the run's back sends every later `schedule` to the lane, hundreds
+    /// of them at random distances (ties included), interleaved with
+    /// pops and `reserve` calls, until the parked event itself pops.
+    #[test]
+    fn parked_run_back_sends_hundreds_out_of_order(
+        draws in prop::collection::vec((any::<u64>(), 0u64..8), 200..600),
+    ) {
+        let mut pair = Pair::default();
+        pair.schedule_in(10_000_000);
+        for (a, kind) in draws {
+            match kind {
+                0 => pair.pop(),
+                1 => pair.reserve((a % 64) as usize),
+                2 => pair.schedule_in(a % 16),
+                _ => pair.schedule_in(a % 1_000_000),
+            }
         }
         pair.drain();
     }

@@ -1,6 +1,11 @@
 //! Channels: one page transfer at a time. The next transfer is the first
 //! queued one that may start: a read page needs room in the channel's ECC
 //! buffer, and while none has any the channel sits in ECCWAIT.
+//!
+//! The pick is O(1) in the common cases: with buffer room it is the
+//! queue's front, and with none and only read pages queued (a count of
+//! the others is kept) it is nothing. Only a write or sentinel page
+//! queued behind blocked reads is looked for.
 
 use super::*;
 
@@ -28,9 +33,19 @@ pub(super) struct Transfer {
     pub(super) uncor: bool,
 }
 
+impl Transfer {
+    /// Whether the page needs a slot in the ECC buffer to start.
+    fn is_read(&self) -> bool {
+        matches!(self.kind, XferKind::ReadPage { .. })
+    }
+}
+
 #[derive(Debug)]
 pub(super) struct Channel {
-    pub(super) station: Station<Transfer>,
+    station: Station<Transfer>,
+    /// Queued transfers that are not read pages (write and sentinel
+    /// pages): the ones that may start while the ECC buffer is full.
+    non_reads: usize,
     pub(super) tracker: UtilizationTracker,
 }
 
@@ -38,8 +53,35 @@ impl Channel {
     pub(super) fn new(index: usize) -> Self {
         Channel {
             station: Station::new(format!("chan:{index}")),
+            non_reads: 0,
             tracker: UtilizationTracker::new(4),
         }
+    }
+
+    /// Queues `n` pages of transfer `t`.
+    pub(super) fn enqueue(&mut self, t: Transfer, n: usize) {
+        if !t.is_read() {
+            self.non_reads += n;
+        }
+        self.station.queue.extend(std::iter::repeat_n(t, n));
+    }
+
+    /// Takes the first queued transfer that may start: the front when
+    /// the ECC buffer has room, else the first that is not a read page.
+    fn pick(&mut self, has_room: bool) -> Option<Transfer> {
+        let queue = &mut self.station.queue;
+        let t = if has_room {
+            queue.pop_front()?
+        } else if self.non_reads == 0 {
+            return None;
+        } else {
+            let i = queue.iter().position(|t| !t.is_read())?;
+            queue.remove(i)?
+        };
+        if !t.is_read() {
+            self.non_reads -= 1;
+        }
+        Some(t)
     }
 }
 
@@ -65,8 +107,7 @@ impl Simulator {
             (XferKind::ReadPage { group: gid }, g.decode_fails)
         };
         g.pages_remaining = g.n_pages;
-        let pages = std::iter::repeat_n(Transfer { kind, uncor }, g.n_pages);
-        self.channels[ch].station.queue.extend(pages);
+        self.channels[ch].enqueue(Transfer { kind, uncor }, g.n_pages);
         self.chan_try_start(now, ch);
     }
 
@@ -76,12 +117,8 @@ impl Simulator {
         }
         // First startable transfer: read pages need ECC buffer space.
         let has_room = self.ecc[ch].pending < self.cfg.ecc_buffer_pages;
-        let queue = &mut self.channels[ch].station.queue;
-        let pick = queue
-            .iter()
-            .position(|t| has_room || !matches!(t.kind, XferKind::ReadPage { .. }));
-        let Some(t) = pick.and_then(|i| queue.remove(i)) else {
-            let state = if queue.is_empty() {
+        let Some(t) = self.channels[ch].pick(has_room) else {
+            let state = if self.channels[ch].station.queue.is_empty() {
                 ST_IDLE
             } else {
                 ST_ECCWAIT
@@ -89,7 +126,7 @@ impl Simulator {
             self.switch_chan(now, ch, state);
             return;
         };
-        if matches!(t.kind, XferKind::ReadPage { .. }) {
+        if t.is_read() {
             self.ecc[ch].pending += 1;
         }
         self.switch_chan(now, ch, if t.uncor { ST_UNCOR } else { ST_COR });

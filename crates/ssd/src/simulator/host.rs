@@ -180,8 +180,7 @@ impl Simulator {
             });
             let ch = out.loc.channel(&self.cfg.geometry);
             let kind = XferKind::WritePage { job };
-            let pages = std::iter::repeat_n(Transfer { kind, uncor: false }, pages);
-            self.channels[ch].station.queue.extend(pages);
+            self.channels[ch].enqueue(Transfer { kind, uncor: false }, pages);
             self.chan_try_start(now, ch);
         }
     }
@@ -227,14 +226,16 @@ impl Simulator {
         let bytes = r.bytes as u64;
         self.tally(now, |s| &mut s.completed_bytes, "bytes.completed", bytes);
         self.last_completion = now;
-        self.completions.push(Completion {
-            id: r.id,
-            op: r.op,
-            offset: r.offset,
-            bytes: r.bytes,
-            arrival: r.arrival,
-            finished: now,
-        });
+        if self.keep_completions {
+            self.completions.push(Completion {
+                id: r.id,
+                op: r.op,
+                offset: r.offset,
+                bytes: r.bytes,
+                arrival: r.arrival,
+                finished: now,
+            });
+        }
         self.outstanding -= 1;
         if let Some(next) = self.backlog.pop_front() {
             self.admit(now, next);

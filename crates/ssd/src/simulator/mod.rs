@@ -201,6 +201,10 @@ pub struct Simulator {
     backlog: VecDeque<usize>,
     outstanding: usize,
     completions: Vec<Completion>,
+    /// Whether finished requests are kept for
+    /// [`Simulator::drain_completions`]; [`Simulator::run`], whose
+    /// caller never drains, turns it off.
+    keep_completions: bool,
     // Online threshold learning (oracle mode leaves all three inert).
     learner: Option<ThresholdLearner>,
     swift: Option<SwiftRead>,
@@ -269,6 +273,7 @@ impl Simulator {
             backlog: VecDeque::new(),
             outstanding: 0,
             completions: Vec::new(),
+            keep_completions: true,
             tracer: Tracer::disabled(),
             metrics: None,
             read_latency: LatencyHistogram::new(),
@@ -332,8 +337,12 @@ impl Simulator {
     /// loop is advanced past the last event, and the accumulated state is
     /// [`finished`](Simulator::finish) into a report. Driving the stepper
     /// by hand with the same trace yields a byte-identical canonical
-    /// report (see the `sim_determinism_golden` suite).
+    /// report (see the `sim_determinism_golden` suite). The only
+    /// difference is that no [`Completion`] is kept: nothing could drain
+    /// it.
     pub fn run(mut self, trace: &Trace) -> SimReport {
+        self.keep_completions = false;
+        self.events.reserve(trace.len());
         for r in trace.iter() {
             self.submit(*r);
         }

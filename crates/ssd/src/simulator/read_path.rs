@@ -312,11 +312,17 @@ impl Simulator {
             self.emit_recal_marker(now, gid);
         }
         // After four attempts assume the vendor sequence exhausted and
-        // force success (never observed — retry RBER sits far below the
-        // capability).
-        let fails = self.forced_fail(slot).is_none()
-            && attempt <= 4
-            && self.cfg.ecc.sample_failure(retry_rber, &mut self.rng);
+        // force success, counted under `retry.forced_success`: TLC reads
+        // at the paper's wear stages never get here, but QLC reads and
+        // late learned-mode reads sometimes do.
+        let fails = if self.forced_fail(slot).is_some() {
+            false
+        } else if attempt > 4 {
+            self.count(now, "retry.forced_success", 1);
+            false
+        } else {
+            self.cfg.ecc.sample_failure(retry_rber, &mut self.rng)
+        };
         let (dur, fail_out) = self.decode_outcome(retry_rber, fails);
         let g = &mut self.groups[gid];
         g.phase = GroupPhase::Retry;

@@ -124,6 +124,65 @@ fn channel_usage_fractions_sum_to_one() {
 }
 
 #[test]
+fn channel_pick_rule_with_the_ecc_buffer_full() {
+    // Channel 0 carries dies 0 and 8, and the write allocator's first die
+    // is die 0. A one-page ECC buffer and decodes shorter than a page
+    // transfer mean every transfer ends with the buffer full (its page is
+    // decoding) and the slot frees before the next one ends. Both reads
+    // queue 4 pages at 40 µs, when their senses end; the write's 4 pages
+    // queue behind them at ≈ 48 µs, after the host link.
+    use rif_events::trace::{JsonlSink, SharedBuf, TraceRecord};
+    let mut cfg = SsdConfig::small(RetryKind::IdealOne, 0);
+    cfg.ecc_buffer_pages = 1;
+    cfg.forced_failure_slots = Some(vec![]);
+    let sb = 64 * 1024;
+    let trace = Trace::new(vec![
+        read_req(0, 0, 65536),
+        read_req(0, 8 * sb, 65536),
+        write_req(40, 100 * sb, 65536),
+    ]);
+    let buf = SharedBuf::new();
+    let report = Simulator::new(cfg)
+        .with_tracer(Box::new(JsonlSink::new(buf.clone())))
+        .run(&trace);
+    assert_eq!(report.completed_requests, 3);
+    let records = TraceRecord::parse_jsonl(&buf.contents()).expect("trace parses");
+    let on_chan0 = |res: &Option<String>| res.as_deref() == Some("chan:0");
+    let starts: Vec<(SimTime, &str, u64)> = records
+        .iter()
+        .filter_map(|r| match r {
+            TraceRecord::SpanBegin {
+                t, name, res, req, ..
+            } if on_chan0(res) => Some((*t, name.as_str(), req.expect("xfer has a request"))),
+            _ => None,
+        })
+        .collect();
+    // With the buffer full a write page starts ahead of the reads queued
+    // before it; with room the queue's front, the oldest read page, goes.
+    let order: Vec<u64> = starts.iter().map(|s| s.2).collect();
+    assert_eq!(order, [0, 2, 0, 2, 0, 2, 0, 2, 1, 1, 1, 1]);
+    // The channel waits on the ECC engine only once nothing but read
+    // pages is queued, after the last write page started.
+    let last_write = starts
+        .iter()
+        .filter(|s| s.1 == "xfer_write")
+        .map(|s| s.0)
+        .max()
+        .expect("write pages crossed channel 0");
+    let eccwait: Vec<SimTime> = records
+        .iter()
+        .filter_map(|r| match r {
+            TraceRecord::State { t, res, state } if res == "chan:0" && state == "ECCWAIT" => {
+                Some(*t)
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(!eccwait.is_empty(), "channel 0 never waited on its ECC");
+    assert!(eccwait.iter().all(|&t| t > last_write), "{eccwait:?}");
+}
+
+#[test]
 fn rif_beats_senc_under_heavy_retries() {
     // At 2K P/E with cold-heavy reads, RiF must deliver clearly more
     // bandwidth than Sentinel — the core claim of the paper. The trace

@@ -3,6 +3,7 @@
 //! scheme must produce traces that satisfy all conservation invariants.
 
 use rif_events::trace::{JsonlSink, SharedBuf, TraceRecord};
+use rif_ldpc::EccModel;
 use rif_ssd::tracecheck::TraceChecker;
 use rif_ssd::{DriftClock, LearnerConfig, LearningMode, RetryKind, Simulator, SsdConfig};
 use rif_workloads::{SynthConfig, Trace};
@@ -244,6 +245,44 @@ fn hybrid_background_traffic_traces_clean() {
         assert!(spans("refresh") > 0, "hybrid-bg/{retry}: no refresh spans");
         let h = report.hybrid.expect("hybrid summary");
         assert!(h.migrated_slots > 0 && h.refreshed_slots > 0 && h.bg_ops > 0);
+    }
+}
+
+#[test]
+fn forced_retry_success_is_counted_and_zero_on_tlc_workloads() {
+    // The retry ladder forces success after four attempts. With the
+    // default ECC model none of the three TLC workloads above gets there,
+    // under any scheme.
+    let runs = [
+        (read_heavy(), 2000, 16),
+        (write_heavy(), 1000, 16),
+        (mixed(), 2000, 32),
+    ];
+    let forced = |cfg: SsdConfig, trace: &Trace| {
+        let report = Simulator::new(cfg).with_metrics().run(trace);
+        let m = report.metrics.expect("metrics enabled");
+        m.counter("retry.forced_success")
+    };
+    for retry in RetryKind::ALL {
+        for (trace, pe, qd) in &runs {
+            let mut cfg = SsdConfig::small(retry, *pe);
+            cfg.queue_depth = *qd;
+            assert_eq!(forced(cfg, trace), 0, "{retry} at {pe} P/E forced a retry");
+        }
+    }
+    // A decoder whose capability sits far below every retry RBER fails
+    // each attempt, so every scheme that can fail ends its ladder forced.
+    let hopeless = EccModel::with_parameters(1e-5, 1e-6, 0.007, 0.000_8, 20, 1.0);
+    let trace = read_heavy();
+    for retry in RetryKind::ALL {
+        let mut cfg = SsdConfig::small(retry, 2000);
+        cfg.ecc = hopeless.clone();
+        let n = forced(cfg, &trace);
+        if retry == RetryKind::Zero {
+            assert_eq!(n, 0, "the ideal device never retries");
+        } else {
+            assert!(n > 0, "{retry}: a hopeless decoder forced no success");
+        }
     }
 }
 
