@@ -39,8 +39,8 @@
 //!
 //! [`rebalance_away`]: Directory::rebalance_away
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -453,13 +453,18 @@ fn serve_conn(stream: TcpStream, inner: Arc<Inner>) {
     }
     let mut writer = io::BufWriter::new(&stream);
     let mut frames = FrameBuffer::new();
+    // Set when hanging up on a peer that may still be sending.
+    let mut refused = false;
     'conn: while !inner.stop.load(Ordering::SeqCst) {
         loop {
             let payload = match frames.next_frame() {
                 Ok(Some(payload)) => payload,
                 Ok(None) => break,
                 // The length prefix lied: frame sync is gone for good.
-                Err(_) => break 'conn,
+                Err(_) => {
+                    refused = true;
+                    break 'conn;
+                }
             };
             let Ok(req) = decode_request(payload) else {
                 let resp = Response::Error {
@@ -481,6 +486,7 @@ fn serve_conn(stream: TcpStream, inner: Arc<Inner>) {
                         code: ErrorCode::BadRequest,
                     };
                     write_frame(&mut writer, &encode_response(&refusal)).ok();
+                    refused = true;
                     break 'conn;
                 }
                 Request::MapGet { tag } => {
@@ -537,5 +543,13 @@ fn serve_conn(stream: TcpStream, inner: Arc<Inner>) {
             }
             Err(_) => break,
         }
+    }
+    if refused {
+        // Closing with unread input sends RST, which can destroy the
+        // refusal before the peer reads it: send FIN after it, then
+        // discard input until the peer's EOF or a read times out.
+        writer.flush().ok();
+        stream.shutdown(Shutdown::Write).ok();
+        io::copy(&mut &stream, &mut io::sink()).ok();
     }
 }

@@ -16,12 +16,12 @@
 //! on-die copyback. [`Ftl::new`] has no cache region — the paper's plain
 //! device — and runs the very same allocation and GC code.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
-use rif_events::hash::{IntBuildHasher, IntMap};
 use rif_flash::geometry::{FlashGeometry, PageKind};
 
 use crate::hybrid::CellMode;
+use crate::table::SlotTable;
 
 /// A physical slot location: all planes of die `die_linear`, at
 /// (`block`, `page`).
@@ -50,6 +50,21 @@ impl SlotLocation {
     /// and read-disturb counting).
     pub fn global_block(&self, g: &FlashGeometry) -> u64 {
         self.die_linear as u64 * g.blocks_per_plane as u64 + self.block as u64
+    }
+
+    /// The location in one word, as the mapping stores it: die in the
+    /// top 16 bits, block in the next 24, page in the low 24 (the
+    /// constructor checks the geometry fits).
+    fn pack(self) -> u64 {
+        (self.die_linear as u64) << 48 | (self.block as u64) << 24 | self.page as u64
+    }
+
+    fn unpack(word: u64) -> Self {
+        SlotLocation {
+            die_linear: (word >> 48) as usize,
+            block: (word >> 24) as usize & 0xFF_FFFF,
+            page: word as usize & 0xFF_FFFF,
+        }
     }
 
     /// The TLC page kind of this slot (page position within the block).
@@ -101,9 +116,19 @@ pub struct WriteOutcome {
     pub evicted: Vec<MigrationWork>,
 }
 
+/// An absent entry: a never-touched slot in the mapping (as a packed
+/// location, die 2^16 − 1, which the constructor rules out) and a page
+/// without a live slot in [`BlockLive::pages`].
+const NONE: u64 = u64::MAX;
+
+/// The live slots of one write-half block.
 #[derive(Debug, Clone, Default)]
 struct BlockLive {
-    live: HashMap<usize, u64>,
+    /// Pages holding a live slot.
+    live: usize,
+    /// The slot on each page, [`NONE`] where none lives; empty until
+    /// the block's first program.
+    pages: Vec<u64>,
 }
 
 /// A per-die allocation region: an active block with a page cursor, full
@@ -155,6 +180,8 @@ impl DieState {
 
 /// The slot-mapped FTL: cold region, capacity write region, and an
 /// optional SLC cache region per die, with cache→capacity migration.
+/// Slots are mapped through a slot table, so a slot of 2^48 or more
+/// panics (no request within `Simulator::submit`'s bound names one).
 ///
 /// # Example
 ///
@@ -181,17 +208,21 @@ impl DieState {
 #[derive(Debug, Clone)]
 pub struct Ftl {
     geometry: FlashGeometry,
-    mapping: IntMap<u64, SlotLocation>,
+    /// Slot → [`SlotLocation::pack`]ed location.
+    mapping: SlotTable<u64>,
     dies: Vec<DieState>,
-    /// Live-slot tracking for write-half blocks, keyed by (die, block).
-    blocks: IntMap<(usize, usize), BlockLive>,
-    /// Per-block read counters (read disturb), keyed by global block id.
-    read_counts: IntMap<u64, u64>,
+    /// Live-slot tracking for write-half blocks, indexed by
+    /// [`Ftl::block_index`]; sized on the first program.
+    blocks: Vec<BlockLive>,
+    /// Per-block read counters (read disturb), indexed by global block
+    /// id; sized on the first read.
+    read_counts: Vec<u64>,
     /// Slots ever touched, in first-touch order (the refresh scan's
     /// deterministic iteration universe).
     touched: Vec<u64>,
-    /// Cache membership: slot → its live fifo sequence number.
-    cached: IntMap<u64, u64>,
+    /// Cache membership: slot → its live fifo sequence number (which
+    /// starts at 1, so 0 marks a slot outside the cache).
+    cached: SlotTable<u64>,
     write_base: usize,
     /// First SLC-mode block index (== `blocks_per_plane` when no cache).
     slc_base: usize,
@@ -219,22 +250,17 @@ impl Ftl {
     /// Panics unless `cache_fraction` is in `[0, 0.9]` and the geometry
     /// leaves at least two capacity write blocks per die.
     pub fn with_cache(geometry: FlashGeometry, cache_fraction: f64) -> Self {
-        Self::with_hasher(geometry, cache_fraction, IntBuildHasher::default())
-    }
-
-    /// [`Ftl::with_cache`] with the hasher of the slot- and block-keyed
-    /// maps given. No result depends on it; the tests that prove so run
-    /// under two seeds.
-    pub(crate) fn with_hasher(
-        geometry: FlashGeometry,
-        cache_fraction: f64,
-        hasher: IntBuildHasher,
-    ) -> Self {
         assert!(
             (0.0..=0.9).contains(&cache_fraction),
             "cache fraction {cache_fraction} outside [0, 0.9]"
         );
         let n_dies = geometry.channels * geometry.dies_per_channel;
+        assert!(
+            n_dies < 0xFFFF
+                && geometry.blocks_per_plane <= 1 << 24
+                && geometry.pages_per_block <= 1 << 24,
+            "geometry too large for a packed slot location: {geometry:?}"
+        );
         let write_base = geometry.blocks_per_plane / 2;
         let write_blocks = geometry.blocks_per_plane - write_base;
         let slc_blocks = if cache_fraction == 0.0 {
@@ -259,12 +285,12 @@ impl Ftl {
             .collect();
         Ftl {
             geometry,
-            mapping: IntMap::with_hasher(hasher),
+            mapping: SlotTable::new(NONE),
             dies,
-            blocks: IntMap::with_hasher(hasher),
-            read_counts: IntMap::with_hasher(hasher),
+            blocks: Vec::new(),
+            read_counts: Vec::new(),
             touched: Vec::new(),
-            cached: IntMap::with_hasher(hasher),
+            cached: SlotTable::new(0),
             write_base,
             slc_base,
             write_rr: 0,
@@ -296,12 +322,12 @@ impl Ftl {
 
     /// True when `slot`'s current copy lives in the SLC cache.
     pub fn is_cached(&self, slot: u64) -> bool {
-        self.cached.contains_key(&slot)
+        self.cached.get(slot).is_some()
     }
 
     /// Live slots resident in the cache.
     pub fn cached_slots(&self) -> usize {
-        self.cached.len()
+        self.dies.iter().map(|d| d.slc_live).sum()
     }
 
     /// Total cache capacity in slots.
@@ -315,7 +341,7 @@ impl Ftl {
         if cap == 0 {
             0.0
         } else {
-            self.cached.len() as f64 / cap as f64
+            self.cached_slots() as f64 / cap as f64
         }
     }
 
@@ -344,7 +370,7 @@ impl Ftl {
     /// cold-region location on first touch (pre-trace data is assumed
     /// present, striped across dies for parallelism).
     pub fn locate_read(&mut self, slot: u64) -> SlotLocation {
-        if let Some(&loc) = self.mapping.get(&slot) {
+        if let Some(loc) = self.location(slot) {
             return loc;
         }
         let n_dies = self.dies.len();
@@ -362,15 +388,23 @@ impl Ftl {
             // stable location per slot, aliasing is harmless.
             die.cold_block = (die.cold_block + 1) % self.write_base.max(1);
         }
-        self.mapping.insert(slot, loc);
+        self.mapping.insert(slot, loc.pack());
         self.touched.push(slot);
         loc
     }
 
+    /// Where `slot` lives, if it was ever touched.
+    fn location(&self, slot: u64) -> Option<SlotLocation> {
+        self.mapping.get(slot).map(SlotLocation::unpack)
+    }
+
     /// Bumps and returns the read-disturb counter of `loc`'s block.
     pub fn note_read(&mut self, loc: SlotLocation) -> u64 {
-        let id = loc.global_block(&self.geometry);
-        let c = self.read_counts.entry(id).or_insert(0);
+        let id = loc.global_block(&self.geometry) as usize;
+        if self.read_counts.is_empty() {
+            self.read_counts = vec![0; self.dies.len() * self.geometry.blocks_per_plane];
+        }
+        let c = &mut self.read_counts[id];
         *c += 1;
         *c
     }
@@ -379,9 +413,9 @@ impl Ftl {
     /// the capacity region without one), invalidating any previous copy.
     /// A full cache forcibly evicts its oldest residents first.
     pub fn write(&mut self, slot: u64) -> WriteOutcome {
-        if let Some(old) = self.mapping.get(&slot).copied() {
+        if let Some(old) = self.location(slot) {
             self.invalidate(old);
-            self.cached.remove(&slot);
+            self.cached.remove(slot);
         } else {
             self.touched.push(slot);
         }
@@ -415,14 +449,26 @@ impl Ftl {
         WriteOutcome { loc, gc, evicted }
     }
 
+    /// Where write-half block `block` of die `die_linear` sits in `blocks`.
+    fn block_index(&self, die_linear: usize, block: usize) -> usize {
+        die_linear * (self.geometry.blocks_per_plane - self.write_base) + block - self.write_base
+    }
+
     /// Records `slot` as the live occupant of the freshly allocated `loc`.
     fn place(&mut self, slot: u64, loc: SlotLocation) {
-        self.blocks
-            .entry((loc.die_linear, loc.block))
-            .or_default()
-            .live
-            .insert(loc.page, slot);
-        self.mapping.insert(slot, loc);
+        if self.blocks.is_empty() {
+            let write_blocks = self.geometry.blocks_per_plane - self.write_base;
+            self.blocks = vec![BlockLive::default(); self.dies.len() * write_blocks];
+        }
+        let pages_per_block = self.geometry.pages_per_block;
+        let i = self.block_index(loc.die_linear, loc.block);
+        let b = &mut self.blocks[i];
+        if b.pages.is_empty() {
+            b.pages = vec![NONE; pages_per_block];
+        }
+        b.pages[loc.page] = slot;
+        b.live += 1;
+        self.mapping.insert(slot, loc.pack());
     }
 
     /// Up to `batch` migration candidates, globally oldest-written first
@@ -435,7 +481,7 @@ impl Ftl {
             let mut i = 0;
             while i < die.fifo.len() && taken < batch {
                 let (seq, slot) = die.fifo[i];
-                if self.cached.get(&slot) == Some(&seq) {
+                if self.cached.get(slot) == Some(seq) {
                     found.push((seq, slot));
                     taken += 1;
                     i += 1;
@@ -455,8 +501,8 @@ impl Ftl {
     /// die (on-die copyback). Returns `None` when the slot is not in the
     /// cache (already migrated, rewritten, or never written).
     pub fn migrate(&mut self, slot: u64) -> Option<MigrationWork> {
-        self.cached.remove(&slot)?;
-        let from = *self.mapping.get(&slot).expect("cached slot is mapped");
+        self.cached.remove(slot)?;
+        let from = self.location(slot).expect("cached slot is mapped");
         debug_assert!(from.block >= self.slc_base, "cached slot outside SLC");
         self.invalidate(from);
         let die_linear = from.die_linear;
@@ -478,14 +524,11 @@ impl Ftl {
         if old.block < self.write_base {
             return; // cold region copies are never reclaimed
         }
-        let key = (old.die_linear, old.block);
-        let emptied = match self.blocks.get_mut(&key) {
-            Some(b) => {
-                b.live.remove(&old.page);
-                b.live.is_empty()
-            }
-            None => false,
-        };
+        let i = self.block_index(old.die_linear, old.block);
+        let b = &mut self.blocks[i];
+        b.pages[old.page] = NONE;
+        b.live -= 1;
+        let emptied = b.live == 0;
         let in_slc = old.block >= self.slc_base;
         if in_slc {
             self.dies[old.die_linear].slc_live -= 1;
@@ -495,7 +538,6 @@ impl Ftl {
             if let Some(i) = region.full.iter().position(|&b| b == old.block) {
                 region.full.swap_remove(i);
                 region.free.push(old.block);
-                self.blocks.remove(&key);
                 self.erases += 1;
             }
         }
@@ -505,7 +547,7 @@ impl Ftl {
     fn oldest_cached_on_die(&mut self, die_linear: usize) -> Option<u64> {
         let die = &mut self.dies[die_linear];
         while let Some(&(seq, slot)) = die.fifo.front() {
-            if self.cached.get(&slot) == Some(&seq) {
+            if self.cached.get(slot) == Some(seq) {
                 return Some(slot);
             }
             die.fifo.pop_front();
@@ -564,7 +606,9 @@ impl Ftl {
     /// back into it (copyback) in slot order and makes it the region's
     /// active block, its cursor starting after the survivors.
     fn collect(&mut self, die_linear: usize, slc: bool) -> GcWork {
-        let blocks = &self.blocks;
+        let first = self.block_index(die_linear, self.write_base);
+        let blocks = &self.blocks[first..];
+        let write_base = self.write_base;
         let region = self.dies[die_linear].region_mut(slc);
         assert!(
             !region.full.is_empty(),
@@ -574,47 +618,33 @@ impl Ftl {
             .full
             .iter()
             .enumerate()
-            .min_by_key(|(_, &b)| {
-                (
-                    blocks
-                        .get(&(die_linear, b))
-                        .map(|bl| bl.live.len())
-                        .unwrap_or(0),
-                    b,
-                )
-            })
+            .min_by_key(|(_, &b)| (blocks[b - write_base].live, b))
             .expect("non-empty");
         region.full.swap_remove(idx);
 
-        let mut survivors: Vec<u64> = self
-            .blocks
-            .remove(&(die_linear, victim))
-            .map(|b| b.live.into_values().collect())
-            .unwrap_or_default();
-        // Survivors come out of a HashMap: sort before reassigning pages
-        // so the relocated layout is identical across processes.
+        let b = &mut self.blocks[first + victim - write_base];
+        let mut survivors: Vec<u64> = b.pages.iter().copied().filter(|&s| s != NONE).collect();
+        // Survivors relocate in slot order (the layout the goldens pin),
+        // not page order.
         survivors.sort_unstable();
+        b.pages.fill(NONE);
+        b.pages[..survivors.len()].copy_from_slice(&survivors);
         let relocated = survivors.len();
+        b.live = relocated;
         self.relocations += relocated as u64;
         self.erases += 1;
 
-        let mut live = HashMap::new();
         for (page, slot) in survivors.into_iter().enumerate() {
             let loc = SlotLocation {
                 die_linear,
                 block: victim,
                 page,
             };
-            self.mapping.insert(slot, loc);
-            live.insert(page, slot);
-        }
-        let n_live = live.len();
-        if n_live > 0 {
-            self.blocks.insert((die_linear, victim), BlockLive { live });
+            self.mapping.insert(slot, loc.pack());
         }
         let region = self.dies[die_linear].region_mut(slc);
         region.active = victim;
-        region.page = n_live;
+        region.page = relocated;
         GcWork {
             die_linear,
             relocated,
@@ -630,7 +660,8 @@ impl Ftl {
     /// within capacity.
     pub fn check_integrity(&self) -> Result<(), String> {
         let mut seen: HashSet<(usize, usize, usize)> = HashSet::new();
-        for (&slot, &loc) in &self.mapping {
+        for (slot, word) in self.mapping.iter() {
+            let loc = SlotLocation::unpack(word);
             if loc.die_linear >= self.dies.len()
                 || loc.block >= self.geometry.blocks_per_plane
                 || loc.page >= self.geometry.pages_per_block
@@ -641,45 +672,42 @@ impl Ftl {
                 return Err(format!("location {loc:?} holds two live slots"));
             }
             if loc.block >= self.write_base {
-                let ok = self
-                    .blocks
-                    .get(&(loc.die_linear, loc.block))
-                    .and_then(|b| b.live.get(&loc.page))
-                    == Some(&slot);
-                if !ok {
+                let b = &self.blocks[self.block_index(loc.die_linear, loc.block)];
+                if b.pages.get(loc.page) != Some(&slot) {
                     return Err(format!("slot {slot} missing from live table at {loc:?}"));
                 }
             }
             let in_slc = loc.block >= self.slc_base;
-            if in_slc != self.cached.contains_key(&slot) {
+            if in_slc != self.cached.get(slot).is_some() {
                 return Err(format!(
                     "slot {slot} cache membership disagrees with location {loc:?}"
                 ));
             }
         }
-        for (&(die, block), bl) in &self.blocks {
-            for (&page, &slot) in &bl.live {
+        let write_blocks = self.geometry.blocks_per_plane - self.write_base;
+        for (i, bl) in self.blocks.iter().enumerate() {
+            let live = bl.pages.iter().enumerate().filter(|&(_, &s)| s != NONE);
+            if live.clone().count() != bl.live {
+                return Err(format!("block {i} miscounts its {} live pages", bl.live));
+            }
+            for (page, &slot) in live {
                 let loc = SlotLocation {
-                    die_linear: die,
-                    block,
+                    die_linear: i / write_blocks,
+                    block: self.write_base + i % write_blocks,
                     page,
                 };
-                if self.mapping.get(&slot) != Some(&loc) {
+                if self.location(slot) != Some(loc) {
                     return Err(format!("stale live entry {loc:?} for slot {slot}"));
                 }
             }
         }
-        let slc_live_total: usize = self.dies.iter().map(|d| d.slc_live).sum();
-        if slc_live_total != self.cached.len() {
-            return Err(format!(
-                "slc_live total {slc_live_total} != cached {}",
-                self.cached.len()
-            ));
+        let (slc_live, cached) = (self.cached_slots(), self.cached.iter().count());
+        if slc_live != cached {
+            return Err(format!("slc_live total {slc_live} != cached {cached}"));
         }
-        if self.cached.len() > self.cache_capacity_slots() {
+        if cached > self.cache_capacity_slots() {
             return Err(format!(
-                "cache holds {} slots, capacity {}",
-                self.cached.len(),
+                "cache holds {cached} slots, capacity {}",
                 self.cache_capacity_slots()
             ));
         }
@@ -704,15 +732,10 @@ mod tests {
 
     #[test]
     fn gc_layout_is_identical_across_ftl_instances() {
-        // The slot- and block-keyed maps hash with a fixed seed, so two
-        // default instances walk them alike and would agree even if a GC
-        // decision leaked iteration order. Run under two different
-        // seeds instead, which do walk differently (each block's small
-        // live table still draws std's random keys on top). Pin that
-        // victim choice and survivor layout depend only on the
-        // operation sequence.
-        let run = |seed: u64| {
-            let mut ftl = Ftl::with_hasher(tiny_geometry(), 0.0, IntBuildHasher::with_seed(seed));
+        // Victim choice and survivor layout depend only on the operation
+        // sequence: two instances fed the same writes agree.
+        let run = || {
+            let mut ftl = Ftl::new(tiny_geometry());
             // Overwrite a 24-slot working set in a 32-slot write region
             // in an irregular (hashed) order: victims carry live
             // survivors and candidates tie on live count.
@@ -720,17 +743,12 @@ mod tests {
                 ftl.write((i.wrapping_mul(0x9E37_79B9) >> 7) % 24);
             }
             let locs: Vec<SlotLocation> = (0..24u64).map(|s| ftl.locate_read(s)).collect();
-            let walk: Vec<u64> = ftl.mapping.keys().copied().collect();
-            (locs, ftl.relocations(), ftl.erases(), walk)
+            ftl.check_integrity().unwrap();
+            (locs, ftl.relocations(), ftl.erases())
         };
-        let (a, b) = (run(0x5EED_0001), run(0x5EED_0002));
-        assert_ne!(a.3, b.3, "the two seeds walk the mapping in one order");
-        assert_eq!(
-            (&a.0, a.1, a.2),
-            (&b.0, b.1, b.2),
-            "GC outcome depends on hash iteration order"
-        );
-        assert!(a.1 > 0, "workload never triggered GC");
+        let a = run();
+        assert_eq!(a, run(), "GC outcome differs between instances");
+        assert!(a.1 > 0, "workload never relocated a survivor");
     }
 
     #[test]

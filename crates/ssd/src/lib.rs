@@ -49,6 +49,7 @@ pub mod report;
 pub mod retention;
 pub mod retry;
 pub mod simulator;
+mod table;
 pub mod timeline;
 pub mod tracecheck;
 

@@ -8,15 +8,17 @@
 //! deterministically per slot so every scheme sees the identical stress
 //! pattern.
 
-use rif_events::hash::{IntBuildHasher, IntMap};
 use rif_events::SimTime;
+
+use crate::table::SlotTable;
 
 /// Tracks when each 64-KiB slot (a multi-plane page group) was last
 /// written, and assigns pre-trace ages to cold data.
 #[derive(Debug, Clone)]
 pub struct RetentionTracker {
     refresh_days: f64,
-    write_time: IntMap<u64, SimTime>,
+    /// Last write per slot; `SimTime::MAX` marks a cold slot.
+    write_time: SlotTable<SimTime>,
     seed: u64,
 }
 
@@ -27,16 +29,10 @@ impl RetentionTracker {
     ///
     /// Panics unless `refresh_days` is positive.
     pub fn new(refresh_days: f64, seed: u64) -> Self {
-        Self::with_hasher(refresh_days, seed, IntBuildHasher::default())
-    }
-
-    /// [`RetentionTracker::new`] with the write-time map's hasher given
-    /// (no age depends on it; see [`rif_events::hash`]).
-    pub(crate) fn with_hasher(refresh_days: f64, seed: u64, hasher: IntBuildHasher) -> Self {
         assert!(refresh_days > 0.0, "refresh horizon must be positive");
         RetentionTracker {
             refresh_days,
-            write_time: IntMap::with_hasher(hasher),
+            write_time: SlotTable::new(SimTime::MAX),
             seed,
         }
     }
@@ -48,7 +44,7 @@ impl RetentionTracker {
 
     /// True when `slot` has never been written during the simulation.
     pub fn is_cold(&self, slot: u64) -> bool {
-        !self.write_time.contains_key(&slot)
+        self.write_time.get(slot).is_none()
     }
 
     /// Retention age in days of `slot`'s data at time `now`.
@@ -57,8 +53,8 @@ impl RetentionTracker {
     /// negligible); cold slots carry a deterministic pseudo-random age
     /// uniform in `[0, refresh_days)`.
     pub fn age_days(&self, slot: u64, now: SimTime) -> f64 {
-        match self.write_time.get(&slot) {
-            Some(&t) => now.saturating_since(t).as_secs() / 86_400.0,
+        match self.write_time.get(slot) {
+            Some(t) => now.saturating_since(t).as_secs() / 86_400.0,
             None => self.cold_age_days(slot),
         }
     }

@@ -15,6 +15,8 @@ pub(super) struct HybridState {
     /// Next position in the FTL's touched-slot list the refresh scan
     /// examines (wraps).
     refresh_cursor: usize,
+    /// The refresh scan's due slots, kept to reuse its allocation.
+    due: Vec<u64>,
     /// The summary so far; its cache occupancy is read off the FTL when
     /// a snapshot is taken.
     books: HybridSummary,
@@ -29,6 +31,7 @@ impl HybridState {
             conf,
             tick_armed: false,
             refresh_cursor: 0,
+            due: Vec::new(),
             books: HybridSummary {
                 cache_occupancy: 0.0,
                 migrated_slots: 0,
@@ -157,16 +160,21 @@ impl Simulator {
         let mut refreshed = 0u64;
         if h.conf.bg.refresh_interval_days > 0.0 && !self.ftl.touched().is_empty() {
             let policy = RefreshPolicy::new(h.conf.bg.refresh_interval_days);
-            let n = self.ftl.touched().len();
+            let touched = self.ftl.touched();
+            let n = touched.len();
             let batch = h.conf.bg.refresh_scan_batch.min(n);
-            let window: Vec<(u64, f64)> = (0..batch)
-                .map(|k| {
-                    let slot = self.ftl.touched()[(h.refresh_cursor + k) % n];
-                    (slot, self.retention.age_days(slot, now) + drift_days)
-                })
-                .collect();
+            // The window is `batch` slots from the cursor, wrapping at
+            // most once: the cursor's tail, then the list's head.
+            let tail = &touched[h.refresh_cursor..n.min(h.refresh_cursor + batch)];
+            let head = &touched[..batch - tail.len()];
             h.refresh_cursor = (h.refresh_cursor + batch) % n;
-            for slot in policy.refresh_due(window) {
+            let ages = tail
+                .iter()
+                .chain(head)
+                .map(|&slot| (slot, self.retention.age_days(slot, now) + drift_days));
+            h.due.clear();
+            h.due.extend(policy.refresh_due(ages));
+            for &slot in &h.due {
                 // The rewrite resets the slot's age in place; the die
                 // pays a read + program.
                 self.retention.record_write(slot, now);

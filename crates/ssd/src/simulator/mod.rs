@@ -23,7 +23,7 @@
 //! read through its groups, the scheme's outcome (asked of the
 //! [`crate::retry`] row, never of a scheme by name), retries and the
 //! learner; `background` is the hybrid device's scheduler. This file
-//! holds what they share: the event type, the station, the slot tables,
+//! holds what they share: the event type, the station, the request tables,
 //! the stepper API and the report. Small helpers called across modules are
 //! `#[inline]`: codegen units follow modules, and without it the split
 //! cost `sim_read_retry` about 4 %.
@@ -31,7 +31,6 @@
 use std::collections::VecDeque;
 use std::ops::{Index, IndexMut};
 
-use rif_events::hash::IntBuildHasher;
 use rif_events::trace::{labeled, MetricsRegistry, TraceSink, Tracer};
 use rif_events::{EventQueue, LatencyHistogram, SimDuration, SimRng, SimTime, UtilizationTracker};
 use rif_flash::chip::FlashTiming;
@@ -67,6 +66,10 @@ use ecc::EccEngine;
 pub use host::Completion;
 use host::{HostJob, Request, WriteJob};
 use read_path::{GroupPhase, ReadGroup};
+
+/// The byte address every request must end at or below
+/// ([`Simulator::submit`]): it bounds the slot tables' directories.
+const MAX_END_BYTES: u64 = 1 << 48;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
@@ -187,6 +190,10 @@ pub struct Simulator {
     /// background scheduler. `None` is the pure-TLC device.
     hybrid: Option<HybridState>,
     retention: RetentionTracker,
+    /// Process-variation factor per global block id, drawn on the
+    /// block's first read (0 until then: a drawn factor is at least
+    /// 0.55); sized on the first read.
+    block_factors: Vec<f64>,
     dies: Vec<Die>,
     channels: Vec<Channel>,
     ecc: Vec<EccEngine>,
@@ -233,13 +240,6 @@ impl Simulator {
     /// Panics when the configuration is invalid (see
     /// [`SsdConfig::validate`]).
     pub fn new(cfg: SsdConfig) -> Self {
-        Self::with_hasher(cfg, IntBuildHasher::default())
-    }
-
-    /// [`Simulator::new`] with the hasher of the FTL's and the retention
-    /// tracker's maps given. No report depends on it; the test that
-    /// proves so runs under two seeds.
-    fn with_hasher(cfg: SsdConfig, hasher: IntBuildHasher) -> Self {
         cfg.validate();
         let n_channels = cfg.geometry.channels;
         let learner = cfg
@@ -252,13 +252,14 @@ impl Simulator {
         let cache_fraction = cfg.hybrid.as_ref().map_or(0.0, |h| h.cache_fraction);
         Simulator {
             rng: SimRng::seed_from(cfg.seed),
-            ftl: Ftl::with_hasher(cfg.geometry, cache_fraction, hasher),
+            ftl: Ftl::with_cache(cfg.geometry, cache_fraction),
             hybrid: HybridState::new(&cfg),
             learner,
             swift,
             learn_err_sum: 0.0,
             learn_err_samples: 0,
-            retention: RetentionTracker::with_hasher(cfg.refresh_days, cfg.seed ^ 0xA5E, hasher),
+            retention: RetentionTracker::new(cfg.refresh_days, cfg.seed ^ 0xA5E),
+            block_factors: Vec::new(),
             dies: (0..n_channels * cfg.geometry.dies_per_channel)
                 .map(Die::new)
                 .collect(),
@@ -360,7 +361,15 @@ impl Simulator {
     /// clock: the request arrives "now". This is what lets a service
     /// layer feed wall-clock-paced arrivals into a running simulation
     /// without ever scheduling into the past.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the request ends at or below byte 2^48 (256 TiB)
+    /// without overflowing `u64`: the bound of the simulator's slot
+    /// tables.
     pub fn submit(&mut self, r: IoRequest) -> u64 {
+        let end = r.offset.saturating_add(u64::from(r.bytes));
+        assert!(end <= MAX_END_BYTES, "request {r:?} ends past byte 2^48");
         let id = self.submitted;
         self.submitted += 1;
         let arrival = r.arrival.max(self.events.now());

@@ -162,11 +162,19 @@ impl Simulator {
         (drift.extra_days(secs), drift.extra_pe(secs))
     }
 
-    /// Deterministic per-block process variation.
-    fn block_profile(&self, loc: SlotLocation) -> BlockProfile {
+    /// Deterministic per-block process variation: drawn from the
+    /// block's own seed on its first read, kept for the later ones.
+    fn block_profile(&mut self, loc: SlotLocation) -> BlockProfile {
         let id = loc.global_block(&self.cfg.geometry);
-        let mut rng = SimRng::seed_from(id.wrapping_mul(0x517C_C1B7_2722_0A95) ^ self.cfg.seed);
-        BlockProfile::sample(&mut rng)
+        if self.block_factors.is_empty() {
+            self.block_factors = vec![0.0; self.dies.len() * self.cfg.geometry.blocks_per_plane];
+        }
+        let factor = &mut self.block_factors[id as usize];
+        if *factor == 0.0 {
+            let mut rng = SimRng::seed_from(id.wrapping_mul(0x517C_C1B7_2722_0A95) ^ self.cfg.seed);
+            *factor = BlockProfile::sample(&mut rng).factor;
+        }
+        BlockProfile { factor: *factor }
     }
 
     fn forced_fail(&self, slot: u64) -> Option<bool> {

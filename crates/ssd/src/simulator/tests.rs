@@ -566,14 +566,11 @@ fn out_of_order_submission_matches_sorted_submission() {
 }
 
 #[test]
-fn report_does_not_depend_on_the_map_hasher() {
-    // The FTL's and the retention tracker's maps hash with a fixed
-    // seed, so a result that leaked their iteration order would
-    // repeat run after run and be baked into the goldens unseen.
-    // Two different seeds walk the maps differently; a hybrid run
-    // (GC, cache migration, the refresh scan, drift) must not care.
+fn fifo_migration_and_refresh_under_drift_are_deterministic() {
+    // A hybrid run that works every slot- and block-indexed table (GC,
+    // cache migration, the refresh scan, drift) reports alike twice.
     let trace = mixed_trace(400, 33);
-    let run = |seed: u64| {
+    let run = || {
         let mut cfg = hybrid_cfg(RetryKind::Rif, 1500);
         cfg.drift = rif_flash::learn::DriftClock {
             days_per_sec: 1e6,
@@ -586,14 +583,32 @@ fn report_does_not_depend_on_the_map_hasher() {
         // A drain that takes two residents a tick: which two, and
         // so every later location, hangs on the candidate order.
         h.bg.migrate_batch = 2;
-        let report = Simulator::with_hasher(cfg, IntBuildHasher::with_seed(seed))
-            .with_metrics()
-            .run(&trace);
+        let report = Simulator::new(cfg).with_metrics().run(&trace);
         let h = report.hybrid.expect("hybrid run must summarize");
         assert!(h.migrated_slots > 0 && h.refreshed_slots > 0, "{h:?}");
         report.to_json()
     };
-    assert_eq!(run(0x5EED_0001), run(0x5EED_0002));
+    assert_eq!(run(), run());
+}
+
+#[test]
+#[should_panic(expected = "ends past byte 2^48")]
+fn a_request_whose_range_overflows_panics_at_submit() {
+    // `offset + bytes` wraps u64: served, it would walk ~2^48 slots.
+    let mut sim = Simulator::new(SsdConfig::small(RetryKind::Rif, 1000));
+    sim.submit(read_req(0, u64::MAX - 615, 64 * 1024));
+}
+
+#[test]
+fn requests_ending_exactly_at_2_48_are_served() {
+    let last = MAX_END_BYTES - 64 * 1024;
+    let trace = Trace::new(vec![
+        write_req(0, last, 64 * 1024),
+        read_req(100, last, 64 * 1024),
+        read_req(200, MAX_END_BYTES - 1, 1),
+    ]);
+    let report = Simulator::new(hybrid_cfg(RetryKind::Rif, 1000)).run(&trace);
+    assert_eq!(report.completed_requests, 3);
 }
 
 #[test]

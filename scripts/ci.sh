@@ -6,7 +6,8 @@
 # Steps: formatting, release build (rif-bench, the one experiment
 # binary, included), a guard that the simulator engine names no retry
 # scheme, a guard that the event queue keeps no heap beside its flat
-# out-of-order lane, a guard that the serving plane has one framing layer, a guard
+# out-of-order lane, a guard that the simulator's state keeps no map (slot
+# tables and block-indexed vectors, no integer hasher), a guard that the serving plane has one framing layer, a guard
 # that it has one admission gate, a guard that a node is one thread (no
 # shard threads, inboxes or completion channels, nothing polled on a
 # timer), a guard that a node's state has one owner (no lock or mirror
@@ -101,6 +102,17 @@ if grep -n 'RetryKind::' $(ls crates/ssd/src/simulator/*.rs | grep -v '/tests\.r
 # comes back beside it.
 echo "==> no BinaryHeap under crates/events/src"
 if grep -rn 'BinaryHeap' crates/events/src; then exit 1; fi
+
+# One state layout in the simulator: per-slot state in slot tables,
+# per-block state in vectors indexed by block id (DESIGN §14.2); no map
+# comes back into the FTL, the retention tracker or the engine, and the
+# integer hasher they once used stays gone.
+echo "==> no HashMap/IntMap/BTreeMap in ftl.rs, retention.rs or simulator/ (tests.rs aside), no rif_events::hash"
+if grep -n 'HashMap\|IntMap\|BTreeMap' crates/ssd/src/ftl.rs crates/ssd/src/retention.rs \
+    $(ls crates/ssd/src/simulator/*.rs | grep -v '/tests\.rs$'); then
+    exit 1
+fi
+if grep -rn 'rif_events::hash' crates/; then exit 1; fi
 
 # One framing layer: one receive buffer (`FrameBuffer`, whose `read_from`
 # every socket reader reads through) and one request-decoding body.
