@@ -233,11 +233,6 @@ impl ChaosProxy {
         self.partition.set(dir, on);
     }
 
-    /// The shared partition switch, for schedulers that outlive `&self`.
-    pub fn partition_switch(&self) -> Arc<PartitionSwitch> {
-        Arc::clone(&self.partition)
-    }
-
     /// Stops accepting, severs pumps, and joins the accept thread.
     pub fn stop(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);

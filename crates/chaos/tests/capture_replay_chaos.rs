@@ -45,7 +45,7 @@ fn capture_survives_drops_and_dups() {
     .expect("load run");
 
     let faults = proxy.stats();
-    let cap = server.recorder().capture();
+    let cap = server.capture();
     proxy.stop();
     server.stop();
 

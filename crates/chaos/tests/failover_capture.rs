@@ -66,7 +66,7 @@ fn router_failover_retries_dedup_in_the_capture() {
     .expect("routed load");
 
     let faults = proxy.stats();
-    let cap = server.recorder().capture();
+    let cap = server.capture();
     dir.stop();
     proxy.stop();
     server.stop();

@@ -26,8 +26,6 @@
 //! running directory. `load` runs the routed closed-loop client and
 //! prints its JSON report.
 
-use std::time::Duration;
-
 use rif_cluster::directory::{fetch_cluster_stats, fetch_map_text, request_migrate};
 use rif_cluster::{run_routed, Directory, NodeInfo, RouterConfig, ShardMap};
 
@@ -147,10 +145,7 @@ fn directory_cmd(rest: &[String]) {
     };
     // The sentinel line scripts wait for.
     println!("rif-cluster directory listening on {}", dir.addr());
-    while !dir.stopped() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    dir.stop();
+    dir.join();
 }
 
 fn map_cmd(rest: &[String]) {

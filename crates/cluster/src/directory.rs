@@ -252,10 +252,12 @@ impl Directory {
         install_and_push(&self.inner, next)
     }
 
-    /// True once the directory has been asked to stop (via
-    /// [`stop`](Directory::stop) or a wire `SHUTDOWN`).
-    pub fn stopped(&self) -> bool {
-        self.inner.stop.load(Ordering::SeqCst)
+    /// Blocks until a wire `SHUTDOWN` stops the directory, then joins its
+    /// accept loop, which has joined every handler.
+    pub fn join(mut self) {
+        if let Some(h) = self.accept.take() {
+            h.join().ok();
+        }
     }
 
     /// Stops the accept loop and joins it (what dropping the directory

@@ -127,11 +127,6 @@ impl MlcModel {
         1 << self.bits
     }
 
-    /// The Gray code word of `state`.
-    pub fn gray_code(&self, state: usize) -> u16 {
-        self.gray[state]
-    }
-
     /// The bit page `page` stores for a cell in `state`.
     ///
     /// # Panics

@@ -80,11 +80,6 @@ impl From<[f64; 7]> for ReadVoltages {
     }
 }
 
-/// Helper: the calibrated model's references packaged as [`ReadVoltages`].
-pub fn default_voltages(model: &TlcModel) -> ReadVoltages {
-    ReadVoltages::new(model.default_refs())
-}
-
 /// Helper: optimal references for the given state distributions.
 pub fn optimal_voltages(model: &TlcModel, params: [StateParam; 8]) -> ReadVoltages {
     ReadVoltages::new(model.optimal_refs(params))

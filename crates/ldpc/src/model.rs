@@ -10,8 +10,8 @@
 
 use rif_events::{SimDuration, SimRng};
 
-use crate::analysis::{capability_sweep, CapabilityPoint};
-use crate::code::{QcLdpcCode, PAPER_CORRECTION_CAPABILITY};
+use crate::analysis::CapabilityPoint;
+use crate::code::PAPER_CORRECTION_CAPABILITY;
 use crate::decoder::PAPER_MAX_ITERATIONS;
 
 /// `|x/√2|` from which [`erf`] is exactly ±1: its correction term
@@ -123,18 +123,6 @@ impl EccModel {
             max_iterations,
             t_iter_us,
         }
-    }
-
-    /// Calibrates a model against Monte-Carlo runs of the *real* min-sum
-    /// decoder on `code`, fitting the probit failure curve to the measured
-    /// points and anchoring the iteration ramp to the measured capability.
-    ///
-    /// Used by the fig03 harness to document how far the synthetic code's
-    /// waterfall sits from the paper's 0.0085 anchor.
-    pub fn calibrated_from(code: &QcLdpcCode, trials: usize, seed: u64, threads: usize) -> Self {
-        let rbers: Vec<f64> = (1..=14).map(|i| i as f64 * 0.001).collect();
-        let points = capability_sweep(code, &rbers, trials, seed, threads);
-        Self::fit(&points)
     }
 
     /// Fits probit parameters to measured capability points.

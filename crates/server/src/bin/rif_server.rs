@@ -20,8 +20,9 @@
 //! Prints `rif-server listening on ADDR` once ready, then runs until a
 //! SHUTDOWN frame arrives. `--rate 0` (default) disables rate limiting;
 //! `--time-scale 20` (default) plays simulated time 20× faster than wall
-//! time. With `--capture FILE` every admitted request is journaled and
-//! written as a captured-trace CSV on shutdown, replayable offline
+//! time. With `--capture FILE` every admitted request is journaled and,
+//! once the event loop has exited, written as a captured-trace CSV,
+//! replayable offline
 //! (`rif-client --replay-offline FILE`) or live (`--replay FILE`).
 //! `--learn` switches the shard simulators from the oracle threshold
 //! tables to online per-block threshold learning (progress appears under
@@ -117,12 +118,9 @@ fn main() {
     // The sentinel line CI and scripts wait for; flushed immediately.
     println!("rif-server listening on {}", server.local_addr());
     server.wait_for_shutdown();
-    let recorder = server.recorder();
-    server.stop();
     if let Some(path) = capture_path {
-        // Snapshot after stop(): every shard has drained, so outcomes
-        // are final.
-        let cap = recorder.capture();
+        // The loop has exited, every admission resolved: outcomes are final.
+        let cap = server.capture();
         match std::fs::write(&path, cap.to_csv()) {
             Ok(()) => println!("rif-server: captured {} requests to {path}", cap.len()),
             Err(e) => {
@@ -131,5 +129,6 @@ fn main() {
             }
         }
     }
+    server.stop();
     println!("rif-server: shut down cleanly");
 }

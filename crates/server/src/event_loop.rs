@@ -22,7 +22,7 @@
 //! wall time, with 1-ns timer slack so that the sleep ends on time, but
 //! never for less than [`MIN_SLEEP`] (DESIGN §8.3). Other threads reach
 //! it only through the control queue ([`Shared::control`]) and its
-//! waker: for shutdown, crash orders and snapshot requests.
+//! waker: for shutdown, crash orders, and snapshot and capture requests.
 //!
 //! In cluster mode the loop also drives the node's replication shipper
 //! (`replicate::Shipper`, DESIGN §15.2): its follower links are polled
@@ -40,14 +40,12 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rif_events::trace::MetricsRegistry;
-
 use crate::poller::{best_poller, Interest, PollEvent, Poller};
 use crate::protocol::{BatchEntry, BusyReason, Response, PROTOCOL_VERSION};
+use crate::recorder::capture_of;
 use crate::replicate::TOK_LINK0;
 use crate::ring::{decode_request_view, FrameBuffer, RequestView, WriteQueue, READ_CHUNK};
 use crate::server::{
@@ -93,6 +91,7 @@ struct Conn {
 /// Connection slab: slot indices are stable for a connection's life and
 /// become poller tokens; `gens[slot]` bumps on every reuse so stale
 /// completion keys can be told apart from the slot's new tenant.
+#[derive(Default)]
 struct Slab {
     conns: Vec<Option<Conn>>,
     gens: Vec<u32>,
@@ -100,14 +99,6 @@ struct Slab {
 }
 
 impl Slab {
-    fn new() -> Slab {
-        Slab {
-            conns: Vec::new(),
-            gens: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
     fn insert(&mut self, conn: Conn) -> usize {
         match self.free.pop() {
             Some(slot) => {
@@ -202,15 +193,13 @@ fn tune_loop_thread() {
 #[cfg(not(target_os = "linux"))]
 fn tune_loop_thread() {}
 
-/// Closes the control queue and raises the shutdown flag when the loop
-/// thread leaves [`run`], by return or by panic, so that no caller waits
-/// on a loop that is gone.
+/// Closes the control queue when the loop thread leaves [`run`], by
+/// return or by panic, so that no caller waits on a loop that is gone.
 struct OnExit<'a>(&'a Shared);
 
 impl Drop for OnExit<'_> {
     fn drop(&mut self) {
-        self.0.control.exit(|_| MetricsRegistry::new());
-        self.0.shutdown.store(true, Ordering::Release);
+        self.0.control.exit(|_| Default::default());
     }
 }
 
@@ -219,30 +208,32 @@ impl Drop for OnExit<'_> {
 /// Either way it then closes the control queue, applies the crash orders
 /// still queued and drains every shard, so the journal and the counters
 /// see every admitted request resolved, counts the replication jobs left
-/// unshipped as skipped, and leaves the registry for later snapshots.
+/// unshipped as skipped, and leaves the registry and the capture for
+/// later requests.
 pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>, waker_rx: UnixStream) {
     let _exit = OnExit(&shared);
     tune_loop_thread();
     let mut node = Node::new(&shared.cfg);
-    let mut slab = Slab::new();
+    let mut slab = Slab::default();
     if let Err(e) = run_inner(&listener, &shared, &mut node, &mut slab, &waker_rx) {
         eprintln!("rif-server: event loop failed: {e}");
     }
     shared.control.exit(|orders| {
         let now = shared.clock.now();
         let mut gone = |_, _| {};
-        let (shards, metrics) = (&mut node.shards, &mut node.metrics);
+        let (shards, metrics, journal) = (&mut node.shards, &mut node.metrics, &mut node.journal);
         for (i, restart_after) in orders {
             let deadline = shared.clock.after(restart_after);
-            shards[i].crash(metrics, &shared.recorder, deadline, &mut gone);
+            shards[i].crash(metrics, journal, deadline, &mut gone);
         }
         for shard in shards.iter_mut() {
-            shard.fast_forward(metrics, &shared.recorder, now, &mut gone);
+            shard.fast_forward(metrics, journal, now, &mut gone);
         }
         if let Some(shipper) = node.shipper() {
             shipper.abandon();
         }
-        fold_runtime_gauges(&shared, &node, slab.open(), slab.queued_bytes())
+        let m = fold_runtime_gauges(&shared, &node, slab.open(), slab.queued_bytes());
+        (m, capture_of(node.journal.as_ref()))
     });
 }
 
@@ -317,32 +308,33 @@ fn run_inner(
         }
 
         let mut out = |key: u64, resp: Response| deliver(slab, &mut touched, key, &resp);
-        let recorder = &shared.recorder;
-        let (shards, metrics, now) = (&mut node.shards, &mut node.metrics, node.now);
+        let (shards, metrics, journal) = (&mut node.shards, &mut node.metrics, &mut node.journal);
+        let now = node.now;
         // Drain the waker *before* taking the control queue: an order or
         // request racing this drain either is in the queue taken next or
         // re-arms the pipe for the next `wait`.
-        let mut snapshot = None;
+        let mut ask = None;
         if woken {
             shared.control.waker.drain(waker_rx);
-            let (orders, ticket) = shared.control.take();
-            snapshot = ticket;
-            for (i, restart_after) in orders {
+            let orders = shared.control.take();
+            ask = orders.ask;
+            node.shutdown |= orders.shutdown;
+            for (i, restart_after) in orders.crashes {
                 let deadline = shared.clock.after(restart_after);
-                shards[i].crash(metrics, recorder, deadline, &mut out);
+                shards[i].crash(metrics, journal, deadline, &mut out);
             }
         }
         for drain in drains.drain(..) {
             match drain {
                 Drain::Flush { key, tag } => {
                     for shard in shards.iter_mut() {
-                        shard.fast_forward(metrics, recorder, now, &mut out);
+                        shard.fast_forward(metrics, journal, now, &mut out);
                     }
                     out(key, Response::Flushed { tag });
                 }
                 Drain::Migrate { key, tag, range } => {
                     let shard = &mut shards[range as usize];
-                    shard.fast_forward(metrics, recorder, now, &mut out);
+                    shard.fast_forward(metrics, journal, now, &mut out);
                     let state = shard.learner_snapshot();
                     out(key, Response::Migrated { tag, range, state });
                 }
@@ -352,7 +344,7 @@ fn run_inner(
         // answered in this iteration's sweep.
         let horizon = shared.clock.now();
         for shard in shards.iter_mut() {
-            shard.advance(metrics, recorder, horizon, &mut out);
+            shard.advance(metrics, journal, horizon, &mut out);
         }
         // Ship what this wake-up admitted, and whatever came due.
         if let Some(shipper) = node.shipper() {
@@ -362,7 +354,7 @@ fn run_inner(
         // A SHUTDOWN frame (or an external `request_shutdown`) starts
         // the drain: stop accepting, flush what every socket is owed,
         // close as queues empty, and give up at the deadline.
-        if draining.is_none() && shared.shutdown.load(Ordering::Acquire) {
+        if draining.is_none() && node.shutdown {
             draining = Some(Instant::now());
             poller.deregister(listener.as_raw_fd())?;
             for slot in 0..slab.conns.len() {
@@ -399,9 +391,10 @@ fn run_inner(
             }
         }
 
-        if let Some(ticket) = snapshot {
+        if let Some((ticket, capture)) = ask {
             let m = fold_runtime_gauges(shared, node, slab.open(), slab.queued_bytes());
-            shared.control.answer(ticket, m);
+            let cap = capture.then(|| capture_of(node.journal.as_ref()));
+            shared.control.answer(ticket, m, cap);
         }
         if let Some(started) = draining {
             if slab.open() == 0 || started.elapsed() >= DRAIN_DEADLINE {
@@ -693,7 +686,8 @@ fn drain_frames(
             RequestView::Shutdown { tag } => {
                 reply.send(Response::Goodbye { tag });
                 *close_after_flush = true;
-                shared.shutdown.store(true, Ordering::Release);
+                node.shutdown = true;
+                shared.control.shut_down();
                 // Anything pipelined behind SHUTDOWN is intentionally
                 // not served.
                 return false;

@@ -27,7 +27,8 @@
 //!   [`Conn::call`](client::Conn::call), the blocking one-at-a-time RPC of
 //!   the admin one-shots and the directory;
 //! - [`mux`] — the import path of that grouping's entry point;
-//! - [`recorder`] — live trace capture of every admitted request;
+//! - `recorder` — live trace capture of every admitted request, a
+//!   journal the event loop owns and [`Server::capture`] renders;
 //! - [`replay`] — driving a captured trace back through a live server.
 //!
 //! Everything is plain `std` (threads, sockets, `extern "C"` syscalls):
@@ -59,7 +60,7 @@ pub mod mux;
 pub mod pacing;
 pub mod poller;
 pub mod protocol;
-pub mod recorder;
+pub(crate) mod recorder;
 pub mod replay;
 pub(crate) mod replicate;
 pub mod ring;
@@ -74,6 +75,5 @@ pub use protocol::{
     BatchEntry, FrameBuffer, Request, Response, WireError, MAX_BATCH_ENTRIES, MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
 };
-pub use recorder::TraceRecorder;
 pub use replay::{run_replay_journaled, ReplayConfig, ReplayDiff};
 pub use server::{Server, ServerConfig};

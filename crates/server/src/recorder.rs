@@ -5,7 +5,8 @@
 //! op, wrapped offset, bytes, tenant, shard, and (once the shard
 //! answers) the terminal outcome. [`TraceRecorder::capture`] renders the
 //! journal as a [`rif_workloads::Capture`], the CSV format the offline
-//! simulator and figure pipeline replay bit-for-bit.
+//! simulator and figure pipeline replay bit-for-bit. The event loop owns
+//! it (`Node::journal`), present exactly when capture is on.
 //!
 //! Two subtleties make a capture a faithful record of *logical* I/O:
 //!
@@ -21,14 +22,12 @@
 //!   admission; a record with no live admission and no outcome is
 //!   dropped from the capture, because the I/O never ran.
 //!
-//! Timestamps are read from one monotonic clock *inside* the recorder
-//! lock, so the journal is non-decreasing in time by construction and
+//! Timestamps are read from one monotonic clock, stamped by the one loop
+//! thread, so the journal is non-decreasing in time by construction and
 //! the rendered CSV needs no sort — identical serving runs produce
 //! identical captures.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use rif_workloads::{Capture, CaptureOutcome, CapturedRequest, IoOp};
@@ -52,44 +51,23 @@ struct Rec {
     admissions: u32,
 }
 
+/// Journals admitted requests for capture.
 #[derive(Debug)]
-struct State {
+pub(crate) struct TraceRecorder {
     epoch: Instant,
     records: Vec<Rec>,
     /// Every tag (original or retry alias) → index into `records`.
     by_tag: HashMap<u64, usize>,
 }
 
-/// Journals admitted requests for capture. Cheap when disabled: every
-/// hook is a single relaxed atomic load.
-#[derive(Debug)]
-pub struct TraceRecorder {
-    enabled: AtomicBool,
-    state: Mutex<State>,
-}
-
 impl TraceRecorder {
-    /// A recorder; disabled ones journal nothing.
-    pub fn new(enabled: bool) -> Self {
+    /// An empty journal whose clock starts now.
+    pub(crate) fn new() -> Self {
         TraceRecorder {
-            enabled: AtomicBool::new(enabled),
-            state: Mutex::new(State {
-                epoch: Instant::now(),
-                records: Vec::new(),
-                by_tag: HashMap::new(),
-            }),
+            epoch: Instant::now(),
+            records: Vec::new(),
+            by_tag: HashMap::new(),
         }
-    }
-
-    /// True when capture is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    fn state(&self) -> std::sync::MutexGuard<'_, State> {
-        // Recorder state is append-mostly; recover from a poisoned lock
-        // rather than wedging the request path.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Journals an admission: the request was handed to shard
@@ -101,8 +79,8 @@ impl TraceRecorder {
     /// alias of the fresh record, so every later re-issue of the same
     /// chain still dedups onto it.
     #[allow(clippy::too_many_arguments)]
-    pub fn admit(
-        &self,
+    pub(crate) fn admit(
+        &mut self,
         tag: u64,
         retry_of: u64,
         op: IoOp,
@@ -111,26 +89,22 @@ impl TraceRecorder {
         tenant: u32,
         shard: u32,
     ) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut s = self.state();
         if retry_of != 0 {
-            if let Some(&idx) = s.by_tag.get(&retry_of) {
-                s.by_tag.insert(tag, idx);
-                s.records[idx].admissions += 1;
+            if let Some(&idx) = self.by_tag.get(&retry_of) {
+                self.by_tag.insert(tag, idx);
+                self.records[idx].admissions += 1;
                 return;
             }
         }
-        if let Some(&idx) = s.by_tag.get(&tag) {
+        if let Some(&idx) = self.by_tag.get(&tag) {
             // The same tag admitted twice (e.g. a duplicated frame the
             // transport replayed): one logical request.
-            s.records[idx].admissions += 1;
+            self.records[idx].admissions += 1;
             return;
         }
-        let t_us = s.epoch.elapsed().as_micros() as u64;
-        let idx = s.records.len();
-        s.records.push(Rec {
+        let t_us = self.epoch.elapsed().as_micros() as u64;
+        let idx = self.records.len();
+        self.records.push(Rec {
             t_us,
             op,
             offset,
@@ -140,21 +114,17 @@ impl TraceRecorder {
             outcome: None,
             admissions: 1,
         });
-        s.by_tag.insert(tag, idx);
+        self.by_tag.insert(tag, idx);
         if retry_of != 0 {
-            s.by_tag.insert(retry_of, idx);
+            self.by_tag.insert(retry_of, idx);
         }
     }
 
     /// Journals a terminal outcome (`ok` = DONE, else ERROR) for `tag`.
     /// The first terminal outcome wins; later duplicates are ignored.
-    pub fn complete(&self, tag: u64, ok: bool) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut s = self.state();
-        if let Some(&idx) = s.by_tag.get(&tag) {
-            let r = &mut s.records[idx];
+    pub(crate) fn complete(&mut self, tag: u64, ok: bool) {
+        if let Some(&idx) = self.by_tag.get(&tag) {
+            let r = &mut self.records[idx];
             if r.outcome.is_none() {
                 r.outcome = Some(ok);
             }
@@ -165,36 +135,20 @@ impl TraceRecorder {
     /// running it (dead window after a crash). If no other admission of
     /// the same logical request is live and none completed, the record
     /// drops out of the capture.
-    pub fn reject(&self, tag: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut s = self.state();
-        if let Some(&idx) = s.by_tag.get(&tag) {
-            let r = &mut s.records[idx];
+    pub(crate) fn reject(&mut self, tag: u64) {
+        if let Some(&idx) = self.by_tag.get(&tag) {
+            let r = &mut self.records[idx];
             r.admissions = r.admissions.saturating_sub(1);
         }
-    }
-
-    /// Number of logical requests journaled so far (including ones that
-    /// would be dropped at capture time).
-    pub fn len(&self) -> usize {
-        self.state().records.len()
-    }
-
-    /// True when nothing has been journaled.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Renders the journal as a normalized [`Capture`]: bounce-only
     /// records are dropped, unresolved ones (still in flight, or their
     /// completion was lost) surface as `error`, and timestamps are
     /// rebased so the first record sits at `t = 0`.
-    pub fn capture(&self) -> Capture {
-        let s = self.state();
+    pub(crate) fn capture(&self) -> Capture {
         let mut cap = Capture::new(
-            s.records
+            self.records
                 .iter()
                 .filter(|r| r.outcome.is_some() || r.admissions > 0)
                 .map(|r| CapturedRequest {
@@ -217,27 +171,32 @@ impl TraceRecorder {
     }
 }
 
+/// The capture of a node's journal: empty when capture is off.
+pub(crate) fn capture_of(journal: Option<&TraceRecorder>) -> Capture {
+    journal.map_or_else(Capture::default, TraceRecorder::capture)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn admit(r: &TraceRecorder, tag: u64, retry_of: u64) {
+    fn admit(r: &mut TraceRecorder, tag: u64, retry_of: u64) {
         r.admit(tag, retry_of, IoOp::Read, 4096, 65536, 0, 1);
     }
 
     #[test]
     fn disabled_recorder_journals_nothing() {
-        let r = TraceRecorder::new(false);
-        admit(&r, 1, 0);
-        r.complete(1, true);
-        assert!(r.is_empty());
-        assert!(r.capture().is_empty());
+        // Capture off: the node holds no journal, and its capture is
+        // empty.
+        assert!(capture_of(None).is_empty());
+        // A journal nothing was admitted to renders no row either.
+        assert!(capture_of(Some(&TraceRecorder::new())).is_empty());
     }
 
     #[test]
     fn records_admission_and_outcome() {
-        let r = TraceRecorder::new(true);
-        admit(&r, 1, 0);
+        let mut r = TraceRecorder::new();
+        admit(&mut r, 1, 0);
         r.complete(1, true);
         let cap = r.capture();
         assert_eq!(cap.len(), 1);
@@ -249,12 +208,12 @@ mod tests {
 
     #[test]
     fn retry_aliases_onto_the_original_record() {
-        let r = TraceRecorder::new(true);
-        admit(&r, 10, 0);
+        let mut r = TraceRecorder::new();
+        admit(&mut r, 10, 0);
         // Two re-issues of the same logical request (fresh tags).
-        admit(&r, 11, 10);
-        admit(&r, 12, 10);
-        assert_eq!(r.len(), 1, "logical request journaled once");
+        admit(&mut r, 11, 10);
+        admit(&mut r, 12, 10);
+        assert_eq!(r.records.len(), 1, "logical request journaled once");
         // The retry's completion resolves the original record.
         r.complete(12, true);
         let cap = r.capture();
@@ -264,12 +223,12 @@ mod tests {
 
     #[test]
     fn retry_chains_alias_transitively() {
-        let r = TraceRecorder::new(true);
-        admit(&r, 10, 0);
-        admit(&r, 11, 10);
+        let mut r = TraceRecorder::new();
+        admit(&mut r, 10, 0);
+        admit(&mut r, 11, 10);
         // The client links each re-issue to its immediate predecessor.
-        admit(&r, 12, 11);
-        assert_eq!(r.len(), 1);
+        admit(&mut r, 12, 11);
+        assert_eq!(r.records.len(), 1);
         r.complete(11, false);
         r.complete(12, true); // later duplicate: first terminal wins
         assert_eq!(r.capture().records[0].outcome, CaptureOutcome::Error);
@@ -277,21 +236,21 @@ mod tests {
 
     #[test]
     fn unknown_retry_of_is_a_fresh_logical_request() {
-        let r = TraceRecorder::new(true);
+        let mut r = TraceRecorder::new();
         // The original was BUSY-rejected pre-admission, so it was never
         // journaled; the retry is the first admission that counts.
-        admit(&r, 21, 20);
-        assert_eq!(r.len(), 1);
+        admit(&mut r, 21, 20);
+        assert_eq!(r.records.len(), 1);
         r.complete(21, true);
         assert_eq!(r.capture().len(), 1);
     }
 
     #[test]
     fn bounce_only_records_drop_out_of_the_capture() {
-        let r = TraceRecorder::new(true);
-        admit(&r, 1, 0);
+        let mut r = TraceRecorder::new();
+        admit(&mut r, 1, 0);
         r.reject(1); // dead-shard bounce: the I/O never ran
-        admit(&r, 2, 0);
+        admit(&mut r, 2, 0);
         r.complete(2, true);
         let cap = r.capture();
         assert_eq!(cap.len(), 1, "bounced request must not be captured");
@@ -299,10 +258,10 @@ mod tests {
 
     #[test]
     fn bounced_then_retried_request_is_captured_once() {
-        let r = TraceRecorder::new(true);
-        admit(&r, 1, 0);
+        let mut r = TraceRecorder::new();
+        admit(&mut r, 1, 0);
         r.reject(1);
-        admit(&r, 2, 1); // re-issue after the bounce
+        admit(&mut r, 2, 1); // re-issue after the bounce
         r.complete(2, true);
         let cap = r.capture();
         assert_eq!(cap.len(), 1);
@@ -311,8 +270,8 @@ mod tests {
 
     #[test]
     fn unresolved_requests_surface_as_error() {
-        let r = TraceRecorder::new(true);
-        admit(&r, 1, 0);
+        let mut r = TraceRecorder::new();
+        admit(&mut r, 1, 0);
         let cap = r.capture();
         assert_eq!(cap.len(), 1);
         assert_eq!(cap.records[0].outcome, CaptureOutcome::Error);
@@ -320,9 +279,9 @@ mod tests {
 
     #[test]
     fn capture_time_is_monotonic_and_csv_parses() {
-        let r = TraceRecorder::new(true);
+        let mut r = TraceRecorder::new();
         for tag in 1..=100u64 {
-            admit(&r, tag, 0);
+            admit(&mut r, tag, 0);
             r.complete(tag, true);
         }
         let cap = r.capture();

@@ -1,7 +1,8 @@
 //! Live replay: driving a captured trace back through a running server.
 //!
-//! A [`rif_workloads::Capture`] journaled by the server's
-//! [`crate::recorder::TraceRecorder`] can be replayed two ways:
+//! A [`rif_workloads::Capture`] journaled by the server and taken with
+//! [`Server::capture`](crate::server::Server::capture) can be replayed
+//! two ways:
 //!
 //! - **offline**, by feeding [`Capture::to_trace`] to the
 //!   `rif_ssd::Simulator` — deterministic and bit-exact, the golden-test

@@ -31,12 +31,12 @@
 //! (`handle_replicate`) and then takes the same shutdown, length,
 //! room and submission steps.
 //!
-//! The loop is the only owner of the node's state ([`Node`]); another
-//! thread orders a crash or asks for a snapshot on one queue (`Control`).
+//! The loop is the only owner of the node's state ([`Node`]), the capture
+//! journal included; another thread orders a crash or a shutdown, or asks
+//! for a snapshot or the capture, on one queue (`Control`).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use rif_events::trace::MetricsRegistry;
 use rif_events::SimTime;
 use rif_ssd::{RetryKind, SsdConfig};
-use rif_workloads::IoOp;
+use rif_workloads::{Capture, IoOp};
 
 use crate::bucket::TenantBuckets;
 use crate::pacing::VirtualClock;
@@ -82,8 +82,8 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Base RNG seed; shard `i` uses `seed + i`.
     pub seed: u64,
-    /// Journal every admitted request in the [`TraceRecorder`] for
-    /// capture → replay.
+    /// Journal every admitted request for capture → replay; see
+    /// [`Server::capture`].
     pub capture: bool,
     /// Open-connection cap; over-limit accepts are answered with a clean
     /// `ERROR(ConnLimit)` frame and closed instead of exhausting fds.
@@ -168,25 +168,24 @@ struct ClusterState {
     shipper: Shipper,
 }
 
-/// What threads other than the event loop must reach. Everything else
+/// What threads other than the event loop must reach: the immutable
+/// configuration and clocks, and the control queue. Everything else
 /// about a node is the loop's own ([`Node`]).
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) clock: VirtualClock,
     pub(crate) started: Instant,
-    pub(crate) shutdown: AtomicBool,
     pub(crate) control: Control,
-    /// The capture journal; [`Server::recorder`] hands it out.
-    pub(crate) recorder: Arc<TraceRecorder>,
 }
 
-/// The one way into the loop from another thread: crash orders and
-/// snapshot requests, taken when the loop's waker fires. Once the loop
-/// has exited, an order is refused and a snapshot is answered at once
-/// with the registry the loop left (an empty one after a panic).
+/// The one way into the loop from another thread: crash orders, the
+/// shutdown request, and snapshot and capture requests, taken when the
+/// loop's waker fires. Once the loop has exited, an order is refused and
+/// a request is answered at once with what the loop left (empty after a
+/// panic).
 pub(crate) struct Control {
     queue: Mutex<Queue>,
-    /// Signalled when snapshots are answered or the loop exits.
+    /// Signalled when requests are answered or the loop exits.
     answered: Condvar,
     pub(crate) waker: Waker,
 }
@@ -195,12 +194,27 @@ pub(crate) struct Control {
 struct Queue {
     /// `(shard, restart_after)`, in arrival order.
     crashes: Vec<(usize, Duration)>,
-    /// Snapshot requests made, and answered, so far.
+    /// Set by [`Server::request_shutdown`] or a SHUTDOWN frame.
+    shutdown: bool,
+    /// Snapshot and capture requests made, and answered, so far, and
+    /// whether one not yet taken asks for the capture.
     asked: u64,
     answered: u64,
-    /// The last snapshot answered, or the registry the loop left.
+    capture_asked: bool,
+    /// The last answers, or what the loop left.
     snapshot: MetricsRegistry,
+    capture: Capture,
     exited: bool,
+}
+
+/// What the loop takes from the control queue when its waker fires.
+pub(crate) struct Orders {
+    /// `(shard, restart_after)`, in arrival order.
+    pub(crate) crashes: Vec<(usize, Duration)>,
+    pub(crate) shutdown: bool,
+    /// The newest request still unanswered, and whether one taken asks
+    /// for the capture.
+    pub(crate) ask: Option<(u64, bool)>,
 }
 
 impl Control {
@@ -209,29 +223,43 @@ impl Control {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The loop's side: the crash orders queued so far, and the newest
-    /// snapshot request still unanswered.
-    pub(crate) fn take(&self) -> (Vec<(usize, Duration)>, Option<u64>) {
+    /// The loop's side: what was queued since it last took.
+    pub(crate) fn take(&self) -> Orders {
         let mut q = self.queue();
-        let ticket = (q.asked > q.answered).then_some(q.asked);
-        (std::mem::take(&mut q.crashes), ticket)
+        Orders {
+            crashes: std::mem::take(&mut q.crashes),
+            shutdown: q.shutdown,
+            ask: (q.asked > q.answered).then(|| (q.asked, std::mem::take(&mut q.capture_asked))),
+        }
     }
 
-    /// Answers the snapshot requests up to `ticket` with `m`.
-    pub(crate) fn answer(&self, ticket: u64, m: MetricsRegistry) {
+    /// Records a shutdown request, for [`Server::shutdown_requested`].
+    pub(crate) fn shut_down(&self) {
+        self.queue().shutdown = true;
+    }
+
+    /// Answers the requests up to `ticket` with `m`, and with `cap` when
+    /// one of them asked for the capture.
+    pub(crate) fn answer(&self, ticket: u64, m: MetricsRegistry, cap: Option<Capture>) {
         let mut q = self.queue();
         q.snapshot = m;
+        if let Some(cap) = cap {
+            q.capture = cap;
+        }
         q.answered = q.answered.max(ticket);
         self.answered.notify_all();
     }
 
     /// Closes the queue as the loop exits: `last` takes the orders still
-    /// queued and gives the registry later snapshots get. Only the first
-    /// call counts: the loop's own, or its exit guard's after a panic.
-    pub(crate) fn exit(&self, last: impl FnOnce(Vec<(usize, Duration)>) -> MetricsRegistry) {
+    /// queued and gives what later requests get. Only the first call
+    /// counts: the loop's own, or its exit guard's after a panic.
+    pub(crate) fn exit(
+        &self,
+        last: impl FnOnce(Vec<(usize, Duration)>) -> (MetricsRegistry, Capture),
+    ) {
         let mut q = self.queue();
         if !q.exited {
-            q.snapshot = last(std::mem::take(&mut q.crashes));
+            (q.snapshot, q.capture) = last(std::mem::take(&mut q.crashes));
             q.exited = true;
             self.answered.notify_all();
         }
@@ -240,7 +268,8 @@ impl Control {
 
 /// Everything about a node that only its event loop touches, none of it
 /// locked: the shards it steps, the admission gate's state, the metrics
-/// registry, the front-door counters and the cluster map view.
+/// registry, the front-door counters, the cluster map view, the capture
+/// journal and the shutdown flag.
 pub(crate) struct Node {
     pub(crate) shards: Vec<Shard>,
     gate: Gate,
@@ -255,6 +284,10 @@ pub(crate) struct Node {
     pub(crate) wq_max_bytes: usize,
     /// `Some` iff [`ServerConfig::cluster`] — the node's map view.
     cluster: Option<ClusterState>,
+    /// `Some` iff [`ServerConfig::capture`] — the request journal.
+    pub(crate) journal: Option<TraceRecorder>,
+    /// Set by a SHUTDOWN frame or a shutdown request from the queue.
+    pub(crate) shutdown: bool,
 }
 
 impl Node {
@@ -284,6 +317,8 @@ impl Node {
                 status: vec![RangeStatus::NotOwned; cfg.shards],
                 shipper: Shipper::new(cfg.shards, cfg.seed),
             }),
+            journal: cfg.capture.then(TraceRecorder::new),
+            shutdown: false,
         }
     }
 
@@ -381,13 +416,11 @@ impl Server {
         let shared = Arc::new(Shared {
             clock: VirtualClock::start(cfg.time_scale),
             started: Instant::now(),
-            shutdown: AtomicBool::new(false),
             control: Control {
                 queue: Mutex::default(),
                 answered: Condvar::new(),
                 waker,
             },
-            recorder: Arc::new(TraceRecorder::new(cfg.capture)),
             cfg,
         });
         let loop_shared = Arc::clone(&shared);
@@ -407,23 +440,29 @@ impl Server {
         self.addr
     }
 
-    /// True once a SHUTDOWN frame has been accepted.
+    /// True once shutdown was requested, by a SHUTDOWN frame or
+    /// [`request_shutdown`](Server::request_shutdown), or the event loop
+    /// has exited.
     pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
+        let q = self.shared.control.queue();
+        q.shutdown || q.exited
     }
 
     /// Requests shutdown from the owning process (same effect as a
     /// SHUTDOWN frame).
     pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.control.shut_down();
         self.shared.control.waker.wake();
     }
 
-    /// Blocks until shutdown is requested or the event loop has exited,
-    /// polling every few ms.
+    /// Blocks until the event loop has exited: after a shutdown request,
+    /// once its drain has resolved every admission. A snapshot or capture
+    /// taken then is final.
     pub fn wait_for_shutdown(&self) {
-        while !self.shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(20));
+        let control = &self.shared.control;
+        let mut q = control.queue();
+        while !q.exited {
+            q = control.answered.wait(q).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -443,15 +482,29 @@ impl Server {
     /// loop has exited it is the registry the loop left, returned at
     /// once.
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
+        self.ask(false, |q| q.snapshot.clone())
+    }
+
+    /// The request journal as a normalized [`Capture`] (empty unless
+    /// [`ServerConfig::capture`] was set), taken by the event loop. Once
+    /// the loop has exited it is the one its exit drain left, at once.
+    pub fn capture(&self) -> Capture {
+        self.ask(true, |q| q.capture.clone())
+    }
+
+    /// Queues a request (for the capture too, if `capture`), waits until
+    /// the loop has answered it or exited, and `read`s the answer.
+    fn ask<T>(&self, capture: bool, read: impl FnOnce(&Queue) -> T) -> T {
         let control = &self.shared.control;
         let mut q = control.queue();
         q.asked += 1;
+        q.capture_asked |= capture;
         let ticket = q.asked;
         control.waker.wake();
         while !q.exited && q.answered < ticket {
             q = control.answered.wait(q).unwrap_or_else(|e| e.into_inner());
         }
-        q.snapshot.clone()
+        read(&q)
     }
 
     /// Fault-injection hook: kills shard `index`'s simulator state
@@ -486,13 +539,6 @@ impl Server {
             self.inject_shard_crash(i, Duration::from_secs(3600));
         }
         self.stop();
-    }
-
-    /// The request journal (empty unless [`ServerConfig::capture`] was
-    /// set). Clone the `Arc` before `stop()` to snapshot the capture
-    /// after drain.
-    pub fn recorder(&self) -> Arc<TraceRecorder> {
-        Arc::clone(&self.shared.recorder)
     }
 }
 
@@ -596,7 +642,7 @@ pub(crate) fn handle_replicate(
     offset: u64,
     bytes: u32,
 ) {
-    if refuse_shutdown(shared, reply, [tag]) {
+    if refuse_shutdown(node.shutdown, reply, [tag]) {
         return;
     }
     let m = &mut node.metrics;
@@ -641,7 +687,7 @@ pub(crate) fn handle_replicate(
             shipment: Some((range, seq)),
         },
     };
-    shard.submit(m, &shared.recorder, node.now, shipment, &mut |_, resp| {
+    shard.submit(m, &mut node.journal, node.now, shipment, &mut |_, resp| {
         reply.send(resp)
     });
 }
@@ -723,11 +769,11 @@ pub(crate) fn refuse_busy(
 /// Once shutdown began, answers every tag `ERROR(ShuttingDown)` and
 /// returns true.
 fn refuse_shutdown(
-    shared: &Shared,
+    shutdown: bool,
     reply: &mut Reply<'_>,
     tags: impl IntoIterator<Item = u64>,
 ) -> bool {
-    if !shared.shutdown.load(Ordering::Acquire) {
+    if !shutdown {
         return false;
     }
     for tag in tags {
@@ -853,7 +899,7 @@ pub(crate) fn admit(
     entries: impl IntoIterator<Item = BatchEntry>,
 ) {
     let mut entries = entries.into_iter();
-    if refuse_shutdown(shared, reply, entries.by_ref().map(|e| e.tag)) {
+    if refuse_shutdown(node.shutdown, reply, entries.by_ref().map(|e| e.tag)) {
         return;
     }
     let Node {
@@ -862,6 +908,7 @@ pub(crate) fn admit(
         now,
         metrics,
         cluster,
+        journal,
         ..
     } = node;
     let Gate {
@@ -942,10 +989,11 @@ pub(crate) fn admit(
     // Admitted. Journal every entry with its wrapped offset (a replay
     // through a same-shaped server routes it identically) before its
     // shard answers it.
-    let recorder = &shared.recorder;
-    for (e, idx) in valid.iter() {
-        let shard = *idx as u32;
-        recorder.admit(e.tag, e.retry_of, e.op, e.offset, e.bytes, e.tenant, shard);
+    if let Some(j) = journal {
+        for (e, idx) in valid.iter() {
+            let shard = *idx as u32;
+            j.admit(e.tag, e.retry_of, e.op, e.offset, e.bytes, e.tenant, shard);
+        }
     }
     for &(e, idx) in valid.iter() {
         let shard = &mut shards[idx];
@@ -959,7 +1007,7 @@ pub(crate) fn admit(
                 shipment: None,
             },
         };
-        let taken = shard.submit(metrics, recorder, *now, s, &mut |_, resp| reply.send(resp));
+        let taken = shard.submit(metrics, journal, *now, s, &mut |_, resp| reply.send(resp));
         // Only writes a shard took are offered to the replication
         // shipper (a no-op unless this node is the range's primary and
         // has followers).

@@ -49,11 +49,11 @@ pub(crate) struct ReplyTo {
 }
 
 impl ReplyTo {
-    /// False for a replicated write's reply: the recorder journals client
-    /// admissions only, and a shipment's tag is the primary's, free to
-    /// equal an unrelated client's.
-    fn journaled(&self) -> bool {
-        self.shipment.is_none()
+    /// The journal this reply's request is recorded in: none when capture
+    /// is off, nor for a replicated write, whose tag is the primary's,
+    /// free to equal an unrelated client's.
+    fn journal<'j>(&self, journal: &'j mut Option<TraceRecorder>) -> Option<&'j mut TraceRecorder> {
+        journal.as_mut().filter(|_| self.shipment.is_none())
     }
 
     /// `resp` as the connection is owed it. Refusals (`Busy`, `Error`)
@@ -172,7 +172,7 @@ impl Keys {
 
 /// One LBA range's simulator and the requests in flight in it. Every
 /// method that answers a request hands the answer to `out` as
-/// `(connection key, response)`.
+/// `(connection key, response)` and journals it if capture is on.
 pub(crate) struct Shard {
     spec: ShardSpec,
     cfg: SsdConfig,
@@ -249,7 +249,7 @@ impl Shard {
     pub(crate) fn submit(
         &mut self,
         m: &mut MetricsRegistry,
-        recorder: &TraceRecorder,
+        journal: &mut Option<TraceRecorder>,
         arrival: SimTime,
         s: Submission,
         out: &mut impl FnMut(u64, Response),
@@ -257,8 +257,8 @@ impl Shard {
         if self.dead_at(m, arrival) {
             // Dead shard: never admit, never hang. The recorder retracts
             // the admission — this I/O never ran.
-            if s.reply.journaled() {
-                recorder.reject(s.tag);
+            if let Some(j) = s.reply.journal(journal) {
+                j.reject(s.tag);
             }
             m.inc("server.busy.unavailable", 1);
             let busy = Response::Busy {
@@ -288,7 +288,7 @@ impl Shard {
     pub(crate) fn advance(
         &mut self,
         m: &mut MetricsRegistry,
-        recorder: &TraceRecorder,
+        journal: &mut Option<TraceRecorder>,
         horizon: SimTime,
         out: &mut impl FnMut(u64, Response),
     ) {
@@ -297,7 +297,7 @@ impl Shard {
         }
         self.sim.advance_until(horizon);
         self.ahead = self.ahead && self.sim.now() > horizon;
-        self.answer(m, recorder, horizon, out);
+        self.answer(m, journal, horizon, out);
     }
 
     /// FLUSH, a migration's drain and shutdown: advances past wall-clock
@@ -308,7 +308,7 @@ impl Shard {
     pub(crate) fn fast_forward(
         &mut self,
         m: &mut MetricsRegistry,
-        recorder: &TraceRecorder,
+        journal: &mut Option<TraceRecorder>,
         now: SimTime,
         out: &mut impl FnMut(u64, Response),
     ) {
@@ -317,7 +317,7 @@ impl Shard {
         }
         self.sim.advance_until(SimTime::MAX);
         self.ahead = true;
-        self.answer(m, recorder, now, out);
+        self.answer(m, journal, now, out);
     }
 
     /// Answers the simulator's completions, `now` being the virtual
@@ -325,7 +325,7 @@ impl Shard {
     fn answer(
         &mut self,
         m: &mut MetricsRegistry,
-        recorder: &TraceRecorder,
+        journal: &mut Option<TraceRecorder>,
         now: SimTime,
         out: &mut impl FnMut(u64, Response),
     ) {
@@ -365,8 +365,8 @@ impl Shard {
         }
         for c in done {
             if let Some((tag, reply)) = self.pending.remove(&c.id) {
-                if reply.journaled() {
-                    recorder.complete(tag, true);
+                if let Some(j) = reply.journal(journal) {
+                    j.complete(tag, true);
                 }
                 let latency_ns = c.latency().as_ns();
                 out(reply.key, reply.wrap(Response::Done { tag, latency_ns }));
@@ -401,15 +401,15 @@ impl Shard {
     pub(crate) fn crash(
         &mut self,
         m: &mut MetricsRegistry,
-        recorder: &TraceRecorder,
+        journal: &mut Option<TraceRecorder>,
         deadline: SimTime,
         out: &mut impl FnMut(u64, Response),
     ) {
         m.inc("server.shard_crashes", 1);
         m.inc(&self.keys.crashes, 1);
         for (_, (tag, reply)) in self.pending.drain() {
-            if reply.journaled() {
-                recorder.complete(tag, false);
+            if let Some(j) = reply.journal(journal) {
+                j.complete(tag, false);
             }
             let code = ErrorCode::Internal;
             out(reply.key, reply.wrap(Response::Error { tag, code }));
@@ -455,6 +455,12 @@ mod tests {
         }
     }
 
+    /// Submits `io` at `arrival` with capture off, its answer dropped:
+    /// true if the shard took it.
+    fn take(s: &mut Shard, m: &mut MetricsRegistry, arrival: SimTime, io: Submission) -> bool {
+        s.submit(m, &mut None, arrival, io, &mut |_, _| {})
+    }
+
     /// Answers as the loop would see them: `(connection key, response)`.
     type Answers = Vec<(u64, Response)>;
 
@@ -464,7 +470,12 @@ mod tests {
 
     /// Steps `shard` event by event, as the loop does when it sleeps until
     /// `next_wake`, until `n` answers are out or nothing is left to do.
-    fn step_until(s: &mut Shard, m: &mut MetricsRegistry, r: &TraceRecorder, n: usize) -> Answers {
+    fn step_until(
+        s: &mut Shard,
+        m: &mut MetricsRegistry,
+        r: &mut Option<TraceRecorder>,
+        n: usize,
+    ) -> Answers {
         let mut answers = Vec::new();
         while answers.len() < n {
             let Some(t) = s.next_wake() else { break };
@@ -521,17 +532,11 @@ mod tests {
 
     #[test]
     fn completions_are_answered_at_their_due_instants() {
-        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(false));
+        let (mut m, mut rec) = (MetricsRegistry::new(), None);
         let mut s = shard(0, small());
         let arrival = SimTime::from_us(10);
         for (tag, op) in [(1, IoOp::Read), (2, IoOp::Write)] {
-            assert!(s.submit(
-                &mut m,
-                &rec,
-                arrival,
-                io(tag, op, tag << 20, 4096),
-                &mut |_, _| {}
-            ));
+            assert!(take(&mut s, &mut m, arrival, io(tag, op, tag << 20, 4096)));
         }
         assert_eq!(s.inflight(), 2);
         let mut answered = Vec::new();
@@ -540,14 +545,14 @@ mod tests {
             let mut early = Vec::new();
             s.advance(
                 &mut m,
-                &rec,
+                &mut rec,
                 t - SimDuration::from_ns(1),
                 &mut collect(&mut early),
             );
             assert!(early.is_empty(), "answered ahead of its event: {early:?}");
             // …and what that event completes is answered at it.
             let mut at_t = Vec::new();
-            s.advance(&mut m, &rec, t, &mut collect(&mut at_t));
+            s.advance(&mut m, &mut rec, t, &mut collect(&mut at_t));
             for (key, resp) in at_t {
                 assert_eq!(key, KEY);
                 let Response::Done { tag, latency_ns } = resp else {
@@ -569,19 +574,18 @@ mod tests {
 
     #[test]
     fn crashed_worker_fails_pending_and_bounces_then_restarts() {
-        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(false));
+        let (mut m, mut rec) = (MetricsRegistry::new(), None);
         let mut s = shard(0, small());
-        assert!(s.submit(
+        assert!(take(
+            &mut s,
             &mut m,
-            &rec,
             SimTime::ZERO,
-            io(7, IoOp::Read, 0, 4096),
-            &mut |_, _| {}
+            io(7, IoOp::Read, 0, 4096)
         ));
         // Crash before the read can complete: it fails, fate unknown.
         let deadline = SimTime::from_ms(30);
         let mut answers = Vec::new();
-        s.crash(&mut m, &rec, deadline, &mut collect(&mut answers));
+        s.crash(&mut m, &mut rec, deadline, &mut collect(&mut answers));
         let internal = Response::Error {
             tag: 7,
             code: ErrorCode::Internal,
@@ -595,7 +599,7 @@ mod tests {
         let early = deadline - SimDuration::from_ns(1);
         assert!(!s.submit(
             &mut m,
-            &rec,
+            &mut rec,
             early,
             io(8, IoOp::Read, 0, 4096),
             &mut collect(&mut answers)
@@ -608,22 +612,21 @@ mod tests {
         assert_eq!(s.inflight(), 0);
 
         // Still dead short of the deadline; restarted at it.
-        s.advance(&mut m, &rec, early, &mut |_, _| {
+        s.advance(&mut m, &mut rec, early, &mut |_, _| {
             panic!("a dead shard answers nothing")
         });
         assert_eq!(m.counter("server.shard_restarts"), 0);
-        s.advance(&mut m, &rec, deadline, &mut |_, _| {
+        s.advance(&mut m, &mut rec, deadline, &mut |_, _| {
             panic!("nothing is in flight")
         });
         assert_eq!(m.counter("server.shard_restarts"), 1);
-        assert!(s.submit(
+        assert!(take(
+            &mut s,
             &mut m,
-            &rec,
             deadline,
-            io(9, IoOp::Write, 4096, 4096),
-            &mut |_, _| {}
+            io(9, IoOp::Write, 4096, 4096)
         ));
-        let served = step_until(&mut s, &mut m, &rec, 1);
+        let served = step_until(&mut s, &mut m, &mut rec, 1);
         assert!(
             matches!(served[..], [(KEY, Response::Done { tag: 9, .. })]),
             "restarted shard must serve: {served:?}"
@@ -638,16 +641,17 @@ mod tests {
     fn a_replicated_write_leaves_the_capture_journal_alone() {
         use rif_workloads::CaptureOutcome;
 
-        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(true));
+        let (mut m, mut journal) = (MetricsRegistry::new(), TraceRecorder::new());
         let mut s = shard(0, small());
         // A client request journaled under tag 5, not yet answered…
-        rec.admit(5, 0, IoOp::Read, 0, 4096, 0, 0);
+        journal.admit(5, 0, IoOp::Read, 0, 4096, 0, 0);
+        let mut rec = Some(journal);
         // …and a primary's shipment that happens to carry tag 5 too:
         // shipper tags count from 1 just as client tags do.
         let mut shipment = io(5, IoOp::Write, 4096, 4096);
         shipment.reply.shipment = Some((0, 1));
-        assert!(s.submit(&mut m, &rec, SimTime::ZERO, shipment, &mut |_, _| {}));
-        let ack = step_until(&mut s, &mut m, &rec, 1);
+        assert!(s.submit(&mut m, &mut rec, SimTime::ZERO, shipment, &mut |_, _| {}));
+        let ack = step_until(&mut s, &mut m, &mut rec, 1);
         let want = Response::ReplAck {
             tag: 5,
             range: 0,
@@ -656,25 +660,24 @@ mod tests {
         assert_eq!(ack, [(KEY, want)]);
         // The shipment's DONE resolved nothing: the client's record is
         // still open, which a capture renders as an error.
-        let capture = rec.capture();
+        let capture = rec.expect("capture on").capture();
         assert_eq!(capture.len(), 1);
         assert_eq!(capture.records[0].outcome, CaptureOutcome::Error);
     }
 
     #[test]
     fn learned_shard_exports_learner_gauges() {
-        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(false));
+        let (mut m, mut rec) = (MetricsRegistry::new(), None);
         let mut s = shard(0, learned());
         for i in 0..8u64 {
-            assert!(s.submit(
+            assert!(take(
+                &mut s,
                 &mut m,
-                &rec,
                 SimTime::ZERO,
-                io(i, IoOp::Read, i * 65536, 65536),
-                &mut |_, _| {}
+                io(i, IoOp::Read, i * 65536, 65536)
             ));
         }
-        let answers = step_until(&mut s, &mut m, &rec, 8);
+        let answers = step_until(&mut s, &mut m, &mut rec, 8);
         assert_eq!(answers.len(), 8);
         assert!(answers
             .iter()
@@ -702,34 +705,32 @@ mod tests {
         h.bg.low_watermark = 0.0;
         h.bg.refresh_scan_batch = 8;
         cfg.hybrid = Some(h);
-        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(false));
+        let (mut m, mut rec) = (MetricsRegistry::new(), None);
         let mut s = shard(0, cfg);
         // Writes land in the SLC cache; the eager drain migrates them as
         // soon as the scheduler ticks.
         for i in 0..8u64 {
-            assert!(s.submit(
+            assert!(take(
+                &mut s,
                 &mut m,
-                &rec,
                 SimTime::ZERO,
-                io(i, IoOp::Write, i * 65536, 65536),
-                &mut |_, _| {}
+                io(i, IoOp::Write, i * 65536, 65536)
             ));
         }
-        assert_eq!(step_until(&mut s, &mut m, &rec, 8).len(), 8);
+        assert_eq!(step_until(&mut s, &mut m, &mut rec, 8).len(), 8);
         // Leave room for several scheduler ticks, then read: the
         // completion drain re-exports the bg gauges.
         let later = s.sim.now() + SimDuration::from_ms(20);
-        s.advance(&mut m, &rec, later, &mut |_, _| {});
+        s.advance(&mut m, &mut rec, later, &mut |_, _| {});
         for i in 8..16u64 {
-            assert!(s.submit(
+            assert!(take(
+                &mut s,
                 &mut m,
-                &rec,
                 later,
-                io(i, IoOp::Read, i * 65536, 65536),
-                &mut |_, _| {}
+                io(i, IoOp::Read, i * 65536, 65536)
             ));
         }
-        assert_eq!(step_until(&mut s, &mut m, &rec, 8).len(), 8);
+        assert_eq!(step_until(&mut s, &mut m, &mut rec, 8).len(), 8);
         assert!(
             m.gauge("server.bg.shard0.migrated_slots").unwrap_or(0.0) > 0.0,
             "eager destage must have migrated the cached writes"
@@ -745,22 +746,21 @@ mod tests {
     fn yield_then_adopt_carries_learner_state_across_workers() {
         use rif_ssd::LearnerState;
 
-        let (mut m, rec) = (MetricsRegistry::new(), TraceRecorder::new(false));
+        let (mut m, mut rec) = (MetricsRegistry::new(), None);
         let (mut src, mut dst) = (shard(0, learned()), shard(1, learned()));
 
         // Warm the source learner with everything still in flight when
         // the drain starts: the fast-forward must cover all of it.
         for i in 0..8u64 {
-            assert!(src.submit(
+            assert!(take(
+                &mut src,
                 &mut m,
-                &rec,
                 SimTime::ZERO,
-                io(i, IoOp::Read, i * 65536, 65536),
-                &mut |_, _| {}
+                io(i, IoOp::Read, i * 65536, 65536)
             ));
         }
         let mut answers = Vec::new();
-        src.fast_forward(&mut m, &rec, SimTime::ZERO, &mut collect(&mut answers));
+        src.fast_forward(&mut m, &mut rec, SimTime::ZERO, &mut collect(&mut answers));
         assert_eq!(answers.len(), 8, "the drain answers every request");
         assert_eq!(src.inflight(), 0);
         let state_text = src.learner_snapshot();
@@ -774,14 +774,13 @@ mod tests {
 
         // The source keeps serving after a drain — no dead window. Its
         // simulator clock ran ahead; the arrival clamps to it.
-        assert!(src.submit(
+        assert!(take(
+            &mut src,
             &mut m,
-            &rec,
             SimTime::from_us(1),
-            io(99, IoOp::Read, 0, 4096),
-            &mut |_, _| {}
+            io(99, IoOp::Read, 0, 4096)
         ));
-        let served = step_until(&mut src, &mut m, &rec, 1);
+        let served = step_until(&mut src, &mut m, &mut rec, 1);
         assert!(
             matches!(served[..], [(KEY, Response::Done { tag: 99, .. })]),
             "source keeps serving after a drain: {served:?}"

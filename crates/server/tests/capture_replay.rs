@@ -1,7 +1,9 @@
 //! Capture → replay end to end: a live server journals the load it
 //! serves, and the capture replays bit-for-bit through the offline
 //! simulator, identically across repeat runs and thread counts. This is
-//! the determinism contract the recorder exists for.
+//! the determinism contract the recorder exists for. The capture is
+//! taken from the event loop, also once it has exited (the
+//! `rif-server --capture` path).
 
 use std::time::Duration;
 
@@ -10,7 +12,7 @@ use rif_server::client::{run_load, run_load_journaled, LoadConfig};
 use rif_server::replay::{diff_against_capture, run_replay_journaled, ReplayConfig};
 use rif_server::server::{Server, ServerConfig};
 use rif_ssd::{RetryKind, Simulator, SsdConfig};
-use rif_workloads::Capture;
+use rif_workloads::{Capture, CaptureOutcome};
 
 fn capture_server(mut cfg: ServerConfig) -> Server {
     cfg.capture = true;
@@ -45,7 +47,7 @@ fn golden_capture_replays_bit_exact_offline() {
     .expect("load run");
     assert_eq!(report.completed, requests as u64, "{}", report.to_json());
 
-    let cap = server.recorder().capture();
+    let cap = server.capture();
     server.stop();
     assert_eq!(cap.len(), requests, "one journal row per logical request");
 
@@ -110,7 +112,7 @@ fn recorder_journals_logical_requests_once_despite_retries() {
         out
     });
 
-    let cap = server.recorder().capture();
+    let cap = server.capture();
     server.stop();
 
     assert!(
@@ -168,7 +170,7 @@ fn batched_load_is_clean_and_journals_per_entry() {
     let m = server.metrics_snapshot();
     assert!(m.counter("server.batches") > 0, "server saw no BATCH frame");
 
-    let cap = server.recorder().capture();
+    let cap = server.capture();
     server.stop();
     assert_eq!(cap.len(), requests, "one capture row per batched request");
 }
@@ -190,7 +192,7 @@ fn live_replay_matches_its_capture() {
         ..LoadConfig::default()
     })
     .expect("capture load");
-    let cap = server.recorder().capture();
+    let cap = server.capture();
     server.stop();
     assert_eq!(cap.len(), requests);
 
@@ -212,7 +214,60 @@ fn live_replay_matches_its_capture() {
 
     // The replayed traffic was itself captured — and is the same
     // multiset of requests, so its offline replay costs the same.
-    let recap = target.recorder().capture();
+    let recap = target.capture();
     target.stop();
     assert_eq!(recap.len(), requests);
+}
+
+#[test]
+fn the_capture_left_at_shutdown_is_the_one_taken_before_it() {
+    // The `rif-server --capture` path: serve a closed load, ask for
+    // shutdown, wait for the loop to exit, and only then take the
+    // capture.
+    let requests = 400;
+    let server = capture_server(ServerConfig::default());
+    let report = run_load(&LoadConfig {
+        addr: server.local_addr().to_string(),
+        connections: 2,
+        depth: 8,
+        requests,
+        seed: 21,
+        ..LoadConfig::default()
+    })
+    .expect("load run");
+    assert_eq!(report.completed, requests as u64, "{}", report.to_json());
+    let before = server.capture();
+
+    server.request_shutdown();
+    server.wait_for_shutdown();
+    let after = server.capture();
+    server.stop();
+    assert_eq!(after.len(), requests, "one row per request");
+    assert!(after
+        .records
+        .iter()
+        .all(|r| r.outcome == CaptureOutcome::Done));
+    assert_eq!(after, before, "the exit drain had nothing left to resolve");
+}
+
+#[test]
+fn a_server_started_without_capture_captures_nothing() {
+    let server = Server::start(
+        ServerConfig {
+            time_scale: 200.0,
+            ..ServerConfig::default()
+        },
+        0,
+    )
+    .expect("bind loopback");
+    let report = run_load(&LoadConfig {
+        addr: server.local_addr().to_string(),
+        requests: 100,
+        seed: 22,
+        ..LoadConfig::default()
+    })
+    .expect("load run");
+    assert_eq!(report.completed, 100, "{}", report.to_json());
+    assert!(server.capture().is_empty(), "capture off journals nothing");
+    server.stop();
 }

@@ -1,7 +1,8 @@
 //! Event-loop core integration: connection limits, idle wakeups,
 //! all-or-nothing batch admission, the strict HELLO check, the control
 //! path from other threads (snapshots and crash orders, before and after
-//! the loop exits), configurations refused at start, the
+//! the loop exits, and how soon `wait_for_shutdown` sees it exit),
+//! configurations refused at start, the
 //! many-connections-per-thread client grouping, and the client engine's
 //! per-link behaviour against a scripted peer — all over real loopback
 //! TCP.
@@ -472,6 +473,40 @@ fn after_a_shutdown_frame_the_exited_loop_answers_snapshots_and_refuses_crashes(
     );
     assert!(server.shutdown_requested());
     server.stop();
+}
+
+#[test]
+fn wait_for_shutdown_returns_within_milliseconds_of_the_goodbye() {
+    // Twenty fresh servers: the only client sends SHUTDOWN and reads
+    // GOODBYE while another thread waits for the loop to exit.
+    const RUNS: usize = 20;
+    let mut waits = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        let server = Server::start(ServerConfig::default(), 0).expect("bind");
+        let mut conn = Raw::connect(&server.local_addr().to_string());
+        let returned = std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                server.wait_for_shutdown();
+                Instant::now()
+            });
+            conn.send(&Request::Shutdown { tag: 9 });
+            assert!(matches!(conn.recv(), Response::Goodbye { tag: 9 }));
+            let goodbye = Instant::now();
+            waiter
+                .join()
+                .expect("waiter")
+                .saturating_duration_since(goodbye)
+        });
+        waits.push(returned);
+        assert!(server.shutdown_requested());
+        server.stop();
+    }
+    waits.sort_unstable();
+    let median = waits[RUNS / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median {median:?} from GOODBYE to wait_for_shutdown returning: {waits:?}"
+    );
 }
 
 #[test]

@@ -41,11 +41,6 @@ impl SlotLocation {
         self.die_linear % g.channels
     }
 
-    /// The die index within its channel.
-    pub fn die_in_channel(&self, g: &FlashGeometry) -> usize {
-        self.die_linear / g.channels
-    }
-
     /// A globally unique block identifier (for process-variation hashing
     /// and read-disturb counting).
     pub fn global_block(&self, g: &FlashGeometry) -> u64 {
