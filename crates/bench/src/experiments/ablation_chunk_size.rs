@@ -11,6 +11,7 @@ use std::process::ExitCode;
 
 use crate::{run_observed, saturating_trace, HarnessOpts, TableWriter};
 use rif_events::SimDuration;
+use rif_ldpc::{PAPER_CIRCULANT_SIZE, PAPER_CORRECTION_CAPABILITY, PAPER_ROW_WEIGHT};
 use rif_odear::rp::ReadRetryPredictor;
 use rif_odear::RpBehavior;
 use rif_ssd::{RetryKind, SsdConfig};
@@ -50,8 +51,8 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     for chunk_kib in [1usize, 2, 4, 16] {
         // A k-KiB chunk reads k/4 of each segment: t·k/4 complete
         // syndromes (256 per KiB for the paper's t = 1024 code).
-        let syndromes = 1024 * chunk_kib / 4;
-        let rp = RpBehavior::calibrated(syndromes, 34, 0.0085);
+        let syndromes = PAPER_CIRCULANT_SIZE * chunk_kib / 4;
+        let rp = RpBehavior::calibrated(syndromes, PAPER_ROW_WEIGHT, PAPER_CORRECTION_CAPABILITY);
         let tpred =
             ReadRetryPredictor::prediction_latency(chunk_kib * 1024 * 8, SimDuration::from_us(10));
         // Uncertainty band: RBER span where the verdict is a coin flip.

@@ -19,6 +19,7 @@ use std::process::ExitCode;
 
 use crate::{run_observed, HarnessOpts, TableWriter};
 use rif_flash::vth::OperatingPoint;
+use rif_ldpc::PAPER_CORRECTION_CAPABILITY;
 use rif_ssd::hybrid::{CellMode, HybridConfig};
 use rif_ssd::{RetryKind, SsdConfig};
 use rif_workloads::SynthConfig;
@@ -43,8 +44,8 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
         ],
     )?;
     for pe in [0u32, 200, 500, 1000, 2000] {
-        let dt = tlc.days_to_exceed(pe, 0.0085, 120.0);
-        let dq = qlc.days_to_exceed(pe, 0.0085, 120.0);
+        let dt = tlc.days_to_exceed(pe, PAPER_CORRECTION_CAPABILITY, 120.0);
+        let dq = qlc.days_to_exceed(pe, PAPER_CORRECTION_CAPABILITY, 120.0);
         // Cold-read retry fraction under a 30-day refresh horizon.
         let frac = |d: Option<f64>| match d {
             Some(day) => format!("{:.2}", (1.0 - day / 30.0).clamp(0.0, 1.0)),

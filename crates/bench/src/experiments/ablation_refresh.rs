@@ -14,6 +14,7 @@ use std::process::ExitCode;
 use crate::{run_observed, saturating_trace, HarnessOpts, TableWriter};
 use rif_flash::geometry::FlashGeometry;
 use rif_flash::rber::ErrorModel;
+use rif_ldpc::PAPER_CORRECTION_CAPABILITY;
 use rif_ssd::refresh::RefreshPolicy;
 use rif_ssd::{RetryKind, SsdConfig};
 use rif_workloads::WorkloadProfile;
@@ -39,7 +40,7 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     )?;
     for days in [7.0f64, 14.0, 30.0, 60.0] {
         let policy = RefreshPolicy::new(days);
-        let cold_retry = policy.cold_retry_fraction(&model, 1000, 0.0085);
+        let cold_retry = policy.cold_retry_fraction(&model, 1000, PAPER_CORRECTION_CAPABILITY);
         for scheme in [RetryKind::Sentinel, RetryKind::Rif] {
             let mut cfg = SsdConfig::paper(scheme, 1000);
             cfg.refresh_days = days;

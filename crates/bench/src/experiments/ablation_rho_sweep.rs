@@ -12,6 +12,7 @@ use std::process::ExitCode;
 
 use crate::{run_traced, saturating_trace, write_metrics, HarnessOpts, TableWriter};
 use rif_events::parallel_trials;
+use rif_ldpc::{PAPER_CIRCULANT_SIZE, PAPER_ROW_WEIGHT};
 use rif_odear::RpBehavior;
 use rif_ssd::{RetryKind, SsdConfig};
 use rif_workloads::WorkloadProfile;
@@ -44,7 +45,7 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let reports = parallel_trials(opts.threads, mults.len(), |i| {
         let rho = (calibrated as f64 * mults[i]).round() as usize;
         let mut cfg = SsdConfig::paper(RetryKind::Rif, 2000);
-        cfg.rp = RpBehavior::with_rho(1024, 34, rho);
+        cfg.rp = RpBehavior::with_rho(PAPER_CIRCULANT_SIZE, PAPER_ROW_WEIGHT, rho);
         cfg.seed = opts.seed;
         run_traced(opts, &format!("rho{rho}"), cfg, &trace).map(|report| (rho, report))
     });

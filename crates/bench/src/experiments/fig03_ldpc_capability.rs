@@ -10,7 +10,7 @@ use std::process::ExitCode;
 
 use crate::{HarnessOpts, TableWriter};
 use rif_ldpc::analysis::capability_sweep;
-use rif_ldpc::{EccModel, QcLdpcCode};
+use rif_ldpc::{EccModel, QcLdpcCode, PAPER_CORRECTION_CAPABILITY};
 
 pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let code = if opts.quick {
@@ -66,7 +66,7 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
         )?;
         writeln!(
             out,
-            "paper anchor: 0.0085 — the behavioural EccModel used by the SSD simulator"
+            "paper anchor: {PAPER_CORRECTION_CAPABILITY} — the behavioural EccModel used by the SSD simulator"
         )?;
         writeln!(
             out,

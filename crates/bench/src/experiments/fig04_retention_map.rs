@@ -11,6 +11,7 @@ use std::process::ExitCode;
 use crate::{HarnessOpts, TableWriter};
 use rif_flash::characterize::retention_failure_map;
 use rif_flash::rber::ErrorModel;
+use rif_ldpc::PAPER_CORRECTION_CAPABILITY;
 
 pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let model = ErrorModel::calibrated();
@@ -18,12 +19,13 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let blocks = opts.pick(2_000, 200);
     let max_day = 30;
 
-    let map = retention_failure_map(&model, &pe_list, max_day, blocks, 0.0085, opts.seed);
+    let cap = PAPER_CORRECTION_CAPABILITY;
+    let map = retention_failure_map(&model, &pe_list, max_day, blocks, cap, opts.seed);
 
     let t = TableWriter::new(opts.csv, &[8, 6, 12]);
     t.heading(
         out,
-        &format!("Fig. 4: retention days until RBER exceeds 0.0085 ({blocks} blocks/stage)"),
+        &format!("Fig. 4: retention days until RBER exceeds {cap} ({blocks} blocks/stage)"),
     )?;
     if opts.csv {
         t.row(out, &["pe".into(), "day".into(), "proportion".into()])?;

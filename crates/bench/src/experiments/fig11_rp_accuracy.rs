@@ -9,7 +9,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use crate::{HarnessOpts, TableWriter};
-use rif_ldpc::QcLdpcCode;
+use rif_ldpc::{QcLdpcCode, PAPER_CORRECTION_CAPABILITY};
 use rif_odear::accuracy::{mean_accuracy_above, measure_accuracy_with};
 
 pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
@@ -21,7 +21,7 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let trials = opts.pick(200, 40);
     // The capability of *this* code, so the boundary effect shows at the
     // right abscissa (the paper grid spans 0.003–0.033).
-    let capability = 0.0085;
+    let capability = PAPER_CORRECTION_CAPABILITY;
     let rho_full = code.expected_full_weight(capability).round() as usize;
     let rbers: Vec<f64> = (3..=33).step_by(2).map(|i| i as f64 * 0.001).collect();
 

@@ -9,7 +9,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use crate::{HarnessOpts, TableWriter};
-use rif_ldpc::QcLdpcCode;
+use rif_ldpc::{QcLdpcCode, PAPER_CORRECTION_CAPABILITY};
 use rif_odear::accuracy::{mean_accuracy_above, measure_accuracy, measure_accuracy_with};
 use rif_odear::rp::ReadRetryPredictor;
 
@@ -20,7 +20,7 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
         QcLdpcCode::paper()
     };
     let trials = opts.pick(200, 40);
-    let capability = 0.0085;
+    let capability = PAPER_CORRECTION_CAPABILITY;
     let rbers: Vec<f64> = (3..=33).step_by(2).map(|i| i as f64 * 0.001).collect();
 
     // With approximations: the RP hardware path — pruned syndrome on the

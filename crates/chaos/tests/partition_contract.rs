@@ -11,26 +11,22 @@
 //!   accounting contract PASSES, connections were really severed
 //!   (`conn_losses > 0`), and no write is duplicated or lost.
 
-use std::time::{Duration, Instant};
+use std::io;
+use std::time::Duration;
 
 use rif_chaos::cluster::{run_cluster_scenario, ClusterScenarioConfig};
 use rif_chaos::plan::{Direction, FaultPlan};
 use rif_chaos::proxy::ChaosProxy;
 use rif_server::client::Conn;
-use rif_server::protocol::{decode_response, Request, Response};
+use rif_server::protocol::{Request, Response};
 use rif_server::server::{Server, ServerConfig};
 
-/// Pumps `conn` until a frame arrives or `window` elapses.
-fn try_response(conn: &mut Conn, window: Duration) -> Option<Response> {
-    let deadline = Instant::now() + window;
-    while Instant::now() < deadline {
-        if let Ok(Some(payload)) = conn.next_frame() {
-            return Some(decode_response(payload).expect("decodable"));
-        }
-        conn.pump().expect("conn alive");
-        std::thread::sleep(Duration::from_millis(1));
+/// Sends `req` and waits up to `window` for a reply; `None` is silence.
+fn try_call(conn: &mut Conn, req: &Request, window: Duration) -> Option<Response> {
+    match conn.call(req, window) {
+        Err(e) if e.kind() == io::ErrorKind::TimedOut => None,
+        reply => Some(reply.expect("conn alive")),
     }
-    None
 }
 
 #[test]
@@ -56,8 +52,7 @@ fn one_way_partition_blackholes_one_direction_and_heals() {
     };
 
     // Healthy path first.
-    conn.send(&read(1)).expect("send");
-    match try_response(&mut conn, Duration::from_secs(5)) {
+    match try_call(&mut conn, &read(1), Duration::from_secs(5)) {
         Some(Response::Done { tag, .. }) => assert_eq!(tag, 1),
         other => panic!("healthy read failed: {other:?}"),
     }
@@ -66,9 +61,8 @@ fn one_way_partition_blackholes_one_direction_and_heals() {
     // but its replies vanish mid-path. The TCP connection stays up —
     // this is a blackhole, not a reset.
     proxy.set_partition(Direction::Down, true);
-    conn.send(&read(2)).expect("send during partition");
     assert!(
-        try_response(&mut conn, Duration::from_millis(300)).is_none(),
+        try_call(&mut conn, &read(2), Duration::from_millis(300)).is_none(),
         "a down-partitioned proxy must not deliver replies"
     );
 
@@ -76,8 +70,7 @@ fn one_way_partition_blackholes_one_direction_and_heals() {
     // the blackhole was up), but new traffic flows again on the SAME
     // connection.
     proxy.set_partition(Direction::Down, false);
-    conn.send(&read(3)).expect("send after heal");
-    match try_response(&mut conn, Duration::from_secs(5)) {
+    match try_call(&mut conn, &read(3), Duration::from_secs(5)) {
         Some(Response::Done { tag, .. }) => assert_eq!(tag, 3),
         other => panic!("healed read failed: {other:?}"),
     }

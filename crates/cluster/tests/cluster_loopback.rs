@@ -16,7 +16,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rif_cluster::stats::NodeStats;
 use rif_cluster::{Directory, NodeInfo, RouterConfig, ShardMap};
@@ -49,21 +49,12 @@ fn start_node(seed: u64) -> Server {
 /// One STATS round-trip against a node.
 fn node_stats(addr: &str) -> NodeStats {
     let mut conn = Conn::connect(addr).expect("connect for stats");
-    conn.send(&Request::Stats { tag: 42 }).expect("send STATS");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < deadline {
-        if let Ok(Some(payload)) = conn.next_frame() {
-            match decode_response(payload) {
-                Ok(Response::Stats { text, .. }) => {
-                    return NodeStats::parse_text(&text).expect("stats text parses")
-                }
-                Ok(other) => panic!("unexpected STATS reply: {other:?}"),
-                Err(e) => panic!("undecodable STATS reply: {e}"),
-            }
+    match conn.call(&Request::Stats { tag: 42 }, Duration::from_secs(5)) {
+        Ok(Response::Stats { text, .. }) => {
+            NodeStats::parse_text(&text).expect("stats text parses")
         }
-        conn.pump().expect("stats conn alive");
+        other => panic!("unexpected STATS reply: {other:?}"),
     }
-    panic!("STATS timed out");
 }
 
 fn learner_updates(stats: &NodeStats, range: u32) -> f64 {
@@ -225,8 +216,9 @@ fn map_push_flips_a_cold_node_from_bouncing_to_serving() {
         offset: 0,
         bytes: 16 * 1024,
     };
-    conn.send(&probe).expect("send probe");
-    let resp = wait_response(&mut conn);
+    let resp = conn
+        .call(&probe, Duration::from_secs(5))
+        .expect("probe reply");
     assert!(
         matches!(resp, Response::WrongShard { epoch: 0, .. }),
         "cold node must refuse with WRONG_SHARD(0), got {resp:?}"
@@ -251,8 +243,9 @@ fn map_push_flips_a_cold_node_from_bouncing_to_serving() {
     .expect("valid map");
     let dir = Directory::start(map, 0).expect("directory starts");
 
-    conn.send(&probe).expect("send probe again");
-    let resp = wait_response(&mut conn);
+    let resp = conn
+        .call(&probe, Duration::from_secs(5))
+        .expect("second probe reply");
     assert!(
         matches!(resp, Response::Done { .. }),
         "owned range must serve after MAP_PUSH, got {resp:?}"
@@ -260,17 +253,6 @@ fn map_push_flips_a_cold_node_from_bouncing_to_serving() {
 
     dir.stop();
     node.stop();
-}
-
-fn wait_response(conn: &mut Conn) -> Response {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < deadline {
-        if let Ok(Some(payload)) = conn.next_frame() {
-            return decode_response(payload).expect("decodable");
-        }
-        conn.pump().expect("conn alive");
-    }
-    panic!("no response before deadline");
 }
 
 /// Writes `reqs` back to back on a fresh socket (no HELLO unless it is

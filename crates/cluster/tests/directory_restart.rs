@@ -45,17 +45,6 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("rif-dir-restart-{}-{tag}.txt", std::process::id()))
 }
 
-fn wait_response(conn: &mut Conn) -> Response {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < deadline {
-        if let Ok(Some(payload)) = conn.next_frame() {
-            return rif_server::protocol::decode_response(payload).expect("decodable");
-        }
-        conn.pump().expect("conn alive");
-    }
-    panic!("no response before deadline");
-}
-
 #[test]
 fn restarted_directory_restores_epoch_and_map_byte_identically() {
     let node_a = start_node(41);
@@ -116,14 +105,15 @@ fn restarted_directory_restores_epoch_and_map_byte_identically() {
     assert_eq!(text, live_text);
     let owner_now = restored.route(0).1.addr.clone();
     let mut conn = Conn::connect(&owner_now).expect("connect new owner");
-    conn.send(&Request::Read {
+    let read = Request::Read {
         tenant: 0,
         tag: 7,
         offset: 0,
         bytes: 4096,
-    })
-    .expect("send read");
-    let resp = wait_response(&mut conn);
+    };
+    let resp = conn
+        .call(&read, Duration::from_secs(5))
+        .expect("read reply");
     assert!(
         matches!(resp, Response::Done { .. }),
         "owner after restart must serve its range, got {resp:?}"

@@ -45,36 +45,16 @@ fn start_node(seed: u64) -> Server {
 
 fn node_stats(addr: &str) -> NodeStats {
     let mut conn = Conn::connect(addr).expect("connect for stats");
-    conn.send(&Request::Stats { tag: 42 }).expect("send STATS");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < deadline {
-        if let Ok(Some(payload)) = conn.next_frame() {
-            match rif_server::protocol::decode_response(payload) {
-                Ok(Response::Stats { text, .. }) => {
-                    return NodeStats::parse_text(&text).expect("stats text parses")
-                }
-                Ok(other) => panic!("unexpected STATS reply: {other:?}"),
-                Err(e) => panic!("undecodable STATS reply: {e}"),
-            }
+    match conn.call(&Request::Stats { tag: 42 }, Duration::from_secs(5)) {
+        Ok(Response::Stats { text, .. }) => {
+            NodeStats::parse_text(&text).expect("stats text parses")
         }
-        conn.pump().expect("stats conn alive");
+        other => panic!("unexpected STATS reply: {other:?}"),
     }
-    panic!("STATS timed out");
 }
 
 fn counter(stats: &NodeStats, name: &str) -> u64 {
     stats.counters.get(name).copied().unwrap_or(0)
-}
-
-fn wait_response(conn: &mut Conn) -> Response {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < deadline {
-        if let Ok(Some(payload)) = conn.next_frame() {
-            return rif_server::protocol::decode_response(payload).expect("decodable");
-        }
-        conn.pump().expect("conn alive");
-    }
-    panic!("no response before deadline");
 }
 
 #[test]
@@ -156,26 +136,28 @@ fn writes_replicate_and_followers_serve_reads_but_bounce_writes() {
 
     // Follower role probes, straight at the wire.
     let mut conn = Conn::connect(&follower.addr).expect("connect follower");
-    conn.send(&Request::Read {
+    let read = Request::Read {
         tenant: 0,
         tag: 1,
         offset: 0,
         bytes: 16 * 1024,
-    })
-    .expect("send read");
-    let resp = wait_response(&mut conn);
+    };
+    let resp = conn
+        .call(&read, Duration::from_secs(5))
+        .expect("read reply");
     assert!(
         matches!(resp, Response::Done { .. }),
         "follower must serve reads for followed ranges, got {resp:?}"
     );
-    conn.send(&Request::Write {
+    let write = Request::Write {
         tenant: 0,
         tag: 2,
         offset: 0,
         bytes: 16 * 1024,
-    })
-    .expect("send write");
-    let resp = wait_response(&mut conn);
+    };
+    let resp = conn
+        .call(&write, Duration::from_secs(5))
+        .expect("write reply");
     assert!(
         matches!(resp, Response::WrongShard { .. }),
         "follower must bounce client writes, got {resp:?}"

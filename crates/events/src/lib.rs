@@ -28,8 +28,8 @@ pub mod time;
 pub mod trace;
 
 pub use event::EventQueue;
-pub use pool::{parallel_fold, parallel_trials};
+pub use pool::parallel_trials;
 pub use rng::{SimRng, ZipfTable};
-pub use stats::{Counter, LatencyHistogram, RunningStats, UtilizationTracker};
+pub use stats::{LatencyHistogram, UtilizationTracker};
 pub use time::{SimDuration, SimTime};
 pub use trace::{JsonlSink, MetricsRegistry, SharedBuf, TraceRecord, TraceSink, Tracer};

@@ -66,20 +66,6 @@ where
         .collect()
 }
 
-/// Convenience fold over [`parallel_trials`]: runs the trials in parallel,
-/// then reduces the per-trial results *sequentially in trial order*, which
-/// keeps floating-point accumulation deterministic.
-pub fn parallel_fold<T, A, F, R>(threads: usize, trials: usize, task: F, init: A, reduce: R) -> A
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    R: FnMut(A, T) -> A,
-{
-    parallel_trials(threads, trials, task)
-        .into_iter()
-        .fold(init, reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,13 +115,6 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 1000);
         assert_eq!(out.len(), 1000);
         assert!(out.iter().enumerate().all(|(i, &v)| i == v));
-    }
-
-    #[test]
-    fn fold_accumulates_in_order() {
-        // 0,1,2,...,9 folded as decimal digits.
-        let s = parallel_fold(4, 10, |i| i as u64, 0u64, |acc, v| acc * 10 + v);
-        assert_eq!(s, 123_456_789);
     }
 
     #[test]

@@ -79,13 +79,6 @@ impl SimRng {
         SimRng::seed_from(derived)
     }
 
-    /// Derives an independent child RNG; useful to give each simulated
-    /// component its own stream without correlation.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        let s = self.next_u64() ^ salt.wrapping_mul(SPLITMIX_PHI);
-        SimRng::seed_from(s)
-    }
-
     /// Next raw 64-bit value (xoshiro256++ output function).
     pub fn next_u64(&mut self) -> u64 {
         let out = self.s[0]
@@ -267,15 +260,6 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn forked_streams_differ() {
-        let mut root = SimRng::seed_from(7);
-        let mut x = root.fork(1);
-        let mut y = root.fork(2);
-        let same = (0..32).all(|_| x.next_u64() == y.next_u64());
-        assert!(!same);
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl FlashGeometry {
         self.total_pages() * self.page_bytes as u64
     }
 
-    /// Bytes sensed by one multi-plane read (all planes of a die at once):
-    /// 16 KiB × 4 planes = 64 KiB in the paper's configuration (§III-B3).
-    pub fn multiplane_read_bytes(&self) -> usize {
-        self.page_bytes * self.planes_per_die
-    }
-
     /// Validates a page address against this geometry.
     pub fn contains(&self, a: PageAddress) -> bool {
         a.channel < self.channels
@@ -231,7 +225,6 @@ mod tests {
         let two_tib = 2u64 << 40;
         assert!(capacity > two_tib, "capacity {capacity}");
         assert!(capacity < two_tib + (two_tib / 10));
-        assert_eq!(g.multiplane_read_bytes(), 64 * 1024);
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! [`ThresholdLearner`] folds these into a per-block scalar V_REF offset
 //! (retention loss shifts all seven references down together, which is
 //! also how vendor retry sequences step) via a *bounded-step feedback
-//! controller*: every update moves the estimate by at most
-//! [`LearnerConfig::max_step`] volts and clamps it into the model's
-//! valid offset window, so a burst of noisy observations can never fling
-//! the references outside the physically meaningful range.
+//! controller*: every update moves the estimate by a bounded step and
+//! clamps it into the model's valid offset window
+//! ([`LearnerConfig::offset_window`]), so a burst of noisy observations
+//! can never fling the references outside the physically meaningful
+//! range. The tuning is fixed ([`LearnerConfig::default_paper`]).
 //!
 //! [`DriftClock`] complements the learner for long serving runs: it
 //! converts simulated wall-clock time into additional retention age and
@@ -36,42 +37,43 @@
 //! byte-identical learner state across thread counts.
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 use crate::vref::ReadVoltages;
 
-/// Tuning of the bounded-step feedback controller.
+/// Tuning of the bounded-step feedback controller. It is fixed:
+/// [`LearnerConfig::default_paper`] is the only tuning there is.
 ///
 /// # Example
 ///
 /// ```
 /// use rif_flash::learn::LearnerConfig;
 ///
-/// let cfg = LearnerConfig::default_paper();
-/// cfg.validate();
-/// assert!(cfg.min_offset < cfg.max_offset);
+/// let window = LearnerConfig::default_paper().offset_window();
+/// assert!(window.contains(&0.0)); // the default references
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LearnerConfig {
     /// Proportional gain toward a re-calibration target (0 < gain ≤ 1).
-    pub gain: f64,
+    gain: f64,
     /// Hard bound on the estimate change per update, in volts.
-    pub max_step: f64,
+    max_step: f64,
     /// Downward nudge per failed decode that produced no re-calibration
     /// observation (scaled by the retry count).
-    pub fail_step: f64,
+    fail_step: f64,
     /// Syndrome-weight watermark, as a fraction of ρs: a *passing* read
     /// whose first-attempt weight exceeds this nudges the estimate down
     /// proactively (the learned replacement for SWR+'s oracle tracking).
-    pub warn_frac: f64,
+    warn_frac: f64,
     /// Downward nudge applied on a warn-level pass.
-    pub warn_step: f64,
+    warn_step: f64,
     /// Tiny upward relaxation on a clean pass: lets the estimate track
     /// *backwards* drift (a block rewritten fresh needs less offset).
-    pub relax_step: f64,
+    relax_step: f64,
     /// Lower bound of the valid V_REF offset window, in volts.
-    pub min_offset: f64,
+    min_offset: f64,
     /// Upper bound of the valid V_REF offset window, in volts.
-    pub max_offset: f64,
+    max_offset: f64,
 }
 
 impl LearnerConfig {
@@ -91,42 +93,10 @@ impl LearnerConfig {
         }
     }
 
-    /// Checks internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any step is non-finite or non-positive where a
-    /// positive value is required, or the offset window is empty.
-    pub fn validate(&self) {
-        assert!(
-            self.gain.is_finite() && self.gain > 0.0 && self.gain <= 1.0,
-            "gain must be in (0, 1]"
-        );
-        assert!(
-            self.max_step.is_finite() && self.max_step > 0.0,
-            "max_step must be positive"
-        );
-        for (name, v) in [
-            ("fail_step", self.fail_step),
-            ("warn_step", self.warn_step),
-            ("relax_step", self.relax_step),
-        ] {
-            assert!(v.is_finite() && v >= 0.0, "{name} must be non-negative");
-        }
-        assert!(
-            self.warn_frac.is_finite() && self.warn_frac > 0.0,
-            "warn_frac must be positive"
-        );
-        assert!(
-            self.min_offset.is_finite()
-                && self.max_offset.is_finite()
-                && self.min_offset < self.max_offset,
-            "offset window must be a non-empty finite interval"
-        );
-        assert!(
-            self.min_offset <= 0.0 && self.max_offset >= 0.0,
-            "offset window must contain 0 (the default references)"
-        );
+    /// The valid V_REF offset window, in volts: every estimate stays
+    /// inside it.
+    pub fn offset_window(&self) -> RangeInclusive<f64> {
+        self.min_offset..=self.max_offset
     }
 }
 
@@ -201,13 +171,7 @@ pub struct ThresholdLearner {
 
 impl ThresholdLearner {
     /// Builds a learner.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration is invalid (see
-    /// [`LearnerConfig::validate`]).
     pub fn new(cfg: LearnerConfig) -> Self {
-        cfg.validate();
         ThresholdLearner {
             cfg,
             est: BTreeMap::new(),
@@ -238,16 +202,16 @@ impl ThresholdLearner {
     ///
     /// The controller is deliberately simple and bounded:
     ///
-    /// * a re-calibration observation pulls the estimate toward it by
-    ///   [`LearnerConfig::gain`] (an EMA over unbiased noisy targets —
-    ///   this is the main convergence mechanism);
+    /// * a re-calibration observation pulls the estimate toward it by a
+    ///   fixed gain (an EMA over unbiased noisy targets — this is the
+    ///   main convergence mechanism);
     /// * a failure without an observation nudges downward (retention
     ///   drift is downward) proportionally to the retry count;
     /// * a high-syndrome-weight pass nudges downward proactively;
     /// * a clean pass relaxes slightly upward, tracking rewrites.
     ///
-    /// Every update is clamped to ±[`LearnerConfig::max_step`] and into
-    /// the valid offset window. Pure: no randomness, no ambient state.
+    /// Every update is clamped to a maximum step and into the valid
+    /// offset window. Pure: no randomness, no ambient state.
     pub fn observe(&mut self, block: u64, outcome: &ReadOutcome) {
         let est = self.offset(block);
         let c = &self.cfg;
@@ -306,15 +270,10 @@ impl ThresholdLearner {
     }
 
     /// Rebuilds a learner from a snapshot. Offsets are clamped into the
-    /// configuration's valid window (the source may have run a different
-    /// window), and the counters resume where the source left off — the
-    /// continuity the cluster handoff test pins.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration is invalid.
+    /// valid window (the snapshot arrives off the wire, so nothing
+    /// vouches for it), and the counters resume where the source left
+    /// off — the continuity the cluster handoff test pins.
     pub fn restore(cfg: LearnerConfig, state: &LearnerState) -> Self {
-        cfg.validate();
         ThresholdLearner {
             est: state
                 .estimates
@@ -503,22 +462,6 @@ impl DriftClock {
         self.days_per_sec > 0.0 || self.pe_per_sec > 0.0
     }
 
-    /// Checks the rates are usable.
-    ///
-    /// # Panics
-    ///
-    /// Panics on negative or non-finite rates.
-    pub fn validate(&self) {
-        assert!(
-            self.days_per_sec.is_finite() && self.days_per_sec >= 0.0,
-            "days_per_sec must be finite and non-negative"
-        );
-        assert!(
-            self.pe_per_sec.is_finite() && self.pe_per_sec >= 0.0,
-            "pe_per_sec must be finite and non-negative"
-        );
-    }
-
     /// Retention days accrued after `elapsed_secs` of simulated time.
     pub fn extra_days(&self, elapsed_secs: f64) -> f64 {
         self.days_per_sec * elapsed_secs.max(0.0)
@@ -607,7 +550,7 @@ mod tests {
             );
             let o = l.offset(0);
             assert!(
-                (l.config().min_offset..=l.config().max_offset).contains(&o),
+                l.config().offset_window().contains(&o),
                 "offset {o} escaped"
             );
         }
@@ -693,25 +636,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "offset window")]
-    fn config_rejects_empty_window() {
-        let mut c = LearnerConfig::default_paper();
-        c.min_offset = 0.2;
-        ThresholdLearner::new(c);
-    }
-
-    #[test]
     fn drift_clock_accrues_linearly() {
         let d = DriftClock {
             days_per_sec: 100.0,
             pe_per_sec: 50_000.0,
         };
-        d.validate();
         assert!((d.extra_days(0.5) - 50.0).abs() < 1e-12);
         assert_eq!(d.extra_pe(0.5), 25_000);
         assert_eq!(d.extra_days(-1.0), 0.0);
         assert!(!DriftClock::disabled().enabled());
-        DriftClock::disabled().validate();
     }
 
     #[test]
@@ -792,10 +725,10 @@ mod tests {
             estimates: vec![(1, -5.0), (2, 5.0)],
             stats: LearnerStats::default(),
         };
-        let cfg = LearnerConfig::default_paper();
-        let l = ThresholdLearner::restore(cfg, &state);
-        assert_eq!(l.offset(1), cfg.min_offset);
-        assert_eq!(l.offset(2), cfg.max_offset);
+        let window = LearnerConfig::default_paper().offset_window();
+        let l = ThresholdLearner::restore(LearnerConfig::default_paper(), &state);
+        assert_eq!(l.offset(1), *window.start());
+        assert_eq!(l.offset(2), *window.end());
     }
 
     #[test]
@@ -811,15 +744,5 @@ mod tests {
         let parsed = LearnerState::parse_text(&capped).unwrap();
         assert!(parsed.estimates.len() < 100);
         assert!(!parsed.estimates.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "days_per_sec")]
-    fn drift_clock_rejects_nan() {
-        DriftClock {
-            days_per_sec: f64::NAN,
-            pe_per_sec: 0.0,
-        }
-        .validate();
     }
 }

@@ -18,7 +18,7 @@ use rif_events::SimRng;
 
 use crate::geometry::PageKind;
 use crate::vref::ReadVoltages;
-use crate::vth::{OperatingPoint, StateParam, TlcModel};
+use crate::vth::{bisect, OperatingPoint, StateParam, TlcModel};
 
 /// Per-block reliability profile drawn from process variation.
 ///
@@ -182,15 +182,8 @@ impl ErrorModel {
         if rber(max_days) <= cap {
             return None;
         }
-        let (mut lo, mut hi) = (0.0, max_days);
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            if rber(mid) > cap {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
+        // Negated rather than `<=`: a NaN RBER must move `lo`.
+        let (lo, hi) = bisect(0.0, max_days, 40, |mid| !(rber(mid) > cap));
         Some(0.5 * (lo + hi))
     }
 }

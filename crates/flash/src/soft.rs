@@ -172,15 +172,9 @@ mod tests {
         // Find the block-variation factor putting the hard RBER at ~0.0125.
         let op = OperatingPoint::new(2000, 28.0);
         let refs = model.default_refs();
-        let (mut lo, mut hi) = (0.5f64, 2.0f64);
-        for _ in 0..40 {
-            let mid = 0.5 * (lo + hi);
-            if model.rber(op, mid, &refs, PageKind::Csb) < 0.0125 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
+        let (lo, hi) = crate::vth::bisect(0.5, 2.0, 40, |mid| {
+            model.rber(op, mid, &refs, PageKind::Csb) < 0.0125
+        });
         let factor = 0.5 * (lo + hi);
         let hard_rber = model.rber(op, factor, &refs, PageKind::Csb);
         assert!(

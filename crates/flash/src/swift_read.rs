@@ -16,7 +16,7 @@ use rif_events::SimRng;
 
 use crate::geometry::PageKind;
 use crate::vref::ReadVoltages;
-use crate::vth::{Aging, OperatingPoint, TlcModel};
+use crate::vth::{bisect, Aging, OperatingPoint, TlcModel};
 
 /// Retention ages the inversion searches: `[0, SEARCH_DAYS]` days.
 const SEARCH_DAYS: f64 = 60.0;
@@ -150,20 +150,6 @@ struct Inversion {
     evals: u32,
     /// Whether the replay's checks failed and plain bisection finished.
     fell_back: bool,
-}
-
-/// `steps` bisection steps on `[lo, hi]`; `left(mid)` says whether the
-/// crossing lies above `mid`. Returns the final bracket.
-fn bisect(mut lo: f64, mut hi: f64, steps: u32, mut left: impl FnMut(f64) -> bool) -> (f64, f64) {
-    for _ in 0..steps {
-        let mid = 0.5 * (lo + hi);
-        if left(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    (lo, hi)
 }
 
 impl SwiftRead {

@@ -59,19 +59,6 @@ impl ReadVoltages {
         }
         ReadVoltages { refs }
     }
-
-    /// A copy with per-reference offsets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the offsets break the strict ordering.
-    pub fn offset_each(&self, deltas: &[f64; 7]) -> ReadVoltages {
-        let mut refs = self.refs;
-        for (v, d) in refs.iter_mut().zip(deltas) {
-            *v += d;
-        }
-        ReadVoltages::new(refs)
-    }
 }
 
 impl From<[f64; 7]> for ReadVoltages {
@@ -108,9 +95,6 @@ mod tests {
         for r in 1..=7 {
             assert!((down.get(r) - (v.get(r) - 0.2)).abs() < 1e-12);
         }
-        let each = v.offset_each(&[0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1]);
-        assert!((each.get(1) - 0.6).abs() < 1e-12);
-        assert!((each.get(4) - 3.5).abs() < 1e-12);
     }
 
     #[test]

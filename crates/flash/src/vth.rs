@@ -403,7 +403,7 @@ pub(crate) fn gauss_mass(p: &StateParam, lo: f64, hi: f64) -> f64 {
 /// The equal-density crossing point of two Gaussians, constrained to lie
 /// between the two means (the decision-optimal read reference for
 /// equiprobable states).
-fn gaussian_intersection(a: StateParam, b: StateParam) -> f64 {
+pub(crate) fn gaussian_intersection(a: StateParam, b: StateParam) -> f64 {
     debug_assert!(a.mean < b.mean, "states must be ordered");
     if (a.sigma - b.sigma).abs() < 1e-12 {
         return 0.5 * (a.mean + b.mean);
@@ -423,6 +423,25 @@ fn gaussian_intersection(a: StateParam, b: StateParam) -> f64 {
         }
     }
     0.5 * (m1 + m2)
+}
+
+/// `steps` bisection steps on `[lo, hi]`; `left(mid)` says whether the
+/// crossing lies above `mid`. Returns the final bracket.
+pub(crate) fn bisect(
+    mut lo: f64,
+    mut hi: f64,
+    steps: u32,
+    mut left: impl FnMut(f64) -> bool,
+) -> (f64, f64) {
+    for _ in 0..steps {
+        let mid = 0.5 * (lo + hi);
+        if left(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, hi)
 }
 
 #[cfg(test)]

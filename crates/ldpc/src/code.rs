@@ -34,6 +34,15 @@ pub struct QcLdpcCode {
 /// QC-LDPC engine (§II-B1: failure probability exceeds 10⁻¹ beyond 0.0085).
 pub const PAPER_CORRECTION_CAPABILITY: f64 = 0.0085;
 
+/// Circulant size `t` of the paper's code (footnote 6): every block is a
+/// 1024 × 1024 circulant, so a block row holds 1024 parity checks.
+pub const PAPER_CIRCULANT_SIZE: usize = 1024;
+
+/// Weight of the paper code's first block row: its 32 data blocks plus
+/// the 2 parity blocks the dual diagonal places there. The pruned
+/// syndrome RP computes on die sums this many bits per check.
+pub const PAPER_ROW_WEIGHT: usize = 34;
+
 impl QcLdpcCode {
     /// Wraps an existing parity-check matrix.
     ///
@@ -48,7 +57,12 @@ impl QcLdpcCode {
 
     /// The paper's full-size code: 4 × 36 blocks of 1024 × 1024 circulants.
     pub fn paper() -> Self {
-        QcLdpcCode::new(QcMatrix::paper_structure(4, 36, 1024, 0x51F0_0D1E))
+        QcLdpcCode::new(QcMatrix::paper_structure(
+            4,
+            36,
+            PAPER_CIRCULANT_SIZE,
+            0x51F0_0D1E,
+        ))
     }
 
     /// Same block structure with 64-bit circulants (2 304-bit codewords);
@@ -78,11 +92,6 @@ impl QcLdpcCode {
     /// Number of data bits per codeword.
     pub fn data_bits(&self) -> usize {
         self.h.data_cols_b() * self.h.t()
-    }
-
-    /// Number of parity bits per codeword.
-    pub fn parity_bits(&self) -> usize {
-        self.n() - self.data_bits()
     }
 
     /// Code rate (data bits / codeword bits).
@@ -194,8 +203,15 @@ mod tests {
         let code = QcLdpcCode::paper();
         assert_eq!(code.n(), 36_864);
         assert_eq!(code.data_bits(), 32_768); // 4 KiB
-        assert_eq!(code.parity_bits(), 4_096);
+        assert_eq!(code.n() - code.data_bits(), 4_096);
         assert!((code.rate() - 8.0 / 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn paper_constants_match_the_paper_code() {
+        let code = QcLdpcCode::paper();
+        assert_eq!(code.matrix().t(), PAPER_CIRCULANT_SIZE);
+        assert_eq!(code.matrix().row_weight(0), PAPER_ROW_WEIGHT);
     }
 
     #[test]

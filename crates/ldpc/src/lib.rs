@@ -51,6 +51,6 @@ pub mod syndrome;
 
 pub use bits::BitVec;
 pub use channel::{Bsc, SoftChannel};
-pub use code::QcLdpcCode;
+pub use code::{QcLdpcCode, PAPER_CIRCULANT_SIZE, PAPER_CORRECTION_CAPABILITY, PAPER_ROW_WEIGHT};
 pub use matrix::QcMatrix;
 pub use model::EccModel;

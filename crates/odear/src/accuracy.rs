@@ -15,7 +15,7 @@ use rif_ldpc::bits::BitVec;
 use rif_ldpc::channel::Bsc;
 use rif_ldpc::decoder::MinSumDecoder;
 use rif_ldpc::model::normal_cdf;
-use rif_ldpc::QcLdpcCode;
+use rif_ldpc::{QcLdpcCode, PAPER_CIRCULANT_SIZE, PAPER_CORRECTION_CAPABILITY, PAPER_ROW_WEIGHT};
 
 use crate::rp::ReadRetryPredictor;
 
@@ -181,11 +181,15 @@ pub struct RpBehavior {
 }
 
 impl RpBehavior {
-    /// The paper's configuration: t = 1024 syndromes of row weight 34
-    /// (32 data blocks + 2 parity blocks in the first block row),
-    /// ρs calibrated at RBER 0.0085.
+    /// The paper's configuration: [`PAPER_CIRCULANT_SIZE`] syndromes of
+    /// [`PAPER_ROW_WEIGHT`], ρs calibrated at
+    /// [`PAPER_CORRECTION_CAPABILITY`].
     pub fn paper_default() -> Self {
-        Self::calibrated(1024, 34, 0.0085)
+        Self::calibrated(
+            PAPER_CIRCULANT_SIZE,
+            PAPER_ROW_WEIGHT,
+            PAPER_CORRECTION_CAPABILITY,
+        )
     }
 
     /// Builds a behaviour model for a code with `t` pruned syndromes of

@@ -19,7 +19,7 @@ use rif_flash::rber::{BlockProfile, ErrorModel};
 use rif_flash::vth::OperatingPoint;
 use rif_ldpc::bits::BitVec;
 use rif_ldpc::channel::Bsc;
-use rif_ldpc::QcLdpcCode;
+use rif_ldpc::{QcLdpcCode, PAPER_CORRECTION_CAPABILITY};
 
 use crate::rp::{Prediction, ReadRetryPredictor};
 use crate::rvs::ReadVoltageSelector;
@@ -76,10 +76,10 @@ pub struct OdearEngine {
 }
 
 impl OdearEngine {
-    /// Builds an engine with ρs calibrated at the paper's 0.0085
-    /// capability and Table I timing.
+    /// Builds an engine with ρs calibrated at the paper's correction
+    /// capability ([`PAPER_CORRECTION_CAPABILITY`]) and Table I timing.
     pub fn new(code: QcLdpcCode, model: ErrorModel) -> Self {
-        let rp = ReadRetryPredictor::for_capability(&code, 0.0085);
+        let rp = ReadRetryPredictor::for_capability(&code, PAPER_CORRECTION_CAPABILITY);
         let rvs = ReadVoltageSelector::new(model.tlc().clone());
         OdearEngine {
             code,

@@ -147,11 +147,7 @@ fn main() {
         Mode::Replay(path) => {
             let cap = load_capture(&path);
             let rcfg = ReplayConfig {
-                addr: cfg.addr.clone(),
-                connections: cfg.connections,
-                depth: cfg.depth,
                 speed,
-                batch: cfg.batch,
                 base: cfg.clone(),
             };
             run_replay_journaled(&rcfg, &cap).map(|(report, journal)| {

@@ -26,31 +26,24 @@ use crate::client::{run_plans, Journal, LoadConfig, LoadReport, PlannedIo};
 /// Replay configuration.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
-    /// Server address, e.g. `127.0.0.1:7878`.
-    pub addr: String,
-    /// Connections the capture is striped across (round-robin).
-    pub connections: usize,
-    /// Outstanding-request window per connection.
-    pub depth: usize,
     /// Pacing multiplier: `2.0` replays at twice the recorded speed,
     /// `0.5` at half. Must be positive.
     pub speed: f64,
-    /// Requests per BATCH frame (`<= 1` = single-request frames).
-    pub batch: usize,
-    /// The underlying load-client knobs (deadlines, retries, reconnects)
-    /// reused verbatim.
+    /// The load-client knobs, reused verbatim except `requests` (the
+    /// capture's length): the server address, the connections the
+    /// capture is striped across (round-robin), the window per
+    /// connection, the BATCH size, deadlines, retries and reconnects.
     pub base: LoadConfig,
 }
 
 impl Default for ReplayConfig {
     fn default() -> Self {
         ReplayConfig {
-            addr: String::new(),
-            connections: 2,
-            depth: 16,
             speed: 1.0,
-            batch: 1,
-            base: LoadConfig::default(),
+            base: LoadConfig {
+                depth: 16,
+                ..LoadConfig::default()
+            },
         }
     }
 }
@@ -92,10 +85,11 @@ impl ReplayDiff {
 /// never reorders the capture.
 pub fn plans_from_capture(cfg: &ReplayConfig, cap: &Capture) -> Vec<Vec<PlannedIo>> {
     assert!(cfg.speed > 0.0, "replay speed must be positive");
-    assert!(cfg.connections > 0, "need at least one connection");
-    let mut plans: Vec<Vec<PlannedIo>> = vec![Vec::new(); cfg.connections];
+    let connections = cfg.base.connections;
+    assert!(connections > 0, "need at least one connection");
+    let mut plans: Vec<Vec<PlannedIo>> = vec![Vec::new(); connections];
     for (i, r) in cap.records.iter().enumerate() {
-        plans[i % cfg.connections].push(PlannedIo {
+        plans[i % connections].push(PlannedIo {
             op: r.op,
             offset: r.offset,
             bytes: r.bytes,
@@ -113,11 +107,7 @@ pub fn run_replay_journaled(
     cap: &Capture,
 ) -> io::Result<(LoadReport, Journal)> {
     let load = LoadConfig {
-        addr: cfg.addr.clone(),
-        connections: cfg.connections,
-        depth: cfg.depth,
         requests: cap.len(),
-        batch: cfg.batch,
         ..cfg.base.clone()
     };
     run_plans(&load, plans_from_capture(cfg, cap))
@@ -197,9 +187,11 @@ mod tests {
             cap_rec(200, IoOp::Read, 8192, 4096),
         ]);
         let cfg = ReplayConfig {
-            connections: 2,
             speed: 2.0,
-            ..ReplayConfig::default()
+            base: LoadConfig {
+                connections: 2,
+                ..LoadConfig::default()
+            },
         };
         let plans = plans_from_capture(&cfg, &cap);
         assert_eq!(plans[0].len(), 2);

@@ -198,12 +198,14 @@ fn live_replay_matches_its_capture() {
 
     let target = capture_server(ServerConfig::default());
     let rcfg = ReplayConfig {
-        addr: target.local_addr().to_string(),
-        connections: 2,
-        depth: 8,
         speed: 20.0,
-        batch: 4,
-        ..ReplayConfig::default()
+        base: LoadConfig {
+            addr: target.local_addr().to_string(),
+            connections: 2,
+            depth: 8,
+            batch: 4,
+            ..LoadConfig::default()
+        },
     };
     let (report, journal) = run_replay_journaled(&rcfg, &cap).expect("replay run");
     assert_eq!(report.completed, requests as u64, "{}", report.to_json());

@@ -4,7 +4,6 @@ use rif_events::SimDuration;
 use rif_flash::chip::FlashTiming;
 use rif_flash::geometry::FlashGeometry;
 use rif_flash::learn::{DriftClock, LearnerConfig};
-use rif_flash::rber::ErrorModel;
 use rif_ldpc::EccModel;
 use rif_odear::RpBehavior;
 
@@ -27,11 +26,6 @@ pub enum LearningMode {
 }
 
 impl LearningMode {
-    /// Whether the learned path is active.
-    pub fn is_learned(&self) -> bool {
-        matches!(self, LearningMode::Learned(_))
-    }
-
     /// The learner configuration, when learning is enabled.
     pub fn learner_config(&self) -> Option<&LearnerConfig> {
         match self {
@@ -67,8 +61,6 @@ pub struct SsdConfig {
     pub pe_cycles: u32,
     /// Behavioural ECC model (failure probability, tECC).
     pub ecc: EccModel,
-    /// NAND error model (RBER vs stress).
-    pub error_model: ErrorModel,
     /// RP behaviour model (for `RPSSD` / `RiFSSD`).
     pub rp: RpBehavior,
     /// Channel-level ECC engine input buffer, in 16-KiB pages. When full,
@@ -91,12 +83,10 @@ pub struct SsdConfig {
     pub drift: DriftClock,
     /// Program/erase suspend-resume: when enabled, an arriving read
     /// preempts an in-flight program or erase on its die (the remainder
-    /// resumes afterwards plus [`SsdConfig::suspend_overhead`]). An
+    /// resumes afterwards plus a fixed 20-µs resume overhead). An
     /// enterprise-SSD latency feature of MQSim-class simulators; off by
     /// default to match the paper's configuration.
     pub read_suspend: bool,
-    /// Extra die time to resume a suspended program/erase.
-    pub suspend_overhead: SimDuration,
     /// Test hook: when set, decode failures are not sampled — the first
     /// decode of slot `s` fails iff `s` is in this list, and retried reads
     /// always succeed. Used by the Fig. 7/8 timeline and unit tests.
@@ -118,7 +108,6 @@ impl SsdConfig {
             retry,
             pe_cycles,
             ecc: EccModel::paper_default(),
-            error_model: ErrorModel::calibrated(),
             rp: RpBehavior::paper_default(),
             ecc_buffer_pages: 2,
             queue_depth: 64,
@@ -127,7 +116,6 @@ impl SsdConfig {
             learning: LearningMode::Oracle,
             drift: DriftClock::disabled(),
             read_suspend: false,
-            suspend_overhead: SimDuration::from_us(20),
             forced_failure_slots: None,
             hybrid: None,
         }
@@ -158,7 +146,8 @@ impl SsdConfig {
     ///
     /// Panics when the configuration cannot drive a simulation (zero
     /// queue depth, zero ECC buffer, or a host link slower than a single
-    /// channel would make the channel model meaningless).
+    /// channel would make the channel model meaningless) or a drift rate
+    /// is negative or not finite.
     pub fn validate(&self) {
         assert!(self.queue_depth > 0, "queue depth must be positive");
         assert!(
@@ -170,10 +159,14 @@ impl SsdConfig {
             self.host_bw_bytes_per_sec > 0,
             "host bandwidth must be positive"
         );
-        self.drift.validate();
-        if let Some(learn) = self.learning.learner_config() {
-            learn.validate();
-        }
+        assert!(
+            self.drift.days_per_sec.is_finite() && self.drift.days_per_sec >= 0.0,
+            "days_per_sec must be finite and non-negative"
+        );
+        assert!(
+            self.drift.pe_per_sec.is_finite() && self.drift.pe_per_sec >= 0.0,
+            "pe_per_sec must be finite and non-negative"
+        );
         if let Some(h) = &self.hybrid {
             h.validate();
         }
@@ -216,7 +209,6 @@ mod tests {
     #[test]
     fn default_learning_is_oracle_with_drift_off() {
         let c = SsdConfig::paper(RetryKind::Rif, 1000);
-        assert!(!c.learning.is_learned());
         assert!(c.learning.learner_config().is_none());
         assert!(!c.drift.enabled());
         c.validate();
@@ -230,7 +222,7 @@ mod tests {
             days_per_sec: 100.0,
             pe_per_sec: 5.0,
         };
-        assert!(c.learning.is_learned());
+        assert!(c.learning.learner_config().is_some());
         c.validate();
     }
 
@@ -240,6 +232,17 @@ mod tests {
         let mut c = SsdConfig::small(RetryKind::Zero, 0);
         c.drift = DriftClock {
             days_per_sec: -1.0,
+            pe_per_sec: 0.0,
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "days_per_sec")]
+    fn validate_rejects_nan_drift() {
+        let mut c = SsdConfig::small(RetryKind::Zero, 0);
+        c.drift = DriftClock {
+            days_per_sec: f64::NAN,
             pe_per_sec: 0.0,
         };
         c.validate();

@@ -21,7 +21,6 @@
 //! background scheduler half lives in the simulator, driven by
 //! [`BgConfig`].
 
-use rif_events::SimDuration;
 use rif_flash::mlc::MlcModel;
 use rif_flash::vth::OperatingPoint;
 
@@ -98,10 +97,6 @@ pub enum MigrationPolicy {
 /// Background-traffic scheduler knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BgConfig {
-    /// Scheduler period.
-    pub tick: SimDuration,
-    /// Maximum slots migrated per tick.
-    pub migrate_batch: usize,
     /// Cache occupancy that starts a background drain.
     pub high_watermark: f64,
     /// Occupancy at which a running drain stops.
@@ -119,8 +114,6 @@ pub struct BgConfig {
 impl Default for BgConfig {
     fn default() -> Self {
         BgConfig {
-            tick: SimDuration::from_us(200),
-            migrate_batch: 32,
             high_watermark: 0.5,
             low_watermark: 0.3,
             refresh_interval_days: 30.0,
@@ -176,7 +169,8 @@ impl HybridConfig {
     /// # Panics
     ///
     /// Panics on out-of-range fractions, an SLC capacity mode, inverted
-    /// watermarks, or degenerate scheduler knobs.
+    /// watermarks, a negative refresh interval or a non-positive
+    /// destination-RBER margin.
     pub fn validate(&self) {
         assert!(
             (0.0..=0.9).contains(&self.cache_fraction),
@@ -193,8 +187,6 @@ impl HybridConfig {
                 && self.bg.low_watermark <= self.high_watermark(),
             "watermarks must satisfy 0 <= low <= high <= 1"
         );
-        assert!(!self.bg.tick.is_zero(), "bg tick must be positive");
-        assert!(self.bg.migrate_batch > 0, "migrate batch must be positive");
         assert!(
             self.bg.refresh_interval_days >= 0.0,
             "refresh interval must be non-negative"

@@ -42,11 +42,6 @@ impl RetentionTracker {
         self.write_time.insert(slot, now);
     }
 
-    /// True when `slot` has never been written during the simulation.
-    pub fn is_cold(&self, slot: u64) -> bool {
-        self.write_time.get(slot).is_none()
-    }
-
     /// Retention age in days of `slot`'s data at time `now`.
     ///
     /// Written slots age from their write time (microseconds to seconds —
@@ -95,10 +90,8 @@ mod tests {
     fn writes_reset_age() {
         let mut t = RetentionTracker::new(30.0, 1);
         let now = SimTime::from_secs(100);
-        assert!(t.is_cold(42));
         let cold_age = t.age_days(42, now);
         t.record_write(42, now);
-        assert!(!t.is_cold(42));
         let fresh_age = t.age_days(42, now + SimDuration::from_secs(10));
         assert!(fresh_age < 1e-3, "fresh age {fresh_age}");
         assert!(cold_age > fresh_age);

@@ -4,6 +4,12 @@
 
 use super::*;
 
+/// The background scheduler's period.
+const BG_TICK: SimDuration = SimDuration::from_us(200);
+
+/// Most slots one tick migrates out of the SLC cache.
+const MIGRATE_BATCH: usize = 32;
+
 /// Live state of the hybrid subsystem: the precomputed cell-mode RBER
 /// amplification table and the background scheduler's bookkeeping. The
 /// mapping itself is always `Simulator::ftl`.
@@ -94,7 +100,7 @@ impl Simulator {
     pub(super) fn arm_bg_tick(&mut self) {
         if let Some(h) = self.hybrid.as_mut().filter(|h| !h.tick_armed) {
             h.tick_armed = true;
-            let at = self.events.now() + h.conf.bg.tick;
+            let at = self.events.now() + BG_TICK;
             self.events.schedule(at, Ev::BgTick);
         }
     }
@@ -137,7 +143,7 @@ impl Simulator {
                 }
             };
             if allow {
-                for slot in self.ftl.migration_candidates(h.conf.bg.migrate_batch) {
+                for slot in self.ftl.migration_candidates(MIGRATE_BATCH) {
                     if self.ftl.cache_occupancy() <= h.conf.bg.low_watermark {
                         break;
                     }
@@ -192,7 +198,7 @@ impl Simulator {
         // scheduler replay every elapsed period before serving it.
         if self.unfinished_requests() > 0 {
             h.tick_armed = true;
-            let mut at = now + h.conf.bg.tick;
+            let mut at = now + BG_TICK;
             if migrated + refreshed == 0 {
                 if let Some(next) = self.events.peek_time() {
                     at = at.max(next);

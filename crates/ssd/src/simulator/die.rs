@@ -4,6 +4,9 @@
 
 use super::*;
 
+/// Extra die time to resume a suspended program or erase.
+const SUSPEND_OVERHEAD: SimDuration = SimDuration::from_us(20);
+
 /// What a die command does when it completes.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum DieWork {
@@ -133,7 +136,7 @@ impl Simulator {
             // The suspended command's span ends here; its resumed
             // remainder opens a fresh span when it restarts.
             let mut resumed = d.station.finish(now, &mut self.tracer);
-            resumed.duration = d.busy_until.since(now) + self.cfg.suspend_overhead;
+            resumed.duration = d.busy_until.since(now) + SUSPEND_OVERHEAD;
             resumed.suspensions += 1;
             d.epoch += 1; // invalidate the scheduled completion
             d.station.queue.push_front(resumed);

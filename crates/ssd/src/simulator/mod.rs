@@ -35,7 +35,7 @@ use rif_events::trace::{labeled, MetricsRegistry, TraceSink, Tracer};
 use rif_events::{EventQueue, LatencyHistogram, SimDuration, SimRng, SimTime, UtilizationTracker};
 use rif_flash::chip::FlashTiming;
 use rif_flash::learn::{ReadOutcome, ThresholdLearner};
-use rif_flash::rber::BlockProfile;
+use rif_flash::rber::{BlockProfile, ErrorModel};
 use rif_flash::swift_read::SwiftRead;
 use rif_flash::vth::OperatingPoint;
 use rif_workloads::{IoOp, IoRequest, Trace};
@@ -181,6 +181,8 @@ impl<T> IndexMut<usize> for Slab<T> {
 /// [`SimReport`]. The [crate documentation](crate) has a usage example.
 pub struct Simulator {
     cfg: SsdConfig,
+    /// The NAND error model (RBER vs stress): always the calibrated one.
+    error_model: ErrorModel,
     rng: SimRng,
     events: EventQueue<Ev>,
     /// The one mapping layer; it has an SLC cache region only when the
@@ -246,11 +248,13 @@ impl Simulator {
             .learning
             .learner_config()
             .map(|c| ThresholdLearner::new(*c));
+        let error_model = ErrorModel::calibrated();
         let swift = learner
             .as_ref()
-            .map(|_| SwiftRead::new(cfg.error_model.tlc().clone()));
+            .map(|_| SwiftRead::new(error_model.tlc().clone()));
         let cache_fraction = cfg.hybrid.as_ref().map_or(0.0, |h| h.cache_fraction);
         Simulator {
+            error_model,
             rng: SimRng::seed_from(cfg.seed),
             ftl: Ftl::with_cache(cfg.geometry, cache_fraction),
             hybrid: HybridState::new(&cfg),

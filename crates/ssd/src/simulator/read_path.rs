@@ -98,7 +98,7 @@ impl Simulator {
         let amplify = |rber: f64| amplified(amp, rber);
         // One evaluation of the block's V_TH distributions prices every
         // reference set this read is tried at.
-        let model = &self.cfg.error_model;
+        let model = &self.error_model;
         let params = model.state_params(block, op);
         let (initial, rber_optimal) = match &self.learner {
             // Learned mode: every scheme starts from the controller's
@@ -234,7 +234,7 @@ impl Simulator {
         let n_cells = self.cfg.geometry.page_bytes * 8;
         let observed = sw.observe_ones(op, block.factor, kind, n_cells, &mut self.rng);
         let refs = sw.refs_from_observation(op.pe_cycles, kind, observed);
-        let defaults = self.cfg.error_model.default_refs();
+        let defaults = self.error_model.default_refs();
         let offset = refs
             .as_array()
             .iter()
@@ -242,7 +242,7 @@ impl Simulator {
             .map(|(r, d)| r - d)
             .sum::<f64>()
             / 7.0;
-        let rber = self.cfg.error_model.rber_at(block, op, refs, kind);
+        let rber = self.error_model.rber_at(block, op, refs, kind);
         (amplified(g.amp, rber), Some(offset))
     }
 
@@ -375,7 +375,7 @@ impl Simulator {
         let learner = self.learner.as_mut().expect("learner checked by caller");
         learner.observe(block_id, &outcome);
         let est = learner.offset(block_id);
-        let truth = self.cfg.error_model.optimal_offset(block, op);
+        let truth = self.error_model.optimal_offset(block, op);
         let err = (est - truth).abs();
         self.learn_err_sum += err;
         self.learn_err_samples += 1;

@@ -580,9 +580,9 @@ fn fifo_migration_and_refresh_under_drift_are_deterministic() {
         h.migration = crate::hybrid::MigrationPolicy::Fifo;
         h.bg.high_watermark = 0.001;
         h.bg.low_watermark = 0.0;
-        // A drain that takes two residents a tick: which two, and
-        // so every later location, hangs on the candidate order.
-        h.bg.migrate_batch = 2;
+        // A drain moves up to a batch of residents a tick. Which ones,
+        // and the order they land in capacity blocks, follow the
+        // candidate order and decide every later location.
         let report = Simulator::new(cfg).with_metrics().run(&trace);
         let h = report.hybrid.expect("hybrid run must summarize");
         assert!(h.migrated_slots > 0 && h.refreshed_slots > 0, "{h:?}");

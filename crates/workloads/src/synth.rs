@@ -16,6 +16,9 @@ use rif_events::{SimRng, SimTime, ZipfTable};
 
 use crate::trace::{IoOp, IoRequest, Trace};
 
+/// Address alignment of generated requests: one 16-KiB flash page.
+const ALIGN_BYTES: u32 = 16 * 1024;
+
 /// Configuration of the synthetic trace generator.
 ///
 /// # Example
@@ -46,13 +49,11 @@ pub struct SynthConfig {
     pub cold_region_bytes: u64,
     /// Zipf exponent for hot-region locality (0 = uniform).
     pub zipf_s: f64,
-    /// Request size in bytes (must be a multiple of `align_bytes`);
+    /// Request size in bytes (must be a multiple of the 16-KiB page);
     /// the paper's root-cause analysis uses 256-KiB host reads split into
     /// 64-KiB multi-plane commands, and cloud block traces are dominated
     /// by mid-size requests.
     pub request_bytes: u32,
-    /// Address alignment (one flash page).
-    pub align_bytes: u32,
     /// Mean request interarrival time in nanoseconds (Poisson process).
     pub mean_interarrival_ns: f64,
 }
@@ -66,7 +67,6 @@ impl Default for SynthConfig {
             cold_region_bytes: 16 << 30, // 16 GiB
             zipf_s: 0.9,
             request_bytes: 64 * 1024,
-            align_bytes: 16 * 1024,
             // 64-KiB requests every 8 µs ≈ 8 GB/s offered load: enough to
             // saturate the PCIe 4.0 x4 host link of Table I.
             mean_interarrival_ns: 8_000.0,
@@ -93,7 +93,7 @@ impl SynthConfig {
             self.cold_read_ratio
         );
         assert!(
-            self.request_bytes > 0 && self.request_bytes % self.align_bytes == 0,
+            self.request_bytes > 0 && self.request_bytes % ALIGN_BYTES == 0,
             "request size must be a positive multiple of the alignment"
         );
         assert!(
@@ -210,7 +210,7 @@ mod tests {
         let t = cfg.generate(2000, 11);
         let bound = cfg.hot_region_bytes + cfg.cold_region_bytes;
         for r in &t {
-            assert_eq!(r.offset % cfg.align_bytes as u64, 0);
+            assert_eq!(r.offset % ALIGN_BYTES as u64, 0);
             assert!(r.end() <= bound, "request beyond footprint: {r:?}");
         }
     }

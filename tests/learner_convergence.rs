@@ -7,7 +7,7 @@
 //!    tolerance of the optimum.
 //! 2. **Window safety** — no outcome stream, however adversarial, can
 //!    push an estimate (and hence the issued read references) outside
-//!    the configured `[min_offset, max_offset]` window.
+//!    the configured offset window (`LearnerConfig::offset_window`).
 //! 3. **Purity** — the learner is a pure function of its outcome
 //!    stream: replaying a stream reproduces every estimate bit-for-bit
 //!    (`f64::to_bits`) and every counter.
@@ -99,7 +99,7 @@ proptest! {
             l.observe(block, &outcome(k, retries, frac, target));
             for (b, est) in l.estimates() {
                 prop_assert!(
-                    est.is_finite() && (cfg.min_offset..=cfg.max_offset).contains(&est),
+                    est.is_finite() && cfg.offset_window().contains(&est),
                     "block {b}: estimate {est} escaped the window");
             }
             // The refs actually issued stay finite and ordered (new()
