@@ -16,7 +16,6 @@ pub mod fig07_timeline;
 pub mod fig10_syndrome_correlation;
 pub mod fig11_rp_accuracy;
 pub mod fig12_chunk_similarity;
-pub mod fig14_rp_approx_accuracy;
 pub mod fig17_bandwidth;
 pub mod fig18_channel_usage;
 pub mod fig19_latency_cdf;
@@ -45,7 +44,6 @@ pub const EXPERIMENTS: &[(&str, RunFn)] = &[
     ),
     ("fig11_rp_accuracy", fig11_rp_accuracy::run),
     ("fig12_chunk_similarity", fig12_chunk_similarity::run),
-    ("fig14_rp_approx_accuracy", fig14_rp_approx_accuracy::run),
     ("fig17_bandwidth", fig17_bandwidth::run),
     ("fig18_channel_usage", fig18_channel_usage::run),
     ("fig19_latency_cdf", fig19_latency_cdf::run),

@@ -1,7 +1,8 @@
 //! A dependency-free worker pool for deterministic Monte-Carlo fan-out.
 //!
-//! The figure-reproduction binaries run thousands of independent
-//! encode → corrupt → decode trials. [`parallel_trials`] spreads them over
+//! The Monte-Carlo experiments of `rif-bench` run thousands of independent
+//! encode → corrupt → decode trials (`rif_ldpc::analysis::page_trials`).
+//! [`parallel_trials`] spreads them over
 //! `std::thread::scope` workers while keeping the output *bit-identical*
 //! for every thread count:
 //!

@@ -1,6 +1,7 @@
-//! Monte-Carlo sweeps over the real code, regenerating the raw data behind
-//! Fig. 3 (decoding capability) and Fig. 10 (RBER ↔ syndrome-weight
-//! correlation).
+//! The one Monte-Carlo page loop over the real code, [`page_trials`], and
+//! the sweeps over it behind Fig. 3 (decoding capability) and Fig. 10
+//! (RBER ↔ syndrome-weight correlation); `rif_odear::accuracy` scores RP
+//! on it (Figs. 11 and 14).
 //!
 //! Trials fan out over a `threads`-wide worker pool with one RNG stream
 //! per trial (`SimRng::stream`), so every sweep returns the same points
@@ -39,10 +40,43 @@ pub struct SyndromePoint {
     pub trials: usize,
 }
 
-/// Runs `trials` encode → corrupt-at-`rber` → decode rounds per RBER
-/// point, fanned out over `threads` workers. Trial `k` of point `i` always
-/// draws from `SimRng::stream(seed, i·trials + k)`, so the result is
-/// independent of `threads`.
+/// Builds `trials` noisy pages per RBER point and hands each, in original
+/// layout, to `per_page`; returns the results grouped by point, in trial
+/// order. Trial `k` of point `i` encodes random data and corrupts it at
+/// `rbers[i]`, all drawn from `SimRng::stream(seed, i·trials + k)`. All
+/// `rbers.len() × trials` pages fan out over `threads` workers in one
+/// pool, so the result is independent of `threads`.
+///
+/// # Panics
+///
+/// Panics if `trials` is zero.
+pub fn page_trials<T, F>(
+    code: &QcLdpcCode,
+    rbers: &[f64],
+    trials: usize,
+    seed: u64,
+    threads: usize,
+    per_page: F,
+) -> Vec<Vec<T>>
+where
+    T: Send,
+    F: Fn(&BitVec) -> T + Sync,
+{
+    assert!(trials > 0, "need at least one trial");
+    let channels: Vec<Bsc> = rbers.iter().map(|&rber| Bsc::new(rber)).collect();
+    let mut pages = parallel_trials(threads, rbers.len() * trials, |j| {
+        let mut rng = SimRng::stream(seed, j as u64);
+        let cw = code.encode(&BitVec::random(code.data_bits(), &mut rng));
+        per_page(&channels[j / trials].corrupt(&cw, &mut rng))
+    })
+    .into_iter();
+    channels
+        .iter()
+        .map(|_| pages.by_ref().take(trials).collect())
+        .collect()
+}
+
+/// Decodes `trials` pages per RBER point ([`page_trials`]) with min-sum.
 ///
 /// # Panics
 ///
@@ -54,33 +88,30 @@ pub fn capability_sweep(
     seed: u64,
     threads: usize,
 ) -> Vec<CapabilityPoint> {
-    assert!(trials > 0, "need at least one trial");
     let decoder = MinSumDecoder::new(code);
-    let mut out = Vec::with_capacity(rbers.len());
-    for (pi, &rber) in rbers.iter().enumerate() {
-        let channel = Bsc::new(rber);
-        let results = parallel_trials(threads, trials, |k| {
-            let mut rng = SimRng::stream(seed, (pi * trials + k) as u64);
-            let cw = code.encode(&BitVec::random(code.data_bits(), &mut rng));
-            let noisy = channel.corrupt(&cw, &mut rng);
-            let res = decoder.decode(&noisy);
-            (res.success, res.iterations)
-        });
-        let failures = results.iter().filter(|(success, _)| !success).count();
-        let iters: u64 = results.iter().map(|&(_, it)| u64::from(it)).sum();
-        out.push(CapabilityPoint {
-            rber,
-            failure_probability: failures as f64 / trials as f64,
-            avg_iterations: iters as f64 / trials as f64,
-            trials,
-        });
-    }
-    out
+    let per_point = page_trials(code, rbers, trials, seed, threads, |noisy| {
+        let res = decoder.decode(noisy);
+        (res.success, res.iterations)
+    });
+    rbers
+        .iter()
+        .zip(per_point)
+        .map(|(&rber, results)| {
+            let failures = results.iter().filter(|(success, _)| !success).count();
+            let iters: u64 = results.iter().map(|&(_, it)| u64::from(it)).sum();
+            CapabilityPoint {
+                rber,
+                failure_probability: failures as f64 / trials as f64,
+                avg_iterations: iters as f64 / trials as f64,
+                trials,
+            }
+        })
+        .collect()
 }
 
-/// Runs `trials` encode → corrupt rounds per RBER point, recording average
-/// full and pruned syndrome weights. Same per-trial RNG streams as
-/// [`capability_sweep`]: the points do not depend on `threads`.
+/// Averages the full and pruned syndrome weights of `trials` pages per
+/// RBER point ([`page_trials`]: the same pages [`capability_sweep`]
+/// decodes).
 ///
 /// # Panics
 ///
@@ -92,29 +123,26 @@ pub fn syndrome_sweep(
     seed: u64,
     threads: usize,
 ) -> Vec<SyndromePoint> {
-    assert!(trials > 0, "need at least one trial");
-    let mut out = Vec::with_capacity(rbers.len());
-    for (pi, &rber) in rbers.iter().enumerate() {
-        let channel = Bsc::new(rber);
-        let results = parallel_trials(threads, trials, |k| {
-            let mut rng = SimRng::stream(seed, (pi * trials + k) as u64);
-            let cw = code.encode(&BitVec::random(code.data_bits(), &mut rng));
-            let noisy = channel.corrupt(&cw, &mut rng);
-            (
-                code.syndrome_weight(&noisy) as u64,
-                code.pruned_syndrome_weight(&noisy) as u64,
-            )
-        });
-        let full: u64 = results.iter().map(|&(f, _)| f).sum();
-        let pruned: u64 = results.iter().map(|&(_, p)| p).sum();
-        out.push(SyndromePoint {
-            rber,
-            avg_full_weight: full as f64 / trials as f64,
-            avg_pruned_weight: pruned as f64 / trials as f64,
-            trials,
-        });
-    }
-    out
+    let per_point = page_trials(code, rbers, trials, seed, threads, |noisy| {
+        (
+            code.syndrome_weight(noisy) as u64,
+            code.pruned_syndrome_weight(noisy) as u64,
+        )
+    });
+    rbers
+        .iter()
+        .zip(per_point)
+        .map(|(&rber, results)| {
+            let full: u64 = results.iter().map(|&(f, _)| f).sum();
+            let pruned: u64 = results.iter().map(|&(_, p)| p).sum();
+            SyndromePoint {
+                rber,
+                avg_full_weight: full as f64 / trials as f64,
+                avg_pruned_weight: pruned as f64 / trials as f64,
+                trials,
+            }
+        })
+        .collect()
 }
 
 /// The RP correctability threshold ρs for `code`: the expected pruned
@@ -141,6 +169,24 @@ mod tests {
             "high RBER should mostly fail"
         );
         assert!(points[1].avg_iterations > points[0].avg_iterations);
+    }
+
+    #[test]
+    fn page_trials_hands_trial_k_of_point_i_its_own_stream() {
+        let code = QcLdpcCode::small_test();
+        let rbers = [0.003, 0.01, 0.02];
+        let by_hand = |i: usize, k: usize| {
+            let mut rng = SimRng::stream(11, (i * 5 + k) as u64);
+            let cw = code.encode(&BitVec::random(code.data_bits(), &mut rng));
+            Bsc::new(rbers[i]).corrupt(&cw, &mut rng)
+        };
+        let expect: Vec<Vec<BitVec>> = (0..3)
+            .map(|i| (0..5).map(|k| by_hand(i, k)).collect())
+            .collect();
+        for threads in [1, 8] {
+            let pages = page_trials(&code, &rbers, 5, 11, threads, BitVec::clone);
+            assert!(pages == expect, "{threads} threads");
+        }
     }
 
     #[test]

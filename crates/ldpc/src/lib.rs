@@ -17,7 +17,7 @@
 //! * [`model::EccModel`] — the calibrated behavioural model (decoding-failure
 //!   probability, iteration count, tECC) that the event-level SSD simulator
 //!   consumes, exactly as the paper's extended MQSim-E does;
-//! * [`analysis`] — Monte-Carlo sweeps regenerating Figs. 3 and 10.
+//! * [`analysis`] — the one Monte-Carlo page loop (Figs. 3, 10, 11, 14).
 //!
 //! # Example
 //!

@@ -3,16 +3,17 @@
 //!
 //! The paper validates RP by generating 10⁵ test pages per RBER value and
 //! comparing RP's verdict against the real QC-LDPC decoder's outcome
-//! (§IV-B). [`measure_accuracy`] is that experiment. For the event-level
-//! simulator, §VI-A states that "a probability-based model is used using
-//! the RP prediction accuracy function" — [`RpBehavior`] is that model,
-//! with the retry probability in closed form: the pruned syndrome weight
-//! is Binomial(t, q(RBER)), so `P(retry) = P(W > ρs)` follows from the
-//! normal approximation.
+//! (§IV-B). [`measure_accuracy`] is that experiment, scoring Figs. 11 and
+//! 14's predictors on one decode per page. For the event-level simulator,
+//! §VI-A states that "a probability-based model is used using the RP
+//! prediction accuracy function" — [`RpBehavior`] is that model, with the
+//! retry probability in closed form: the pruned syndrome weight is
+//! Binomial(t, q(RBER)), so `P(retry) = P(W > ρs)` follows from the normal
+//! approximation.
 
-use rif_events::{parallel_trials, SimRng};
+use rif_events::SimRng;
+use rif_ldpc::analysis::page_trials;
 use rif_ldpc::bits::BitVec;
-use rif_ldpc::channel::Bsc;
 use rif_ldpc::decoder::MinSumDecoder;
 use rif_ldpc::model::normal_cdf;
 use rif_ldpc::{QcLdpcCode, PAPER_CIRCULANT_SIZE, PAPER_CORRECTION_CAPABILITY, PAPER_ROW_WEIGHT};
@@ -36,103 +37,52 @@ pub struct AccuracyPoint {
     pub trials: usize,
 }
 
-/// Runs the Fig. 11/14 validation: per RBER, corrupts `trials` encoded
-/// pages, compares RP (with or without the chunk/pruning approximations —
-/// RP as passed in) against the real min-sum decoder.
+/// Runs the Fig. 11/14 validation: decodes each page of [`page_trials`]
+/// once with the real min-sum decoder and scores every predictor (given
+/// the noisy codeword in *original* layout, `true` = expects the decoder
+/// to fail) against that one outcome. Returns one sweep per predictor, in
+/// order; predictors scored together see the same pages.
 ///
 /// # Panics
 ///
 /// Panics if `trials` is zero.
-pub fn measure_accuracy(
+pub fn measure_accuracy<const N: usize>(
     code: &QcLdpcCode,
-    rp: &ReadRetryPredictor,
+    predictors: [&(dyn Fn(&BitVec) -> bool + Sync); N],
     rbers: &[f64],
     trials: usize,
     seed: u64,
     threads: usize,
-) -> Vec<AccuracyPoint> {
-    measure_accuracy_with(
-        code,
-        |c, noisy| rp.predict(&c.rearrange(noisy)).retry_needed,
-        rbers,
-        trials,
-        seed,
-        threads,
-    )
+) -> [Vec<AccuracyPoint>; N] {
+    let decoder = MinSumDecoder::new(code);
+    let per_point = page_trials(code, rbers, trials, seed, threads, |noisy| {
+        let actual_fail = !decoder.decode(noisy).success;
+        predictors.map(|predict| (predict(noisy), actual_fail))
+    });
+    std::array::from_fn(|j| {
+        rbers
+            .iter()
+            .zip(&per_point)
+            .map(|(&rber, pages)| tally(rber, &pages.iter().map(|v| v[j]).collect::<Vec<_>>()))
+            .collect()
+    })
 }
 
-/// Generalized accuracy measurement: `predict_fail` receives the noisy
-/// codeword in *original* layout and returns the predictor's verdict.
-/// Fig. 11 uses a full-syndrome predictor here; Fig. 14 uses the
-/// approximate RP hardware path.
-///
-/// Trials fan out over `threads` workers with one `SimRng::stream` per
-/// trial, so the points do not depend on the thread count.
-///
-/// # Panics
-///
-/// Panics if `trials` is zero.
-pub fn measure_accuracy_with<F>(
-    code: &QcLdpcCode,
-    predict_fail: F,
-    rbers: &[f64],
-    trials: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<AccuracyPoint>
-where
-    F: Fn(&QcLdpcCode, &BitVec) -> bool + Sync,
-{
-    assert!(trials > 0, "need at least one trial");
-    let decoder = MinSumDecoder::new(code);
-    let mut out = Vec::with_capacity(rbers.len());
-    for (pi, &rber) in rbers.iter().enumerate() {
-        let channel = Bsc::new(rber);
-        let verdicts = parallel_trials(threads, trials, |k| {
-            let mut rng = SimRng::stream(seed, (pi * trials + k) as u64);
-            let cw = code.encode(&BitVec::random(code.data_bits(), &mut rng));
-            let noisy = channel.corrupt(&cw, &mut rng);
-            let predicted_fail = predict_fail(code, &noisy);
-            let actual_fail = !decoder.decode(&noisy).success;
-            (predicted_fail, actual_fail)
-        });
-        let mut correct = 0usize;
-        let mut false_retry = 0usize;
-        let mut missed_retry = 0usize;
-        let mut correctable = 0usize;
-        for &(predicted_fail, actual_fail) in &verdicts {
-            if predicted_fail == actual_fail {
-                correct += 1;
-            }
-            if actual_fail {
-                if !predicted_fail {
-                    missed_retry += 1;
-                }
-            } else {
-                correctable += 1;
-                if predicted_fail {
-                    false_retry += 1;
-                }
-            }
-        }
-        let uncorrectable = trials - correctable;
-        out.push(AccuracyPoint {
-            rber,
-            accuracy: correct as f64 / trials as f64,
-            false_retry_rate: if correctable > 0 {
-                false_retry as f64 / correctable as f64
-            } else {
-                0.0
-            },
-            missed_retry_rate: if uncorrectable > 0 {
-                missed_retry as f64 / uncorrectable as f64
-            } else {
-                0.0
-            },
-            trials,
-        });
+/// Scores one predictor's `(predicted_fail, actual_fail)` page verdicts
+/// at `rber`.
+fn tally(rber: f64, verdicts: &[(bool, bool)]) -> AccuracyPoint {
+    let count =
+        |hit: fn(bool, bool) -> bool| verdicts.iter().filter(|&&(p, a)| hit(p, a)).count() as f64;
+    let rate = |n: f64, of: f64| if of > 0.0 { n / of } else { 0.0 };
+    let trials = verdicts.len();
+    let uncorrectable = count(|_, actual| actual);
+    AccuracyPoint {
+        rber,
+        accuracy: count(|p, a| p == a) / trials as f64,
+        false_retry_rate: rate(count(|p, a| p && !a), trials as f64 - uncorrectable),
+        missed_retry_rate: rate(count(|p, a| !p && a), uncorrectable),
+        trials,
     }
-    out
 }
 
 /// Mean accuracy over the points with RBER above `capability` — the
@@ -275,12 +225,19 @@ impl RpBehavior {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rif_ldpc::analysis::capability_sweep;
+    use rif_ldpc::channel::Bsc;
+
+    /// RP's hardware path: pruned syndrome on the rearranged layout.
+    fn hardware_path(rp: &ReadRetryPredictor) -> impl Fn(&BitVec) -> bool + Sync + '_ {
+        |noisy| rp.predict(&rp.code().rearrange(noisy)).retry_needed
+    }
 
     #[test]
     fn accuracy_high_far_from_capability() {
         let code = QcLdpcCode::small_test();
         let rp = ReadRetryPredictor::for_capability(&code, 0.0085);
-        let pts = measure_accuracy(&code, &rp, &[0.003, 0.016], 60, 5, 1);
+        let [pts] = measure_accuracy(&code, [&hardware_path(&rp)], &[0.003, 0.016], 60, 5, 1);
         assert!(
             pts[0].accuracy > 0.9,
             "below-cap accuracy {}",
@@ -302,7 +259,7 @@ mod tests {
         // For the small code the min-sum waterfall sits near 0.012; use a
         // threshold calibrated there to probe the boundary effect.
         let rp = ReadRetryPredictor::for_capability(&code, 0.012);
-        let pts = measure_accuracy(&code, &rp, &[0.012], 80, 6, 1);
+        let [pts] = measure_accuracy(&code, [&hardware_path(&rp)], &[0.012], 80, 6, 1);
         assert!(
             pts[0].accuracy < 0.9,
             "boundary accuracy suspiciously high: {}",
@@ -314,10 +271,39 @@ mod tests {
     fn accuracy_is_thread_count_invariant() {
         let code = QcLdpcCode::small_test();
         let rp = ReadRetryPredictor::for_capability(&code, 0.0085);
+        let rp_path = hardware_path(&rp);
         assert_eq!(
-            measure_accuracy(&code, &rp, &[0.004, 0.011], 20, 9, 1),
-            measure_accuracy(&code, &rp, &[0.004, 0.011], 20, 9, 8),
+            measure_accuracy(&code, [&rp_path], &[0.004, 0.011], 20, 9, 1),
+            measure_accuracy(&code, [&rp_path], &[0.004, 0.011], 20, 9, 8),
         );
+    }
+
+    #[test]
+    fn predictors_scored_together_are_scored_on_the_same_pages() {
+        let code = QcLdpcCode::small_test();
+        let rho_full = code.expected_full_weight(0.011).round() as usize;
+        let full = |noisy: &BitVec| code.syndrome_weight(noisy) > rho_full;
+        let rp = ReadRetryPredictor::for_capability(&code, 0.011);
+        let rbers = [0.006, 0.011, 0.016];
+        let (trials, seed) = (30, 4);
+
+        let [alone] = measure_accuracy(&code, [&full], &rbers, trials, seed, 2);
+        let [paired, _] =
+            measure_accuracy(&code, [&full, &hardware_path(&rp)], &rbers, trials, seed, 2);
+        assert_eq!(alone, paired);
+
+        // The pages scored are the ones Fig. 3 decodes on the same seed.
+        let decoder = MinSumDecoder::new(&code);
+        let pages = page_trials(&code, &rbers, trials, seed, 2, |noisy| {
+            (full(noisy), !decoder.decode(noisy).success)
+        });
+        let capability = capability_sweep(&code, &rbers, trials, seed, 2);
+        for ((point, verdicts), cap) in alone.iter().zip(&pages).zip(&capability) {
+            assert_eq!(tally(point.rber, verdicts), *point);
+            let failed = verdicts.iter().filter(|&&(_, actual)| actual).count();
+            assert_eq!(failed as f64 / trials as f64, cap.failure_probability);
+        }
+        assert!(capability.iter().any(|c| c.failure_probability > 0.0));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!
 //! [`engine::OdearEngine`] wires the two into the die-level read flow of
 //! Fig. 9; [`accuracy`] provides both the Monte-Carlo accuracy measurement
-//! (Figs. 11 and 14) and the closed-form probability model the event-level
-//! SSD simulator consumes; [`ppa`] reproduces the §VI-C power/area/energy
+//! (Figs. 11 and 14, paired on one decode per page) and the closed-form
+//! probability model the event-level SSD simulator consumes; [`ppa`] reproduces the §VI-C power/area/energy
 //! arithmetic.
 //!
 //! # Example

@@ -199,7 +199,8 @@ fn monte_carlo_sweeps_are_thread_count_invariant() {
     assert_eq!(one, eight);
 
     let rp = ReadRetryPredictor::for_capability(&code, 0.0085);
-    let one = rif_odear::accuracy::measure_accuracy(&code, &rp, &rbers, 10, 7, 1);
-    let eight = rif_odear::accuracy::measure_accuracy(&code, &rp, &rbers, 10, 7, 8);
+    let rp_path = |noisy: &BitVec| rp.predict(&code.rearrange(noisy)).retry_needed;
+    let one = rif_odear::accuracy::measure_accuracy(&code, [&rp_path], &rbers, 10, 7, 1);
+    let eight = rif_odear::accuracy::measure_accuracy(&code, [&rp_path], &rbers, 10, 7, 8);
     assert_eq!(one, eight);
 }

@@ -43,7 +43,8 @@ fn rp_accuracy_headline_numbers() {
     let capability = 0.011; // measured 10 % failure point of small_test
     let rp = ReadRetryPredictor::for_capability(&code, capability);
     let rbers = [0.004, 0.006, 0.018, 0.022, 0.026];
-    let points = measure_accuracy(&code, &rp, &rbers, 60, 2, 1);
+    let rp_path = |noisy: &BitVec| rp.predict(&code.rearrange(noisy)).retry_needed;
+    let [points] = measure_accuracy(&code, [&rp_path], &rbers, 60, 2, 1);
     let above = mean_accuracy_above(&points, capability);
     assert!(above > 0.93, "accuracy above capability {above}");
     // Below the capability RP rarely fires falsely.
