@@ -9,24 +9,48 @@
 
 use crate::matrix::QcMatrix;
 
+/// Applies `op` to each word of `out` and the same word of `seg` rotated
+/// left by `shift < t` bits (both `t/64` words): output bit `k` of the
+/// rotation is input bit `(k + shift) mod t`. The rotation is two
+/// contiguous runs, `seg[q..]` into `out`'s head and `seg[..q]` into its
+/// tail (`q = shift / 64`), each closed by the one word that straddles
+/// its seam, so no word pays a wrap test.
+#[inline(always)]
+fn rotated_with(out: &mut [u64], seg: &[u64], shift: usize, op: impl Fn(&mut u64, u64)) {
+    let nw = seg.len();
+    assert!(out.len() == nw && shift < nw * 64);
+    let (q, bs) = (shift / 64, shift % 64);
+    let (head, tail) = out.split_at_mut(nw - q);
+    if bs == 0 {
+        head.iter_mut().zip(&seg[q..]).for_each(|(a, &w)| op(a, w));
+        tail.iter_mut().zip(&seg[..q]).for_each(|(a, &w)| op(a, w));
+        return;
+    }
+    let join = |lo: u64, hi: u64| (lo >> bs) | (hi << (64 - bs));
+    for (a, (&lo, &hi)) in head.iter_mut().zip(seg[q..].iter().zip(&seg[q + 1..])) {
+        op(a, join(lo, hi));
+    }
+    op(&mut head[nw - q - 1], join(seg[nw - 1], seg[0]));
+    if q > 0 {
+        for (a, (&lo, &hi)) in tail.iter_mut().zip(seg.iter().zip(&seg[1..q])) {
+            op(a, join(lo, hi));
+        }
+        op(&mut tail[q - 1], join(seg[q - 1], seg[q]));
+    }
+}
+
 /// XORs `seg` rotated left by `shift < t` bits into `acc` (both `t/64`
 /// words). Output bit `k` of the rotation is input bit `(k + shift) mod t`.
 #[inline]
 pub(crate) fn xor_rotated(acc: &mut [u64], seg: &[u64], shift: usize) {
-    let nw = seg.len();
-    debug_assert!(acc.len() == nw && shift < nw * 64);
-    let bs = shift % 64;
-    // Source words wrap by a compare, not a division per word.
-    let mut lo_at = shift / 64;
-    for a in acc.iter_mut() {
-        let hi_at = if lo_at + 1 == nw { 0 } else { lo_at + 1 };
-        *a ^= if bs == 0 {
-            seg[lo_at]
-        } else {
-            (seg[lo_at] >> bs) | (seg[hi_at] << (64 - bs))
-        };
-        lo_at = hi_at;
-    }
+    rotated_with(acc, seg, shift, |a, w| *a ^= w);
+}
+
+/// Writes `seg` rotated left by `shift < t` bits into `out` (both `t/64`
+/// words).
+#[inline]
+pub(crate) fn rotate_into(out: &mut [u64], seg: &[u64], shift: usize) {
+    rotated_with(out, seg, shift, |a, w| *a = w);
 }
 
 /// XORs one block row's product with the word-packed codeword `words`

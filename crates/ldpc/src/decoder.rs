@@ -14,15 +14,19 @@
 //! message passing is one fused kernel per block row, written once over
 //! a lane vector type of which the widest the CPU has runs: 16 lanes of
 //! AVX-512F, 8 of AVX2, or a portable 8-float array (see
-//! [`MinSumDecoder::decode_llr`]). The straightforward per-edge
-//! implementation is kept as [`MinSumDecoder::decode_llr_reference`]; the
-//! fast path is bit-identical to it (see the golden-equivalence suite in
-//! `tests/`).
+//! [`MinSumDecoder::decode_llr`]). A hard-decision read
+//! ([`MinSumDecoder::decode`]) runs iteration 1 on the packed word
+//! instead: on ±1 LLRs every first message is `±α`, so the iteration is
+//! a count of unsatisfied checks per bit, and the float kernel starts at
+//! iteration 2 from the exact messages and totals the float iteration 1
+//! would have left. The straightforward per-edge implementation is kept
+//! as [`MinSumDecoder::decode_llr_reference`]; the fast path is
+//! bit-identical to it (see the golden-equivalence suite in `tests/`).
 
 use std::cell::Cell;
 
 use crate::bits::BitVec;
-use crate::circulant::{row_circulants, rows_clear};
+use crate::circulant::{rotate_into, row_circulants, rows_clear, xor_block_row, xor_rotated};
 use crate::code::QcLdpcCode;
 use crate::lanes::{LaneKind, Lanes, Portable, MAX_WIDTH};
 
@@ -42,6 +46,10 @@ pub struct DecodeOutcome {
 /// independent min/max dependency chains are in flight per circulant: 32
 /// checks under AVX-512, 16 under AVX2 and the portable lanes.
 const MAX_CHUNK: usize = 2 * MAX_WIDTH;
+
+/// Bit planes of the packed iteration 1's unsatisfied-check counts at
+/// most: columns of degree up to 254.
+const MAX_PLANES: usize = 8;
 
 /// Floats of padding after each `t`-float message slab and totals segment
 /// in the kernel's arrays (one 64-byte cache line). With `t = 1024` the
@@ -69,6 +77,12 @@ struct Graph {
     block_rows: Vec<Vec<(usize, usize)>>,
     /// The kernel's blocks, grouped by block row.
     plan_rows: Vec<Vec<PlanBlock>>,
+    /// `(row, shift)` of each block, grouped by block column; a column's
+    /// block count is the degree of each of its variables.
+    block_cols: Vec<Vec<(usize, usize)>>,
+    /// Bit planes of a variable's unsatisfied-check count (enough to hold
+    /// the largest degree plus one).
+    count_planes: usize,
     /// Circulant size (a multiple of 64).
     t: usize,
     n: usize,
@@ -142,6 +156,25 @@ impl Graph {
             met.iter().all(|&m| m),
             "every block column must meet some block row"
         );
+        // A check of degree 1 has no second minimum: its message would be
+        // α·∞ and the totals NaN, and the packed iteration 1 assumes every
+        // message is ±α.
+        assert!(
+            block_rows.iter().all(|row| row.len() >= 2),
+            "every check must meet at least two variables"
+        );
+        let mut block_cols = vec![Vec::new(); h.cols_b()];
+        for (row, blocks) in block_rows.iter().enumerate() {
+            for &(col, shift) in blocks {
+                block_cols[col].push((row, shift));
+            }
+        }
+        let max_degree = block_cols.iter().map(Vec::len).max().unwrap_or(0);
+        let count_planes = (usize::BITS - (max_degree + 1).leading_zeros()) as usize;
+        assert!(
+            count_planes <= MAX_PLANES,
+            "column degree {max_degree} is too high"
+        );
 
         Graph {
             chk_ptr,
@@ -150,6 +183,8 @@ impl Graph {
             var_edges,
             block_rows,
             plan_rows,
+            block_cols,
+            count_planes,
             t,
             n,
             m,
@@ -260,13 +295,25 @@ impl MinSumDecoder {
     }
 
     /// Decodes a received hard-decision word.
+    ///
+    /// Iteration 1 runs on the packed word (see
+    /// [`MinSumDecoder::bit_iteration`]); the float kernel of
+    /// [`MinSumDecoder::decode_llr`] takes over at iteration 2, from the
+    /// messages and totals the float iteration 1 would have left, so the
+    /// outcome is bit-identical to [`MinSumDecoder::decode_reference`].
     pub fn decode(&self, received: &BitVec) -> DecodeOutcome {
-        let g = &self.graph;
-        assert_eq!(received.len(), g.n, "received word length mismatch");
-        let words = received.as_words();
-        self.decode_in_scratch(LaneKind::detect(), words.to_vec(), |llr| {
-            expand_hard_llr(words, g.t, g.t + PAD, llr)
-        })
+        self.decode_on(LaneKind::detect(), received)
+    }
+
+    /// [`MinSumDecoder::decode`] on a chosen lane implementation (one the
+    /// CPU has), so tests can run every lane type the host supports.
+    fn decode_on(&self, lanes: LaneKind, received: &BitVec) -> DecodeOutcome {
+        assert_eq!(
+            received.len(),
+            self.graph.n,
+            "received word length mismatch"
+        );
+        self.decode_in_scratch(lanes, received.as_words().to_vec(), None)
     }
 
     /// Reference-path twin of [`MinSumDecoder::decode`].
@@ -304,11 +351,13 @@ impl MinSumDecoder {
     ///   the LLRs exists.
     /// * Circulant `Q(s)` makes check `k` read variable `(k + s) mod t` of
     ///   its column segment: a contiguous run per lane vector, except the
-    ///   one vector per circulant that straddles the wrap.
+    ///   one vector per circulant that straddles the wrap, copied as two
+    ///   runs.
     /// * Message slabs and totals segments are padded apart (see `PAD`)
     ///   and live in a per-thread scratch of cache-line-aligned floats
-    ///   reused across calls; in the first iteration `c2v ≡ 0` is not
-    ///   read (`x − 0.0 == x`), so the message array is never cleared.
+    ///   reused across calls. A soft decode clears the message slabs and
+    ///   runs iteration 1 on the LLRs through the same sweep as every
+    ///   later iteration (`x − 0.0 == x` for finite `x`, `−0.0` included).
     /// * The kernel body is generic over a lane vector type: 16 lanes of
     ///   AVX-512 where the CPU has AVX-512F, else 8 of AVX2, else a
     ///   portable 8-float array; all lane operations are exact per-lane
@@ -337,24 +386,18 @@ impl MinSumDecoder {
         let mut hard = vec![0u64; g.n / 64];
         // SAFETY: the portable lanes need no CPU feature.
         unsafe { pack_signs::<Portable>(llr, g.t, g.t, &mut hard) };
-        self.decode_in_scratch(lanes, hard, |padded| {
-            for (dst, src) in padded
-                .chunks_exact_mut(g.t + PAD)
-                .zip(llr.chunks_exact(g.t))
-            {
-                dst[..g.t].copy_from_slice(src);
-            }
-        })
+        self.decode_in_scratch(lanes, hard, Some(llr))
     }
 
-    /// Runs the kernel in this thread's scratch. `hard` is the input's
-    /// hard decision; `fill_llr` writes the channel LLRs in the padded
-    /// totals layout and is only called when `hard` is not a codeword.
+    /// Runs the decode in this thread's scratch. `hard` is the input's
+    /// hard decision: with `soft` the LLRs it was taken from, without it
+    /// the whole input (a hard-decision read), whose iteration 1 then
+    /// runs on packed words.
     fn decode_in_scratch(
         &self,
         lanes: LaneKind,
         hard: Vec<u64>,
-        fill_llr: impl FnOnce(&mut [f32]),
+        soft: Option<&[f32]>,
     ) -> DecodeOutcome {
         let g = &self.graph;
         assert!(lanes.available(), "{lanes:?} lanes on a CPU without them");
@@ -364,26 +407,178 @@ impl MinSumDecoder {
         // below drops the buffers and the next call allocates new ones.
         let mut scratch = SCRATCH.take();
         scratch.fit(g);
-        let outcome = if g.syndrome_clear_words(&hard, &mut scratch.syn) {
-            DecodeOutcome {
-                success: true,
-                iterations: 0,
-                decoded: BitVec::from_words(hard, g.n),
-            }
-        } else {
-            fill_llr(scratch.llr.as_mut_slice());
-            // SAFETY (every arm): the CPU has the lanes' instruction set,
-            // asserted on entry.
-            match lanes {
-                #[cfg(target_arch = "x86_64")]
-                LaneKind::Avx512 => unsafe { self.iterate_avx512(&mut scratch, hard) },
-                #[cfg(target_arch = "x86_64")]
-                LaneKind::Avx2 => unsafe { self.iterate_avx2(&mut scratch, hard) },
-                _ => unsafe { self.iterate::<Portable>(&mut scratch, hard) },
-            }
+        let s = &mut scratch;
+        // SAFETY (every arm): the CPU has the lanes' instruction set,
+        // asserted on entry.
+        let outcome = match lanes {
+            #[cfg(target_arch = "x86_64")]
+            LaneKind::Avx512 => unsafe { self.iterate_avx512(s, hard, soft) },
+            #[cfg(target_arch = "x86_64")]
+            LaneKind::Avx2 => unsafe { self.iterate_avx2(s, hard, soft) },
+            _ => unsafe { self.iterate::<Portable>(s, hard, soft) },
         };
         SCRATCH.set(scratch);
         outcome
+    }
+
+    /// The decode's prologue. Returns the outcome when the input is a
+    /// codeword or, for a received word (no `soft` LLRs), when the packed
+    /// iteration 1 ([`MinSumDecoder::bit_iteration`]) ends the decode.
+    /// Otherwise fills the channel LLRs in the padded totals layout (±1
+    /// for a received word) and the state the sweeps start from:
+    /// iteration 1's messages and totals for a received word (the sweeps
+    /// start at iteration 2), zero messages for soft input (they start at
+    /// iteration 1, whose totals are the LLRs).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the instruction set `L` is built on.
+    #[inline(always)]
+    unsafe fn start<L: Lanes>(
+        &self,
+        scratch: &mut Scratch,
+        hard: &[u64],
+        soft: Option<&[f32]>,
+    ) -> Option<DecodeOutcome> {
+        let g = &self.graph;
+        let t = g.t;
+        let settled = match soft {
+            None => self.bit_iteration(scratch, hard),
+            Some(_) => g
+                .syndrome_clear_words(hard, &mut scratch.syn)
+                .then(|| DecodeOutcome {
+                    success: true,
+                    iterations: 0,
+                    decoded: BitVec::from_words(hard.to_vec(), g.n),
+                }),
+        };
+        if settled.is_some() {
+            return settled;
+        }
+        let Scratch {
+            llr,
+            totals: [cur, _],
+            c2v,
+            rows,
+            counts,
+            words,
+            ..
+        } = scratch;
+        let (llr, c2v) = (llr.as_mut_slice(), c2v.as_mut_slice());
+        match soft {
+            None => {
+                let signs = &mut words[..t / 64];
+                let cur = cur.as_mut_slice();
+                // SAFETY (both calls): `L`'s instruction set is this
+                // function's own precondition.
+                unsafe {
+                    let segments = llr.chunks_exact_mut(t + PAD).zip(hard.chunks_exact(t / 64));
+                    for (segment, words) in segments {
+                        write_signs::<L>(words, 1.0, &mut segment[..t]);
+                    }
+                    seed_iteration_1::<L>(g, self.alpha, hard, rows, counts, signs, c2v, cur);
+                }
+            }
+            Some(soft) => {
+                for (j, segment) in llr.chunks_exact_mut(t + PAD).enumerate() {
+                    segment[..t].copy_from_slice(&soft[j * t..][..t]);
+                }
+                c2v.fill(0.0);
+            }
+        }
+        None
+    }
+
+    /// Iteration 1 of a hard-decision decode, on packed words.
+    ///
+    /// With ±1 channel LLRs and zero messages every `v2c` is ±1, so in a
+    /// check of degree ≥ 2 (see `Graph::build`) both minima are 1 and
+    /// every message is `±α`, its sign bit the check's syndrome bit XOR
+    /// the bit it goes to. A variable of degree `d` with `u` unsatisfied
+    /// checks then totals `(−1)^h · (1 + α·(d − 2u))`: every partial sum
+    /// is a small multiple of 1/4 (α = 0.75), exact in `f32` in any order
+    /// and never zero, and the bit flips where `u ≥ ⌈d/2⌉ + 1`.
+    ///
+    /// Computes the block rows' syndromes `s_r`, the unsatisfied counts
+    /// (bit-sliced: row `r`'s check meeting variable `v` through `Q(s)` is
+    /// check `(v − s) mod t`, so the column's indicator is `s_r` rotated
+    /// right by `s`) and the new hard word. Returns the outcome when the
+    /// decode ends here: `received` is a codeword (zero iterations),
+    /// iteration 1 converges, or the cap is 1. Otherwise leaves `s_r` in
+    /// `scratch.rows` and the counts in `scratch.counts` for
+    /// [`seed_iteration_1`].
+    #[inline(always)]
+    fn bit_iteration(&self, scratch: &mut Scratch, received: &[u64]) -> Option<DecodeOutcome> {
+        let g = &self.graph;
+        let tw = g.t / 64;
+        let Scratch {
+            rows,
+            counts,
+            words,
+            syn,
+            ..
+        } = scratch;
+        for (row, s) in g.block_rows.iter().zip(rows.chunks_exact_mut(tw)) {
+            s.fill(0);
+            xor_block_row(s, received, row.iter().copied());
+        }
+        if rows.iter().all(|&w| w == 0) {
+            return Some(DecodeOutcome {
+                success: true,
+                iterations: 0,
+                decoded: BitVec::from_words(received.to_vec(), g.n),
+            });
+        }
+
+        let nw = received.len();
+        let mut hard = received.to_vec();
+        let (unsatisfied, above) = words.split_at_mut(tw);
+        for (j, blocks) in g.block_cols.iter().enumerate() {
+            let column = j * tw..(j + 1) * tw;
+            for plane in counts.chunks_exact_mut(nw) {
+                plane[column.clone()].fill(0);
+            }
+            for &(r, shift) in blocks {
+                rotate_into(unsatisfied, &rows[r * tw..][..tw], (g.t - shift) % g.t);
+                // Ripple-carry add of one bit per variable; `unsatisfied`
+                // ends as the carries out of the top plane (none).
+                for plane in counts.chunks_exact_mut(nw) {
+                    let bits = plane[column.clone()].iter_mut();
+                    for (bit, carry) in bits.zip(unsatisfied.iter_mut()) {
+                        let next = *bit & *carry;
+                        *bit ^= *carry;
+                        *carry = next;
+                    }
+                }
+            }
+            // The bits where `u ≥ ⌈d/2⌉ + 1`, compared from the top plane
+            // down: `above` once the count's bits exceed the bound's,
+            // `equal` (in `unsatisfied`'s words) while they match.
+            let flip_at = blocks.len().div_ceil(2) + 1;
+            let equal = &mut unsatisfied[..];
+            above.fill(0);
+            equal.fill(!0);
+            for (p, plane) in counts.chunks_exact(nw).enumerate().rev() {
+                let bits = &plane[column.clone()];
+                for ((a, e), &bit) in above.iter_mut().zip(equal.iter_mut()).zip(bits) {
+                    if flip_at >> p & 1 == 0 {
+                        *a |= *e & bit;
+                        *e &= !bit;
+                    } else {
+                        *e &= bit;
+                    }
+                }
+            }
+            for ((h, &a), &e) in hard[column].iter_mut().zip(&*above).zip(&*equal) {
+                *h ^= a | e;
+            }
+        }
+        let success = g.syndrome_clear_words(&hard, syn);
+        (success || self.max_iterations == 1).then(|| DecodeOutcome {
+            success,
+            iterations: 1,
+            decoded: BitVec::from_words(hard, g.n),
+        })
     }
 
     /// [`MinSumDecoder::iterate`] on AVX-512 lanes, compiled with
@@ -394,9 +589,14 @@ impl MinSumDecoder {
     /// The CPU must support AVX-512F.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn iterate_avx512(&self, scratch: &mut Scratch, hard: Vec<u64>) -> DecodeOutcome {
+    unsafe fn iterate_avx512(
+        &self,
+        scratch: &mut Scratch,
+        hard: Vec<u64>,
+        soft: Option<&[f32]>,
+    ) -> DecodeOutcome {
         // SAFETY: AVX-512F is the caller's guarantee.
-        unsafe { self.iterate::<crate::lanes::Avx512>(scratch, hard) }
+        unsafe { self.iterate::<crate::lanes::Avx512>(scratch, hard, soft) }
     }
 
     /// [`MinSumDecoder::iterate`] on AVX2 lanes, compiled with AVX2.
@@ -406,40 +606,55 @@ impl MinSumDecoder {
     /// The CPU must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn iterate_avx2(&self, scratch: &mut Scratch, hard: Vec<u64>) -> DecodeOutcome {
+    unsafe fn iterate_avx2(
+        &self,
+        scratch: &mut Scratch,
+        hard: Vec<u64>,
+        soft: Option<&[f32]>,
+    ) -> DecodeOutcome {
         // SAFETY: AVX2 is the caller's guarantee.
-        unsafe { self.iterate::<crate::lanes::Avx2>(scratch, hard) }
+        unsafe { self.iterate::<crate::lanes::Avx2>(scratch, hard, soft) }
     }
 
-    /// Flooding iterations over a fitted scratch whose `llr` is filled,
-    /// until the hard decision is a codeword or the cap is reached.
+    /// The decode in a fitted scratch: [`MinSumDecoder::start`], then
+    /// flooding iterations from the first float one, until the hard
+    /// decision is a codeword or the cap is reached.
     ///
     /// # Safety
     ///
     /// The CPU must support the instruction set `L` is built on.
     #[inline(always)]
-    unsafe fn iterate<L: Lanes>(&self, scratch: &mut Scratch, mut hard: Vec<u64>) -> DecodeOutcome {
+    unsafe fn iterate<L: Lanes>(
+        &self,
+        scratch: &mut Scratch,
+        mut hard: Vec<u64>,
+        soft: Option<&[f32]>,
+    ) -> DecodeOutcome {
         let g = &self.graph;
+        // SAFETY: `L`'s instruction set is this function's own
+        // precondition.
+        if let Some(outcome) = unsafe { self.start::<L>(scratch, &hard, soft) } {
+            return outcome;
+        }
+        let first = if soft.is_some() { 1 } else { 2 };
         let Scratch {
             llr,
             totals: [cur, next],
             c2v,
             v2c,
             syn,
+            ..
         } = scratch;
         let (llr, c2v, v2c) = (llr.as_slice(), c2v.as_mut_slice(), v2c.as_mut_slice());
         let (mut cur, mut next) = (cur.as_mut_slice(), next.as_mut_slice());
 
-        for iter in 1..=self.max_iterations {
-            // SAFETY (both arms and `pack_signs`): `L`'s instruction set
-            // is this function's own precondition.
+        for iter in first..=self.max_iterations {
+            // The first totals are the channel LLRs themselves.
+            let totals = if iter == 1 { llr } else { &*cur };
+            // SAFETY (both calls): `L`'s instruction set is this
+            // function's own precondition.
             unsafe {
-                if iter == 1 {
-                    // The first totals are the channel LLRs themselves.
-                    sweep::<L, true>(g, self.alpha, llr, llr, next, c2v, v2c);
-                } else {
-                    sweep::<L, false>(g, self.alpha, llr, cur, next, c2v, v2c);
-                }
+                sweep::<L>(g, self.alpha, llr, totals, next, c2v, v2c);
                 pack_signs::<L>(next, g.t, g.t + PAD, &mut hard);
             }
             if g.syndrome_clear_words(&hard, syn) {
@@ -568,6 +783,13 @@ struct Scratch {
     v2c: Lines,
     /// Accumulator of the rotate-XOR syndrome check.
     syn: Vec<u64>,
+    /// The block rows' syndromes of a received word, `t/64` words each.
+    rows: Vec<u64>,
+    /// Every variable's unsatisfied-check count, bit-sliced: plane `p`
+    /// (`n/64` words, lowest plane first) holds bit `p` of each count.
+    counts: Vec<u64>,
+    /// Two segments of scratch for the packed iteration 1.
+    words: Vec<u64>,
 }
 
 thread_local! {
@@ -589,6 +811,9 @@ impl Scratch {
         self.c2v.resize(blocks * stride);
         self.v2c.resize(widest * MAX_CHUNK);
         self.syn.resize(g.t / 64, 0);
+        self.rows.resize(g.block_rows.len() * g.t / 64, 0);
+        self.counts.resize(g.n / 64 * g.count_planes, 0);
+        self.words.resize(2 * g.t / 64, 0);
     }
 }
 
@@ -657,38 +882,121 @@ fn rotated(k: usize, shift: usize, t: usize) -> usize {
 }
 
 /// Fills `chunk` from the cyclic segment `seg`, starting at `at` and
-/// running over the segment's end (one chunk per circulant at most).
+/// running over the segment's end (one chunk per circulant at most): the
+/// run `seg[at..]`, then the run from `seg`'s start.
 #[cold]
 #[inline(never)]
 fn gather_wrapped(seg: &[f32], at: usize, chunk: &mut [f32]) {
-    for (i, x) in chunk.iter_mut().enumerate() {
-        *x = seg[rotated(at, i, seg.len())];
-    }
+    let (head, tail) = chunk.split_at_mut(seg.len() - at);
+    head.copy_from_slice(&seg[at..]);
+    tail.copy_from_slice(&seg[..tail.len()]);
 }
 
-/// Adds `chunk` into the cyclic segment `seg` from `at` on, over its end:
-/// to `seg`'s own values, or to `base`'s where given (a column's first
-/// block row, whose totals start from the channel LLRs).
+/// Adds `chunk` into the cyclic segment `seg` from `at` on, over its end,
+/// as two runs like [`gather_wrapped`]: to `seg`'s own values, or to
+/// `base`'s where given (a column's first block row, whose totals start
+/// from the channel LLRs).
 #[cold]
 #[inline(never)]
 fn scatter_add_wrapped(seg: &mut [f32], base: Option<&[f32]>, at: usize, chunk: &[f32]) {
-    for (i, &x) in chunk.iter().enumerate() {
-        let r = rotated(at, i, seg.len());
-        seg[r] = base.map_or(seg[r], |b| b[r]) + x;
+    let (head, tail) = chunk.split_at(seg.len() - at);
+    for (range, run) in [(at..seg.len(), head), (0..tail.len(), tail)] {
+        let dst = &mut seg[range.clone()];
+        match base {
+            Some(base) => {
+                for ((d, &b), &x) in dst.iter_mut().zip(&base[range]).zip(run) {
+                    *d = b + x;
+                }
+            }
+            None => {
+                for (d, &x) in dst.iter_mut().zip(run) {
+                    *d += x;
+                }
+            }
+        }
     }
 }
 
-/// The check-node update of one flooding iteration, fused with the
-/// variable-node accumulation: reads the totals `cur` (and, unless
-/// `FIRST`, the messages `c2v`), writes every new message and the next
-/// totals `next` — `llr` plus the column's messages in row order. `v2c`
-/// holds one chunk per block of a row between the two passes.
+/// Writes iteration 1 of a hard-decision decode, run on packed words by
+/// [`MinSumDecoder::bit_iteration`], into the float kernel's arrays: the
+/// message of check `k` through block `(col, shift)` of row `r` is `±α`
+/// with sign bit `s_r[k] ⊕ received[col][(k + shift) mod t]`, and
+/// variable `v`'s total is `(−1)^h · (1 + α·(d − 2u))`. Both are the
+/// float iteration's values bit for bit (see `bit_iteration`). `signs`
+/// is one segment of scratch.
 ///
 /// # Safety
 ///
 /// The CPU must support `L`'s instruction set.
 #[inline(always)]
-unsafe fn sweep<L: Lanes, const FIRST: bool>(
+#[allow(clippy::too_many_arguments)]
+unsafe fn seed_iteration_1<L: Lanes>(
+    g: &Graph,
+    alpha: f32,
+    received: &[u64],
+    rows: &[u64],
+    counts: &[u64],
+    signs: &mut [u64],
+    c2v: &mut [f32],
+    totals: &mut [f32],
+) {
+    let (t, tw, width) = (g.t, g.t / 64, L::WIDTH);
+    let (nw, planes) = (received.len(), g.count_planes);
+    // SAFETY: lane operations need `L`'s instruction set, the caller's
+    // guarantee; every store goes to a `width`-float chunk of a slice.
+    unsafe {
+        let zero = L::splat(0.0);
+        let sign = L::splat(-0.0);
+        let rows = g
+            .block_rows
+            .iter()
+            .zip(&g.plan_rows)
+            .zip(rows.chunks_exact(tw));
+        for ((row, plan), s) in rows {
+            for (&(col, shift), block) in row.iter().zip(plan) {
+                signs.copy_from_slice(s);
+                xor_rotated(signs, &received[col * tw..][..tw], shift);
+                write_signs::<L>(signs, alpha, &mut c2v[block.msg..][..t]);
+            }
+        }
+
+        // `2α · 2^p` per count plane.
+        let mut steps = [zero; MAX_PLANES];
+        for (p, step) in steps[..planes].iter_mut().enumerate() {
+            *step = L::splat(2.0 * alpha * (1u32 << p) as f32);
+        }
+        for (j, blocks) in g.block_cols.iter().enumerate() {
+            let most = L::splat(1.0 + alpha * blocks.len() as f32);
+            let segment = totals[j * (t + PAD)..][..t].chunks_exact_mut(64);
+            for (w, run) in (j * tw..).zip(segment) {
+                let mut count = [0u64; MAX_PLANES];
+                for (bits, plane) in count[..planes].iter_mut().zip(counts.chunks_exact(nw)) {
+                    *bits = plane[w];
+                }
+                for (i, lanes) in run.chunks_exact_mut(width).enumerate() {
+                    let mut mag = most;
+                    for (&bits, &step) in count[..planes].iter().zip(&steps) {
+                        mag = mag.sub(L::select((bits >> (i * width)) as u32, step, zero));
+                    }
+                    let flip = (received[w] >> (i * width)) as u32;
+                    L::select(flip, mag.xor(sign), mag).store(lanes.as_mut_ptr());
+                }
+            }
+        }
+    }
+}
+
+/// The check-node update of one flooding iteration, fused with the
+/// variable-node accumulation: reads the totals `cur` and the messages
+/// `c2v`, writes every new message and the next totals `next` — `llr`
+/// plus the column's messages in row order. `v2c` holds one chunk per
+/// block of a row between the two passes.
+///
+/// # Safety
+///
+/// The CPU must support `L`'s instruction set.
+#[inline(always)]
+unsafe fn sweep<L: Lanes>(
     g: &Graph,
     alpha: f32,
     llr: &[f32],
@@ -746,11 +1054,7 @@ unsafe fn sweep<L: Lanes, const FIRST: bool>(
                     let buf = run_at_mut(v2c, b * chunk, chunk);
                     for h in 0..2 {
                         let total = L::load(totals.add(h * width));
-                        let v = if FIRST {
-                            total
-                        } else {
-                            total.sub(L::load(msgs.add(h * width)))
-                        };
+                        let v = total.sub(L::load(msgs.add(h * width)));
                         v.store(buf.add(h * width));
                         let mag = v.abs();
                         sign[h] = sign[h].xor(v.sign_if_negative());
@@ -818,6 +1122,27 @@ unsafe fn pack_signs<L: Lanes>(values: &[f32], t: usize, stride: usize, hard: &m
                 // `lanes` holds `WIDTH` floats.
                 let mask = unsafe { L::load(lanes.as_ptr()).negative_mask() };
                 *word |= u64::from(mask) << (i * L::WIDTH);
+            }
+        }
+    }
+}
+
+/// Writes `±magnitude` for each bit of `words` into `out`, negative
+/// where the bit is set, a lane vector at a time.
+///
+/// # Safety
+///
+/// The CPU must support `L`'s instruction set.
+#[inline(always)]
+unsafe fn write_signs<L: Lanes>(words: &[u64], magnitude: f32, out: &mut [f32]) {
+    // SAFETY: `L`'s instruction set is the caller's guarantee; every
+    // store goes to a `WIDTH`-float chunk of `out`.
+    unsafe {
+        let (plus, minus) = (L::splat(magnitude), L::splat(-magnitude));
+        for (&word, run) in words.iter().zip(out.chunks_exact_mut(64)) {
+            for (i, lanes) in run.chunks_exact_mut(L::WIDTH).enumerate() {
+                let bits = (word >> (i * L::WIDTH)) as u32;
+                L::select(bits, minus, plus).store(lanes.as_mut_ptr());
             }
         }
     }
@@ -953,6 +1278,77 @@ mod tests {
         assert!(LaneKind::detect().available() && LaneKind::Portable.available());
     }
 
+    /// A received word decoded by every lane implementation the host has,
+    /// each against the reference and against the soft path on the word's
+    /// ±1 LLRs (the packed iteration 1 against the float one); returns
+    /// the reference's outcome.
+    fn assert_hard_decodes_match(dec: &MinSumDecoder, word: &BitVec, what: &str) -> DecodeOutcome {
+        let reference = dec.decode_reference(word);
+        let mut llr = vec![0.0; word.len()];
+        expand_hard_llr(word.as_words(), dec.graph.t, dec.graph.t, &mut llr);
+        for lanes in LaneKind::ALL.into_iter().filter(|l| l.available()) {
+            let fast = dec.decode_on(lanes, word);
+            assert_eq!(fast, reference, "{lanes:?}: {what}");
+            assert_eq!(
+                fast,
+                dec.decode_llr_on(lanes, &llr),
+                "{lanes:?} hard vs soft: {what}"
+            );
+        }
+        reference
+    }
+
+    #[test]
+    fn packed_iteration_1_matches_reference_at_every_cap() {
+        let codes = [
+            QcLdpcCode::small_test(),
+            QcLdpcCode::medium(),
+            QcLdpcCode::new(crate::QcMatrix::paper_structure(4, 36, 192, 9)),
+        ];
+        // Error counts per word: none, a few (iteration 1 corrects them),
+        // then RBERs from well below the capability to hopeless.
+        let rbers = [0.001, 0.003, 0.006, 0.0085, 0.012, 0.03];
+        for code in &codes {
+            let n = code.n();
+            let errors = [0, 1, 2, 3]
+                .into_iter()
+                .chain(rbers.map(|p| (p * n as f64) as usize));
+            let errors: Vec<usize> = errors.collect();
+            // Clean, converged in iteration 1, converged in iteration 2,
+            // failed: every class must occur.
+            let mut seen = [false; 4];
+            for cap in [1, 2, 20] {
+                let dec = MinSumDecoder::with_max_iterations(code, cap);
+                let mut rng = SimRng::seed_from(0xB17 ^ cap as u64);
+                for &k in &errors {
+                    for round in 0..2 {
+                        let cw = code.encode(&BitVec::random(code.data_bits(), &mut rng));
+                        let noisy = Bsc::corrupt_exact(&cw, k, &mut rng);
+                        let what = format!("n={n} cap={cap} errors={k} round {round}");
+                        let out = assert_hard_decodes_match(&dec, &noisy, &what);
+                        match (out.success, out.iterations) {
+                            (true, 0) => seen[0] = true,
+                            (true, 1) => seen[1] = true,
+                            (true, 2) => seen[2] = true,
+                            (false, _) => seen[3] = true,
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            assert_eq!(seen, [true; 4], "n={n}: clean / at 1 / at 2 / failed");
+        }
+    }
+
+    #[test]
+    fn the_normalization_factor_is_three_quarters() {
+        // The packed iteration 1 is exact because α is dyadic: every
+        // partial total of iteration 1 is a small multiple of 1/4, which
+        // f32 sums exactly in any order. Another α needs that argument
+        // (`MinSumDecoder::bit_iteration`) redone.
+        assert_eq!(MinSumDecoder::new(&QcLdpcCode::small_test()).alpha, 0.75);
+    }
+
     #[test]
     fn portable_lanes_match_reference_on_any_host() {
         let codes = [
@@ -1037,9 +1433,9 @@ mod tests {
         // Warm the scratch, then die between taking it and putting it back.
         assert!(dec.decode(&noisy).success);
         let died = std::panic::catch_unwind(|| {
-            dec.decode_in_scratch(LaneKind::Portable, noisy.as_words().to_vec(), |_| {
-                panic!("mid-decode")
-            })
+            // Soft LLRs too short for the word: copying them into the
+            // scratch's padded layout panics.
+            dec.decode_in_scratch(LaneKind::Portable, noisy.as_words().to_vec(), Some(&[]))
         });
         assert!(died.is_err());
         assert_eq!(dec.decode(&noisy), dec.decode_reference(&noisy));
@@ -1090,6 +1486,26 @@ mod tests {
     fn reference_rejects_an_infinite_llr() {
         let (dec, llr) = llrs_with_an_infinity();
         dec.decode_llr_reference(&llr);
+    }
+
+    #[test]
+    #[should_panic(expected = "every check must meet at least two variables")]
+    fn a_check_of_degree_one_is_rejected() {
+        // The last block row has one block: its checks' second minimum
+        // would be infinite.
+        let coeffs = vec![
+            Some(0),
+            Some(1),
+            Some(2),
+            Some(3),
+            Some(4),
+            None,
+            None,
+            None,
+            Some(5),
+        ];
+        let code = QcLdpcCode::new(crate::QcMatrix::from_coeffs(3, 64, coeffs));
+        let _ = MinSumDecoder::new(&code);
     }
 
     #[test]

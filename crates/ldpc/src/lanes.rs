@@ -47,6 +47,9 @@ pub(crate) trait Lanes: Copy {
     unsafe fn sign_if_negative(self) -> Self;
     /// Per lane: `then` where `self == key`, `otherwise` elsewhere.
     unsafe fn pick_eq(self, key: Self, then: Self, otherwise: Self) -> Self;
+    /// Per lane `i`: `then` where bit `i` of `mask` is set, `otherwise`
+    /// elsewhere (bits from `WIDTH` up are ignored).
+    unsafe fn select(mask: u32, then: Self, otherwise: Self) -> Self;
     /// Bit `i` set where lane `i` is `< 0.0` (`WIDTH` bits).
     unsafe fn negative_mask(self) -> u32;
 }
@@ -164,6 +167,16 @@ impl Lanes for Portable {
         }))
     }
     #[inline(always)]
+    unsafe fn select(mask: u32, then: Self, otherwise: Self) -> Self {
+        Portable(std::array::from_fn(|i| {
+            if mask >> i & 1 == 1 {
+                then.0[i]
+            } else {
+                otherwise.0[i]
+            }
+        }))
+    }
+    #[inline(always)]
     unsafe fn negative_mask(self) -> u32 {
         let mut mask = 0u32;
         for (i, &a) in self.0.iter().enumerate() {
@@ -247,6 +260,15 @@ mod x86 {
             Avx2(_mm256_blendv_ps(otherwise.0, then.0, eq))
         }
         #[inline(always)]
+        unsafe fn select(mask: u32, then: Self, otherwise: Self) -> Self {
+            // Lane `i` tests bit `i`: a lane is all ones where the
+            // broadcast mask, ANDed with its own bit, still equals it.
+            let bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+            let set = _mm256_and_si256(_mm256_set1_epi32(mask as i32), bits);
+            let picked = _mm256_castsi256_ps(_mm256_cmpeq_epi32(set, bits));
+            Avx2(_mm256_blendv_ps(otherwise.0, then.0, picked))
+        }
+        #[inline(always)]
         unsafe fn negative_mask(self) -> u32 {
             let below = _mm256_cmp_ps::<_CMP_LT_OQ>(self.0, _mm256_setzero_ps());
             _mm256_movemask_ps(below) as u32
@@ -321,6 +343,10 @@ mod x86 {
         unsafe fn pick_eq(self, key: Self, then: Self, otherwise: Self) -> Self {
             let eq = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(self.0, key.0);
             Avx512(_mm512_mask_blend_ps(eq, otherwise.0, then.0))
+        }
+        #[inline(always)]
+        unsafe fn select(mask: u32, then: Self, otherwise: Self) -> Self {
+            Avx512(_mm512_mask_blend_ps(mask as u16, otherwise.0, then.0))
         }
         #[inline(always)]
         unsafe fn negative_mask(self) -> u32 {
