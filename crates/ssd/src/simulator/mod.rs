@@ -38,6 +38,7 @@ use rif_flash::learn::{ReadOutcome, ThresholdLearner};
 use rif_flash::rber::{BlockProfile, ErrorModel};
 use rif_flash::swift_read::SwiftRead;
 use rif_flash::vth::OperatingPoint;
+use rif_workloads::trace::MAX_END_BYTES;
 use rif_workloads::{IoOp, IoRequest, Trace};
 
 use crate::config::SsdConfig;
@@ -66,10 +67,6 @@ use ecc::EccEngine;
 pub use host::Completion;
 use host::{HostJob, Request, WriteJob};
 use read_path::{GroupPhase, ReadGroup};
-
-/// The byte address every request must end at or below
-/// ([`Simulator::submit`]): it bounds the slot tables' directories.
-const MAX_END_BYTES: u64 = 1 << 48;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
@@ -368,9 +365,9 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics unless the request ends at or below byte 2^48 (256 TiB)
-    /// without overflowing `u64`: the bound of the simulator's slot
-    /// tables.
+    /// Panics unless the request ends at or below byte 2^48 (256 TiB,
+    /// the trace model's [`MAX_END_BYTES`]) without overflowing `u64`:
+    /// the bound of the simulator's slot tables.
     pub fn submit(&mut self, r: IoRequest) -> u64 {
         let end = r.offset.saturating_add(u64::from(r.bytes));
         assert!(end <= MAX_END_BYTES, "request {r:?} ends past byte 2^48");

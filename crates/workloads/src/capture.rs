@@ -2,10 +2,12 @@
 //!
 //! A live `rif-server` run can journal every *admitted* request through
 //! its `TraceRecorder`; this module is the interchange format those
-//! journals are written in and read back from. It is a strict superset
-//! of the plain block-trace CSV of [`crate::parser`]: the first four
-//! fields are identical (`t_us,R|W,offset_bytes,length_bytes`), followed
-//! by the serving-side metadata a replay needs (`tenant,shard,outcome`).
+//! journals are written in and read back from, and the one trace file
+//! format of the workspace: a block trace from elsewhere (AliCloud,
+//! Systor) is converted into it, then read like any capture. The first
+//! four fields are the block-trace core
+//! (`t_us,R|W,offset_bytes,length_bytes`), followed by the serving-side
+//! metadata a replay needs (`tenant,shard,outcome`).
 //!
 //! ```text
 //! # rif-capture v1: t_us,op,offset_bytes,length_bytes,tenant,shard,outcome
@@ -33,7 +35,7 @@ use std::fmt;
 
 use rif_events::SimTime;
 
-use crate::trace::{IoOp, IoRequest, Trace};
+use crate::trace::{IoOp, IoRequest, Trace, MAX_END_BYTES};
 
 /// How an admitted request terminated on the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,6 +124,17 @@ pub enum CaptureErrorKind {
     BadOutcome(String),
     /// A zero-length request.
     EmptyRequest,
+    /// A request whose `offset + bytes` ends past the trace model's
+    /// address bound, [`MAX_END_BYTES`].
+    PastAddressBound {
+        /// The request's offset.
+        offset: u64,
+        /// The request's length.
+        bytes: u32,
+    },
+    /// A timestamp whose nanoseconds do not fit the simulation clock's
+    /// `u64`.
+    TimeOverflow(u64),
     /// A timestamp earlier than its predecessor.
     NonMonotonicTime {
         /// The offending timestamp.
@@ -151,6 +164,16 @@ impl fmt::Display for ParseCaptureError {
             CaptureErrorKind::EmptyRequest => {
                 write!(f, "line {}: zero-length request", self.line)
             }
+            CaptureErrorKind::PastAddressBound { offset, bytes } => write!(
+                f,
+                "line {}: request at offset {offset} of {bytes} bytes ends past byte 2^48",
+                self.line
+            ),
+            CaptureErrorKind::TimeOverflow(t_us) => write!(
+                f,
+                "line {}: timestamp {t_us} us overflows the simulation clock",
+                self.line
+            ),
             CaptureErrorKind::NonMonotonicTime { t_us, prev_us } => write!(
                 f,
                 "line {}: timestamp {t_us} runs backwards (previous record at {prev_us})",
@@ -225,7 +248,9 @@ impl Capture {
 
     /// Parses a captured-trace CSV. Blank lines and `#` comments are
     /// skipped; every record row must have exactly 7 well-formed fields
-    /// and non-decreasing timestamps.
+    /// and non-decreasing timestamps, and must be one the simulator can
+    /// replay: it ends at or below [`MAX_END_BYTES`], and its timestamp
+    /// fits the nanosecond clock.
     ///
     /// # Errors
     ///
@@ -255,6 +280,12 @@ impl Capture {
                 })
             };
             let t_us = num(fields[0])?;
+            if t_us.checked_mul(1_000).is_none() {
+                return Err(ParseCaptureError {
+                    line,
+                    kind: CaptureErrorKind::TimeOverflow(t_us),
+                });
+            }
             let op = match fields[1] {
                 "R" => IoOp::Read,
                 "W" => IoOp::Write,
@@ -275,6 +306,12 @@ impl Capture {
                 return Err(ParseCaptureError {
                     line,
                     kind: CaptureErrorKind::EmptyRequest,
+                });
+            }
+            if !matches!(offset.checked_add(u64::from(bytes)), Some(end) if end <= MAX_END_BYTES) {
+                return Err(ParseCaptureError {
+                    line,
+                    kind: CaptureErrorKind::PastAddressBound { offset, bytes },
                 });
             }
             let tenant = u32::try_from(num(fields[4])?).map_err(|_| ParseCaptureError {
@@ -426,6 +463,47 @@ mod tests {
             Capture::parse_csv("0,R,0,0,0,0,done\n").unwrap_err().kind,
             CaptureErrorKind::EmptyRequest
         ));
+    }
+
+    #[test]
+    fn rejects_a_request_ending_past_the_address_bound() {
+        // Served, this row used to panic in `Simulator::submit`.
+        let e = Capture::parse_csv("0,R,0,4096,0,0,done\n0,R,281474976710656,65536,0,0,done\n")
+            .unwrap_err();
+        assert_eq!(e.line, 2);
+        assert_eq!(
+            e.kind,
+            CaptureErrorKind::PastAddressBound {
+                offset: MAX_END_BYTES,
+                bytes: 65536
+            }
+        );
+        assert!(e.to_string().contains("line 2"), "{e}");
+        // `offset + bytes` wrapping u64 is past the bound too; ending
+        // exactly at it is not.
+        let wraps = format!("0,W,{},4096,0,0,done\n", u64::MAX);
+        assert!(matches!(
+            Capture::parse_csv(&wraps).unwrap_err().kind,
+            CaptureErrorKind::PastAddressBound { .. }
+        ));
+        let last = format!("0,R,{},65536,0,0,done\n", MAX_END_BYTES - 65536);
+        assert_eq!(Capture::parse_csv(&last).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn rejects_a_timestamp_the_nanosecond_clock_cannot_hold() {
+        let max_us = u64::MAX / 1_000;
+        let e = Capture::parse_csv(&format!(
+            "0,R,0,4096,0,0,done\n{},R,0,4096,0,0,done\n",
+            max_us + 1
+        ))
+        .unwrap_err();
+        assert_eq!(e.line, 2);
+        assert_eq!(e.kind, CaptureErrorKind::TimeOverflow(max_us + 1));
+        let e = Capture::parse_csv(&format!("{},R,0,4096,0,0,done\n", u64::MAX)).unwrap_err();
+        assert_eq!(e.kind, CaptureErrorKind::TimeOverflow(u64::MAX));
+        let fits = format!("{max_us},R,0,4096,0,0,done\n");
+        assert_eq!(Capture::parse_csv(&fits).unwrap().len(), 1);
     }
 
     #[test]

@@ -11,19 +11,16 @@
 //!   ratio) plus Zipfian hot-spot locality and Poisson arrivals;
 //! * [`profiles`] — the eight named workloads of Table II as generator
 //!   presets;
-//! * [`parser`] — a CSV block-trace parser for users who do have real
-//!   traces;
-//! * [`capture`] — the captured-trace format `rif-server` journals served
-//!   requests in, replayable through the offline pipeline;
+//! * [`capture`] — the one trace file format: `rif-server` journals
+//!   served requests in it, and [`Capture::parse_csv`] +
+//!   [`Capture::to_trace`] is how any trace file enters the simulator;
 //! * [`stats`] — trace statistics (regenerates Table II from any trace).
 
 pub mod capture;
-pub mod parser;
 pub mod profiles;
 pub mod stats;
 pub mod synth;
 pub mod trace;
-pub mod writer;
 
 pub use capture::{Capture, CaptureOutcome, CapturedRequest, ParseCaptureError};
 pub use profiles::WorkloadProfile;

@@ -2,6 +2,11 @@
 
 use rif_events::SimTime;
 
+/// The byte address every request must end at or below (2^48, 256 TiB):
+/// the trace model's address space. The simulator's slot tables are
+/// sized by it, and the capture parser refuses a row that ends past it.
+pub const MAX_END_BYTES: u64 = 1 << 48;
+
 /// Direction of a block I/O request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoOp {

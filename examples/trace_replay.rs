@@ -1,15 +1,16 @@
-//! Replay a block trace — synthetic or from a CSV file — through every
-//! retry scheme and print a bandwidth/latency comparison table.
+//! Replay a block trace — synthetic or from a capture file — through
+//! every retry scheme and print a bandwidth/latency comparison table.
 //!
 //! ```sh
 //! # All eight Table II workloads at 1K P/E:
 //! cargo run --release --example trace_replay
-//! # A custom CSV trace (timestamp_us,R|W,offset_bytes,length_bytes):
-//! cargo run --release --example trace_replay -- my_trace.csv 2000
+//! # A capture (what `rif-server --capture` writes; any other block
+//! # trace is converted to this format first), at 2K P/E:
+//! cargo run --release --example trace_replay -- load.csv 2000
 //! ```
 
 use rif::prelude::*;
-use rif::workloads::parser;
+use rif::workloads::Capture;
 
 fn replay(name: &str, trace: &Trace, pe: u32) {
     let stats = TraceStats::compute(trace);
@@ -51,11 +52,11 @@ fn main() {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(1);
         });
-        let trace = parser::parse_csv(&text).unwrap_or_else(|e| {
-            eprintln!("parse error: {e}");
+        let capture = Capture::parse_csv(&text).unwrap_or_else(|e| {
+            eprintln!("malformed capture {path}: {e}");
             std::process::exit(1);
         });
-        replay(path, &trace, pe);
+        replay(path, &capture.to_trace(), pe);
         return;
     }
 

@@ -20,7 +20,7 @@
 //! * [`ssd`] — the discrete-event SSD simulator with all seven retry
 //!   configurations of the evaluation;
 //! * [`workloads`] — the eight Table II workloads as synthetic traces,
-//!   plus a trace parser;
+//!   plus the capture format any trace file is read in;
 //! * [`events`] — the simulation kernel.
 //!
 //! # Quickstart

@@ -7,10 +7,13 @@
 //!   every capture the recorder can produce (monotonic times, non-empty
 //!   requests);
 //! - rejection: malformed rows — bad tenant, negative offset,
-//!   non-monotonic time, wrong field counts, arbitrary garbage — are
-//!   refused with a typed, line-numbered error, never a panic.
+//!   non-monotonic time, wrong field counts, arbitrary garbage, a bad row
+//!   anywhere in a valid file — are refused with a typed, line-numbered
+//!   error, never a panic.
 
 use proptest::prelude::*;
+use rif_workloads::capture::CaptureErrorKind;
+use rif_workloads::trace::MAX_END_BYTES;
 use rif_workloads::{Capture, CaptureOutcome, CapturedRequest, IoOp};
 
 /// A capture with non-decreasing timestamps and non-empty requests, the
@@ -107,6 +110,38 @@ proptest! {
         let e = Capture::parse_csv(&text).expect_err("decreasing time accepted");
         prop_assert!(e.to_string().contains("line 3"), "{e}");
         let _ = cap;
+    }
+
+    #[test]
+    fn malformed_line_is_rejected_with_its_number(
+        cap in capture_strategy(),
+        pos_seed in any::<u64>(),
+        kind in 0u8..5,
+    ) {
+        let csv = cap.to_csv();
+        let mut lines: Vec<String> = csv.lines().map(str::to_string).collect();
+        // Anywhere after the header (line 1), stamped with the previous
+        // row's time so that the monotonic check cannot fire first.
+        let pos = 1 + (pos_seed as usize) % lines.len();
+        let t = if pos == 1 { 0 } else { cap.records[pos - 2].t_us };
+        let bad = match kind {
+            0 => format!("{t},R,0,4096"),
+            1 => format!("{t},R,4k,4096,0,0,done"),
+            2 => format!("{t},Q,0,4096,0,0,done"),
+            3 => format!("{t},R,0,0,0,0,done"),
+            _ => format!("{t},R,{MAX_END_BYTES},4096,0,0,done"),
+        };
+        lines.insert(pos, bad);
+        let e = Capture::parse_csv(&lines.join("\n")).expect_err("must reject");
+        prop_assert_eq!(e.line, pos + 1);
+        let kind_matches = match kind {
+            0 => matches!(e.kind, CaptureErrorKind::FieldCount(4)),
+            1 => matches!(e.kind, CaptureErrorKind::BadNumber(_)),
+            2 => matches!(e.kind, CaptureErrorKind::BadOp(_)),
+            3 => matches!(e.kind, CaptureErrorKind::EmptyRequest),
+            _ => matches!(e.kind, CaptureErrorKind::PastAddressBound { .. }),
+        };
+        prop_assert!(kind_matches, "kind {} got {:?}", kind, e.kind);
     }
 
     #[test]
