@@ -6,6 +6,10 @@
 //! Every syndrome, the codeword rearrangement and its inverse, and the
 //! decoder's convergence test are XORs of such rotations, computed here a
 //! word at a time into the caller's buffer — no per-circulant allocation.
+//!
+//! The decoder keeps its segments *doubled* (each segment's `t/64` words
+//! stored twice in a row, see [`double_segments`]): a rotation of a
+//! doubled segment is then one contiguous run of words with no seam.
 
 use crate::matrix::QcMatrix;
 
@@ -46,11 +50,61 @@ pub(crate) fn xor_rotated(acc: &mut [u64], seg: &[u64], shift: usize) {
     rotated_with(acc, seg, shift, |a, w| *a ^= w);
 }
 
-/// Writes `seg` rotated left by `shift < t` bits into `out` (both `t/64`
-/// words).
+/// XORs a segment rotated left by `shift < t` bits into `acc` (`t/64`
+/// words), the segment given doubled (`seg2`: its `t/64` words twice in a
+/// row, then possibly padding). Output word `i` is then bits
+/// `shift + 64i ..` of `seg2`, one contiguous run from word `shift / 64`
+/// on: no seam to close and no wrap to test.
 #[inline]
-pub(crate) fn rotate_into(out: &mut [u64], seg: &[u64], shift: usize) {
-    rotated_with(out, seg, shift, |a, w| *a = w);
+pub(crate) fn xor_rotated_doubled(acc: &mut [u64], seg2: &[u64], shift: usize) {
+    let nw = acc.len();
+    assert!(seg2.len() >= 2 * nw && shift < nw * 64);
+    let (q, bs) = (shift / 64, shift % 64);
+    if bs == 0 {
+        acc.iter_mut()
+            .zip(&seg2[q..q + nw])
+            .for_each(|(a, &w)| *a ^= w);
+        return;
+    }
+    let run = seg2[q..q + nw].iter().zip(&seg2[q + 1..q + nw + 1]);
+    for (a, (&lo, &hi)) in acc.iter_mut().zip(run) {
+        *a ^= (lo >> bs) | (hi << (64 - bs));
+    }
+}
+
+/// Words a doubled segment's copy is padded to: 512 bits, the widest
+/// lane vector's.
+pub(crate) const GROUP: usize = 8;
+
+/// Words from the start of one doubled segment to the next: a segment's
+/// `tw` words, then its copy padded to whole groups of [`GROUP`] words, so
+/// that a rotation read in runs of up to a group plus one word stays
+/// inside it (`2·tw` when `tw` is whole groups).
+pub(crate) fn doubled_stride(tw: usize) -> usize {
+    tw + GROUP * tw.div_ceil(GROUP)
+}
+
+/// Writes the segments of `words` (`tw` words each) doubled into `out`,
+/// segment `j` at `out[j · stride..]` ([`doubled_stride`]).
+#[inline]
+pub(crate) fn double_segments(words: &[u64], tw: usize, out: &mut [u64]) {
+    let stride = doubled_stride(tw);
+    assert_eq!(out.len() / stride, words.len() / tw);
+    for (seg, seg2) in words.chunks_exact(tw).zip(out.chunks_exact_mut(stride)) {
+        seg2[..tw].copy_from_slice(seg);
+        seg2[tw..2 * tw].copy_from_slice(seg);
+    }
+}
+
+/// The segments of a doubled word `words2` once each: the inverse of
+/// [`double_segments`].
+pub(crate) fn single_segments(words2: &[u64], tw: usize) -> Vec<u64> {
+    let stride = doubled_stride(tw);
+    words2
+        .chunks_exact(stride)
+        .flat_map(|seg2| &seg2[..tw])
+        .copied()
+        .collect()
 }
 
 /// XORs one block row's product with the word-packed codeword `words`
@@ -239,6 +293,26 @@ mod tests {
                 assert_eq!(syndrome(code, &word), expected, "{name}: k={k}");
                 assert!(!code.check(&word), "{name}: last-row check {k} missed");
                 assert_matches_reference(code, &word, &format!("{name} last row k={k}"));
+            }
+        }
+    }
+
+    #[test]
+    fn doubled_rotations_match_the_two_run_rotation_at_every_shift() {
+        let mut rng = SimRng::seed_from(0xD0B1);
+        for t in [64usize, 1024] {
+            let tw = t / 64;
+            let seg: Vec<u64> = (0..tw).map(|_| rng.next_u64()).collect();
+            let acc: Vec<u64> = (0..tw).map(|_| rng.next_u64()).collect();
+            let mut seg2 = vec![0; super::doubled_stride(tw)];
+            super::double_segments(&seg, tw, &mut seg2);
+            assert_eq!(super::single_segments(&seg2, tw), seg);
+            for shift in 0..t {
+                let mut expected = acc.clone();
+                super::xor_rotated(&mut expected, &seg, shift);
+                let mut got = acc.clone();
+                super::xor_rotated_doubled(&mut got, &seg2, shift);
+                assert_eq!(got, expected, "xor: t={t} shift={shift}");
             }
         }
     }

@@ -38,7 +38,7 @@ use rif_flash::learn::{ReadOutcome, ThresholdLearner};
 use rif_flash::rber::{BlockProfile, ErrorModel};
 use rif_flash::swift_read::SwiftRead;
 use rif_flash::vth::OperatingPoint;
-use rif_workloads::trace::MAX_END_BYTES;
+use rif_workloads::trace::{MAX_ARRIVAL, MAX_END_BYTES};
 use rif_workloads::{IoOp, IoRequest, Trace};
 
 use crate::config::SsdConfig;
@@ -366,11 +366,17 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics unless the request ends at or below byte 2^48 (256 TiB,
-    /// the trace model's [`MAX_END_BYTES`]) without overflowing `u64`:
-    /// the bound of the simulator's slot tables.
+    /// the trace model's [`MAX_END_BYTES`]) without overflowing `u64`,
+    /// the bound of the simulator's slot tables, and arrives at or before
+    /// 2^62 ns ([`MAX_ARRIVAL`]), which leaves the clock headroom for its
+    /// service time.
     pub fn submit(&mut self, r: IoRequest) -> u64 {
         let end = r.offset.saturating_add(u64::from(r.bytes));
         assert!(end <= MAX_END_BYTES, "request {r:?} ends past byte 2^48");
+        assert!(
+            r.arrival <= MAX_ARRIVAL,
+            "request {r:?} arrives past 2^62 ns"
+        );
         let id = self.submitted;
         self.submitted += 1;
         let arrival = r.arrival.max(self.events.now());

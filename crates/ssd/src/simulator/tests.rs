@@ -600,6 +600,15 @@ fn a_request_whose_range_overflows_panics_at_submit() {
 }
 
 #[test]
+#[should_panic(expected = "arrives past 2^62 ns")]
+fn a_request_arriving_past_the_time_bound_panics_at_submit() {
+    // Served, its service time would wrap the clock.
+    let mut sim = Simulator::new(SsdConfig::small(RetryKind::Rif, 1000));
+    let late = MAX_ARRIVAL.as_ns() / 1_000 + 1;
+    sim.submit(read_req(late, 0, 4096));
+}
+
+#[test]
 fn requests_ending_exactly_at_2_48_are_served() {
     let last = MAX_END_BYTES - 64 * 1024;
     let trace = Trace::new(vec![

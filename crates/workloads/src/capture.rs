@@ -35,7 +35,7 @@ use std::fmt;
 
 use rif_events::SimTime;
 
-use crate::trace::{IoOp, IoRequest, Trace, MAX_END_BYTES};
+use crate::trace::{IoOp, IoRequest, Trace, MAX_ARRIVAL, MAX_END_BYTES};
 
 /// How an admitted request terminated on the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,9 +132,9 @@ pub enum CaptureErrorKind {
         /// The request's length.
         bytes: u32,
     },
-    /// A timestamp whose nanoseconds do not fit the simulation clock's
-    /// `u64`.
-    TimeOverflow(u64),
+    /// A timestamp past the trace model's time bound, [`MAX_ARRIVAL`]
+    /// (those whose nanoseconds overflow a `u64` included).
+    PastTimeBound(u64),
     /// A timestamp earlier than its predecessor.
     NonMonotonicTime {
         /// The offending timestamp.
@@ -169,10 +169,11 @@ impl fmt::Display for ParseCaptureError {
                 "line {}: request at offset {offset} of {bytes} bytes ends past byte 2^48",
                 self.line
             ),
-            CaptureErrorKind::TimeOverflow(t_us) => write!(
+            CaptureErrorKind::PastTimeBound(t_us) => write!(
                 f,
-                "line {}: timestamp {t_us} us overflows the simulation clock",
-                self.line
+                "line {}: timestamp {t_us} us is past the simulation clock's bound of {} us",
+                self.line,
+                MAX_ARRIVAL.as_ns() / 1_000
             ),
             CaptureErrorKind::NonMonotonicTime { t_us, prev_us } => write!(
                 f,
@@ -249,8 +250,8 @@ impl Capture {
     /// Parses a captured-trace CSV. Blank lines and `#` comments are
     /// skipped; every record row must have exactly 7 well-formed fields
     /// and non-decreasing timestamps, and must be one the simulator can
-    /// replay: it ends at or below [`MAX_END_BYTES`], and its timestamp
-    /// fits the nanosecond clock.
+    /// replay: it ends at or below [`MAX_END_BYTES`], and it arrives at or
+    /// before [`MAX_ARRIVAL`].
     ///
     /// # Errors
     ///
@@ -280,10 +281,10 @@ impl Capture {
                 })
             };
             let t_us = num(fields[0])?;
-            if t_us.checked_mul(1_000).is_none() {
+            if t_us > MAX_ARRIVAL.as_ns() / 1_000 {
                 return Err(ParseCaptureError {
                     line,
-                    kind: CaptureErrorKind::TimeOverflow(t_us),
+                    kind: CaptureErrorKind::PastTimeBound(t_us),
                 });
             }
             let op = match fields[1] {
@@ -499,11 +500,33 @@ mod tests {
         ))
         .unwrap_err();
         assert_eq!(e.line, 2);
-        assert_eq!(e.kind, CaptureErrorKind::TimeOverflow(max_us + 1));
+        assert_eq!(e.kind, CaptureErrorKind::PastTimeBound(max_us + 1));
         let e = Capture::parse_csv(&format!("{},R,0,4096,0,0,done\n", u64::MAX)).unwrap_err();
-        assert_eq!(e.kind, CaptureErrorKind::TimeOverflow(u64::MAX));
-        let fits = format!("{max_us},R,0,4096,0,0,done\n");
-        assert_eq!(Capture::parse_csv(&fits).unwrap().len(), 1);
+        assert_eq!(e.kind, CaptureErrorKind::PastTimeBound(u64::MAX));
+        // The largest the clock holds is past the time bound too.
+        let e = Capture::parse_csv(&format!("{max_us},R,0,4096,0,0,done\n")).unwrap_err();
+        assert_eq!(e.kind, CaptureErrorKind::PastTimeBound(max_us));
+    }
+
+    #[test]
+    fn rejects_a_timestamp_within_service_time_of_the_clocks_end() {
+        // Its nanoseconds fit a u64, but served, the request's service
+        // time wrapped the clock and `EventQueue::schedule` panicked.
+        let e = Capture::parse_csv("0,R,0,4096,0,0,done\n18446744073709551,R,0,4096,0,0,done\n")
+            .unwrap_err();
+        assert_eq!(e.line, 2);
+        assert_eq!(
+            e.kind,
+            CaptureErrorKind::PastTimeBound(18_446_744_073_709_551)
+        );
+        assert!(e.to_string().contains("line 2"), "{e}");
+        // Arriving exactly at the bound is accepted, a microsecond later
+        // is not.
+        let last = MAX_ARRIVAL.as_ns() / 1_000;
+        let at = Capture::parse_csv(&format!("{last},W,0,4096,0,0,done\n")).unwrap();
+        assert_eq!(at.to_trace().requests()[0].arrival, SimTime::from_us(last));
+        let past = Capture::parse_csv(&format!("{},W,0,4096,0,0,done\n", last + 1)).unwrap_err();
+        assert_eq!(past.kind, CaptureErrorKind::PastTimeBound(last + 1));
     }
 
     #[test]

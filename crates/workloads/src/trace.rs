@@ -7,6 +7,14 @@ use rif_events::SimTime;
 /// sized by it, and the capture parser refuses a row that ends past it.
 pub const MAX_END_BYTES: u64 = 1 << 48;
 
+/// The latest arrival a request may have (2^62 ns, about 146 years): the
+/// trace model's time bound. It is a quarter of the simulation clock's
+/// `u64` nanoseconds and leaves the rest as headroom for the service and
+/// queueing time after the last arrival, which would otherwise wrap the
+/// clock. The capture parser refuses a later timestamp, and
+/// `Simulator::submit` asserts the bound.
+pub const MAX_ARRIVAL: SimTime = SimTime::from_ns(1 << 62);
+
 /// Direction of a block I/O request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoOp {

@@ -16,7 +16,8 @@
 # definition (the ECC capability, the V_TH stress law, the learner's
 # fixed tuning), a guard that the real code's Monte-Carlo sweeps share
 # one encode→corrupt page loop, a guard that the min-sum kernel has one
-# float sweep per lane type (no first-iteration variant), a guard that
+# float sweep per lane type (no first-iteration variant) and one seeding
+# of it, a guard that
 # the capture is the one trace file format, test suite (the property
 # suites and the experiment
 # registry's smoke runs are plain integration tests and run with it), the
@@ -232,6 +233,20 @@ if prod_lines crates/bench/src/experiments/mod.rs | grep -F 'fig14_rp_approx_acc
 # float sweep has no first-iteration variant. Production code only.
 echo "==> one min-sum sweep instantiation (no const FIRST in ldpc/src/decoder.rs)"
 if prod_lines crates/ldpc/src/decoder.rs | grep -F 'const FIRST'; then exit 1; fi
+
+# One float sweep and one seeding of it (DESIGN §5): a hard-decision
+# decode runs iterations 1 and 2 on packed words and seeds the sweep's
+# iteration 3 from them, a soft one clears the messages, so decoder.rs
+# defines exactly one `fn sweep<` and one `fn seed_iteration_`.
+# Production code only.
+echo "==> one min-sum sweep and one seeding (one fn sweep<, one fn seed_iteration_ in ldpc/src/decoder.rs)"
+for def in 'fn sweep<' 'fn seed_iteration_'; do
+    n=$(prod_lines crates/ldpc/src/decoder.rs | grep -cF "$def" || true)
+    if [ "$n" -ne 1 ]; then
+        echo "crates/ldpc/src/decoder.rs: $n definitions of '$def', want 1"
+        exit 1
+    fi
+done
 
 # One trace file format (DESIGN §10.1): a trace file enters the workspace
 # only as a capture (`Capture::parse_csv`), so the loose four-column
