@@ -11,13 +11,11 @@ pub mod ablation_rho_sweep;
 pub mod ablation_suspend;
 pub mod fig03_ldpc_capability;
 pub mod fig04_retention_map;
-pub mod fig06_ssdone_vs_zero;
 pub mod fig07_timeline;
 pub mod fig10_syndrome_correlation;
 pub mod fig11_rp_accuracy;
 pub mod fig12_chunk_similarity;
 pub mod fig17_bandwidth;
-pub mod fig18_channel_usage;
 pub mod fig19_latency_cdf;
 pub mod hybrid_sweep;
 pub mod lifetime_sweep;
@@ -36,7 +34,6 @@ pub const EXPERIMENTS: &[(&str, RunFn)] = &[
     ("ablation_suspend", ablation_suspend::run),
     ("fig03_ldpc_capability", fig03_ldpc_capability::run),
     ("fig04_retention_map", fig04_retention_map::run),
-    ("fig06_ssdone_vs_zero", fig06_ssdone_vs_zero::run),
     ("fig07_timeline", fig07_timeline::run),
     (
         "fig10_syndrome_correlation",
@@ -45,7 +42,6 @@ pub const EXPERIMENTS: &[(&str, RunFn)] = &[
     ("fig11_rp_accuracy", fig11_rp_accuracy::run),
     ("fig12_chunk_similarity", fig12_chunk_similarity::run),
     ("fig17_bandwidth", fig17_bandwidth::run),
-    ("fig18_channel_usage", fig18_channel_usage::run),
     ("fig19_latency_cdf", fig19_latency_cdf::run),
     ("hybrid_sweep", hybrid_sweep::run),
     ("lifetime_sweep", lifetime_sweep::run),

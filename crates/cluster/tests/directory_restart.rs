@@ -208,16 +208,24 @@ fn a_fresh_connection_is_served_without_waiting_for_an_accept_poll() {
     let dir = Directory::start(map, 0).expect("directory starts");
     let addr = dir.addr().to_string();
     fetch_map_text(&addr).expect("first MAP_GET");
-    const CALLS: u32 = 20;
-    let started = Instant::now();
-    for _ in 0..CALLS {
-        let (epoch, _) = fetch_map_text(&addr).expect("MAP_GET");
-        assert_eq!(epoch, 1);
-    }
-    let mean = started.elapsed() / CALLS;
+    const CALLS: usize = 20;
+    let mut took: Vec<Duration> = (0..CALLS)
+        .map(|_| {
+            let started = Instant::now();
+            let (epoch, _) = fetch_map_text(&addr).expect("MAP_GET");
+            assert_eq!(epoch, 1);
+            started.elapsed()
+        })
+        .collect();
+    took.sort();
+    // An accept that slept 5 ms whenever it found no connection waiting
+    // put nearly all of that on each of these back-to-back calls. The
+    // median bounds it at half a poll and ignores the few calls a busy
+    // host delays.
+    let median = took[CALLS / 2];
     assert!(
-        mean < Duration::from_millis(1),
-        "a MAP_GET on a fresh connection took {mean:?} on average"
+        median < Duration::from_micros(2_500),
+        "a MAP_GET on a fresh connection took {median:?} at the median: {took:?}"
     );
     dir.stop();
 }

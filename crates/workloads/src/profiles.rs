@@ -95,16 +95,6 @@ impl WorkloadProfile {
             .max_by(|a, b| key(a).total_cmp(&key(b)))
     }
 
-    /// The four workloads of the motivation study (Fig. 6).
-    pub fn motivation_set() -> [WorkloadProfile; 4] {
-        [
-            Self::by_name("Ali121").expect("table entry"),
-            Self::by_name("Ali124").expect("table entry"),
-            Self::by_name("Sys0").expect("table entry"),
-            Self::by_name("Sys1").expect("table entry"),
-        ]
-    }
-
     /// The generator configuration for this profile.
     pub fn config(&self) -> SynthConfig {
         SynthConfig {
