@@ -43,6 +43,7 @@ use std::time::Duration;
 use rif_chaos::plan::{schedule_json, FaultPlan};
 use rif_chaos::proxy::ChaosProxy;
 use rif_chaos::scenario::{run_scenario, ScenarioConfig};
+use rif_workloads::SynthConfig;
 
 fn usage() -> ! {
     eprintln!(
@@ -118,6 +119,22 @@ fn parse_or_usage<T: std::str::FromStr>(v: &str, name: &str) -> T {
     })
 }
 
+/// Parses `--read-ratio`, exiting with the usage text unless the
+/// workload generator accepts it (both scenarios keep its other fields
+/// valid).
+fn parse_read_ratio(v: &str) -> f64 {
+    let read_ratio = parse_or_usage(v, "--read-ratio");
+    let synth = SynthConfig {
+        read_ratio,
+        ..SynthConfig::default()
+    };
+    if let Err(e) = synth.validate() {
+        eprintln!("rif-chaos: --read-ratio: {e}");
+        usage();
+    }
+    read_ratio
+}
+
 fn run_cmd(rest: &[String]) {
     let flags = flag_map(rest);
     let seed = get(&flags, "--seed").map(|v| parse_or_usage(v, "--seed"));
@@ -145,7 +162,7 @@ fn run_cmd(rest: &[String]) {
         cfg.request_deadline = Duration::from_millis(parse_or_usage(v, "--deadline-ms"));
     }
     if let Some(v) = get(&flags, "--read-ratio") {
-        cfg.read_ratio = parse_or_usage(v, "--read-ratio");
+        cfg.read_ratio = parse_read_ratio(v);
     }
     if let Some(v) = get(&flags, "--workload-seed") {
         cfg.workload_seed = parse_or_usage(v, "--workload-seed");
@@ -214,7 +231,7 @@ fn cluster_cmd(rest: &[String]) {
         cfg.seed = parse_or_usage(v, "--seed");
     }
     if let Some(v) = get(&flags, "--read-ratio") {
-        cfg.read_ratio = parse_or_usage(v, "--read-ratio");
+        cfg.read_ratio = parse_read_ratio(v);
     }
     if let Some(v) = get(&flags, "--kill-after-ms") {
         cfg.kill_after = Duration::from_millis(parse_or_usage(v, "--kill-after-ms"));

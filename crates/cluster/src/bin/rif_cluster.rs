@@ -171,6 +171,15 @@ fn stats_cmd(rest: &[String]) {
     print!("{text}");
 }
 
+/// Exits with the usage text when `flag` has made the routed load's
+/// synthetic workload invalid.
+fn check_workload(cfg: &RouterConfig, flag: &str) {
+    if let Err(e) = cfg.synth().validate() {
+        eprintln!("rif-cluster: {flag}: {e}");
+        usage();
+    }
+}
+
 fn load_cmd(rest: &[String]) {
     let flags = flag_map(rest);
     let mut cfg = RouterConfig {
@@ -185,12 +194,19 @@ fn load_cmd(rest: &[String]) {
     }
     if let Some(v) = get(&flags, "--read-ratio") {
         cfg.read_ratio = parse_or_usage(v, "--read-ratio");
+        check_workload(&cfg, "--read-ratio");
     }
     if let Some(v) = get(&flags, "--seed") {
         cfg.seed = parse_or_usage(v, "--seed");
     }
     if let Some(v) = get(&flags, "--request-kib") {
-        cfg.request_bytes = parse_or_usage::<u32>(v, "--request-kib") * 1024;
+        cfg.request_bytes = parse_or_usage::<u32>(v, "--request-kib")
+            .checked_mul(1024)
+            .unwrap_or_else(|| {
+                eprintln!("bad value for --request-kib: `{v}`");
+                usage()
+            });
+        check_workload(&cfg, "--request-kib");
     }
     let (report, _journal) = run_routed(&cfg).unwrap_or_else(|e| fail(e));
     println!("{}", report.to_json());

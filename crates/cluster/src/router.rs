@@ -89,6 +89,19 @@ pub struct RouterConfig {
     pub request_deadline: Duration,
 }
 
+impl RouterConfig {
+    /// The trace generator behind the routed load: the default mix with
+    /// this run's read ratio, Zipf exponent and request size.
+    pub fn synth(&self) -> SynthConfig {
+        SynthConfig {
+            read_ratio: self.read_ratio,
+            zipf_s: self.zipf_s,
+            request_bytes: self.request_bytes,
+            ..SynthConfig::default()
+        }
+    }
+}
+
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
@@ -143,12 +156,6 @@ struct Run<'a> {
 pub fn run_routed(cfg: &RouterConfig) -> io::Result<(LoadReport, Journal)> {
     let mut dir = Conn::connect(&cfg.directory)?;
     let map = current_map(&mut dir)?;
-    let synth = SynthConfig {
-        read_ratio: cfg.read_ratio,
-        zipf_s: cfg.zipf_s,
-        request_bytes: cfg.request_bytes,
-        ..SynthConfig::default()
-    };
     let mut run = Run {
         cfg,
         dir,
@@ -157,7 +164,7 @@ pub fn run_routed(cfg: &RouterConfig) -> io::Result<(LoadReport, Journal)> {
         poller: best_poller()?,
         endpoints: Vec::new(),
         ledger: Ledger::new(1, cfg.request_deadline),
-        fresh: (synth.generate(cfg.requests as usize, cfg.seed).iter())
+        fresh: (cfg.synth().generate(cfg.requests as usize, cfg.seed).iter())
             .map(|r| {
                 let io = PlannedIo {
                     op: r.op,

@@ -219,21 +219,34 @@ fn the_window_is_global_and_expired_tags_take_their_stragglers_as_duplicates() {
     const DEPTH: u64 = 8;
     let deadline = Duration::from_millis(300);
     let (listeners, map) = peers(2, 4);
+    // How long after a held tag's deadline its straggler answer goes out:
+    // room for the router's sweep, which wakes at the deadline.
+    const SWEEP_SLACK: Duration = Duration::from_millis(20);
     let serve = |listener: TcpListener| {
         std::thread::spawn(move || {
             // The router numbers its tags from 1 across all endpoints, so
             // tags 1..=DEPTH are the first window. Sit on those; the first
             // later tag can only have been sent after the sweep expired
-            // them, and the held ones are answered then — too late.
+            // one of them, and the held ones are answered then — too late.
+            // The first window goes out over some microseconds (the second
+            // endpoint's connect comes between its tags), so a later tag
+            // may reach this peer while the sweep has not yet reached the
+            // tags held here: each is answered only once its own deadline
+            // and the sweep's slack have passed.
             let mut link = PeerLink::accept(&listener);
             let mut arrivals: Vec<(u64, Instant)> = Vec::new();
-            let mut held: Vec<u64> = Vec::new();
+            let mut held: Vec<(u64, Instant)> = Vec::new();
             while let Some(e) = link.recv() {
-                arrivals.push((e.tag, Instant::now()));
+                let now = Instant::now();
+                arrivals.push((e.tag, now));
                 if e.tag <= DEPTH {
-                    held.push(e.tag);
+                    held.push((e.tag, now));
                 } else {
-                    held.drain(..).for_each(|tag| link.done(tag));
+                    if let Some(last) = held.iter().map(|&(_, at)| at).max() {
+                        let expired = last + deadline + SWEEP_SLACK;
+                        std::thread::sleep(expired.saturating_duration_since(Instant::now()));
+                    }
+                    held.drain(..).for_each(|(tag, _)| link.done(tag));
                     link.done(e.tag);
                 }
             }

@@ -80,6 +80,7 @@ impl SimRng {
     }
 
     /// Next raw 64-bit value (xoshiro256++ output function).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let out = self.s[0]
             .wrapping_add(self.s[3])
@@ -96,6 +97,7 @@ impl SimRng {
     }
 
     /// Uniform in `[0, 1)`: the top 53 bits of a draw scaled by 2⁻⁵³.
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -115,12 +117,14 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index range must be non-empty");
         self.bounded(n as u64) as usize
     }
 
     /// Uniform integer in `[lo, hi)`.
+    #[inline]
     pub fn int_range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
         lo + self.bounded(hi - lo)
@@ -128,6 +132,7 @@ impl SimRng {
 
     /// Unbiased uniform draw in `[0, range)` via Lemire's widening-multiply
     /// rejection method.
+    #[inline]
     fn bounded(&mut self, range: u64) -> u64 {
         debug_assert!(range > 0);
         // Accept v when the low half of v * range falls in the zone that
@@ -143,6 +148,7 @@ impl SimRng {
     }
 
     /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
@@ -183,6 +189,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `rate` is not positive.
+    #[inline]
     pub fn exponential(&mut self, rate: f64) -> f64 {
         assert!(rate > 0.0, "rate must be positive, got {rate}");
         -(1.0 - self.uniform()).ln() / rate
@@ -190,6 +197,7 @@ impl SimRng {
 
     /// Samples `k` in `[0, n)` from a Zipf distribution with exponent `s`
     /// using a precomputed [`ZipfTable`].
+    #[inline]
     pub fn zipf(&mut self, table: &ZipfTable) -> usize {
         table.sample(self.uniform())
     }
@@ -199,9 +207,17 @@ impl SimRng {
 ///
 /// Trace generators use this to model hot/cold page popularity: rank 0 is
 /// the hottest LBA region.
+///
+/// [`sample`](Self::sample) finds its rank in O(1) expected time through a
+/// guide table built with the CDF, and returns exactly what a binary
+/// search of the CDF returns for every `u` (DESIGN §"Workload synthesis").
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     cdf: Vec<f64>,
+    /// `G` buckets, `G` a power of two: bucket `j` holds the first rank
+    /// whose CDF reaches `j / G`. A power of two makes `u · G` and `j / G`
+    /// exact, so a draw's bucket never rounds past the rank it needs.
+    guide: Vec<u32>,
 }
 
 impl ZipfTable {
@@ -210,9 +226,10 @@ impl ZipfTable {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `s` is negative.
+    /// Panics if `n == 0`, `n` exceeds `u32::MAX`, or `s` is negative.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf table needs at least one rank");
+        assert!(u32::try_from(n).is_ok(), "Zipf table has too many ranks");
         assert!(s >= 0.0, "Zipf exponent must be non-negative");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -224,7 +241,20 @@ impl ZipfTable {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfTable { cdf }
+        // `total / total` is exactly 1, above every `u` in [0, 1): the
+        // guide build and `sample`'s scan both stop at the last rank.
+        debug_assert_eq!(cdf[n - 1], 1.0);
+        let buckets = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(buckets);
+        let mut rank = 0;
+        for j in 0..buckets {
+            let edge = j as f64 / buckets as f64;
+            while cdf[rank] < edge {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        ZipfTable { cdf, guide }
     }
 
     /// Number of ranks.
@@ -237,8 +267,34 @@ impl ZipfTable {
         self.cdf.is_empty()
     }
 
-    /// Maps a uniform `u in [0,1)` to a rank.
+    /// Maps a uniform `u in [0,1)` to a rank: the first rank whose CDF
+    /// exceeds `u`, clamped to the last rank.
+    ///
+    /// The guide bucket of `u` gives a rank at or below the first whose
+    /// CDF reaches `u`, and a short scan finds that one. When its CDF
+    /// equals `u` (a tie, which plateaus of a steep CDF make possible),
+    /// or `u` lies outside [0, 1), the rank comes from a binary search of
+    /// the CDF instead, so every `u` gets the binary search's answer.
+    #[inline]
     pub fn sample(&self, u: f64) -> usize {
+        if !(0.0..1.0).contains(&u) {
+            return self.search(u);
+        }
+        let mut rank = self.guide[(u * self.guide.len() as f64) as usize] as usize;
+        while self.cdf[rank] < u {
+            rank += 1;
+        }
+        if self.cdf[rank] == u {
+            return self.search(u);
+        }
+        rank
+    }
+
+    /// The binary-search mapping of `u` to a rank: the tie path of
+    /// [`sample`](Self::sample) and the reference it is tested against.
+    /// Among equal CDF entries the result depends on which one `std`'s
+    /// search lands on.
+    fn search(&self, u: f64) -> usize {
         match self
             .cdf
             .binary_search_by(|probe| probe.partial_cmp(&u).expect("CDF is finite"))
@@ -397,6 +453,61 @@ mod tests {
         assert_eq!(table.sample(0.999_999_9), 3);
         assert_eq!(table.len(), 4);
         assert!(!table.is_empty());
+    }
+
+    /// Every (ranks, exponent) pair the exactness tests cover. At s = 4 the
+    /// sum stops growing near rank 9 750, so the 65 536-rank table ends in
+    /// a long plateau of CDF values equal to 1.
+    fn exactness_tables() -> &'static [ZipfTable] {
+        static TABLES: std::sync::OnceLock<Vec<ZipfTable>> = std::sync::OnceLock::new();
+        TABLES.get_or_init(|| {
+            let mut tables = Vec::new();
+            for n in [1, 2, 3, 8192, 65_536] {
+                for s in [0.0, 0.5, 0.9, 1.5, 4.0] {
+                    tables.push(ZipfTable::new(n, s));
+                }
+            }
+            tables
+        })
+    }
+
+    /// Each CDF value is a tie (`sample` takes the search path there),
+    /// and its neighbours mostly are not; each bucket edge `j / G` and its
+    /// neighbours probe the guide lookup where a bucket starts and ends.
+    #[test]
+    fn guided_sample_matches_the_binary_search_everywhere() {
+        for table in exactness_tables() {
+            let buckets = table.guide.len();
+            let edges = (0..buckets).map(|j| j as f64 / buckets as f64);
+            let near = (table.cdf.iter().copied().chain(edges))
+                .flat_map(|point| [point.next_down(), point, point.next_up()]);
+            // 0, the largest u below 1, and u outside [0, 1).
+            let fixed = [0.0, 1.0f64.next_down(), -1.0, 1.0, 2.0, f64::INFINITY];
+            let n = table.len();
+            for u in near.chain(fixed) {
+                assert_eq!(table.sample(u), table.search(u), "n {n} u {u:e}");
+            }
+        }
+        let plateau = exactness_tables()
+            .iter()
+            .any(|t| t.cdf.windows(2).any(|w| w[0] == w[1]));
+        assert!(plateau, "no table has a CDF plateau");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+        #[test]
+        fn guided_sample_matches_the_binary_search_on_uniform_draws(
+            seed in proptest::prelude::any::<u64>(),
+            which in 0usize..25,
+        ) {
+            let table = &exactness_tables()[which];
+            let mut rng = SimRng::seed_from(seed);
+            for _ in 0..4096 {
+                let u = rng.uniform();
+                proptest::prop_assert_eq!(table.sample(u), table.search(u), "u {:e}", u);
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,16 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Exits with the usage text when `flag` has made the synthetic workload
+/// invalid. The other workload fields are defaults or were checked when
+/// their own flags were read, so the fault is `flag`'s.
+fn check_workload(cfg: &LoadConfig, flag: &str) {
+    if let Err(e) = cfg.synth().validate() {
+        eprintln!("rif-client: {flag}: {e}");
+        usage();
+    }
+}
+
 enum Mode {
     Load,
     Stats,
@@ -99,12 +109,20 @@ fn main() {
             }
             "--depth" => cfg.depth = val("--depth").parse().unwrap_or_else(|_| usage()),
             "--read-ratio" => {
-                cfg.read_ratio = val("--read-ratio").parse().unwrap_or_else(|_| usage())
+                cfg.read_ratio = val("--read-ratio").parse().unwrap_or_else(|_| usage());
+                check_workload(&cfg, "--read-ratio");
             }
-            "--zipf" => cfg.zipf_s = val("--zipf").parse().unwrap_or_else(|_| usage()),
+            "--zipf" => {
+                cfg.zipf_s = val("--zipf").parse().unwrap_or_else(|_| usage());
+                check_workload(&cfg, "--zipf");
+            }
             "--request-kib" => {
                 let kib: u32 = val("--request-kib").parse().unwrap_or_else(|_| usage());
-                cfg.request_bytes = kib * 1024;
+                cfg.request_bytes = kib.checked_mul(1024).unwrap_or_else(|| {
+                    eprintln!("--request-kib {kib} overflows");
+                    usage()
+                });
+                check_workload(&cfg, "--request-kib");
             }
             "--tenant" => cfg.tenant = val("--tenant").parse().unwrap_or_else(|_| usage()),
             "--seed" => cfg.seed = val("--seed").parse().unwrap_or_else(|_| usage()),

@@ -112,6 +112,19 @@ pub struct LoadConfig {
     pub batch: usize,
 }
 
+impl LoadConfig {
+    /// The trace generator behind the synthetic load: the default mix
+    /// with this load's read ratio, Zipf exponent and request size.
+    pub fn synth(&self) -> SynthConfig {
+        SynthConfig {
+            read_ratio: self.read_ratio,
+            zipf_s: self.zipf_s,
+            request_bytes: self.request_bytes,
+            ..SynthConfig::default()
+        }
+    }
+}
+
 impl Default for LoadConfig {
     fn default() -> Self {
         LoadConfig {
@@ -454,14 +467,8 @@ fn plans(cfg: &LoadConfig) -> Vec<Vec<PlannedIo>> {
 }
 
 fn plan(cfg: &LoadConfig, conn: usize, n: usize) -> Vec<PlannedIo> {
-    let synth = SynthConfig {
-        read_ratio: cfg.read_ratio,
-        zipf_s: cfg.zipf_s,
-        request_bytes: cfg.request_bytes,
-        ..SynthConfig::default()
-    };
     // Arrivals are discarded: a closed loop paces itself by completions.
-    synth
+    cfg.synth()
         .generate(n, cfg.seed + conn as u64)
         .iter()
         .map(|r| PlannedIo {

@@ -12,12 +12,42 @@
 //! region with probability `cold_read_ratio`, which pins the measured
 //! ratio to the configured one by construction.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use rif_events::{SimRng, SimTime, ZipfTable};
 
 use crate::trace::{IoOp, IoRequest, Trace};
 
 /// Address alignment of generated requests: one 16-KiB flash page.
 const ALIGN_BYTES: u32 = 16 * 1024;
+
+/// Most Zipf tables [`shared_zipf`] keeps; the oldest is replaced beyond.
+/// The generator's largest table (65 536 ranks) is 768 KiB.
+const ZIPF_MEMO_TABLES: usize = 4;
+
+/// Zipf tables by (ranks, exponent bits), oldest first.
+type ZipfMemo = Vec<((usize, u64), Arc<ZipfTable>)>;
+
+/// The process-wide memo behind [`shared_zipf`].
+static ZIPF_MEMO: Mutex<ZipfMemo> = Mutex::new(Vec::new());
+
+/// `ZipfTable::new(ranks, s)`, built once per process for each of the
+/// last [`ZIPF_MEMO_TABLES`] (ranks, exponent) pairs asked for. A cache of
+/// a pure function: a table from the memo is the table `new` would build.
+/// A poisoned lock is used as is: the memo only ever holds whole tables.
+fn shared_zipf(ranks: usize, s: f64) -> Arc<ZipfTable> {
+    let key = (ranks, s.to_bits());
+    let mut memo = ZIPF_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, table)) = memo.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(table);
+    }
+    let table = Arc::new(ZipfTable::new(ranks, s));
+    if memo.len() == ZIPF_MEMO_TABLES {
+        memo.remove(0);
+    }
+    memo.push((key, Arc::clone(&table)));
+    table
+}
 
 /// Configuration of the synthetic trace generator.
 ///
@@ -75,45 +105,79 @@ impl Default for SynthConfig {
 }
 
 impl SynthConfig {
+    /// Checks the configuration [`generate`](Self::generate) needs: both
+    /// ratios in `[0, 1]`, a non-negative Zipf exponent, a request size
+    /// that is a positive multiple of the 16-KiB page, regions that each
+    /// fit one request, and a mean interarrival time whose reciprocal,
+    /// the Poisson arrival rate, is positive. The error names the first
+    /// field that fails.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.read_ratio) {
+            return Err(format!(
+                "read ratio {} out of range [0, 1]",
+                self.read_ratio
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.cold_read_ratio) {
+            return Err(format!(
+                "cold-read ratio {} out of range [0, 1]",
+                self.cold_read_ratio
+            ));
+        }
+        if self.zipf_s.is_nan() || self.zipf_s < 0.0 {
+            return Err(format!(
+                "Zipf exponent {} must be non-negative",
+                self.zipf_s
+            ));
+        }
+        if self.request_bytes == 0 || !self.request_bytes.is_multiple_of(ALIGN_BYTES) {
+            return Err(format!(
+                "request size {} B must be a positive multiple of the {ALIGN_BYTES}-B alignment",
+                self.request_bytes
+            ));
+        }
+        if self.hot_region_bytes < self.request_bytes as u64
+            || self.cold_region_bytes < self.request_bytes as u64
+        {
+            return Err(format!(
+                "regions ({} B hot, {} B cold) must fit at least one {} B request",
+                self.hot_region_bytes, self.cold_region_bytes, self.request_bytes
+            ));
+        }
+        let rate = 1.0 / self.mean_interarrival_ns;
+        if rate.is_nan() || rate <= 0.0 {
+            return Err(format!(
+                "mean interarrival {} ns gives no positive arrival rate",
+                self.mean_interarrival_ns
+            ));
+        }
+        Ok(())
+    }
+
     /// Generates `n_requests` requests with the configured mix.
     ///
     /// # Panics
     ///
-    /// Panics if ratios are outside `[0, 1]`, regions are smaller than one
-    /// request, or `request_bytes` is not aligned.
+    /// Panics with [`validate`](Self::validate)'s message if the
+    /// configuration is invalid.
     pub fn generate(&self, n_requests: usize, seed: u64) -> Trace {
-        assert!(
-            (0.0..=1.0).contains(&self.read_ratio),
-            "read ratio {} out of range",
-            self.read_ratio
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.cold_read_ratio),
-            "cold-read ratio {} out of range",
-            self.cold_read_ratio
-        );
-        assert!(
-            self.request_bytes > 0 && self.request_bytes % ALIGN_BYTES == 0,
-            "request size must be a positive multiple of the alignment"
-        );
-        assert!(
-            self.hot_region_bytes >= self.request_bytes as u64
-                && self.cold_region_bytes >= self.request_bytes as u64,
-            "regions must fit at least one request"
-        );
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
 
         let mut rng = SimRng::seed_from(seed);
         // Hot-region slots, Zipf-ranked for locality.
-        let hot_slots = (self.hot_region_bytes / self.request_bytes as u64).max(1) as usize;
-        let zipf = ZipfTable::new(hot_slots.min(65_536), self.zipf_s);
-        let cold_slots = (self.cold_region_bytes / self.request_bytes as u64).max(1);
+        let hot_slots = self.hot_region_bytes / self.request_bytes as u64;
+        let zipf = shared_zipf(hot_slots.min(65_536) as usize, self.zipf_s);
+        // Spread Zipf ranks over the full slot count when the region
+        // exceeds the table size. The table has at most `hot_slots` ranks,
+        // so `stride` ≥ 1 and `rank · stride + offset` < `hot_slots`.
+        let stride = hot_slots / zipf.len() as u64;
+        let cold_slots = self.cold_region_bytes / self.request_bytes as u64;
         let cold_base = self.hot_region_bytes;
         let hot_slot = |rng: &mut SimRng| -> u64 {
             let rank = rng.zipf(&zipf) as u64;
-            // Spread Zipf ranks over the full slot count when the region
-            // exceeds the table size.
-            let stride = (hot_slots as u64 / zipf.len() as u64).max(1);
-            (rank * stride + rng.int_range(0, stride)) % hot_slots as u64
+            rank * stride + rng.int_range(0, stride)
         };
 
         // First pass: arrivals, op mix, write targets. Hot (non-cold) read
@@ -123,15 +187,20 @@ impl SynthConfig {
         let mut now_ns = 0.0f64;
         let mut requests = Vec::with_capacity(n_requests);
         let mut pending_hot_reads = Vec::new();
+        // Distinct written slots in first-write order, and a bitmap over
+        // the hot region marking them. Zeroed pages of a large, sparsely
+        // written bitmap are never touched.
         let mut written_slots = Vec::new();
-        let mut written_set = std::collections::HashSet::new();
+        let mut written = vec![0u64; hot_slots.div_ceil(64) as usize];
         for _ in 0..n_requests {
             now_ns += rng.exponential(1.0 / self.mean_interarrival_ns);
             let arrival = SimTime::from_ns(now_ns as u64);
             let is_read = rng.chance(self.read_ratio);
             let offset = if !is_read {
                 let slot = hot_slot(&mut rng);
-                if written_set.insert(slot) {
+                let (word, bit) = ((slot / 64) as usize, 1u64 << (slot % 64));
+                if written[word] & bit == 0 {
+                    written[word] |= bit;
                     written_slots.push(slot);
                 }
                 slot * self.request_bytes as u64
@@ -265,6 +334,70 @@ mod tests {
         let a = cfg.generate(100, 3);
         let b = cfg.generate(100, 3);
         assert_eq!(a.requests(), b.requests());
+    }
+
+    #[test]
+    fn validate_names_the_first_bad_field() {
+        let ok = SynthConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        let bad = |edit: fn(&mut SynthConfig), says: &str| {
+            let mut cfg = ok.clone();
+            edit(&mut cfg);
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(says), "{err}");
+        };
+        bad(|c| c.read_ratio = 1.5, "read ratio");
+        bad(|c| c.read_ratio = f64::NAN, "read ratio");
+        bad(|c| c.cold_read_ratio = -0.1, "cold-read ratio");
+        bad(|c| c.zipf_s = -1.0, "Zipf exponent");
+        bad(|c| c.zipf_s = f64::NAN, "Zipf exponent");
+        bad(|c| c.request_bytes = 3 * 1024, "request size");
+        bad(|c| c.request_bytes = 0, "request size");
+        bad(|c| c.cold_region_bytes = 16 * 1024, "regions");
+        bad(|c| c.mean_interarrival_ns = -1.0, "interarrival");
+        bad(|c| c.mean_interarrival_ns = f64::INFINITY, "interarrival");
+        bad(|c| c.mean_interarrival_ns = f64::NAN, "interarrival");
+    }
+
+    #[test]
+    #[should_panic(expected = "Zipf exponent -1 must be non-negative")]
+    fn generate_panics_with_the_validation_message() {
+        let cfg = SynthConfig {
+            zipf_s: -1.0,
+            ..SynthConfig::default()
+        };
+        let _ = cfg.generate(10, 1);
+    }
+
+    #[test]
+    fn zipf_memo_shares_tables_and_stays_bounded() {
+        // Exponents no other test uses, so concurrent tests add at most a
+        // few other keys.
+        let a = shared_zipf(1000, 0.123);
+        let b = shared_zipf(1000, 0.123);
+        assert!(Arc::ptr_eq(&a, &b), "a second ask builds the table again");
+        for s in 0..(2 * ZIPF_MEMO_TABLES) {
+            let t = shared_zipf(999, 0.5 + s as f64);
+            assert_eq!(t.len(), 999);
+        }
+        let held = ZIPF_MEMO
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
+        assert!(held <= ZIPF_MEMO_TABLES, "memo holds {held} tables");
+    }
+
+    #[test]
+    fn zipf_memo_survives_a_poisoned_lock() {
+        let poisoner = std::thread::spawn(|| {
+            let _held = ZIPF_MEMO.lock();
+            panic!("poisoning the Zipf memo on purpose");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(ZIPF_MEMO.is_poisoned());
+        let t = shared_zipf(77, 0.321);
+        assert_eq!(t.len(), 77);
+        assert!(Arc::ptr_eq(&t, &shared_zipf(77, 0.321)));
     }
 
     #[test]

@@ -74,9 +74,12 @@ pub struct Trace {
 
 impl Trace {
     /// Wraps a request list, sorting it by arrival time (stable, so
-    /// equal-time requests keep their relative order).
+    /// equal-time requests keep their relative order). A list already in
+    /// order, as every generated trace is, is taken as it is.
     pub fn new(mut requests: Vec<IoRequest>) -> Self {
-        requests.sort_by_key(|r| r.arrival);
+        if !requests.is_sorted_by_key(|r| r.arrival) {
+            requests.sort_by_key(|r| r.arrival);
+        }
         Trace { requests }
     }
 
