@@ -3,7 +3,8 @@
 //!
 //! Paper anchors: first failures at ≈17 / 14 / 10 / 8 days for
 //! 0 / 200 / 500 / 1000 P/E cycles; at 1–2 K P/E most of the population
-//! fails within the 30-day refresh horizon.
+//! fails within the 30-day refresh horizon. Exits non-zero, naming each
+//! broken rule on stderr, unless the map keeps them (`broken_rules`).
 
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -13,6 +14,49 @@ use rif_flash::characterize::retention_failure_map;
 use rif_flash::rber::ErrorModel;
 use rif_ldpc::PAPER_CORRECTION_CAPABILITY;
 
+/// The paper's failure days at 0/200/500/1000 P/E, each of which the
+/// measured median must land within a day of.
+const PAPER_DAYS: [(u32, f64); 4] = [(0, 17.0), (200, 14.0), (500, 10.0), (1000, 8.0)];
+
+/// One wear stage's failure-day distribution, as the summary table
+/// prints it.
+struct Stage {
+    pe: u32,
+    first: Option<u32>,
+    median: Option<f64>,
+    /// Share of blocks that never fail within the horizon.
+    survive: f64,
+}
+
+/// The paper's anchors the map must keep; returns those it breaks.
+fn broken_rules(stages: &[Stage]) -> Vec<String> {
+    let mut broken = Vec::new();
+    let mut rule = |holds: bool, name: String| broken.extend((!holds).then_some(name));
+    for (pe, paper) in PAPER_DAYS {
+        let median = stages.iter().find(|s| s.pe == pe).and_then(|s| s.median);
+        let name = format!("median failure day within 1 day of the paper's {paper} at {pe} P/E");
+        rule(median.is_some_and(|m| (m - paper).abs() <= 1.0), name);
+    }
+    // A stage where no block fails has its median past the horizon.
+    let median = |s: &Stage| s.median.unwrap_or(f64::INFINITY);
+    let falling = stages.windows(2).all(|w| median(&w[1]) <= median(&w[0]));
+    rule(
+        falling,
+        "median failure day does not increase with P/E".into(),
+    );
+    // "Read-retry is the common case at >= 1K P/E": nearly every block
+    // fails within the horizon. Not exactly every one: at full size 5 of
+    // 2 000 blocks (0.25 %) outlive 30 days at 1K P/E.
+    for s in stages.iter().filter(|s| s.pe >= 1000) {
+        let name = format!(
+            "under 1 % of blocks survive the refresh horizon at {} P/E",
+            s.pe
+        );
+        rule(s.survive < 0.01, name);
+    }
+    broken
+}
+
 pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     let model = ErrorModel::calibrated();
     let pe_list = [0u32, 100, 200, 300, 500, 1000, 2000];
@@ -21,6 +65,16 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
 
     let cap = PAPER_CORRECTION_CAPABILITY;
     let map = retention_failure_map(&model, &pe_list, max_day, blocks, cap, opts.seed);
+    let stages: Vec<Stage> = pe_list
+        .iter()
+        .zip(map.survivors())
+        .map(|(&pe, &(_, survive))| Stage {
+            pe,
+            first: map.first_failure_day(pe),
+            median: map.median_failure_day(pe),
+            survive,
+        })
+        .collect();
 
     let t = TableWriter::new(opts.csv, &[8, 6, 12]);
     t.heading(
@@ -80,21 +134,10 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
             "{:>6} {:>10} {:>10} {:>10}",
             "P/E", "first", "median", "survive"
         )?;
-        for &pe in &pe_list {
-            let first = map
-                .first_failure_day(pe)
-                .map(|d| d.to_string())
-                .unwrap_or_else(|| "-".into());
-            let median = map
-                .median_failure_day(pe)
-                .map(|d| format!("{d:.0}"))
-                .unwrap_or_else(|| "-".into());
-            let surv = map
-                .survivors()
-                .iter()
-                .find(|(p, _)| *p == pe)
-                .map(|(_, s)| format!("{:.2}", s))
-                .unwrap_or_default();
+        for s in &stages {
+            let first = s.first.map_or_else(|| "-".into(), |d| d.to_string());
+            let median = s.median.map_or_else(|| "-".into(), |d| format!("{d:.0}"));
+            let (pe, surv) = (s.pe, format!("{:.2}", s.survive));
             writeln!(out, "{pe:>6} {first:>10} {median:>10} {surv:>10}")?;
         }
         writeln!(
@@ -106,5 +149,51 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
             "with a 30-day refresh horizon, read-retry is the common case at ≥1K P/E."
         )?;
     }
-    Ok(ExitCode::SUCCESS)
+    let broken = broken_rules(&stages);
+    if broken.is_empty() {
+        return Ok(ExitCode::SUCCESS);
+    }
+    for rule in &broken {
+        eprintln!("FAIL: the retention map breaks the paper's anchor: {rule}");
+    }
+    Ok(ExitCode::FAILURE)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Keeps every rule: the paper's days at its four stages, falling
+    /// medians, and nothing surviving from 1K P/E on.
+    fn keeping() -> Vec<Stage> {
+        #[rustfmt::skip]
+        let rows = [(0, 17.0, 0.2), (200, 14.0, 0.1), (500, 10.0, 0.02), (1000, 8.0, 0.0), (2000, 6.0, 0.0)];
+        let stage = |(pe, median, survive)| Stage {
+            pe,
+            first: Some(2),
+            median: Some(median),
+            survive,
+        };
+        rows.map(stage).into()
+    }
+
+    #[test]
+    fn one_perturbed_row_names_the_rule_it_breaks() {
+        assert_eq!(broken_rules(&keeping()), Vec::<String>::new());
+        // (row, its median and survive share, the rule)
+        #[rustfmt::skip]
+        let cases = [
+            (2, Some(11.5), 0.02, "within 1 day of the paper's 10 at 500 P/E"),
+            (3, None, 1.0, "within 1 day of the paper's 8 at 1000 P/E"),
+            (4, Some(9.0), 0.0, "does not increase with P/E"),
+            (4, Some(6.0), 0.01, "under 1 % of blocks survive the refresh horizon at 2000 P/E"),
+        ];
+        for (row, median, survive, rule) in cases {
+            let mut stages = keeping();
+            (stages[row].median, stages[row].survive) = (median, survive);
+            let broken = broken_rules(&stages);
+            let named = broken.iter().any(|b| b.contains(rule));
+            assert!(named, "{rule}: {broken:?}");
+        }
+    }
 }

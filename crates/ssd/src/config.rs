@@ -69,8 +69,11 @@ pub struct SsdConfig {
     pub ecc_buffer_pages: usize,
     /// Maximum host requests in flight (NVMe queue depth).
     pub queue_depth: usize,
-    /// Refresh horizon: never-written data carries a uniform random age in
-    /// `[0, refresh_days]` (§IV-B footnote 3: blocks refreshed monthly).
+    /// The refresh interval (§IV-B footnote 3: blocks refreshed monthly).
+    /// Never-written data carries a uniform random age in
+    /// `[0, refresh_days)`, the steady state a working refresh keeps; on
+    /// a hybrid device the background scan rewrites a slot once its age
+    /// reaches it, and the RARO gate prices a migration at half of it.
     pub refresh_days: f64,
     /// RNG seed for all stochastic draws of the run.
     pub seed: u64,
@@ -203,6 +206,14 @@ mod tests {
     fn validate_rejects_zero_qd() {
         let mut c = SsdConfig::small(RetryKind::Zero, 0);
         c.queue_depth = 0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh horizon must be positive")]
+    fn validate_rejects_a_zero_refresh_interval() {
+        let mut c = SsdConfig::small(RetryKind::Rif, 1000);
+        c.refresh_days = 0.0;
         c.validate();
     }
 

@@ -83,9 +83,9 @@ pub enum MigrationPolicy {
     /// Oldest-written slots first, unconditionally.
     Fifo,
     /// RARO-style: oldest (coldest) slots first, but background drain is
-    /// deferred while the destination QLC RBER — evaluated at half the
-    /// refresh interval, the expected residence before the next rewrite —
-    /// exceeds `dest_rber_margin` × the ECC correction capability.
+    /// deferred while the destination QLC RBER — evaluated at half of
+    /// [`crate::SsdConfig::refresh_days`], the expected residence before
+    /// the next rewrite — exceeds `dest_rber_margin` × the ECC correction capability.
     /// Write-pressure evictions ignore the gate (the cache must not
     /// overflow).
     ReliabilityAware {
@@ -101,9 +101,8 @@ pub struct BgConfig {
     pub high_watermark: f64,
     /// Occupancy at which a running drain stops.
     pub low_watermark: f64,
-    /// Refresh interval in retention days (0 disables refresh traffic).
-    pub refresh_interval_days: f64,
-    /// Slots whose age is examined per tick by the refresh scan.
+    /// Slots whose age is examined per tick by the refresh scan, which
+    /// rewrites those due under [`crate::SsdConfig::refresh_days`].
     pub refresh_scan_batch: usize,
     /// Foreground-preempts policy: arriving read senses jump ahead of
     /// queued background die commands (they never preempt other reads or
@@ -116,7 +115,6 @@ impl Default for BgConfig {
         BgConfig {
             high_watermark: 0.5,
             low_watermark: 0.3,
-            refresh_interval_days: 30.0,
             refresh_scan_batch: 64,
             fg_priority: true,
         }
@@ -169,7 +167,7 @@ impl HybridConfig {
     /// # Panics
     ///
     /// Panics on out-of-range fractions, an SLC capacity mode, inverted
-    /// watermarks, a negative refresh interval or a non-positive
+    /// watermarks, an empty refresh scan or a non-positive
     /// destination-RBER margin.
     pub fn validate(&self) {
         assert!(
@@ -188,8 +186,8 @@ impl HybridConfig {
             "watermarks must satisfy 0 <= low <= high <= 1"
         );
         assert!(
-            self.bg.refresh_interval_days >= 0.0,
-            "refresh interval must be non-negative"
+            self.bg.refresh_scan_batch > 0,
+            "refresh scan batch must be positive"
         );
         if let MigrationPolicy::ReliabilityAware { dest_rber_margin } = self.migration {
             assert!(dest_rber_margin > 0.0, "dest RBER margin must be positive");
@@ -295,6 +293,14 @@ mod tests {
         let mut c = HybridConfig::slc_qlc();
         c.bg.low_watermark = 0.8;
         c.bg.high_watermark = 0.5;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh scan batch")]
+    fn config_rejects_an_empty_refresh_scan() {
+        let mut c = HybridConfig::qlc();
+        c.bg.refresh_scan_batch = 0;
         c.validate();
     }
 

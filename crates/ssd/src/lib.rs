@@ -44,7 +44,6 @@
 pub mod config;
 pub mod ftl;
 pub mod hybrid;
-pub mod refresh;
 pub mod report;
 pub mod retention;
 pub mod retry;

@@ -128,14 +128,9 @@ impl Simulator {
                     // through its expected QLC residence (half the
                     // refresh interval). Forced evictions on the write
                     // path bypass this — the cache must not overflow.
-                    let residence = if h.conf.bg.refresh_interval_days > 0.0 {
-                        h.conf.bg.refresh_interval_days
-                    } else {
-                        self.cfg.refresh_days
-                    } * 0.5;
                     let op = OperatingPoint {
                         pe_cycles: self.cfg.pe_cycles.saturating_add(drift_pe),
-                        retention_days: residence,
+                        retention_days: self.cfg.refresh_days * 0.5,
                         reads: 0,
                     };
                     let dest_rber = h.conf.capacity_mode.model().rber_avg(op, 1.0);
@@ -164,8 +159,7 @@ impl Simulator {
 
         // --- retention refresh ------------------------------------------
         let mut refreshed = 0u64;
-        if h.conf.bg.refresh_interval_days > 0.0 && !self.ftl.touched().is_empty() {
-            let policy = RefreshPolicy::new(h.conf.bg.refresh_interval_days);
+        if !self.ftl.touched().is_empty() {
             let touched = self.ftl.touched();
             let n = touched.len();
             let batch = h.conf.bg.refresh_scan_batch.min(n);
@@ -174,12 +168,16 @@ impl Simulator {
             let tail = &touched[h.refresh_cursor..n.min(h.refresh_cursor + batch)];
             let head = &touched[..batch - tail.len()];
             h.refresh_cursor = (h.refresh_cursor + batch) % n;
-            let ages = tail
-                .iter()
-                .chain(head)
-                .map(|&slot| (slot, self.retention.age_days(slot, now) + drift_days));
+            // A slot is due once its age reaches the refresh interval;
+            // the window's order is kept, so the scan stays deterministic.
+            let deadline = self.cfg.refresh_days;
             h.due.clear();
-            h.due.extend(policy.refresh_due(ages));
+            h.due.extend(
+                tail.iter()
+                    .chain(head)
+                    .copied()
+                    .filter(|&slot| self.retention.age_days(slot, now) + drift_days >= deadline),
+            );
             for &slot in &h.due {
                 // The rewrite resets the slot's age in place; the die
                 // pays a read + program.

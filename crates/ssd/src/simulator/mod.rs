@@ -46,7 +46,6 @@ use crate::ftl::{Ftl, GcWork, SlotLocation};
 use crate::hybrid::{
     AmpTable, BgKind, HybridConfig, MigrationPolicy, AMPLIFIED_RBER_CAP, AMPLIFIED_RBER_FLOOR,
 };
-use crate::refresh::RefreshPolicy;
 use crate::report::{ChannelUsage, HybridSummary, LearnerSummary, SimReport};
 use crate::retention::RetentionTracker;
 use crate::retry::Predictor;

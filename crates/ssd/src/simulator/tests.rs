@@ -809,6 +809,35 @@ fn hybrid_refresh_fires_under_drift() {
 }
 
 #[test]
+fn refresh_days_is_the_refresh_deadline() {
+    // Cold data is younger than the refresh interval and a run ages
+    // nothing by whole days, so without drift no slot comes due at any
+    // interval; a few days of drift carry a week's oldest slots past it.
+    let trace = mixed_trace(400, 35);
+    let refreshed = |days: f64, drift_days_over_run: f64| {
+        let mut cfg = hybrid_cfg(RetryKind::Rif, 1000);
+        cfg.refresh_days = days;
+        let secs = Simulator::new(cfg.clone()).run(&trace).makespan.as_secs();
+        cfg.drift = rif_flash::learn::DriftClock {
+            days_per_sec: drift_days_over_run / secs,
+            pe_per_sec: 0.0,
+        };
+        Simulator::new(cfg)
+            .run(&trace)
+            .hybrid
+            .unwrap()
+            .refreshed_slots
+    };
+    for days in [7.0, 30.0, 60.0] {
+        assert_eq!(refreshed(days, 0.0), 0, "{days}-day interval, no drift");
+    }
+    assert!(
+        refreshed(7.0, 3.0) > 0,
+        "3 days of drift past a 7-day interval"
+    );
+}
+
+#[test]
 fn hybrid_runs_are_deterministic() {
     let trace = mixed_trace(250, 29);
     let run = || {

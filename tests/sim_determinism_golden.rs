@@ -337,7 +337,8 @@ fn report_json_is_byte_stable_for_a_fixed_run() {
 
 /// `SsdConfig.hybrid` selects cell modes and the background scheduler,
 /// never a mapping layer: a hybrid device with nothing to select — TLC
-/// capacity, no cache, refresh off, no read-over-background priority —
+/// capacity, no cache, no data old enough to refresh, no
+/// read-over-background priority —
 /// reports exactly what the plain device does on a half-write trace.
 #[test]
 fn inert_hybrid_config_reports_what_the_plain_device_does() {
@@ -346,7 +347,6 @@ fn inert_hybrid_config_reports_what_the_plain_device_does() {
         capacity_mode: CellMode::Tlc,
         migration: MigrationPolicy::Fifo,
         bg: BgConfig {
-            refresh_interval_days: 0.0,
             fg_priority: false,
             ..BgConfig::default()
         },
