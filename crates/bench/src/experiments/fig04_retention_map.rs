@@ -5,6 +5,12 @@
 //! 0 / 200 / 500 / 1000 P/E cycles; at 1–2 K P/E most of the population
 //! fails within the 30-day refresh horizon. Exits non-zero, naming each
 //! broken rule on stderr, unless the map keeps them (`broken_rules`).
+//!
+//! The ±1-day rule compares the *median* failure day (over the blocks
+//! that fail) with the paper's quoted *onset* days. The measured onset,
+//! the `first` column, is 5/4/4/3/3/3/2 days at 0/100/200/300/500/1000/
+//! 2000 P/E: the model's earliest failures come 2–3× sooner than the
+//! paper's, an open model deviation (EXPERIMENTS.md Fig. 4).
 
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -14,8 +20,8 @@ use rif_flash::characterize::retention_failure_map;
 use rif_flash::rber::ErrorModel;
 use rif_ldpc::PAPER_CORRECTION_CAPABILITY;
 
-/// The paper's failure days at 0/200/500/1000 P/E, each of which the
-/// measured median must land within a day of.
+/// The paper's quoted onset days at 0/200/500/1000 P/E, each of which
+/// the measured *median* failure day must land within a day of.
 const PAPER_DAYS: [(u32, f64); 4] = [(0, 17.0), (200, 14.0), (500, 10.0), (1000, 8.0)];
 
 /// One wear stage's failure-day distribution, as the summary table

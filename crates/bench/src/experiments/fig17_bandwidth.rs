@@ -27,8 +27,17 @@ struct Cell {
     usage: ChannelUsage,
 }
 
-/// Every cell, by wear stage, then workload, then scheme (`index`).
-struct Grid(Vec<Cell>);
+/// Every cell, by wear stage, then workload, then scheme (`index`), and
+/// the requests each cell's trace holds.
+struct Grid {
+    cells: Vec<Cell>,
+    requests: usize,
+}
+
+/// The smallest grid, in requests per cell, whose RiFSSD-to-SSDzero gap
+/// is read as a claim: the full-size 6 000-request grid reads 1.0–1.8 %,
+/// the 600-request `--quick` grid up to 2.5 % from sampling noise alone.
+const GAP_RULE_REQUESTS: usize = 6_000;
 
 /// Where workload `wl` under scheme `s` at wear stage `p` sits (Table II, `RetryKind::ALL` order).
 fn index(p: usize, wl: &str, s: RetryKind) -> usize {
@@ -39,7 +48,7 @@ fn index(p: usize, wl: &str, s: RetryKind) -> usize {
 
 impl Grid {
     fn bw(&self, p: usize, wl: &str, s: RetryKind) -> f64 {
-        self.0[index(p, wl, s)].bw
+        self.cells[index(p, wl, s)].bw
     }
 
     /// A Fig. 17 cell: scheme `s` over SENC on workload `wl`.
@@ -65,8 +74,9 @@ impl Grid {
 }
 
 /// The paper's orderings the grid must keep; returns those it breaks.
-/// EXPERIMENTS.md says why "RiFSSD within 2 % of SSDzero" and "RPSSD
-/// above SWR+" are not among them.
+/// "RiFSSD within 2 % of SSDzero" is kept only by a full-size grid
+/// ([`GAP_RULE_REQUESTS`]); EXPERIMENTS.md says why "RPSSD above SWR+"
+/// is not among them.
 fn broken_rules(grid: &Grid) -> Vec<String> {
     let mut broken = Vec::new();
     let mut rule = |holds: bool, name: String| broken.extend((!holds).then_some(name));
@@ -77,8 +87,12 @@ fn broken_rules(grid: &Grid) -> Vec<String> {
         rule(rising(&[Sentinel, SwiftRead, SwiftReadPlus, Rif]), name);
         let name = format!("geomean RPSSD < RiFSSD <= SSDzero at {pe} P/E");
         rule(rising(&[RpSsd, Rif]) && g(Rif) <= g(Zero), name);
+        if grid.requests >= GAP_RULE_REQUESTS {
+            let name = format!("geomean RiFSSD within 2 % of SSDzero at {pe} P/E");
+            rule(1.0 - g(Rif) / g(Zero) < 0.02, name);
+        }
         for wl in FIG18_WORKLOADS {
-            let wasted = |s| grid.0[index(p, wl, s)].usage.wasted();
+            let wasted = |s| grid.cells[index(p, wl, s)].usage.wasted();
             let least = FIG18_SCHEMES[..4].iter().all(|&s| wasted(Rif) < wasted(s));
             let name = format!("RiFSSD wastes the least channel, under 2 %, on {wl} at {pe} P/E");
             rule(least && wasted(Rif) < 0.02, name);
@@ -107,12 +121,15 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
         cfg.seed = opts.seed;
         run_traced(opts, &label, cfg, &traces[w]).map(|report| (label, report))
     });
-    let mut grid = Grid(Vec::with_capacity(cells.len()));
+    let mut grid = Grid {
+        cells: Vec::with_capacity(cells.len()),
+        requests: n_requests,
+    };
     for cell in reports {
         let (label, report) = cell?;
         write_metrics(out, &label, &report)?;
         let (bw, usage) = (report.io_bandwidth_mbps(), report.channel_usage());
-        grid.0.push(Cell { bw, usage });
+        grid.cells.push(Cell { bw, usage });
     }
 
     print(opts, out, &grid)?;
@@ -180,7 +197,7 @@ fn print(opts: &HarnessOpts, out: &mut dyn Write, grid: &Grid) -> io::Result<()>
     for wl in FIG18_WORKLOADS {
         for (p, pe) in PE_STAGES.iter().enumerate() {
             for s in FIG18_SCHEMES {
-                let u = grid.0[index(p, wl, s)].usage;
+                let u = grid.cells[index(p, wl, s)].usage;
                 let mut row = vec![wl.into(), pe.to_string(), s.label().into()];
                 row.extend([u.idle, u.cor, u.uncor, u.eccwait].map(|x| format!("{x:.3}")));
                 row.push(format!("{:.1}%", u.wasted() * 100.0));
@@ -202,17 +219,21 @@ fn print(opts: &HarnessOpts, out: &mut dyn Write, grid: &Grid) -> io::Result<()>
 mod tests {
     use super::*;
 
-    /// Keeps every rule: RiFSSD and SSDzero gain with wear, RiFSSD wastes 1 %.
+    /// Keeps every rule at full size: RiFSSD and SSDzero gain with wear,
+    /// RiFSSD trails SSDzero by under 1 % and wastes 1 %.
     fn keeping() -> Grid {
         let cell = |i: usize| {
             let (p, s) = ((i / (W * S)) as f64, RetryKind::ALL[i % S]);
             #[rustfmt::skip]
-            let bw = [100.0, 105.0, 110.0, 108.0, 120.0 + 10.0 * p, 101.0, 125.0 + 10.0 * p][i % S];
+            let bw = [100.0, 105.0, 110.0, 108.0, 120.0 + 10.0 * p, 101.0, 121.0 + 10.0 * p][i % S];
             let uncor = if s == Rif { 0.01 } else { 0.1 };
             let usage = ChannelUsage::from_fractions(&[0.0, 0.0, uncor, 0.0]);
             Cell { bw, usage }
         };
-        Grid((0..PE_STAGES.len() * W * S).map(cell).collect())
+        Grid {
+            cells: (0..PE_STAGES.len() * W * S).map(cell).collect(),
+            requests: GAP_RULE_REQUESTS,
+        }
     }
 
     #[test]
@@ -226,14 +247,20 @@ mod tests {
             (2, "Ali121", IdealOne, 200.0, 0.1, "mean SSDone degradation grows"),
             (2, "Ali124", Rif, 140.0, 0.02, "under 2 %, on Ali124 at 2000 P/E"),
             (0, "Ali121", RpSsd, 108.0, 0.005, "under 2 %, on Ali121 at 0 P/E"),
+            (1, "Ali46", Zero, 300.0, 0.1, "RiFSSD within 2 % of SSDzero at 1000 P/E"),
         ];
         for (p, wl, s, bw, uncor, rule) in cases {
             let mut grid = keeping();
-            let cell = &mut grid.0[index(p, wl, s)];
+            let cell = &mut grid.cells[index(p, wl, s)];
             (cell.bw, cell.usage.uncor) = (bw, uncor);
             let broken = broken_rules(&grid);
             let named = broken.iter().any(|b| b.contains(rule));
             assert!(named, "{rule}: {broken:?}");
         }
+        // A grid below full size is not held to the gap.
+        let mut grid = keeping();
+        grid.requests = GAP_RULE_REQUESTS - 1;
+        grid.cells[index(1, "Ali46", Zero)].bw = 300.0;
+        assert_eq!(broken_rules(&grid), Vec::<String>::new());
     }
 }

@@ -17,6 +17,7 @@
 //! device — and runs the very same allocation and GC code.
 
 use std::collections::{HashSet, VecDeque};
+use std::ops::Range;
 
 use rif_flash::geometry::{FlashGeometry, PageKind};
 
@@ -133,6 +134,11 @@ struct Region {
     active: usize,
     page: usize,
     full: Vec<usize>,
+    /// Blocks never used yet, handed out highest first.
+    fresh: Range<usize>,
+    /// Blocks erased and handed back, handed out before any fresh one:
+    /// together the two pop in the order of one stack that started as
+    /// `fresh` ascending and had each returned block pushed on top.
     free: Vec<usize>,
 }
 
@@ -142,10 +148,21 @@ impl Region {
             active: start,
             page: 0,
             full: Vec::new(),
-            free: (start + 1..end).collect(),
+            fresh: start + 1..end,
+            free: Vec::new(),
         }
     }
+
+    /// The next erased block: the last one handed back, else the highest
+    /// never-used one.
+    fn pop_free(&mut self) -> Option<usize> {
+        self.free.pop().or_else(|| self.fresh.next_back())
+    }
 }
+
+/// Stale fifo entries a die may carry beyond twice its live residents
+/// before they are dropped in place.
+const FIFO_SLACK: usize = 64;
 
 #[derive(Debug, Clone)]
 struct DieState {
@@ -159,7 +176,10 @@ struct DieState {
     /// Live slots currently resident in this die's SLC region.
     slc_live: usize,
     /// Cache residents in write order: `(seq, slot)`; entries go stale
-    /// when a slot is rewritten or migrated and are skipped lazily.
+    /// when a slot is rewritten or migrated. Readers skip them (and pop
+    /// those at the front); once the fifo outgrows `2 · slc_live +`
+    /// [`FIFO_SLACK`], [`Ftl::invalidate`] drops them all in place, live
+    /// entries keeping their order.
     fifo: VecDeque<(u64, u64)>,
 }
 
@@ -409,8 +429,8 @@ impl Ftl {
     /// A full cache forcibly evicts its oldest residents first.
     pub fn write(&mut self, slot: u64) -> WriteOutcome {
         if let Some(old) = self.location(slot) {
-            self.invalidate(old);
             self.cached.remove(slot);
+            self.invalidate(old);
         } else {
             self.touched.push(slot);
         }
@@ -467,8 +487,9 @@ impl Ftl {
     }
 
     /// Up to `batch` migration candidates, globally oldest-written first
-    /// (the cold end of every die's cache). Stale fifo entries are
-    /// garbage-collected as a side effect.
+    /// (the cold end of every die's cache). Stale fifo entries ahead of a
+    /// die's first live one are popped as a side effect; those between
+    /// live ones are skipped.
     pub fn migration_candidates(&mut self, batch: usize) -> Vec<u64> {
         let mut found: Vec<(u64, u64)> = Vec::new();
         for die in &mut self.dies {
@@ -514,7 +535,9 @@ impl Ftl {
     }
 
     /// Removes the live entry for an old copy and releases a fully dead,
-    /// non-active SLC block back to the free list (background erase).
+    /// non-active SLC block back to the free list (background erase). An
+    /// SLC copy's slot must already be out of `cached`, so that its fifo
+    /// entry counts as stale if the die's fifo is compacted here.
     fn invalidate(&mut self, old: SlotLocation) {
         if old.block < self.write_base {
             return; // cold region copies are never reclaimed
@@ -526,7 +549,18 @@ impl Ftl {
         let emptied = b.live == 0;
         let in_slc = old.block >= self.slc_base;
         if in_slc {
-            self.dies[old.die_linear].slc_live -= 1;
+            let die = &mut self.dies[old.die_linear];
+            die.slc_live -= 1;
+            // Only a live count that falls can push the fifo past its
+            // bound (a write grows both), so checking here keeps
+            // `len ≤ 2 · slc_live + FIFO_SLACK` at all times; each
+            // compaction is paid for by the more than len/2 entries that
+            // went stale since the last.
+            if die.fifo.len() > 2 * die.slc_live + FIFO_SLACK {
+                let cached = &self.cached;
+                die.fifo
+                    .retain(|&(seq, slot)| cached.get(slot) == Some(seq));
+            }
         }
         if emptied && in_slc {
             let region = self.dies[old.die_linear].region_mut(true);
@@ -576,7 +610,7 @@ impl Ftl {
                 if slc { "slc" } else { "capacity" }
             );
             region.full.push(region.active);
-            match region.free.pop() {
+            match region.pop_free() {
                 Some(b) => {
                     region.active = b;
                     region.page = 0;
@@ -712,6 +746,9 @@ impl Ftl {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rif_events::SimRng;
+
     use super::*;
 
     fn tiny_geometry() -> FlashGeometry {
@@ -953,5 +990,153 @@ mod tests {
         assert!(ftl.erases() >= 1, "no SLC block reclaimed");
         assert_eq!(ftl.cached_slots(), 0);
         ftl.check_integrity().unwrap();
+    }
+
+    /// Every die's fifo within `2 · slc_live + FIFO_SLACK` entries.
+    fn fifo_bound_violation(ftl: &Ftl) -> Option<String> {
+        ftl.dies.iter().enumerate().find_map(|(d, die)| {
+            (die.fifo.len() > 2 * die.slc_live + FIFO_SLACK).then(|| {
+                format!(
+                    "die {d} keeps {} fifo entries for {} residents",
+                    die.fifo.len(),
+                    die.slc_live
+                )
+            })
+        })
+    }
+
+    #[test]
+    fn rewrite_heavy_cache_keeps_every_fifo_bounded() {
+        // A skewed hot set a third of the cache, rewritten over and over
+        // (the shape of `sim_write_bg`, whose drain never fires): nothing
+        // migrates or evicts, so no reader pops a stale entry and only
+        // compaction keeps the fifos from growing with every write.
+        let writes = if cfg!(debug_assertions) {
+            100_000
+        } else {
+            2_000_000
+        };
+        let mut ftl = Ftl::with_cache(FlashGeometry::small(), 0.25);
+        let hot = ftl.cache_capacity_slots() as u64 / 3;
+        let mut rng = SimRng::seed_from(50);
+        for i in 0..writes {
+            let span = if rng.chance(0.8) { hot / 16 } else { hot };
+            ftl.write(rng.int_range(0, span));
+            if let Some(e) = fifo_bound_violation(&ftl) {
+                panic!("after write {i}: {e}");
+            }
+        }
+        assert!(ftl.cache_occupancy() < 0.5 && ftl.migrations() == 0);
+        // Each die took many times its bound in writes.
+        let per_die = writes / ftl.dies.len();
+        assert!(per_die > 2 * (2 * ftl.cached_slots() / ftl.dies.len() + FIFO_SLACK));
+        ftl.check_integrity().unwrap();
+    }
+
+    /// The fifo as it would be if nothing were ever dropped from it:
+    /// every cache write's `(seq, slot, die)` in write order, live while
+    /// `live[slot] == seq`.
+    struct ModelFifo {
+        entries: Vec<(u64, u64, usize)>,
+        live: Vec<u64>,
+        writes: usize,
+    }
+
+    impl ModelFifo {
+        fn live(&self) -> impl Iterator<Item = &(u64, u64, usize)> {
+            self.entries
+                .iter()
+                .filter(|&&(seq, slot, _)| self.live[slot as usize] == seq)
+        }
+
+        fn oldest_on_die(&self, die: usize) -> Option<u64> {
+            self.live().find(|e| e.2 == die).map(|e| e.1)
+        }
+
+        fn candidates(&self, batch: usize) -> Vec<u64> {
+            self.live().take(batch).map(|e| e.1).collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn fifo_readers_match_a_never_compacted_fifo(
+            ops in prop::collection::vec((0u8..16, 0u64..20, 0usize..8), 1..1500)
+        ) {
+            // Two dies, 8 cache slots and 24 capacity slots each. Most
+            // writes rewrite four hot slots while older, colder residents
+            // hold each fifo's front, so stale entries pile up behind it
+            // until compaction drops them; forced evictions, migrations
+            // and both readers run in between.
+            let g = FlashGeometry {
+                channels: 2,
+                dies_per_channel: 1,
+                planes_per_die: 4,
+                blocks_per_plane: 16,
+                pages_per_block: 4,
+                page_bytes: 16 * 1024,
+            };
+            let mut ftl = Ftl::with_cache(g, 0.25);
+            let n_dies = ftl.dies.len();
+            let mut model = ModelFifo { entries: Vec::new(), live: vec![0; 20], writes: 0 };
+            for (op, slot, arg) in ops {
+                match op {
+                    0..=11 => {
+                        let slot = if op < 10 { slot % 4 } else { slot };
+                        let die = model.writes % n_dies;
+                        model.writes += 1;
+                        model.live[slot as usize] = 0;
+                        let out = ftl.write(slot);
+                        for w in &out.evicted {
+                            prop_assert_eq!(Some(w.slot), model.oldest_on_die(die));
+                            model.live[w.slot as usize] = 0;
+                        }
+                        let seq = model.entries.len() as u64 + 1;
+                        model.entries.push((seq, slot, die));
+                        model.live[slot as usize] = seq;
+                    }
+                    12 => {
+                        let cached = model.live[slot as usize] != 0;
+                        prop_assert_eq!(ftl.migrate(slot).is_some(), cached);
+                        model.live[slot as usize] = 0;
+                    }
+                    13 => {
+                        let batch = arg + 1;
+                        prop_assert_eq!(ftl.migration_candidates(batch), model.candidates(batch));
+                    }
+                    _ => {
+                        let die = arg % n_dies;
+                        prop_assert_eq!(ftl.oldest_cached_on_die(die), model.oldest_on_die(die));
+                    }
+                }
+                prop_assert_eq!(fifo_bound_violation(&ftl), None);
+            }
+            prop_assert!(ftl.check_integrity().is_ok());
+        }
+    }
+
+    #[test]
+    fn region_pops_what_the_prefilled_stack_did() {
+        // The stack a region once kept: every block above the first
+        // active one, ascending, with each erased block pushed on top.
+        let mut rng = SimRng::seed_from(9);
+        for (start, end) in [(4, 8), (32, 64), (10, 11)] {
+            let mut region = Region::new(start, end);
+            let mut stack: Vec<usize> = (start + 1..end).collect();
+            let mut in_use: Vec<usize> = vec![start];
+            for _ in 0..4000 {
+                if !in_use.is_empty() && rng.chance(0.45) {
+                    let b = in_use.swap_remove(rng.index(in_use.len()));
+                    region.free.push(b);
+                    stack.push(b);
+                } else {
+                    let got = region.pop_free();
+                    assert_eq!(got, stack.pop(), "blocks {start}..{end}");
+                    in_use.extend(got);
+                }
+            }
+        }
     }
 }

@@ -164,9 +164,7 @@ fn oracle_reports_match_pinned_golden() {
     let mut dump = String::new();
     for (header, (json, trace)) in runs {
         assert!(!trace.is_empty(), "{header}: traced run produced no log");
-        let fnv = trace.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+        let fnv = fnv1a64(&trace);
         dump.push_str(&format!(
             "=== {header} ===\n{json}trace_fnv1a64 {fnv:016x}\n"
         ));
@@ -177,6 +175,13 @@ fn oracle_reports_match_pinned_golden() {
         "reports or traces drifted from tests/golden/oracle_seed_reports.json; \
          if the change is intentional, regenerate the dump and review the diff"
     );
+}
+
+/// 64-bit FNV-1a of `text`'s bytes.
+fn fnv1a64(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// One fully-observed *learned-mode* run: online threshold learning on,
@@ -318,6 +323,49 @@ fn hybrid_reports_identical_across_thread_counts_and_reruns() {
         !json.contains("\"migrated_slots\": 0,"),
         "seed {}: no migrations ran:\n{json}",
         HYBRID_SEEDS[0]
+    );
+}
+
+/// A long write-heavy hybrid run, pinned by its report's FNV-1a: a hot
+/// set twice the SLC cache rewritten over 60k requests, a drain that
+/// starts at 90 % occupancy, and forced evictions whenever a die's cache
+/// fills first. Every die's cache fifo fills with stale entries and is
+/// compacted several times over while both of its readers run (the
+/// drain's candidates and the write path's eviction victims), so a
+/// compaction that lost or reordered a resident would move the report.
+/// The hash was taken before the fifo was compacted at all.
+#[test]
+fn long_hybrid_rewrite_run_matches_its_pinned_report() {
+    let trace = SynthConfig {
+        read_ratio: 0.1,
+        cold_read_ratio: 0.5,
+        hot_region_bytes: 512 << 20,
+        cold_region_bytes: 256 << 20,
+        ..SynthConfig::default()
+    }
+    .generate(60_000, 600);
+    let mut cfg = SsdConfig::small(RetryKind::Rif, 2000);
+    cfg.queue_depth = 16;
+    cfg.seed = 600;
+    let mut hybrid = HybridConfig::slc_qlc();
+    // 128 cache slots per die, so the 8192-slot hot set overflows it.
+    hybrid.cache_fraction = 0.05;
+    // Fifo, as in `hybrid_run`: the reliability-aware gate keeps a QLC
+    // destination closed at this P/E and the drain would never run.
+    hybrid.migration = MigrationPolicy::Fifo;
+    hybrid.bg.high_watermark = 0.9;
+    hybrid.bg.low_watermark = 0.8;
+    cfg.hybrid = Some(hybrid);
+    let report = Simulator::new(cfg).run(&trace);
+    let bg = report.hybrid.clone().expect("hybrid run summarizes");
+    assert!(
+        bg.forced_evictions > 0 && bg.migrated_slots > bg.forced_evictions,
+        "both fifo readers must run: {bg:?}"
+    );
+    let fnv = fnv1a64(&report.to_json());
+    assert_eq!(
+        fnv, 0x3876_71b5_170a_b8fe,
+        "report drifted: FNV-1a {fnv:#018x}"
     );
 }
 
