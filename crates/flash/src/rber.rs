@@ -6,11 +6,18 @@
 //! chosen test block" (§VI-A). [`ErrorModel`] plays the role of the
 //! 160-chip characterization: it samples per-block process variation and
 //! evaluates the physical V_TH model. The event-level simulator calls it
-//! directly for every read group ([`ErrorModel::state_params`], then
-//! [`ErrorModel::rber_default_with`], [`ErrorModel::rber_optimal_with`]
-//! and [`ErrorModel::rber_at_with`]), so its RBERs are exact at any age,
-//! wear and read count. [`BlockErrorTable`] is the paper-style baked
-//! table with linear interpolation between grid days; the simulator does
+//! directly, so its RBERs are exact at any age, wear and read count. A
+//! read group evaluates its block's V_TH state once
+//! ([`ErrorModel::state_params`]) and prices everything from it. In
+//! oracle mode that is the default and optimal references
+//! ([`ErrorModel::rber_default_with`], [`ErrorModel::rber_optimal_with`]).
+//! In learned mode it is the learner's references and each
+//! re-calibration's ones-count and selected references
+//! ([`ErrorModel::rber_at_with`],
+//! [`SwiftRead::observe_ones_with`](crate::swift_read::SwiftRead::observe_ones_with)),
+//! and the learner's score ([`ErrorModel::optimal_offset_with`]).
+//! [`BlockErrorTable`] is the paper-style baked table with linear
+//! interpolation between grid days; the simulator does
 //! not read it (interpolating would change every simulated result — its
 //! only user is a look-up microcell of the benchmark under `perf/`).
 
@@ -155,8 +162,12 @@ impl ErrorModel {
     /// (optimal − default). This is the scalar ground truth the online
     /// [`crate::learn::ThresholdLearner`] is judged against.
     pub fn optimal_offset(&self, block: BlockProfile, op: OperatingPoint) -> f64 {
-        let params = self.state_params(block, op);
-        let optimal = self.tlc.optimal_refs(params);
+        self.optimal_offset_with(&self.state_params(block, op))
+    }
+
+    /// [`ErrorModel::optimal_offset`] from precomputed state distributions.
+    pub fn optimal_offset_with(&self, params: &[StateParam; 8]) -> f64 {
+        let optimal = self.tlc.optimal_refs(*params);
         optimal
             .iter()
             .zip(&self.default_refs)

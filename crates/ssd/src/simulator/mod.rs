@@ -37,7 +37,7 @@ use rif_flash::chip::FlashTiming;
 use rif_flash::learn::{ReadOutcome, ThresholdLearner};
 use rif_flash::rber::{BlockProfile, ErrorModel};
 use rif_flash::swift_read::SwiftRead;
-use rif_flash::vth::OperatingPoint;
+use rif_flash::vth::{OperatingPoint, StateParam};
 use rif_workloads::trace::{MAX_ARRIVAL, MAX_END_BYTES};
 use rif_workloads::{IoOp, IoRequest, Trace};
 

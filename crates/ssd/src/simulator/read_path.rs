@@ -22,11 +22,13 @@ pub(super) struct ReadGroup {
     slot: u64,
     pub(super) loc: SlotLocation,
     pub(super) n_pages: usize,
-    /// Operating point the group is read at (drift-adjusted when the
-    /// drift clock runs).
-    op: OperatingPoint,
-    /// Process-variation profile of the block holding the slot.
-    block: BlockProfile,
+    /// P/E count the group is read at (drift-adjusted when the drift
+    /// clock runs): what a re-calibrating die knows of its wear.
+    pe_cycles: u32,
+    /// V_TH distributions of the slot's block at the group's operating
+    /// point, evaluated once: every reference set, ones-count and
+    /// learner score of the group is priced from them.
+    params: [StateParam; 8],
     /// RBER at the oracle's optimal references, what an oracle retry
     /// senses at (`None` in learned mode, whose retries re-calibrate).
     rber_optimal: Option<f64>,
@@ -119,8 +121,8 @@ impl Simulator {
             slot,
             loc,
             n_pages,
-            op,
-            block,
+            pe_cycles: op.pe_cycles,
+            params,
             rber_optimal,
             cur_rber: initial,
             first_rber: initial,
@@ -230,10 +232,10 @@ impl Simulator {
                 None,
             );
         };
-        let (op, block, kind) = (g.op, g.block, g.loc.kind());
+        let kind = g.loc.kind();
         let n_cells = self.cfg.geometry.page_bytes * 8;
-        let observed = sw.observe_ones(op, block.factor, kind, n_cells, &mut self.rng);
-        let refs = sw.refs_from_observation(op.pe_cycles, kind, observed);
+        let observed = sw.observe_ones_with(&g.params, kind, n_cells, &mut self.rng);
+        let refs = sw.refs_from_observation(g.pe_cycles, kind, observed);
         let defaults = self.error_model.default_refs();
         let offset = refs
             .as_array()
@@ -242,7 +244,7 @@ impl Simulator {
             .map(|(r, d)| r - d)
             .sum::<f64>()
             / 7.0;
-        let rber = self.error_model.rber_at(block, op, refs, kind);
+        let rber = self.error_model.rber_at_with(&g.params, refs, kind);
         (amplified(g.amp, rber), Some(offset))
     }
 
@@ -361,7 +363,7 @@ impl Simulator {
     /// scores the updated estimate against the oracle's optimal offset.
     fn learner_update(&mut self, now: SimTime, gid: usize) {
         let g = &self.groups[gid];
-        let (block_id, op, block) = (g.loc.global_block(&self.cfg.geometry), g.op, g.block);
+        let block_id = g.loc.global_block(&self.cfg.geometry);
         let outcome = ReadOutcome {
             failed: g.attempt > 1 || g.retried_in_die,
             retries: g.attempt.saturating_sub(1) + u32::from(g.retried_in_die),
@@ -375,7 +377,7 @@ impl Simulator {
         let learner = self.learner.as_mut().expect("learner checked by caller");
         learner.observe(block_id, &outcome);
         let est = learner.offset(block_id);
-        let truth = self.error_model.optimal_offset(block, op);
+        let truth = self.error_model.optimal_offset_with(&g.params);
         let err = (est - truth).abs();
         self.learn_err_sum += err;
         self.learn_err_samples += 1;

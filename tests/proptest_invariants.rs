@@ -1,6 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 
 use proptest::prelude::*;
+use rif::flash::swift_read::SwiftRead;
 use rif::ldpc::bits::BitVec;
 use rif::ldpc::decoder::MinSumDecoder;
 use rif::prelude::*;
@@ -124,6 +125,34 @@ proptest! {
             // equal-density point, which is optimal up to integration error.
             prop_assert!(o <= d * 1.05 + 1e-9, "{kind}: optimal {o} vs default {d}");
         }
+    }
+
+    /// The `_with` forms a read group prices from its held V_TH state are
+    /// bit for bit the `(block, op)` forms, random draws included.
+    #[test]
+    fn state_param_forms_match_block_op_forms(
+        pe_cycles in 0u32..4501,
+        retention_days in 0.0f64..60.0,
+        reads in 0u64..1_000_000,
+        factor in 0.55f64..2.2,
+        kind in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let model = ErrorModel::calibrated();
+        let swift = SwiftRead::new(model.tlc().clone());
+        let block = BlockProfile { factor };
+        let op = OperatingPoint { pe_cycles, retention_days, reads };
+        let kind = PageKind::ALL[kind];
+        let params = model.state_params(block, op);
+        let (mut a, mut b) = (SimRng::seed_from(seed), SimRng::seed_from(seed));
+        let by_op = swift.observe_ones(op, factor, kind, 131_072, &mut a);
+        let held = swift.observe_ones_with(&params, kind, 131_072, &mut b);
+        prop_assert_eq!(by_op.to_bits(), held.to_bits());
+        prop_assert_eq!(a.next_u64(), b.next_u64());
+        prop_assert_eq!(
+            model.optimal_offset(block, op).to_bits(),
+            model.optimal_offset_with(&params).to_bits()
+        );
     }
 
     #[test]

@@ -369,6 +369,50 @@ fn long_hybrid_rewrite_run_matches_its_pinned_report() {
     );
 }
 
+/// A `sim_write_bg`-shaped learned device, pinned by each report's
+/// FNV-1a: the small geometry as the default hybrid SLC/QLC device,
+/// learned thresholds, a drift clock adding 6.4 days over the run, and a
+/// write-heavy trace at 27 % reads. RiFSSD re-calibrates in the die
+/// before the transfer, SENC reactively after a failed decode, and QLC's
+/// amplification makes both frequent. The hashes were taken before a
+/// read group held its V_TH state and before the inversion's replay
+/// window was narrowed.
+#[test]
+fn learned_hybrid_drift_runs_match_their_pinned_reports() {
+    const N: usize = 20_000;
+    const INTERARRIVAL_NS: f64 = 40_000.0;
+    let trace = SynthConfig {
+        read_ratio: 0.27,
+        cold_read_ratio: 0.50,
+        hot_region_bytes: 512 << 20,
+        cold_region_bytes: 2 << 30,
+        mean_interarrival_ns: INTERARRIVAL_NS,
+        ..SynthConfig::default()
+    }
+    .generate(N, 700);
+    for (retry, pinned) in [
+        (RetryKind::Rif, 0xab2a_1931_da8f_031d),
+        (RetryKind::Sentinel, 0x9e83_daea_a907_fe85),
+    ] {
+        let mut cfg = SsdConfig::small(retry, 2000);
+        cfg.seed = 700;
+        cfg.hybrid = Some(HybridConfig::slc_qlc());
+        cfg.learning = LearningMode::Learned(LearnerConfig::default_paper());
+        cfg.drift = DriftClock {
+            days_per_sec: 6.4 / (N as f64 * INTERARRIVAL_NS / 1e9),
+            pe_per_sec: 0.0,
+        };
+        let report = Simulator::new(cfg).run(&trace);
+        let learner = report.learner.clone().expect("learned run summarizes");
+        assert!(
+            learner.recalibrations > 100,
+            "{retry}: the learned paths must run: {learner:?}"
+        );
+        let fnv = fnv1a64(&report.to_json());
+        assert_eq!(fnv, pinned, "{retry}: report drifted: FNV-1a {fnv:#018x}");
+    }
+}
+
 #[test]
 fn report_json_is_byte_stable_for_a_fixed_run() {
     // Same (scheme, seed) twice in the same thread: the canonical
