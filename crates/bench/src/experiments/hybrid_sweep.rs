@@ -1,16 +1,17 @@
 //! Hybrid-flash sweep — all seven retry schemes on TLC, on QLC and on
-//! the hybrid (SLC cache over QLC capacity) with its cache drain off and
-//! on.
+//! the hybrid (SLC cache over QLC capacity) with its cache drain running.
 //!
 //! The tentpole claim of DESIGN §14: RiF's early-retry win grows where
 //! retries are costlier (denser cells) and the die is busier (background
 //! GC / migration traffic). Each row runs the same foreground load
-//! through `SsdConfig.hybrid`; the "bg on" row drains the SLC cache
+//! through `SsdConfig.hybrid`; the hybrid row drains the SLC cache
 //! aggressively, so SLC→QLC migrations contend with the same foreground
-//! reads. No row refreshes: cold data is younger than the refresh
-//! interval (`SsdConfig::refresh_days`) and a run this short ages
-//! nothing past it, so a TLC or QLC "bg on" row would repeat its "bg off"
-//! row bit for bit.
+//! reads. There is no undrained hybrid row: the reads that hit its SLC
+//! cache read data written moments before, at age 0, where an SLC and a
+//! QLC page cost the same, so it would repeat the QLC row bit for bit.
+//! No row refreshes: cold data is younger than the refresh interval
+//! (`SsdConfig::refresh_days`) and a run this short ages nothing past it,
+//! so a drained TLC or QLC row would repeat its row bit for bit.
 //!
 //! Prints the table and RiF's relative win per row on stdout
 //! (`results/hybrid_sweep.txt` is a redirect of the full-size run) and
@@ -21,20 +22,15 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use crate::{geomean, run_observed, HarnessOpts};
-use rif_ssd::hybrid::{HybridConfig, MigrationPolicy};
+use rif_ssd::hybrid::HybridConfig;
 use rif_ssd::{RetryKind, SsdConfig};
 use rif_workloads::{SynthConfig, Trace};
 
 const PE: u32 = 1500;
 
-/// The rows swept, (device, cache drain on): pure TLC, all-QLC, and the
-/// SLC/QLC hybrid without and with its drain.
-const ROWS: [(&str, bool); 4] = [
-    ("tlc", false),
-    ("qlc", false),
-    ("hybrid", false),
-    ("hybrid", true),
-];
+/// The devices swept: pure TLC, all-QLC, and the SLC/QLC hybrid with
+/// its cache drain running.
+const ROWS: [&str; 3] = ["tlc", "qlc", "hybrid"];
 
 /// RiF's win is measured against the realistic baselines (the ideal
 /// schemes bound it from above by construction).
@@ -45,31 +41,29 @@ const BASELINES: [RetryKind; 4] = [
     RetryKind::RpSsd,
 ];
 
-fn device(mode: &str, bg: bool) -> Option<HybridConfig> {
-    let mut h = match mode {
-        "tlc" => return None,
-        "qlc" => HybridConfig::qlc(),
-        "hybrid" => HybridConfig::slc_qlc(),
+fn device(mode: &str) -> Option<HybridConfig> {
+    match mode {
+        "tlc" => None,
+        "qlc" => Some(HybridConfig::qlc()),
+        "hybrid" => {
+            // Surface the cache drain inside a short run: near-zero
+            // watermarks. The small geometry's SLC cache holds 64Ki
+            // slots; a read-heavy 1.5k-request trace writes only a few
+            // dozen, so the watermark must sit below that to see any
+            // migration at all.
+            let mut h = HybridConfig::slc_qlc();
+            h.bg.high_watermark = 0.0001;
+            h.bg.low_watermark = 0.0;
+            Some(h)
+        }
         other => panic!("unknown mode {other}"),
-    };
-    if bg {
-        // Surface the cache drain inside a short run: migrate
-        // unconditionally (Fifo) at near-zero watermarks. The small
-        // geometry's SLC cache holds 64Ki slots; a read-heavy
-        // 1.5k-request trace writes only a few dozen, so the watermark
-        // must sit below that to see any migration at all.
-        h.migration = MigrationPolicy::Fifo;
-        h.bg.high_watermark = 0.0001;
-        h.bg.low_watermark = 0.0;
     }
-    Some(h)
 }
 
 /// One foreground load for every cell — read-dominant (the latency story
 /// is about foreground reads) with just enough writes to fill the SLC
-/// cache and feed GC. Keeping the trace identical across the bg on/off
-/// cells makes the bg columns a pure machinery effect rather than a
-/// workload change.
+/// cache and feed GC. Keeping the trace identical across the rows makes
+/// their differences a pure device effect rather than a workload change.
 fn foreground(n: usize, seed: u64) -> Trace {
     SynthConfig {
         read_ratio: 0.96,
@@ -90,9 +84,8 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     )?;
     writeln!(
         out,
-        "{:>8} {:>6} | {}",
+        "{:>8} | {}",
         "device",
-        "bg",
         RetryKind::ALL
             .iter()
             .map(|r| format!("{:>9}", r.label()))
@@ -101,19 +94,15 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
     )?;
 
     // A row's win = geomean over baselines of baseline/RiF mean latency.
-    let mut wins: Vec<(String, f64)> = Vec::new();
+    let mut wins: Vec<(&str, f64)> = Vec::new();
     let trace = foreground(n, opts.seed);
-    for (mode, bg) in ROWS {
+    for mode in ROWS {
         let mut means = Vec::new();
         for retry in RetryKind::ALL {
             let mut cfg = SsdConfig::small(retry, PE);
             cfg.seed = opts.seed;
-            cfg.hybrid = device(mode, bg);
-            let label = format!(
-                "{mode}-{}-{}",
-                if bg { "bgon" } else { "bgoff" },
-                retry.label()
-            );
+            cfg.hybrid = device(mode);
+            let label = format!("{mode}-{}", retry.label());
             let report = run_observed(opts, out, &label, cfg, &trace)?;
             means.push((retry, report.read_latency.mean().as_ns() as f64 / 1e3));
         }
@@ -126,15 +115,11 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
             .iter()
             .map(|b| means.iter().find(|(r, _)| r == b).expect("baseline").1 / rif)
             .collect();
-        wins.push((
-            format!("{mode}_{}", if bg { "on" } else { "off" }),
-            geomean(&ratios),
-        ));
+        wins.push((mode, geomean(&ratios)));
         writeln!(
             out,
-            "{:>8} {:>6} | {}",
+            "{:>8} | {}",
             mode,
-            if bg { "on" } else { "off" },
             means
                 .iter()
                 .map(|(_, us)| format!("{us:>9.1}"))
@@ -149,12 +134,12 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
         "RiF win (geomean of baseline/RiF mean latency over SENC, SWR, SWR+, RPSSD):"
     )?;
     for (key, w) in &wins {
-        writeln!(out, "  {key:>10}: {w:.3}x")?;
+        writeln!(out, "  {key:>6}: {w:.3}x")?;
     }
 
-    let win_of = |key: &str| wins.iter().find(|(k, _)| k == key).expect("win key").1;
-    let tlc = win_of("tlc_off");
-    let qlc = win_of("qlc_off");
+    let win_of = |key: &str| wins.iter().find(|(k, _)| *k == key).expect("win key").1;
+    let tlc = win_of("tlc");
+    let qlc = win_of("qlc");
     let widens = qlc > tlc;
     writeln!(
         out,

@@ -349,7 +349,7 @@ pub struct Server {
 }
 
 /// The simulator configuration of shard `index` under `cfg`.
-fn shard_config(cfg: &ServerConfig, index: usize) -> SsdConfig {
+pub(crate) fn shard_config(cfg: &ServerConfig, index: usize) -> SsdConfig {
     let mut sim_cfg = SsdConfig::small(cfg.retry, cfg.pe_cycles);
     sim_cfg.queue_depth = cfg.queue_depth;
     sim_cfg.seed = cfg.seed + index as u64;
@@ -365,13 +365,9 @@ fn shard_config(cfg: &ServerConfig, index: usize) -> SsdConfig {
     if cfg.hybrid {
         let mut h = rif_ssd::HybridConfig::slc_qlc();
         // A serving shard destages its SLC cache eagerly (any cached
-        // slot starts a drain, like idle-time destaging on real drives)
-        // and unconditionally: the reliability gate evaluates worst-case
-        // QLC residency, which would defer every migration at high drift
-        // rates and leave the cache to fill until forced eviction. The
-        // refresh scan is kept small so drift-driven rewrites stay
+        // slot starts a drain, like idle-time destaging on real drives).
+        // The refresh scan is kept small so drift-driven rewrites stay
         // bounded per tick.
-        h.migration = rif_ssd::MigrationPolicy::Fifo;
         h.bg.high_watermark = 0.0;
         h.bg.low_watermark = 0.0;
         h.bg.refresh_scan_batch = 8;

@@ -695,16 +695,18 @@ mod tests {
 
     #[test]
     fn hybrid_shard_exports_bg_gauges() {
-        use rif_ssd::{HybridConfig, MigrationPolicy};
+        use crate::server::{shard_config, ServerConfig};
 
-        let mut cfg = small();
-        // The server's --hybrid wiring: eager unconditional destage.
-        let mut h = HybridConfig::slc_qlc();
-        h.migration = MigrationPolicy::Fifo;
-        h.bg.high_watermark = 0.0;
-        h.bg.low_watermark = 0.0;
-        h.bg.refresh_scan_batch = 8;
-        cfg.hybrid = Some(h);
+        // The server's --hybrid device (eager destage) on this suite's
+        // geometry.
+        let serving = ServerConfig {
+            hybrid: true,
+            ..ServerConfig::default()
+        };
+        let cfg = SsdConfig {
+            hybrid: shard_config(&serving, 0).hybrid,
+            ..small()
+        };
         let (mut m, mut rec) = (MetricsRegistry::new(), None);
         let mut s = shard(0, cfg);
         // Writes land in the SLC cache; the eager drain migrates them as

@@ -73,7 +73,7 @@ pub struct SsdConfig {
     /// Never-written data carries a uniform random age in
     /// `[0, refresh_days)`, the steady state a working refresh keeps; on
     /// a hybrid device the background scan rewrites a slot once its age
-    /// reaches it, and the RARO gate prices a migration at half of it.
+    /// reaches it.
     pub refresh_days: f64,
     /// RNG seed for all stochastic draws of the run.
     pub seed: u64,

@@ -1,16 +1,15 @@
-//! Hybrid SLC/QLC flash subsystem: cell-mode regions, reliability-aware
-//! migration, and the background-traffic work model (DESIGN §14).
+//! Hybrid SLC/QLC flash subsystem: cell-mode regions, the SLC cache
+//! drain, and the background-traffic work model (DESIGN §14).
 //!
 //! Modern high-density SSDs run part of the array as an SLC-mode write
 //! cache in front of QLC capacity blocks. Writes land in SLC (huge V_TH
-//! margin, effectively error-free); a migration policy later drains the
-//! cache to QLC via on-die copyback. RARO-style *reliability-aware*
-//! migration prefers cold, long-unwritten data and accounts for the
-//! destination's RBER before converting. All of that traffic — SLC→QLC
-//! migration, garbage collection, and periodic refresh rewrites — becomes
-//! real die work that contends with foreground reads, which is exactly
-//! the regime where early retry (RiF) pays most: retries are costlier
-//! (QLC's 15 read levels, higher RBER) and the dies are busier.
+//! margin, effectively error-free); above a high watermark the background
+//! scheduler drains the cache to QLC via on-die copyback, oldest-written
+//! slots first. All of that traffic — SLC→QLC migration, garbage
+//! collection, and periodic refresh rewrites — becomes real die work that
+//! contends with foreground reads, which is exactly the regime where
+//! early retry (RiF) pays most: retries are costlier (QLC's 15 read
+//! levels, higher RBER) and the dies are busier.
 //!
 //! The slot mapping and region bookkeeping are the one FTL's
 //! ([`crate::ftl::Ftl`], built with a cache region); this module holds
@@ -77,37 +76,19 @@ impl BgKind {
     }
 }
 
-/// How the cache-drain policy picks and gates migrations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MigrationPolicy {
-    /// Oldest-written slots first, unconditionally.
-    Fifo,
-    /// RARO-style: oldest (coldest) slots first, but background drain is
-    /// deferred while the destination QLC RBER — evaluated at half of
-    /// [`crate::SsdConfig::refresh_days`], the expected residence before
-    /// the next rewrite — exceeds `dest_rber_margin` × the ECC correction capability.
-    /// Write-pressure evictions ignore the gate (the cache must not
-    /// overflow).
-    ReliabilityAware {
-        /// Destination-RBER budget as a multiple of the ECC capability.
-        dest_rber_margin: f64,
-    },
-}
-
-/// Background-traffic scheduler knobs.
+/// Background-traffic scheduler knobs. On a hybrid device an arriving
+/// read sense always jumps ahead of queued background die commands (never
+/// ahead of other reads or host programs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BgConfig {
-    /// Cache occupancy that starts a background drain.
+    /// Cache occupancy above which the background drain migrates the
+    /// oldest-written slots to capacity blocks.
     pub high_watermark: f64,
     /// Occupancy at which a running drain stops.
     pub low_watermark: f64,
     /// Slots whose age is examined per tick by the refresh scan, which
     /// rewrites those due under [`crate::SsdConfig::refresh_days`].
     pub refresh_scan_batch: usize,
-    /// Foreground-preempts policy: arriving read senses jump ahead of
-    /// queued background die commands (they never preempt other reads or
-    /// host programs).
-    pub fg_priority: bool,
 }
 
 impl Default for BgConfig {
@@ -116,7 +97,6 @@ impl Default for BgConfig {
             high_watermark: 0.5,
             low_watermark: 0.3,
             refresh_scan_batch: 64,
-            fg_priority: true,
         }
     }
 }
@@ -132,8 +112,6 @@ pub struct HybridConfig {
     pub cache_fraction: f64,
     /// Cell mode of the capacity (non-cache) blocks.
     pub capacity_mode: CellMode,
-    /// Cache-drain policy.
-    pub migration: MigrationPolicy,
     /// Background scheduler knobs.
     pub bg: BgConfig,
 }
@@ -144,20 +122,17 @@ impl HybridConfig {
         HybridConfig {
             cache_fraction: 0.0,
             capacity_mode: CellMode::Qlc,
-            migration: MigrationPolicy::Fifo,
             bg: BgConfig::default(),
         }
     }
 
     /// The default hybrid device: a quarter of the write region as SLC
-    /// cache in front of QLC capacity, drained reliability-aware.
+    /// cache in front of QLC capacity, drained oldest-first once it is
+    /// more than half full.
     pub fn slc_qlc() -> Self {
         HybridConfig {
             cache_fraction: 0.25,
             capacity_mode: CellMode::Qlc,
-            migration: MigrationPolicy::ReliabilityAware {
-                dest_rber_margin: 2.0,
-            },
             bg: BgConfig::default(),
         }
     }
@@ -167,8 +142,7 @@ impl HybridConfig {
     /// # Panics
     ///
     /// Panics on out-of-range fractions, an SLC capacity mode, inverted
-    /// watermarks, an empty refresh scan or a non-positive
-    /// destination-RBER margin.
+    /// watermarks or an empty refresh scan.
     pub fn validate(&self) {
         assert!(
             (0.0..=0.9).contains(&self.cache_fraction),
@@ -189,9 +163,6 @@ impl HybridConfig {
             self.bg.refresh_scan_batch > 0,
             "refresh scan batch must be positive"
         );
-        if let MigrationPolicy::ReliabilityAware { dest_rber_margin } = self.migration {
-            assert!(dest_rber_margin > 0.0, "dest RBER margin must be positive");
-        }
     }
 
     fn high_watermark(&self) -> f64 {

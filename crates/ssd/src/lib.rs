@@ -53,7 +53,7 @@ pub mod timeline;
 pub mod tracecheck;
 
 pub use config::{LearningMode, SsdConfig};
-pub use hybrid::{BgConfig, BgKind, CellMode, HybridConfig, MigrationPolicy};
+pub use hybrid::{BgConfig, BgKind, CellMode, HybridConfig};
 pub use report::{ChannelUsage, HybridSummary, LearnerSummary, SimReport};
 pub use retry::RetryKind;
 pub use rif_flash::learn::{DriftClock, LearnerConfig, LearnerState, LearnerStateError};

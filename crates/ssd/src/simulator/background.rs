@@ -105,55 +105,33 @@ impl Simulator {
         }
     }
 
-    /// One background-scheduler tick: drains the SLC cache toward the low
-    /// watermark (subject to the migration policy's destination-RBER
-    /// gate), turns due refresh rewrites into die work, and re-arms
-    /// itself while foreground requests remain.
+    /// One background-scheduler tick: drains the SLC cache oldest-first
+    /// toward the low watermark, turns due refresh rewrites into die work,
+    /// and re-arms itself while foreground requests remain.
     pub(super) fn on_bg_tick(&mut self, now: SimTime) {
         let Some(mut h) = self.hybrid.take() else {
             return;
         };
         h.tick_armed = false;
         let t = self.cfg.timing;
-        let (drift_days, drift_pe) = self.drift_at(now);
+        let (drift_days, _) = self.drift_at(now);
 
         // --- SLC→QLC cache drain ---------------------------------------
         let mut migrated = 0u64;
         if self.ftl.cache_occupancy() > h.conf.bg.high_watermark {
-            let allow = match h.conf.migration {
-                MigrationPolicy::Fifo => true,
-                MigrationPolicy::ReliabilityAware { dest_rber_margin } => {
-                    // RARO gate: defer the background drain while data
-                    // migrated now would exceed the RBER budget midway
-                    // through its expected QLC residence (half the
-                    // refresh interval). Forced evictions on the write
-                    // path bypass this — the cache must not overflow.
-                    let op = OperatingPoint {
-                        pe_cycles: self.cfg.pe_cycles.saturating_add(drift_pe),
-                        retention_days: self.cfg.refresh_days * 0.5,
-                        reads: 0,
-                    };
-                    let dest_rber = h.conf.capacity_mode.model().rber_avg(op, 1.0);
-                    dest_rber <= dest_rber_margin * self.cfg.ecc.correction_capability()
+            for slot in self.ftl.migration_candidates(MIGRATE_BATCH) {
+                if self.ftl.cache_occupancy() <= h.conf.bg.low_watermark {
+                    break;
                 }
-            };
-            if allow {
-                for slot in self.ftl.migration_candidates(MIGRATE_BATCH) {
-                    if self.ftl.cache_occupancy() <= h.conf.bg.low_watermark {
-                        break;
-                    }
-                    let Some(w) = self.ftl.migrate(slot) else {
-                        continue;
-                    };
-                    // The copyback physically reprograms the data: its
-                    // retention age restarts.
-                    self.retention.record_write(slot, now);
-                    let dur = t.t_r + t.t_prog + gc_duration(&t, &w.gc);
-                    self.push_bg(now, w.die_linear, BgKind::Migrate, dur);
-                    migrated += 1;
-                }
-            } else {
-                self.count(now, "bg.migration_gated_ticks", 1);
+                let Some(w) = self.ftl.migrate(slot) else {
+                    continue;
+                };
+                // The copyback physically reprograms the data: its
+                // retention age restarts.
+                self.retention.record_write(slot, now);
+                let dur = t.t_r + t.t_prog + gc_duration(&t, &w.gc);
+                self.push_bg(now, w.die_linear, BgKind::Migrate, dur);
+                migrated += 1;
             }
         }
 

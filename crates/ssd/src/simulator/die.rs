@@ -142,10 +142,10 @@ impl Simulator {
             d.station.queue.push_front(resumed);
             d.station.queue.push_front(cmd);
             self.count(now, "die.suspensions", 1);
-        } else if self.hybrid.as_ref().is_some_and(|h| h.conf.bg.fg_priority) {
-            // Foreground-preempts policy: the read sense jumps ahead of
-            // queued background work (never ahead of other foreground
-            // commands, preserving read/program ordering).
+        } else if self.hybrid.is_some() {
+            // On a hybrid device the read sense jumps ahead of queued
+            // background work (never ahead of other foreground commands,
+            // preserving read/program ordering).
             let q = &mut d.station.queue;
             let at = q
                 .iter()

@@ -43,9 +43,7 @@ use rif_workloads::{IoOp, IoRequest, Trace};
 
 use crate::config::SsdConfig;
 use crate::ftl::{Ftl, GcWork, SlotLocation};
-use crate::hybrid::{
-    AmpTable, BgKind, HybridConfig, MigrationPolicy, AMPLIFIED_RBER_CAP, AMPLIFIED_RBER_FLOOR,
-};
+use crate::hybrid::{AmpTable, BgKind, HybridConfig, AMPLIFIED_RBER_CAP, AMPLIFIED_RBER_FLOOR};
 use crate::report::{ChannelUsage, HybridSummary, LearnerSummary, SimReport};
 use crate::retention::RetentionTracker;
 use crate::retry::Predictor;

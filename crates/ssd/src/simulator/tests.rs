@@ -577,7 +577,6 @@ fn fifo_migration_and_refresh_under_drift_are_deterministic() {
             pe_per_sec: 0.0,
         };
         let h = cfg.hybrid.as_mut().unwrap();
-        h.migration = crate::hybrid::MigrationPolicy::Fifo;
         h.bg.high_watermark = 0.001;
         h.bg.low_watermark = 0.0;
         // A drain moves up to a batch of residents a tick. Which ones,
@@ -747,10 +746,8 @@ fn hybrid_cache_drains_under_write_pressure() {
     // the scheduler must migrate, and occupancy must end at or below
     // the point where draining stops making progress.
     let mut cfg = hybrid_cfg(RetryKind::Rif, 1000);
-    // FIFO drain: no reliability gate, so migration always runs, and
-    // near-zero watermarks so this short trace reaches them.
+    // Near-zero watermarks so this short trace reaches them.
     let h = cfg.hybrid.as_mut().unwrap();
-    h.migration = crate::hybrid::MigrationPolicy::Fifo;
     h.bg.high_watermark = 0.001;
     h.bg.low_watermark = 0.0;
     let trace = SynthConfig {
@@ -765,6 +762,28 @@ fn hybrid_cache_drains_under_write_pressure() {
     assert_eq!(report.completed_requests, 500);
     let h = report.hybrid.unwrap();
     assert!(h.migrated_slots > 0, "cache never drained: {h:?}");
+}
+
+#[test]
+fn default_hybrid_device_drains_in_the_background() {
+    // The stock device, its cache shrunk to 128 slots a die so that a
+    // short run overwriting a 512-MiB hot set crosses the 0.5 high
+    // watermark: the background drain, not the write path's forced
+    // eviction, must keep the cache from overflowing.
+    let mut cfg = hybrid_cfg(RetryKind::Rif, 2000);
+    cfg.seed = 800;
+    cfg.hybrid.as_mut().unwrap().cache_fraction = 0.05;
+    let trace = SynthConfig {
+        read_ratio: 0.1,
+        hot_region_bytes: 512 << 20,
+        ..SynthConfig::default()
+    }
+    .generate(10_000, 800);
+    let h = Simulator::new(cfg).run(&trace).hybrid.unwrap();
+    assert!(
+        h.migrated_slots > 0 && h.forced_evictions == 0,
+        "the default drain must run on its own: {h:?}"
+    );
 }
 
 #[test]
@@ -907,7 +926,6 @@ fn no_request_completes_sooner_than_min_service() {
     check("learned + drift", learned, &aged_trace(300, 39));
     let mut hybrid = hybrid_cfg(RetryKind::Rif, 1500);
     let h = hybrid.hybrid.as_mut().unwrap();
-    h.migration = crate::hybrid::MigrationPolicy::Fifo;
     h.bg.high_watermark = 0.0;
     h.bg.low_watermark = 0.0;
     check("hybrid + background", hybrid, &mixed);

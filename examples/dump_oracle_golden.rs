@@ -19,8 +19,7 @@
 
 use rif_events::trace::{JsonlSink, SharedBuf};
 use rif_ssd::{
-    DriftClock, HybridConfig, LearnerConfig, LearningMode, MigrationPolicy, RetryKind, Simulator,
-    SsdConfig,
+    DriftClock, HybridConfig, LearnerConfig, LearningMode, RetryKind, Simulator, SsdConfig,
 };
 use rif_workloads::SynthConfig;
 
@@ -70,7 +69,6 @@ fn main() {
 
     let mut cfg = SsdConfig::small(RetryKind::Rif, 1500);
     let mut hybrid = HybridConfig::slc_qlc();
-    hybrid.migration = MigrationPolicy::Fifo;
     hybrid.bg.high_watermark = 0.001;
     hybrid.bg.low_watermark = 0.0;
     hybrid.bg.refresh_scan_batch = 4;

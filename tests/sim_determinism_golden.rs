@@ -8,8 +8,8 @@ use rif_events::parallel_trials;
 use rif_events::trace::{JsonlSink, SharedBuf};
 use rif_events::{SimDuration, SimTime};
 use rif_ssd::{
-    BgConfig, CellMode, DriftClock, HybridConfig, LearnerConfig, LearningMode, MigrationPolicy,
-    RetryKind, Simulator, SsdConfig,
+    BgConfig, CellMode, DriftClock, HybridConfig, LearnerConfig, LearningMode, RetryKind,
+    Simulator, SsdConfig,
 };
 use rif_workloads::{SynthConfig, Trace};
 
@@ -270,11 +270,6 @@ fn hybrid_run(seed: u64) -> (String, String) {
     cfg.queue_depth = 16;
     cfg.seed = seed;
     let mut hybrid = HybridConfig::slc_qlc();
-    // Fifo instead of the reliability-aware gate: at this drift rate the
-    // QLC destination RBER always exceeds the margin, which would
-    // (correctly) starve migrations and leave the grid testing an idle
-    // scheduler.
-    hybrid.migration = MigrationPolicy::Fifo;
     hybrid.bg.high_watermark = 0.001;
     hybrid.bg.low_watermark = 0.0;
     // At this drift rate every slot is perpetually due; cap the scan
@@ -350,9 +345,6 @@ fn long_hybrid_rewrite_run_matches_its_pinned_report() {
     let mut hybrid = HybridConfig::slc_qlc();
     // 128 cache slots per die, so the 8192-slot hot set overflows it.
     hybrid.cache_fraction = 0.05;
-    // Fifo, as in `hybrid_run`: the reliability-aware gate keeps a QLC
-    // destination closed at this P/E and the drain would never run.
-    hybrid.migration = MigrationPolicy::Fifo;
     hybrid.bg.high_watermark = 0.9;
     hybrid.bg.low_watermark = 0.8;
     cfg.hybrid = Some(hybrid);
@@ -429,19 +421,15 @@ fn report_json_is_byte_stable_for_a_fixed_run() {
 
 /// `SsdConfig.hybrid` selects cell modes and the background scheduler,
 /// never a mapping layer: a hybrid device with nothing to select — TLC
-/// capacity, no cache, no data old enough to refresh, no
-/// read-over-background priority —
+/// capacity, no cache, no data old enough to refresh and no GC on a
+/// trace this short, so no background work for a read to jump —
 /// reports exactly what the plain device does on a half-write trace.
 #[test]
 fn inert_hybrid_config_reports_what_the_plain_device_does() {
     let inert = HybridConfig {
         cache_fraction: 0.0,
         capacity_mode: CellMode::Tlc,
-        migration: MigrationPolicy::Fifo,
-        bg: BgConfig {
-            fg_priority: false,
-            ..BgConfig::default()
-        },
+        bg: BgConfig::default(),
     };
     for retry in [
         RetryKind::Sentinel,
@@ -462,7 +450,7 @@ fn inert_hybrid_config_reports_what_the_plain_device_does() {
             cfg.hybrid = Some(inert.clone());
             let mut hybrid = Simulator::new(cfg).run(&trace);
             let summary = hybrid.hybrid.take().expect("hybrid run summarizes");
-            assert_eq!(summary.migrated_slots + summary.refreshed_slots, 0);
+            assert_eq!(summary.bg_ops, 0, "{summary:?}");
             assert_eq!(
                 format!("{hybrid:?}"),
                 format!("{plain:?}"),

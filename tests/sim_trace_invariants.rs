@@ -193,7 +193,7 @@ fn hybrid_background_traffic_traces_clean() {
     // invariant — including per-die resource exclusivity, which now
     // covers gc/migrate/refresh spans — must hold, and the bg spans must
     // actually appear (otherwise exclusivity passes vacuously).
-    use rif_ssd::{HybridConfig, MigrationPolicy};
+    use rif_ssd::HybridConfig;
     let trace = SynthConfig {
         read_ratio: 0.4,
         cold_read_ratio: 0.5,
@@ -206,7 +206,6 @@ fn hybrid_background_traffic_traces_clean() {
         let mut cfg = SsdConfig::small(retry, 1500);
         cfg.queue_depth = 16;
         let mut hybrid = HybridConfig::slc_qlc();
-        hybrid.migration = MigrationPolicy::Fifo;
         hybrid.bg.high_watermark = 0.001;
         hybrid.bg.low_watermark = 0.0;
         // At this drift rate every slot is perpetually due; cap the scan
