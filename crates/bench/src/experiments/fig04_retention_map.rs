@@ -11,13 +11,23 @@
 //! the `first` column, is 5/4/4/3/3/3/2 days at 0/100/200/300/500/1000/
 //! 2000 P/E: the model's earliest failures come 2–3× sooner than the
 //! paper's, an open model deviation (EXPERIMENTS.md Fig. 4).
+//!
+//! The text output ends with the same crossing per cell mode (paper
+//! §VII): the median block's capability-crossing day on TLC and on QLC,
+//! whose sixteen states share TLC's V_TH window, the cold-read retry
+//! share those days imply under a 30-day refresh horizon, and QLC's RBER
+//! amplification over TLC at matched stress — the ratio the simulator's
+//! QLC pages are priced with (`rif_ssd::hybrid::AmpTable`). The same
+//! comparison simulated is `hybrid_sweep`'s `tlc` and `qlc` rows.
 
 use std::io::{self, Write};
 use std::process::ExitCode;
 
 use crate::{HarnessOpts, TableWriter};
 use rif_flash::characterize::retention_failure_map;
-use rif_flash::rber::ErrorModel;
+use rif_flash::mlc::MlcModel;
+use rif_flash::rber::{BlockProfile, ErrorModel};
+use rif_flash::vth::OperatingPoint;
 use rif_ldpc::PAPER_CORRECTION_CAPABILITY;
 
 /// The paper's quoted onset days at 0/200/500/1000 P/E, each of which
@@ -154,6 +164,7 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
             out,
             "with a 30-day refresh horizon, read-retry is the common case at ≥1K P/E."
         )?;
+        per_mode(&model, out)?;
     }
     let broken = broken_rules(&stages);
     if broken.is_empty() {
@@ -163,6 +174,48 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
         eprintln!("FAIL: the retention map breaks the paper's anchor: {rule}");
     }
     Ok(ExitCode::FAILURE)
+}
+
+/// The median block's capability crossing on TLC and QLC, and QLC's
+/// RBER amplification at matched stress.
+fn per_mode(tlc: &ErrorModel, out: &mut dyn Write) -> io::Result<()> {
+    let cap = PAPER_CORRECTION_CAPABILITY;
+    let median = BlockProfile::median();
+    let qlc = MlcModel::qlc();
+    let t = TableWriter::new(false, &[6, 14, 14, 16, 16]);
+    t.heading(
+        out,
+        "Extension: TLC vs QLC capability-crossing days and retry pressure",
+    )?;
+    let header = [
+        "pe",
+        "tlc_days",
+        "qlc_days",
+        "tlc_retry_30d",
+        "qlc_retry_30d",
+    ];
+    t.row(out, &header.map(String::from))?;
+    for pe in [0u32, 200, 500, 1000, 2000] {
+        let dt = tlc.days_to_exceed(median, pe, cap, 120.0);
+        let dq = qlc.days_to_exceed(pe, cap, 120.0);
+        // Cold-read retry fraction under a 30-day refresh horizon.
+        let frac = |d: Option<f64>| match d {
+            Some(day) => format!("{:.2}", (1.0 - day / 30.0).clamp(0.0, 1.0)),
+            None => "0.00".into(),
+        };
+        let fmt = |d: Option<f64>| match d {
+            Some(day) => format!("{day:.1}"),
+            None => ">120".into(),
+        };
+        t.row(out, &[pe.to_string(), fmt(dt), fmt(dq), frac(dt), frac(dq)])?;
+    }
+    writeln!(out, "\nRBER amplification (QLC / TLC) at matched stress:")?;
+    for &(pe, days) in &[(0u32, 5.0), (500, 5.0), (1000, 3.0)] {
+        let op = OperatingPoint::new(pe, days);
+        let ratio = qlc.rber_avg(op, 1.0) / tlc.rber_avg_default(median, op).max(1e-12);
+        writeln!(out, "  {pe:>4} P/E, {days:>3.0} days: {ratio:.0}x")?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

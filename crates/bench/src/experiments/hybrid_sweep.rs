@@ -13,6 +13,10 @@
 //! (`SsdConfig::refresh_days`) and a run this short ages nothing past it,
 //! so a drained TLC or QLC row would repeat its row bit for bit.
 //!
+//! The `tlc` and `qlc` rows are the simulated TLC-against-QLC comparison
+//! of paper §VII; its analytic half (crossing days, RBER amplification)
+//! is the per-mode table at the end of `fig04_retention_map`.
+//!
 //! Prints the table and RiF's relative win per row on stdout
 //! (`results/hybrid_sweep.txt` is a redirect of the full-size run) and
 //! writes no file. Exits non-zero unless the win on QLC is strictly

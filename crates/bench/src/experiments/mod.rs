@@ -5,7 +5,6 @@ use crate::RunFn;
 
 pub mod ablation_chunk_size;
 pub mod ablation_ecc_buffer;
-pub mod ablation_qlc;
 pub mod ablation_refresh;
 pub mod ablation_rho_sweep;
 pub mod ablation_suspend;
@@ -28,7 +27,6 @@ pub mod table2_workloads;
 pub const EXPERIMENTS: &[(&str, RunFn)] = &[
     ("ablation_chunk_size", ablation_chunk_size::run),
     ("ablation_ecc_buffer", ablation_ecc_buffer::run),
-    ("ablation_qlc", ablation_qlc::run),
     ("ablation_refresh", ablation_refresh::run),
     ("ablation_rho_sweep", ablation_rho_sweep::run),
     ("ablation_suspend", ablation_suspend::run),

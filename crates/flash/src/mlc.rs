@@ -14,11 +14,14 @@
 //! references as evenly as possible across the pages, mirroring the
 //! 2-3-2 TLC and 4-4-4-3 QLC schemes of real devices.
 //!
-//! The stress law is [`TlcModel::calibrated`]'s, read from it rather than
-//! restated: only the state placement and the programmed-state width
-//! depend on the bit count.
+//! The stress law, the region walk and the crossing search are
+//! [`crate::vth`]'s, evaluated through [`TlcModel::calibrated`]: only the
+//! state placement (each state's fresh mean and width) and the Gray code
+//! depend on the bit count, and they are all this module defines.
 
-use crate::vth::{bisect, gauss_mass, gaussian_intersection, OperatingPoint, StateParam, TlcModel};
+use crate::vth::{
+    first_day_above, gaussian_intersection, walk_regions, OperatingPoint, StateParam, TlcModel,
+};
 
 /// A `b`-bit-per-cell V_TH model.
 ///
@@ -26,33 +29,26 @@ use crate::vth::{bisect, gauss_mass, gaussian_intersection, OperatingPoint, Stat
 ///
 /// ```
 /// use rif_flash::mlc::MlcModel;
-/// use rif_flash::OperatingPoint;
+/// use rif_flash::{OperatingPoint, TlcModel};
 ///
-/// let tlc = MlcModel::tlc();
+/// let tlc = TlcModel::calibrated();
 /// let qlc = MlcModel::qlc();
 /// // Same stress, same window: QLC's tighter states err far more.
 /// let op = OperatingPoint::new(500, 5.0);
-/// assert!(qlc.rber_avg(op, 1.0) > tlc.rber_avg(op, 1.0) * 3.0);
+/// assert!(qlc.rber_avg(op, 1.0) > tlc.rber_avg(op, 1.0, &tlc.default_refs()) * 3.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MlcModel {
     bits: usize,
     gray: Vec<u16>,
-    /// Mean V_TH of each programmed state (state 0 is erased).
-    means: Vec<f64>,
-    sigma_prog: f64,
+    /// Fresh distribution of each state, erased first, in ascending
+    /// voltage order.
+    fresh: Vec<StateParam>,
     /// The calibrated TLC model whose stress law every instance shares.
     law: TlcModel,
 }
 
 impl MlcModel {
-    /// The TLC instance: its state distributions equal
-    /// [`TlcModel::calibrated`]'s at every unread operating point
-    /// (tested).
-    pub fn tlc() -> Self {
-        Self::with_bits(3, TlcModel::calibrated().sigma_prog)
-    }
-
     /// The QLC instance: 16 states in the same V_TH window (state gap
     /// 3/7 of TLC's) with the tighter programming distributions
     /// (σ = 0.075) reported for 4-bit/cell devices.
@@ -66,7 +62,7 @@ impl MlcModel {
     /// gap is the full window and the RBER stays orders of magnitude
     /// below any multi-bit mode under the same stress laws.
     ///
-    /// Built directly rather than via [`MlcModel::with_bits`]: the even
+    /// Built directly rather than via `with_bits`: the even
     /// spread formula needs ≥ 2 programmed states, and 1-bit cells stay
     /// rejected there by design.
     pub fn slc_like() -> Self {
@@ -74,8 +70,16 @@ impl MlcModel {
         MlcModel {
             bits: 1,
             gray: vec![0, 1],
-            means: vec![law.erase_mean, 7.0],
-            sigma_prog: law.sigma_prog,
+            fresh: vec![
+                StateParam {
+                    mean: law.erase_mean,
+                    sigma: law.sigma_erase,
+                },
+                StateParam {
+                    mean: 7.0,
+                    sigma: law.sigma_prog,
+                },
+            ],
             law,
         }
     }
@@ -87,23 +91,28 @@ impl MlcModel {
     /// # Panics
     ///
     /// Panics unless `2 ≤ bits ≤ 8`.
-    pub fn with_bits(bits: usize, sigma_prog: f64) -> Self {
+    fn with_bits(bits: usize, sigma_prog: f64) -> Self {
         assert!((2..=8).contains(&bits), "bits per cell {bits} unsupported");
         let law = TlcModel::calibrated();
         let n_states = 1usize << bits;
         // Erased state at the TLC erase mean; programmed states 1..n-1
         // evenly over [1.0, 7.0] (the TLC placement falls out exactly for
         // b = 3).
-        let mut means = vec![law.erase_mean];
+        let mut fresh = vec![StateParam {
+            mean: law.erase_mean,
+            sigma: law.sigma_erase,
+        }];
         let programmed = n_states - 1;
         for s in 1..=programmed {
-            means.push(1.0 + 6.0 * (s as f64 - 1.0) / (programmed as f64 - 1.0));
+            fresh.push(StateParam {
+                mean: 1.0 + 6.0 * (s as f64 - 1.0) / (programmed as f64 - 1.0),
+                sigma: sigma_prog,
+            });
         }
         MlcModel {
             bits,
             gray: balanced_gray(bits),
-            means,
-            sigma_prog,
+            fresh,
             law,
         }
     }
@@ -136,35 +145,12 @@ impl MlcModel {
             .collect()
     }
 
-    /// State distributions under stress: the TLC model's law, evaluated
-    /// in the same operation order (so the TLC instance matches it bit
-    /// for bit). Read disturb is not modelled here.
+    /// State distributions under stress: the TLC model's law, read
+    /// disturb included, applied to this model's placement.
     pub fn state_params(&self, op: OperatingPoint, process_factor: f64) -> Vec<StateParam> {
-        let law = &self.law;
-        let wear = law.wear(op.pe_cycles);
-        let ln_t = (1.0 + op.retention_days.max(0.0)).ln();
-        let widen = 1.0 + law.widen_pe * op.pe_cycles as f64 / 1000.0 + law.widen_ret * ln_t * wear;
-        let top = (self.n_states() - 1) as f64;
-        self.means
-            .iter()
-            .enumerate()
-            .map(|(s, &mean)| {
-                let shift = law.retention_a
-                    * process_factor
-                    * wear
-                    * ln_t
-                    * (s as f64 / top).powf(law.state_gamma);
-                let sigma = if s == 0 {
-                    law.sigma_erase
-                } else {
-                    self.sigma_prog
-                };
-                StateParam {
-                    mean: mean - shift,
-                    sigma: sigma * widen,
-                }
-            })
-            .collect()
+        self.law
+            .aging(op.pe_cycles, op.reads, process_factor)
+            .placed(&self.fresh, op.retention_days)
     }
 
     /// Default read references: the fresh equal-density boundaries.
@@ -182,28 +168,13 @@ impl MlcModel {
     /// Panics unless `refs` has `2^b − 1` entries.
     pub fn rber(&self, op: OperatingPoint, process_factor: f64, refs: &[f64], page: usize) -> f64 {
         assert_eq!(refs.len(), self.n_states() - 1, "reference count mismatch");
-        let params = self.state_params(op, process_factor);
-        let mut err = 0.0;
+        let bounds: Vec<f64> = self.refs_of(page).iter().map(|&r| refs[r - 1]).collect();
+        let low_bit = self.bit_of(page, 0);
         let inv_states = 1.0 / self.n_states() as f64;
-        for (s, p) in params.iter().enumerate() {
-            let want = self.bit_of(page, s);
-            let mut region_bit = self.bit_of(page, 0);
-            let mut lo = f64::NEG_INFINITY;
-            // Region boundaries in ascending voltage order: the references
-            // where this page's bit flips.
-            let bounds = (1..self.n_states())
-                .filter(|&r| self.bit_of(page, r - 1) != self.bit_of(page, r))
-                .map(|r| refs[r - 1]);
-            for b in bounds {
-                if region_bit != want {
-                    err += gauss_mass(p, lo, b) * inv_states;
-                }
-                lo = b;
-                region_bit = !region_bit;
-            }
-            if region_bit != want {
-                err += gauss_mass(p, lo, f64::INFINITY) * inv_states;
-            }
+        let mut err = 0.0;
+        for (s, p) in self.state_params(op, process_factor).iter().enumerate() {
+            let wrong = !self.bit_of(page, s);
+            walk_regions(p, &bounds, low_bit, wrong, |m| err += m * inv_states);
         }
         err
     }
@@ -220,16 +191,9 @@ impl MlcModel {
     /// First retention day where the page-averaged RBER exceeds `cap`,
     /// up to `max_days`.
     pub fn days_to_exceed(&self, pe_cycles: u32, cap: f64, max_days: f64) -> Option<f64> {
-        let rber = |d: f64| self.rber_avg(OperatingPoint::new(pe_cycles, d), 1.0);
-        if rber(0.0) > cap {
-            return Some(0.0);
-        }
-        if rber(max_days) <= cap {
-            return None;
-        }
-        // Negated rather than `<=`: a NaN RBER must move `lo`.
-        let (lo, hi) = bisect(0.0, max_days, 40, |mid| !(rber(mid) > cap));
-        Some(0.5 * (lo + hi))
+        first_day_above(cap, max_days, |d| {
+            self.rber_avg(OperatingPoint::new(pe_cycles, d), 1.0)
+        })
     }
 }
 
@@ -286,6 +250,102 @@ fn balanced_gray(bits: usize) -> Vec<u16> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::PageKind;
+    use crate::rber::{BlockProfile, ErrorModel};
+
+    /// [`digest`]s of the V_TH models' outputs (see
+    /// `model_outputs_match_their_pinned_bits`).
+    const PIN_TLC: u64 = 0x78c5_cebf_54da_a0e7;
+    const PIN_QLC: u64 = 0xcd50_65f4_53bb_53a0;
+    const PIN_SLC: u64 = 0x1939_3f11_a1c6_b40f;
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn digest(values: impl IntoIterator<Item = f64>) -> u64 {
+        values.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    #[test]
+    fn model_outputs_match_their_pinned_bits() {
+        // Digests of every default reference, state, RBER and ones
+        // fraction the V_TH models produce at five `(pe, days, reads,
+        // process factor)` points, taken before the stress law, the
+        // region walk and the crossing search had one body each. QLC and
+        // SLC ignored reads until then (see
+        // `one_stress_law_moves_every_mode_alike`), so the read-disturb
+        // point is pinned for TLC alone. At the two middle points a
+        // per-state partial sum in `MlcModel::rber` moves a page's RBER
+        // by an ulp, so the digests also hold each accumulation order.
+        let points = [
+            (0u32, 0.0, 0u64, 1.0),
+            (500, 5.0, 0, 0.7),
+            (1000, 10.0, 0, 1.6),
+            (3000, 20.0, 0, 1.0),
+            (200, 10.0, 500_000, 1.0),
+        ];
+        let tlc = TlcModel::calibrated();
+        let default = tlc.default_refs();
+        let mut got = default.to_vec();
+        for (pe_cycles, retention_days, reads, factor) in points {
+            let op = OperatingPoint {
+                pe_cycles,
+                retention_days,
+                reads,
+            };
+            let params = tlc.state_params(op, factor);
+            got.extend(params.iter().flat_map(|p| [p.mean, p.sigma]));
+            for refs in [default, tlc.optimal_refs(params)] {
+                for kind in PageKind::ALL {
+                    got.push(tlc.rber_with_params(&params, &refs, kind));
+                    got.push(tlc.ones_fraction(&params, &refs, kind));
+                }
+            }
+        }
+        assert_eq!(digest(got), PIN_TLC, "TLC");
+
+        for (model, pin) in [(MlcModel::qlc(), PIN_QLC), (MlcModel::slc_like(), PIN_SLC)] {
+            let refs = model.default_refs();
+            let mut got = refs.clone();
+            for (pe, days, _, factor) in points.into_iter().filter(|p| p.2 == 0) {
+                let op = OperatingPoint::new(pe, days);
+                let params = model.state_params(op, factor);
+                got.extend(params.iter().flat_map(|p| [p.mean, p.sigma]));
+                got.extend((0..model.bits()).map(|page| model.rber(op, factor, &refs, page)));
+            }
+            assert_eq!(digest(got), pin, "{} bits per cell", model.bits());
+        }
+    }
+
+    #[test]
+    fn one_stress_law_moves_every_mode_alike() {
+        // The erased state and the top state sit where TLC's do in every
+        // mode, so one stress law — read disturb included — must move
+        // them exactly as it moves TLC's.
+        let tlc = TlcModel::calibrated();
+        for (pe, days, reads) in [(0u32, 0.0, 1u64), (500, 5.0, 10_000), (2000, 30.0, 500_000)] {
+            for factor in [0.7, 1.0, 1.6] {
+                let op = OperatingPoint {
+                    pe_cycles: pe,
+                    retention_days: days,
+                    reads,
+                };
+                let want = tlc.state_params(op, factor);
+                for model in [MlcModel::qlc(), MlcModel::slc_like()] {
+                    let got = model.state_params(op, factor);
+                    let (erased, top) = (got[0].mean, got[got.len() - 1].mean);
+                    assert_eq!(
+                        [erased, top].map(f64::to_bits),
+                        [want[0].mean, want[7].mean].map(f64::to_bits),
+                        "erased and top means, {} bits at {op:?} factor {factor}",
+                        model.bits()
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn gray_codes_are_gray_and_balanced() {
@@ -311,8 +371,10 @@ mod tests {
 
     #[test]
     fn tlc_ref_distribution_matches_232() {
-        let m = MlcModel::tlc();
-        let mut counts: Vec<usize> = (0..3).map(|p| m.refs_of(p).len()).collect();
+        let mut counts: Vec<usize> = PageKind::ALL
+            .iter()
+            .map(|&k| TlcModel::refs_of(k).len())
+            .collect();
         counts.sort_unstable();
         assert_eq!(counts, vec![2, 2, 3]);
     }
@@ -326,40 +388,15 @@ mod tests {
     }
 
     #[test]
-    fn tlc_instance_cross_validates_against_vth_model() {
-        // The generic model with b = 3 evaluates the dedicated TLC
-        // model's stress law. Without reads (read disturb is not
-        // modelled in the generic version) every state distribution,
-        // and so every default reference, is equal bit for bit.
-        let generic = MlcModel::tlc();
-        let dedicated = TlcModel::calibrated();
-        assert_eq!(generic.default_refs(), dedicated.default_refs().to_vec());
-        for &(pe, days) in &[
-            (0u32, 0.0),
-            (0, 5.0),
-            (500, 10.0),
-            (2000, 15.0),
-            (3000, 45.5),
-        ] {
-            for factor in [0.7, 1.0, 1.6] {
-                let op = OperatingPoint::new(pe, days);
-                assert_eq!(
-                    generic.state_params(op, factor),
-                    dedicated.state_params(op, factor).to_vec(),
-                    "pe={pe} d={days} factor={factor}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn qlc_crosses_capability_much_earlier_than_tlc() {
         // The §VII claim quantified: at the same wear, QLC's tighter
         // states cross the same ECC capability many times sooner.
-        let tlc = MlcModel::tlc();
+        let tlc = ErrorModel::calibrated();
         let qlc = MlcModel::qlc();
         for pe in [0u32, 1000] {
-            let dt = tlc.days_to_exceed(pe, 0.0085, 120.0).expect("TLC crossing");
+            let dt = tlc
+                .days_to_exceed(BlockProfile::median(), pe, 0.0085, 120.0)
+                .expect("TLC crossing");
             let dq = qlc.days_to_exceed(pe, 0.0085, 120.0).expect("QLC crossing");
             assert!(dq < dt / 2.5, "pe={pe}: QLC crossing {dq} not ≪ TLC {dt}");
         }
@@ -392,13 +429,14 @@ mod tests {
     #[test]
     fn slc_like_is_orders_of_magnitude_more_reliable() {
         let slc = MlcModel::slc_like();
-        let tlc = MlcModel::tlc();
+        let tlc = TlcModel::calibrated();
+        let tlc_refs = tlc.default_refs();
         assert_eq!(slc.bits(), 1);
         assert_eq!(slc.refs_of(0), vec![1]);
         for &(pe, days) in &[(500u32, 10.0), (2000, 30.0)] {
             let op = OperatingPoint::new(pe, days);
             let rs = slc.rber_avg(op, 1.0);
-            let rt = tlc.rber_avg(op, 1.0);
+            let rt = tlc.rber_avg(op, 1.0, &tlc_refs);
             assert!(
                 rs < rt / 100.0,
                 "pe={pe} d={days}: SLC RBER {rs} not ≪ TLC {rt}"

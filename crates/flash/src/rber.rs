@@ -25,7 +25,7 @@ use rif_events::SimRng;
 
 use crate::geometry::PageKind;
 use crate::vref::ReadVoltages;
-use crate::vth::{bisect, OperatingPoint, StateParam, TlcModel};
+use crate::vth::{first_day_above, OperatingPoint, StateParam, TlcModel};
 
 /// Per-block reliability profile drawn from process variation.
 ///
@@ -186,16 +186,9 @@ impl ErrorModel {
         cap: f64,
         max_days: f64,
     ) -> Option<f64> {
-        let rber = |d: f64| self.rber_avg_default(block, OperatingPoint::new(pe_cycles, d));
-        if rber(0.0) > cap {
-            return Some(0.0);
-        }
-        if rber(max_days) <= cap {
-            return None;
-        }
-        // Negated rather than `<=`: a NaN RBER must move `lo`.
-        let (lo, hi) = bisect(0.0, max_days, 40, |mid| !(rber(mid) > cap));
-        Some(0.5 * (lo + hi))
+        first_day_above(cap, max_days, |d| {
+            self.rber_avg_default(block, OperatingPoint::new(pe_cycles, d))
+        })
     }
 }
 

@@ -231,9 +231,9 @@ impl SwiftRead {
         kind: PageKind,
         observed_ones: f64,
     ) -> ReadVoltages {
-        let aging = self.model.aging(&self.state_scaling, pe_cycles, 0, 1.0);
+        let aging = self.model.aging(pe_cycles, 0, 1.0);
         let days = self.invert(&aging, pe_cycles, kind, observed_ones).days;
-        ReadVoltages::new(self.model.optimal_refs(aging.at(days)))
+        ReadVoltages::new(self.model.optimal_refs(aging.at(&self.state_scaling, days)))
     }
 
     fn invert(
@@ -246,8 +246,8 @@ impl SwiftRead {
         let evals = Cell::new(0);
         let f = |days: f64| {
             evals.set(evals.get() + 1);
-            self.model
-                .ones_fraction(&aging.at(days), &self.default_refs, kind)
+            let params = aging.at(&self.state_scaling, days);
+            self.model.ones_fraction(&params, &self.default_refs, kind)
         };
         let mut guard = self.memo.0.try_lock().ok();
         let mut unshared;
@@ -559,7 +559,7 @@ mod tests {
     }
 
     fn invert(sr: &SwiftRead, pe_cycles: u32, kind: PageKind, observed: f64) -> Inversion {
-        let aging = sr.model.aging(&sr.state_scaling, pe_cycles, 0, 1.0);
+        let aging = sr.model.aging(pe_cycles, 0, 1.0);
         sr.invert(&aging, pe_cycles, kind, observed)
     }
 

@@ -21,6 +21,10 @@
 //! Constants are calibrated so a median block crosses the paper's 0.0085
 //! correction capability at ≈17 days retention at 0 P/E cycles, ≈14 at
 //! 200, ≈10 at 500 and ≈8 at 1000 (Fig. 4 anchors).
+//!
+//! The stress law (`Aging`), the region walk (`walk_regions`) and the
+//! capability-crossing search (`first_day_above`) serve every cell
+//! mode: [`crate::mlc`] only places the QLC and SLC states.
 
 use crate::geometry::PageKind;
 use rif_ldpc::model::normal_cdf;
@@ -156,7 +160,13 @@ impl TlcModel {
     /// operating points computes it once and passes it to
     /// [`TlcModel::state_params_scaled`].
     pub fn state_scaling(&self) -> [f64; 8] {
-        std::array::from_fn(|s| (s as f64 / 7.0).powf(self.state_gamma))
+        std::array::from_fn(|s| self.state_scale(s, 7))
+    }
+
+    /// Retention scaling `(s/top)^γ` of state `s` out of `0..=top`: the
+    /// top state shifts by the full amplitude whatever the bit count.
+    pub(crate) fn state_scale(&self, s: usize, top: usize) -> f64 {
+        (s as f64 / top as f64).powf(self.state_gamma)
     }
 
     /// V_TH distribution parameters of all eight states under the given
@@ -174,24 +184,17 @@ impl TlcModel {
         op: OperatingPoint,
         process_factor: f64,
     ) -> [StateParam; 8] {
-        self.aging(scaling, op.pe_cycles, op.reads, process_factor)
-            .at(op.retention_days)
+        self.aging(op.pe_cycles, op.reads, process_factor)
+            .at(scaling, op.retention_days)
     }
 
-    /// The age-independent part of [`TlcModel::state_params_scaled`]:
-    /// the wear `powf` and the read-disturb `ln`, computed once for a
-    /// caller that sweeps the retention age.
-    pub(crate) fn aging<'a>(
-        &'a self,
-        scaling: &'a [f64; 8],
-        pe_cycles: u32,
-        reads: u64,
-        process_factor: f64,
-    ) -> Aging<'a> {
+    /// The age-independent part of the stress law: the wear `powf` and
+    /// the read-disturb `ln`, computed once for a caller that sweeps the
+    /// retention age or places states of another bit count.
+    pub(crate) fn aging(&self, pe_cycles: u32, reads: u64, process_factor: f64) -> Aging<'_> {
         let wear = self.wear(pe_cycles);
         Aging {
             model: self,
-            scaling,
             wear,
             pe_widen: 1.0 + self.widen_pe * pe_cycles as f64 / 1000.0,
             retention: self.retention_a * process_factor * wear,
@@ -275,25 +278,12 @@ impl TlcModel {
         kind: PageKind,
     ) -> f64 {
         let (bounds, n) = Self::kind_bounds(kind, refs);
+        let low_bit = Self::bit_of(kind, 0);
         let mut err = 0.0;
         for (s, p) in params.iter().enumerate() {
-            let want = Self::bit_of(kind, s);
-            // Walk the regions: region k spans (bounds[k-1], bounds[k]),
-            // and crossing a bound flips the decoded bit. The decoded bit
-            // of the lowest region is the bit of state 0.
-            let mut region_bit = Self::bit_of(kind, 0);
-            let mut lo = f64::NEG_INFINITY;
+            let wrong = !Self::bit_of(kind, s);
             let mut wrong_mass = 0.0;
-            for &b in &bounds[..n] {
-                if region_bit != want {
-                    wrong_mass += gauss_mass(p, lo, b);
-                }
-                lo = b;
-                region_bit = !region_bit;
-            }
-            if region_bit != want {
-                wrong_mass += gauss_mass(p, lo, f64::INFINITY);
-            }
+            walk_regions(p, &bounds[..n], low_bit, wrong, |m| wrong_mass += m);
             err += wrong_mass / 8.0;
         }
         err
@@ -313,31 +303,22 @@ impl TlcModel {
     /// given references — what a Swift-Read ones-count measures.
     pub fn ones_fraction(&self, params: &[StateParam; 8], refs: &[f64; 7], kind: PageKind) -> f64 {
         let (bounds, n) = Self::kind_bounds(kind, refs);
+        let low_bit = Self::bit_of(kind, 0);
         let mut ones = 0.0;
         for p in params.iter() {
-            let mut region_bit = Self::bit_of(kind, 0);
-            let mut lo = f64::NEG_INFINITY;
-            for &b in &bounds[..n] {
-                if region_bit {
-                    ones += gauss_mass(p, lo, b) / 8.0;
-                }
-                lo = b;
-                region_bit = !region_bit;
-            }
-            if region_bit {
-                ones += gauss_mass(p, lo, f64::INFINITY) / 8.0;
-            }
+            walk_regions(p, &bounds[..n], low_bit, true, |m| ones += m / 8.0);
         }
         ones
     }
 }
 
-/// One block's V_TH states as a function of retention age alone
-/// (see [`TlcModel::aging`]); [`Aging::at`] returns exactly what
-/// [`TlcModel::state_params_scaled`] does at that age.
+/// One block's V_TH states as a function of retention age alone (see
+/// [`TlcModel::aging`]). It holds the stress law, written once in
+/// [`Aging::state`]: [`Aging::at`] places the eight TLC states with it,
+/// exactly as [`TlcModel::state_params_scaled`] returns them, and
+/// [`Aging::placed`] the states of any other bit count.
 pub(crate) struct Aging<'a> {
     model: &'a TlcModel,
-    scaling: &'a [f64; 8],
     wear: f64,
     /// `1 + widen_pe · pe/1000`.
     pe_widen: f64,
@@ -348,32 +329,100 @@ pub(crate) struct Aging<'a> {
 }
 
 impl Aging<'_> {
-    /// State distributions after `retention_days` of retention.
-    pub(crate) fn at(&self, retention_days: f64) -> [StateParam; 8] {
-        let m = self.model;
+    /// `ln(1 + t)` and the distribution widening after `retention_days`.
+    fn age(&self, retention_days: f64) -> (f64, f64) {
         let ln_t = (1.0 + retention_days.max(0.0)).ln();
-        let widen = self.pe_widen + m.widen_ret * ln_t * self.wear;
+        let widen = self.pe_widen + self.model.widen_ret * ln_t * self.wear;
+        (ln_t, widen)
+    }
+
+    /// The stress law: state `s`, programmed to `fresh`, after an
+    /// [`Aging::age`] of `(ln_t, widen)`. Its retention shift scales by
+    /// `scale`; read disturb weakly programs the erased state (`s = 0`)
+    /// upward.
+    #[inline]
+    fn state(&self, s: usize, fresh: StateParam, scale: f64, age: (f64, f64)) -> StateParam {
+        let (ln_t, widen) = age;
+        let shift = self.retention * ln_t * scale;
+        let disturb = if s == 0 { self.disturb } else { 0.0 };
+        StateParam {
+            mean: fresh.mean - shift + disturb,
+            sigma: fresh.sigma * widen,
+        }
+    }
+
+    /// The eight TLC states after `retention_days` of retention;
+    /// `scaling` is the model's [`TlcModel::state_scaling`].
+    pub(crate) fn at(&self, scaling: &[f64; 8], retention_days: f64) -> [StateParam; 8] {
+        let m = self.model;
+        let age = self.age(retention_days);
         let mut out = [StateParam {
             mean: 0.0,
             sigma: 0.0,
         }; 8];
         for (s, slot) in out.iter_mut().enumerate() {
-            let base_mean = if s == 0 {
-                m.erase_mean
+            let (mean, sigma) = if s == 0 {
+                (m.erase_mean, m.sigma_erase)
             } else {
-                s as f64 * m.state_gap
+                (s as f64 * m.state_gap, m.sigma_prog)
             };
-            let base_sigma = if s == 0 { m.sigma_erase } else { m.sigma_prog };
-            let shift = self.retention * ln_t * self.scaling[s];
-            // Read disturb weakly programs the erased state upward.
-            let disturb = if s == 0 { self.disturb } else { 0.0 };
-            *slot = StateParam {
-                mean: base_mean - shift + disturb,
-                sigma: base_sigma * widen,
-            };
+            *slot = self.state(s, StateParam { mean, sigma }, scaling[s], age);
         }
         out
     }
+
+    /// States programmed to `fresh` (erased first, then ascending) after
+    /// `retention_days`: the same law for any number of states.
+    pub(crate) fn placed(&self, fresh: &[StateParam], retention_days: f64) -> Vec<StateParam> {
+        let age = self.age(retention_days);
+        let top = fresh.len() - 1;
+        fresh
+            .iter()
+            .enumerate()
+            .map(|(s, &p)| self.state(s, p, self.model.state_scale(s, top), age))
+            .collect()
+    }
+}
+
+/// The one region walk: visits the read regions a page's ascending
+/// reference `bounds` cut, lowest first — the lowest decodes `low_bit`,
+/// and crossing a bound flips the decoded bit — and hands `add` the
+/// mass `p` places in each region that decodes `bit`, in that order.
+#[inline]
+pub(crate) fn walk_regions(
+    p: &StateParam,
+    bounds: &[f64],
+    low_bit: bool,
+    bit: bool,
+    mut add: impl FnMut(f64),
+) {
+    let mut region_bit = low_bit;
+    let mut lo = f64::NEG_INFINITY;
+    for &b in bounds {
+        if region_bit == bit {
+            add(gauss_mass(p, lo, b));
+        }
+        lo = b;
+        region_bit = !region_bit;
+    }
+    if region_bit == bit {
+        add(gauss_mass(p, lo, f64::INFINITY));
+    }
+}
+
+/// The one crossing search: the first retention day at which `rber`
+/// exceeds `cap`, searched up to `max_days` by 40 bisection steps;
+/// `None` if it never does within the horizon.
+pub(crate) fn first_day_above(cap: f64, max_days: f64, rber: impl Fn(f64) -> f64) -> Option<f64> {
+    if rber(0.0) > cap {
+        return Some(0.0);
+    }
+    if rber(max_days) <= cap {
+        return None;
+    }
+    // Negated rather than `<=`: a NaN RBER must move `lo`.
+    let (lo, hi) = bisect(0.0, max_days, 40, |mid| !(rber(mid) > cap));
+    Some(0.5 * (lo + hi))
 }
 
 /// Distance from the mean, in standard deviations, from which a state's

@@ -15,13 +15,12 @@
 //! ([`crate::ftl::Ftl`], built with a cache region); this module holds
 //! what the [`crate::SsdConfig::hybrid`] option selects on top of it.
 //! [`AmpTable`] converts the calibrated TLC error model to other cell
-//! modes via precomputed RBER amplification ratios (the same
-//! QLC/TLC-ratio methodology as the `ablation_qlc` study); the
-//! background scheduler half lives in the simulator, driven by
-//! [`BgConfig`].
+//! modes via precomputed RBER amplification ratios (the ratios Fig. 4's
+//! per-mode table prints); the background scheduler half lives in the
+//! simulator, driven by [`BgConfig`].
 
 use rif_flash::mlc::MlcModel;
-use rif_flash::vth::OperatingPoint;
+use rif_flash::vth::{OperatingPoint, TlcModel};
 
 /// Cell mode of a flash region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,15 +40,6 @@ impl CellMode {
             CellMode::Slc => "slc",
             CellMode::Tlc => "tlc",
             CellMode::Qlc => "qlc",
-        }
-    }
-
-    /// The V_TH model of this mode.
-    pub fn model(&self) -> MlcModel {
-        match self {
-            CellMode::Slc => MlcModel::slc_like(),
-            CellMode::Tlc => MlcModel::tlc(),
-            CellMode::Qlc => MlcModel::qlc(),
         }
     }
 }
@@ -173,8 +163,10 @@ impl HybridConfig {
 /// Precomputed RBER amplification of non-TLC cell modes relative to the
 /// calibrated TLC error model, tabulated over retention age at a fixed
 /// wear stage. The simulator multiplies every TLC-model RBER by the
-/// mode's factor — the same QLC/TLC-ratio methodology the `ablation_qlc`
-/// study reports, made cheap and deterministic with a day-granular table.
+/// mode's factor — the QLC/TLC ratio Fig. 4's per-mode table reports,
+/// made cheap and deterministic with a day-granular table. Each ratio
+/// divides by [`TlcModel`]'s own page-averaged RBER at its default
+/// references.
 #[derive(Debug, Clone)]
 pub struct AmpTable {
     /// `qlc[d]` = QLC/TLC page-averaged RBER ratio at `d` retention days.
@@ -188,14 +180,15 @@ impl AmpTable {
     /// `horizon_days` (clamped lookups beyond).
     pub fn build(pe_cycles: u32, horizon_days: f64) -> Self {
         let days = (horizon_days.max(1.0).ceil() as usize).max(8) + 1;
-        let tlc = CellMode::Tlc.model();
-        let qlc_m = CellMode::Qlc.model();
-        let slc_m = CellMode::Slc.model();
+        let tlc = TlcModel::calibrated();
+        let tlc_refs = tlc.default_refs();
+        let qlc_m = MlcModel::qlc();
+        let slc_m = MlcModel::slc_like();
         let mut qlc = Vec::with_capacity(days);
         let mut slc = Vec::with_capacity(days);
         for d in 0..days {
             let op = OperatingPoint::new(pe_cycles, d as f64);
-            let t = tlc.rber_avg(op, 1.0).max(1e-12);
+            let t = tlc.rber_avg(op, 1.0, &tlc_refs).max(1e-12);
             qlc.push(qlc_m.rber_avg(op, 1.0) / t);
             slc.push(slc_m.rber_avg(op, 1.0) / t);
         }
@@ -285,6 +278,29 @@ mod tests {
             assert_eq!(tlc, 1.0);
             assert!(slc < 0.01, "age {age}: SLC factor {slc} not tiny");
             assert!(qlc > 3.0, "age {age}: QLC factor {qlc} not > 3");
+        }
+    }
+
+    #[test]
+    fn amp_table_factors_match_their_pinned_values() {
+        // Factors taken while the TLC denominator was the generic model's
+        // b = 3 instance. Dividing by `TlcModel` itself reorders the page
+        // sum: over P/E 0–4000 and ages 0–60 days that moved 155 of 1037
+        // QLC factors by at most 3 ulps (4.4e-16 relative).
+        #[rustfmt::skip]
+        let pins = [
+            (0, [(0.0, 1.050793746575738e1), (5.0, 1.912217793257282e1), (30.0, 8.61503434186673e0)]),
+            (1000, [(0.0, 8.460573983074468e0), (5.0, 1.3291261282155823e1), (30.0, 4.328146314864816e0)]),
+        ];
+        for (pe, factors) in pins {
+            let t = AmpTable::build(pe, 30.0);
+            for (age, want) in factors {
+                let got = t.factor(CellMode::Qlc, age);
+                let moved = (got - want).abs() / want;
+                assert!(moved <= 1e-15, "pe={pe} age {age}: QLC {got:e} vs {want:e}");
+                // SLC's raw RBER underflows to 0 at every one of them.
+                assert_eq!(t.factor(CellMode::Slc, age), 0.0, "pe={pe} age {age}");
+            }
         }
     }
 
