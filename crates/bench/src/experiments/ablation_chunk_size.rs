@@ -10,9 +10,7 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 
 use crate::{run_observed, saturating_trace, HarnessOpts, TableWriter};
-use rif_events::SimDuration;
 use rif_ldpc::{PAPER_CIRCULANT_SIZE, PAPER_CORRECTION_CAPABILITY, PAPER_ROW_WEIGHT};
-use rif_odear::rp::ReadRetryPredictor;
 use rif_odear::RpBehavior;
 use rif_ssd::{RetryKind, SsdConfig};
 use rif_workloads::WorkloadProfile;
@@ -53,13 +51,13 @@ pub fn run(opts: &HarnessOpts, out: &mut dyn Write) -> io::Result<ExitCode> {
         // syndromes (256 per KiB for the paper's t = 1024 code).
         let syndromes = PAPER_CIRCULANT_SIZE * chunk_kib / 4;
         let rp = RpBehavior::calibrated(syndromes, PAPER_ROW_WEIGHT, PAPER_CORRECTION_CAPABILITY);
-        let tpred =
-            ReadRetryPredictor::prediction_latency(chunk_kib * 1024 * 8, SimDuration::from_us(10));
         // Uncertainty band: RBER span where the verdict is a coin flip.
         let band = crossing(&rp, 0.9) - crossing(&rp, 0.1);
 
         let mut cfg = SsdConfig::paper(RetryKind::Rif, 1000);
         cfg.rp = rp;
+        // The RP pipeline is fetch-bound: tPRED is the chunk's readout.
+        let tpred = cfg.timing.chunk_readout(chunk_kib * 1024 * 8);
         cfg.timing.t_pred = tpred;
         cfg.seed = opts.seed;
         let report = run_observed(opts, out, &format!("chunk{chunk_kib}k"), cfg, &trace)?;

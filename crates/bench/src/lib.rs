@@ -28,6 +28,8 @@
 //!   [`rif_events::MetricsRegistry`] and prints its contents as
 //!   `# metric <label> <line>` rows.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 
 use std::fs::File;

@@ -43,6 +43,7 @@
 //! assert!(outcome.verdict.pass);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

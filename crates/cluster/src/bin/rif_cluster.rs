@@ -123,9 +123,14 @@ fn directory_cmd(rest: &[String]) {
     let port: u16 = get(&flags, "--port")
         .map(|v| parse_or_usage(v, "--port"))
         .unwrap_or(0);
-    let capacity_gib: u64 = get(&flags, "--capacity-gib")
-        .map(|v| parse_or_usage(v, "--capacity-gib"))
-        .unwrap_or(8);
+    let capacity: u64 = get(&flags, "--capacity-gib").map_or(8 << 30, |v| {
+        parse_or_usage::<u64>(v, "--capacity-gib")
+            .checked_mul(1 << 30)
+            .unwrap_or_else(|| {
+                eprintln!("bad value for --capacity-gib: `{v}`");
+                usage()
+            })
+    });
     let ranges: u32 = get(&flags, "--ranges")
         .map(|v| parse_or_usage(v, "--ranges"))
         .unwrap_or(4);
@@ -134,10 +139,9 @@ fn directory_cmd(rest: &[String]) {
         .unwrap_or(1);
 
     let map = if replicas > 1 {
-        ShardMap::replicated(1, capacity_gib << 30, ranges, nodes, replicas)
-            .unwrap_or_else(|e| fail(e))
+        ShardMap::replicated(1, capacity, ranges, nodes, replicas).unwrap_or_else(|e| fail(e))
     } else {
-        ShardMap::rebalanced(1, capacity_gib << 30, ranges, nodes).unwrap_or_else(|e| fail(e))
+        ShardMap::rebalanced(1, capacity, ranges, nodes).unwrap_or_else(|e| fail(e))
     };
     let dir = match get(&flags, "--persist") {
         Some(path) => Directory::start_persistent(map, port, path).unwrap_or_else(|e| fail(e)),

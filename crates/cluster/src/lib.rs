@@ -21,6 +21,7 @@
 //! `BUSY(moving)`, and hand their ThresholdLearner snapshot over `MIGRATE_OUT` /
 //! `MIGRATE_IN` so read-threshold learning survives the move.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod directory;

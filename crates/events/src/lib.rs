@@ -20,6 +20,8 @@
 //! assert_eq!(t, SimTime::from_us(13));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod pool;
 pub mod rng;

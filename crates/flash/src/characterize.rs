@@ -15,6 +15,7 @@ use rif_events::SimRng;
 use rif_ldpc::bits::BitVec;
 use rif_ldpc::channel::Bsc;
 
+use crate::geometry::FlashGeometry;
 use crate::rber::{BlockProfile, ErrorModel};
 use crate::vth::OperatingPoint;
 
@@ -158,7 +159,7 @@ pub fn chunk_similarity(
     seed: u64,
 ) -> Vec<ChunkSimilarityRow> {
     assert!(pages > 0, "need at least one page");
-    const PAGE_BITS: usize = 16 * 1024 * 8;
+    let page_bits = FlashGeometry::paper().page_bytes * 8;
     let mut rng = SimRng::seed_from(seed);
     let mut out = Vec::new();
     for &pe in pe_list {
@@ -166,15 +167,15 @@ pub fn chunk_similarity(
             for &chunk_kib in chunk_kibs {
                 let chunk_bits = chunk_kib * 1024 * 8;
                 assert!(
-                    PAGE_BITS % chunk_bits == 0,
+                    page_bits.is_multiple_of(chunk_bits),
                     "chunk size {chunk_kib} KiB does not divide the page"
                 );
-                let n_chunks = PAGE_BITS / chunk_bits;
+                let n_chunks = page_bits / chunk_bits;
                 let mut max_ratio: f64 = 0.0;
                 for _ in 0..pages {
                     let block = BlockProfile::sample(&mut rng);
                     let rber = model.rber_avg_default(block, OperatingPoint::new(pe, day as f64));
-                    let page = Bsc::new(rber.min(0.5)).corrupt(&BitVec::zeros(PAGE_BITS), &mut rng);
+                    let page = Bsc::new(rber.min(0.5)).corrupt(&BitVec::zeros(page_bits), &mut rng);
                     let mut rates = Vec::with_capacity(n_chunks);
                     for c in 0..n_chunks {
                         let errs = page.slice(c * chunk_bits, chunk_bits).count_ones();

@@ -607,6 +607,61 @@ mod tests {
         }
     }
 
+    /// The region walk's two accumulation orders, which the simulator's
+    /// pins depend on: `rber_with_params` sums a state's wrong regions
+    /// before scaling by 1/8, `ones_fraction` scales and adds region by
+    /// region. At the calibrated points above nearly all of a state's
+    /// mass lies in one region, where the orders agree; wide states that
+    /// straddle every reference tell them apart.
+    #[test]
+    fn region_walk_keeps_its_accumulation_order() {
+        let m = TlcModel::calibrated();
+        let refs = m.default_refs();
+        let (mut rber_told, mut ones_told) = (0, 0);
+        for k in 0..64 {
+            let mut params = [StateParam {
+                mean: 0.0,
+                sigma: 0.5 + 0.05 * k as f64,
+            }; 8];
+            for (s, p) in params.iter_mut().enumerate() {
+                p.mean = s as f64 - 1.0 + 0.013 * k as f64;
+            }
+            for kind in PageKind::ALL {
+                let rber = rber_with_params_vec(&params, &refs, kind);
+                let ones = ones_fraction_vec(&params, &refs, kind);
+                let at = format!("k={k} {kind}");
+                assert_eq!(
+                    m.rber_with_params(&params, &refs, kind).to_bits(),
+                    rber.to_bits(),
+                    "rber_with_params at {at}"
+                );
+                assert_eq!(
+                    m.ones_fraction(&params, &refs, kind).to_bits(),
+                    ones.to_bits(),
+                    "ones_fraction at {at}"
+                );
+                // Each sum in the other order, on the same inputs.
+                let (bounds, n) = TlcModel::kind_bounds(kind, &refs);
+                let low_bit = TlcModel::bit_of(kind, 0);
+                let (mut per_region, mut per_state) = (0.0, 0.0);
+                for (s, p) in params.iter().enumerate() {
+                    let wrong = !TlcModel::bit_of(kind, s);
+                    walk_regions(p, &bounds[..n], low_bit, wrong, |x| per_region += x / 8.0);
+                    let mut state_ones = 0.0;
+                    walk_regions(p, &bounds[..n], low_bit, true, |x| state_ones += x);
+                    per_state += state_ones / 8.0;
+                }
+                rber_told += usize::from(per_region.to_bits() != rber.to_bits());
+                ones_told += usize::from(per_state.to_bits() != ones.to_bits());
+            }
+        }
+        // At least a quarter of the 192 cases tell each order apart.
+        assert!(
+            rber_told >= 48 && ones_told >= 48,
+            "{rber_told} {ones_told}"
+        );
+    }
+
     /// [`TlcModel::state_params_scaled`] as it was before its
     /// age-independent terms moved to [`Aging`]: one expression per state.
     fn state_params_unhoisted(

@@ -13,7 +13,7 @@
 //!    only then raises the ready flag. The re-read page bypasses RP.
 
 use rif_events::{SimDuration, SimRng};
-use rif_flash::chip::{FlashCommand, FlashTiming};
+use rif_flash::chip::FlashTiming;
 use rif_flash::geometry::PageKind;
 use rif_flash::rber::{BlockProfile, ErrorModel};
 use rif_flash::vth::OperatingPoint;
@@ -132,7 +132,7 @@ impl OdearEngine {
                 transferred: first,
                 prediction,
                 retried: false,
-                die_time: FlashCommand::RifReadPredicted.die_occupancy(&self.timing),
+                die_time: self.timing.sense(1, true),
                 transferred_rber: rber_default,
             };
         }
@@ -146,7 +146,7 @@ impl OdearEngine {
             transferred: second,
             prediction,
             retried: true,
-            die_time: FlashCommand::RifReadRetried.die_occupancy(&self.timing),
+            die_time: self.timing.sense(2, true),
             transferred_rber: rber_retry,
         }
     }

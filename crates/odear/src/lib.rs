@@ -37,6 +37,8 @@
 //! assert!(!rp.predict(&sensed).retry_needed);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod engine;
 pub mod ppa;

@@ -9,7 +9,6 @@
 //! XOR-of-segments + popcount over the page buffer's 128-bit words
 //! (Fig. 16).
 
-use rif_events::SimDuration;
 use rif_ldpc::analysis::rho_s;
 use rif_ldpc::bits::BitVec;
 use rif_ldpc::QcLdpcCode;
@@ -106,17 +105,6 @@ impl ReadRetryPredictor {
     pub fn predict_page(&self, page: &[BitVec]) -> Prediction {
         assert!(!page.is_empty(), "page must contain at least one chunk");
         self.predict(&page[0])
-    }
-
-    /// The RP pipeline latency for a chunk of `chunk_bits`: fetch-bound on
-    /// the page buffer's readout bandwidth (§V: 10 µs per 16-KiB page,
-    /// fully pipelined XOR/popcount ⇒ 2.5 µs for a 4-KiB chunk).
-    pub fn prediction_latency(
-        chunk_bits: usize,
-        t_buffer_readout_page: SimDuration,
-    ) -> SimDuration {
-        const PAGE_BITS: u64 = 16 * 1024 * 8;
-        SimDuration::from_ns(t_buffer_readout_page.as_ns() * chunk_bits as u64 / PAGE_BITS)
     }
 }
 
@@ -250,16 +238,6 @@ mod tests {
             rp.predict(&sensed).retry_needed,
             "weight > rho_s must retry"
         );
-    }
-
-    #[test]
-    fn latency_matches_paper_tpred() {
-        // 4-KiB chunk of a 16-KiB page at 10 µs full-page readout: 2.5 µs.
-        let l = ReadRetryPredictor::prediction_latency(4 * 1024 * 8, SimDuration::from_us(10));
-        assert_eq!(l.as_us(), 2.5);
-        // 1-KiB chunk: 0.625 µs (the ablation point of §V-A1).
-        let l1 = ReadRetryPredictor::prediction_latency(1024 * 8, SimDuration::from_us(10));
-        assert_eq!(l1.as_us(), 0.625);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! RP (footnote 4).
 
 use rif_events::SimRng;
-use rif_flash::geometry::PageKind;
+use rif_flash::geometry::{FlashGeometry, PageKind};
 use rif_flash::swift_read::SwiftRead;
 use rif_flash::vref::ReadVoltages;
 use rif_flash::vth::{OperatingPoint, TlcModel};
@@ -34,26 +34,13 @@ use rif_flash::vth::{OperatingPoint, TlcModel};
 #[derive(Debug, Clone)]
 pub struct ReadVoltageSelector {
     swift: SwiftRead,
-    page_cells: usize,
 }
 
 impl ReadVoltageSelector {
-    /// Builds an RVS over the given V_TH model with the paper's 16-KiB
-    /// page (131 072 cells contribute to the ones-count).
+    /// Builds an RVS over the given V_TH model.
     pub fn new(model: TlcModel) -> Self {
-        Self::with_page_cells(model, 16 * 1024 * 8)
-    }
-
-    /// Builds an RVS with a custom page size in cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_cells` is zero.
-    pub fn with_page_cells(model: TlcModel, page_cells: usize) -> Self {
-        assert!(page_cells > 0, "page must have at least one cell");
         ReadVoltageSelector {
             swift: SwiftRead::new(model),
-            page_cells,
         }
     }
 
@@ -67,8 +54,10 @@ impl ReadVoltageSelector {
         kind: PageKind,
         rng: &mut SimRng,
     ) -> ReadVoltages {
+        // Every cell of the page contributes to the ones-count.
+        let page_cells = FlashGeometry::paper().page_bytes * 8;
         self.swift
-            .select_refs(op, process_factor, kind, self.page_cells, rng)
+            .select_refs(op, process_factor, kind, page_cells, rng)
     }
 
     /// Deterministic variant used by property tests: selects from an
@@ -124,11 +113,5 @@ mod tests {
         let a = rvs.select_from_observation(500, PageKind::Csb, 0.51);
         let b = rvs.select_from_observation(500, PageKind::Csb, 0.51);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cell")]
-    fn rejects_zero_page() {
-        let _ = ReadVoltageSelector::with_page_cells(TlcModel::calibrated(), 0);
     }
 }

@@ -50,6 +50,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Refuses a size flag whose value overflows once scaled to bytes.
+fn too_large(flag: &str) -> ! {
+    eprintln!("{flag}: value too large");
+    usage()
+}
+
 fn main() {
     let mut cfg = ServerConfig::default();
     let mut port = 0u16;
@@ -79,7 +85,9 @@ fn main() {
             }
             "--capacity-gib" => {
                 let gib: u64 = val("--capacity-gib").parse().unwrap_or_else(|_| usage());
-                cfg.capacity_bytes = gib << 30;
+                cfg.capacity_bytes = gib
+                    .checked_mul(1 << 30)
+                    .unwrap_or_else(|| too_large("--capacity-gib"));
             }
             "--queue-depth" => {
                 cfg.queue_depth = val("--queue-depth").parse().unwrap_or_else(|_| usage())
@@ -94,7 +102,9 @@ fn main() {
             }
             "--write-queue-kib" => {
                 let kib: usize = val("--write-queue-kib").parse().unwrap_or_else(|_| usage());
-                cfg.write_queue_limit = kib * 1024;
+                cfg.write_queue_limit = kib
+                    .checked_mul(1024)
+                    .unwrap_or_else(|| too_large("--write-queue-kib"));
             }
             "--learn" => cfg.learn = true,
             "--hybrid" => cfg.hybrid = true,

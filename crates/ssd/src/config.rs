@@ -133,11 +133,6 @@ impl SsdConfig {
         }
     }
 
-    /// Per-page DMA time on a flash channel.
-    pub fn t_dma(&self) -> SimDuration {
-        self.timing.t_dma_page
-    }
-
     /// Host-link transfer time for `bytes`.
     pub fn host_transfer(&self, bytes: u64) -> SimDuration {
         SimDuration::from_transfer(bytes, self.host_bw_bytes_per_sec)
@@ -188,7 +183,7 @@ mod tests {
         assert_eq!(c.geometry.blocks_per_plane, 1888);
         assert_eq!(c.geometry.pages_per_block, 576);
         assert_eq!(c.timing.t_r.as_us(), 40.0);
-        assert_eq!(c.t_dma().as_us(), 13.0);
+        assert_eq!(c.timing.t_dma_page.as_us(), 13.0);
         assert!((c.ecc.correction_capability() - 0.0085).abs() < 1e-9);
         c.validate();
     }

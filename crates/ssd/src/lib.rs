@@ -41,6 +41,8 @@
 //! side, plus the read path and the background scheduler), and
 //! [`timeline`] (the 256-KiB worked example of Figs. 7/8).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod ftl;
 pub mod hybrid;

@@ -150,20 +150,22 @@ impl RetryKind {
         self.has_predictor() || self.row().tracking > 0.0
     }
 
-    /// tPRED, paid by every sense of a die that carries the predictor.
-    fn t_pred(&self, t: &FlashTiming) -> SimDuration {
-        t.t_pred * u64::from(self.predictor() == Predictor::OnDie)
-    }
-
     /// Die time of a read's first sense command; an in-die retry
-    /// re-senses before the ready flag rises.
+    /// re-senses before the ready flag rises. A die that carries the
+    /// predictor pays tPRED on every sense.
     pub(crate) fn initial_sense(&self, t: &FlashTiming, in_die_retry: bool) -> SimDuration {
-        t.t_r * (1 + u64::from(in_die_retry)) + self.t_pred(t)
+        t.sense(
+            1 + u64::from(in_die_retry),
+            self.predictor() == Predictor::OnDie,
+        )
     }
 
     /// Die time of one corrective-read command.
     pub(crate) fn retry_sense(&self, t: &FlashTiming) -> SimDuration {
-        t.t_r * self.row().retry_senses + self.t_pred(t)
+        t.sense(
+            self.row().retry_senses,
+            self.predictor() == Predictor::OnDie,
+        )
     }
 }
 

@@ -95,6 +95,16 @@ impl Simulator {
         }
     }
 
+    /// Puts one SLC→QLC migration on its die: the copyback physically
+    /// reprograms the slot, so its retention age restarts, and the die
+    /// pays the copyback plus any collection its new location triggered.
+    pub(super) fn push_migration(&mut self, now: SimTime, w: &MigrationWork) {
+        self.retention.record_write(w.slot, now);
+        let t = self.cfg.timing;
+        let dur = t.copyback() + gc_duration(&t, &w.gc);
+        self.push_bg(now, w.die_linear, BgKind::Migrate, dur);
+    }
+
     /// Schedules the next background-scheduler tick if hybrid mode is on
     /// and none is pending.
     pub(super) fn arm_bg_tick(&mut self) {
@@ -126,11 +136,7 @@ impl Simulator {
                 let Some(w) = self.ftl.migrate(slot) else {
                     continue;
                 };
-                // The copyback physically reprograms the data: its
-                // retention age restarts.
-                self.retention.record_write(slot, now);
-                let dur = t.t_r + t.t_prog + gc_duration(&t, &w.gc);
-                self.push_bg(now, w.die_linear, BgKind::Migrate, dur);
+                self.push_migration(now, &w);
                 migrated += 1;
             }
         }
@@ -158,10 +164,10 @@ impl Simulator {
             );
             for &slot in &h.due {
                 // The rewrite resets the slot's age in place; the die
-                // pays a read + program.
+                // pays a copyback.
                 self.retention.record_write(slot, now);
                 let loc = self.ftl.locate_read(slot);
-                self.push_bg(now, loc.die_linear, BgKind::Refresh, t.t_r + t.t_prog);
+                self.push_bg(now, loc.die_linear, BgKind::Refresh, t.copyback());
                 refreshed += 1;
             }
         }

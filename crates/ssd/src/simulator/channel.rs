@@ -163,7 +163,7 @@ impl Simulator {
             );
         }
         self.events
-            .schedule(now + self.cfg.t_dma(), Ev::ChanDone(ch));
+            .schedule(now + self.cfg.timing.t_dma_page, Ev::ChanDone(ch));
     }
 
     pub(super) fn on_chan_done(&mut self, now: SimTime, ch: usize) {

@@ -58,12 +58,10 @@ impl Die {
     }
 }
 
-/// Die time of a garbage collection: one copyback per relocated slot
-/// plus the block erase.
+/// Die time of the garbage collection an allocation triggered, if any.
 pub(super) fn gc_duration(t: &FlashTiming, work: &Option<GcWork>) -> SimDuration {
-    work.as_ref().map_or(SimDuration::ZERO, |w| {
-        (t.t_r + t.t_prog) * w.relocated as u64 + t.t_bers
-    })
+    work.as_ref()
+        .map_or(SimDuration::ZERO, |w| t.gc(w.relocated as u64))
 }
 
 impl Simulator {

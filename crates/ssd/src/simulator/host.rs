@@ -156,7 +156,6 @@ impl Simulator {
     fn launch_write(&mut self, now: SimTime, req: usize) {
         let slots = self.slots_of(req);
         self.requests[req].remaining = slots.len();
-        let t = self.cfg.timing;
         for (slot, pages) in slots {
             self.retention.record_write(slot, now);
             let out = self.ftl.write(slot);
@@ -164,10 +163,8 @@ impl Simulator {
             // become immediate migrate work on their dies, ahead of this
             // write's program.
             let forced = out.evicted.len() as u64;
-            for w in out.evicted {
-                self.retention.record_write(w.slot, now);
-                let dur = t.t_r + t.t_prog + gc_duration(&t, &w.gc);
-                self.push_bg(now, w.die_linear, BgKind::Migrate, dur);
+            for w in &out.evicted {
+                self.push_migration(now, w);
             }
             if forced > 0 {
                 self.note_bg(now, forced, forced, 0, 0);
@@ -176,7 +173,7 @@ impl Simulator {
                 req,
                 die_linear: out.loc.die_linear,
                 remaining_transfers: pages,
-                gc_duration: gc_duration(&t, &out.gc),
+                gc_duration: gc_duration(&self.cfg.timing, &out.gc),
             });
             let ch = out.loc.channel(&self.cfg.geometry);
             let kind = XferKind::WritePage { job };

@@ -42,7 +42,7 @@ use rif_workloads::trace::{MAX_ARRIVAL, MAX_END_BYTES};
 use rif_workloads::{IoOp, IoRequest, Trace};
 
 use crate::config::SsdConfig;
-use crate::ftl::{Ftl, GcWork, SlotLocation};
+use crate::ftl::{Ftl, GcWork, MigrationWork, SlotLocation};
 use crate::hybrid::{AmpTable, BgKind, HybridConfig, AMPLIFIED_RBER_CAP, AMPLIFIED_RBER_FLOOR};
 use crate::report::{ChannelUsage, HybridSummary, LearnerSummary, SimReport};
 use crate::retention::RetentionTracker;

@@ -41,10 +41,9 @@ pub fn example_256k_setup(scheme: RetryKind) -> (SsdConfig, Trace) {
     cfg.geometry = FlashGeometry {
         channels: 1,
         dies_per_channel: 2,
-        planes_per_die: 4,
         blocks_per_plane: 64,
         pages_per_block: 64,
-        page_bytes: 16 * 1024,
+        ..FlashGeometry::paper()
     };
     // The figure tracks the flash channel only; make the host hop
     // negligible so `makespan` ends at the last decode.

@@ -16,6 +16,8 @@
 //!   [`Capture::to_trace`] is how any trace file enters the simulator;
 //! * [`stats`] — trace statistics (regenerates Table II from any trace).
 
+#![forbid(unsafe_code)]
+
 pub mod capture;
 pub mod profiles;
 pub mod stats;

@@ -35,6 +35,8 @@
 //! println!("RiFSSD: {:.0} MB/s", report.io_bandwidth_mbps());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use rif_events as events;
 pub use rif_flash as flash;
 pub use rif_ldpc as ldpc;
