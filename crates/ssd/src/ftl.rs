@@ -65,11 +65,7 @@ impl SlotLocation {
 
     /// The TLC page kind of this slot (page position within the block).
     pub fn kind(&self) -> PageKind {
-        match self.page % 3 {
-            0 => PageKind::Lsb,
-            1 => PageKind::Csb,
-            _ => PageKind::Msb,
-        }
+        PageKind::of_page(self.page)
     }
 }
 
