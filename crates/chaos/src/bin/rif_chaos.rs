@@ -36,13 +36,17 @@
 //! `cluster`, optional `faults`, and `verdict` JSON lines; exits 0 only
 //! on PASS (and, when replicated, zero failed replicated reads).
 //!
-//! A `--seed` flag overrides any `seed=` inside `--plan`.
+//! A `--seed` flag overrides any `seed=` inside `--plan`. A flag the
+//! subcommand does not list, a bad value, `--depth 0`, or a `cluster`
+//! `--nodes` outside 1..=26 or `--replicas` outside 1..=nodes prints the
+//! usage text and exits 2.
 
 use std::time::Duration;
 
 use rif_chaos::plan::{schedule_json, FaultPlan};
 use rif_chaos::proxy::ChaosProxy;
 use rif_chaos::scenario::{run_scenario, ScenarioConfig};
+use rif_cluster::cli::Flags;
 use rif_workloads::SynthConfig;
 
 fn usage() -> ! {
@@ -64,11 +68,11 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_plan(spec: &str, seed_override: Option<u64>) -> FaultPlan {
-    let mut plan = FaultPlan::parse(spec).unwrap_or_else(|e| {
-        eprintln!("rif-chaos: {e}");
-        usage()
-    });
+/// The `--plan` fault plan, its seed overridden by `seed_override`.
+fn parse_plan(flags: &Flags, seed_override: Option<u64>) -> FaultPlan {
+    let spec = flags.get("--plan").unwrap_or("");
+    let mut plan =
+        FaultPlan::parse(spec).unwrap_or_else(|e| flags.refuse(format_args!("rif-chaos: {e}")));
     if let Some(seed) = seed_override {
         plan.seed = seed;
     }
@@ -88,85 +92,51 @@ fn main() {
     }
 }
 
-/// Pulls `--flag value` pairs out of `rest`; returns (flags, leftovers).
-fn flag_map(rest: &[String]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        if !flag.starts_with("--") {
-            usage();
-        }
-        let value = it.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            usage()
-        });
-        out.push((flag.clone(), value.clone()));
-    }
-    out
-}
-
-fn get<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    flags
-        .iter()
-        .find(|(f, _)| f == name)
-        .map(|(_, v)| v.as_str())
-}
-
-fn parse_or_usage<T: std::str::FromStr>(v: &str, name: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value for {name}: `{v}`");
-        usage()
-    })
-}
-
-/// Parses `--read-ratio`, exiting with the usage text unless the
+/// `--read-ratio`, if given, exiting with the usage text unless the
 /// workload generator accepts it (both scenarios keep its other fields
 /// valid).
-fn parse_read_ratio(v: &str) -> f64 {
-    let read_ratio = parse_or_usage(v, "--read-ratio");
+fn read_ratio(flags: &Flags) -> Option<f64> {
+    let read_ratio = flags.parsed("--read-ratio")?;
     let synth = SynthConfig {
         read_ratio,
         ..SynthConfig::default()
     };
     if let Err(e) = synth.validate() {
-        eprintln!("rif-chaos: --read-ratio: {e}");
-        usage();
+        flags.refuse(format_args!("rif-chaos: --read-ratio: {e}"));
     }
-    read_ratio
+    Some(read_ratio)
 }
 
 fn run_cmd(rest: &[String]) {
-    let flags = flag_map(rest);
-    let seed = get(&flags, "--seed").map(|v| parse_or_usage(v, "--seed"));
-    let plan = parse_plan(get(&flags, "--plan").unwrap_or(""), seed);
+    let flags = Flags::parse(
+        rest,
+        &[
+            "--seed",
+            "--plan",
+            "--requests",
+            "--connections",
+            "--depth",
+            "--shards",
+            "--time-scale",
+            "--deadline-ms",
+            "--read-ratio",
+            "--workload-seed",
+        ],
+        usage,
+    );
     let mut cfg = ScenarioConfig {
-        plan,
+        plan: parse_plan(&flags, flags.parsed("--seed")),
         ..ScenarioConfig::default()
     };
-    if let Some(v) = get(&flags, "--requests") {
-        cfg.requests = parse_or_usage(v, "--requests");
-    }
-    if let Some(v) = get(&flags, "--connections") {
-        cfg.connections = parse_or_usage(v, "--connections");
-    }
-    if let Some(v) = get(&flags, "--depth") {
-        cfg.depth = parse_or_usage(v, "--depth");
-    }
-    if let Some(v) = get(&flags, "--shards") {
-        cfg.shards = parse_or_usage(v, "--shards");
-    }
-    if let Some(v) = get(&flags, "--time-scale") {
-        cfg.time_scale = parse_or_usage(v, "--time-scale");
-    }
-    if let Some(v) = get(&flags, "--deadline-ms") {
-        cfg.request_deadline = Duration::from_millis(parse_or_usage(v, "--deadline-ms"));
-    }
-    if let Some(v) = get(&flags, "--read-ratio") {
-        cfg.read_ratio = parse_read_ratio(v);
-    }
-    if let Some(v) = get(&flags, "--workload-seed") {
-        cfg.workload_seed = parse_or_usage(v, "--workload-seed");
-    }
+    cfg.requests = flags.parsed("--requests").unwrap_or(cfg.requests);
+    cfg.connections = flags.parsed("--connections").unwrap_or(cfg.connections);
+    cfg.depth = flags.parsed_in("--depth", 1..).unwrap_or(cfg.depth);
+    cfg.shards = flags.parsed("--shards").unwrap_or(cfg.shards);
+    cfg.time_scale = flags.parsed("--time-scale").unwrap_or(cfg.time_scale);
+    cfg.request_deadline =
+        (flags.parsed("--deadline-ms").map(Duration::from_millis)).unwrap_or(cfg.request_deadline);
+    cfg.read_ratio = read_ratio(&flags).unwrap_or(cfg.read_ratio);
+    cfg.workload_seed = flags.parsed("--workload-seed").unwrap_or(cfg.workload_seed);
 
     match run_scenario(&cfg) {
         Ok(outcome) => {
@@ -187,17 +157,13 @@ fn run_cmd(rest: &[String]) {
 }
 
 fn proxy_cmd(rest: &[String]) {
-    let flags = flag_map(rest);
-    let upstream = get(&flags, "--upstream").unwrap_or_else(|| usage());
-    let upstream = upstream.parse().unwrap_or_else(|_| {
-        eprintln!("bad --upstream address `{upstream}`");
-        usage()
-    });
-    let port: u16 = get(&flags, "--port")
-        .map(|v| parse_or_usage(v, "--port"))
-        .unwrap_or(0);
-    let seed = get(&flags, "--seed").map(|v| parse_or_usage(v, "--seed"));
-    let plan = parse_plan(get(&flags, "--plan").unwrap_or(""), seed);
+    let flags = Flags::parse(rest, &["--upstream", "--port", "--seed", "--plan"], usage);
+    let upstream = flags.require("--upstream");
+    let upstream = upstream
+        .parse()
+        .unwrap_or_else(|_| flags.refuse(format_args!("bad --upstream address `{upstream}`")));
+    let port: u16 = flags.parsed("--port").unwrap_or(0);
+    let plan = parse_plan(&flags, flags.parsed("--seed"));
 
     let proxy = match ChaosProxy::start(port, upstream, plan) {
         Ok(p) => p,
@@ -216,52 +182,47 @@ fn proxy_cmd(rest: &[String]) {
 
 fn cluster_cmd(rest: &[String]) {
     use rif_chaos::cluster::{run_cluster_scenario, ClusterScenarioConfig};
-    let flags = flag_map(rest);
-    let mut cfg = ClusterScenarioConfig::default();
-    if let Some(v) = get(&flags, "--requests") {
-        cfg.requests = parse_or_usage(v, "--requests");
-    }
-    if let Some(v) = get(&flags, "--depth") {
-        cfg.depth = parse_or_usage(v, "--depth");
-    }
-    if let Some(v) = get(&flags, "--ranges") {
-        cfg.ranges = parse_or_usage(v, "--ranges");
-    }
-    if let Some(v) = get(&flags, "--seed") {
-        cfg.seed = parse_or_usage(v, "--seed");
-    }
-    if let Some(v) = get(&flags, "--read-ratio") {
-        cfg.read_ratio = parse_read_ratio(v);
-    }
-    if let Some(v) = get(&flags, "--kill-after-ms") {
-        cfg.kill_after = Duration::from_millis(parse_or_usage(v, "--kill-after-ms"));
-    }
-    if let Some(v) = get(&flags, "--rebalance-after-ms") {
-        cfg.rebalance_after = Duration::from_millis(parse_or_usage(v, "--rebalance-after-ms"));
-    }
-    if let Some(v) = get(&flags, "--nodes") {
-        cfg.nodes = parse_or_usage(v, "--nodes");
-    }
-    if let Some(v) = get(&flags, "--replicas") {
-        cfg.replicas = parse_or_usage(v, "--replicas");
-    }
-    if let Some(v) = get(&flags, "--proxied") {
-        cfg.proxied = parse_or_usage::<u32>(v, "--proxied") != 0;
-    }
-    if let Some(v) = get(&flags, "--deadline-ms") {
-        cfg.request_deadline = Duration::from_millis(parse_or_usage(v, "--deadline-ms"));
-    }
-    if let Some(v) = get(&flags, "--migrate-after-ms") {
-        cfg.migrate_after = Some(Duration::from_millis(parse_or_usage(
-            v,
+    let flags = Flags::parse(
+        rest,
+        &[
+            "--requests",
+            "--depth",
+            "--ranges",
+            "--seed",
+            "--read-ratio",
+            "--kill-after-ms",
+            "--rebalance-after-ms",
+            "--nodes",
+            "--replicas",
+            "--proxied",
+            "--plan",
+            "--deadline-ms",
             "--migrate-after-ms",
-        )));
+            "--dir-restart-ms",
+        ],
+        usage,
+    );
+    let ms = |name: &str| flags.parsed(name).map(Duration::from_millis);
+    let mut cfg = ClusterScenarioConfig::default();
+    cfg.requests = flags.parsed("--requests").unwrap_or(cfg.requests);
+    cfg.depth = flags.parsed_in("--depth", 1..).unwrap_or(cfg.depth);
+    cfg.ranges = flags.parsed("--ranges").unwrap_or(cfg.ranges);
+    cfg.seed = flags.parsed("--seed").unwrap_or(cfg.seed);
+    cfg.read_ratio = read_ratio(&flags).unwrap_or(cfg.read_ratio);
+    cfg.kill_after = ms("--kill-after-ms").unwrap_or(cfg.kill_after);
+    cfg.rebalance_after = ms("--rebalance-after-ms").unwrap_or(cfg.rebalance_after);
+    // Node ids are the letters a..=z.
+    cfg.nodes = flags.parsed_in("--nodes", 1..=26).unwrap_or(cfg.nodes);
+    cfg.replicas = flags
+        .parsed_in("--replicas", 1..=cfg.nodes as u32)
+        .unwrap_or(cfg.replicas);
+    if let Some(v) = flags.parsed::<u32>("--proxied") {
+        cfg.proxied = v != 0;
     }
-    if let Some(v) = get(&flags, "--dir-restart-ms") {
-        cfg.dir_restart_after = Some(Duration::from_millis(parse_or_usage(v, "--dir-restart-ms")));
-    }
-    let seed = get(&flags, "--seed").map(|v| parse_or_usage(v, "--seed"));
-    cfg.plan = parse_plan(get(&flags, "--plan").unwrap_or(""), seed.or(Some(cfg.seed)));
+    cfg.request_deadline = ms("--deadline-ms").unwrap_or(cfg.request_deadline);
+    cfg.migrate_after = ms("--migrate-after-ms");
+    cfg.dir_restart_after = ms("--dir-restart-ms");
+    cfg.plan = parse_plan(&flags, Some(cfg.seed));
 
     match run_cluster_scenario(&cfg) {
         Ok(outcome) => {
@@ -301,14 +262,9 @@ fn cluster_cmd(rest: &[String]) {
 }
 
 fn schedule_cmd(rest: &[String]) {
-    let flags = flag_map(rest);
-    let seed = get(&flags, "--seed").map(|v| parse_or_usage(v, "--seed"));
-    let plan = parse_plan(get(&flags, "--plan").unwrap_or(""), seed);
-    let conns: u64 = get(&flags, "--conns")
-        .map(|v| parse_or_usage(v, "--conns"))
-        .unwrap_or(2);
-    let frames: u64 = get(&flags, "--frames")
-        .map(|v| parse_or_usage(v, "--frames"))
-        .unwrap_or(256);
+    let flags = Flags::parse(rest, &["--seed", "--plan", "--conns", "--frames"], usage);
+    let plan = parse_plan(&flags, flags.parsed("--seed"));
+    let conns: u64 = flags.parsed("--conns").unwrap_or(2);
+    let frames: u64 = flags.parsed("--frames").unwrap_or(256);
     println!("{}", schedule_json(&plan, conns, frames));
 }

@@ -25,7 +25,11 @@
 //! `map`, `migrate`, and `stats` are one-shot admin RPCs against a
 //! running directory. `load` runs the routed closed-loop client and
 //! prints its JSON report.
+//!
+//! A flag the subcommand does not list, a bad value or `--depth 0`
+//! prints the usage text and exits 2.
 
+use rif_cluster::cli::Flags;
 use rif_cluster::directory::{fetch_cluster_stats, fetch_map_text, request_migrate};
 use rif_cluster::{run_routed, Directory, NodeInfo, RouterConfig, ShardMap};
 
@@ -57,93 +61,54 @@ fn main() {
     }
 }
 
-/// Pulls `--flag value` pairs out of `rest` (flags may repeat).
-fn flag_map(rest: &[String]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        if !flag.starts_with("--") {
-            usage();
-        }
-        let value = it.next().unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            usage()
-        });
-        out.push((flag.clone(), value.clone()));
-    }
-    out
-}
-
-fn get<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    flags
-        .iter()
-        .find(|(f, _)| f == name)
-        .map(|(_, v)| v.as_str())
-}
-
-fn parse_or_usage<T: std::str::FromStr>(v: &str, name: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value for {name}: `{v}`");
-        usage()
-    })
-}
-
-fn require<'a>(flags: &'a [(String, String)], name: &str) -> &'a str {
-    get(flags, name).unwrap_or_else(|| {
-        eprintln!("{name} is required");
-        usage()
-    })
-}
-
 fn fail(e: impl std::fmt::Display) -> ! {
     eprintln!("rif-cluster: {e}");
     std::process::exit(1);
 }
 
 fn directory_cmd(rest: &[String]) {
-    let flags = flag_map(rest);
+    let flags = Flags::parse(
+        rest,
+        &[
+            "--node",
+            "--port",
+            "--capacity-gib",
+            "--ranges",
+            "--replicas",
+            "--persist",
+        ],
+        usage,
+    );
     let nodes: Vec<NodeInfo> = flags
-        .iter()
-        .filter(|(f, _)| f == "--node")
-        .map(|(_, v)| match v.split_once('=') {
+        .all("--node")
+        .map(|v| match v.split_once('=') {
             Some((id, addr)) if !id.is_empty() && !addr.is_empty() => NodeInfo {
                 id: id.to_string(),
                 addr: addr.to_string(),
             },
-            _ => {
-                eprintln!("bad --node `{v}` (want ID=ADDR)");
-                usage()
-            }
+            _ => flags.refuse(format_args!("bad --node `{v}` (want ID=ADDR)")),
         })
         .collect();
     if nodes.is_empty() {
-        eprintln!("--node is required at least once");
-        usage();
+        flags.refuse("--node is required at least once");
     }
-    let port: u16 = get(&flags, "--port")
-        .map(|v| parse_or_usage(v, "--port"))
-        .unwrap_or(0);
-    let capacity: u64 = get(&flags, "--capacity-gib").map_or(8 << 30, |v| {
-        parse_or_usage::<u64>(v, "--capacity-gib")
-            .checked_mul(1 << 30)
-            .unwrap_or_else(|| {
-                eprintln!("bad value for --capacity-gib: `{v}`");
-                usage()
+    let port: u16 = flags.parsed("--port").unwrap_or(0);
+    let capacity = flags
+        .parsed::<u64>("--capacity-gib")
+        .map_or(8 << 30, |gib| {
+            gib.checked_mul(1 << 30).unwrap_or_else(|| {
+                flags.refuse(format_args!("bad value for --capacity-gib: `{gib}`"))
             })
-    });
-    let ranges: u32 = get(&flags, "--ranges")
-        .map(|v| parse_or_usage(v, "--ranges"))
-        .unwrap_or(4);
-    let replicas: u32 = get(&flags, "--replicas")
-        .map(|v| parse_or_usage(v, "--replicas"))
-        .unwrap_or(1);
+        });
+    let ranges: u32 = flags.parsed("--ranges").unwrap_or(4);
+    let replicas: u32 = flags.parsed("--replicas").unwrap_or(1);
 
     let map = if replicas > 1 {
         ShardMap::replicated(1, capacity, ranges, nodes, replicas).unwrap_or_else(|e| fail(e))
     } else {
         ShardMap::rebalanced(1, capacity, ranges, nodes).unwrap_or_else(|e| fail(e))
     };
-    let dir = match get(&flags, "--persist") {
+    let dir = match flags.get("--persist") {
         Some(path) => Directory::start_persistent(map, port, path).unwrap_or_else(|e| fail(e)),
         None => Directory::start(map, port).unwrap_or_else(|e| fail(e)),
     };
@@ -153,64 +118,67 @@ fn directory_cmd(rest: &[String]) {
 }
 
 fn map_cmd(rest: &[String]) {
-    let flags = flag_map(rest);
-    let (epoch, text) = fetch_map_text(require(&flags, "--directory")).unwrap_or_else(|e| fail(e));
+    let flags = Flags::parse(rest, &["--directory"], usage);
+    let (epoch, text) = fetch_map_text(flags.require("--directory")).unwrap_or_else(|e| fail(e));
     eprintln!("epoch {epoch}");
     print!("{text}");
 }
 
 fn migrate_cmd(rest: &[String]) {
-    let flags = flag_map(rest);
-    let range: u32 = parse_or_usage(require(&flags, "--range"), "--range");
-    let node = require(&flags, "--node");
+    let flags = Flags::parse(rest, &["--directory", "--range", "--node"], usage);
+    let range: u32 = flags
+        .parsed("--range")
+        .unwrap_or_else(|| flags.refuse("--range is required"));
+    let node = flags.require("--node");
     let (epoch, text) =
-        request_migrate(require(&flags, "--directory"), range, node).unwrap_or_else(|e| fail(e));
+        request_migrate(flags.require("--directory"), range, node).unwrap_or_else(|e| fail(e));
     eprintln!("epoch {epoch}");
     print!("{text}");
 }
 
 fn stats_cmd(rest: &[String]) {
-    let flags = flag_map(rest);
-    let text = fetch_cluster_stats(require(&flags, "--directory")).unwrap_or_else(|e| fail(e));
+    let flags = Flags::parse(rest, &["--directory"], usage);
+    let text = fetch_cluster_stats(flags.require("--directory")).unwrap_or_else(|e| fail(e));
     print!("{text}");
 }
 
 /// Exits with the usage text when `flag` has made the routed load's
 /// synthetic workload invalid.
-fn check_workload(cfg: &RouterConfig, flag: &str) {
+fn check_workload(flags: &Flags, cfg: &RouterConfig, flag: &str) {
     if let Err(e) = cfg.synth().validate() {
-        eprintln!("rif-cluster: {flag}: {e}");
-        usage();
+        flags.refuse(format_args!("rif-cluster: {flag}: {e}"));
     }
 }
 
 fn load_cmd(rest: &[String]) {
-    let flags = flag_map(rest);
+    let flags = Flags::parse(
+        rest,
+        &[
+            "--directory",
+            "--requests",
+            "--depth",
+            "--read-ratio",
+            "--seed",
+            "--request-kib",
+        ],
+        usage,
+    );
     let mut cfg = RouterConfig {
-        directory: require(&flags, "--directory").to_string(),
+        directory: flags.require("--directory").to_string(),
         ..RouterConfig::default()
     };
-    if let Some(v) = get(&flags, "--requests") {
-        cfg.requests = parse_or_usage(v, "--requests");
+    cfg.requests = flags.parsed("--requests").unwrap_or(cfg.requests);
+    cfg.depth = flags.parsed_in("--depth", 1..).unwrap_or(cfg.depth);
+    if let Some(v) = flags.parsed("--read-ratio") {
+        cfg.read_ratio = v;
+        check_workload(&flags, &cfg, "--read-ratio");
     }
-    if let Some(v) = get(&flags, "--depth") {
-        cfg.depth = parse_or_usage(v, "--depth");
-    }
-    if let Some(v) = get(&flags, "--read-ratio") {
-        cfg.read_ratio = parse_or_usage(v, "--read-ratio");
-        check_workload(&cfg, "--read-ratio");
-    }
-    if let Some(v) = get(&flags, "--seed") {
-        cfg.seed = parse_or_usage(v, "--seed");
-    }
-    if let Some(v) = get(&flags, "--request-kib") {
-        cfg.request_bytes = parse_or_usage::<u32>(v, "--request-kib")
+    cfg.seed = flags.parsed("--seed").unwrap_or(cfg.seed);
+    if let Some(kib) = flags.parsed::<u32>("--request-kib") {
+        cfg.request_bytes = kib
             .checked_mul(1024)
-            .unwrap_or_else(|| {
-                eprintln!("bad value for --request-kib: `{v}`");
-                usage()
-            });
-        check_workload(&cfg, "--request-kib");
+            .unwrap_or_else(|| flags.refuse(format_args!("bad value for --request-kib: `{kib}`")));
+        check_workload(&flags, &cfg, "--request-kib");
     }
     let (report, _journal) = run_routed(&cfg).unwrap_or_else(|e| fail(e));
     println!("{}", report.to_json());

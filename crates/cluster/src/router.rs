@@ -154,6 +154,13 @@ struct Run<'a> {
 /// Runs `cfg.requests` synthetic operations through the cluster behind
 /// `cfg.directory`, returning the merged report and journal.
 pub fn run_routed(cfg: &RouterConfig) -> io::Result<(LoadReport, Journal)> {
+    if cfg.depth == 0 {
+        // A zero window never sends, so nothing would ever settle.
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "need a send window: depth must be positive",
+        ));
+    }
     let mut dir = Conn::connect(&cfg.directory)?;
     let map = current_map(&mut dir)?;
     let mut run = Run {

@@ -314,3 +314,16 @@ fn the_window_is_global_and_expired_tags_take_their_stragglers_as_duplicates() {
     assert_eq!(journal.unknown_receipts, 0);
     assert_eq!(report.dup_receipts, DEPTH, "restated from the journal");
 }
+
+#[test]
+fn a_zero_window_is_refused_before_the_directory_is_asked() {
+    // Nothing listens on the discard port: a router that got past its
+    // window check would fail to reach the directory instead.
+    let cfg = RouterConfig {
+        directory: "127.0.0.1:9".into(),
+        depth: 0,
+        ..RouterConfig::default()
+    };
+    let err = rif_cluster::run_routed(&cfg).expect_err("a zero window cannot run");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+}

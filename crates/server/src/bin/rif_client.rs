@@ -107,7 +107,13 @@ fn main() {
             "--connections" => {
                 cfg.connections = val("--connections").parse().unwrap_or_else(|_| usage())
             }
-            "--depth" => cfg.depth = val("--depth").parse().unwrap_or_else(|_| usage()),
+            "--depth" => {
+                cfg.depth = val("--depth").parse().unwrap_or_else(|_| usage());
+                if cfg.depth == 0 {
+                    eprintln!("--depth must be positive");
+                    usage();
+                }
+            }
             "--read-ratio" => {
                 cfg.read_ratio = val("--read-ratio").parse().unwrap_or_else(|_| usage());
                 check_workload(&cfg, "--read-ratio");

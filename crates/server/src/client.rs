@@ -428,7 +428,12 @@ fn run_grouped(
     plans: Vec<Vec<PlannedIo>>,
     workers: usize,
 ) -> io::Result<(LoadReport, Journal)> {
-    assert!(cfg.depth > 0, "need a send window");
+    if cfg.depth == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "need a send window: depth must be positive",
+        ));
+    }
     let workers = workers.clamp(1, plans.len().max(1));
     let mut groups: Vec<Vec<(usize, Vec<PlannedIo>)>> = vec![Vec::new(); workers];
     for (conn, plan) in plans.into_iter().enumerate() {
@@ -1780,5 +1785,18 @@ mod tests {
     fn fingerprint_distinguishes_payloads() {
         assert_eq!(fingerprint(b"abc"), fingerprint(b"abc"));
         assert_ne!(fingerprint(b"abc"), fingerprint(b"abd"));
+    }
+
+    #[test]
+    fn a_zero_send_window_is_refused_before_connecting() {
+        // Nothing listens on the discard port: an engine that got past
+        // its window check would fail to connect instead.
+        let cfg = LoadConfig {
+            addr: "127.0.0.1:9".into(),
+            depth: 0,
+            ..LoadConfig::default()
+        };
+        let err = run_load(&cfg).expect_err("a zero window cannot run");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
     }
 }

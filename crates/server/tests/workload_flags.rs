@@ -1,8 +1,9 @@
-//! `rif-client` refuses an out-of-range workload flag with its usage text
-//! and exit status 2, before it opens a socket. The address points at the
-//! discard port, where nothing listens: a client that got past its flags
-//! would fail to connect and exit 1 instead. `rif-server` refuses a size
-//! flag that overflows once scaled to bytes the same way, before it binds.
+//! `rif-client` refuses an out-of-range workload flag or a zero send
+//! window with its usage text and exit status 2, before it opens a
+//! socket. The address points at the discard port, where nothing
+//! listens: a client that got past its flags would fail to connect and
+//! exit 1 instead. `rif-server` refuses a size flag that overflows once
+//! scaled to bytes the same way, before it binds.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -15,6 +16,7 @@ fn out_of_range_workload_flags_print_usage_and_exit_2() {
         ("--zipf", "-1"),
         ("--read-ratio", "1.5"),
         ("--request-kib", "3"),
+        ("--depth", "0"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_rif-client"))
             .args(["--addr", "127.0.0.1:9", "--requests", "10", flag, value])

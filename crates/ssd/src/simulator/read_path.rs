@@ -186,37 +186,36 @@ impl Simulator {
             .map(|f| f.contains(&slot))
     }
 
-    /// Decides the initial-phase outcome: whether the sensed data will
-    /// fail its off-chip decode, and (with an on-die predictor) whether
-    /// the ODEAR engine retries in-die before transferring.
+    /// Decides the first sense's outcome. A row with a predictor draws
+    /// RP's verdict first (the plant's, in a planted run); a retry
+    /// verdict re-senses in the die (RiF) or cuts the decode to the tPRED
+    /// check and retries (RPSSD), and every other sense decodes as-is.
     fn setup_initial_phase(&mut self, gid: usize) {
         let initial = self.groups[gid].cur_rber;
         let forced = self.forced_fail(self.groups[gid].slot);
-        let scheme = self.cfg.retry;
-        let in_die_retry = scheme.predictor() == Predictor::OnDie
+        let predictor = self.cfg.retry.predictor();
+        let rp_says_retry = predictor != Predictor::None
             && forced.unwrap_or_else(|| self.cfg.rp.sample_retry(initial, &mut self.rng));
-        let (cur, recal, fails) = if in_die_retry {
-            // Data re-sensed before any transfer; a forced run's re-sense
-            // always decodes.
-            let (rber, recal) = self.corrective_rber(gid);
-            let fails = forced.is_none() && self.cfg.ecc.sample_failure(rber, &mut self.rng);
-            (rber, recal, fails)
-        } else {
-            // Transferred as-is; a missed prediction still fails at the
-            // off-chip decoder.
-            let fails = !scheme.never_fails()
-                && forced.unwrap_or_else(|| self.cfg.ecc.sample_failure(initial, &mut self.rng));
-            (initial, None, fails)
+        let (cur, recal, (dur, fails)) = match (rp_says_retry, predictor) {
+            (true, Predictor::OnDie) => {
+                // Re-sensed before any transfer; a planted re-sense passes.
+                let (rber, recal) = self.corrective_rber(gid);
+                (rber, recal, self.decode(rber, forced.map(|_| false)))
+            }
+            // The page retries whether or not it would have decoded (a
+            // false positive), so no outcome is drawn.
+            (true, _) => (initial, None, (self.cfg.timing.t_pred, true)),
+            // A missed prediction still fails at the off-chip decoder.
+            (false, _) => (initial, None, self.decode(initial, forced)),
         };
-        let (dur, fail_out) = self.decode_profile(cur, fails, forced.is_some());
         let g = &mut self.groups[gid];
         g.cur_rber = cur;
         g.first_rber = cur;
         g.recal_offset = recal;
-        g.decode_fails = fail_out;
+        g.decode_fails = fails;
         g.decode_duration = dur;
         g.attempt = 1;
-        g.retried_in_die = in_die_retry;
+        g.retried_in_die = rp_says_retry && predictor == Predictor::OnDie;
     }
 
     /// RBER of a corrective re-sense. The oracle senses at near-optimal
@@ -264,34 +263,14 @@ impl Simulator {
         self.tracer.span_end(now, retry);
     }
 
-    /// Per-page ECC-engine occupancy and final outcome for a page of the
-    /// given RBER whose raw decode `fails`. A `forced` outcome is also
-    /// the verdict of a controller-side predictor.
-    fn decode_profile(&mut self, rber: f64, fails: bool, forced: bool) -> (SimDuration, bool) {
-        let scheme = self.cfg.retry;
-        if scheme.never_fails() {
+    /// Per-page ECC-engine occupancy and outcome of a decode at `rber`:
+    /// the `planted` outcome when there is one, else a drawn one. A
+    /// failure burns the whole iteration budget.
+    fn decode(&mut self, rber: f64, planted: Option<bool>) -> (SimDuration, bool) {
+        if self.cfg.retry.never_fails() {
             return (self.cfg.ecc.t_ecc(rber.min(0.004)), false);
         }
-        // A controller-side RP precedes decoding. When it says retry, a
-        // tPRED syndrome check replaces the long decode and the page goes
-        // to retry (even when actually correctable — a false positive);
-        // a miss lets the hopeless decode burn the full budget.
-        let rp_says_retry = scheme.predictor() == Predictor::Controller
-            && if forced {
-                fails
-            } else {
-                self.cfg.rp.sample_retry(rber, &mut self.rng)
-            };
-        if rp_says_retry {
-            return (self.cfg.timing.t_pred, true);
-        }
-        self.decode_outcome(rber, fails)
-    }
-
-    /// ECC-engine occupancy of a plain decode: a failure burns the whole
-    /// iteration budget.
-    fn decode_outcome(&self, rber: f64, fails: bool) -> (SimDuration, bool) {
-        if fails {
+        if planted.unwrap_or_else(|| self.cfg.ecc.sample_failure(rber, &mut self.rng)) {
             (self.cfg.ecc.t_ecc_failure(), true)
         } else {
             (self.cfg.ecc.t_ecc(rber), false)
@@ -315,31 +294,31 @@ impl Simulator {
     pub(super) fn schedule_retry_sense(&mut self, now: SimTime, gid: usize) {
         self.count(now, "retry.rounds", 1);
         let duration = self.cfg.retry.retry_sense(&self.cfg.timing);
-        let slot = self.groups[gid].slot;
         let attempt = self.groups[gid].attempt + 1;
         let (retry_rber, recal) = self.corrective_rber(gid);
         if recal.is_some() {
             self.emit_recal_marker(now, gid);
         }
-        // After four attempts assume the vendor sequence exhausted and
-        // force success, counted under `retry.forced_success`: TLC reads
-        // at the paper's wear stages never get here, but QLC reads and
-        // late learned-mode reads sometimes do.
-        let fails = if self.forced_fail(slot).is_some() {
-            false
+        // A planted run's retry passes. After four attempts assume the
+        // vendor sequence exhausted and plant success, counted under
+        // `retry.forced_success`: TLC reads at the paper's wear stages
+        // never get here, but QLC reads and late learned-mode reads
+        // sometimes do.
+        let planted = if self.forced_fail(self.groups[gid].slot).is_some() {
+            Some(false)
         } else if attempt > 4 {
             self.count(now, "retry.forced_success", 1);
-            false
+            Some(false)
         } else {
-            self.cfg.ecc.sample_failure(retry_rber, &mut self.rng)
+            None
         };
-        let (dur, fail_out) = self.decode_outcome(retry_rber, fails);
+        let (dur, fails) = self.decode(retry_rber, planted);
         let g = &mut self.groups[gid];
         g.phase = GroupPhase::Retry;
         g.attempt = attempt;
         g.cur_rber = retry_rber;
         g.recal_offset = recal; // stays `None` in oracle mode
-        g.decode_fails = fail_out;
+        g.decode_fails = fails;
         g.decode_duration = dur;
         self.enqueue_read_sense(now, gid, duration);
     }

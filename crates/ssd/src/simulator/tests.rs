@@ -260,6 +260,82 @@ fn rpssd_terminates_hopeless_decodes_early() {
     );
 }
 
+/// One traced 64-KiB read of forced slot 0 (an LSB page, so SENC reads
+/// no sentinel cells) at 0 P/E: the report and the durations in ns of
+/// the group's die `sense` commands and ECC `decode`s, in start order.
+fn forced_read_spans(retry: RetryKind) -> (SimReport, Vec<u64>, Vec<u64>) {
+    use rif_events::trace::{JsonlSink, SharedBuf, TraceRecord};
+    let mut cfg = SsdConfig::small(retry, 0);
+    cfg.forced_failure_slots = Some(vec![0]);
+    let buf = SharedBuf::new();
+    let report = Simulator::new(cfg)
+        .with_tracer(Box::new(JsonlSink::new(buf.clone())))
+        .run(&Trace::new(vec![read_req(0, 0, 65536)]));
+    let records = TraceRecord::parse_jsonl(&buf.contents()).expect("trace parses");
+    let ends: Vec<(u64, SimTime)> = records
+        .iter()
+        .filter_map(|r| match r {
+            TraceRecord::SpanEnd { t, id } => Some((*id, *t)),
+            _ => None,
+        })
+        .collect();
+    let lasting = |want: &str| -> Vec<u64> {
+        records
+            .iter()
+            .filter_map(|r| match r {
+                TraceRecord::SpanBegin { t, name, id, .. } if name == want => {
+                    let end = ends.iter().find(|e| e.0 == *id).expect("span closes").1;
+                    Some(end.since(*t).as_ns())
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    (report, lasting("sense"), lasting("decode"))
+}
+
+#[test]
+fn forced_read_occupies_die_and_ecc_exactly() {
+    use RetryKind::*;
+    let cfg = SsdConfig::small(Rif, 0);
+    let (t, fail) = (cfg.timing, cfg.ecc.t_ecc_failure().as_ns());
+    assert_eq!(
+        (t.sense(1, false).as_ns(), t.t_pred.as_ns()),
+        (40_000, 2_500)
+    );
+    // (row, first sense, failed first-round decode, corrective sense):
+    // RiF senses, predicts and re-senses in one command and ships only
+    // correctable pages; RPSSD cuts its failed decodes to the tPRED
+    // check; SWR's corrective command senses twice.
+    let want = [
+        (Zero, 40_000, None, None),
+        (IdealOne, 40_000, Some(fail), Some(40_000)),
+        (Sentinel, 40_000, Some(fail), Some(40_000)),
+        (SwiftRead, 40_000, Some(fail), Some(80_000)),
+        (SwiftReadPlus, 40_000, Some(fail), Some(80_000)),
+        (RpSsd, 40_000, Some(2_500), Some(40_000)),
+        (Rif, 82_500, None, None),
+    ];
+    assert_eq!(want.len(), RetryKind::ALL.len());
+    for (retry, first, failed, corrective) in want {
+        let (report, senses, decodes) = forced_read_spans(retry);
+        let on_die = retry == Rif;
+        assert_eq!(first, t.sense(1 + u64::from(on_die), on_die).as_ns());
+        let want_senses: Vec<u64> = [first].into_iter().chain(corrective).collect();
+        assert_eq!(senses, want_senses, "{retry} sense commands");
+        let (first_round, rest) = decodes.split_at(if failed.is_some() { 4 } else { 0 });
+        assert!(
+            first_round.iter().all(|&d| Some(d) == failed),
+            "{retry} {decodes:?}"
+        );
+        assert_eq!(rest.len(), 4, "{retry} decodes {decodes:?}");
+        assert!(rest.iter().all(|&d| d < fail), "{retry} {decodes:?}");
+        // Every failing row still ships its failed pages.
+        let shipped = if failed.is_some() { 4 } else { 0 };
+        assert_eq!(report.uncor_page_transfers, shipped, "{retry}");
+    }
+}
+
 #[test]
 fn host_link_serializes_write_ingress() {
     // Two simultaneous 1-MiB writes: ingress at 8 GB/s costs 131 µs

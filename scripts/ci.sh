@@ -316,6 +316,26 @@ done | grep -F '16 * 1024'; then
     exit 1
 fi
 
+# One outcome step per sense (DESIGN §1): the read path draws RP's
+# verdict at one site and a decode's outcome at one other, for every
+# row, and a forced outcome is the plant of that one `decode`; the
+# controller-side profile and the plain-decode helper stay gone.
+# Production code only, as above, tests.rs aside.
+echo "==> one outcome step (one sample_retry( and one sample_failure( under crates/ssd/src/simulator/, no decode_profile/decode_outcome)"
+sim_prod() {
+    for f in $(ls crates/ssd/src/simulator/*.rs | grep -v '/tests\.rs$'); do
+        prod_lines "$f"
+    done
+}
+for call in 'sample_retry(' 'sample_failure('; do
+    n=$(sim_prod | grep -cF "$call" || true)
+    if [ "$n" -ne 1 ]; then
+        echo "crates/ssd/src/simulator/: $n call sites of '$call', want 1"
+        exit 1
+    fi
+done
+if sim_prod | grep -E 'fn decode_(profile|outcome)'; then exit 1; fi
+
 # No unsafe code outside the two crates that need it (the decoder's SIMD
 # lanes, the server's poller and event loop): each other library root
 # forbids it.
