@@ -129,7 +129,9 @@ fn run_cmd(rest: &[String]) {
         ..ScenarioConfig::default()
     };
     cfg.requests = flags.parsed("--requests").unwrap_or(cfg.requests);
-    cfg.connections = flags.parsed("--connections").unwrap_or(cfg.connections);
+    cfg.connections = flags
+        .parsed_in("--connections", 1..)
+        .unwrap_or(cfg.connections);
     cfg.depth = flags.parsed_in("--depth", 1..).unwrap_or(cfg.depth);
     cfg.shards = flags.parsed("--shards").unwrap_or(cfg.shards);
     cfg.time_scale = flags.parsed("--time-scale").unwrap_or(cfg.time_scale);

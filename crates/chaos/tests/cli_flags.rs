@@ -1,9 +1,9 @@
 //! `rif-chaos` refuses a bad command line with its usage text and exit
 //! status 2 before it starts a scenario: a flag its subcommand does not
-//! know, a zero `--depth`, and a `--nodes` or `--replicas` outside what
-//! the cluster scenario can build. Each scenario is 50 requests, so one
-//! that got past its flags would finish (or, with a zero window, spin)
-//! instead.
+//! know, a zero `--depth` or `--connections`, and a `--nodes` or
+//! `--replicas` outside what the cluster scenario can build. Each
+//! scenario is 50 requests, so one that got past its flags would finish
+//! (or, with a zero window, spin) instead.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -73,6 +73,10 @@ fn unknown_flags_print_usage_and_exit_2() {
 fn a_zero_window_prints_usage_and_exits_2() {
     assert_refused(&["run", "--requests", "50", "--depth", "0"], "--depth");
     assert_refused(&["cluster", "--requests", "50", "--depth", "0"], "--depth");
+    assert_refused(
+        &["run", "--requests", "50", "--connections", "0"],
+        "--connections",
+    );
 }
 
 #[test]

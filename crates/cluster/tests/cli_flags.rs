@@ -82,6 +82,10 @@ fn a_zero_window_or_an_unknown_flag_prints_usage_and_exits_2() {
             &["directory", "--node", "a=127.0.0.1:9", "--depth", "4"],
             "--depth",
         ),
+        (
+            &["load", "--directory", "127.0.0.1:9", "--requests", "abc"],
+            "bad value for --requests: `abc`",
+        ),
     ] {
         let (code, stderr) = run_briefly(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");

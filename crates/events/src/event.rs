@@ -4,22 +4,28 @@
 //! order (a monotonically increasing sequence number breaks ties), which
 //! keeps simulations reproducible regardless of the lanes' layout.
 //!
-//! Every entry carries one packed `u128` key, `at_ns << 64 | seq`, with
-//! `seq` unique and only growing, so "smallest key first" is the total
-//! order "earliest instant, then first scheduled" and comparing two
-//! entries is one integer compare.
+//! Every entry carries one [`EventKey`], `at_ns << 64 | seq` packed in a
+//! `u128`, with `seq` unique and only growing, so "smallest key first" is
+//! the total order "earliest instant, then first scheduled" and comparing
+//! two entries is one integer compare. A caller may order items it keeps
+//! outside the queue against the queue's events by the same key: it takes
+//! their sequence numbers with [`EventQueue::take_seqs`], compares its
+//! oldest item's key with [`EventQueue::peek_key`], and moves the clock
+//! with [`EventQueue::advance_to`] when it handles that item. The
+//! simulator keeps its not-yet-arrived requests that way.
 //!
 //! The queue has two lanes behind one `schedule`/`pop`:
 //!
 //! * the *run*, a deque in ascending key order: an event whose instant is
-//!   not earlier than the run's back is appended to it in O(1). A
-//!   simulator that submits a whole trace of arrivals up front, or a
-//!   stepper chunk of them, fills the run;
+//!   not earlier than the run's back (or any event while the run is
+//!   empty) is appended to it in O(1). In the simulator, whose arrivals
+//!   stay outside the queue, it takes a few percent of the events: the
+//!   device completions landing after every other one the run holds;
 //! * the *out-of-order lane*, a flat vector in descending key order:
 //!   every other event is inserted at the place a binary search finds, and
 //!   the earliest sits at the back, where `pop` takes it. In the simulator
-//!   this lane holds only the in-flight device completions (at most one
-//!   per die, channel, ECC engine and host link, plus a suspended die
+//!   this lane holds only in-flight device completions (at most one per
+//!   die, channel, ECC engine and host link, plus a suspended die
 //!   command's stale one), a few dozen entries: a shift of that many
 //!   16-byte-keyed entries is cheaper than a heap's sift, and `pop` is a
 //!   plain `Vec::pop`. A caller that keeps thousands of events pending out
@@ -35,15 +41,34 @@ use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
+/// A place in delivery order: an instant, then the sequence number that
+/// breaks ties at it, first taken first. Packed as `at_ns << 64 | seq`, so
+/// comparing two keys is one integer compare.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct EventKey(u128);
+
+impl EventKey {
+    /// The key of an item at `at` holding sequence number `seq`.
+    #[inline]
+    pub fn new(at: SimTime, seq: u64) -> Self {
+        EventKey((at.as_ns() as u128) << 64 | seq as u128)
+    }
+
+    /// The instant this key delivers at.
+    #[inline]
+    pub fn at(self) -> SimTime {
+        SimTime::from_ns((self.0 >> 64) as u64)
+    }
+}
+
 struct Entry<E> {
-    /// `at_ns << 64 | seq`: the delivery order as one integer.
-    key: u128,
+    key: EventKey,
     payload: E,
 }
 
 impl<E> Entry<E> {
     fn at(&self) -> SimTime {
-        SimTime::from_ns((self.key >> 64) as u64)
+        self.key.at()
     }
 }
 
@@ -88,13 +113,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Reserves room for `additional` more events scheduled in time order
-    /// (a trace of arrivals about to be submitted), so the run does not
-    /// regrow while they are appended.
-    pub fn reserve(&mut self, additional: usize) {
-        self.run.reserve(additional);
-    }
-
     /// The instant of the most recently popped event (the simulation clock).
     pub fn now(&self) -> SimTime {
         self.now
@@ -112,9 +130,7 @@ impl<E> EventQueue<E> {
             "scheduling into the past: at={at:?} now={:?}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let key = (at.as_ns() as u128) << 64 | seq as u128;
+        let key = EventKey::new(at, self.take_seqs(1));
         let entry = Entry { key, payload };
         match self.run.back() {
             Some(last) if key < last.key => {
@@ -123,6 +139,34 @@ impl<E> EventQueue<E> {
             }
             _ => self.run.push_back(entry),
         }
+    }
+
+    /// Takes `n` consecutive sequence numbers and returns the first, for
+    /// items the caller keeps outside the queue and orders against its
+    /// events by [`EventKey::new`]: an event scheduled afterwards at the
+    /// same instant delivers after them.
+    #[inline]
+    pub fn take_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Moves the clock to `at`, where the caller handles an item it keeps
+    /// outside the queue, one whose key is below [`EventQueue::peek_key`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current clock.
+    #[inline]
+    pub fn advance_to(&mut self, at: SimTime) {
+        assert!(
+            at >= self.now,
+            "clock moved back: at={at:?} now={:?}",
+            self.now
+        );
+        debug_assert!(self.peek_time().is_none_or(|t| t >= at));
+        self.now = at;
     }
 
     /// Whether the next event in delivery order sits at the run's front
@@ -151,13 +195,19 @@ impl<E> EventQueue<E> {
         Some((at, entry.payload))
     }
 
+    /// Key of the next event without removing it.
+    #[inline]
+    pub fn peek_key(&self) -> Option<EventKey> {
+        if self.next_in_run()? {
+            self.run.front().map(|e| e.key)
+        } else {
+            self.lane.last().map(|e| e.key)
+        }
+    }
+
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.next_in_run()? {
-            self.run.front().map(Entry::at)
-        } else {
-            self.lane.last().map(Entry::at)
-        }
+        self.peek_key().map(EventKey::at)
     }
 
     /// Number of pending events.

@@ -29,7 +29,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use event::EventQueue;
+pub use event::{EventKey, EventQueue};
 pub use pool::parallel_trials;
 pub use rng::{SimRng, ZipfTable};
 pub use stats::{LatencyHistogram, UtilizationTracker};

@@ -127,8 +127,7 @@ impl ErrorModel {
 
     /// [`ErrorModel::rber_optimal`] from precomputed state distributions.
     pub fn rber_optimal_with(&self, params: &[StateParam; 8], kind: PageKind) -> f64 {
-        let refs = self.tlc.optimal_refs(*params);
-        self.tlc.rber_with_params(params, &refs, kind)
+        self.tlc.rber_optimal_with_params(params, kind)
     }
 
     /// RBER of a page read at arbitrary references.

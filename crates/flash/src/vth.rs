@@ -238,6 +238,19 @@ impl TlcModel {
         refs
     }
 
+    /// RBER of a page of `kind` read at [`TlcModel::optimal_refs`]. Only
+    /// the kind's own two or three boundaries are intersected: the region
+    /// walk reads no other reference.
+    pub fn rber_optimal_with_params(&self, params: &[StateParam; 8], kind: PageKind) -> f64 {
+        let mut refs = [0.0; 7];
+        for r in 1..8 {
+            if Self::bit_of(kind, r - 1) != Self::bit_of(kind, r) {
+                refs[r - 1] = gaussian_intersection(params[r - 1], params[r]);
+            }
+        }
+        self.rber_with_params(params, &refs, kind)
+    }
+
     /// RBER of a page of `kind` read at the given reference voltages.
     ///
     /// For each state the model integrates the probability mass falling in
@@ -855,6 +868,26 @@ mod tests {
             let rd = m.rber(op, 1.0, &default, k);
             let ro = m.rber(op, 1.0, &optimal, k);
             assert!(ro < rd * 0.5, "{k}: optimal {ro} vs default {rd}");
+        }
+    }
+
+    #[test]
+    fn optimal_rber_prices_only_the_kinds_boundaries_bit_exactly() {
+        // Intersecting only the references a kind reads must give the
+        // RBER at the full optimal set, to the bit.
+        let m = TlcModel::calibrated();
+        for pe in [0u32, 1000, 2000, 5000] {
+            for days in [0.0, 3.0, 30.0, 365.0] {
+                for factor in [0.55, 1.0, 1.7] {
+                    let params = m.state_params(OperatingPoint::new(pe, days), factor);
+                    let optimal = m.optimal_refs(params);
+                    for k in PageKind::ALL {
+                        let full = m.rber_with_params(&params, &optimal, k);
+                        let own = m.rber_optimal_with_params(&params, k);
+                        assert_eq!(own.to_bits(), full.to_bits(), "{k} pe {pe} days {days}");
+                    }
+                }
+            }
         }
     }
 

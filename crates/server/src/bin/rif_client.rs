@@ -34,6 +34,8 @@
 //! rif-client --addr ADDR --shutdown  # stop the server
 //! ```
 
+use std::str::FromStr;
+
 use rif_server::client::{fetch_stats, flush, run_load, run_mux_load, send_shutdown, LoadConfig};
 use rif_server::replay::{diff_against_capture, run_replay_journaled, ReplayConfig};
 use rif_ssd::{RetryKind, Simulator, SsdConfig};
@@ -50,6 +52,25 @@ fn usage() -> ! {
          \x20      rif-client --replay-offline FILE [--scheme LABEL] [--pe-cycles N]"
     );
     std::process::exit(2);
+}
+
+/// `value` parsed as a `T`; otherwise the usage text, after naming `flag`
+/// and the value it could not read.
+fn parse<T: FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("bad value for {flag}: `{value}`");
+        usage()
+    })
+}
+
+/// Exits with the usage text after `flag`'s complaint unless `n` is
+/// positive.
+fn positive(flag: &str, n: usize) -> usize {
+    if n == 0 {
+        eprintln!("{flag} must be positive");
+        usage();
+    }
+    n
 }
 
 /// Exits with the usage text when `flag` has made the synthetic workload
@@ -99,55 +120,61 @@ fn main() {
         };
         match flag.as_str() {
             "--addr" => cfg.addr = val("--addr"),
-            "--threads" => threads = Some(val("--threads").parse().unwrap_or_else(|_| usage())),
+            "--threads" => {
+                threads = Some(positive("--threads", parse("--threads", &val("--threads"))))
+            }
             "--stats" => mode = Mode::Stats,
             "--flush" => mode = Mode::Flush,
             "--shutdown" => mode = Mode::Shutdown,
-            "--requests" => cfg.requests = val("--requests").parse().unwrap_or_else(|_| usage()),
+            "--requests" => cfg.requests = parse("--requests", &val("--requests")),
             "--connections" => {
-                cfg.connections = val("--connections").parse().unwrap_or_else(|_| usage())
+                cfg.connections = positive(
+                    "--connections",
+                    parse("--connections", &val("--connections")),
+                )
             }
-            "--depth" => {
-                cfg.depth = val("--depth").parse().unwrap_or_else(|_| usage());
-                if cfg.depth == 0 {
-                    eprintln!("--depth must be positive");
-                    usage();
-                }
-            }
+            "--depth" => cfg.depth = positive("--depth", parse("--depth", &val("--depth"))),
             "--read-ratio" => {
-                cfg.read_ratio = val("--read-ratio").parse().unwrap_or_else(|_| usage());
+                cfg.read_ratio = parse("--read-ratio", &val("--read-ratio"));
                 check_workload(&cfg, "--read-ratio");
             }
             "--zipf" => {
-                cfg.zipf_s = val("--zipf").parse().unwrap_or_else(|_| usage());
+                cfg.zipf_s = parse("--zipf", &val("--zipf"));
                 check_workload(&cfg, "--zipf");
             }
             "--request-kib" => {
-                let kib: u32 = val("--request-kib").parse().unwrap_or_else(|_| usage());
+                let kib: u32 = parse("--request-kib", &val("--request-kib"));
                 cfg.request_bytes = kib.checked_mul(1024).unwrap_or_else(|| {
                     eprintln!("--request-kib {kib} overflows");
                     usage()
                 });
                 check_workload(&cfg, "--request-kib");
             }
-            "--tenant" => cfg.tenant = val("--tenant").parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
+            "--tenant" => cfg.tenant = parse("--tenant", &val("--tenant")),
+            "--seed" => cfg.seed = parse("--seed", &val("--seed")),
             "--max-busy-retries" => {
-                cfg.max_busy_retries = val("--max-busy-retries")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
+                cfg.max_busy_retries = parse("--max-busy-retries", &val("--max-busy-retries"))
             }
             "--deadline-ms" => {
-                let ms: u64 = val("--deadline-ms").parse().unwrap_or_else(|_| usage());
+                let ms: u64 = parse("--deadline-ms", &val("--deadline-ms"));
                 cfg.request_deadline = std::time::Duration::from_millis(ms);
             }
-            "--batch" => cfg.batch = val("--batch").parse().unwrap_or_else(|_| usage()),
-            "--speed" => speed = val("--speed").parse().unwrap_or_else(|_| usage()),
+            "--batch" => cfg.batch = parse("--batch", &val("--batch")),
+            "--speed" => speed = parse("--speed", &val("--speed")),
             "--replay" => mode = Mode::Replay(val("--replay")),
             "--replay-offline" => mode = Mode::ReplayOffline(val("--replay-offline")),
-            "--scheme" => scheme = RetryKind::by_label(&val("--scheme")).unwrap_or_else(|| usage()),
-            "--pe-cycles" => pe_cycles = val("--pe-cycles").parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
+            "--scheme" => {
+                let label = val("--scheme");
+                scheme = RetryKind::by_label(&label).unwrap_or_else(|| {
+                    eprintln!("bad value for --scheme: `{label}`");
+                    usage()
+                })
+            }
+            "--pe-cycles" => pe_cycles = parse("--pe-cycles", &val("--pe-cycles")),
+            other => {
+                eprintln!("unknown flag `{other}`");
+                usage()
+            }
         }
     }
     if speed <= 0.0 {

@@ -397,14 +397,14 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
 /// Like [`run_load`] but also returns the request [`Journal`] for
 /// contract checking.
 pub fn run_load_journaled(cfg: &LoadConfig) -> io::Result<(LoadReport, Journal)> {
-    run_plans(cfg, plans(cfg))
+    run_plans(cfg, plans(cfg)?)
 }
 
 /// Runs the same closed loop as [`run_load`] with the connections dealt
 /// round-robin onto `threads` workers instead of one worker each, so
 /// concurrent connections cost sockets, not threads.
 pub fn run_mux_load(cfg: &LoadConfig, threads: usize) -> io::Result<LoadReport> {
-    run_grouped(cfg, plans(cfg), threads).map(|(report, _journal)| report)
+    run_grouped(cfg, plans(cfg)?, threads).map(|(report, _journal)| report)
 }
 
 /// Drives one pre-built request plan per connection through the server,
@@ -416,7 +416,9 @@ pub fn run_plans(
     cfg: &LoadConfig,
     plans: Vec<Vec<PlannedIo>>,
 ) -> io::Result<(LoadReport, Journal)> {
-    let workers = plans.len();
+    // An empty plan set (a capture with no connection) still gets its one
+    // worker, which has nothing to do.
+    let workers = plans.len().max(1);
     run_grouped(cfg, plans, workers)
 }
 
@@ -434,7 +436,13 @@ fn run_grouped(
             "need a send window: depth must be positive",
         ));
     }
-    let workers = workers.clamp(1, plans.len().max(1));
+    if workers == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "need a worker: threads must be positive",
+        ));
+    }
+    let workers = workers.min(plans.len().max(1));
     let mut groups: Vec<Vec<(usize, Vec<PlannedIo>)>> = vec![Vec::new(); workers];
     for (conn, plan) in plans.into_iter().enumerate() {
         if !plan.is_empty() {
@@ -461,14 +469,20 @@ fn run_grouped(
 
 /// The synthetic closed-loop plans: `cfg.requests` dealt evenly over
 /// `cfg.connections` (the first `requests % connections` get one more).
-fn plans(cfg: &LoadConfig) -> Vec<Vec<PlannedIo>> {
-    let conns = cfg.connections.max(1);
-    (0..conns)
+fn plans(cfg: &LoadConfig) -> io::Result<Vec<Vec<PlannedIo>>> {
+    let conns = cfg.connections;
+    if conns == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "need a connection: connections must be positive",
+        ));
+    }
+    Ok((0..conns)
         .map(|conn| {
             let n = cfg.requests / conns + usize::from(conn < cfg.requests % conns);
             plan(cfg, conn, n)
         })
-        .collect()
+        .collect())
 }
 
 fn plan(cfg: &LoadConfig, conn: usize, n: usize) -> Vec<PlannedIo> {
@@ -1676,7 +1690,8 @@ mod tests {
             ..LoadConfig::default()
         };
         let runs = [1, 3, cfg.connections].map(|workers| {
-            let (report, journal) = run_grouped(&cfg, plans(&cfg), workers).expect("load");
+            let plans = plans(&cfg).expect("plans");
+            let (report, journal) = run_grouped(&cfg, plans, workers).expect("load");
             // The clauses of `rif_chaos::ContractChecker::strict()`, which
             // depends on this crate and so cannot be called from here:
             // no silent tag, no conflicting or unknown receipt, and every
@@ -1798,5 +1813,25 @@ mod tests {
         };
         let err = run_load(&cfg).expect_err("a zero window cannot run");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn zero_connections_or_zero_workers_are_refused_before_connecting() {
+        // As above: nothing listens on the discard port.
+        let cfg = LoadConfig {
+            addr: "127.0.0.1:9".into(),
+            ..LoadConfig::default()
+        };
+        let no_conns = LoadConfig {
+            connections: 0,
+            ..cfg.clone()
+        };
+        for err in [
+            run_load(&no_conns).expect_err("no connection cannot run"),
+            run_mux_load(&no_conns, 1).expect_err("no connection cannot run"),
+            run_mux_load(&cfg, 0).expect_err("no worker cannot run"),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
     }
 }

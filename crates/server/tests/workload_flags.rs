@@ -1,9 +1,10 @@
-//! `rif-client` refuses an out-of-range workload flag or a zero send
-//! window with its usage text and exit status 2, before it opens a
-//! socket. The address points at the discard port, where nothing
-//! listens: a client that got past its flags would fail to connect and
-//! exit 1 instead. `rif-server` refuses a size flag that overflows once
-//! scaled to bytes the same way, before it binds.
+//! `rif-client` refuses an out-of-range workload flag, a zero send
+//! window, connection count or worker count, a value it cannot read and
+//! a flag it does not know with its usage text and exit status 2, before
+//! it opens a socket. The address points at the discard port, where
+//! nothing listens: a client that got past its flags would fail to
+//! connect and exit 1 instead. `rif-server` refuses a size flag that
+//! overflows once scaled to bytes the same way, before it binds.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -17,6 +18,8 @@ fn out_of_range_workload_flags_print_usage_and_exit_2() {
         ("--read-ratio", "1.5"),
         ("--request-kib", "3"),
         ("--depth", "0"),
+        ("--connections", "0"),
+        ("--threads", "0"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_rif-client"))
             .args(["--addr", "127.0.0.1:9", "--requests", "10", flag, value])
@@ -29,6 +32,30 @@ fn out_of_range_workload_flags_print_usage_and_exit_2() {
             stderr.contains("usage: rif-client"),
             "{flag} {value}: {stderr}"
         );
+    }
+}
+
+#[test]
+fn an_unreadable_value_or_an_unknown_flag_is_named_before_the_usage_text() {
+    for (flag, value) in [
+        ("--requests", "abc"),
+        ("--threads", "-1"),
+        ("--zipf", "x"),
+        ("--scheme", "NOPE"),
+        ("--bogus", "1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rif-client"))
+            .args(["--addr", "127.0.0.1:9", flag, value])
+            .output()
+            .expect("rif-client runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        let named = match flag {
+            "--bogus" => format!("unknown flag `{flag}`"),
+            _ => format!("bad value for {flag}: `{value}`"),
+        };
+        let (says, usage) = (stderr.find(&named), stderr.find("usage: rif-client"));
+        assert!(says.is_some() && says < usage, "{flag} {value}: {stderr}");
     }
 }
 

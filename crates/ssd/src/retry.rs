@@ -120,12 +120,14 @@ impl RetryKind {
     }
 
     /// The initial-read RBER for this scheme, given the page's RBER at
-    /// default references and at near-optimal references: the defaults,
-    /// moved toward the optimum by the scheme's V_REF-tracking weight.
-    pub fn initial_rber(&self, rber_default: f64, rber_optimal: f64) -> f64 {
+    /// default references and the price of its RBER at near-optimal
+    /// references: the defaults, moved toward the optimum by the scheme's
+    /// V_REF-tracking weight. A row that tracks nothing never prices the
+    /// optimum.
+    pub fn initial_rber(&self, rber_default: f64, rber_optimal: impl FnOnce() -> f64) -> f64 {
         let w = self.row().tracking;
         if w > 0.0 {
-            rber_default * (rber_optimal / rber_default).powf(w)
+            rber_default * (rber_optimal() / rber_default).powf(w)
         } else {
             rber_default
         }
@@ -200,10 +202,10 @@ mod tests {
     fn swr_plus_initial_rber_between_default_and_optimal() {
         let d = 0.01;
         let o = 0.0004;
-        let r = RetryKind::SwiftReadPlus.initial_rber(d, o);
+        let r = RetryKind::SwiftReadPlus.initial_rber(d, || o);
         assert!(r < d && r > o, "got {r}");
-        assert_eq!(RetryKind::SwiftRead.initial_rber(d, o), d);
-        assert_eq!(RetryKind::Rif.initial_rber(d, o), d);
+        assert_eq!(RetryKind::SwiftRead.initial_rber(d, || o), d);
+        assert_eq!(RetryKind::Rif.initial_rber(d, || o), d);
     }
 
     #[test]
@@ -241,7 +243,7 @@ mod tests {
             assert_eq!(k.retry_sense(&t).as_us(), retry, "{label}");
             assert_eq!(k.never_fails(), k == Zero, "{label}");
             let tracks = k == SwiftReadPlus;
-            assert_eq!(k.initial_rber(0.01, 0.0004) < 0.01, tracks, "{label}");
+            assert_eq!(k.initial_rber(0.01, || 0.0004) < 0.01, tracks, "{label}");
             assert_eq!(k.sees_syndrome_weight(), k.has_predictor() || tracks);
         }
         // Sense, predict, re-sense: the ODEAR in-die retry of Fig. 8.

@@ -118,7 +118,7 @@ impl Simulator {
     /// One background-scheduler tick: drains the SLC cache oldest-first
     /// toward the low watermark, turns due refresh rewrites into die work,
     /// and re-arms itself while foreground requests remain.
-    pub(super) fn on_bg_tick(&mut self, now: SimTime) {
+    pub(super) fn on_bg_tick(&mut self, now: SimTime, stream: &Stream) {
         let Some(mut h) = self.hybrid.take() else {
             return;
         };
@@ -182,7 +182,7 @@ impl Simulator {
             h.tick_armed = true;
             let mut at = now + BG_TICK;
             if migrated + refreshed == 0 {
-                if let Some(next) = self.events.peek_time() {
+                if let Some(next) = self.next_instant(stream) {
                     at = at.max(next);
                 }
             }

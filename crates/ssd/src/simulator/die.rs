@@ -157,7 +157,13 @@ impl Simulator {
         self.die_try_start(now, die);
     }
 
-    pub(super) fn on_die_done(&mut self, now: SimTime, die: usize, epoch: u32) {
+    pub(super) fn on_die_done(
+        &mut self,
+        now: SimTime,
+        die: usize,
+        epoch: u32,
+        stream: &mut Stream,
+    ) {
         if epoch != self.dies[die].epoch {
             return; // completion of a command that was suspended
         }
@@ -171,7 +177,7 @@ impl Simulator {
             DieWork::Program { req } => {
                 self.requests[req].remaining -= 1;
                 if self.requests[req].remaining == 0 {
-                    self.complete_request(now, req);
+                    self.complete_request(now, req, stream);
                 }
             }
             DieWork::Bg(_) => {}

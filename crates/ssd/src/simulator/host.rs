@@ -1,10 +1,83 @@
-//! The host side: requests admitted up to the queue depth and completed
-//! under the id they were submitted with; the host link between —
+//! The host side: requests waiting in arrival order outside the engine,
+//! admitted up to the queue depth and completed under the id they were
+//! submitted with; the host link between —
 //! completed read data out, write data in, one request at a time in
 //! arrival order — and the write launch behind it: mapping, channel
 //! transfers, then the die program.
 
 use super::*;
+
+/// A request submitted and not yet admitted: the id it completes under,
+/// the sequence number that orders its arrival among the event queue's
+/// events (as if its arrival were one), and the request, its arrival
+/// clamped to the clock it was submitted at.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Waiting {
+    pub(super) id: u64,
+    pub(super) seq: u64,
+    pub(super) req: IoRequest,
+}
+
+impl Waiting {
+    #[inline]
+    pub(super) fn key(&self) -> EventKey {
+        EventKey::new(self.req.arrival, self.seq)
+    }
+}
+
+/// [`Simulator::run`]'s trace, read in place: request `i` waits as if it
+/// had been submitted with id `id0 + i` and sequence number `seq0 + i` at
+/// clock `floor`. Those before `admitted` have been admitted, those
+/// before `arrived` have arrived.
+pub(super) struct Stream<'t> {
+    reqs: &'t [IoRequest],
+    id0: u64,
+    seq0: u64,
+    floor: SimTime,
+    admitted: usize,
+    pub(super) arrived: usize,
+}
+
+impl<'t> Stream<'t> {
+    pub(super) fn new(reqs: &'t [IoRequest], id0: u64, seq0: u64, floor: SimTime) -> Self {
+        Stream {
+            reqs,
+            id0,
+            seq0,
+            floor,
+            admitted: 0,
+            arrived: 0,
+        }
+    }
+
+    /// The stepper's: nothing to read.
+    pub(super) fn none() -> Stream<'static> {
+        Stream::new(&[], 0, 0, SimTime::ZERO)
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<Waiting> {
+        self.reqs.get(i).map(|r| Waiting {
+            id: self.id0 + i as u64,
+            seq: self.seq0 + i as u64,
+            req: IoRequest {
+                arrival: r.arrival.max(self.floor),
+                ..*r
+            },
+        })
+    }
+}
+
+/// The earlier by key of a submitted and a streamed request, and whether
+/// it is the streamed one.
+#[inline]
+fn first_by_key(queued: Option<Waiting>, streamed: Option<Waiting>) -> Option<(Waiting, bool)> {
+    match (queued, streamed) {
+        (Some(q), Some(s)) if s.key() < q.key() => Some((s, true)),
+        (Some(q), _) => Some((q, false)),
+        (None, s) => s.map(|s| (s, true)),
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Request {
@@ -68,23 +141,65 @@ pub(super) struct WriteJob {
 }
 
 impl Simulator {
-    pub(super) fn on_arrive(&mut self, now: SimTime, req: usize) {
-        if self.outstanding < self.cfg.queue_depth {
-            self.admit(now, req);
-        } else {
-            self.backlog.push_back(req);
-        }
+    /// The next request to arrive, submitted or `stream`'s, and whether
+    /// it is `stream`'s.
+    #[inline]
+    pub(super) fn next_arrival(&self, stream: &Stream) -> Option<(Waiting, bool)> {
+        let queued = self.waiting.get(self.arrived).copied();
+        first_by_key(queued, stream.get(stream.arrived))
     }
 
-    fn admit(&mut self, now: SimTime, req: usize) {
+    /// The instant of the next event or arrival, `stream`'s included.
+    pub(super) fn next_instant(&self, stream: &Stream) -> Option<SimTime> {
+        let arrival = self.next_arrival(stream).map(|(w, _)| w.key());
+        arrival
+            .into_iter()
+            .chain(self.events.peek_key())
+            .min()
+            .map(EventKey::at)
+    }
+
+    /// The one admission: if the queue depth allows, the oldest request
+    /// that has arrived, submitted or `stream`'s, takes a slot in the
+    /// request table and starts.
+    pub(super) fn admit_arrived(&mut self, now: SimTime, stream: &mut Stream) {
+        if self.outstanding >= self.cfg.queue_depth {
+            return;
+        }
+        let queued = self.waiting.front().filter(|_| self.arrived > 0).copied();
+        let streamed = stream
+            .get(stream.admitted)
+            .filter(|_| stream.admitted < stream.arrived);
+        let Some((w, streamed)) = first_by_key(queued, streamed) else {
+            return;
+        };
+        if streamed {
+            stream.admitted += 1;
+        } else {
+            self.waiting.pop_front();
+            self.arrived -= 1;
+        }
+        self.admit(now, w);
+    }
+
+    fn admit(&mut self, now: SimTime, w: Waiting) {
         self.outstanding += 1;
-        let r = self.requests[req];
+        let r = w.req;
+        let req = self.requests.insert(Request {
+            id: w.id,
+            arrival: r.arrival,
+            op: r.op,
+            offset: r.offset,
+            bytes: r.bytes,
+            remaining: 0,
+            span: 0,
+        });
         if self.observing() {
             let name = match r.op {
                 IoOp::Read => "request_read",
                 IoOp::Write => "request_write",
             };
-            let (id, bytes) = (Some(r.id), Some(r.bytes as u64));
+            let (id, bytes) = (Some(w.id), Some(r.bytes as u64));
             self.requests[req].span = self.tracer.span_begin(now, name, None, None, id, bytes);
             self.count(now, "requests.admitted", 1);
             if let Some(m) = &mut self.metrics {
@@ -145,9 +260,9 @@ impl Simulator {
             .schedule(now + self.cfg.host_transfer(bytes), Ev::HostDone);
     }
 
-    pub(super) fn on_host_done(&mut self, now: SimTime) {
+    pub(super) fn on_host_done(&mut self, now: SimTime, stream: &mut Stream) {
         match self.host.finish(now, &mut self.tracer) {
-            HostJob::ReadCompletion { req } => self.complete_request(now, req),
+            HostJob::ReadCompletion { req } => self.complete_request(now, req, stream),
             HostJob::WriteIngress { req } => self.launch_write(now, req),
         }
         self.host_try_start(now);
@@ -205,9 +320,9 @@ impl Simulator {
     }
 
     /// Closes a request's books and its span, surfaces the completion
-    /// under the request's id, frees its slot and admits the next
-    /// backlogged request.
-    pub(super) fn complete_request(&mut self, now: SimTime, req: usize) {
+    /// under the request's id, frees its slot and admits the oldest
+    /// request that has arrived.
+    pub(super) fn complete_request(&mut self, now: SimTime, req: usize, stream: &mut Stream) {
         let r = self.requests[req];
         // Admitted, every group or program done: nothing names the slot.
         self.requests.release(req);
@@ -234,8 +349,6 @@ impl Simulator {
             });
         }
         self.outstanding -= 1;
-        if let Some(next) = self.backlog.pop_front() {
-            self.admit(now, next);
-        }
+        self.admit_arrived(now, stream);
     }
 }

@@ -12,10 +12,11 @@
 //! * the **host link** serializes completed read data and incoming write
 //!   data at 8 GB/s.
 //!
-//! Host requests are admitted up to the queue depth; each read request
-//! splits into per-die *slot groups* (up to 4 pages sensed by one
-//! multi-plane command) that flow through sense → transfer → decode, with
-//! scheme-specific retry behaviour on decode failure.
+//! Host requests wait outside the engine, in arrival order, until they are
+//! admitted up to the queue depth; each read request splits into per-die
+//! *slot groups* (up to 4 pages sensed by one multi-plane command) that
+//! flow through sense → transfer → decode, with scheme-specific retry
+//! behaviour on decode failure.
 //!
 //! One module per resource, each a `Station` plus the rule that picks
 //! its next job: `die`, `channel`, `ecc`, `host` (admission, the link,
@@ -24,15 +25,17 @@
 //! [`crate::retry`] row, never of a scheme by name), retries and the
 //! learner; `background` is the hybrid device's scheduler. This file
 //! holds what they share: the event type, the station, the request tables,
-//! the stepper API and the report. Small helpers called across modules are
-//! `#[inline]`: codegen units follow modules, and without it the split
-//! cost `sim_read_retry` about 4 %.
+//! the one event loop, the stepper API and the report. Small helpers
+//! called across modules are `#[inline]`: codegen units follow modules,
+//! and without it the split cost `sim_read_retry` about 4 %.
 
 use std::collections::VecDeque;
 use std::ops::{Index, IndexMut};
 
 use rif_events::trace::{labeled, MetricsRegistry, TraceSink, Tracer};
-use rif_events::{EventQueue, LatencyHistogram, SimDuration, SimRng, SimTime, UtilizationTracker};
+use rif_events::{
+    EventKey, EventQueue, LatencyHistogram, SimDuration, SimRng, SimTime, UtilizationTracker,
+};
 use rif_flash::chip::FlashTiming;
 use rif_flash::learn::{ReadOutcome, ThresholdLearner};
 use rif_flash::rber::{BlockProfile, ErrorModel};
@@ -62,13 +65,11 @@ use channel::{Channel, Transfer, XferKind};
 use die::{gc_duration, Die, DieCmd, DieWork};
 use ecc::EccEngine;
 pub use host::Completion;
-use host::{HostJob, Request, WriteJob};
+use host::{HostJob, Request, Stream, Waiting, WriteJob};
 use read_path::{GroupPhase, ReadGroup};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
-    /// Arrival of the request in this slot of the request table.
-    Arrive(usize),
     DieDone(usize, u32),
     ChanDone(usize),
     EccDone(usize),
@@ -194,14 +195,19 @@ pub struct Simulator {
     channels: Vec<Channel>,
     ecc: Vec<EccEngine>,
     host: Station<HostJob>,
-    // What is in flight or backlogged, by slot: never the whole history,
+    // What is admitted and in flight, by slot: never the whole history,
     // however long a stepper-driven simulator lives.
     requests: Slab<Request>,
     groups: Slab<ReadGroup>,
     write_jobs: Slab<WriteJob>,
     /// Requests ever submitted; the next request's id.
     submitted: u64,
-    backlog: VecDeque<usize>,
+    /// Requests [`Simulator::submit`] handed in and not yet admitted, in
+    /// key order; the first `arrived` of them have arrived and wait for
+    /// queue depth.
+    waiting: VecDeque<Waiting>,
+    arrived: usize,
+    /// Admitted requests not yet completed.
     outstanding: usize,
     completions: Vec<Completion>,
     /// Whether finished requests are kept for
@@ -226,6 +232,17 @@ pub struct Simulator {
     uncor_page_transfers: u64,
     page_senses: u64,
     last_completion: SimTime,
+}
+
+/// Refuses a request the slot tables or the clock cannot hold (see
+/// [`Simulator::submit`]).
+fn check_request(r: &IoRequest) {
+    let end = r.offset.saturating_add(u64::from(r.bytes));
+    assert!(end <= MAX_END_BYTES, "request {r:?} ends past byte 2^48");
+    assert!(
+        r.arrival <= MAX_ARRIVAL,
+        "request {r:?} arrives past 2^62 ns"
+    );
 }
 
 impl Simulator {
@@ -269,7 +286,8 @@ impl Simulator {
             groups: Slab::new(),
             write_jobs: Slab::new(),
             submitted: 0,
-            backlog: VecDeque::new(),
+            waiting: VecDeque::new(),
+            arrived: 0,
             outstanding: 0,
             completions: Vec::new(),
             keep_completions: true,
@@ -331,32 +349,53 @@ impl Simulator {
 
     /// Runs the trace to completion and returns the report.
     ///
-    /// This is a thin wrapper over the incremental stepper API: every
-    /// request is [`submitted`](Simulator::submit) up-front, the event
-    /// loop is advanced past the last event, and the accumulated state is
-    /// [`finished`](Simulator::finish) into a report. Driving the stepper
-    /// by hand with the same trace yields a byte-identical canonical
-    /// report (see the `sim_determinism_golden` suite). The only
-    /// difference is that no [`Completion`] is kept: nothing could drain
-    /// it.
+    /// The same engine as the stepper API: it is as if every request were
+    /// [`submitted`](Simulator::submit) up front, the event loop advanced
+    /// past the last event and the state [`finished`](Simulator::finish)
+    /// into a report, and driving the stepper by hand with the same trace
+    /// yields a byte-identical canonical report (see the
+    /// `sim_determinism_golden` suite). But a request not yet admitted is
+    /// read from `trace` in place, when its turn comes, so the run's
+    /// memory follows the queue depth and the device state, not the
+    /// trace's length; and no [`Completion`] is kept, since nothing could
+    /// drain it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a request [`Simulator::submit`] refuses.
     pub fn run(mut self, trace: &Trace) -> SimReport {
         self.keep_completions = false;
-        self.events.reserve(trace.len());
-        for r in trace.iter() {
-            self.submit(*r);
+        let mut rest = trace.requests();
+        if let Some((first, tail)) = rest.split_first() {
+            // Through `submit`, which arms the hybrid device's first tick
+            // right behind it, as submitting the trace in turn would.
+            self.submit(*first);
+            rest = tail;
         }
-        self.advance_until(SimTime::MAX);
+        rest.iter().for_each(check_request);
+        let n = rest.len() as u64;
+        let mut stream = Stream::new(
+            rest,
+            self.submitted,
+            self.events.take_seqs(n),
+            self.events.now(),
+        );
+        self.submitted += n;
+        self.pump(SimTime::MAX, &mut stream);
         self.finish()
     }
 
     // ----- stepper API ---------------------------------------------------
 
-    /// Injects one host request into the live event loop and returns its
-    /// id (submission order, also the [`Completion::id`] it completes
+    /// Hands one host request to the simulator and returns its id
+    /// (submission order, also the [`Completion::id`] it completes
     /// under).
     ///
-    /// An arrival earlier than the simulation clock is clamped to the
-    /// clock: the request arrives "now". This is what lets a service
+    /// The request waits outside the engine, a compact record in arrival
+    /// order, until the event loop reaches its arrival and the queue
+    /// depth lets it in; only then does it take a slot in the request
+    /// table. An arrival earlier than the simulation clock is clamped to
+    /// the clock: the request arrives "now". This is what lets a service
     /// layer feed wall-clock-paced arrivals into a running simulation
     /// without ever scheduling into the past.
     ///
@@ -368,47 +407,68 @@ impl Simulator {
     /// 2^62 ns ([`MAX_ARRIVAL`]), which leaves the clock headroom for its
     /// service time.
     pub fn submit(&mut self, r: IoRequest) -> u64 {
-        let end = r.offset.saturating_add(u64::from(r.bytes));
-        assert!(end <= MAX_END_BYTES, "request {r:?} ends past byte 2^48");
-        assert!(
-            r.arrival <= MAX_ARRIVAL,
-            "request {r:?} arrives past 2^62 ns"
-        );
-        let id = self.submitted;
+        check_request(&r);
+        let w = Waiting {
+            id: self.submitted,
+            seq: self.events.take_seqs(1),
+            req: IoRequest {
+                arrival: r.arrival.max(self.events.now()),
+                ..r
+            },
+        };
         self.submitted += 1;
-        let arrival = r.arrival.max(self.events.now());
-        let slot = self.requests.insert(Request {
-            id,
-            arrival,
-            op: r.op,
-            offset: r.offset,
-            bytes: r.bytes,
-            remaining: 0,
-            span: 0,
-        });
-        self.events.schedule(arrival, Ev::Arrive(slot));
+        // After every request that arrived: its instant is the clock's
+        // or later, and its sequence number the largest yet.
+        let at = self.waiting.partition_point(|q| q.key() < w.key());
+        self.waiting.insert(at, w);
         self.arm_bg_tick();
-        id
+        w.id
     }
 
-    /// Processes every pending event with a timestamp at or before
-    /// `limit`, returning the number of events handled. The clock never
-    /// moves past the last handled event, so a later [`Simulator::submit`]
+    /// Processes every pending event and arrival with a timestamp at or
+    /// before `limit`, returning the number handled. The clock never
+    /// moves past the last one handled, so a later [`Simulator::submit`]
     /// may still arrive anywhere in `(clock, limit]`.
     pub fn advance_until(&mut self, limit: SimTime) -> usize {
+        self.pump(limit, &mut Stream::none())
+    }
+
+    /// The one event loop: the queue's events and the waiting requests'
+    /// arrivals (submitted ones and `stream`'s), one at a time in key
+    /// order, up to `limit`. An arrival admits the oldest arrived request
+    /// if the queue depth allows.
+    fn pump(&mut self, limit: SimTime, stream: &mut Stream) -> usize {
         let mut handled = 0;
-        while let Some(at) = self.events.peek_time() {
-            if at > limit {
+        let mut arrival = self.next_arrival(stream);
+        loop {
+            let event = self.events.peek_key();
+            let arrival_key = arrival.map(|(w, _)| w.key());
+            let Some(next) = arrival_key.into_iter().chain(event).min() else {
+                break;
+            };
+            let now = next.at();
+            if now > limit {
                 break;
             }
-            let (now, ev) = self.events.pop().expect("peeked event exists");
-            match ev {
-                Ev::Arrive(slot) => self.on_arrive(now, slot),
-                Ev::DieDone(d, epoch) => self.on_die_done(now, d, epoch),
-                Ev::ChanDone(c) => self.on_chan_done(now, c),
-                Ev::EccDone(c) => self.on_ecc_done(now, c),
-                Ev::HostDone => self.on_host_done(now),
-                Ev::BgTick => self.on_bg_tick(now),
+            if Some(next) == event {
+                let (_, ev) = self.events.pop().expect("peeked event exists");
+                match ev {
+                    Ev::DieDone(d, epoch) => self.on_die_done(now, d, epoch, stream),
+                    Ev::ChanDone(c) => self.on_chan_done(now, c),
+                    Ev::EccDone(c) => self.on_ecc_done(now, c),
+                    Ev::HostDone => self.on_host_done(now, stream),
+                    Ev::BgTick => self.on_bg_tick(now, stream),
+                }
+            } else {
+                self.events.advance_to(now);
+                let (_, streamed) = arrival.expect("the next key is an arrival's");
+                if streamed {
+                    stream.arrived += 1;
+                } else {
+                    self.arrived += 1;
+                }
+                self.admit_arrived(now, stream);
+                arrival = self.next_arrival(stream);
             }
             handled += 1;
         }
@@ -426,18 +486,19 @@ impl Simulator {
         self.events.now()
     }
 
-    /// Timestamp of the next pending event, if any.
+    /// Timestamp of the next pending event or arrival, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.events.peek_time()
+        self.next_instant(&Stream::none())
     }
 
-    /// Number of pending events in the queue.
+    /// Number of pending events in the queue plus the submitted requests
+    /// not yet arrived.
     pub fn pending_events(&self) -> usize {
-        self.events.len()
+        self.events.len() + self.waiting.len() - self.arrived
     }
 
-    /// Submitted requests that have not completed yet (in flight or
-    /// backlogged behind the queue depth).
+    /// Submitted requests that have not completed yet (in flight, or
+    /// waiting to arrive or for queue depth).
     pub fn unfinished_requests(&self) -> usize {
         (self.submitted - self.completed_requests) as usize
     }

@@ -30,7 +30,9 @@ pub(super) struct ReadGroup {
     /// learner score of the group is priced from them.
     params: [StateParam; 8],
     /// RBER at the oracle's optimal references, what an oracle retry
-    /// senses at (`None` in learned mode, whose retries re-calibrate).
+    /// senses at: priced where it is first read (the initial sense of a
+    /// V_REF-tracking row, else the first corrective read), then kept.
+    /// Always `None` in learned mode, whose retries re-calibrate.
     rber_optimal: Option<f64>,
     /// RBER of the currently sensed data.
     cur_rber: f64,
@@ -111,9 +113,11 @@ impl Simulator {
             }
             None => {
                 let rber_default = amplify(model.rber_default_with(&params, kind));
-                let rber_optimal = amplify(model.rber_optimal_with(&params, kind));
-                let initial = self.cfg.retry.initial_rber(rber_default, rber_optimal);
-                (initial, Some(rber_optimal))
+                let mut optimal = None;
+                let initial = self.cfg.retry.initial_rber(rber_default, || {
+                    *optimal.insert(amplify(model.rber_optimal_with(&params, kind)))
+                });
+                (initial, optimal)
             }
         };
         let group = ReadGroup {
@@ -224,13 +228,15 @@ impl Simulator {
     /// references it selects, and the uniform offset they apply relative
     /// to the defaults — the noisy drift observation the learner consumes.
     fn corrective_rber(&mut self, gid: usize) -> (f64, Option<f64>) {
-        let g = &self.groups[gid];
         let Some(sw) = &self.swift else {
-            return (
-                g.rber_optimal.expect("oracle groups price the optimum"),
-                None,
-            );
+            let g = &mut self.groups[gid];
+            let model = &self.error_model;
+            let rber = *g.rber_optimal.get_or_insert_with(|| {
+                amplified(g.amp, model.rber_optimal_with(&g.params, g.loc.kind()))
+            });
+            return (rber, None);
         };
+        let g = &self.groups[gid];
         let kind = g.loc.kind();
         let n_cells = self.cfg.geometry.page_bytes * 8;
         let observed = sw.observe_ones_with(&g.params, kind, n_cells, &mut self.rng);
