@@ -46,7 +46,7 @@ use std::time::Duration;
 use rif_chaos::plan::{schedule_json, FaultPlan};
 use rif_chaos::proxy::ChaosProxy;
 use rif_chaos::scenario::{run_scenario, ScenarioConfig};
-use rif_cluster::cli::Flags;
+use rif_server::cli::Flags;
 use rif_workloads::SynthConfig;
 
 fn usage() -> ! {
@@ -122,6 +122,7 @@ fn run_cmd(rest: &[String]) {
             "--read-ratio",
             "--workload-seed",
         ],
+        &[],
         usage,
     );
     let mut cfg = ScenarioConfig {
@@ -159,7 +160,12 @@ fn run_cmd(rest: &[String]) {
 }
 
 fn proxy_cmd(rest: &[String]) {
-    let flags = Flags::parse(rest, &["--upstream", "--port", "--seed", "--plan"], usage);
+    let flags = Flags::parse(
+        rest,
+        &["--upstream", "--port", "--seed", "--plan"],
+        &[],
+        usage,
+    );
     let upstream = flags.require("--upstream");
     let upstream = upstream
         .parse()
@@ -202,6 +208,7 @@ fn cluster_cmd(rest: &[String]) {
             "--migrate-after-ms",
             "--dir-restart-ms",
         ],
+        &[],
         usage,
     );
     let ms = |name: &str| flags.parsed(name).map(Duration::from_millis);
@@ -264,7 +271,12 @@ fn cluster_cmd(rest: &[String]) {
 }
 
 fn schedule_cmd(rest: &[String]) {
-    let flags = Flags::parse(rest, &["--seed", "--plan", "--conns", "--frames"], usage);
+    let flags = Flags::parse(
+        rest,
+        &["--seed", "--plan", "--conns", "--frames"],
+        &[],
+        usage,
+    );
     let plan = parse_plan(&flags, flags.parsed("--seed"));
     let conns: u64 = flags.parsed("--conns").unwrap_or(2);
     let frames: u64 = flags.parsed("--frames").unwrap_or(256);

@@ -29,9 +29,9 @@
 //! A flag the subcommand does not list, a bad value or `--depth 0`
 //! prints the usage text and exits 2.
 
-use rif_cluster::cli::Flags;
 use rif_cluster::directory::{fetch_cluster_stats, fetch_map_text, request_migrate};
 use rif_cluster::{run_routed, Directory, NodeInfo, RouterConfig, ShardMap};
+use rif_server::cli::Flags;
 
 fn usage() -> ! {
     eprintln!(
@@ -77,6 +77,7 @@ fn directory_cmd(rest: &[String]) {
             "--replicas",
             "--persist",
         ],
+        &[],
         usage,
     );
     let nodes: Vec<NodeInfo> = flags
@@ -118,14 +119,14 @@ fn directory_cmd(rest: &[String]) {
 }
 
 fn map_cmd(rest: &[String]) {
-    let flags = Flags::parse(rest, &["--directory"], usage);
+    let flags = Flags::parse(rest, &["--directory"], &[], usage);
     let (epoch, text) = fetch_map_text(flags.require("--directory")).unwrap_or_else(|e| fail(e));
     eprintln!("epoch {epoch}");
     print!("{text}");
 }
 
 fn migrate_cmd(rest: &[String]) {
-    let flags = Flags::parse(rest, &["--directory", "--range", "--node"], usage);
+    let flags = Flags::parse(rest, &["--directory", "--range", "--node"], &[], usage);
     let range: u32 = flags
         .parsed("--range")
         .unwrap_or_else(|| flags.refuse("--range is required"));
@@ -137,7 +138,7 @@ fn migrate_cmd(rest: &[String]) {
 }
 
 fn stats_cmd(rest: &[String]) {
-    let flags = Flags::parse(rest, &["--directory"], usage);
+    let flags = Flags::parse(rest, &["--directory"], &[], usage);
     let text = fetch_cluster_stats(flags.require("--directory")).unwrap_or_else(|e| fail(e));
     print!("{text}");
 }
@@ -161,6 +162,7 @@ fn load_cmd(rest: &[String]) {
             "--seed",
             "--request-kib",
         ],
+        &[],
         usage,
     );
     let mut cfg = RouterConfig {

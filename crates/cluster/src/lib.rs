@@ -13,9 +13,7 @@
 //!   offset, chases `WRONG_SHARD(epoch)` with map refreshes, and keeps
 //!   the single-node client's contract because it is the same ledger;
 //! - [`stats`] — parsing and merging per-node STATS texts into one
-//!   cluster report (counters add, gauges max, histograms merge);
-//! - [`cli`] — the `--flag value` command line of the `rif-cluster` and
-//!   `rif-chaos` binaries.
+//!   cluster report (counters add, gauges max, histograms merge).
 //!
 //! The wire protocol is `rif-server`'s, cluster messages included:
 //! nodes learn their ownership via `MAP_PUSH`, refuse foreign ranges
@@ -26,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod directory;
 pub mod map;
 pub mod router;

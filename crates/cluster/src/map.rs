@@ -1,12 +1,12 @@
 //! The versioned shard map: which node serves which LBA range.
 //!
 //! The logical device is divided into `ranges` equal LBA spans (the
-//! last absorbs the remainder), exactly mirroring
-//! [`rif_server::shard::ShardSpec`]'s partition math so a cluster of
-//! `rif-server` processes and a single multi-shard process route
-//! identically. Each range is assigned to one node; default placement
-//! uses **rendezvous (highest-random-weight) hashing**, which moves
-//! only the necessary ranges when a node joins or leaves.
+//! last absorbs the remainder) by [`rif_server::shard::ShardSpec`]'s
+//! partition rule, so a cluster of `rif-server` processes and a single
+//! multi-shard process route identically. Each range is assigned to
+//! one node; default placement uses **rendezvous (highest-random-weight)
+//! hashing**, which moves only the necessary ranges when a node joins or
+//! leaves.
 //!
 //! A map is versioned by a monotonic `epoch`. The directory is the only
 //! writer; nodes and routers treat any map with a higher epoch as
@@ -44,6 +44,8 @@
 //! writes (DESIGN §15); on a primary death [`ShardMap::without_node`]
 //! **promotes** a surviving follower rather than re-running rendezvous,
 //! so the replica that already holds the range's data keeps serving it.
+
+use rif_server::shard::ShardSpec;
 
 /// One serving endpoint in the map.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -334,13 +336,12 @@ impl ShardMap {
         Ok(next)
     }
 
-    /// The LBA range `offset` falls into — the same span math as
-    /// `ShardSpec::route`, so a map with `ranges == shards` routes
-    /// bit-identically to the in-process shard router.
+    /// The LBA range `offset` falls into: the in-process shard router's
+    /// rule ([`ShardSpec::route`]) on the wrapped offset, so a map with
+    /// `ranges == shards` routes exactly as a node does.
     pub fn range_of(&self, offset: u64) -> u32 {
         let wrapped = offset % self.capacity_bytes;
-        let span = self.capacity_bytes / self.ranges as u64;
-        ((wrapped / span) as u32).min(self.ranges - 1)
+        ShardSpec::route(self.capacity_bytes, self.ranges as usize, wrapped) as u32
     }
 
     /// The node serving `range`.

@@ -34,8 +34,9 @@
 //! rif-client --addr ADDR --shutdown  # stop the server
 //! ```
 
-use std::str::FromStr;
+use std::time::Duration;
 
+use rif_server::cli::Flags;
 use rif_server::client::{fetch_stats, flush, run_load, run_mux_load, send_shutdown, LoadConfig};
 use rif_server::replay::{diff_against_capture, run_replay_journaled, ReplayConfig};
 use rif_ssd::{RetryKind, Simulator, SsdConfig};
@@ -54,42 +55,13 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// `value` parsed as a `T`; otherwise the usage text, after naming `flag`
-/// and the value it could not read.
-fn parse<T: FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("bad value for {flag}: `{value}`");
-        usage()
-    })
-}
-
-/// Exits with the usage text after `flag`'s complaint unless `n` is
-/// positive.
-fn positive(flag: &str, n: usize) -> usize {
-    if n == 0 {
-        eprintln!("{flag} must be positive");
-        usage();
-    }
-    n
-}
-
 /// Exits with the usage text when `flag` has made the synthetic workload
-/// invalid. The other workload fields are defaults or were checked when
-/// their own flags were read, so the fault is `flag`'s.
-fn check_workload(cfg: &LoadConfig, flag: &str) {
+/// invalid. The workload fields are checked in the order they are set,
+/// so the fault is `flag`'s.
+fn check_workload(flags: &Flags, cfg: &LoadConfig, flag: &str) {
     if let Err(e) = cfg.synth().validate() {
-        eprintln!("rif-client: {flag}: {e}");
-        usage();
+        flags.refuse(format_args!("rif-client: {flag}: {e}"));
     }
-}
-
-enum Mode {
-    Load,
-    Stats,
-    Flush,
-    Shutdown,
-    Replay(String),
-    ReplayOffline(String),
 }
 
 fn load_capture(path: &str) -> Capture {
@@ -103,119 +75,106 @@ fn load_capture(path: &str) -> Capture {
     })
 }
 
-fn main() {
-    let mut cfg = LoadConfig::default();
-    let mut mode = Mode::Load;
-    let mut threads: Option<usize> = None;
-    let mut speed = 1.0f64;
-    let mut scheme = RetryKind::Rif;
-    let mut pe_cycles = 3000u32;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut val = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--addr" => cfg.addr = val("--addr"),
-            "--threads" => {
-                threads = Some(positive("--threads", parse("--threads", &val("--threads"))))
-            }
-            "--stats" => mode = Mode::Stats,
-            "--flush" => mode = Mode::Flush,
-            "--shutdown" => mode = Mode::Shutdown,
-            "--requests" => cfg.requests = parse("--requests", &val("--requests")),
-            "--connections" => {
-                cfg.connections = positive(
-                    "--connections",
-                    parse("--connections", &val("--connections")),
-                )
-            }
-            "--depth" => cfg.depth = positive("--depth", parse("--depth", &val("--depth"))),
-            "--read-ratio" => {
-                cfg.read_ratio = parse("--read-ratio", &val("--read-ratio"));
-                check_workload(&cfg, "--read-ratio");
-            }
-            "--zipf" => {
-                cfg.zipf_s = parse("--zipf", &val("--zipf"));
-                check_workload(&cfg, "--zipf");
-            }
-            "--request-kib" => {
-                let kib: u32 = parse("--request-kib", &val("--request-kib"));
-                cfg.request_bytes = kib.checked_mul(1024).unwrap_or_else(|| {
-                    eprintln!("--request-kib {kib} overflows");
-                    usage()
-                });
-                check_workload(&cfg, "--request-kib");
-            }
-            "--tenant" => cfg.tenant = parse("--tenant", &val("--tenant")),
-            "--seed" => cfg.seed = parse("--seed", &val("--seed")),
-            "--max-busy-retries" => {
-                cfg.max_busy_retries = parse("--max-busy-retries", &val("--max-busy-retries"))
-            }
-            "--deadline-ms" => {
-                let ms: u64 = parse("--deadline-ms", &val("--deadline-ms"));
-                cfg.request_deadline = std::time::Duration::from_millis(ms);
-            }
-            "--batch" => cfg.batch = parse("--batch", &val("--batch")),
-            "--speed" => speed = parse("--speed", &val("--speed")),
-            "--replay" => mode = Mode::Replay(val("--replay")),
-            "--replay-offline" => mode = Mode::ReplayOffline(val("--replay-offline")),
-            "--scheme" => {
-                let label = val("--scheme");
-                scheme = RetryKind::by_label(&label).unwrap_or_else(|| {
-                    eprintln!("bad value for --scheme: `{label}`");
-                    usage()
-                })
-            }
-            "--pe-cycles" => pe_cycles = parse("--pe-cycles", &val("--pe-cycles")),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage()
-            }
-        }
+/// The load flags over [`LoadConfig::default`].
+fn load_config(flags: &Flags) -> LoadConfig {
+    let mut cfg = LoadConfig {
+        addr: flags.get("--addr").unwrap_or_default().to_string(),
+        ..LoadConfig::default()
+    };
+    cfg.requests = flags.parsed("--requests").unwrap_or(cfg.requests);
+    cfg.connections = (flags.parsed_in("--connections", 1..)).unwrap_or(cfg.connections);
+    cfg.depth = flags.parsed_in("--depth", 1..).unwrap_or(cfg.depth);
+    if let Some(v) = flags.parsed("--read-ratio") {
+        cfg.read_ratio = v;
+        check_workload(flags, &cfg, "--read-ratio");
     }
-    if speed <= 0.0 {
-        eprintln!("--speed must be positive");
-        usage();
+    if let Some(v) = flags.parsed("--zipf") {
+        cfg.zipf_s = v;
+        check_workload(flags, &cfg, "--zipf");
     }
-    if cfg.addr.is_empty() && !matches!(mode, Mode::ReplayOffline(_)) {
-        eprintln!("--addr is required");
-        usage();
+    if let Some(kib) = flags.parsed::<u32>("--request-kib") {
+        cfg.request_bytes = kib
+            .checked_mul(1024)
+            .unwrap_or_else(|| flags.refuse(format_args!("--request-kib {kib} overflows")));
+        check_workload(flags, &cfg, "--request-kib");
     }
+    cfg.tenant = flags.parsed("--tenant").unwrap_or(cfg.tenant);
+    cfg.seed = flags.parsed("--seed").unwrap_or(cfg.seed);
+    cfg.max_busy_retries = (flags.parsed("--max-busy-retries")).unwrap_or(cfg.max_busy_retries);
+    cfg.request_deadline =
+        (flags.parsed("--deadline-ms").map(Duration::from_millis)).unwrap_or(cfg.request_deadline);
+    cfg.batch = flags.parsed("--batch").unwrap_or(cfg.batch);
+    cfg
+}
 
-    let result = match mode {
-        Mode::Stats => fetch_stats(&cfg.addr).map(|text| println!("{text}")),
-        Mode::Flush => flush(&cfg.addr).map(|()| println!("flushed")),
-        Mode::Shutdown => send_shutdown(&cfg.addr).map(|()| println!("shutdown acknowledged")),
-        Mode::Load => match threads {
+fn main() {
+    let rest: Vec<String> = std::env::args().skip(1).collect();
+    let flags = Flags::parse(
+        &rest,
+        &[
+            "--addr",
+            "--threads",
+            "--requests",
+            "--connections",
+            "--depth",
+            "--read-ratio",
+            "--zipf",
+            "--request-kib",
+            "--tenant",
+            "--seed",
+            "--max-busy-retries",
+            "--deadline-ms",
+            "--batch",
+            "--speed",
+            "--replay",
+            "--replay-offline",
+            "--scheme",
+            "--pe-cycles",
+        ],
+        &["--stats", "--flush", "--shutdown"],
+        usage,
+    );
+    let cfg = load_config(&flags);
+    let threads: Option<usize> = flags.parsed_in("--threads", 1..);
+    let speed: f64 = flags.parsed("--speed").unwrap_or(1.0);
+    if speed <= 0.0 {
+        flags.refuse("--speed must be positive");
+    }
+    let scheme = (flags.mapped("--scheme", RetryKind::by_label)).unwrap_or(RetryKind::Rif);
+    let pe_cycles: u32 = flags.parsed("--pe-cycles").unwrap_or(3000);
+
+    let offline = flags.get("--replay-offline");
+    if cfg.addr.is_empty() && offline.is_none() {
+        flags.refuse("--addr is required");
+    }
+    let result = if let Some(path) = offline {
+        let cap = load_capture(path);
+        let report = Simulator::new(SsdConfig::small(scheme, pe_cycles)).run(&cap.to_trace());
+        println!("{}", report.to_json());
+        Ok(())
+    } else if let Some(path) = flags.get("--replay") {
+        let cap = load_capture(path);
+        let rcfg = ReplayConfig { speed, base: cfg };
+        run_replay_journaled(&rcfg, &cap).map(|(report, journal)| {
+            println!("{}", report.to_json());
+            let diff = diff_against_capture(&journal, &cap);
+            println!("{}", diff.to_json());
+            if !diff.pass() {
+                std::process::exit(1);
+            }
+        })
+    } else if flags.has("--stats") {
+        fetch_stats(&cfg.addr).map(|text| println!("{text}"))
+    } else if flags.has("--flush") {
+        flush(&cfg.addr).map(|()| println!("flushed"))
+    } else if flags.has("--shutdown") {
+        send_shutdown(&cfg.addr).map(|()| println!("shutdown acknowledged"))
+    } else {
+        match threads {
             Some(n) => run_mux_load(&cfg, n),
             None => run_load(&cfg),
         }
-        .map(|report| println!("{}", report.to_json())),
-        Mode::Replay(path) => {
-            let cap = load_capture(&path);
-            let rcfg = ReplayConfig {
-                speed,
-                base: cfg.clone(),
-            };
-            run_replay_journaled(&rcfg, &cap).map(|(report, journal)| {
-                println!("{}", report.to_json());
-                let diff = diff_against_capture(&journal, &cap);
-                println!("{}", diff.to_json());
-                if !diff.pass() {
-                    std::process::exit(1);
-                }
-            })
-        }
-        Mode::ReplayOffline(path) => {
-            let cap = load_capture(&path);
-            let report = Simulator::new(SsdConfig::small(scheme, pe_cycles)).run(&cap.to_trace());
-            println!("{}", report.to_json());
-            Ok(())
-        }
+        .map(|report| println!("{}", report.to_json()))
     };
     if let Err(e) = result {
         eprintln!("rif-client: {e}");

@@ -35,6 +35,7 @@
 //! bounces with `WRONG_SHARD` until the `rif-cluster` directory's first
 //! MAP_PUSH) and `--shards` becomes the cluster's total range count.
 
+use rif_server::cli::Flags;
 use rif_server::server::{Server, ServerConfig};
 use rif_ssd::RetryKind;
 
@@ -50,73 +51,70 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Refuses a size flag whose value overflows once scaled to bytes.
-fn too_large(flag: &str) -> ! {
-    eprintln!("{flag}: value too large");
-    usage()
-}
-
 fn main() {
-    let mut cfg = ServerConfig::default();
-    let mut port = 0u16;
-    let mut capture_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut val = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--port" => port = val("--port").parse().unwrap_or_else(|_| usage()),
-            "--shards" => cfg.shards = val("--shards").parse().unwrap_or_else(|_| usage()),
-            "--scheme" => {
-                cfg.retry = RetryKind::by_label(&val("--scheme")).unwrap_or_else(|| usage())
-            }
-            "--pe-cycles" => cfg.pe_cycles = val("--pe-cycles").parse().unwrap_or_else(|_| usage()),
-            "--inflight-limit" => {
-                cfg.inflight_limit = val("--inflight-limit").parse().unwrap_or_else(|_| usage())
-            }
-            "--rate" => cfg.rate_per_sec = val("--rate").parse().unwrap_or_else(|_| usage()),
-            "--burst" => cfg.burst = val("--burst").parse().unwrap_or_else(|_| usage()),
-            "--time-scale" => {
-                cfg.time_scale = val("--time-scale").parse().unwrap_or_else(|_| usage())
-            }
-            "--capacity-gib" => {
-                let gib: u64 = val("--capacity-gib").parse().unwrap_or_else(|_| usage());
-                cfg.capacity_bytes = gib
-                    .checked_mul(1 << 30)
-                    .unwrap_or_else(|| too_large("--capacity-gib"));
-            }
-            "--queue-depth" => {
-                cfg.queue_depth = val("--queue-depth").parse().unwrap_or_else(|_| usage())
-            }
-            "--seed" => cfg.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
-            "--capture" => {
-                capture_path = Some(val("--capture"));
-                cfg.capture = true;
-            }
-            "--max-connections" => {
-                cfg.max_connections = val("--max-connections").parse().unwrap_or_else(|_| usage())
-            }
-            "--write-queue-kib" => {
-                let kib: usize = val("--write-queue-kib").parse().unwrap_or_else(|_| usage());
-                cfg.write_queue_limit = kib
-                    .checked_mul(1024)
-                    .unwrap_or_else(|| too_large("--write-queue-kib"));
-            }
-            "--learn" => cfg.learn = true,
-            "--hybrid" => cfg.hybrid = true,
-            "--cluster" => cfg.cluster = true,
-            "--drift-days-per-sec" => {
-                cfg.drift_days_per_sec = val("--drift-days-per-sec")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            _ => usage(),
-        }
-    }
+    let rest: Vec<String> = std::env::args().skip(1).collect();
+    let flags = Flags::parse(
+        &rest,
+        &[
+            "--port",
+            "--shards",
+            "--scheme",
+            "--pe-cycles",
+            "--inflight-limit",
+            "--rate",
+            "--burst",
+            "--time-scale",
+            "--capacity-gib",
+            "--queue-depth",
+            "--seed",
+            "--capture",
+            "--max-connections",
+            "--write-queue-kib",
+            "--drift-days-per-sec",
+        ],
+        &["--learn", "--hybrid", "--cluster"],
+        usage,
+    );
+    let too_large = |flag: &str| -> ! { flags.refuse(format_args!("{flag}: value too large")) };
+    let d = ServerConfig::default();
+    let capture_path = flags.get("--capture");
+    let cfg = ServerConfig {
+        shards: flags.parsed("--shards").unwrap_or(d.shards),
+        retry: flags
+            .mapped("--scheme", RetryKind::by_label)
+            .unwrap_or(d.retry),
+        pe_cycles: flags.parsed("--pe-cycles").unwrap_or(d.pe_cycles),
+        inflight_limit: flags.parsed("--inflight-limit").unwrap_or(d.inflight_limit),
+        rate_per_sec: flags.parsed("--rate").unwrap_or(d.rate_per_sec),
+        burst: flags.parsed("--burst").unwrap_or(d.burst),
+        time_scale: flags.parsed("--time-scale").unwrap_or(d.time_scale),
+        capacity_bytes: flags
+            .parsed::<u64>("--capacity-gib")
+            .map_or(d.capacity_bytes, |gib| {
+                gib.checked_mul(1 << 30)
+                    .unwrap_or_else(|| too_large("--capacity-gib"))
+            }),
+        queue_depth: flags.parsed("--queue-depth").unwrap_or(d.queue_depth),
+        seed: flags.parsed("--seed").unwrap_or(d.seed),
+        capture: capture_path.is_some(),
+        max_connections: flags
+            .parsed("--max-connections")
+            .unwrap_or(d.max_connections),
+        write_queue_limit: (flags.parsed::<usize>("--write-queue-kib")).map_or(
+            d.write_queue_limit,
+            |kib| {
+                kib.checked_mul(1024)
+                    .unwrap_or_else(|| too_large("--write-queue-kib"))
+            },
+        ),
+        learn: flags.has("--learn"),
+        hybrid: flags.has("--hybrid"),
+        cluster: flags.has("--cluster"),
+        drift_days_per_sec: flags
+            .parsed("--drift-days-per-sec")
+            .unwrap_or(d.drift_days_per_sec),
+    };
+    let port: u16 = flags.parsed("--port").unwrap_or(0);
 
     let server = match Server::start(cfg, port) {
         Ok(s) => s,
@@ -131,7 +129,7 @@ fn main() {
     if let Some(path) = capture_path {
         // The loop has exited, every admission resolved: outcomes are final.
         let cap = server.capture();
-        match std::fs::write(&path, cap.to_csv()) {
+        match std::fs::write(path, cap.to_csv()) {
             Ok(()) => println!("rif-server: captured {} requests to {path}", cap.len()),
             Err(e) => {
                 eprintln!("rif-server: cannot write capture {path}: {e}");

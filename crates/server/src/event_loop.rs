@@ -5,9 +5,9 @@
 //! One thread owns every connection socket, the listener and the shards
 //! ([`Node`]): a [`Poller`](crate::poller::Poller) (epoll on Linux,
 //! `poll(2)` elsewhere) reports readiness, nonblocking reads land in each
-//! connection's [`FrameBuffer`], frames decode in place via
-//! [`decode_request_view`] (no per-frame allocation), and responses
-//! queue in per-connection [`WriteQueue`]s flushed with vectored writes.
+//! connection's [`FrameBuffer`], each borrowed frame decodes once into
+//! an owned [`Request`], and responses queue in per-connection
+//! [`WriteQueue`]s flushed with vectored writes.
 //! Writable interest is registered only while a queue holds unflushed
 //! bytes, so an idle server produces near-zero wakeups.
 //!
@@ -44,10 +44,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::poller::{best_poller, Interest, PollEvent, Poller};
-use crate::protocol::{BatchEntry, BusyReason, Response, PROTOCOL_VERSION};
+use crate::protocol::{
+    decode_request, BatchEntry, BusyReason, Request, Response, PROTOCOL_VERSION,
+};
 use crate::recorder::capture_of;
 use crate::replicate::TOK_LINK0;
-use crate::ring::{decode_request_view, FrameBuffer, RequestView, WriteQueue, READ_CHUNK};
+use crate::ring::{FrameBuffer, WriteQueue, READ_CHUNK};
 use crate::server::{
     admit, bad_request, fold_runtime_gauges, handle_map_get, handle_map_push, handle_migrate_in,
     handle_replicate, refuse_busy, refuse_over_limit, seal_for_migration, Node, Reply, Shared,
@@ -589,8 +591,8 @@ fn drain_frames(
                 return false;
             }
         };
-        let view = match decode_request_view(payload) {
-            Ok(view) => view,
+        let req = match decode_request(payload) {
+            Ok(req) => req,
             Err(_) => {
                 // Frame boundaries survived; the stream stays usable.
                 bad_request(&mut node.metrics, reply, 0);
@@ -598,9 +600,9 @@ fn drain_frames(
             }
         };
 
-        match view {
-            RequestView::Read { .. } | RequestView::Write { .. } | RequestView::Batch(_) => {
-                if let RequestView::Batch(_) = view {
+        match req {
+            Request::Read { .. } | Request::Write { .. } | Request::Batch(_) => {
+                if let Request::Batch(_) = req {
                     node.metrics.inc("server.batches", 1);
                 }
                 // Shed I/O once the peer's write queue is past the limit:
@@ -608,15 +610,15 @@ fn drain_frames(
                 // drain.
                 let limit = shared.cfg.write_queue_limit;
                 if limit > 0 && reply.wq.len() >= limit {
-                    let tags = io_entries(view).map(|e| e.tag);
+                    let tags = io_entries(&req).map(|e| e.tag);
                     let m = &mut node.metrics;
                     refuse_busy(m, reply, tags, "server.busy.writeq", BusyReason::Queue);
                 } else {
-                    admit(shared, node, reply, io_entries(view));
+                    admit(shared, node, reply, io_entries(&req));
                 }
             }
-            RequestView::MapGet { tag } => handle_map_get(node, reply, tag),
-            RequestView::MapPush {
+            Request::MapGet { tag } => handle_map_get(node, reply, tag),
+            Request::MapPush {
                 tag,
                 epoch,
                 capacity_bytes,
@@ -633,24 +635,24 @@ fn drain_frames(
                 epoch,
                 capacity_bytes,
                 ranges,
-                owned,
-                followed,
-                replicas,
+                &owned,
+                &followed,
+                &replicas,
                 map_text,
             ),
             // Sealed here, so that no request behind it in this read can
             // slip into the shard; drained once the reads are done.
-            RequestView::MigrateOut { tag, range } => {
+            Request::MigrateOut { tag, range } => {
                 if seal_for_migration(shared, node, reply, tag, range) {
                     drains.push(Drain::Migrate { key, tag, range });
                 }
             }
-            RequestView::MigrateIn { tag, range, state } => {
-                handle_migrate_in(shared, node, reply, tag, range, state);
+            Request::MigrateIn { tag, range, state } => {
+                handle_migrate_in(shared, node, reply, tag, range, &state);
             }
             // Directory-only operation; a node refuses it.
-            RequestView::Migrate { tag, .. } => bad_request(&mut node.metrics, reply, tag),
-            RequestView::Replicate {
+            Request::Migrate { tag, .. } => bad_request(&mut node.metrics, reply, tag),
+            Request::Replicate {
                 tag,
                 range,
                 epoch,
@@ -664,7 +666,7 @@ fn drain_frames(
                 // its own ownership check, then the gate's shared tail.
                 handle_replicate(shared, node, reply, tag, range, epoch, seq, offset, bytes);
             }
-            RequestView::Hello { tag, version } => {
+            Request::Hello { tag, version } => {
                 if version != PROTOCOL_VERSION {
                     // One wire version: a peer built against another is
                     // told so and dropped instead of being half-served.
@@ -674,7 +676,7 @@ fn drain_frames(
                 }
                 reply.send(Response::HelloAck { tag, version });
             }
-            RequestView::Stats { tag } => {
+            Request::Stats { tag } => {
                 // This connection is out of the slab: count it back in.
                 let queued = others.queued_bytes() + reply.wq.len();
                 let m = fold_runtime_gauges(shared, node, others.open(), queued);
@@ -682,8 +684,8 @@ fn drain_frames(
                 reply.send(Response::Stats { tag, text });
             }
             // FLUSH answers once every shard has drained.
-            RequestView::Flush { tag } => drains.push(Drain::Flush { key, tag }),
-            RequestView::Shutdown { tag } => {
+            Request::Flush { tag } => drains.push(Drain::Flush { key, tag }),
+            Request::Shutdown { tag } => {
                 reply.send(Response::Goodbye { tag });
                 *close_after_flush = true;
                 node.shutdown = true;
@@ -699,7 +701,7 @@ fn drain_frames(
 /// The I/O entries of a READ, WRITE or BATCH frame, in order: a single
 /// frame is a one-entry group with no `retry_of`. Any other request has
 /// none.
-fn io_entries(view: RequestView<'_>) -> impl Iterator<Item = BatchEntry> + '_ {
+fn io_entries(req: &Request) -> impl Iterator<Item = BatchEntry> + '_ {
     let single = |op, tenant, tag, offset, bytes| BatchEntry {
         op,
         tenant,
@@ -708,22 +710,21 @@ fn io_entries(view: RequestView<'_>) -> impl Iterator<Item = BatchEntry> + '_ {
         bytes,
         retry_of: 0,
     };
-    let (one, batch) = match view {
-        RequestView::Read {
+    let (one, batch): (_, &[BatchEntry]) = match *req {
+        Request::Read {
             tenant,
             tag,
             offset,
             bytes,
-        } => (Some(single(IoOp::Read, tenant, tag, offset, bytes)), None),
-        RequestView::Write {
+        } => (Some(single(IoOp::Read, tenant, tag, offset, bytes)), &[]),
+        Request::Write {
             tenant,
             tag,
             offset,
             bytes,
-        } => (Some(single(IoOp::Write, tenant, tag, offset, bytes)), None),
-        RequestView::Batch(b) => (None, Some(b)),
-        _ => (None, None),
+        } => (Some(single(IoOp::Write, tenant, tag, offset, bytes)), &[]),
+        Request::Batch(ref entries) => (None, entries),
+        _ => (None, &[]),
     };
-    one.into_iter()
-        .chain(batch.into_iter().flat_map(|b| b.iter()))
+    one.into_iter().chain(batch.iter().copied())
 }

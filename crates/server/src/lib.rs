@@ -6,13 +6,13 @@
 //! (`submit` / `advance_until` / `drain_completions`) as a loopback TCP
 //! service:
 //!
-//! - [`protocol`] — the length-prefixed binary wire format;
+//! - [`protocol`] — the length-prefixed binary wire format: opcodes, the
+//!   encoders and the one request decoder, [`protocol::decode_request`];
 //! - [`bucket`] — per-tenant token-bucket rate limiting;
 //! - [`pacing`] — the virtual-time ↔ wall-clock bridge;
 //! - [`poller`] — vendored epoll shim with a portable `poll(2)` fallback;
-//! - [`ring`] — zero-copy framing: the one receive buffer
-//!   ([`FrameBuffer`]), the one request decoder, and vectored write
-//!   queues;
+//! - [`ring`] — framing: the one receive buffer ([`FrameBuffer`]), whose
+//!   frames are borrowed slices, and vectored write queues;
 //! - [`shard`] — one simulator per LBA range, a plain value the event
 //!   loop steps;
 //! - [`server`] — start/stop, metrics, and the one admission gate: READ,
@@ -29,7 +29,9 @@
 //! - [`mux`] — the import path of that grouping's entry point;
 //! - `recorder` — live trace capture of every admitted request, a
 //!   journal the event loop owns and [`Server::capture`] renders;
-//! - [`replay`] — driving a captured trace back through a live server.
+//! - [`replay`] — driving a captured trace back through a live server;
+//! - [`cli`] — the one flag parser of the serving binaries (`rif-server`,
+//!   `rif-client`, `rif-cluster`, `rif-chaos`).
 //!
 //! Everything is plain `std` (threads, sockets, `extern "C"` syscalls):
 //! the service layer adds no dependencies beyond the simulator itself.
@@ -54,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod bucket;
+pub mod cli;
 pub mod client;
 pub mod event_loop;
 pub mod mux;

@@ -535,21 +535,20 @@ impl std::error::Error for WireError {}
 
 // ----- field cursors -----------------------------------------------------
 
-/// Field cursor of the response decoder here and the request decoder in
-/// [`crate::ring`]. Error layout (the exact `need`/`got` of a
-/// `Truncated`: the byte the short field ends at, and the payload
+/// Field cursor of both decoders. Error layout (the exact `need`/`got`
+/// of a `Truncated`: the byte the short field ends at, and the payload
 /// length) is part of the wire contract.
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let got = self.buf.len() - self.pos;
         if got < n {
             return Err(WireError::Truncated {
@@ -562,29 +561,52 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
+    fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
+    /// A count field, read a byte at a time: a payload that ends inside
+    /// it is short by its first missing byte.
+    fn u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes([self.u8()?, self.u8()?]))
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
+    fn u64(&mut self) -> Result<u64, WireError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
 
-    pub(crate) fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
+    /// `n` bytes of UTF-8 text.
+    fn text(&mut self, n: usize) -> Result<String, WireError> {
+        let b = self.take(n)?;
+        Ok(std::str::from_utf8(b)
+            .map_err(|_| WireError::BadUtf8)?
+            .to_owned())
     }
 
-    pub(crate) fn done(&self) -> Result<(), WireError> {
+    /// The rest of the payload as UTF-8 text.
+    fn text_rest(&mut self) -> Result<String, WireError> {
+        self.text(self.buf.len() - self.pos)
+    }
+
+    /// A `count u16 | count × item` list. The `Vec` grows as items
+    /// decode, so a lying count allocates no more than the payload holds.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let count = self.u16()?;
+        (0..count).map(|_| item(self)).collect()
+    }
+
+    fn done(&self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
@@ -753,11 +775,107 @@ pub fn encode_request(r: &Request) -> Vec<u8> {
     b
 }
 
-/// Parses a request payload into an owned [`Request`]: the one
-/// decoder, [`decode_request_view`](crate::ring::decode_request_view),
-/// materialized.
+/// Parses a request payload: the one request decoder, a single pass
+/// that reads each field once. Decoding is strict: a short field is a
+/// `Truncated { need, got }` naming the exact byte it ran out at, and
+/// trailing bytes, unknown opcodes, bad enums and non-UTF-8 text are
+/// their own [`WireError`]s.
 pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    crate::ring::decode_request_view(payload).map(|v| v.to_request())
+    let mut r = Reader::new(payload);
+    let op = r.u8().map_err(|_| WireError::Empty)?;
+    let req = match op {
+        OP_READ => Request::Read {
+            tenant: r.u32()?,
+            tag: r.u64()?,
+            offset: r.u64()?,
+            bytes: r.u32()?,
+        },
+        OP_WRITE => Request::Write {
+            tenant: r.u32()?,
+            tag: r.u64()?,
+            offset: r.u64()?,
+            bytes: r.u32()?,
+        },
+        OP_STATS => Request::Stats { tag: r.u64()? },
+        OP_FLUSH => Request::Flush { tag: r.u64()? },
+        OP_SHUTDOWN => Request::Shutdown { tag: r.u64()? },
+        OP_HELLO => Request::Hello {
+            tag: r.u64()?,
+            version: r.u32()?,
+        },
+        OP_BATCH => {
+            let count = r.u16()?;
+            if count == 0 {
+                return Err(WireError::EmptyBatch);
+            }
+            if count > MAX_BATCH_ENTRIES {
+                return Err(WireError::BatchTooLarge { count });
+            }
+            let mut entries = Vec::with_capacity(usize::from(count));
+            for _ in 0..count {
+                let op = match r.u8()? {
+                    OP_READ => IoOp::Read,
+                    OP_WRITE => IoOp::Write,
+                    value => {
+                        return Err(WireError::BadEnum {
+                            field: "batch_entry_op",
+                            value,
+                        })
+                    }
+                };
+                entries.push(BatchEntry {
+                    op,
+                    tenant: r.u32()?,
+                    tag: r.u64()?,
+                    offset: r.u64()?,
+                    bytes: r.u32()?,
+                    retry_of: r.u64()?,
+                });
+            }
+            Request::Batch(entries)
+        }
+        OP_MAP_GET => Request::MapGet { tag: r.u64()? },
+        OP_MAP_PUSH => Request::MapPush {
+            tag: r.u64()?,
+            epoch: r.u64()?,
+            capacity_bytes: r.u64()?,
+            ranges: r.u32()?,
+            owned: r.list(Reader::u32)?,
+            followed: r.list(Reader::u32)?,
+            replicas: r.list(|r| {
+                let range = r.u32()?;
+                let len = r.u16()?;
+                Ok((range, r.text(usize::from(len))?))
+            })?,
+            map_text: r.text_rest()?,
+        },
+        OP_MIGRATE_OUT => Request::MigrateOut {
+            tag: r.u64()?,
+            range: r.u32()?,
+        },
+        OP_MIGRATE_IN => Request::MigrateIn {
+            tag: r.u64()?,
+            range: r.u32()?,
+            state: r.text_rest()?,
+        },
+        OP_MIGRATE => Request::Migrate {
+            tag: r.u64()?,
+            range: r.u32()?,
+            node: r.text_rest()?,
+        },
+        OP_REPLICATE => Request::Replicate {
+            tag: r.u64()?,
+            range: r.u32()?,
+            epoch: r.u64()?,
+            seq: r.u64()?,
+            tenant: r.u32()?,
+            offset: r.u64()?,
+            bytes: r.u32()?,
+        },
+        other => return Err(WireError::UnknownOpcode(other)),
+    };
+    r.done()?;
+    Ok(req)
 }
 
 /// Serializes a response into a frame payload (no length prefix).
@@ -896,39 +1014,30 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             };
             Response::Error { tag, code }
         }
-        OP_STATS_RESP => {
-            let tag = r.u64()?;
-            let text = std::str::from_utf8(r.rest())
-                .map_err(|_| WireError::BadUtf8)?
-                .to_string();
-            Response::Stats { tag, text }
-        }
+        OP_STATS_RESP => Response::Stats {
+            tag: r.u64()?,
+            text: r.text_rest()?,
+        },
         OP_FLUSHED => Response::Flushed { tag: r.u64()? },
         OP_GOODBYE => Response::Goodbye { tag: r.u64()? },
         OP_HELLO_ACK => Response::HelloAck {
             tag: r.u64()?,
             version: r.u32()?,
         },
-        OP_MAP_RESP => {
-            let tag = r.u64()?;
-            let epoch = r.u64()?;
-            let text = std::str::from_utf8(r.rest())
-                .map_err(|_| WireError::BadUtf8)?
-                .to_string();
-            Response::MapResp { tag, epoch, text }
-        }
+        OP_MAP_RESP => Response::MapResp {
+            tag: r.u64()?,
+            epoch: r.u64()?,
+            text: r.text_rest()?,
+        },
         OP_WRONG_SHARD => Response::WrongShard {
             tag: r.u64()?,
             epoch: r.u64()?,
         },
-        OP_MIGRATED => {
-            let tag = r.u64()?;
-            let range = r.u32()?;
-            let state = std::str::from_utf8(r.rest())
-                .map_err(|_| WireError::BadUtf8)?
-                .to_string();
-            Response::Migrated { tag, range, state }
-        }
+        OP_MIGRATED => Response::Migrated {
+            tag: r.u64()?,
+            range: r.u32()?,
+            state: r.text_rest()?,
+        },
         OP_REPL_ACK => Response::ReplAck {
             tag: r.u64()?,
             range: r.u32()?,
@@ -936,12 +1045,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
         },
         other => return Err(WireError::UnknownOpcode(other)),
     };
-    if !matches!(
-        resp,
-        Response::Stats { .. } | Response::MapResp { .. } | Response::Migrated { .. }
-    ) {
-        r.done()?;
-    }
+    r.done()?;
     Ok(resp)
 }
 
@@ -969,7 +1073,7 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Cursor;
 
@@ -1066,6 +1170,238 @@ mod tests {
         for r in reqs {
             let enc = encode_request(&r);
             assert_eq!(decode_request(&enc), Ok(r));
+        }
+    }
+
+    /// Every request kind once (a three-entry batch, MAP_PUSH with and
+    /// without lists): the truncation sweep's inputs, also round-tripped
+    /// through the receive ring.
+    pub(crate) fn sample_requests() -> Vec<Request> {
+        vec![
+            Request::Read {
+                tenant: 3,
+                tag: 0xDEAD_BEEF,
+                offset: 1 << 33,
+                bytes: 65536,
+            },
+            Request::Write {
+                tenant: 0,
+                tag: u64::MAX,
+                offset: 0,
+                bytes: 1,
+            },
+            Request::Stats { tag: 7 },
+            Request::Flush { tag: 8 },
+            Request::Shutdown { tag: 9 },
+            Request::Hello {
+                tag: 10,
+                version: 2,
+            },
+            Request::Batch(vec![
+                BatchEntry {
+                    op: IoOp::Read,
+                    tenant: 1,
+                    tag: 11,
+                    offset: 4096,
+                    bytes: 65536,
+                    retry_of: 0,
+                },
+                BatchEntry {
+                    op: IoOp::Write,
+                    tenant: 2,
+                    tag: 12,
+                    offset: 1 << 40,
+                    bytes: 4096,
+                    retry_of: 11,
+                },
+                BatchEntry {
+                    op: IoOp::Read,
+                    tenant: 2,
+                    tag: 13,
+                    offset: 0,
+                    bytes: 512,
+                    retry_of: 0,
+                },
+            ]),
+            Request::MapGet { tag: 14 },
+            Request::MapPush {
+                tag: 15,
+                epoch: 2,
+                capacity_bytes: 8 << 30,
+                ranges: 4,
+                owned: vec![1, 3],
+                followed: vec![0],
+                replicas: vec![(1, "127.0.0.1:9001".to_string()), (3, "n2".to_string())],
+                map_text: "# rif-shardmap v1 epoch=2 capacity=8589934592 ranges=4\n".to_string(),
+            },
+            Request::MapPush {
+                tag: 16,
+                epoch: 0,
+                capacity_bytes: 1,
+                ranges: 1,
+                owned: vec![],
+                followed: vec![],
+                replicas: vec![],
+                map_text: String::new(),
+            },
+            Request::MigrateOut { tag: 17, range: 3 },
+            Request::MigrateIn {
+                tag: 18,
+                range: 3,
+                state: "block 9 -0.02\n".to_string(),
+            },
+            Request::Migrate {
+                tag: 19,
+                range: 0,
+                node: "node-b".to_string(),
+            },
+            Request::Replicate {
+                tag: 20,
+                range: 2,
+                epoch: 5,
+                seq: 17,
+                tenant: 1,
+                offset: 1 << 30,
+                bytes: 4096,
+            },
+        ]
+    }
+
+    #[test]
+    fn every_truncation_is_rejected_at_the_short_field() {
+        for req in sample_requests() {
+            let enc = encode_request(&req);
+            for cut in 0..enc.len() {
+                match decode_request(&enc[..cut]) {
+                    Err(WireError::Empty) => assert_eq!(cut, 0),
+                    Err(WireError::Truncated { need, got }) => {
+                        assert_eq!(got, cut, "req {req:?}");
+                        assert!(cut < need && need <= enc.len(), "req {req:?} cut {cut}");
+                    }
+                    // A cut inside a UTF-8 text tail is a shorter text,
+                    // and the shorter request re-encodes to the prefix.
+                    Ok(short) => {
+                        assert!(
+                            matches!(
+                                req,
+                                Request::MapPush { .. }
+                                    | Request::MigrateIn { .. }
+                                    | Request::Migrate { .. }
+                            ),
+                            "req {req:?} cut {cut} decoded"
+                        );
+                        assert_eq!(encode_request(&short), &enc[..cut]);
+                    }
+                    other => panic!("req {req:?} cut {cut}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_payloads_get_their_exact_wire_error() {
+        let entry = BatchEntry {
+            op: IoOp::Read,
+            tenant: 0,
+            tag: 1,
+            offset: 0,
+            bytes: 4096,
+            retry_of: 0,
+        };
+        let batch = encode_request(&Request::Batch(vec![entry; 2]));
+        let batch_len = batch.len();
+        // One MAP_PUSH of 44 bytes (owned count at 29, text "m" last),
+        // one of 50 (replica count at 41, one-byte replica addr last).
+        let count_at = 1 + 8 + 8 + 8 + 4;
+        let map = encode_request(&Request::MapPush {
+            tag: 1,
+            epoch: 1,
+            capacity_bytes: 64,
+            ranges: 2,
+            owned: vec![0, 1],
+            followed: vec![],
+            replicas: vec![],
+            map_text: "m".to_string(),
+        });
+        let repl_map = encode_request(&Request::MapPush {
+            tag: 1,
+            epoch: 1,
+            capacity_bytes: 64,
+            ranges: 2,
+            owned: vec![0],
+            followed: vec![1],
+            replicas: vec![(0, "a".to_string())],
+            map_text: String::new(),
+        });
+        assert_eq!((map.len(), repl_map.len()), (44, 50));
+        let migrate_in = encode_request(&Request::MigrateIn {
+            tag: 1,
+            range: 0,
+            state: "x".to_string(),
+        });
+        // `b` with `with` written over it at `at` (negative: from the end).
+        let edit = |b: &[u8], at: isize, with: &[u8]| {
+            let mut b = b.to_vec();
+            let at = at.rem_euclid(b.len() as isize) as usize;
+            b[at..at + with.len()].copy_from_slice(with);
+            b
+        };
+        let count = |n: u16| n.to_le_bytes();
+        let bad_op = |value| WireError::BadEnum {
+            field: "batch_entry_op",
+            value,
+        };
+        let truncated = |need, got| WireError::Truncated { need, got };
+        let stats = encode_request(&Request::Stats { tag: 1 });
+        let cases = [
+            (vec![], WireError::Empty),
+            (vec![0x7F], WireError::UnknownOpcode(0x7F)),
+            (vec![0x00], WireError::UnknownOpcode(0)),
+            (
+                [&stats[..], &[0]].concat(),
+                WireError::TrailingBytes { extra: 1 },
+            ),
+            // Lying batch counts: each lie has its own rejection.
+            (edit(&batch, 1, &count(0)), WireError::EmptyBatch),
+            (
+                edit(&batch, 1, &count(1)),
+                WireError::TrailingBytes {
+                    extra: BATCH_ENTRY_BYTES,
+                },
+            ),
+            (
+                edit(&batch, 1, &count(3)),
+                truncated(batch_len + 1, batch_len),
+            ),
+            (
+                edit(&batch, 1, &count(512)),
+                truncated(batch_len + 1, batch_len),
+            ),
+            (
+                edit(&batch, 1, &count(513)),
+                WireError::BatchTooLarge { count: 513 },
+            ),
+            (
+                edit(&batch, 1, &count(u16::MAX)),
+                WireError::BatchTooLarge { count: u16::MAX },
+            ),
+            // Bad entry ops, in the first and the second entry.
+            (edit(&batch, 3, &[0x03]), bad_op(0x03)),
+            (
+                edit(&batch, 3 + BATCH_ENTRY_BYTES as isize, &[0xFF]),
+                bad_op(0xFF),
+            ),
+            // Cluster messages: invalid UTF-8 in a text tail or a replica
+            // addr, and lying list counts (the fourth owned index starts
+            // at byte 43 of 44; the second replica at the frame's end).
+            (edit(&migrate_in, -1, &[0xFF]), WireError::BadUtf8),
+            (edit(&map, -1, &[0xFE]), WireError::BadUtf8),
+            (edit(&map, count_at, &count(9)), truncated(47, 44)),
+            (edit(&repl_map, -1, &[0xFF]), WireError::BadUtf8),
+            (edit(&repl_map, count_at + 12, &count(7)), truncated(54, 50)),
+        ];
+        for (payload, want) in cases {
+            assert_eq!(decode_request(&payload), Err(want), "payload {payload:?}");
         }
     }
 

@@ -35,7 +35,6 @@ use rif_events::SimRng;
 use crate::client::{Wire, HELLO_TAG};
 use crate::poller::{PollEvent, Poller};
 use crate::protocol::{decode_response, FrameBuffer, Request, Response, PROTOCOL_VERSION};
-use crate::ring::ReplicaListView;
 
 /// Poller token of follower link 0; link `i` is `TOK_LINK0 + i`. The
 /// loop's own tokens (listener, waker, connections) stay below it.
@@ -134,17 +133,17 @@ impl Shipper {
     /// MAP_PUSH epoch gate). The follower set changed, so sequences and
     /// watermarks restart and the old epoch's queued jobs are skipped; a
     /// job in flight ends with its call.
-    pub(crate) fn update_targets(&mut self, epoch: u64, replicas: ReplicaListView<'_>) {
+    pub(crate) fn update_targets(&mut self, epoch: u64, replicas: &[(u32, String)]) {
         self.ranges.iter_mut().for_each(|r| *r = Range::default());
-        for (range, addr) in replicas.iter() {
+        for (range, addr) in replicas {
             let known = self.links.iter().position(|w| w.addr() == addr);
             let link = known.unwrap_or(self.links.len());
             if known.is_none() {
                 let jitter = SimRng::stream(self.seed, link as u64);
-                let wire = Wire::new(addr.to_string(), TOK_LINK0 + link, DOWN_BACKOFF, jitter);
+                let wire = Wire::new(addr.clone(), TOK_LINK0 + link, DOWN_BACKOFF, jitter);
                 self.links.push(wire);
             }
-            self.ranges[range as usize].followers.push(link);
+            self.ranges[*range as usize].followers.push(link);
         }
         self.skipped += self.queue.len() as u64;
         self.queue.clear();

@@ -1,6 +1,6 @@
-//! Zero-copy framing: the one receive buffer, the one request decoder,
-//! and the event loop's write queue. All three are allocation-free on the
-//! steady-state path:
+//! Framing: the one receive buffer and the event loop's write queue,
+//! both allocation-free on the steady-state path. The request format
+//! (opcodes, encoder, the one decoder) lives in [`crate::protocol`].
 //!
 //! - [`FrameBuffer`] — a compacting receive ring, the receive side of
 //!   every socket reader (event loop, client engine, directory, chaos
@@ -10,11 +10,6 @@
 //!   `Vec`), valid until the next mutating call. Because the ring
 //!   compacts instead of wrapping, a frame payload is always one
 //!   contiguous slice.
-//! - [`decode_request_view`] — decodes a request directly out of a
-//!   borrowed payload. The owned
-//!   [`decode_request`](crate::protocol::decode_request) is this decoder
-//!   plus [`RequestView::to_request`], so there is one decoding body and
-//!   one set of rejections (`Truncated { need, got }` offsets included).
 //! - [`WriteQueue`] — a per-connection response queue of coalesced
 //!   chunks flushed with vectored writes. Responses are encoded straight
 //!   into the tail chunk via
@@ -23,14 +18,7 @@
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 
-use rif_workloads::IoOp;
-
-use crate::protocol::{
-    encode_response_frame_into, BatchEntry, Reader, Request, Response, WireError,
-    BATCH_ENTRY_BYTES, MAX_BATCH_ENTRIES, MAX_FRAME_BYTES, OP_BATCH, OP_FLUSH, OP_HELLO,
-    OP_MAP_GET, OP_MAP_PUSH, OP_MIGRATE, OP_MIGRATE_IN, OP_MIGRATE_OUT, OP_READ, OP_REPLICATE,
-    OP_SHUTDOWN, OP_STATS, OP_WRITE,
-};
+use crate::protocol::{encode_response_frame_into, Response, WireError, MAX_FRAME_BYTES};
 
 /// How much one [`FrameBuffer::read_from`] pulls at most (the ring makes
 /// that much tail room first). One read can pull many small frames at
@@ -142,491 +130,6 @@ impl FrameBuffer {
     }
 }
 
-// ----- zero-copy request views -------------------------------------------
-
-/// A decoded request borrowing its payload where that avoids work: the
-/// scalar variants mirror [`Request`] field-for-field, and a batch stays
-/// a validated byte slice ([`BatchView`]) iterated lazily instead of
-/// being collected into a `Vec<BatchEntry>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestView<'a> {
-    /// Simulated read, as [`Request::Read`].
-    Read {
-        /// Tenant id for rate limiting.
-        tenant: u32,
-        /// Client correlation tag.
-        tag: u64,
-        /// Logical byte offset.
-        offset: u64,
-        /// Transfer size in bytes.
-        bytes: u32,
-    },
-    /// Simulated write, as [`Request::Write`].
-    Write {
-        /// Tenant id for rate limiting.
-        tenant: u32,
-        /// Client correlation tag.
-        tag: u64,
-        /// Logical byte offset.
-        offset: u64,
-        /// Transfer size in bytes.
-        bytes: u32,
-    },
-    /// Metrics snapshot request, as [`Request::Stats`].
-    Stats {
-        /// Client correlation tag.
-        tag: u64,
-    },
-    /// Drain barrier, as [`Request::Flush`].
-    Flush {
-        /// Client correlation tag.
-        tag: u64,
-    },
-    /// Server exit request, as [`Request::Shutdown`].
-    Shutdown {
-        /// Client correlation tag.
-        tag: u64,
-    },
-    /// Version check, as [`Request::Hello`].
-    Hello {
-        /// Client correlation tag.
-        tag: u64,
-        /// Highest protocol version the client speaks.
-        version: u32,
-    },
-    /// A validated batch body, iterated without allocation.
-    Batch(BatchView<'a>),
-    /// Shard-map fetch, as [`Request::MapGet`].
-    MapGet {
-        /// Client correlation tag.
-        tag: u64,
-    },
-    /// Range-ownership install, as [`Request::MapPush`]. The owned-range
-    /// list and map text stay borrows of the frame.
-    MapPush {
-        /// Client correlation tag.
-        tag: u64,
-        /// The map's monotonic epoch.
-        epoch: u64,
-        /// Logical capacity the range grid divides.
-        capacity_bytes: u64,
-        /// Total ranges in the grid.
-        ranges: u32,
-        /// The validated owned-range list.
-        owned: RangeListView<'a>,
-        /// The validated followed-range list (ranges this node serves
-        /// as a replica follower).
-        followed: RangeListView<'a>,
-        /// The validated `(range, follower addr)` shipping targets.
-        replicas: ReplicaListView<'a>,
-        /// Canonical shard-map serialization.
-        map_text: &'a str,
-    },
-    /// Range seal on the source node, as [`Request::MigrateOut`].
-    MigrateOut {
-        /// Client correlation tag.
-        tag: u64,
-        /// The range index to seal.
-        range: u32,
-    },
-    /// Learner-state adoption on the target node, as
-    /// [`Request::MigrateIn`].
-    MigrateIn {
-        /// Client correlation tag.
-        tag: u64,
-        /// The range index being adopted.
-        range: u32,
-        /// The source shard's learner state.
-        state: &'a str,
-    },
-    /// Directory admin migration, as [`Request::Migrate`].
-    Migrate {
-        /// Client correlation tag.
-        tag: u64,
-        /// The range index to move.
-        range: u32,
-        /// Id of the destination node.
-        node: &'a str,
-    },
-    /// Primary-to-follower write shipment, as [`Request::Replicate`].
-    Replicate {
-        /// Primary-chosen shipment tag.
-        tag: u64,
-        /// The range the write belongs to.
-        range: u32,
-        /// Map epoch the primary shipped under.
-        epoch: u64,
-        /// Per-range replication sequence number.
-        seq: u64,
-        /// Tenant id of the original write.
-        tenant: u32,
-        /// Logical byte offset of the original write.
-        offset: u64,
-        /// Transfer size in bytes.
-        bytes: u32,
-    },
-}
-
-impl RequestView<'_> {
-    /// The correlation tag, mirroring [`Request::tag`].
-    pub fn tag(&self) -> u64 {
-        match self {
-            RequestView::Read { tag, .. }
-            | RequestView::Write { tag, .. }
-            | RequestView::Stats { tag }
-            | RequestView::Flush { tag }
-            | RequestView::Shutdown { tag }
-            | RequestView::Hello { tag, .. }
-            | RequestView::MapGet { tag }
-            | RequestView::MapPush { tag, .. }
-            | RequestView::MigrateOut { tag, .. }
-            | RequestView::MigrateIn { tag, .. }
-            | RequestView::Migrate { tag, .. }
-            | RequestView::Replicate { tag, .. } => *tag,
-            RequestView::Batch(b) => {
-                if b.count() == 0 {
-                    0
-                } else {
-                    b.entry(0).tag
-                }
-            }
-        }
-    }
-
-    /// Materializes the owning [`Request`] (allocates for batches and
-    /// text fields). [`decode_request`](crate::protocol::decode_request)
-    /// is [`decode_request_view`] followed by this.
-    pub fn to_request(&self) -> Request {
-        match *self {
-            RequestView::Read {
-                tenant,
-                tag,
-                offset,
-                bytes,
-            } => Request::Read {
-                tenant,
-                tag,
-                offset,
-                bytes,
-            },
-            RequestView::Write {
-                tenant,
-                tag,
-                offset,
-                bytes,
-            } => Request::Write {
-                tenant,
-                tag,
-                offset,
-                bytes,
-            },
-            RequestView::Stats { tag } => Request::Stats { tag },
-            RequestView::Flush { tag } => Request::Flush { tag },
-            RequestView::Shutdown { tag } => Request::Shutdown { tag },
-            RequestView::Hello { tag, version } => Request::Hello { tag, version },
-            RequestView::Batch(b) => Request::Batch(b.iter().collect()),
-            RequestView::MapGet { tag } => Request::MapGet { tag },
-            RequestView::MapPush {
-                tag,
-                epoch,
-                capacity_bytes,
-                ranges,
-                owned,
-                followed,
-                replicas,
-                map_text,
-            } => Request::MapPush {
-                tag,
-                epoch,
-                capacity_bytes,
-                ranges,
-                owned: owned.iter().collect(),
-                followed: followed.iter().collect(),
-                replicas: replicas.iter().map(|(r, a)| (r, a.to_string())).collect(),
-                map_text: map_text.to_string(),
-            },
-            RequestView::MigrateOut { tag, range } => Request::MigrateOut { tag, range },
-            RequestView::MigrateIn { tag, range, state } => Request::MigrateIn {
-                tag,
-                range,
-                state: state.to_string(),
-            },
-            RequestView::Migrate { tag, range, node } => Request::Migrate {
-                tag,
-                range,
-                node: node.to_string(),
-            },
-            RequestView::Replicate {
-                tag,
-                range,
-                epoch,
-                seq,
-                tenant,
-                offset,
-                bytes,
-            } => Request::Replicate {
-                tag,
-                range,
-                epoch,
-                seq,
-                tenant,
-                offset,
-                bytes,
-            },
-        }
-    }
-}
-
-/// The owned-range bytes of a validated MAP_PUSH frame: `count × 4`
-/// little-endian `u32`s, decoded lazily.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RangeListView<'a> {
-    data: &'a [u8],
-}
-
-impl<'a> RangeListView<'a> {
-    /// Number of range indices in the list.
-    pub fn count(&self) -> usize {
-        self.data.len() / 4
-    }
-
-    /// Decodes index `i`. Infallible: the frame was validated up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= count()`.
-    pub fn get(&self, i: usize) -> u32 {
-        u32::from_le_bytes(
-            self.data[i * 4..(i + 1) * 4]
-                .try_into()
-                .expect("fixed width"),
-        )
-    }
-
-    /// Lazily decodes every range index in order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + 'a {
-        let v = *self;
-        (0..v.count()).map(move |i| v.get(i))
-    }
-}
-
-/// The replica-target bytes of a validated MAP_PUSH frame:
-/// `count × (range u32 | addr_len u16 | addr bytes)`, decoded lazily.
-/// Entries are variable-width, so iteration walks the slice in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaListView<'a> {
-    data: &'a [u8],
-    count: u16,
-}
-
-impl<'a> ReplicaListView<'a> {
-    /// Number of `(range, addr)` targets in the list.
-    pub fn count(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Lazily decodes every target in order. Infallible: the frame was
-    /// validated (bounds and UTF-8) up front.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &'a str)> + 'a {
-        let mut data = self.data;
-        (0..self.count).map(move |_| {
-            let range = u32::from_le_bytes(data[..4].try_into().expect("fixed width"));
-            let len = usize::from(u16::from_le_bytes([data[4], data[5]]));
-            let addr = std::str::from_utf8(&data[6..6 + len]).expect("validated utf8");
-            data = &data[6 + len..];
-            (range, addr)
-        })
-    }
-}
-
-/// The entry bytes of a validated BATCH frame: `count × 33` bytes whose
-/// op bytes are known-good, so per-entry decoding is infallible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchView<'a> {
-    data: &'a [u8],
-}
-
-impl<'a> BatchView<'a> {
-    /// Number of entries in the batch (1..=[`MAX_BATCH_ENTRIES`]).
-    pub fn count(&self) -> usize {
-        self.data.len() / BATCH_ENTRY_BYTES
-    }
-
-    /// Decodes entry `i`. Infallible: the frame was validated up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= count()`.
-    pub fn entry(&self, i: usize) -> BatchEntry {
-        let e = &self.data[i * BATCH_ENTRY_BYTES..(i + 1) * BATCH_ENTRY_BYTES];
-        BatchEntry {
-            op: if e[0] == OP_READ {
-                IoOp::Read
-            } else {
-                IoOp::Write
-            },
-            tenant: u32::from_le_bytes(e[1..5].try_into().expect("fixed width")),
-            tag: u64::from_le_bytes(e[5..13].try_into().expect("fixed width")),
-            offset: u64::from_le_bytes(e[13..21].try_into().expect("fixed width")),
-            bytes: u32::from_le_bytes(e[21..25].try_into().expect("fixed width")),
-            retry_of: u64::from_le_bytes(e[25..33].try_into().expect("fixed width")),
-        }
-    }
-
-    /// Lazily decodes every entry in order.
-    pub fn iter(&self) -> impl Iterator<Item = BatchEntry> + 'a {
-        let v = *self;
-        (0..v.count()).map(move |i| v.entry(i))
-    }
-}
-
-/// Decodes a request payload without copying it: the one request
-/// decoder. Decoding is strict (see [`crate::protocol`]): a short field
-/// is a `Truncated { need, got }` naming the exact byte it ran out at,
-/// and trailing bytes, unknown opcodes, bad enums and non-UTF-8 text
-/// are their own [`WireError`]s.
-pub fn decode_request_view(payload: &[u8]) -> Result<RequestView<'_>, WireError> {
-    let mut r = Reader::new(payload);
-    let op = r.u8().map_err(|_| WireError::Empty)?;
-    let req = match op {
-        OP_READ | OP_WRITE => {
-            let tenant = r.u32()?;
-            let tag = r.u64()?;
-            let offset = r.u64()?;
-            let bytes = r.u32()?;
-            if op == OP_READ {
-                RequestView::Read {
-                    tenant,
-                    tag,
-                    offset,
-                    bytes,
-                }
-            } else {
-                RequestView::Write {
-                    tenant,
-                    tag,
-                    offset,
-                    bytes,
-                }
-            }
-        }
-        OP_STATS => RequestView::Stats { tag: r.u64()? },
-        OP_FLUSH => RequestView::Flush { tag: r.u64()? },
-        OP_SHUTDOWN => RequestView::Shutdown { tag: r.u64()? },
-        OP_HELLO => RequestView::Hello {
-            tag: r.u64()?,
-            version: r.u32()?,
-        },
-        OP_BATCH => {
-            let count = u16::from_le_bytes([r.u8()?, r.u8()?]);
-            if count == 0 {
-                return Err(WireError::EmptyBatch);
-            }
-            if count > MAX_BATCH_ENTRIES {
-                return Err(WireError::BatchTooLarge { count });
-            }
-            // Validate field by field, so a short entry reports the
-            // `Truncated { need, got }` of the field it ran out in.
-            for _ in 0..count {
-                match r.u8()? {
-                    OP_READ | OP_WRITE => {}
-                    v => {
-                        return Err(WireError::BadEnum {
-                            field: "batch_entry_op",
-                            value: v,
-                        })
-                    }
-                }
-                r.u32()?;
-                r.u64()?;
-                r.u64()?;
-                r.u32()?;
-                r.u64()?;
-            }
-            let body = &payload[3..3 + count as usize * BATCH_ENTRY_BYTES];
-            RequestView::Batch(BatchView { data: body })
-        }
-        OP_MAP_GET => RequestView::MapGet { tag: r.u64()? },
-        OP_MAP_PUSH => {
-            let tag = r.u64()?;
-            let epoch = r.u64()?;
-            let capacity_bytes = r.u64()?;
-            let ranges = r.u32()?;
-            // Validate each section field by field, so a short list
-            // reports the `Truncated { need, got }` of the field it ran
-            // out in.
-            let count = u16::from_le_bytes([r.u8()?, r.u8()?]);
-            for _ in 0..count {
-                r.u32()?;
-            }
-            let list_at = 1 + 8 + 8 + 8 + 4 + 2;
-            let owned = RangeListView {
-                data: &payload[list_at..list_at + count as usize * 4],
-            };
-            let follow_at = list_at + count as usize * 4 + 2;
-            let count = u16::from_le_bytes([r.u8()?, r.u8()?]);
-            for _ in 0..count {
-                r.u32()?;
-            }
-            let followed = RangeListView {
-                data: &payload[follow_at..follow_at + count as usize * 4],
-            };
-            let repl_at = follow_at + count as usize * 4 + 2;
-            let count = u16::from_le_bytes([r.u8()?, r.u8()?]);
-            let mut repl_bytes = 0usize;
-            for _ in 0..count {
-                r.u32()?;
-                let len = u16::from_le_bytes([r.u8()?, r.u8()?]);
-                std::str::from_utf8(r.take(len as usize)?).map_err(|_| WireError::BadUtf8)?;
-                repl_bytes += 4 + 2 + len as usize;
-            }
-            let replicas = ReplicaListView {
-                data: &payload[repl_at..repl_at + repl_bytes],
-                count,
-            };
-            let map_text = std::str::from_utf8(r.rest()).map_err(|_| WireError::BadUtf8)?;
-            RequestView::MapPush {
-                tag,
-                epoch,
-                capacity_bytes,
-                ranges,
-                owned,
-                followed,
-                replicas,
-                map_text,
-            }
-        }
-        OP_MIGRATE_OUT => RequestView::MigrateOut {
-            tag: r.u64()?,
-            range: r.u32()?,
-        },
-        OP_MIGRATE_IN => {
-            let tag = r.u64()?;
-            let range = r.u32()?;
-            let state = std::str::from_utf8(r.rest()).map_err(|_| WireError::BadUtf8)?;
-            RequestView::MigrateIn { tag, range, state }
-        }
-        OP_MIGRATE => {
-            let tag = r.u64()?;
-            let range = r.u32()?;
-            let node = std::str::from_utf8(r.rest()).map_err(|_| WireError::BadUtf8)?;
-            RequestView::Migrate { tag, range, node }
-        }
-        OP_REPLICATE => RequestView::Replicate {
-            tag: r.u64()?,
-            range: r.u32()?,
-            epoch: r.u64()?,
-            seq: r.u64()?,
-            tenant: r.u32()?,
-            offset: r.u64()?,
-            bytes: r.u32()?,
-        },
-        other => return Err(WireError::UnknownOpcode(other)),
-    };
-    r.done()?;
-    Ok(req)
-}
-
 // ----- vectored write queue ----------------------------------------------
 
 /// Per-connection outbound queue: responses encode into coalesced
@@ -732,279 +235,12 @@ impl WriteQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::tests::sample_requests;
     use crate::protocol::{
-        decode_request, decode_response, encode_request, encode_response, write_frame, BusyReason,
-        ErrorCode,
+        decode_request, decode_response, encode_request, encode_response, write_frame, BatchEntry,
+        BusyReason, ErrorCode, Request,
     };
-
-    fn sample_requests() -> Vec<Request> {
-        vec![
-            Request::Read {
-                tenant: 3,
-                tag: 0xDEAD_BEEF,
-                offset: 1 << 33,
-                bytes: 65536,
-            },
-            Request::Write {
-                tenant: 0,
-                tag: u64::MAX,
-                offset: 0,
-                bytes: 1,
-            },
-            Request::Stats { tag: 7 },
-            Request::Flush { tag: 8 },
-            Request::Shutdown { tag: 9 },
-            Request::Hello {
-                tag: 10,
-                version: 2,
-            },
-            Request::Batch(vec![
-                BatchEntry {
-                    op: IoOp::Read,
-                    tenant: 1,
-                    tag: 11,
-                    offset: 4096,
-                    bytes: 65536,
-                    retry_of: 0,
-                },
-                BatchEntry {
-                    op: IoOp::Write,
-                    tenant: 2,
-                    tag: 12,
-                    offset: 1 << 40,
-                    bytes: 4096,
-                    retry_of: 11,
-                },
-                BatchEntry {
-                    op: IoOp::Read,
-                    tenant: 2,
-                    tag: 13,
-                    offset: 0,
-                    bytes: 512,
-                    retry_of: 0,
-                },
-            ]),
-            Request::MapGet { tag: 14 },
-            Request::MapPush {
-                tag: 15,
-                epoch: 2,
-                capacity_bytes: 8 << 30,
-                ranges: 4,
-                owned: vec![1, 3],
-                followed: vec![0],
-                replicas: vec![(1, "127.0.0.1:9001".to_string()), (3, "n2".to_string())],
-                map_text: "# rif-shardmap v1 epoch=2 capacity=8589934592 ranges=4\n".to_string(),
-            },
-            Request::MapPush {
-                tag: 16,
-                epoch: 0,
-                capacity_bytes: 1,
-                ranges: 1,
-                owned: vec![],
-                followed: vec![],
-                replicas: vec![],
-                map_text: String::new(),
-            },
-            Request::MigrateOut { tag: 17, range: 3 },
-            Request::MigrateIn {
-                tag: 18,
-                range: 3,
-                state: "block 9 -0.02\n".to_string(),
-            },
-            Request::Migrate {
-                tag: 19,
-                range: 0,
-                node: "node-b".to_string(),
-            },
-            Request::Replicate {
-                tag: 20,
-                range: 2,
-                epoch: 5,
-                seq: 17,
-                tenant: 1,
-                offset: 1 << 30,
-                bytes: 4096,
-            },
-        ]
-    }
-
-    #[test]
-    fn view_decoder_roundtrips_every_request_kind() {
-        for req in sample_requests() {
-            let enc = encode_request(&req);
-            let view = decode_request_view(&enc).expect("valid payload");
-            assert_eq!(view.to_request(), req);
-            assert_eq!(view.tag(), req.tag());
-            assert_eq!(decode_request(&enc), Ok(req));
-        }
-    }
-
-    #[test]
-    fn every_truncation_is_rejected_at_the_short_field() {
-        for req in sample_requests() {
-            let enc = encode_request(&req);
-            for cut in 0..enc.len() {
-                match decode_request(&enc[..cut]) {
-                    Err(WireError::Empty) => assert_eq!(cut, 0),
-                    Err(WireError::Truncated { need, got }) => {
-                        assert_eq!(got, cut, "req {req:?}");
-                        assert!(cut < need && need <= enc.len(), "req {req:?} cut {cut}");
-                    }
-                    // A cut inside a UTF-8 text tail is a shorter text,
-                    // and the shorter request re-encodes to the prefix.
-                    Ok(short) => {
-                        assert!(
-                            matches!(
-                                req,
-                                Request::MapPush { .. }
-                                    | Request::MigrateIn { .. }
-                                    | Request::Migrate { .. }
-                            ),
-                            "req {req:?} cut {cut} decoded"
-                        );
-                        assert_eq!(encode_request(&short), &enc[..cut]);
-                    }
-                    other => panic!("req {req:?} cut {cut}: {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hostile_payloads_get_their_exact_wire_error() {
-        let entry = BatchEntry {
-            op: IoOp::Read,
-            tenant: 0,
-            tag: 1,
-            offset: 0,
-            bytes: 4096,
-            retry_of: 0,
-        };
-        let batch = encode_request(&Request::Batch(vec![entry; 2]));
-        let batch_len = batch.len();
-        // One MAP_PUSH of 44 bytes (owned count at 29, text "m" last),
-        // one of 50 (replica count at 41, one-byte replica addr last).
-        let count_at = 1 + 8 + 8 + 8 + 4;
-        let map = encode_request(&Request::MapPush {
-            tag: 1,
-            epoch: 1,
-            capacity_bytes: 64,
-            ranges: 2,
-            owned: vec![0, 1],
-            followed: vec![],
-            replicas: vec![],
-            map_text: "m".to_string(),
-        });
-        let repl_map = encode_request(&Request::MapPush {
-            tag: 1,
-            epoch: 1,
-            capacity_bytes: 64,
-            ranges: 2,
-            owned: vec![0],
-            followed: vec![1],
-            replicas: vec![(0, "a".to_string())],
-            map_text: String::new(),
-        });
-        assert_eq!((map.len(), repl_map.len()), (44, 50));
-        let migrate_in = encode_request(&Request::MigrateIn {
-            tag: 1,
-            range: 0,
-            state: "x".to_string(),
-        });
-        // `b` with `with` written over it at `at` (negative: from the end).
-        let edit = |b: &[u8], at: isize, with: &[u8]| {
-            let mut b = b.to_vec();
-            let at = at.rem_euclid(b.len() as isize) as usize;
-            b[at..at + with.len()].copy_from_slice(with);
-            b
-        };
-        let count = |n: u16| n.to_le_bytes();
-        let bad_op = |value| WireError::BadEnum {
-            field: "batch_entry_op",
-            value,
-        };
-        let truncated = |need, got| WireError::Truncated { need, got };
-        let stats = encode_request(&Request::Stats { tag: 1 });
-        let cases = [
-            (vec![], WireError::Empty),
-            (vec![0x7F], WireError::UnknownOpcode(0x7F)),
-            (vec![0x00], WireError::UnknownOpcode(0)),
-            (
-                [&stats[..], &[0]].concat(),
-                WireError::TrailingBytes { extra: 1 },
-            ),
-            // Lying batch counts: each lie has its own rejection.
-            (edit(&batch, 1, &count(0)), WireError::EmptyBatch),
-            (
-                edit(&batch, 1, &count(1)),
-                WireError::TrailingBytes {
-                    extra: BATCH_ENTRY_BYTES,
-                },
-            ),
-            (
-                edit(&batch, 1, &count(3)),
-                truncated(batch_len + 1, batch_len),
-            ),
-            (
-                edit(&batch, 1, &count(512)),
-                truncated(batch_len + 1, batch_len),
-            ),
-            (
-                edit(&batch, 1, &count(513)),
-                WireError::BatchTooLarge { count: 513 },
-            ),
-            (
-                edit(&batch, 1, &count(u16::MAX)),
-                WireError::BatchTooLarge { count: u16::MAX },
-            ),
-            // Bad entry ops, in the first and the second entry.
-            (edit(&batch, 3, &[0x03]), bad_op(0x03)),
-            (
-                edit(&batch, 3 + BATCH_ENTRY_BYTES as isize, &[0xFF]),
-                bad_op(0xFF),
-            ),
-            // Cluster messages: invalid UTF-8 in a text tail or a replica
-            // addr, and lying list counts (the fourth owned index starts
-            // at byte 43 of 44; the second replica at the frame's end).
-            (edit(&migrate_in, -1, &[0xFF]), WireError::BadUtf8),
-            (edit(&map, -1, &[0xFE]), WireError::BadUtf8),
-            (edit(&map, count_at, &count(9)), truncated(47, 44)),
-            (edit(&repl_map, -1, &[0xFF]), WireError::BadUtf8),
-            (edit(&repl_map, count_at + 12, &count(7)), truncated(54, 50)),
-        ];
-        for (payload, want) in cases {
-            assert_eq!(
-                decode_request_view(&payload),
-                Err(want.clone()),
-                "payload {payload:?}"
-            );
-            assert_eq!(decode_request(&payload), Err(want), "payload {payload:?}");
-        }
-    }
-
-    #[test]
-    fn batch_view_iterates_all_entries() {
-        let entries: Vec<BatchEntry> = (0..17)
-            .map(|i| BatchEntry {
-                op: if i % 2 == 0 { IoOp::Read } else { IoOp::Write },
-                tenant: i,
-                tag: u64::from(i) * 3,
-                offset: u64::from(i) << 20,
-                bytes: 4096 + i,
-                retry_of: u64::from(i % 3),
-            })
-            .collect();
-        let enc = encode_request(&Request::Batch(entries.clone()));
-        let view = decode_request_view(&enc).expect("valid batch");
-        match view {
-            RequestView::Batch(b) => {
-                assert_eq!(b.count(), entries.len());
-                assert_eq!(b.iter().collect::<Vec<_>>(), entries);
-                assert_eq!(b.entry(16), entries[16]);
-            }
-            other => panic!("not a batch: {other:?}"),
-        }
-    }
+    use rif_workloads::IoOp;
 
     #[test]
     fn recv_ring_reassembles_byte_at_a_time_like_frame_buffer() {
@@ -1261,5 +497,58 @@ mod tests {
         let mut sink = Vec::new();
         assert!(wq.flush(&mut sink).unwrap());
         assert_eq!(sink, expect);
+    }
+
+    /// Feeds `reqs` as one framed stream through a ring, a few bytes per
+    /// read, and decodes every frame the ring hands back.
+    fn decode_through_ring(reqs: &[Request]) -> Vec<Request> {
+        let mut wire = Vec::new();
+        for r in reqs {
+            write_frame(&mut wire, &encode_request(r)).unwrap();
+        }
+        let mut ring = FrameBuffer::new();
+        let mut got = Vec::new();
+        for piece in wire.chunks(7) {
+            ring.feed(piece);
+            while let Some(p) = ring.next_frame().unwrap() {
+                got.push(decode_request(p).expect("valid payload"));
+            }
+        }
+        assert_eq!(ring.buffered(), 0);
+        got
+    }
+
+    #[test]
+    fn view_decoder_roundtrips_every_request_kind() {
+        let reqs = sample_requests();
+        let got = decode_through_ring(&reqs);
+        for (g, r) in got.iter().zip(&reqs) {
+            assert_eq!(g.tag(), r.tag());
+        }
+        assert_eq!(got, reqs);
+    }
+
+    #[test]
+    fn batch_view_iterates_all_entries() {
+        // A 17-entry batch of both ops, every field distinct per entry.
+        let entries: Vec<BatchEntry> = (0..17)
+            .map(|i| BatchEntry {
+                op: if i % 2 == 0 { IoOp::Read } else { IoOp::Write },
+                tenant: i,
+                tag: u64::from(i) * 3,
+                offset: u64::from(i) << 20,
+                bytes: 4096 + i,
+                retry_of: u64::from(i % 3),
+            })
+            .collect();
+        let got = decode_through_ring(&[Request::Batch(entries.clone())]);
+        match got.as_slice() {
+            [Request::Batch(b)] => {
+                assert_eq!(b.len(), entries.len());
+                assert_eq!(b[16], entries[16]);
+                assert_eq!(*b, entries);
+            }
+            other => panic!("not one batch: {other:?}"),
+        }
     }
 }

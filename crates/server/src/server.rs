@@ -52,7 +52,7 @@ use crate::poller::Waker;
 use crate::protocol::{encode_response, write_frame, BatchEntry, BusyReason, ErrorCode, Response};
 use crate::recorder::TraceRecorder;
 use crate::replicate::Shipper;
-use crate::ring::{RangeListView, ReplicaListView, WriteQueue};
+use crate::ring::WriteQueue;
 use crate::shard::{ReplyTo, Shard, ShardSpec, Submission};
 
 /// Largest single transfer the service accepts: 1 MiB keeps one request
@@ -577,36 +577,33 @@ pub(crate) fn handle_map_push(
     epoch: u64,
     capacity_bytes: u64,
     ranges: u32,
-    owned: RangeListView<'_>,
-    followed: RangeListView<'_>,
-    replicas: ReplicaListView<'_>,
-    map_text: &str,
+    owned: &[u32],
+    followed: &[u32],
+    replicas: &[(u32, String)],
+    map_text: String,
 ) {
     let shards = shared.cfg.shards;
     let bad = capacity_bytes != shared.cfg.capacity_bytes
         || ranges as usize != shards
-        || owned
-            .iter()
-            .chain(followed.iter())
-            .any(|r| r as usize >= shards)
-        || replicas.iter().any(|(r, _)| r as usize >= shards);
+        || owned.iter().chain(followed).any(|&r| r as usize >= shards)
+        || replicas.iter().any(|&(r, _)| r as usize >= shards);
     let cl = match &mut node.cluster {
         Some(cl) if !bad => cl,
         _ => return bad_request(&mut node.metrics, reply, tag),
     };
     if epoch > cl.epoch {
         cl.epoch = epoch;
-        cl.map_text = map_text.to_string();
+        cl.map_text = map_text;
         // A push settles every range: Moving survives only within an
         // epoch, never across one. Owned wins over Following if the
         // directory ever lists a range as both.
         for s in cl.status.iter_mut() {
             *s = RangeStatus::NotOwned;
         }
-        for r in followed.iter() {
+        for &r in followed {
             cl.status[r as usize] = RangeStatus::Following;
         }
-        for r in owned.iter() {
+        for &r in owned {
             cl.status[r as usize] = RangeStatus::Owned;
         }
         cl.shipper.update_targets(epoch, replicas);

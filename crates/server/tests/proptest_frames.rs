@@ -11,8 +11,8 @@
 //! - framing: a stream of many frames survives concatenation and any
 //!   read boundaries — each payload comes back whole and in order.
 //!
-//! There is one request decoder (`decode_request` materializes
-//! `decode_request_view`) and one receive buffer (`FrameBuffer`), so every
+//! There is one request decoder (`decode_request`, which the event loop
+//! calls on every frame) and one receive buffer (`FrameBuffer`), so every
 //! property here runs the path the server runs.
 
 use proptest::prelude::*;

@@ -4,7 +4,8 @@
 //! it opens a socket. The address points at the discard port, where
 //! nothing listens: a client that got past its flags would fail to
 //! connect and exit 1 instead. `rif-server` refuses a size flag that
-//! overflows once scaled to bytes the same way, before it binds.
+//! overflows once scaled to bytes, a value it cannot read, a flag it does
+//! not know and a stray word the same way, before it binds.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -109,5 +110,23 @@ fn oversized_size_flags_print_usage_and_exit_2() {
             stderr.contains("usage: rif-server"),
             "{flag} {value}: {stderr}"
         );
+    }
+}
+
+#[test]
+fn rif_server_names_a_bad_value_an_unknown_flag_or_a_stray_word_before_the_usage_text() {
+    for (args, named) in [
+        (&["--shards", "abc"][..], "bad value for --shards: `abc`"),
+        (&["--port", "x"], "bad value for --port: `x`"),
+        (&["--scheme", "NOPE"], "bad value for --scheme: `NOPE`"),
+        (&["--port", "0", "--bogus", "1"], "unknown flag `--bogus`"),
+        (&["--port", "0", "serve"], "unknown flag `serve`"),
+        (&["--port", "0", "--learn", "1"], "unknown flag `1`"),
+        (&["--port", "0", "--seed"], "--seed needs a value"),
+    ] {
+        let (code, stderr) = run_briefly(env!("CARGO_BIN_EXE_rif-server"), args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        let (says, usage) = (stderr.find(named), stderr.find("usage: rif-server"));
+        assert!(says.is_some() && says < usage, "{args:?}: {stderr}");
     }
 }
