@@ -58,19 +58,13 @@ const MAX_CHUNK: usize = 2 * MAX_WIDTH;
 /// one line of padding walks them across the sets instead.
 const PAD: usize = 16;
 
-/// Tanner-graph adjacency in CSR form, shared by both decoders, plus the
-/// quasi-cyclic block structure used by the word-packed syndrome check
-/// and the fused min-sum kernel.
+/// The quasi-cyclic block structure of the Tanner graph: all that the
+/// word-packed syndrome check, the packed iterations and the fused
+/// min-sum kernel read. The per-edge adjacency only the reference walks
+/// is not kept here: [`MinSumDecoder::decode_llr_reference`] builds it
+/// ([`Csr::build`]) on each call.
 #[derive(Debug, Clone)]
 struct Graph {
-    /// For each check, the index range into `chk_vars`.
-    chk_ptr: Vec<u32>,
-    /// Variable index of each edge, grouped by check.
-    chk_vars: Vec<u32>,
-    /// For each variable, the index range into `var_edges`.
-    var_ptr: Vec<u32>,
-    /// Edge indices (positions in `chk_vars`) grouped by variable.
-    var_edges: Vec<u32>,
     /// `(col, shift)` of each block, grouped by block row — the circulant
     /// structure backing the rotate-XOR syndrome.
     block_rows: Vec<Vec<(usize, usize)>>,
@@ -86,45 +80,12 @@ struct Graph {
     /// Circulant size (a multiple of 64).
     t: usize,
     n: usize,
-    m: usize,
 }
 
 impl Graph {
     fn build(code: &QcLdpcCode) -> Graph {
         let h = code.matrix();
         let t = h.t();
-        let m = h.m();
-        let n = h.n();
-
-        let mut chk_ptr = Vec::with_capacity(m + 1);
-        let mut chk_vars: Vec<u32> = Vec::with_capacity(h.edge_count());
-        let row_blocks: Vec<Vec<_>> = (0..h.rows_b()).map(|i| h.row_blocks(i).collect()).collect();
-        chk_ptr.push(0);
-        for i in 0..h.rows_b() {
-            for k in 0..t {
-                for b in &row_blocks[i] {
-                    chk_vars.push(h.var_of(*b, k) as u32);
-                }
-                chk_ptr.push(chk_vars.len() as u32);
-            }
-        }
-
-        // Invert to per-variable edge lists.
-        let mut var_deg = vec![0u32; n];
-        for &v in &chk_vars {
-            var_deg[v as usize] += 1;
-        }
-        let mut var_ptr = vec![0u32; n + 1];
-        for v in 0..n {
-            var_ptr[v + 1] = var_ptr[v] + var_deg[v];
-        }
-        let mut cursor = var_ptr.clone();
-        let mut var_edges = vec![0u32; chk_vars.len()];
-        for (e, &v) in chk_vars.iter().enumerate() {
-            var_edges[cursor[v as usize] as usize] = e as u32;
-            cursor[v as usize] += 1;
-        }
-
         let block_rows: Vec<Vec<(usize, usize)>> = (0..h.rows_b())
             .map(|i| row_circulants(h, i).collect())
             .collect();
@@ -177,36 +138,16 @@ impl Graph {
         );
 
         Graph {
-            chk_ptr,
-            chk_vars,
-            var_ptr,
-            var_edges,
             block_rows,
             plan_rows,
             block_cols,
             ds: doubled_stride(t / 64),
             t,
-            n,
-            m,
+            n: h.n(),
         }
     }
 
-    /// True when `hard` (bit n set ⇒ bit value 1) satisfies every check.
-    /// Reference implementation: one `BitVec::get` per edge.
-    fn syndrome_clear(&self, hard: &BitVec) -> bool {
-        for c in 0..self.m {
-            let mut parity = false;
-            for e in self.chk_ptr[c]..self.chk_ptr[c + 1] {
-                parity ^= hard.get(self.chk_vars[e as usize] as usize);
-            }
-            if parity {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Word-packed equivalent of [`Graph::syndrome_clear`] on a doubled
+    /// Word-packed equivalent of [`Csr::syndrome_clear`] on a doubled
     /// word (each segment's `t/64` words twice in a row, `ds` words from
     /// one segment to the next): per block row,
     /// XOR the rotated segments (circulant `Q(s)` ≡ rotate left by `s`)
@@ -222,6 +163,77 @@ impl Graph {
                 xor_rotated_doubled(acc, &word2[col * ds..][..ds], shift);
             }
             acc.iter().all(|&w| w == 0)
+        })
+    }
+}
+
+/// The Tanner graph's per-edge adjacency in CSR form, which only the
+/// reference decoder walks, built from the block rows on each reference
+/// call so that a decoder keeps only its kernel's plan (≈1.3 MB less on
+/// the paper code).
+struct Csr {
+    /// For each check, the index range into `chk_vars`.
+    chk_ptr: Vec<u32>,
+    /// Variable index of each edge, grouped by check.
+    chk_vars: Vec<u32>,
+    /// For each variable, the index range into `var_edges`.
+    var_ptr: Vec<u32>,
+    /// Edge indices (positions in `chk_vars`) grouped by variable,
+    /// ascending.
+    var_edges: Vec<u32>,
+}
+
+impl Csr {
+    /// Check `i·t + k` meets variable `col·t + (k + shift) mod t` through
+    /// each block `(col, shift)` of block row `i`, in the row's block
+    /// order (that of `QcMatrix::row_blocks`, read through `var_of`).
+    /// Edges are numbered check-major, and each variable's edges ascend,
+    /// so the reference sums a variable's messages in block-row order,
+    /// as the fused kernel does.
+    fn build(g: &Graph) -> Csr {
+        let t = g.t;
+        let edges: usize = g.block_rows.iter().map(|row| row.len() * t).sum();
+        let mut chk_ptr = Vec::with_capacity(g.block_rows.len() * t + 1);
+        let mut chk_vars = Vec::with_capacity(edges);
+        chk_ptr.push(0);
+        for row in &g.block_rows {
+            for k in 0..t {
+                chk_vars.extend(
+                    row.iter()
+                        .map(|&(col, shift)| (col * t + (k + shift) % t) as u32),
+                );
+                chk_ptr.push(chk_vars.len() as u32);
+            }
+        }
+
+        // Invert to per-variable edge lists.
+        let mut var_ptr = vec![0u32; g.n + 1];
+        for &v in &chk_vars {
+            var_ptr[v as usize + 1] += 1;
+        }
+        for v in 0..g.n {
+            var_ptr[v + 1] += var_ptr[v];
+        }
+        let mut cursor = var_ptr.clone();
+        let mut var_edges = vec![0u32; edges];
+        for (e, &v) in chk_vars.iter().enumerate() {
+            var_edges[cursor[v as usize] as usize] = e as u32;
+            cursor[v as usize] += 1;
+        }
+        Csr {
+            chk_ptr,
+            chk_vars,
+            var_ptr,
+            var_edges,
+        }
+    }
+
+    /// True when `hard` (bit n set ⇒ bit value 1) satisfies every check:
+    /// one `BitVec::get` per edge.
+    fn syndrome_clear(&self, hard: &BitVec) -> bool {
+        self.chk_ptr.windows(2).all(|c| {
+            let edges = &self.chk_vars[c[0] as usize..c[1] as usize];
+            !edges.iter().fold(false, |p, &v| p ^ hard.get(v as usize))
         })
     }
 }
@@ -931,23 +943,25 @@ impl MinSumDecoder {
     }
 
     /// Straightforward per-edge implementation kept as the correctness
-    /// reference for [`MinSumDecoder::decode_llr`]: each `v2c` message is
-    /// recomputed in the output scan and the convergence test walks the
-    /// edges one `BitVec::get` at a time.
+    /// reference for [`MinSumDecoder::decode_llr`]: it builds the graph's
+    /// per-edge lists for the call, each `v2c` message is recomputed in
+    /// the output scan and the convergence test walks the edges one
+    /// `BitVec::get` at a time.
     ///
     /// # Panics
     ///
     /// Panics if `llr` is not codeword-length or holds a non-finite value,
     /// as [`MinSumDecoder::decode_llr`] does.
     pub fn decode_llr_reference(&self, llr: &[f32]) -> DecodeOutcome {
-        let g = &self.graph;
-        assert_llrs(llr, g.n);
+        let n = self.graph.n;
+        assert_llrs(llr, n);
+        let csr = Csr::build(&self.graph);
 
-        let mut hard = BitVec::zeros(g.n);
+        let mut hard = BitVec::zeros(n);
         for (v, &l) in llr.iter().enumerate() {
             hard.set(v, l < 0.0);
         }
-        if g.syndrome_clear(&hard) {
+        if csr.syndrome_clear(&hard) {
             return DecodeOutcome {
                 success: true,
                 iterations: 0,
@@ -955,21 +969,20 @@ impl MinSumDecoder {
             };
         }
 
-        let edges = g.chk_vars.len();
+        let edges = csr.chk_vars.len();
         let mut c2v = vec![0.0f32; edges];
         let mut total = llr.to_vec();
 
         for iter in 1..=self.max_iterations {
             // Check-node update using the two-minimum trick.
-            for c in 0..g.m {
-                let lo = g.chk_ptr[c] as usize;
-                let hi = g.chk_ptr[c + 1] as usize;
+            for c in csr.chk_ptr.windows(2) {
+                let (lo, hi) = (c[0] as usize, c[1] as usize);
                 let mut sign_prod = 1.0f32;
                 let mut min1 = f32::INFINITY;
                 let mut min2 = f32::INFINITY;
                 let mut min1_edge = lo;
                 for e in lo..hi {
-                    let v2c = total[g.chk_vars[e] as usize] - c2v[e];
+                    let v2c = total[csr.chk_vars[e] as usize] - c2v[e];
                     let mag = v2c.abs();
                     if v2c < 0.0 {
                         sign_prod = -sign_prod;
@@ -983,7 +996,7 @@ impl MinSumDecoder {
                     }
                 }
                 for e in lo..hi {
-                    let v2c = total[g.chk_vars[e] as usize] - c2v[e];
+                    let v2c = total[csr.chk_vars[e] as usize] - c2v[e];
                     let sign_self = if v2c < 0.0 { -1.0 } else { 1.0 };
                     let mag = if e == min1_edge { min2 } else { min1 };
                     c2v[e] = self.alpha * sign_prod * sign_self * mag;
@@ -991,16 +1004,16 @@ impl MinSumDecoder {
             }
 
             // Variable-node totals and hard decision.
-            for v in 0..g.n {
+            for v in 0..n {
                 let mut sum = llr[v];
-                for idx in g.var_ptr[v]..g.var_ptr[v + 1] {
-                    sum += c2v[g.var_edges[idx as usize] as usize];
+                for idx in csr.var_ptr[v]..csr.var_ptr[v + 1] {
+                    sum += c2v[csr.var_edges[idx as usize] as usize];
                 }
                 total[v] = sum;
                 hard.set(v, sum < 0.0);
             }
 
-            if g.syndrome_clear(&hard) {
+            if csr.syndrome_clear(&hard) {
                 return DecodeOutcome {
                     success: true,
                     iterations: iter,
@@ -2055,6 +2068,47 @@ mod tests {
                     assert_eq!(got, expected, "{lanes:?}: t={t} shift={shift}");
                 }
             }
+        }
+    }
+
+    /// The reference sums each variable's messages in its edge order, so
+    /// the lists it builds pin its float results: they must be the
+    /// matrix's adjacency, check-major, each variable's edges ascending.
+    #[test]
+    fn the_reference_csr_is_the_matrix_adjacency() {
+        for code in [
+            QcLdpcCode::small_test(),
+            QcLdpcCode::medium(),
+            QcLdpcCode::paper(),
+        ] {
+            let h = code.matrix();
+            let mut chk_ptr = vec![0];
+            let mut chk_vars = Vec::new();
+            let mut by_var = vec![Vec::new(); h.n()];
+            for i in 0..h.rows_b() {
+                let blocks: Vec<_> = h.row_blocks(i).collect();
+                for k in 0..h.t() {
+                    for &b in &blocks {
+                        let v = h.var_of(b, k);
+                        by_var[v].push(chk_vars.len() as u32);
+                        chk_vars.push(v as u32);
+                    }
+                    chk_ptr.push(chk_vars.len() as u32);
+                }
+            }
+            let var_ptr: Vec<u32> = std::iter::once(0)
+                .chain(by_var.iter().scan(0, |end, edges| {
+                    *end += edges.len() as u32;
+                    Some(*end)
+                }))
+                .collect();
+
+            let csr = Csr::build(&Graph::build(&code));
+            let n = h.n();
+            assert_eq!(csr.chk_ptr, chk_ptr, "n={n}: check ranges");
+            assert_eq!(csr.chk_vars, chk_vars, "n={n}: check edges");
+            assert_eq!(csr.var_ptr, var_ptr, "n={n}: variable ranges");
+            assert_eq!(csr.var_edges, by_var.concat(), "n={n}: variable edges");
         }
     }
 

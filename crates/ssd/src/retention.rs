@@ -49,8 +49,17 @@ impl RetentionTracker {
     /// uniform in `[0, refresh_days)`.
     pub fn age_days(&self, slot: u64, now: SimTime) -> f64 {
         match self.write_time.get(slot) {
-            Some(t) => now.saturating_since(t).as_secs() / 86_400.0,
+            Some(t) => days_since(t, now),
             None => self.cold_age_days(slot),
+        }
+    }
+
+    /// Folds `slot`'s write instant, or its cold age if it was never
+    /// written, into `bound`.
+    pub(crate) fn fold(&self, slot: u64, bound: &mut AgeBound) {
+        match self.write_time.get(slot) {
+            Some(t) => bound.since = bound.since.min(t),
+            None => bound.cold_days = bound.cold_days.max(self.cold_age_days(slot)),
         }
     }
 
@@ -64,6 +73,44 @@ impl RetentionTracker {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         (z as f64 / u64::MAX as f64) * self.refresh_days
+    }
+}
+
+/// Days from a write at `written` to `now`, zero for a later write: the
+/// age of written data. Non-increasing in `written`, which is what makes
+/// an [`AgeBound`] exact.
+fn days_since(written: SimTime, now: SimTime) -> f64 {
+    now.saturating_since(written).as_secs() / 86_400.0
+}
+
+/// An upper bound on the retention ages of a set of slots: the earliest
+/// write instant and the largest cold age among them, each slot folded
+/// in with [`RetentionTracker::fold`]. It stays a bound while the slots
+/// are rewritten, since every write is recorded at or after the instant
+/// the bound was started at: a rewrite moves a slot's write instant
+/// later, or turns a cold slot into a written one no older than the
+/// bound's start.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AgeBound {
+    /// No folded slot's write instant is earlier, now or after a rewrite.
+    since: SimTime,
+    /// The largest cold age folded in.
+    cold_days: f64,
+}
+
+impl AgeBound {
+    /// An empty bound started at `now`.
+    pub(crate) fn new(now: SimTime) -> Self {
+        AgeBound {
+            since: now,
+            cold_days: 0.0,
+        }
+    }
+
+    /// The bound at `now` (no earlier than its start): no folded slot's
+    /// [`RetentionTracker::age_days`] exceeds it.
+    pub(crate) fn days(&self, now: SimTime) -> f64 {
+        days_since(self.since, now).max(self.cold_days)
     }
 }
 
@@ -104,6 +151,39 @@ mod tests {
         let c = RetentionTracker::new(30.0, 6);
         assert_eq!(a.cold_age_days(9), b.cold_age_days(9));
         assert_ne!(a.cold_age_days(9), c.cold_age_days(9));
+    }
+
+    #[test]
+    fn a_bound_covers_its_slots_through_rewrites() {
+        let mut t = RetentionTracker::new(30.0, 3);
+        let start = SimTime::from_secs(10);
+        for slot in 0..32 {
+            if slot % 3 == 0 {
+                t.record_write(slot, SimTime::from_secs(slot));
+            }
+        }
+        let mut bound = AgeBound::new(start);
+        for slot in 0..32 {
+            t.fold(slot, &mut bound);
+        }
+        let cold = (0..32).filter(|s| s % 3 != 0).map(|s| t.cold_age_days(s));
+        let later = SimTime::from_secs(40 * 86_400);
+        assert_eq!(bound.days(later), days_since(SimTime::ZERO, later));
+        assert_eq!(bound.days(start), cold.fold(0.0, f64::max));
+        // Rewrites after the start, of cold and written slots alike, keep
+        // every age under the bound at every later instant.
+        for (slot, secs) in [(1, 20), (3, 30), (4, 10 * 86_400)] {
+            t.record_write(slot, SimTime::from_secs(secs));
+        }
+        for secs in [10, 25, 86_400, 20 * 86_400, 45 * 86_400] {
+            let now = SimTime::from_secs(secs);
+            for slot in 0..32 {
+                assert!(
+                    t.age_days(slot, now) <= bound.days(now),
+                    "slot {slot} at {secs} s"
+                );
+            }
+        }
     }
 
     #[test]

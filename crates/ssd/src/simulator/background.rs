@@ -3,12 +3,16 @@
 //! of the background work it and the write path put on the dies.
 
 use super::*;
+use crate::retention::AgeBound;
 
 /// The background scheduler's period.
 const BG_TICK: SimDuration = SimDuration::from_us(200);
 
 /// Most slots one tick migrates out of the SLC cache.
 const MIGRATE_BATCH: usize = 32;
+
+/// Positions of the touched-slot list per refresh-scan bound.
+const SCAN_BLOCK: usize = 64;
 
 /// Live state of the hybrid subsystem: the precomputed cell-mode RBER
 /// amplification table and the background scheduler's bookkeeping. The
@@ -23,6 +27,15 @@ pub(super) struct HybridState {
     refresh_cursor: usize,
     /// The refresh scan's due slots, kept to reuse its allocation.
     due: Vec<u64>,
+    /// Per `SCAN_BLOCK` positions of the touched-slot list, a bound on
+    /// their slots' ages: the scan skips a block whose bound is short of
+    /// the deadline.
+    bounds: Vec<AgeBound>,
+    /// Positions of the touched-slot list folded into `bounds`.
+    folded: usize,
+    /// Blocks the scan examined slot by slot this tick, re-tightened
+    /// after its rewrites.
+    examined: Vec<usize>,
     /// The summary so far; its cache occupancy is read off the FTL when
     /// a snapshot is taken.
     books: HybridSummary,
@@ -38,6 +51,9 @@ impl HybridState {
             tick_armed: false,
             refresh_cursor: 0,
             due: Vec::new(),
+            bounds: Vec::new(),
+            folded: 0,
+            examined: Vec::new(),
             books: HybridSummary {
                 cache_occupancy: 0.0,
                 migrated_slots: 0,
@@ -146,22 +162,43 @@ impl Simulator {
         if !self.ftl.touched().is_empty() {
             let touched = self.ftl.touched();
             let n = touched.len();
+            // Slots appended since the last tick join their blocks'
+            // bounds; any later write is recorded at or after `now`.
+            for (pos, &slot) in touched.iter().enumerate().skip(h.folded) {
+                if pos % SCAN_BLOCK == 0 {
+                    h.bounds.push(AgeBound::new(now));
+                }
+                self.retention.fold(slot, &mut h.bounds[pos / SCAN_BLOCK]);
+            }
+            h.folded = n;
             let batch = h.conf.bg.refresh_scan_batch.min(n);
             // The window is `batch` slots from the cursor, wrapping at
             // most once: the cursor's tail, then the list's head.
-            let tail = &touched[h.refresh_cursor..n.min(h.refresh_cursor + batch)];
-            let head = &touched[..batch - tail.len()];
+            let tail = h.refresh_cursor..n.min(h.refresh_cursor + batch);
+            let head = 0..batch - tail.len();
             h.refresh_cursor = (h.refresh_cursor + batch) % n;
             // A slot is due once its age reaches the refresh interval;
             // the window's order is kept, so the scan stays deterministic.
+            // No slot of a block whose bound plus drift is short of the
+            // deadline can be due, so the scan skips it.
             let deadline = self.cfg.refresh_days;
             h.due.clear();
-            h.due.extend(
-                tail.iter()
-                    .chain(head)
-                    .copied()
-                    .filter(|&slot| self.retention.age_days(slot, now) + drift_days >= deadline),
-            );
+            h.examined.clear();
+            for window in [tail, head] {
+                let mut pos = window.start;
+                while pos < window.end {
+                    let block = pos / SCAN_BLOCK;
+                    let end = window.end.min((block + 1) * SCAN_BLOCK);
+                    if h.bounds[block].days(now) + drift_days >= deadline {
+                        h.due
+                            .extend(touched[pos..end].iter().copied().filter(|&slot| {
+                                self.retention.age_days(slot, now) + drift_days >= deadline
+                            }));
+                        h.examined.push(block);
+                    }
+                    pos = end;
+                }
+            }
             for &slot in &h.due {
                 // The rewrite resets the slot's age in place; the die
                 // pays a copyback.
@@ -169,6 +206,16 @@ impl Simulator {
                 let loc = self.ftl.locate_read(slot);
                 self.push_bg(now, loc.die_linear, BgKind::Refresh, t.copyback());
                 refreshed += 1;
+            }
+            // An examined block's bound is rebuilt from its slots as the
+            // rewrites left them, so a refreshed slot stops holding it up.
+            let touched = self.ftl.touched();
+            for &block in &h.examined {
+                let mut bound = AgeBound::new(now);
+                for &slot in &touched[block * SCAN_BLOCK..n.min((block + 1) * SCAN_BLOCK)] {
+                    self.retention.fold(slot, &mut bound);
+                }
+                h.bounds[block] = bound;
             }
         }
 

@@ -21,7 +21,8 @@
 # restated in mlc.rs; the QLC study folded into Fig. 4), a guard that
 # the real code's Monte-Carlo sweeps share one encode→corrupt page loop,
 # a guard that the min-sum kernel has one float sweep per lane type (no
-# first-iteration variant) and one seeding of it, a guard that
+# first-iteration variant) and one seeding of it, a guard that a
+# decoder's graph builds no per-edge list, a guard that
 # the capture is the one trace file format, a guard that Figs. 6, 17 and
 # 18 are read off one paper-simulation grid, a guard that the device has
 # one refresh interval, a guard that each device time and the page
@@ -31,7 +32,8 @@
 # unsafe code forbids it, test suite (the property
 # suites and the experiment
 # registry's smoke runs are plain integration tests and run with it), the
-# decoder's lane-parity tests again in a release build, the Swift-Read
+# decoder's lane-parity and reference edge-order tests again in a
+# release build, its heap bound in release, the Swift-Read
 # inversion's equivalence suite and 1 M-case sweep, the Zipf sampler's
 # exactness tests and the trace fingerprint pins, and the cluster
 # loopback in a release build, the
@@ -280,6 +282,21 @@ for def in 'fn sweep<' 'fn seed_iteration_'; do
     fi
 done
 
+# A decoder holds its kernel's plan (DESIGN §5): the per-edge CSR lists
+# only the reference walks are built by `Csr::build` for each reference
+# call, so `Graph::build` builds none of them. Production code only.
+echo "==> a decoder holds its plan (no per-edge list in ldpc's Graph::build)"
+build=$(prod_lines crates/ldpc/src/decoder.rs |
+    awk '/fn build\(code: &QcLdpcCode\) -> Graph/,/^[^:]*:[0-9]*:     }$/')
+if [ -z "$build" ]; then
+    echo "crates/ldpc/src/decoder.rs: no Graph::build to check"
+    exit 1
+fi
+if printf '%s\n' "$build" | grep -E 'chk_ptr|chk_vars|var_ptr|var_edges|var_of|edge_count|Csr'; then
+    echo "crates/ldpc/src/decoder.rs: Graph::build builds a per-edge list"
+    exit 1
+fi
+
 # One trace file format (DESIGN §10.1): a trace file enters the workspace
 # only as a capture (`Capture::parse_csv`), so the loose four-column
 # parser and its writer stay gone.
@@ -395,6 +412,13 @@ cargo test -q --workspace
 echo "==> decoder lane parity in release (rif-ldpc, golden_equivalence)"
 cargo test -q --release -p rif-ldpc
 cargo test -q --release --test golden_equivalence
+
+# A decoder's heap is its plan plus one decode's scratch (DESIGN §5),
+# optimized as the benchmark runs it; the rif-ldpc run above holds the
+# reference's per-edge lists to the matrix's adjacency in its summation
+# order (`the_reference_csr_is_the_matrix_adjacency`).
+echo "==> decoder heap bound in release"
+cargo test -q --release --test decoder_heap_bound
 
 # The Swift-Read inversion's memo-and-replay path against the plain
 # bisection, bit for bit, optimized as the benchmark runs it: the crate's

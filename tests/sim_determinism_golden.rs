@@ -400,6 +400,13 @@ fn learned_hybrid_drift_runs_match_their_pinned_reports() {
             learner.recalibrations > 100,
             "{retry}: the learned paths must run: {learner:?}"
         );
+        // The drift makes slots due, so the pin covers the refresh scan's
+        // block skips and the re-tightening after its rewrites.
+        let bg = report.hybrid.clone().expect("hybrid run summarizes");
+        assert!(
+            bg.refreshed_slots > 0,
+            "{retry}: the refresh scan must rewrite slots: {bg:?}"
+        );
         let fnv = fnv1a64(&report.to_json());
         assert_eq!(fnv, pinned, "{retry}: report drifted: FNV-1a {fnv:#018x}");
     }
